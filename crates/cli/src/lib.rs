@@ -411,10 +411,33 @@ pub fn cmd_query(
     Ok(out)
 }
 
-/// End-to-end throughput bench against the saved index.
-/// With `metrics_out`, a JSON telemetry snapshot of the run is written
-/// too; with `faults`, a seeded injector shadows every device leg and a
-/// fault summary is appended.
+/// Both clocks on one line, each labelled: the modeled device clock (what
+/// the paper's figures and `fig-regress` read) and the host wall clock
+/// (what running the simulator and the serving stack costs on this
+/// machine). `modeled_ns` is summed modeled time, `wall` the measured span.
+fn two_clock_line(keys: u64, modeled_ns: f64, wall: std::time::Duration) -> String {
+    let modeled = if modeled_ns > 0.0 {
+        format!("{:.1} MOps/s", keys as f64 / modeled_ns * 1e3)
+    } else {
+        "no device batches completed".to_string()
+    };
+    let wall_s = wall.as_secs_f64();
+    format!(
+        "modeled device clock: {modeled}; host wall clock: {:.0} keys/s ({keys} keys in {:.1} ms)",
+        if wall_s > 0.0 {
+            keys as f64 / wall_s
+        } else {
+            0.0
+        },
+        wall_s * 1e3,
+    )
+}
+
+/// End-to-end throughput bench against the saved index, on both clocks:
+/// modeled kernel-side MOps/s and the wall-clock keys/s the simulator
+/// sustains on this host. With `metrics_out`, a JSON telemetry snapshot of
+/// the run is written too; with `faults`, a seeded injector shadows every
+/// device leg and a fault summary is appended.
 pub fn cmd_bench(
     path: &Path,
     device: &str,
@@ -438,31 +461,24 @@ pub fn cmd_bench(
     }
     let mut session = open_session(&index, &dev, faults);
     let mut total_ns = 0.0;
+    let mut wall = std::time::Duration::ZERO;
     for b in 0..batches {
         let queries: Vec<Vec<u8>> = (0..batch)
             .map(|i| stored[(b * batch + i * 7) % stored.len()].0.clone())
             .collect();
+        let started = std::time::Instant::now();
         let (_, report) = session.lookup_batch(&queries)?;
+        wall += started.elapsed();
         total_ns += report.time_ns;
     }
-    let mut out = if total_ns > 0.0 {
-        let mops = (batch * batches) as f64 / total_ns * 1000.0;
-        format!(
-            "{} lookups in {batches} batches of {batch} on {}: {:.1} MOps/s (kernel-side, modeled)",
-            batch * batches,
-            dev.name,
-            mops
-        )
-    } else {
-        // Every batch ran on the CPU fallback (degraded session): there
-        // is no modeled device time to rate.
-        format!(
-            "{} lookups in {batches} batches of {batch} on {}: no device batches completed \
-             (CPU fallback served the run)",
-            batch * batches,
-            dev.name
-        )
-    };
+    // With every batch on the CPU fallback (degraded session) there is no
+    // modeled device time to rate; the line says so.
+    let mut out = format!(
+        "{} lookups in {batches} batches of {batch} on {} (kernel-side)\n{}",
+        batch * batches,
+        dev.name,
+        two_clock_line((batch * batches) as u64, total_ns, wall),
+    );
     if faults.is_some() {
         out.push_str(&fault_summary(&session));
     }
@@ -657,6 +673,7 @@ pub fn cmd_serve_sim(
         rejected: u64,
         timed_out: u64,
     }
+    let started = std::time::Instant::now();
     let mut handles = Vec::new();
     for p in 0..producers {
         let client = sched
@@ -701,6 +718,8 @@ pub fn cmd_serve_sim(
         tally.rejected += t.rejected;
         tally.timed_out += t.timed_out;
     }
+    let wall = started.elapsed();
+    let served = (per_producer * producers) as u64 - tally.shed - tally.rejected - tally.timed_out;
     if smoke_storm {
         drive_breaker_recovery(&sched, &telemetry, &stored)?;
     }
@@ -726,7 +745,7 @@ pub fn cmd_serve_sim(
     let mut out = format!(
         "{} lookups from {producers} producers on {} — {} batches \
          (mean fill {:.0}, {} size / {} deadline / {} final flushes)\n\
-         modeled kernel {:.1} µs total, {:.2} ns/key, L2 hit rate {:.0}%, {} hits",
+         modeled kernel {:.1} µs total, {:.2} ns/key, L2 hit rate {:.0}%, {} hits\n{}",
         stats.ops_enqueued,
         dev.name,
         stats.batches,
@@ -738,6 +757,7 @@ pub fn cmd_serve_sim(
         stats.kernel_ns_per_key(),
         100.0 * stats.l2_hit_rate(),
         tally.hits,
+        two_clock_line(served, stats.kernel_time_ns, wall),
     );
     let _ = write!(
         out,
@@ -792,6 +812,7 @@ fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
         rejected: u64,
         timed_out: u64,
     }
+    let started = std::time::Instant::now();
     let mut handles = Vec::new();
     for p in 0..run.producers {
         let client = sharded
@@ -831,6 +852,9 @@ fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
         tally.rejected += t.rejected;
         tally.timed_out += t.timed_out;
     }
+    let wall = started.elapsed();
+    let served =
+        (per_producer * run.producers) as u64 - tally.shed - tally.rejected - tally.timed_out;
     if run.smoke && run.op_deadline_us.is_some() {
         // Same deterministic shed probe as the single-device drill.
         let client = sharded
@@ -853,7 +877,7 @@ fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
     let mut out = format!(
         "{} lookups from {} producers over {} shards — {} batches \
          (mean fill {:.0}), {} routed requests\n\
-         modeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), {} hits",
+         modeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), {} hits\n{}",
         agg.ops_enqueued,
         run.producers,
         stats.shards.len(),
@@ -863,6 +887,7 @@ fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
         stats.modeled_aggregate_mops(),
         stats.modeled_time_ns() / 1e3,
         tally.hits,
+        two_clock_line(served, stats.modeled_time_ns(), wall),
     );
     let _ = write!(
         out,
@@ -1530,7 +1555,9 @@ mod tests {
         assert!(out.starts_with("2/3 hits"), "{out}");
 
         let out = cmd_bench(&idx, "a100", 256, 2, None, None).unwrap();
-        assert!(out.contains("MOps/s"), "{out}");
+        assert!(out.contains("modeled device clock: "), "{out}");
+        assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
+        assert!(out.contains(" keys/s (512 keys in "), "{out}");
 
         for p in [keys, idx, probes] {
             std::fs::remove_file(p).ok();
@@ -1662,6 +1689,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("1024 lookups from 2 producers"), "{out}");
         assert!(out.contains("1024 hits"), "{out}");
+        assert!(
+            out.contains(" MOps/s; host wall clock: ") && out.contains(" keys/s (1024 keys in "),
+            "both clocks, labelled: {out}"
+        );
         assert!(out.contains("metrics ->"), "{out}");
         #[cfg(feature = "telemetry")]
         {
@@ -1726,6 +1757,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("modeled scale-out"), "{out}");
+        assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
         assert!(out.contains("shard 0 (NVIDIA RTX 3090"), "{out}");
         assert!(out.contains("shard 1 (NVIDIA GTX 1070"), "{out}");
         #[cfg(feature = "telemetry")]

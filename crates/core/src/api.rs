@@ -12,12 +12,14 @@ use crate::insert::{insert_status, ArenaTails, CuartInsertKernel};
 use crate::kernels::{CuartLookupKernel, DeviceTree, HOST_SIGNAL};
 use crate::link::LinkType;
 use crate::mapper::{map_art, MAX_DEVICE_KEY};
-use crate::range::{range_device_rows, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES};
+use crate::range::{
+    pack_range_records, range_device_rows, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES,
+};
 use crate::update::{status, CuartUpdateKernel, FreeLists, DEFAULT_TABLE_SLOTS, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::{pack_keys, pack_keys_into, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::cache::Cache;
-use cuart_gpu_sim::exec::{launch_with_cache, KernelReport};
+use cuart_gpu_sim::exec::{KernelReport, Launcher};
 use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
 use std::collections::BTreeMap;
@@ -339,7 +341,7 @@ fn run_packable_lookup_batch(
         results,
         count: queries.len(),
     };
-    let report = launch_with_cache(dev, mem, &kernel, queries.len(), l2);
+    let report = Launcher::default().launch(dev, mem, &kernel, queries.len(), l2);
     (
         cuart_gpu_sim::batch::read_results(mem, results, queries.len()),
         report,
@@ -356,6 +358,7 @@ struct RangeStaging {
 }
 
 /// Staging buffers reused across batches within a session.
+#[derive(Clone, Copy)]
 struct Staging {
     queries: BufferId,
     layout: KeyBatchLayout,
@@ -448,6 +451,8 @@ pub struct CuartSession<'a> {
     mem: DeviceMemory,
     tree: DeviceTree,
     l2: Cache,
+    /// Trace arena and timing scratch, reused by every launch.
+    launcher: Launcher,
     table_slots: usize,
     hash_keys: BufferId,
     hash_vals: BufferId,
@@ -504,6 +509,7 @@ impl<'a> CuartSession<'a> {
             index,
             dev: *dev,
             l2: Cache::new(&dev.l2),
+            launcher: Launcher::default(),
             mem: state.mem,
             tree: state.tree,
             table_slots,
@@ -819,20 +825,20 @@ impl<'a> CuartSession<'a> {
         self.journal_authoritative && self.journal.contains_key(key)
     }
 
-    fn ensure_staging(&mut self, batch: usize) -> Result<&Staging, CuartError> {
+    fn ensure_staging(&mut self, batch: usize) -> Staging {
         let stride = self.index.device_key_stride();
         let reusable = self
             .staging
-            .take()
             .filter(|s| s.capacity >= batch && s.layout.stride == stride);
         let st = match reusable {
             Some(s) => s,
             None => {
                 let cap = batch.next_power_of_two().max(64);
-                let blank = vec![Vec::new(); cap];
-                let (queries, layout) = pack_keys(&mut self.mem, "stage-queries", &blank, stride)?;
+                let layout = KeyBatchLayout { stride };
                 Staging {
-                    queries,
+                    queries: self
+                        .mem
+                        .alloc("stage-queries", cap * layout.record_bytes(), 32),
                     layout,
                     results: self.mem.alloc("stage-results", cap * 8, 32),
                     values: self.mem.alloc("stage-values", cap * 8, 32),
@@ -843,7 +849,85 @@ impl<'a> CuartSession<'a> {
                 }
             }
         };
-        Ok(self.staging.insert(st))
+        *self.staging.insert(st)
+    }
+
+    /// The result buffer of the batch a launch just ran over.
+    fn staged_results(&self) -> Result<BufferId, CuartError> {
+        match &self.staging {
+            Some(st) => Ok(st.results),
+            None => Err(CuartError::Internal {
+                detail: "staging vanished after a launched batch".into(),
+            }),
+        }
+    }
+
+    /// Stage the keys and values of `ops[which]` for an update or insert
+    /// launch, in `which` order.
+    fn stage_ops(
+        &mut self,
+        ops: &[(Vec<u8>, u64)],
+        which: &[usize],
+    ) -> Result<Staging, CuartError> {
+        let st = self.ensure_staging(which.len());
+        let keys = which.iter().map(|&i| ops[i].0.as_slice());
+        pack_keys_into(&mut self.mem, st.queries, &st.layout, keys)?;
+        for (j, &i) in which.iter().enumerate() {
+            self.mem.write_u64(st.values, j * 8, ops[i].1);
+        }
+        Ok(st)
+    }
+
+    /// Clear the claim table and run the two-stage update kernel over the
+    /// first `count` staged ops.
+    fn launch_update(&mut self, st: &Staging, count: usize) -> KernelReport {
+        self.clear_hash_table();
+        let kernel = CuartUpdateKernel {
+            tree: self.tree,
+            queries: st.queries,
+            layout: st.layout,
+            values: st.values,
+            results: st.results,
+            count,
+            hash_keys: self.hash_keys,
+            hash_vals: self.hash_vals,
+            table_slots: self.table_slots,
+            scratch_loc: st.scratch_loc,
+            scratch_parent: st.scratch_parent,
+            scratch_leaf: st.scratch_leaf,
+            free_lists: self.free_lists,
+        };
+        let mut report =
+            self.launcher
+                .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
+        report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
+        report
+    }
+
+    /// Insert-engine twin of [`launch_update`](Self::launch_update).
+    fn launch_insert(&mut self, st: &Staging, count: usize) -> KernelReport {
+        self.clear_hash_table();
+        let kernel = CuartInsertKernel {
+            tree: self.tree,
+            queries: st.queries,
+            layout: st.layout,
+            values: st.values,
+            results: st.results,
+            count,
+            hash_keys: self.hash_keys,
+            hash_vals: self.hash_vals,
+            table_slots: self.table_slots,
+            scratch_loc: st.scratch_loc,
+            scratch_parent: st.scratch_parent,
+            scratch_class: st.scratch_leaf,
+            free_lists: self.free_lists,
+            tails: self.tails,
+        };
+        let mut report =
+            self.launcher
+                .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
+        report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
+        report
     }
 
     fn ensure_range_staging(&mut self, batch: usize) -> &RangeStaging {
@@ -928,8 +1012,9 @@ impl<'a> CuartSession<'a> {
         }
         .max_key_len();
         let mut results = vec![NOT_FOUND; keys.len()];
-        let mut device_idx = Vec::new();
-        let mut device_keys = Vec::new();
+        // Device-bound keys stay where the caller put them: the batch keeps
+        // their indices and the packer copies each key once, into staging.
+        let mut device_idx = Vec::with_capacity(keys.len());
         let mut host_spills = 0u64;
         for (i, k) in keys.iter().enumerate() {
             if self.index.is_host_routed(k) || k.is_empty() {
@@ -945,35 +1030,29 @@ impl<'a> CuartSession<'a> {
                 host_spills += 1;
             } else {
                 device_idx.push(i);
-                device_keys.push(k.clone());
             }
         }
         let mut report = KernelReport::default();
         let mut fallback_keys = 0u64;
-        if !device_keys.is_empty() {
+        if !device_idx.is_empty() {
             let launched = if self.degraded {
                 None
             } else {
                 match self.run_with_retry(|s| {
                     s.fault_check(FaultSite::Transfer)?;
-                    let st = s.ensure_staging(device_keys.len())?;
-                    let (queries, layout, results_buf) = (st.queries, st.layout, st.results);
-                    pack_keys_into(&mut s.mem, queries, &layout, &device_keys)?;
+                    let st = s.ensure_staging(device_idx.len());
+                    let device_keys = device_idx.iter().map(|&i| keys[i].as_slice());
+                    pack_keys_into(&mut s.mem, st.queries, &st.layout, device_keys)?;
                     s.fault_check(FaultSite::Kernel)?;
                     let kernel = CuartLookupKernel {
                         tree: s.tree,
-                        queries,
-                        layout,
-                        results: results_buf,
-                        count: device_keys.len(),
+                        queries: st.queries,
+                        layout: st.layout,
+                        results: st.results,
+                        count: device_idx.len(),
                     };
-                    Ok(launch_with_cache(
-                        &s.dev,
-                        &mut s.mem,
-                        &kernel,
-                        device_keys.len(),
-                        &mut s.l2,
-                    ))
+                    Ok(s.launcher
+                        .launch(&s.dev, &mut s.mem, &kernel, device_idx.len(), &mut s.l2))
                 }) {
                     Ok(r) => Some(r),
                     Err(CuartError::RetriesExhausted { .. }) => {
@@ -986,14 +1065,7 @@ impl<'a> CuartSession<'a> {
             match launched {
                 Some(r) => {
                     report = r;
-                    let results_buf = match self.staging.as_ref() {
-                        Some(st) => st.results,
-                        None => {
-                            return Err(CuartError::Internal {
-                                detail: "staging vanished after a launched batch".into(),
-                            })
-                        }
-                    };
+                    let results_buf = self.staged_results()?;
                     for (j, &i) in device_idx.iter().enumerate() {
                         let raw = self.mem.read_u64(results_buf, j * 8);
                         // Host-leaf signals finish on the CPU against the
@@ -1013,10 +1085,10 @@ impl<'a> CuartSession<'a> {
                     }
                 }
                 None => {
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        results[i] = self.degraded_lookup(&device_keys[j]);
+                    for &i in &device_idx {
+                        results[i] = self.degraded_lookup(&keys[i]);
                     }
-                    fallback_keys = device_keys.len() as u64;
+                    fallback_keys = device_idx.len() as u64;
                 }
             }
         }
@@ -1044,7 +1116,7 @@ impl<'a> CuartSession<'a> {
                 t,
                 names::spans::BATCH_LOOKUP,
                 &report,
-                device_keys.len(),
+                device_idx.len(),
                 keys.len(),
             );
         }
@@ -1082,20 +1154,11 @@ impl<'a> CuartSession<'a> {
                 s.fault_check(FaultSite::Transfer)?;
                 let st = s.ensure_range_staging(ranges.len());
                 let (queries, results) = (st.queries, st.results);
-                let mut data = vec![0u8; ranges.len() * RANGE_RECORD_BYTES];
-                for (i, (lo, hi)) in ranges.iter().enumerate() {
-                    // Bounds longer than the packed 32-byte field are
-                    // clamped: the kernel leg only models span-search
-                    // cost, the host merge below is authoritative.
-                    let lo_n = lo.len().min(32);
-                    let hi_n = hi.len().min(32);
-                    let at = i * RANGE_RECORD_BYTES;
-                    data[at] = lo_n as u8;
-                    data[at + 1..at + 1 + lo_n].copy_from_slice(&lo[..lo_n]);
-                    data[at + 33] = hi_n as u8;
-                    data[at + 34..at + 34 + hi_n].copy_from_slice(&hi[..hi_n]);
-                }
-                s.mem.write_bytes(queries, 0, &data);
+                // Bounds longer than the packed 32-byte field are clamped:
+                // the kernel leg only models span-search cost, the host
+                // merge below is authoritative.
+                let live = ranges.len() * RANGE_RECORD_BYTES;
+                pack_range_records(s.mem.bytes_mut(queries, 0, live), ranges);
                 s.fault_check(FaultSite::Kernel)?;
                 let kernel = RangeSpanKernel {
                     tree: s.tree,
@@ -1108,13 +1171,8 @@ impl<'a> CuartSession<'a> {
                         s.index.buffers.record_count(LinkType::Leaf32) as u64,
                     ],
                 };
-                Ok(launch_with_cache(
-                    &s.dev,
-                    &mut s.mem,
-                    &kernel,
-                    ranges.len(),
-                    &mut s.l2,
-                ))
+                Ok(s.launcher
+                    .launch(&s.dev, &mut s.mem, &kernel, ranges.len(), &mut s.l2))
             }) {
                 Ok(r) => report = r,
                 Err(CuartError::RetriesExhausted { .. }) => {
@@ -1190,9 +1248,7 @@ impl<'a> CuartSession<'a> {
             0
         };
         let mut statuses = vec![status::MISS; ops.len()];
-        let mut device_idx = Vec::new();
-        let mut device_keys = Vec::new();
-        let mut device_values = Vec::new();
+        let mut device_idx = Vec::with_capacity(ops.len());
         for (i, (k, v)) in ops.iter().enumerate() {
             if self.index.is_host_routed(k) || k.is_empty() {
                 statuses[i] = self.host_update(k, *v);
@@ -1204,52 +1260,19 @@ impl<'a> CuartSession<'a> {
                 statuses[i] = self.degraded_update(k, *v);
             } else {
                 device_idx.push(i);
-                device_keys.push(k.clone());
-                device_values.push(*v);
             }
         }
         let mut report = KernelReport::default();
         let mut fallback_keys = 0u64;
-        if !device_keys.is_empty() {
+        if !device_idx.is_empty() {
             let launched = if self.degraded {
                 None
             } else {
                 match self.run_with_retry(|s| {
                     s.fault_check(FaultSite::Transfer)?;
-                    let st = s.ensure_staging(device_keys.len())?;
-                    let (queries, layout) = (st.queries, st.layout);
-                    let (results_buf, values_buf) = (st.results, st.values);
-                    let (loc, parent, leaf) = (st.scratch_loc, st.scratch_parent, st.scratch_leaf);
-                    pack_keys_into(&mut s.mem, queries, &layout, &device_keys)?;
-                    for (j, v) in device_values.iter().enumerate() {
-                        s.mem.write_u64(values_buf, j * 8, *v);
-                    }
+                    let st = s.stage_ops(ops, &device_idx)?;
                     s.fault_check(FaultSite::Kernel)?;
-                    s.clear_hash_table();
-                    let kernel = CuartUpdateKernel {
-                        tree: s.tree,
-                        queries,
-                        layout,
-                        values: values_buf,
-                        results: results_buf,
-                        count: device_keys.len(),
-                        hash_keys: s.hash_keys,
-                        hash_vals: s.hash_vals,
-                        table_slots: s.table_slots,
-                        scratch_loc: loc,
-                        scratch_parent: parent,
-                        scratch_leaf: leaf,
-                        free_lists: s.free_lists,
-                    };
-                    let mut r = launch_with_cache(
-                        &s.dev,
-                        &mut s.mem,
-                        &kernel,
-                        device_keys.len(),
-                        &mut s.l2,
-                    );
-                    r.time_ns += crate::update::hash_clear_ns(&s.dev, s.table_slots);
-                    Ok(r)
+                    Ok(s.launch_update(&st, device_idx.len()))
                 }) {
                     Ok(r) => Some(r),
                     Err(CuartError::RetriesExhausted { .. }) => {
@@ -1262,37 +1285,25 @@ impl<'a> CuartSession<'a> {
             match launched {
                 Some(r) => {
                     report = r;
-                    let results_buf = match self.staging.as_ref() {
-                        Some(st) => st.results,
-                        None => {
-                            return Err(CuartError::Internal {
-                                detail: "staging vanished after a launched batch".into(),
-                            })
-                        }
-                    };
+                    let results_buf = self.staged_results()?;
                     for (j, &i) in device_idx.iter().enumerate() {
                         statuses[i] = self.mem.read_u64(results_buf, j * 8);
                     }
-                    self.rerun_exhausted_updates(
+                    self.rerun_exhausted(
                         &mut statuses,
                         &device_idx,
-                        &device_keys,
-                        &device_values,
+                        ops,
                         &mut report,
+                        status::EXHAUSTED,
+                        Self::launch_update,
                     )?;
-                    self.journal_device_mutations(
-                        &statuses,
-                        &device_idx,
-                        &device_keys,
-                        &device_values,
-                        false,
-                    );
+                    self.journal_device_mutations(&statuses, &device_idx, ops, false);
                 }
                 None => {
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        statuses[i] = self.degraded_update(&device_keys[j], device_values[j]);
+                    for &i in &device_idx {
+                        statuses[i] = self.degraded_update(&ops[i].0, ops[i].1);
                     }
-                    fallback_keys = device_keys.len() as u64;
+                    fallback_keys = device_idx.len() as u64;
                 }
             }
         }
@@ -1326,7 +1337,7 @@ impl<'a> CuartSession<'a> {
                 t,
                 names::spans::BATCH_UPDATE,
                 &report,
-                device_keys.len(),
+                device_idx.len(),
                 ops.len(),
             );
         }
@@ -1334,76 +1345,40 @@ impl<'a> CuartSession<'a> {
     }
 
     /// Re-run ops starved out of the claim hash table against a freshly
-    /// cleared table. The stage-1 linear probe covers every slot, so
-    /// `EXHAUSTED` for a location means that location is nowhere in the
-    /// table — exhaustion is all-or-nothing per location and a sub-batch
-    /// re-run (original relative order) preserves max-tid-wins
-    /// semantics. Each round resolves at least one location, so the loop
-    /// terminates; a no-progress round means the table cannot hold a
-    /// single entry. Re-runs ride the already-fault-validated launch and
-    /// are not re-checked.
-    fn rerun_exhausted_updates(
+    /// cleared table, for the update engine and the insert engine alike
+    /// (`exhausted` is the engine's status code, `launch` its kernel). The
+    /// stage-1 linear probe covers every slot, so `EXHAUSTED` for a
+    /// location means that location is nowhere in the table — exhaustion
+    /// is all-or-nothing per location and a sub-batch re-run (original
+    /// relative order) preserves max-tid-wins semantics. Each round
+    /// resolves at least one location, so the loop terminates; a
+    /// no-progress round means the table cannot hold a single entry.
+    /// Re-runs ride the already-fault-validated launch and are not
+    /// re-checked.
+    fn rerun_exhausted(
         &mut self,
         statuses: &mut [u64],
         device_idx: &[usize],
-        device_keys: &[Vec<u8>],
-        device_values: &[u64],
+        ops: &[(Vec<u8>, u64)],
         report: &mut KernelReport,
+        exhausted: u64,
+        launch: fn(&mut Self, &Staging, usize) -> KernelReport,
     ) -> Result<(), CuartError> {
         loop {
-            let pending: Vec<usize> = (0..device_keys.len())
-                .filter(|&j| statuses[device_idx[j]] == status::EXHAUSTED)
+            let pending: Vec<usize> = device_idx
+                .iter()
+                .copied()
+                .filter(|&i| statuses[i] == exhausted)
                 .collect();
             if pending.is_empty() {
                 return Ok(());
             }
-            let sub_keys: Vec<Vec<u8>> = pending.iter().map(|&j| device_keys[j].clone()).collect();
-            let st = match self.staging.as_ref() {
-                Some(st) => st,
-                None => {
-                    return Err(CuartError::Internal {
-                        detail: "staging missing for a retry sub-batch".into(),
-                    })
-                }
-            };
-            let (queries, layout) = (st.queries, st.layout);
-            let (results_buf, values_buf) = (st.results, st.values);
-            let (loc, parent, leaf) = (st.scratch_loc, st.scratch_parent, st.scratch_leaf);
-            pack_keys_into(&mut self.mem, queries, &layout, &sub_keys)?;
-            for (m, &j) in pending.iter().enumerate() {
-                self.mem.write_u64(values_buf, m * 8, device_values[j]);
-            }
-            self.clear_hash_table();
-            let kernel = CuartUpdateKernel {
-                tree: self.tree,
-                queries,
-                layout,
-                values: values_buf,
-                results: results_buf,
-                count: sub_keys.len(),
-                hash_keys: self.hash_keys,
-                hash_vals: self.hash_vals,
-                table_slots: self.table_slots,
-                scratch_loc: loc,
-                scratch_parent: parent,
-                scratch_leaf: leaf,
-                free_lists: self.free_lists,
-            };
-            let mut sub = launch_with_cache(
-                &self.dev,
-                &mut self.mem,
-                &kernel,
-                sub_keys.len(),
-                &mut self.l2,
-            );
-            sub.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
+            let st = self.stage_ops(ops, &pending)?;
+            let sub = launch(self, &st, pending.len());
             let mut progressed = false;
-            for (m, &j) in pending.iter().enumerate() {
-                let s = self.mem.read_u64(results_buf, m * 8);
-                if s != status::EXHAUSTED {
-                    progressed = true;
-                }
-                statuses[device_idx[j]] = s;
+            for (m, &i) in pending.iter().enumerate() {
+                statuses[i] = self.mem.read_u64(st.results, m * 8);
+                progressed |= statuses[i] != exhausted;
             }
             report.accumulate(&sub);
             if !progressed {
@@ -1423,27 +1398,26 @@ impl<'a> CuartSession<'a> {
         &mut self,
         statuses: &[u64],
         device_idx: &[usize],
-        device_keys: &[Vec<u8>],
-        device_values: &[u64],
+        ops: &[(Vec<u8>, u64)],
         insert: bool,
     ) {
         if self.injector.is_none() && !self.journal_authoritative && !self.journal_shadowing {
             return;
         }
-        for (j, &i) in device_idx.iter().enumerate() {
+        for &i in device_idx {
             let applied = if insert {
                 statuses[i] == insert_status::UPDATED || statuses[i] == insert_status::INSERTED
             } else {
                 statuses[i] == status::APPLIED
             };
             if applied {
-                let v = device_values[j];
-                let entry = if !insert && v == DELETE {
+                let (key, v) = &ops[i];
+                let entry = if !insert && *v == DELETE {
                     None
                 } else {
-                    Some(v)
+                    Some(*v)
                 };
-                self.journal.insert(device_keys[j].clone(), entry);
+                self.journal.insert(key.clone(), entry);
             }
         }
     }
@@ -1472,9 +1446,7 @@ impl<'a> CuartSession<'a> {
             0
         };
         let mut statuses = vec![insert_status::REJECTED; ops.len()];
-        let mut device_idx = Vec::new();
-        let mut device_keys = Vec::new();
-        let mut device_values = Vec::new();
+        let mut device_idx = Vec::with_capacity(ops.len());
         for (i, (k, v)) in ops.iter().enumerate() {
             if k.is_empty() {
                 continue; // REJECTED
@@ -1494,54 +1466,19 @@ impl<'a> CuartSession<'a> {
                 statuses[i] = self.degraded_insert(k, *v);
             } else {
                 device_idx.push(i);
-                device_keys.push(k.clone());
-                device_values.push(*v);
             }
         }
         let mut report = KernelReport::default();
         let mut fallback_keys = 0u64;
-        if !device_keys.is_empty() {
+        if !device_idx.is_empty() {
             let launched = if self.degraded {
                 None
             } else {
                 match self.run_with_retry(|s| {
                     s.fault_check(FaultSite::Transfer)?;
-                    let st = s.ensure_staging(device_keys.len())?;
-                    let (queries, layout) = (st.queries, st.layout);
-                    let (results_buf, values_buf) = (st.results, st.values);
-                    let (loc, parent, class_buf) =
-                        (st.scratch_loc, st.scratch_parent, st.scratch_leaf);
-                    pack_keys_into(&mut s.mem, queries, &layout, &device_keys)?;
-                    for (j, v) in device_values.iter().enumerate() {
-                        s.mem.write_u64(values_buf, j * 8, *v);
-                    }
+                    let st = s.stage_ops(ops, &device_idx)?;
                     s.fault_check(FaultSite::Kernel)?;
-                    s.clear_hash_table();
-                    let kernel = CuartInsertKernel {
-                        tree: s.tree,
-                        queries,
-                        layout,
-                        values: values_buf,
-                        results: results_buf,
-                        count: device_keys.len(),
-                        hash_keys: s.hash_keys,
-                        hash_vals: s.hash_vals,
-                        table_slots: s.table_slots,
-                        scratch_loc: loc,
-                        scratch_parent: parent,
-                        scratch_class: class_buf,
-                        free_lists: s.free_lists,
-                        tails: s.tails,
-                    };
-                    let mut r = launch_with_cache(
-                        &s.dev,
-                        &mut s.mem,
-                        &kernel,
-                        device_keys.len(),
-                        &mut s.l2,
-                    );
-                    r.time_ns += crate::update::hash_clear_ns(&s.dev, s.table_slots);
-                    Ok(r)
+                    Ok(s.launch_insert(&st, device_idx.len()))
                 }) {
                     Ok(r) => Some(r),
                     Err(CuartError::RetriesExhausted { .. }) => {
@@ -1554,45 +1491,32 @@ impl<'a> CuartSession<'a> {
             match launched {
                 Some(r) => {
                     report = r;
-                    let results_buf = match self.staging.as_ref() {
-                        Some(st) => st.results,
-                        None => {
-                            return Err(CuartError::Internal {
-                                detail: "staging vanished after a launched batch".into(),
-                            })
-                        }
-                    };
+                    let results_buf = self.staged_results()?;
                     for (j, &i) in device_idx.iter().enumerate() {
                         statuses[i] = self.mem.read_u64(results_buf, j * 8);
                     }
-                    self.rerun_exhausted_inserts(
+                    self.rerun_exhausted(
                         &mut statuses,
                         &device_idx,
-                        &device_keys,
-                        &device_values,
+                        ops,
                         &mut report,
+                        insert_status::EXHAUSTED,
+                        Self::launch_insert,
                     )?;
-                    self.journal_device_mutations(
-                        &statuses,
-                        &device_idx,
-                        &device_keys,
-                        &device_values,
-                        true,
-                    );
-                    for (j, &i) in device_idx.iter().enumerate() {
+                    self.journal_device_mutations(&statuses, &device_idx, ops, true);
+                    for &i in &device_idx {
                         if statuses[i] == insert_status::SPILLED {
                             // Parked host-side; later spills of the same key
                             // win naturally (ops are visited in tid order).
-                            self.overflow
-                                .insert(device_keys[j].clone(), device_values[j]);
+                            self.overflow.insert(ops[i].0.clone(), ops[i].1);
                         }
                     }
                 }
                 None => {
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        statuses[i] = self.degraded_insert(&device_keys[j], device_values[j]);
+                    for &i in &device_idx {
+                        statuses[i] = self.degraded_insert(&ops[i].0, ops[i].1);
                     }
-                    fallback_keys = device_keys.len() as u64;
+                    fallback_keys = device_idx.len() as u64;
                 }
             }
         }
@@ -1621,87 +1545,11 @@ impl<'a> CuartSession<'a> {
                 t,
                 names::spans::BATCH_INSERT,
                 &report,
-                device_keys.len(),
+                device_idx.len(),
                 ops.len(),
             );
         }
         Ok((statuses, report))
-    }
-
-    /// Insert-engine twin of
-    /// [`rerun_exhausted_updates`](Self::rerun_exhausted_updates): same
-    /// all-or-nothing-per-location argument, same progress guarantee.
-    fn rerun_exhausted_inserts(
-        &mut self,
-        statuses: &mut [u64],
-        device_idx: &[usize],
-        device_keys: &[Vec<u8>],
-        device_values: &[u64],
-        report: &mut KernelReport,
-    ) -> Result<(), CuartError> {
-        loop {
-            let pending: Vec<usize> = (0..device_keys.len())
-                .filter(|&j| statuses[device_idx[j]] == insert_status::EXHAUSTED)
-                .collect();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let sub_keys: Vec<Vec<u8>> = pending.iter().map(|&j| device_keys[j].clone()).collect();
-            let st = match self.staging.as_ref() {
-                Some(st) => st,
-                None => {
-                    return Err(CuartError::Internal {
-                        detail: "staging missing for a retry sub-batch".into(),
-                    })
-                }
-            };
-            let (queries, layout) = (st.queries, st.layout);
-            let (results_buf, values_buf) = (st.results, st.values);
-            let (loc, parent, class_buf) = (st.scratch_loc, st.scratch_parent, st.scratch_leaf);
-            pack_keys_into(&mut self.mem, queries, &layout, &sub_keys)?;
-            for (m, &j) in pending.iter().enumerate() {
-                self.mem.write_u64(values_buf, m * 8, device_values[j]);
-            }
-            self.clear_hash_table();
-            let kernel = CuartInsertKernel {
-                tree: self.tree,
-                queries,
-                layout,
-                values: values_buf,
-                results: results_buf,
-                count: sub_keys.len(),
-                hash_keys: self.hash_keys,
-                hash_vals: self.hash_vals,
-                table_slots: self.table_slots,
-                scratch_loc: loc,
-                scratch_parent: parent,
-                scratch_class: class_buf,
-                free_lists: self.free_lists,
-                tails: self.tails,
-            };
-            let mut sub = launch_with_cache(
-                &self.dev,
-                &mut self.mem,
-                &kernel,
-                sub_keys.len(),
-                &mut self.l2,
-            );
-            sub.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
-            let mut progressed = false;
-            for (m, &j) in pending.iter().enumerate() {
-                let s = self.mem.read_u64(results_buf, m * 8);
-                if s != insert_status::EXHAUSTED {
-                    progressed = true;
-                }
-                statuses[device_idx[j]] = s;
-            }
-            report.accumulate(&sub);
-            if !progressed {
-                return Err(CuartError::HashTableFull {
-                    table_slots: self.table_slots,
-                });
-            }
-        }
     }
 
     fn host_insert(&mut self, key: &[u8], value: u64) -> u64 {
@@ -1749,9 +1597,9 @@ impl<'a> CuartSession<'a> {
     }
 
     fn clear_hash_table(&mut self) {
-        let zeros = vec![0u8; self.table_slots * 8];
-        self.mem.write_bytes(self.hash_keys, 0, &zeros);
-        self.mem.write_bytes(self.hash_vals, 0, &zeros);
+        let bytes = self.table_slots * 8;
+        self.mem.bytes_mut(self.hash_keys, 0, bytes).fill(0);
+        self.mem.bytes_mut(self.hash_vals, 0, bytes).fill(0);
     }
 
     /// Number of freed slots currently on the free list of a leaf class.

@@ -29,11 +29,11 @@
 //! lets only the winning thread allocate and publish.
 
 use crate::kernels::{device_traverse, slot_ref, Attach, DevHit, DeviceTree};
-use crate::layout::{self, leaf, stride, EMPTY48};
+use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride, EMPTY48};
 use crate::link::{LinkType, NodeLink};
 use crate::update::FreeLists;
-use cuart_gpu_sim::batch::KeyBatchLayout;
-use cuart_gpu_sim::{BufferId, PhasedKernel, ThreadCtx};
+use cuart_gpu_sim::batch::{record_key, KeyBatchLayout};
+use cuart_gpu_sim::{BufferId, DeviceBytes, PhasedKernel, ThreadCtx};
 
 /// Per-operation status written to the results buffer.
 pub mod insert_status {
@@ -134,17 +134,16 @@ impl PhasedKernel for CuartInsertKernel {
 }
 
 impl CuartInsertKernel {
-    fn read_key(&self, tid: usize, ctx: &mut ThreadCtx<'_>) -> Vec<u8> {
+    /// Thread `tid`'s packed query record; [`record_key`] slices the key.
+    fn read_query(&self, tid: usize, ctx: &mut ThreadCtx<'_>) -> DeviceBytes {
         let rec_off = self.layout.offset(tid);
-        let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
-        let key_len = rec[0] as usize;
-        rec[1..1 + key_len].to_vec()
+        ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes())
     }
 
     /// Stage 1: classify against the pre-batch tree and claim the target.
     fn stage1(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
-        let key = self.read_key(tid, ctx);
-        let (cls, primary, secondary) = match device_traverse(&self.tree, &key, ctx) {
+        let query = self.read_query(tid, ctx);
+        let (cls, primary, secondary) = match device_traverse(&self.tree, record_key(&query), ctx) {
             DevHit::Found { value_slot, .. } => (class::UPDATE, value_slot, 0),
             DevHit::Miss { attach } => match attach {
                 Attach::Slot(slot) => (class::ATTACH_SLOT, slot, 0),
@@ -208,9 +207,9 @@ impl CuartInsertKernel {
             let verdict = if cls == class::UPDATE {
                 insert_status::SUPERSEDED
             } else {
-                let winner_key = self.read_key(winner as usize - 1, ctx);
-                let key = self.read_key(tid, ctx);
-                if winner_key == key {
+                let winner_query = self.read_query(winner as usize - 1, ctx);
+                let query = self.read_query(tid, ctx);
+                if record_key(&winner_query) == record_key(&query) {
                     insert_status::SUPERSEDED
                 } else {
                     insert_status::SPILLED
@@ -227,7 +226,8 @@ impl CuartInsertKernel {
             return;
         }
         // Attach a brand-new leaf.
-        let key = self.read_key(tid, ctx);
+        let query = self.read_query(tid, ctx);
+        let key = record_key(&query);
         let Some(leaf_ty) = layout::leaf_class_for(key.len()) else {
             ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);
             return;
@@ -239,13 +239,14 @@ impl CuartInsertKernel {
         };
         // Write the leaf record before publishing any link to it.
         let base = slot_idx as usize * stride(leaf_ty);
-        let mut rec = vec![0u8; stride(leaf_ty)];
-        rec[..key.len()].copy_from_slice(&key);
+        let mut rec = ZERO_RECORD;
+        let rec = &mut rec[..stride(leaf_ty)];
+        rec[..key.len()].copy_from_slice(key);
         rec[leaf::value_at(leaf_ty)..leaf::value_at(leaf_ty) + 8]
             .copy_from_slice(&value.to_le_bytes());
         rec[leaf::len_at(leaf_ty)] = key.len() as u8;
         rec[leaf::live_at(leaf_ty)] = 1;
-        ctx.write_bytes(self.tree.dev_arena(leaf_ty), base, &rec);
+        ctx.write_bytes(self.tree.dev_arena(leaf_ty), base, rec);
         let link = NodeLink::new(leaf_ty, slot_idx);
 
         let published = match cls {
@@ -270,7 +271,7 @@ impl CuartInsertKernel {
             ctx.write_bytes(
                 self.tree.dev_arena(leaf_ty),
                 base,
-                &vec![0u8; stride(leaf_ty)],
+                &ZERO_RECORD[..stride(leaf_ty)],
             );
             self.free_leaf(leaf_ty, slot_idx, ctx);
             ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);

@@ -20,7 +20,7 @@ use crate::error::CuartError;
 use crate::layout::{self, leaf, stride, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::lut_slot;
-use cuart_gpu_sim::batch::{KeyBatchLayout, NOT_FOUND};
+use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::{BufferId, Dep, Kernel, ThreadCtx};
 
 /// Result bit signalling "finish this comparison on the CPU" (host-leaf
@@ -247,11 +247,8 @@ pub(crate) fn device_traverse(tree: &DeviceTree, key: &[u8], ctx: &mut ThreadCtx
                 let off = link.index() as usize;
                 // Dynamically sized: length first, then the data —
                 // two dependent reads (the GRT behaviour this option keeps).
-                let len = u16::from_le_bytes(
-                    ctx.read_bytes(tree.dyn_leaves, off, 2)
-                        .try_into()
-                        .expect("2"), // cuart-allow: panic-path slice indexed to the exact field width on this line
-                ) as usize;
+                let len_field = ctx.read_bytes(tree.dyn_leaves, off, 2);
+                let len = u16::from_le_bytes([len_field[0], len_field[1]]) as usize;
                 let body = ctx.read_bytes(tree.dyn_leaves, off + 2, len + 8);
                 // Byte-oriented comparison of the arbitrary-length key.
                 ctx.compute(3 * len as u32);
@@ -480,9 +477,7 @@ impl Kernel for CuartLookupKernel {
         }
         let rec_off = self.layout.offset(tid);
         let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
-        let key_len = rec[0] as usize;
-        let key = &rec[1..1 + key_len];
-        let result = match device_traverse(&self.tree, key, ctx) {
+        let result = match device_traverse(&self.tree, record_key(&rec), ctx) {
             DevHit::Found { value, .. } => value,
             DevHit::Miss { .. } => NOT_FOUND,
             DevHit::Host(idx) => HOST_SIGNAL | idx,

@@ -93,6 +93,10 @@ pub fn links_at(ty: LinkType) -> usize {
 pub mod leaf {
     use super::*;
 
+    /// A cleared record of the widest fixed leaf class; slice it to
+    /// `stride(ty)` to clear or start a record of any class.
+    pub const ZERO_RECORD: [u8; 32 + LEAF_META_BYTES] = [0; 32 + LEAF_META_BYTES];
+
     /// Byte offset of the value field.
     pub fn value_at(ty: LinkType) -> usize {
         leaf_key_cap(ty)

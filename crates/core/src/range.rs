@@ -377,6 +377,20 @@ pub struct RangeSpanKernel {
     pub mapped: [u64; 3],
 }
 
+/// Write one [`RANGE_RECORD_BYTES`] query record per range into `out`, in
+/// full (a reused buffer keeps nothing of its previous batch). Bounds
+/// longer than the 32-byte field are clamped to it.
+pub(crate) fn pack_range_records(out: &mut [u8], ranges: &[(Vec<u8>, Vec<u8>)]) {
+    for (record, (lo, hi)) in out.chunks_exact_mut(RANGE_RECORD_BYTES).zip(ranges) {
+        record.fill(0);
+        for (at, bound) in [(0, lo), (33, hi)] {
+            let n = bound.len().min(32);
+            record[at] = n as u8;
+            record[at + 1..at + 1 + n].copy_from_slice(&bound[..n]);
+        }
+    }
+}
+
 const CLASSES: [LinkType; 3] = [LinkType::Leaf8, LinkType::Leaf16, LinkType::Leaf32];
 
 impl Kernel for RangeSpanKernel {
@@ -385,14 +399,12 @@ impl Kernel for RangeSpanKernel {
             return;
         }
         let rec = ctx.read_bytes(self.queries, tid * RANGE_RECORD_BYTES, RANGE_RECORD_BYTES);
-        let lo_len = rec[0] as usize;
-        let lo = rec[1..1 + lo_len].to_vec();
-        let hi_len = rec[33] as usize;
-        let hi = rec[34..34 + hi_len].to_vec();
+        let lo = &rec[1..1 + rec[0] as usize];
+        let hi = &rec[34..34 + rec[33] as usize];
         for (ci, class) in CLASSES.into_iter().enumerate() {
             let n = self.mapped[ci];
-            let start = self.partition_dev(class, n, &lo, true, ctx);
-            let end = self.partition_dev(class, n, &hi, false, ctx);
+            let start = self.partition_dev(class, n, lo, true, ctx);
+            let end = self.partition_dev(class, n, hi, false, ctx);
             let at = tid * RANGE_RESULT_BYTES + ci * 16;
             ctx.write_u64(self.results, at, start);
             ctx.write_u64(self.results, at + 8, end);
@@ -418,9 +430,11 @@ impl RangeSpanKernel {
         while lo < hi {
             let mid = (lo + hi) / 2;
             let mut probe = mid;
-            let key = loop {
+            // The first live record at or after `mid` decides; a run of
+            // deleted holes up to `hi` sends the search left.
+            let goes_right = loop {
                 if probe >= hi {
-                    break None;
+                    break false;
                 }
                 let base = probe as usize * stride(class);
                 let rec = ctx.read_bytes(arena, base, leaf::read_bytes(class));
@@ -428,20 +442,14 @@ impl RangeSpanKernel {
                     probe += 1;
                     continue;
                 }
-                let len = rec[leaf::len_at(class)] as usize;
-                break Some(rec[..len].to_vec());
+                let key = &rec[..rec[leaf::len_at(class)] as usize];
+                break if include_equal {
+                    key < bound
+                } else {
+                    key <= bound
+                };
             };
             ctx.compute(8);
-            let goes_right = match &key {
-                Some(k) => {
-                    if include_equal {
-                        k.as_slice() < bound
-                    } else {
-                        k.as_slice() <= bound
-                    }
-                }
-                None => false,
-            };
             if goes_right {
                 lo = probe + 1;
             } else {
@@ -466,18 +474,14 @@ impl crate::CuartIndex {
     ) -> (Vec<Vec<LeafSpan>>, cuart_gpu_sim::KernelReport) {
         let mut mem = cuart_gpu_sim::DeviceMemory::new();
         let tree = self.upload(&mut mem);
+        assert!(
+            ranges
+                .iter()
+                .all(|(lo, hi)| lo.len() <= 32 && hi.len() <= 32),
+            "range bounds exceed 32 bytes"
+        );
         let mut data = vec![0u8; ranges.len() * RANGE_RECORD_BYTES];
-        for (i, (lo, hi)) in ranges.iter().enumerate() {
-            assert!(
-                lo.len() <= 32 && hi.len() <= 32,
-                "range bounds exceed 32 bytes"
-            );
-            let at = i * RANGE_RECORD_BYTES;
-            data[at] = lo.len() as u8;
-            data[at + 1..at + 1 + lo.len()].copy_from_slice(lo);
-            data[at + 33] = hi.len() as u8;
-            data[at + 34..at + 34 + hi.len()].copy_from_slice(hi);
-        }
+        pack_range_records(&mut data, ranges);
         let queries = mem.alloc_from("range-queries", &data, 32);
         let results = mem.alloc("range-results", ranges.len() * RANGE_RESULT_BYTES, 32);
         let kernel = RangeSpanKernel {

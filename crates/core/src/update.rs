@@ -26,9 +26,9 @@
 
 use crate::error::CuartError;
 use crate::kernels::{device_traverse, slot_ref, DevHit, DeviceTree};
-use crate::layout::stride;
+use crate::layout::{leaf::ZERO_RECORD, stride};
 use crate::link::LinkType;
-use cuart_gpu_sim::batch::KeyBatchLayout;
+use cuart_gpu_sim::batch::{record_key, KeyBatchLayout};
 use cuart_gpu_sim::{BufferId, DeviceConfig, PhasedKernel, ThreadCtx};
 
 /// Sentinel value meaning "delete this key" (the nil pointer of §3.4).
@@ -144,10 +144,9 @@ impl CuartUpdateKernel {
     fn stage1(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
         let rec_off = self.layout.offset(tid);
         let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
-        let key_len = rec[0] as usize;
-        let key = &rec[1..1 + key_len];
 
-        let (location, parent, leaf_link) = match device_traverse(&self.tree, key, ctx) {
+        let (location, parent, leaf_link) = match device_traverse(&self.tree, record_key(&rec), ctx)
+        {
             DevHit::Found {
                 value_slot,
                 parent_slot,
@@ -225,7 +224,7 @@ impl CuartUpdateKernel {
                                                             // Clear the leaf contents (§3.3: "its contents are cleared").
         if ty.is_device_leaf() {
             let base = leaf_link.index() as usize * stride(ty);
-            ctx.write_bytes(self.tree.dev_arena(ty), base, &vec![0u8; stride(ty)]);
+            ctx.write_bytes(self.tree.dev_arena(ty), base, &ZERO_RECORD[..stride(ty)]);
             // Push the slot onto the free list for future inserts.
             let fl = self.free_lists.dev_of(ty);
             let pos = ctx.atomic_add_u64(fl, 0, 1);

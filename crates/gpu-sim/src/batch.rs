@@ -12,7 +12,7 @@
 //! layers (sessions, schedulers) can route the offending key elsewhere.
 //!
 //! The module also hosts the **sorted-batch** helpers ([`sort_permutation`],
-//! [`gather`], [`scatter_inverse`]): packing a batch in key order makes
+//! [`gather`] / [`take_permuted`], [`scatter_inverse`]): packing a batch in key order makes
 //! adjacent kernel threads traverse neighboring tree paths, which the
 //! coalescing and cache models reward (§3.1 of the paper). The permutation
 //! is inverted on result return so callers still see results in submission
@@ -89,19 +89,25 @@ impl KeyBatchLayout {
     }
 
     /// Check every key fits the layout; identifies the first that does not.
-    pub fn check_keys(&self, keys: &[Vec<u8>]) -> Result<(), PackError> {
+    pub fn check_keys<K: AsRef<[u8]>>(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Result<(), PackError> {
         let max = self.max_key_len();
-        for (index, key) in keys.iter().enumerate() {
-            if key.len() > max {
-                return Err(PackError::KeyTooLong {
-                    index,
-                    len: key.len(),
-                    max,
-                });
+        for (index, key) in keys.into_iter().enumerate() {
+            let len = key.as_ref().len();
+            if len > max {
+                return Err(PackError::KeyTooLong { index, len, max });
             }
         }
         Ok(())
     }
+}
+
+/// The key bytes of one packed record, as a kernel reads it back: the
+/// length byte says how many of the following bytes are the key.
+pub fn record_key(record: &[u8]) -> &[u8] {
+    &record[1..1 + record[0] as usize]
 }
 
 /// Pack `keys` into a new device buffer with the given per-record stride.
@@ -115,32 +121,27 @@ pub fn pack_keys(
 ) -> Result<(BufferId, KeyBatchLayout), PackError> {
     let layout = KeyBatchLayout { stride };
     layout.check_keys(keys)?;
-    let rec = layout.record_bytes();
-    let mut data = vec![0u8; keys.len() * rec];
-    for (i, key) in keys.iter().enumerate() {
-        let off = layout.offset(i);
-        data[off] = key.len() as u8;
-        data[off + 1..off + 1 + key.len()].copy_from_slice(key);
-    }
-    let id = mem.alloc_from(name, &data, 32);
+    let id = mem.alloc(name, keys.len() * layout.record_bytes(), 32);
+    pack_keys_into(mem, id, &layout, keys.iter())?;
     Ok((id, layout))
 }
 
-/// Re-pack `keys` into an existing batch buffer (allocated by
-/// [`pack_keys`] with at least as many records). The host pipeline reuses
-/// one staging buffer per stream instead of allocating per batch.
+/// Re-pack `keys` into an existing batch buffer of at least as many
+/// records. The host pipeline reuses one staging buffer per stream instead
+/// of allocating per batch, and hands the keys over borrowed: each key is
+/// copied exactly once, from the caller's storage into its record.
 ///
 /// Every record in the live region `[0, keys.len())` is written in full —
 /// length byte, key bytes **and** zero padding up to the record stride — so
 /// a reused buffer cannot leak key bytes or length fields from a previous,
 /// larger batch into the records a kernel will read. (Records past
 /// `keys.len()` may still hold stale data; kernels are bounded by the batch
-/// `count` and never read them.)
-pub fn pack_keys_into(
+/// `count` and never read them.) Nothing is written unless every key fits.
+pub fn pack_keys_into<K: AsRef<[u8]>>(
     mem: &mut DeviceMemory,
     buf: BufferId,
     layout: &KeyBatchLayout,
-    keys: &[Vec<u8>],
+    keys: impl ExactSizeIterator<Item = K> + Clone,
 ) -> Result<(), PackError> {
     let rec = layout.record_bytes();
     let needed = keys.len() * rec;
@@ -148,13 +149,14 @@ pub fn pack_keys_into(
     if needed > available {
         return Err(PackError::BufferTooSmall { needed, available });
     }
-    layout.check_keys(keys)?;
-    for (i, key) in keys.iter().enumerate() {
-        let off = layout.offset(i);
-        let mut record = vec![0u8; rec];
-        record[0] = key.len() as u8;
-        record[1..1 + key.len()].copy_from_slice(key);
-        mem.write_bytes(buf, off, &record);
+    layout.check_keys(keys.clone())?;
+    let records = mem.bytes_mut(buf, 0, needed).chunks_exact_mut(rec);
+    for (record, key) in records.zip(keys) {
+        let key = key.as_ref();
+        let (head, padding) = record.split_at_mut(1 + key.len());
+        head[0] = key.len() as u8;
+        head[1..].copy_from_slice(key);
+        padding.fill(0);
     }
     Ok(())
 }
@@ -194,6 +196,15 @@ pub fn gather<T: Clone>(items: &[T], perm: &[usize]) -> Vec<T> {
     perm.iter().map(|&i| items[i].clone()).collect()
 }
 
+/// [`gather`] for a caller that owns `items` and is done with them: every
+/// item is moved out (a default is left behind), so a batch of heap keys
+/// is permuted without copying one. `perm` names each index at most once.
+pub fn take_permuted<T: Default>(items: &mut [T], perm: &[usize]) -> Vec<T> {
+    perm.iter()
+        .map(|&i| std::mem::take(&mut items[i]))
+        .collect()
+}
+
 /// Scatter `results` (in sorted/batch order) back to submission order by
 /// applying the **inverse** permutation: `out[perm[i]] = results[i]`.
 pub fn scatter_inverse<T: Clone + Default>(results: &[T], perm: &[usize]) -> Vec<T> {
@@ -227,6 +238,10 @@ mod tests {
             let off = layout.offset(i);
             assert_eq!(mem.read_u8(buf, off) as usize, key.len());
             assert_eq!(mem.read_bytes(buf, off + 1, key.len()), &key[..]);
+            assert_eq!(
+                record_key(mem.read_bytes(buf, off, layout.record_bytes())),
+                &key[..]
+            );
         }
         // Padding is zeroed.
         assert_eq!(mem.read_u8(buf, layout.offset(0) + 1 + 3), 0);
@@ -261,7 +276,7 @@ mod tests {
     fn undersized_buffer_is_an_error() {
         let mut mem = DeviceMemory::new();
         let (buf, layout) = pack_keys(&mut mem, "q", &vec![vec![1u8; 8]; 2], 8).unwrap();
-        let err = pack_keys_into(&mut mem, buf, &layout, &vec![vec![1u8; 8]; 3]).unwrap_err();
+        let err = pack_keys_into(&mut mem, buf, &layout, [[1u8; 8]; 3].iter()).unwrap_err();
         assert_eq!(
             err,
             PackError::BufferTooSmall {
@@ -279,13 +294,23 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let big = vec![vec![0xAAu8; 8], vec![0xBBu8; 8], vec![0xCCu8; 8]];
         let (buf, layout) = pack_keys(&mut mem, "q", &big, 8).unwrap();
-        let small = vec![vec![0x11u8; 2]];
-        pack_keys_into(&mut mem, buf, &layout, &small).unwrap();
+        // Borrowed keys of any shape: here a slice out of a larger buffer.
+        let backing = [0x11u8; 16];
+        pack_keys_into(&mut mem, buf, &layout, [&backing[3..5]].into_iter()).unwrap();
         let off = layout.offset(0);
         assert_eq!(mem.read_u8(buf, off), 2);
         assert_eq!(mem.read_bytes(buf, off + 1, 2), vec![0x11, 0x11]);
         // Bytes 3..8 of record 0 must be zero, not stale 0xAA.
         assert_eq!(mem.read_bytes(buf, off + 3, 6), vec![0u8; 6]);
+        // A key that does not fit leaves the buffer as it was.
+        let err = pack_keys_into(
+            &mut mem,
+            buf,
+            &layout,
+            [&[7u8; 1][..], &[7u8; 9]].into_iter(),
+        );
+        assert!(matches!(err, Err(PackError::KeyTooLong { index: 1, .. })));
+        assert_eq!(mem.read_bytes(buf, off, 3), vec![2, 0x11, 0x11]);
     }
 
     #[test]
@@ -310,6 +335,7 @@ mod tests {
         let mut expect = keys.clone();
         expect.sort();
         assert_eq!(sorted, expect);
+        assert_eq!(take_permuted(&mut keys.clone(), &perm), expect);
         // Results computed in sorted order come back in submission order.
         let sorted_results: Vec<u64> = perm.iter().map(|&i| i as u64 * 10).collect();
         let restored = scatter_inverse(&sorted_results, &perm);

@@ -10,19 +10,21 @@
 /// Size of one memory sector in bytes.
 pub const SECTOR_BYTES: u64 = 32;
 
+/// Append the indices (address / 32) of the sectors an access of `len`
+/// bytes at `addr` touches to `out`; a zero-length access touches none.
+pub fn push_sectors(out: &mut Vec<u64>, addr: u64, len: u32) {
+    if len == 0 {
+        return;
+    }
+    out.extend(addr / SECTOR_BYTES..=(addr + len as u64 - 1) / SECTOR_BYTES);
+}
+
 /// The set of distinct sectors touched by a group of accesses, as sector
 /// indices (address / 32), sorted and deduplicated.
 pub fn sectors(accesses: impl IntoIterator<Item = (u64, u32)>) -> Vec<u64> {
     let mut out = Vec::new();
     for (addr, len) in accesses {
-        if len == 0 {
-            continue;
-        }
-        let first = addr / SECTOR_BYTES;
-        let last = (addr + len as u64 - 1) / SECTOR_BYTES;
-        for s in first..=last {
-            out.push(s);
-        }
+        push_sectors(&mut out, addr, len);
     }
     out.sort_unstable();
     out.dedup();

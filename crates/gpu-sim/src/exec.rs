@@ -3,7 +3,8 @@
 //! Execution proceeds in two passes per phase:
 //!
 //! 1. **Functional pass** — every thread runs to completion against real
-//!    device memory, producing a [`ThreadTrace`](crate::trace::ThreadTrace).
+//!    device memory, appending its trace to the launch's
+//!    [`TraceArena`](crate::trace::TraceArena).
 //! 2. **Timing pass** — threads are grouped into warps of 32; warp steps are
 //!    processed round-robin (approximating the interleaved execution of
 //!    resident warps), coalesced into sectors, filtered through the L2 and
@@ -22,19 +23,22 @@
 //!    (latency inflates as channel utilisation rises, which lengthens the
 //!    kernel, which lowers utilisation).
 //!
+//!    The order of this walk — step-major, warps round-robin, sectors
+//!    ascending within a warp step — is part of the model: it decides every
+//!    L2 hit and the order in which floats accumulate. Work that makes the
+//!    simulator itself faster keeps it, so reports stay bit-identical
+//!    (`tests/simulator_golden.rs`).
+//!
 //! The reported `time_ns` excludes the kernel-launch overhead; the
 //! [`pipeline`](crate::pipeline) model adds it per dispatch.
 
-// cuart-allow-file: index-hot-path the SIMT interpreter's per-lane loops index warp/lane vectors sized at construction (lanes == warp_size, buffers sized by BufferId registration); checked indexing in the innermost replay loop is measurable overhead
-
 use crate::cache::Cache;
-use crate::coalesce::{sectors, SECTOR_BYTES};
+use crate::coalesce::{push_sectors, SECTOR_BYTES};
 use crate::config::DeviceConfig;
 use crate::dram::DramModel;
 use crate::kernel::{PhasedKernel, ThreadCtx};
 use crate::memory::DeviceMemory;
-use crate::trace::{AccessKind, ThreadTrace};
-use std::collections::HashMap;
+use crate::trace::{AccessKind, TraceArena};
 
 /// Cost, in nanoseconds, of one serialized same-address atomic at the L2.
 const ATOMIC_SERIALIZE_NS: f64 = 8.0;
@@ -224,54 +228,16 @@ impl std::fmt::Display for KernelReport {
     }
 }
 
-/// Launch a single-phase kernel with a cold L2.
+/// Launch a kernel with a cold L2 and fresh launch state — the one-shot
+/// form. Callers that launch repeatedly keep a [`Launcher`] and a
+/// [`Cache`] instead.
 pub fn launch<K: PhasedKernel>(
     dev: &DeviceConfig,
     mem: &mut DeviceMemory,
     kernel: &K,
     threads: usize,
 ) -> KernelReport {
-    let mut l2 = Cache::new(&dev.l2);
-    launch_with_cache(dev, mem, kernel, threads, &mut l2)
-}
-
-/// Launch a (possibly multi-phase) kernel with a cold L2.
-pub fn launch_phased<K: PhasedKernel>(
-    dev: &DeviceConfig,
-    mem: &mut DeviceMemory,
-    kernel: &K,
-    threads: usize,
-) -> KernelReport {
-    launch(dev, mem, kernel, threads)
-}
-
-/// Launch with a caller-owned L2, so cache state persists across batches
-/// (the host pipeline reuses one cache for a whole query stream).
-pub fn launch_with_cache<K: PhasedKernel>(
-    dev: &DeviceConfig,
-    mem: &mut DeviceMemory,
-    kernel: &K,
-    threads: usize,
-    l2: &mut Cache,
-) -> KernelReport {
-    let phases = kernel.phases();
-    let mut total = KernelReport::default();
-    for phase in 0..phases {
-        // Functional pass.
-        let mut traces: Vec<ThreadTrace> = Vec::with_capacity(threads);
-        for tid in 0..threads {
-            let mut ctx = ThreadCtx::new(mem);
-            kernel.execute_phase(phase, tid, &mut ctx);
-            traces.push(ctx.into_trace());
-        }
-        // Timing pass.
-        let report = time_phase(dev, &traces, l2);
-        total.accumulate(&report);
-        if phase + 1 < phases {
-            total.time_ns += GRID_SYNC_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
-        }
-    }
-    total
+    Launcher::default().launch(dev, mem, kernel, threads, &mut Cache::new(&dev.l2))
 }
 
 /// Per-warp timing summary extracted during the sector walk.
@@ -283,142 +249,208 @@ struct WarpChain {
     atomic_extra_ns: f64,
 }
 
-fn time_phase(dev: &DeviceConfig, traces: &[ThreadTrace], l2: &mut Cache) -> KernelReport {
-    let warp_size = dev.warp_size.max(1);
-    let warps: Vec<&[ThreadTrace]> = traces.chunks(warp_size).collect();
-    let mut dram = DramModel::new(dev.mem);
-    let mut chains = vec![WarpChain::default(); warps.len()];
+/// The host memory a launch works in: the trace arena the functional pass
+/// fills and the timing pass's scratch lists. Holding one across launches
+/// (a session keeps it next to its L2 [`Cache`]) makes a launch
+/// allocation-free once the lists have grown to the largest batch: they
+/// are cleared, never reallocated, per phase and per (step, warp). It
+/// carries nothing from one launch to the next but capacity, so reusing it
+/// cannot change a report.
+#[derive(Debug, Default)]
+pub struct Launcher {
+    trace: TraceArena,
+    chains: Vec<WarpChain>,
+    /// Sector indices of the warp step being served.
+    sectors: Vec<u64>,
+    /// Addresses of the warp step's atomics.
+    atomics: Vec<u64>,
+}
 
-    let mut report = KernelReport {
-        threads: traces.len(),
-        warps: warps.len(),
-        ..KernelReport::default()
-    };
+impl Launcher {
+    /// Launch a (possibly multi-phase) kernel against a caller-owned L2, so
+    /// cache state persists across batches (the host pipeline reuses one
+    /// cache for a whole query stream).
+    pub fn launch<K: PhasedKernel>(
+        &mut self,
+        dev: &DeviceConfig,
+        mem: &mut DeviceMemory,
+        kernel: &K,
+        threads: usize,
+        l2: &mut Cache,
+    ) -> KernelReport {
+        let phases = kernel.phases();
+        let mut total = KernelReport::default();
+        for phase in 0..phases {
+            // Functional pass.
+            self.trace.clear();
+            for tid in 0..threads {
+                let mut ctx = ThreadCtx::new(mem, &mut self.trace);
+                kernel.execute_phase(phase, tid, &mut ctx);
+            }
+            assert!(
+                self.trace.indices_fit(),
+                "one launch phase traced more than 2^32 accesses"
+            );
+            // Timing pass.
+            let report = self.time_phase(dev, l2);
+            total.accumulate(&report);
+            if phase + 1 < phases {
+                total.time_ns += GRID_SYNC_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+            }
+        }
+        total
+    }
 
-    let max_steps = traces.iter().map(|t| t.depth()).max().unwrap_or(0);
-    let mut addr_counts: HashMap<u64, u32> = HashMap::new();
+    fn time_phase(&mut self, dev: &DeviceConfig, l2: &mut Cache) -> KernelReport {
+        let Launcher {
+            trace,
+            chains,
+            sectors,
+            atomics,
+        } = self;
+        let warp_size = dev.warp_size.max(1);
+        let threads = trace.threads();
+        let warps = threads.div_ceil(warp_size);
+        let lanes_of = |w: usize| w * warp_size..((w + 1) * warp_size).min(threads);
+        let mut dram = DramModel::new(dev.mem);
+        chains.clear();
+        chains.resize(warps, WarpChain::default());
 
-    // Round-robin over warps per step index: approximates the temporal
-    // interleaving of resident warps for L2 purposes.
-    for s in 0..max_steps {
-        for (w, lanes) in warps.iter().enumerate() {
-            let mut step_accesses: Vec<(u64, u32)> = Vec::new();
-            let mut step_compute_max = 0u32;
-            let mut any_access = false;
-            let mut active_lanes = 0u64;
-            addr_counts.clear();
-            for lane in lanes.iter() {
-                if let Some(step) = lane.steps.get(s) {
+        let mut report = KernelReport {
+            threads,
+            warps,
+            ..KernelReport::default()
+        };
+
+        let max_steps = (0..threads).map(|t| trace.depth(t)).max().unwrap_or(0);
+
+        // Round-robin over warps per step index: approximates the temporal
+        // interleaving of resident warps for L2 purposes.
+        for s in 0..max_steps {
+            for (w, chain) in chains.iter_mut().enumerate() {
+                sectors.clear();
+                atomics.clear();
+                let mut any_access = false;
+                let mut step_compute_max = 0u32;
+                let mut active_lanes = 0u64;
+                for lane in lanes_of(w) {
+                    let Some((accesses, compute_cycles)) = trace.step(lane, s) else {
+                        continue;
+                    };
                     report.steps_total = report.steps_total.saturating_add(1);
                     active_lanes += 1;
-                    step_compute_max = step_compute_max.max(step.compute_cycles);
-                    report.compute_cycles += step.compute_cycles as u64;
-                    for acc in &step.accesses {
-                        any_access = true;
-                        step_accesses.push((acc.addr, acc.len));
+                    step_compute_max = step_compute_max.max(compute_cycles);
+                    report.compute_cycles += compute_cycles as u64;
+                    any_access |= !accesses.is_empty();
+                    report.raw_accesses = report.raw_accesses.saturating_add(accesses.len() as u64);
+                    for acc in accesses {
+                        push_sectors(sectors, acc.addr, acc.len);
                         if acc.kind == AccessKind::Atomic {
-                            *addr_counts.entry(acc.addr).or_insert(0) += 1;
+                            atomics.push(acc.addr);
                         }
                     }
                 }
-            }
-            if !any_access && step_compute_max == 0 {
-                continue;
-            }
-            // Warp-level occupancy of this step: lanes past their last
-            // dependent step idle while the stragglers finish.
-            report.active_lane_steps += active_lanes;
-            report.issued_lane_steps += warp_size as u64;
-            // Atomic conflicts: lanes hitting the same address serialize.
-            let mut conflict_extra = 0u32;
-            for (&_addr, &count) in addr_counts.iter() {
-                if count > 1 {
-                    conflict_extra = conflict_extra.max(count - 1);
-                    report.atomic_conflicts =
-                        report.atomic_conflicts.saturating_add((count - 1) as u64);
+                if !any_access && step_compute_max == 0 {
+                    continue;
                 }
-            }
-            chains[w].atomic_extra_ns += conflict_extra as f64 * ATOMIC_SERIALIZE_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
-                                                                                      // Coalesce and serve.
-            report.raw_accesses = report
-                .raw_accesses
-                .saturating_add(step_accesses.len() as u64);
-            let secs = sectors(step_accesses.iter().copied());
-            report.sectors = report.sectors.saturating_add(secs.len() as u64);
-            let mut missed = false;
-            for &sec in &secs {
-                let addr = sec * SECTOR_BYTES;
-                if l2.access(addr) {
-                    report.l2_hits = report.l2_hits.saturating_add(1);
-                } else {
-                    dram.issue(addr, SECTOR_BYTES as usize);
-                    missed = true;
+                // Warp-level occupancy of this step: lanes past their last
+                // dependent step idle while the stragglers finish.
+                report.active_lane_steps += active_lanes;
+                report.issued_lane_steps += warp_size as u64;
+                // Atomic conflicts: lanes hitting the same address serialize.
+                // Equal addresses are adjacent once sorted; no lookup step
+                // has any atomics at all.
+                let mut conflict_extra = 0u64;
+                if !atomics.is_empty() {
+                    atomics.sort_unstable();
+                    let mut run = 0u64;
+                    for (prev, next) in atomics.iter().zip(atomics.iter().skip(1)) {
+                        run = if prev == next { run + 1 } else { 0 };
+                        if run > 0 {
+                            report.atomic_conflicts = report.atomic_conflicts.saturating_add(1);
+                            conflict_extra = conflict_extra.max(run);
+                        }
+                    }
                 }
+                chain.atomic_extra_ns += conflict_extra as f64 * ATOMIC_SERIALIZE_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+
+                // Coalesce and serve, sectors ascending.
+                sectors.sort_unstable();
+                sectors.dedup();
+                report.sectors = report.sectors.saturating_add(sectors.len() as u64);
+                let mut missed = false;
+                for &sec in sectors.iter() {
+                    let addr = sec * SECTOR_BYTES;
+                    if l2.access(addr) {
+                        report.l2_hits = report.l2_hits.saturating_add(1);
+                    } else {
+                        dram.issue(addr, SECTOR_BYTES as usize);
+                        missed = true;
+                    }
+                }
+                if missed {
+                    chain.miss_steps += 1;
+                } else if !sectors.is_empty() {
+                    chain.hit_steps += 1;
+                }
+                chain.compute_cycles += step_compute_max as u64;
             }
-            if missed {
-                chains[w].miss_steps += 1;
-            } else if !secs.is_empty() {
-                chains[w].hit_steps += 1;
+        }
+        // Lead compute (before first access).
+        for (w, chain) in chains.iter_mut().enumerate() {
+            let lead = lanes_of(w)
+                .map(|t| trace.lead_compute(t))
+                .max()
+                .unwrap_or(0);
+            chain.compute_cycles += lead as u64;
+            report.compute_cycles += lanes_of(w)
+                .map(|t| trace.lead_compute(t) as u64)
+                .sum::<u64>();
+        }
+
+        report.dram_transactions = dram.transactions();
+        report.dram_bytes = dram.bytes();
+        report.dram_imbalance = if dram.transactions() == 0 {
+            0.0
+        } else {
+            dram.imbalance()
+        };
+        report.max_chain_steps = max_steps;
+
+        // Bounds. Loaded latency is a fixed point: start unloaded, iterate.
+        let resident = dev.resident_warps().max(1) as f64;
+        let bw_bound = dram.max_channel_busy_ns();
+        let compute_bound = dev.cycles_to_ns(report.compute_cycles as f64)
+            / (dev.sm_count as f64 * dev.issue_per_cycle);
+
+        let chain_ns = |miss_lat: f64| -> (f64, f64) {
+            let mut max_chain = 0.0f64;
+            let mut sum_chain = 0.0f64;
+            for c in chains.iter() {
+                let t = c.miss_steps as f64 * miss_lat
+                    + c.hit_steps as f64 * dev.l2.hit_latency_ns
+                    + dev.cycles_to_ns(c.compute_cycles as f64)
+                    + c.atomic_extra_ns;
+                max_chain = max_chain.max(t);
+                sum_chain += t; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
             }
-            chains[w].compute_cycles += step_compute_max as u64;
+            (max_chain, sum_chain)
+        };
+
+        let mut miss_lat = dev.mem.access_latency_ns;
+        let mut time = 0.0f64;
+        for _ in 0..3 {
+            let (max_chain, sum_chain) = chain_ns(miss_lat);
+            let latency_bound = max_chain.max(sum_chain / resident);
+            time = latency_bound.max(bw_bound).max(compute_bound);
+            miss_lat = dram.loaded_latency_ns(time.max(1.0));
+            report.latency_bound_ns = latency_bound;
         }
+        report.bandwidth_bound_ns = bw_bound;
+        report.compute_bound_ns = compute_bound;
+        report.time_ns = time;
+        report
     }
-    // Lead compute (before first access).
-    for (w, lanes) in warps.iter().enumerate() {
-        let lead = lanes
-            .iter()
-            .map(|t| t.lead_compute_cycles)
-            .max()
-            .unwrap_or(0);
-        chains[w].compute_cycles += lead as u64;
-        report.compute_cycles += lanes
-            .iter()
-            .map(|t| t.lead_compute_cycles as u64)
-            .sum::<u64>();
-    }
-
-    report.dram_transactions = dram.transactions();
-    report.dram_bytes = dram.bytes();
-    report.dram_imbalance = if dram.transactions() == 0 {
-        0.0
-    } else {
-        dram.imbalance()
-    };
-    report.max_chain_steps = traces.iter().map(|t| t.depth()).max().unwrap_or(0);
-
-    // Bounds. Loaded latency is a fixed point: start unloaded, iterate.
-    let resident = dev.resident_warps().max(1) as f64;
-    let bw_bound = dram.max_channel_busy_ns();
-    let compute_bound = dev.cycles_to_ns(report.compute_cycles as f64)
-        / (dev.sm_count as f64 * dev.issue_per_cycle);
-
-    let chain_ns = |miss_lat: f64| -> (f64, f64) {
-        let mut max_chain = 0.0f64;
-        let mut sum_chain = 0.0f64;
-        for c in &chains {
-            let t = c.miss_steps as f64 * miss_lat
-                + c.hit_steps as f64 * dev.l2.hit_latency_ns
-                + dev.cycles_to_ns(c.compute_cycles as f64)
-                + c.atomic_extra_ns;
-            max_chain = max_chain.max(t);
-            sum_chain += t; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
-        }
-        (max_chain, sum_chain)
-    };
-
-    let mut miss_lat = dev.mem.access_latency_ns;
-    let mut time = 0.0f64;
-    for _ in 0..3 {
-        let (max_chain, sum_chain) = chain_ns(miss_lat);
-        let latency_bound = max_chain.max(sum_chain / resident);
-        time = latency_bound.max(bw_bound).max(compute_bound);
-        miss_lat = dram.loaded_latency_ns(time.max(1.0));
-        report.latency_bound_ns = latency_bound;
-    }
-    report.bandwidth_bound_ns = bw_bound;
-    report.compute_bound_ns = compute_bound;
-    report.time_ns = time;
-    report
 }
 
 #[cfg(test)]
@@ -711,13 +743,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let n = 512;
         let buf = mem.alloc("b", n * 8, 16);
-        let r = launch_with_cache(
-            &dev,
-            &mut mem,
-            &TwoPhase { buf, n },
-            n,
-            &mut Cache::new(&dev.l2),
-        );
+        let r = launch(&dev, &mut mem, &TwoPhase { buf, n }, n);
         assert!(r.time_ns > GRID_SYNC_NS);
         assert_eq!(r.threads, n);
     }
@@ -733,10 +759,64 @@ mod tests {
             slots,
         };
         let mut l2 = Cache::new(&dev.l2);
-        let cold = launch_with_cache(&dev, &mut mem, &k, 4096, &mut l2);
-        let warm = launch_with_cache(&dev, &mut mem, &k, 4096, &mut l2);
+        let mut launcher = Launcher::default();
+        let cold = launcher.launch(&dev, &mut mem, &k, 4096, &mut l2);
+        let warm = launcher.launch(&dev, &mut mem, &k, 4096, &mut l2);
         assert!(warm.time_ns <= cold.time_ns);
         assert!(warm.l2_hits > cold.l2_hits);
+    }
+
+    /// Mixed traffic: a read chain whose depth varies by lane, a write, and
+    /// atomics that collide within a warp.
+    struct MixedKernel {
+        src: BufferId,
+        ctr: BufferId,
+        slots: usize,
+    }
+    impl Kernel for MixedKernel {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            ctx.compute(tid as u32 % 5);
+            let mut idx = tid.wrapping_mul(2654435761) % self.slots;
+            for _ in 0..1 + tid % 7 {
+                idx = ctx.read_u64(self.src, idx * 8) as usize % self.slots;
+                ctx.compute(3);
+            }
+            ctx.atomic_add_u64(self.ctr, (tid % 4) * 8, 1);
+            ctx.write_u64(self.ctr, 64 + tid * 8, idx as u64);
+        }
+    }
+
+    #[test]
+    fn reused_launcher_reports_equal_a_fresh_launchers() {
+        // The launcher carries capacity, never content: batches that grow,
+        // then shrink, and a 2-phase kernel after a 1-phase one must read
+        // exactly what a fresh launcher reads. The L2 persists on both
+        // sides (its state is the caller's), so it is replayed in step.
+        let dev = devices::rtx3090();
+        let slots = 1 << 16;
+        let n = 512;
+        let run = |reuse: bool| -> Vec<String> {
+            let (mut mem, src) = chase_memory(slots);
+            let ctr = mem.alloc("ctr", 64 + 4096 * 8, 32);
+            let buf = mem.alloc("two-phase", n * 8, 16);
+            let mut l2 = Cache::new(&dev.l2);
+            let mut shared = Launcher::default();
+            let mut reports = Vec::new();
+            let mixed = MixedKernel { src, ctr, slots };
+            for threads in [100, 4096, 33, 0, 1000] {
+                let mut fresh = Launcher::default();
+                let launcher = if reuse { &mut shared } else { &mut fresh };
+                reports.push(launcher.launch(&dev, &mut mem, &mixed, threads, &mut l2));
+            }
+            let mut fresh = Launcher::default();
+            let launcher = if reuse { &mut shared } else { &mut fresh };
+            reports.push(launcher.launch(&dev, &mut mem, &TwoPhase { buf, n }, n, &mut l2));
+            reports.push(launcher.launch(&dev, &mut mem, &mixed, 64, &mut l2));
+            reports.iter().map(|r| format!("{r:?}")).collect()
+        };
+        let (reused, fresh) = (run(true), run(false));
+        assert_eq!(reused, fresh);
+        assert!(!reused[1].contains("atomic_conflicts: 0,"), "{}", reused[1]);
     }
 
     #[test]

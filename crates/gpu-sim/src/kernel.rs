@@ -12,25 +12,64 @@
 //! writes.
 
 use crate::memory::{BufferId, DeviceMemory};
-use crate::trace::{Access, AccessKind, Dep, ThreadTrace};
+use crate::trace::{Access, AccessKind, Dep, TraceArena};
+
+/// Largest read [`DeviceBytes`] holds inline: a 255-byte key with its length
+/// byte, or a 255-byte dynamic leaf with its value, rounded up to 8. Node
+/// records (≤ 160 B) and leaf records fit with room to spare.
+const INLINE_BYTES: usize = 264;
+
+/// The bytes a [`ThreadCtx::read_bytes`] loaded — a thread's registers.
+///
+/// Owned (the kernel keeps using the context while it holds them) but
+/// stored inline, so a read costs no heap allocation. Reads longer than
+/// [`INLINE_BYTES`] (a query stride or stored key above 255 bytes) spill to
+/// the heap. Dereferences to `[u8]`.
+pub struct DeviceBytes(Repr);
+
+// The large variant is the point: it is what keeps reads off the heap.
+#[allow(clippy::large_enum_variant)]
+enum Repr {
+    Inline { len: usize, buf: [u8; INLINE_BYTES] },
+    Spilled(Vec<u8>),
+}
+
+impl DeviceBytes {
+    fn copy_of(bytes: &[u8]) -> Self {
+        let len = bytes.len();
+        DeviceBytes(if len <= INLINE_BYTES {
+            let mut buf = [0u8; INLINE_BYTES];
+            buf[..len].copy_from_slice(bytes);
+            Repr::Inline { len, buf }
+        } else {
+            Repr::Spilled(bytes.to_vec())
+        })
+    }
+}
+
+impl std::ops::Deref for DeviceBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len],
+            Repr::Spilled(bytes) => bytes,
+        }
+    }
+}
 
 /// Per-thread execution context: performs device-memory accesses and
-/// records them for the timing model.
+/// records them, in the launch's [`TraceArena`], for the timing model.
 pub struct ThreadCtx<'a> {
     mem: &'a mut DeviceMemory,
-    trace: ThreadTrace,
+    trace: &'a mut TraceArena,
 }
 
 impl<'a> ThreadCtx<'a> {
-    pub(crate) fn new(mem: &'a mut DeviceMemory) -> Self {
-        ThreadCtx {
-            mem,
-            trace: ThreadTrace::default(),
-        }
-    }
-
-    pub(crate) fn into_trace(self) -> ThreadTrace {
-        self.trace
+    /// A context for the next thread of the phase `trace` is recording.
+    pub(crate) fn new(mem: &'a mut DeviceMemory, trace: &'a mut TraceArena) -> Self {
+        trace.begin_thread();
+        ThreadCtx { mem, trace }
     }
 
     fn log(&mut self, id: BufferId, offset: usize, len: usize, kind: AccessKind, dep: Dep) {
@@ -46,14 +85,20 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Read raw bytes (dependent access — opens a new step).
-    pub fn read_bytes(&mut self, id: BufferId, offset: usize, len: usize) -> Vec<u8> {
+    pub fn read_bytes(&mut self, id: BufferId, offset: usize, len: usize) -> DeviceBytes {
         self.read_bytes_dep(id, offset, len, Dep::Dependent)
     }
 
     /// Read raw bytes with an explicit dependency marker.
-    pub fn read_bytes_dep(&mut self, id: BufferId, offset: usize, len: usize, dep: Dep) -> Vec<u8> {
+    pub fn read_bytes_dep(
+        &mut self,
+        id: BufferId,
+        offset: usize,
+        len: usize,
+        dep: Dep,
+    ) -> DeviceBytes {
         self.log(id, offset, len, AccessKind::Read, dep);
-        self.mem.read_bytes(id, offset, len).to_vec()
+        DeviceBytes::copy_of(self.mem.read_bytes(id, offset, len))
     }
 
     /// Read a u64 (dependent).
@@ -162,12 +207,32 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc("b", 64, 16);
         mem.write_u64(buf, 8, 777);
-        let mut ctx = ThreadCtx::new(&mut mem);
+        let mut trace = TraceArena::default();
+        let mut ctx = ThreadCtx::new(&mut mem, &mut trace);
         assert_eq!(ctx.read_u64(buf, 8), 777);
         ctx.compute(12);
-        let trace = ctx.into_trace();
-        assert_eq!(trace.depth(), 1);
-        assert_eq!(trace.total_compute(), 12);
+        assert_eq!(trace.depth(0), 1);
+        assert_eq!(trace.total_compute(0), 12);
+    }
+
+    #[test]
+    fn read_bytes_returns_the_bytes_inline_or_spilled() {
+        let mut mem = DeviceMemory::new();
+        let data: Vec<u8> = (0..400u32).map(|i| i as u8).collect();
+        let buf = mem.alloc_from("b", &data, 16);
+        let mut trace = TraceArena::default();
+        let mut ctx = ThreadCtx::new(&mut mem, &mut trace);
+        for (offset, len) in [(0, 0), (3, 16), (8, 160), (100, INLINE_BYTES), (0, 400)] {
+            let got = ctx.read_bytes(buf, offset, len);
+            assert_eq!(&got[..], &data[offset..offset + len], "{offset}+{len}");
+        }
+        // A read is held across further use of the context, as kernels hold
+        // their query key across the traversal.
+        let key = ctx.read_bytes(buf, 1, 4);
+        ctx.write_u64(buf, 0, u64::MAX);
+        assert_eq!(&key[..], &[1, 2, 3, 4]);
+        assert_eq!(trace.depth(0), 7);
+        assert_eq!(trace.bytes(0), 16 + 160 + INLINE_BYTES as u64 + 400 + 4 + 8);
     }
 
     #[test]
@@ -175,7 +240,8 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc("b", 64, 16);
         {
-            let mut ctx = ThreadCtx::new(&mut mem);
+            let mut trace = TraceArena::default();
+            let mut ctx = ThreadCtx::new(&mut mem, &mut trace);
             ctx.write_u64(buf, 0, 123);
             ctx.write_bytes(buf, 8, b"xyz");
         }
@@ -187,13 +253,13 @@ mod tests {
     fn independent_reads_share_step() {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc("b", 64, 16);
-        let mut ctx = ThreadCtx::new(&mut mem);
+        let mut trace = TraceArena::default();
+        let mut ctx = ThreadCtx::new(&mut mem, &mut trace);
         ctx.read_u64_dep(buf, 0, Dep::Dependent);
         ctx.read_u64_dep(buf, 16, Dep::Independent);
         ctx.read_u64_dep(buf, 32, Dep::Dependent);
-        let trace = ctx.into_trace();
-        assert_eq!(trace.depth(), 2);
-        assert_eq!(trace.steps[0].accesses.len(), 2);
+        assert_eq!(trace.depth(0), 2);
+        assert_eq!(trace.step(0, 0).unwrap().0.len(), 2);
     }
 
     #[test]
@@ -201,7 +267,8 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc("b", 8, 16);
         {
-            let mut ctx = ThreadCtx::new(&mut mem);
+            let mut trace = TraceArena::default();
+            let mut ctx = ThreadCtx::new(&mut mem, &mut trace);
             assert_eq!(ctx.atomic_max_u64(buf, 0, 9), 0);
             assert_eq!(ctx.atomic_add_u64(buf, 0, 1), 9);
             assert_eq!(ctx.atomic_cas_u64(buf, 0, 10, 20), 10);
@@ -222,9 +289,8 @@ mod tests {
         let buf = mem.alloc("b", 8, 16);
         let k = TouchKernel(buf);
         assert_eq!(PhasedKernel::phases(&k), 1);
-        let mut ctx = ThreadCtx::new(&mut mem);
-        k.execute_phase(0, 0, &mut ctx);
-        drop(ctx);
+        let mut trace = TraceArena::default();
+        k.execute_phase(0, 0, &mut ThreadCtx::new(&mut mem, &mut trace));
         assert_eq!(mem.read_u64(buf, 0), 0);
     }
 }

@@ -70,8 +70,8 @@ pub mod pipeline;
 pub mod trace;
 
 pub use config::{CacheConfig, DeviceConfig, MemConfig, MemKind, PcieConfig};
-pub use exec::{launch, launch_phased, KernelReport};
+pub use exec::{launch, KernelReport, Launcher};
 pub use faults::{DeviceFault, FaultConfig, FaultInjector, FaultSite};
-pub use kernel::{Kernel, PhasedKernel, ThreadCtx};
+pub use kernel::{DeviceBytes, Kernel, PhasedKernel, ThreadCtx};
 pub use memory::{BufferId, DeviceBuffer, DeviceMemory};
 pub use trace::Dep;

@@ -135,9 +135,15 @@ impl DeviceMemory {
         self.buffers[id.0].data[offset]
     }
 
+    /// Mutable view of `len` bytes, for writers that fill a region in place.
+    pub fn bytes_mut(&mut self, id: BufferId, offset: usize, len: usize) -> &mut [u8] {
+        &mut self.buffers[id.0].data[offset..offset + len]
+    }
+
     /// Write raw bytes.
     pub fn write_bytes(&mut self, id: BufferId, offset: usize, bytes: &[u8]) {
-        self.buffers[id.0].data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.bytes_mut(id, offset, bytes.len())
+            .copy_from_slice(bytes);
     }
 
     /// Write a little-endian u64.

@@ -9,7 +9,7 @@
 // cuart-allow-file: index-hot-path packed-buffer traversal mirrors the GRT layout contract; offsets come from in-buffer tags validated by the mapper, and the kernel is modeled per-access so checked indexing would distort the cycle counts
 
 use crate::layout::{self, tag, EMPTY48, HEADER_BYTES, PREFIX_CAP};
-use cuart_gpu_sim::batch::{KeyBatchLayout, NOT_FOUND};
+use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::{BufferId, Kernel, ThreadCtx};
 
 /// Cycles for the branchy per-node bookkeeping (≈ the 20 cycles/node §3.1
@@ -42,10 +42,7 @@ impl Kernel for GrtLookupKernel {
         // Load the query record (coalesced across the warp).
         let rec_off = self.layout.offset(tid);
         let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
-        let key_len = rec[0] as usize;
-        let key = &rec[1..1 + key_len];
-
-        let value = self.traverse(key, ctx);
+        let value = self.traverse(record_key(&rec), ctx);
         ctx.write_u64(self.results, tid * 8, value);
     }
 }

@@ -62,7 +62,7 @@
 //! `std::thread` for the executor.
 
 use cuart::{CuartError, CuartIndex};
-use cuart_gpu_sim::batch::{gather, scatter_inverse, sort_permutation};
+use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation, take_permuted};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
@@ -1134,21 +1134,21 @@ impl ExecCtx<'_> {
 
     /// Execute one same-kind run as a single (optionally sorted) device
     /// batch and reply to every request in it.
-    fn execute_run(&mut self, kind: OpKind, run: Vec<Request>) {
+    fn execute_run(&mut self, kind: OpKind, mut run: Vec<Request>) {
         if kind == OpKind::Range {
             return self.execute_range_run(run);
         }
         // Concatenate the run into one batch, remembering per-request
-        // extents.
+        // extents. The run owns its requests, so their keys move.
         let total: usize = run.iter().map(|r| r.keys.len()).sum();
         let mut keys: Vec<Vec<u8>> = Vec::with_capacity(total);
         let mut values: Vec<u64> = Vec::with_capacity(total);
         let mut extents: Vec<usize> = Vec::with_capacity(run.len());
         let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &run {
+        for r in &mut run {
             extents.push(r.keys.len());
-            keys.extend(r.keys.iter().cloned());
-            values.extend(r.values.iter().cloned());
+            keys.append(&mut r.keys);
+            values.append(&mut r.values);
         }
 
         // Sorted-batch composition: stable sort keeps duplicate keys in
@@ -1156,9 +1156,9 @@ impl ExecCtx<'_> {
         // resolves to the latest submitted op.
         let perm = if self.cfg.sort_batches && total > 1 {
             let p = sort_permutation(&keys);
-            keys = gather(&keys, &p);
+            keys = take_permuted(&mut keys, &p);
             if !values.is_empty() {
-                values = gather(&values, &p);
+                values = take_permuted(&mut values, &p);
             }
             Some(p)
         } else {
@@ -1259,16 +1259,14 @@ impl ExecCtx<'_> {
     /// Execute one run of range requests as a single device batch. Ranges
     /// are never sorted — each request's `[lo, hi]` pairs keep arrival
     /// order, and rows come back sorted per range by construction.
-    fn execute_range_run(&mut self, run: Vec<Request>) {
+    fn execute_range_run(&mut self, mut run: Vec<Request>) {
         let total: usize = run.iter().map(|r| r.keys.len()).sum();
         let mut ranges: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(total);
         let mut extents: Vec<usize> = Vec::with_capacity(run.len());
         let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &run {
+        for r in &mut run {
             extents.push(r.keys.len());
-            for (lo, hi) in r.keys.iter().zip(&r.his) {
-                ranges.push((lo.clone(), hi.clone()));
-            }
+            ranges.extend(r.keys.drain(..).zip(r.his.drain(..)));
         }
 
         let mode = self.breaker_before(total as u64);

@@ -1,0 +1,83 @@
+//! Heap allocations per `CuartSession` batch, counted by this binary's own
+//! global allocator.
+//!
+//! The simulator's launch state (trace arena, timing scratch) and the
+//! session's staging are reused across batches, keys are packed from where
+//! the caller put them, and kernel reads are heap-free — so once a session
+//! is warm, a batch call allocates a handful of times (its result vector,
+//! its index list, the per-phase DRAM model) however many keys it carries.
+//! One test only: the counter is process-wide.
+
+use cuart::{CuartConfig, CuartIndex};
+use cuart_art::Art;
+use cuart_gpu_sim::devices;
+use cuart_workloads::uniform_keys;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warm_session_batches_allocate_a_constant_number_of_times() {
+    let keys = uniform_keys(40_000, 8, 5);
+    let mut art = Art::new();
+    for (i, k) in keys.iter().enumerate() {
+        art.insert(k, i as u64 + 1).unwrap();
+    }
+    let index = CuartIndex::build(&art, &CuartConfig::for_tests());
+    let mut session = index.device_session(&devices::rtx3090());
+
+    let small = &keys[..1 << 10];
+    let large = &keys[8 << 10..16 << 10];
+    // Warm-up: the largest batch sizes staging, arena and scratch.
+    session.lookup_batch(large).unwrap();
+    let lookup_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
+    let lookup_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));
+    assert_eq!(
+        lookup_small, lookup_large,
+        "1 Ki-key vs 8 Ki-key lookup_batch"
+    );
+    assert!(lookup_large <= 4, "lookup_batch allocated {lookup_large}×");
+
+    let ops = |keys: &[Vec<u8>]| -> Vec<(Vec<u8>, u64)> {
+        keys.iter().map(|k| (k.clone(), 42)).collect()
+    };
+    let (small_ops, large_ops) = (ops(small), ops(large));
+    session.update_batch(&large_ops).unwrap();
+    let update_small = allocations_of(|| drop(session.update_batch(&small_ops).unwrap()));
+    let update_large = allocations_of(|| drop(session.update_batch(&large_ops).unwrap()));
+    assert_eq!(
+        update_small, update_large,
+        "1 Ki-op vs 8 Ki-op update_batch"
+    );
+    assert!(update_large <= 6, "update_batch allocated {update_large}×");
+}
