@@ -12,6 +12,7 @@
 //! figures fig-regress --update-baseline   # re-pin the baseline
 //! ```
 
+use cuart_bench::series::merge_summary;
 use cuart_bench::{figures, regress, RunCtx};
 use cuart_telemetry::Telemetry;
 use std::sync::Arc;
@@ -138,8 +139,12 @@ fn main() {
         summary.push_str(&md);
     }
     std::fs::create_dir_all(&ctx.out_dir).expect("create output dir");
-    std::fs::write(ctx.out_dir.join("SUMMARY.md"), summary).expect("write summary");
-    println!("wrote {out_dir}/SUMMARY.md");
+    // Merge by `### <fig>` section: a single-figure run refreshes its own
+    // section and leaves the other figures' tables where they were.
+    let summary_path = ctx.out_dir.join("SUMMARY.md");
+    let existing = std::fs::read_to_string(&summary_path).unwrap_or_default();
+    std::fs::write(&summary_path, merge_summary(&existing, &summary)).expect("write summary");
+    println!("merged {} figure(s) into {out_dir}/SUMMARY.md", ids.len());
     if let Some(t) = &telemetry {
         let path = ctx.out_dir.join("telemetry.json");
         std::fs::write(&path, t.snapshot().to_json()).expect("write telemetry snapshot");

@@ -141,6 +141,52 @@ impl Figure {
     }
 }
 
+/// Split a `SUMMARY.md` into `(figure id, section text)` pairs. A section
+/// is a `### <id> — <title>` heading (what [`Figure::to_markdown`] emits)
+/// and everything up to the next one; text before the first heading keeps
+/// an empty id.
+fn summary_sections(text: &str) -> Vec<(&str, &str)> {
+    let mut starts: Vec<usize> = text
+        .match_indices("### ")
+        .map(|(at, _)| at)
+        .filter(|&at| at == 0 || text[..at].ends_with('\n'))
+        .collect();
+    if starts.first() != Some(&0) {
+        starts.insert(0, 0);
+    }
+    starts.push(text.len());
+    starts
+        .windows(2)
+        .map(|w| &text[w[0]..w[1]])
+        .filter(|section| !section.is_empty())
+        .map(|section| {
+            let id = section
+                .strip_prefix("### ")
+                .and_then(|rest| rest.split_whitespace().next())
+                .unwrap_or("");
+            (id, section)
+        })
+        .collect()
+}
+
+/// Merge freshly rendered figure sections into an existing `SUMMARY.md`:
+/// a figure that was already there is replaced in place, a new one is
+/// appended, and every other figure's section is kept — so regenerating
+/// one figure does not drop the rest.
+pub fn merge_summary(existing: &str, update: &str) -> String {
+    let fresh = summary_sections(update);
+    let kept = summary_sections(existing);
+    let replaced = kept.iter().map(|&(id, section)| {
+        let rerun = fresh.iter().find(|(fresh_id, _)| *fresh_id == id);
+        rerun.map_or(section, |&(_, replacement)| replacement)
+    });
+    let appended = fresh
+        .iter()
+        .filter(|(id, _)| !kept.iter().any(|(kept_id, _)| kept_id == id))
+        .map(|&(_, section)| section);
+    replaced.chain(appended).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +226,23 @@ mod tests {
         assert_eq!(fig.series("CuART").unwrap().y_at(2.0), Some(20.0));
         assert!(fig.series("nope").is_none());
         assert_eq!(fig.series("CuART").unwrap().max_y(), 20.0);
+    }
+
+    #[test]
+    fn single_figure_summaries_merge_by_section() {
+        let fig_x = sample();
+        let mut fig_y = sample();
+        fig_y.id = "figY".into();
+        // Two single-figure runs in a row: both sections survive.
+        let first = merge_summary("", &fig_x.to_markdown());
+        let both = merge_summary(&first, &fig_y.to_markdown());
+        assert_eq!(both, fig_x.to_markdown() + &fig_y.to_markdown());
+        // Re-running the first replaces its section where it stood.
+        let mut rerun = sample();
+        rerun.series[0].points[0].1 = 11.0;
+        let merged = merge_summary(&both, &rerun.to_markdown());
+        assert_eq!(merged, rerun.to_markdown() + &fig_y.to_markdown());
+        assert!(merged.contains("| 1 | 11.00 | 5.00 |"));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The `cuart` command-line tool. See the `cuart-cli` crate docs.
 
 use cuart_cli::*;
+use cuart_host::SchedulerConfig;
 use std::path::PathBuf;
 use std::process::exit;
 
+/// Usage text; the `{...}` placeholders are the serving defaults, filled
+/// in from the config structs by [`usage`].
 const USAGE: &str = "\
 cuart — build, persist and query CuART indexes
 
@@ -18,16 +21,16 @@ USAGE:
                [--fault-seed N] [--fault-rate P]
   cuart metrics INDEX [--keys FILE] [--hex] [--device NAME] [--batch N]
                 [--batches N] [--format json|prom] [--metrics-out FILE]
-  cuart serve-sim INDEX [--producers 4] [--deadline-us 200] [--batch 32768]
+  cuart serve-sim INDEX [--producers 4] [--deadline-us {deadline_us}] [--batch {batch}]
                   [--ops 65536] [--unsorted] [--smoke] [--device NAME]
                   [--shards N] [--shard-devices NAME,NAME,...]
                   [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
                   [--fault-seed N] [--fault-rate P]
                   [--admission block|reject] [--admission-timeout-us N]
                   [--queue-cap N] [--op-deadline-us N]
-  cuart serve  INDEX --listen ADDR [--device NAME] [--batch 32768]
-               [--deadline-us 200] [--unsorted] [--shards N]
-               [--shard-devices NAME,NAME,...] [--window 32] [--workers 2]
+  cuart serve  INDEX --listen ADDR [--device NAME] [--batch {batch}]
+               [--deadline-us {deadline_us}] [--unsorted] [--shards N]
+               [--shard-devices NAME,NAME,...] [--window {window}]
                [--idle-timeout-ms N] [--allow-shutdown]
                [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
                [--fault-seed N] [--fault-rate P]
@@ -54,6 +57,9 @@ trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
 serve-sim workload to 8192 ops in batches of 1024 for comparable CI
 runs. verify-trace checks a trace file nests and that every batch
 tree's leaf durations reproduce the modeled batch time (±1%).
+BATCHING: the executor dispatches whatever is queued as soon as it is
+free; --deadline-us makes an idle executor hold an underfilled batch
+open that long (a linger), --batch caps one batch.
 OVERLOAD: --queue-cap bounds the scheduler's resident ops; a full queue
 blocks (default), fails fast (--admission reject) or blocks up to
 --admission-timeout-us. --op-deadline-us sheds ops still queued past
@@ -119,8 +125,33 @@ impl Args {
     }
 }
 
+/// [`USAGE`] with the defaults `cuart serve` ships — read from the same
+/// config structs the server is built from, so the text cannot drift.
+fn usage() -> String {
+    let sched = SchedulerConfig::default();
+    USAGE
+        .replace("{deadline_us}", &sched.deadline.as_micros().to_string())
+        .replace("{batch}", &sched.batch_target.to_string())
+        .replace("{window}", &NetOptions::default().window.to_string())
+}
+
+/// `--deadline-us` / `--batch`, defaulting to what [`SchedulerConfig`]
+/// does.
+fn batching_options(args: &Args) -> (u64, usize) {
+    let sched = SchedulerConfig::default();
+    let deadline_us = args
+        .flag("deadline-us")
+        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
+        .unwrap_or(sched.deadline.as_micros() as u64);
+    let batch = args
+        .flag("batch")
+        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
+        .unwrap_or(sched.batch_target);
+    (deadline_us, batch)
+}
+
 fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", usage());
     exit(2)
 }
 
@@ -288,14 +319,7 @@ fn main() {
                 .flag("producers")
                 .map(|s| s.parse().unwrap_or_else(|_| fail("bad --producers")))
                 .unwrap_or(4);
-            let deadline_us = args
-                .flag("deadline-us")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
-                .unwrap_or(200);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
+            let (deadline_us, batch) = batching_options(&args);
             let ops = args
                 .flag("ops")
                 .map(|s| s.parse().unwrap_or_else(|_| fail("bad --ops")))
@@ -325,14 +349,7 @@ fn main() {
             let listen = args
                 .flag("listen")
                 .unwrap_or_else(|| fail("missing --listen ADDR"));
-            let deadline_us = args
-                .flag("deadline-us")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
-                .unwrap_or(200);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
+            let (deadline_us, batch) = batching_options(&args);
             let metrics_out = args.flag("metrics-out").map(PathBuf::from);
             let trace_out = args.flag("trace-out").map(PathBuf::from);
             let folded_out = args.flag("folded-out").map(PathBuf::from);
@@ -342,9 +359,6 @@ fn main() {
             };
             if let Some(w) = args.flag("window") {
                 net.window = w.parse().unwrap_or_else(|_| fail("bad --window"));
-            }
-            if let Some(w) = args.flag("workers") {
-                net.workers = w.parse().unwrap_or_else(|_| fail("bad --workers"));
             }
             if let Some(ms) = args.flag("idle-timeout-ms") {
                 net.idle_timeout_ms = ms.parse().unwrap_or_else(|_| fail("bad --idle-timeout-ms"));
@@ -416,7 +430,7 @@ fn main() {
         "verify-trace" => cmd_verify_trace(&required_path(&args, "TRACE.json", args.pos(0))),
         "verify-snapshot" => cmd_verify_snapshot(&required_path(&args, "INDEX", args.pos(0))),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             return;
         }
         other => fail(&format!("unknown command {other:?}")),

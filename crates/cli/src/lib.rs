@@ -11,7 +11,7 @@
 //!              [--fault-seed N] [--fault-rate P]
 //! cuart metrics idx.cuart [--keys probes.txt] [--hex] [--device NAME]
 //!               [--batch N] [--batches N] [--format json|prom] [--metrics-out FILE]
-//! cuart serve-sim idx.cuart [--producers 4] [--deadline-us 200] [--batch 32768]
+//! cuart serve-sim idx.cuart [--producers 4] [--deadline-us N] [--batch N]
 //!                 [--ops 65536] [--unsorted] [--smoke] [--device NAME] [--metrics-out FILE]
 //!                 [--shards N] [--shard-devices NAME,NAME,...]
 //!                 [--trace-out FILE] [--folded-out FILE] [--fault-seed N] [--fault-rate P]
@@ -19,7 +19,7 @@
 //!                 [--queue-cap N] [--op-deadline-us N]
 //! cuart serve  idx.cuart --listen 127.0.0.1:7070 [--device NAME] [--batch N]
 //!              [--deadline-us N] [--unsorted] [--shards N] [--shard-devices ...]
-//!              [--window 32] [--workers 2] [--idle-timeout-ms N]
+//!              [--window N] [--idle-timeout-ms N]
 //!              [--allow-shutdown] [--metrics-out FILE] [overload/fault knobs]
 //! cuart bench-net idx.cuart [--connect ADDR] [--clients 4] [--ops 65536]
 //!              [--req-keys 256] [--smoke] [--shutdown] [--metrics-out FILE]
@@ -544,9 +544,10 @@ pub fn cmd_metrics(
 
 /// Drive the concurrent serving layer against a saved index: N producer
 /// threads submit point lookups through the
-/// [`scheduler`](cuart_host::scheduler), whose executor coalesces them
-/// into adaptive batches (size target `batch`, flush deadline
-/// `deadline_us`), sorted for locality unless `unsorted` is set.
+/// [`scheduler`](cuart_host::scheduler), whose executor coalesces what
+/// is queued whenever it is free (at most `batch` keys per batch; an idle
+/// executor holds an underfilled batch open for `deadline_us`), sorted
+/// for locality unless `unsorted` is set.
 ///
 /// Probes replay the stored keys round-robin (all hits) in shuffled
 /// order. With `metrics_out`, a JSON telemetry snapshot of the run —
@@ -1176,14 +1177,12 @@ pub fn cmd_verify_trace(path: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// Network-serving options for `cuart serve` (`--window`, `--workers`,
+/// Network-serving options for `cuart serve` (`--window`,
 /// `--idle-timeout-ms`, `--allow-shutdown`).
 #[derive(Debug, Clone, Copy)]
 pub struct NetOptions {
     /// Per-connection in-flight request window (TCP backpressure beyond).
     pub window: usize,
-    /// Worker threads per connection.
-    pub workers: usize,
     /// Close connections idle for this many milliseconds; 0 = never.
     pub idle_timeout_ms: u64,
     /// Honor the wire shutdown opcode (drills/tests).
@@ -1193,8 +1192,7 @@ pub struct NetOptions {
 impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
-            window: 32,
-            workers: 2,
+            window: cuart_net::NetServerConfig::default().window,
             idle_timeout_ms: 0,
             allow_shutdown: false,
         }
@@ -1205,7 +1203,6 @@ impl NetOptions {
     fn server_config(&self) -> cuart_net::NetServerConfig {
         cuart_net::NetServerConfig {
             window: self.window.max(1),
-            workers: self.workers.max(1),
             idle_timeout: match self.idle_timeout_ms {
                 0 => None,
                 ms => Some(std::time::Duration::from_millis(ms)),
@@ -1279,11 +1276,10 @@ pub fn cmd_serve(
     // Liveness line on stderr before blocking, so scripts (and the CI
     // drill) know the listener is up even when stdout is buffered.
     eprintln!(
-        "serving {} on {addr} ({} shard(s), window {}, workers {}/conn{})",
+        "serving {} on {addr} ({} shard(s), window {}{})",
         path.display(),
         devs.len(),
         net.window,
-        net.workers,
         if net.allow_shutdown {
             ", remote shutdown armed"
         } else {
@@ -1372,11 +1368,9 @@ pub fn cmd_bench_net(
         None => {
             let dev = device_by_name(device)?;
             let index = Arc::new(index.with_telemetry(telemetry.clone()));
+            // Batching as `cuart serve` ships it, sized to the drill.
             let cfg = SchedulerConfig {
                 batch_target: req_keys * clients,
-                deadline: std::time::Duration::from_micros(200),
-                sort_batches: true,
-                breaker: Some(BreakerConfig::default()),
                 ..SchedulerConfig::default()
             };
             let sched = Scheduler::spawn(index, dev, cfg);

@@ -878,10 +878,11 @@ impl<'a> CuartSession<'a> {
         Ok(st)
     }
 
-    /// Clear the claim table and run the two-stage update kernel over the
-    /// first `count` staged ops.
+    /// Run the two-stage update kernel over the first `count` staged ops
+    /// against the all-zero claim table, then zero the slots it claimed.
+    /// The modeled clear (`hash_clear_ns`, a device memset of the whole
+    /// table) is charged to the report either way.
     fn launch_update(&mut self, st: &Staging, count: usize) -> KernelReport {
-        self.clear_hash_table();
         let kernel = CuartUpdateKernel {
             tree: self.tree,
             queries: st.queries,
@@ -900,13 +901,13 @@ impl<'a> CuartSession<'a> {
         let mut report =
             self.launcher
                 .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
+        self.sweep_claims(st, count);
         report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
         report
     }
 
     /// Insert-engine twin of [`launch_update`](Self::launch_update).
     fn launch_insert(&mut self, st: &Staging, count: usize) -> KernelReport {
-        self.clear_hash_table();
         let kernel = CuartInsertKernel {
             tree: self.tree,
             queries: st.queries,
@@ -926,8 +927,53 @@ impl<'a> CuartSession<'a> {
         let mut report =
             self.launcher
                 .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
+        self.sweep_claims(st, count);
         report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
         report
+    }
+
+    /// Restore the claim table's all-zero invariant after an update or
+    /// insert launch over the first `count` staged ops, at a host cost
+    /// that follows the batch rather than the table's capacity.
+    ///
+    /// Linear probing without deletion puts every claim in the contiguous
+    /// non-zero run that starts at its home slot, so zeroing each op's run
+    /// from `hash_of(scratch_loc[tid])` to the next empty slot clears
+    /// every claim. `0` marks an op that claimed nothing (miss or spill).
+    /// A walk only ever zeroes non-zero slots, all of which must go, so
+    /// the `LOC_EXHAUSTED` sentinel and the stale location of an exhausted
+    /// insert are harmless starting points. Host-side accesses are not
+    /// recorded: no modeled statistic depends on how the table is cleared.
+    fn sweep_claims(&mut self, st: &Staging, count: usize) {
+        let slots = self.table_slots;
+        for tid in 0..count {
+            let location = self.mem.read_u64(st.scratch_loc, tid * 8);
+            if location == 0 {
+                continue;
+            }
+            let mut h = crate::update::hash_of(location, slots);
+            for _ in 0..slots {
+                if self.mem.read_u64(self.hash_keys, h * 8) == 0 {
+                    break;
+                }
+                self.mem.write_u64(self.hash_keys, h * 8, 0);
+                self.mem.write_u64(self.hash_vals, h * 8, 0);
+                h = (h + 1) % slots;
+            }
+        }
+        debug_assert!(
+            self.claim_table_is_zero(),
+            "claim table must be all-zero between launches"
+        );
+    }
+
+    /// `true` when both halves of the claim table are all-zero — the
+    /// state every update/insert launch starts from.
+    fn claim_table_is_zero(&self) -> bool {
+        let bytes = self.table_slots * 8;
+        [self.hash_keys, self.hash_vals]
+            .iter()
+            .all(|&half| self.mem.read_bytes(half, 0, bytes).iter().all(|&b| b == 0))
     }
 
     fn ensure_range_staging(&mut self, batch: usize) -> &RangeStaging {
@@ -1344,8 +1390,8 @@ impl<'a> CuartSession<'a> {
         Ok((statuses, report))
     }
 
-    /// Re-run ops starved out of the claim hash table against a freshly
-    /// cleared table, for the update engine and the insert engine alike
+    /// Re-run ops starved out of the claim hash table against the table
+    /// the previous launch swept clean, for the update engine and the insert engine alike
     /// (`exhausted` is the engine's status code, `launch` its kernel). The
     /// stage-1 linear probe covers every slot, so `EXHAUSTED` for a
     /// location means that location is nowhere in the table — exhaustion
@@ -1596,12 +1642,6 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    fn clear_hash_table(&mut self) {
-        let bytes = self.table_slots * 8;
-        self.mem.bytes_mut(self.hash_keys, 0, bytes).fill(0);
-        self.mem.bytes_mut(self.hash_vals, 0, bytes).fill(0);
-    }
-
     /// Number of freed slots currently on the free list of a leaf class.
     /// Non-leaf classes have no free list and report zero.
     pub fn free_count(&self, ty: LinkType) -> u64 {
@@ -1753,5 +1793,99 @@ mod tests {
         assert_eq!(results[0], NOT_FOUND);
         let (st, _) = session.update_batch(&[(b"anything".to_vec(), 5)]).unwrap();
         assert_eq!(st[0], status::MISS);
+    }
+
+    /// What the sweep replaced: zero both halves of the table wholesale.
+    fn dense_clear(session: &mut CuartSession<'_>) {
+        let bytes = session.table_slots * 8;
+        session.mem.bytes_mut(session.hash_keys, 0, bytes).fill(0);
+        session.mem.bytes_mut(session.hash_vals, 0, bytes).fill(0);
+    }
+
+    #[test]
+    fn sweep_clears_a_probe_chain_that_wraps_past_the_last_slot() {
+        const SLOTS: usize = 8;
+        let idx = index(64, &CuartConfig::for_tests());
+        let dev = cuart_gpu_sim::devices::a100();
+        let mut session = idx.device_session_with_table(&dev, SLOTS);
+        // A single-op launch leaves the op's claimed location in the
+        // staging scratch: collect the keys whose home is the last slot.
+        let mut last_slot_keys = Vec::new();
+        for i in 0..64u64 {
+            let key = (i * 2).to_be_bytes().to_vec();
+            session.update_batch(&[(key.clone(), i)]).unwrap();
+            let loc = session
+                .mem
+                .read_u64(session.staging.unwrap().scratch_loc, 0);
+            if crate::update::hash_of(loc, SLOTS) == SLOTS - 1 {
+                last_slot_keys.push(key);
+            }
+        }
+        assert!(
+            last_slot_keys.len() >= 3,
+            "64 keys over 8 home slots must put three on the last one"
+        );
+        // Three distinct locations homed on slot 7 claim slots 7, 0 and 1.
+        let ops: Vec<(Vec<u8>, u64)> = last_slot_keys
+            .iter()
+            .take(3)
+            .map(|k| (k.clone(), 99))
+            .collect();
+        let (statuses, _) = session.update_batch(&ops).unwrap();
+        assert_eq!(statuses, vec![status::APPLIED; 3]);
+        assert!(session.claim_table_is_zero());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Random update and insert batches — in-batch duplicates, deletes,
+        /// misses, and tables small enough to force `EXHAUSTED` re-runs and
+        /// wrapped probe chains — leave both table halves all-zero after
+        /// every launch, and give the statuses and `KernelReport`s of a twin
+        /// session whose table is densely cleared before every batch.
+        #[test]
+        fn sparse_sweep_matches_the_dense_clear(
+            slots in 8usize..=64,
+            batches in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::collection::vec(
+                        (0u8..96, proptest::option::of(1u64..1_000)),
+                        1..48,
+                    ),
+                ),
+                1..8,
+            ),
+        ) {
+            let idx = index(64, &CuartConfig::for_tests());
+            let dev = cuart_gpu_sim::devices::a100();
+            let mut sparse = idx.device_session_with_table(&dev, slots);
+            let mut dense = idx.device_session_with_table(&dev, slots);
+            for (is_insert, spec) in &batches {
+                // Key ids 0..64 are stored, 64..96 are absent (update
+                // misses / fresh inserts); `None` deletes.
+                let ops: Vec<(Vec<u8>, u64)> = spec
+                    .iter()
+                    .map(|&(kid, v)| {
+                        let key = if kid < 64 {
+                            (u64::from(kid) * 2).to_be_bytes().to_vec()
+                        } else {
+                            (0xF000_0000_0000_0000u64 | u64::from(kid)).to_be_bytes().to_vec()
+                        };
+                        (key, v.unwrap_or(if *is_insert { 7 } else { DELETE }))
+                    })
+                    .collect();
+                dense_clear(&mut dense);
+                let (got, want) = if *is_insert {
+                    (sparse.insert_batch(&ops).unwrap(), dense.insert_batch(&ops).unwrap())
+                } else {
+                    (sparse.update_batch(&ops).unwrap(), dense.update_batch(&ops).unwrap())
+                };
+                proptest::prop_assert!(sparse.claim_table_is_zero());
+                proptest::prop_assert_eq!(&got.0, &want.0);
+                proptest::prop_assert_eq!(format!("{:?}", got.1), format!("{:?}", want.1));
+            }
+        }
     }
 }

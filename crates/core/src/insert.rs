@@ -31,7 +31,7 @@
 use crate::kernels::{device_traverse, slot_ref, Attach, DevHit, DeviceTree};
 use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride, EMPTY48};
 use crate::link::{LinkType, NodeLink};
-use crate::update::FreeLists;
+use crate::update::{hash_of, FreeLists};
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout};
 use cuart_gpu_sim::{BufferId, DeviceBytes, PhasedKernel, ThreadCtx};
 
@@ -110,10 +110,6 @@ pub struct CuartInsertKernel {
     pub free_lists: FreeLists,
     /// Leaf arena bump tails.
     pub tails: ArenaTails,
-}
-
-fn hash_of(location: u64, slots: usize) -> usize {
-    (location.wrapping_mul(0x9E3779B97F4A7C15) >> 16) as usize % slots
 }
 
 impl PhasedKernel for CuartInsertKernel {

@@ -118,7 +118,10 @@ pub struct CuartUpdateKernel {
     pub free_lists: FreeLists,
 }
 
-fn hash_of(location: u64, slots: usize) -> usize {
+/// Home slot of a claim in the linear-probing table. Shared by the update
+/// kernel, the insert kernel and the session's post-launch sweep, which
+/// must all agree on where a location's probe chain starts.
+pub(crate) fn hash_of(location: u64, slots: usize) -> usize {
     (location.wrapping_mul(0x9E3779B97F4A7C15) >> 16) as usize % slots
 }
 

@@ -17,12 +17,13 @@
 //!   device memory, partitioned by key range with access-driven migration
 //!   between device and host,
 //! * [`scheduler`] — the concurrent serving layer: N producer threads
-//!   submit point ops through an MPSC queue; an executor thread coalesces
-//!   them into adaptive batches (size target or deadline), sorts each
-//!   batch for locality and inverts the permutation on return,
+//!   submit point ops through an MPSC queue (submit returns a ticket, wait
+//!   yields the answer); a work-conserving executor thread drains whatever
+//!   is queued whenever it is free, sorts each batch for locality and
+//!   inverts the permutation on return,
 //! * [`sharded`] — the multi-device scale-out layer: one scheduler per
 //!   simulated device, key space partitioned by the §3.3 LUT prefix, with
-//!   concurrent split/dispatch/merge routing and per-shard overload
+//!   split / submit-all / wait-and-merge routing and per-shard overload
 //!   isolation.
 
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ pub mod sharded;
 pub use gpu_runner::{E2eReport, Engine, RunConfig};
 pub use hybrid::HybridReport;
 pub use scheduler::{
-    RangeRows, SchedError, Scheduler, SchedulerClient, SchedulerConfig, SchedulerStats,
+    RangeRows, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerConfig,
+    SchedulerStats, Ticket,
 };
-pub use sharded::{ShardStats, ShardedClient, ShardedScheduler, ShardedStats};
+pub use sharded::{ShardStats, ShardedClient, ShardedScheduler, ShardedStats, ShardedTicket};

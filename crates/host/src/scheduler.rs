@@ -4,16 +4,32 @@
 //! The paper's end-to-end numbers assume an *upstream* component that turns
 //! a stream of point operations into device-sized batches (§4.1 "batching
 //! on the host"). This module is that component: N producer threads submit
-//! point lookups / updates / inserts through a cloneable
+//! point lookups / updates / inserts / range queries through a cloneable
 //! [`SchedulerClient`]; a single executor thread owns the
 //! [`CuartSession`](cuart::CuartSession) and coalesces submissions into
-//! adaptive batches that flush when either
+//! device batches.
 //!
-//! * the queued key count reaches [`SchedulerConfig::batch_target`]
-//!   (**size flush**), or
-//! * the oldest queued operation has waited
-//!   [`SchedulerConfig::deadline`] (**deadline flush**), or
+//! # Flush rule: dispatch when idle
+//!
+//! The executor is **work-conserving**: it blocks only on an *empty*
+//! submission queue. Whenever it is free and anything is queued it drains
+//! the queue under one lock acquisition — whole requests, FIFO, until the
+//! batch holds [`SchedulerConfig::batch_target`] keys; the rest stays
+//! queued for the next batch — and then flushes when
+//!
+//! * the batch reached the target (**size flush**), or
+//! * its oldest operation has waited [`SchedulerConfig::deadline`]
+//!   (**deadline flush**), or
 //! * the scheduler shuts down with work still queued (**final flush**).
+//!
+//! `deadline` is a *linger*: the longest an idle executor holds an
+//! underfilled batch open hoping for company. It defaults to zero, so an
+//! idle device takes whatever is queued immediately (such a flush still
+//! counts as a deadline flush). Batches grow by themselves under load:
+//! requests queue while the previous batch runs, and the next drain takes
+//! them all. A positive linger trades latency for fill, as the paper's
+//! pipelined host threads never need to — nothing there sleeps on a timer
+//! while work is queued.
 //!
 //! Before dispatch the batch keys are **sorted** (stable, via
 //! [`sort_permutation`]) so that adjacent kernel lanes traverse neighboring
@@ -28,6 +44,16 @@
 //! …), so an update submitted before a lookup by the same producer is
 //! applied before that lookup executes.
 //!
+//! # Submit and wait
+//!
+//! [`SchedulerClient::submit`] is the one entry: it admits a [`SchedOp`]
+//! (admission control applies here) and returns a [`Ticket`] without
+//! waiting for the batch; [`Ticket::wait`] yields the [`SchedAnswer`]. The
+//! blocking `lookup` / `update` / `insert` / `range` calls are submit +
+//! wait. A caller that holds several tickets — the sharded router, a
+//! connection's reader thread — has several requests in flight from one
+//! thread.
+//!
 //! # Overload protection
 //!
 //! The scheduler is safe to overload — it rejects or sheds, never balloons
@@ -40,7 +66,8 @@
 //!   `BlockWithTimeout` ([`SchedError::AdmissionTimeout`]) or `Reject`
 //!   ([`SchedError::QueueFull`]).
 //! * **Deadline shedding** — every request can carry a latency budget
-//!   ([`SchedulerClient::lookup_with_deadline`] and friends, or the
+//!   (the `budget` of [`SchedulerClient::submit`],
+//!   [`SchedulerClient::lookup_with_deadline`] and friends, or the
 //!   [`SchedulerConfig::op_deadline`] default). Expired requests are shed
 //!   at coalesce time — before sorting and dispatch — and answered with
 //!   [`SchedError::DeadlineExceeded`], so one slow batch cannot cascade
@@ -69,7 +96,7 @@ use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -123,12 +150,14 @@ impl Default for BreakerConfig {
 /// How the executor should form device batches.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Flush as soon as this many keys are queued (size flush). The batch
-    /// handed to the session may exceed the target by at most one
+    /// Flush as soon as this many keys are coalesced (size flush). One
+    /// drain stops at the first request boundary at or past the target, so
+    /// the batch handed to the session may exceed it by at most one
     /// request's worth of keys.
     pub batch_target: usize,
-    /// Flush when the oldest queued operation has waited this long
-    /// (deadline flush), even if the batch is underfilled.
+    /// The linger: the longest an *idle* executor holds an underfilled
+    /// batch open before flushing it (deadline flush). Zero — the default
+    /// — dispatches whatever is queued as soon as the executor is free.
     pub deadline: Duration,
     /// Sort batch keys before dispatch and invert the permutation on
     /// return. `false` packs in arrival order (used by the benchmarks to
@@ -165,7 +194,7 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             batch_target: 32_768,
-            deadline: Duration::from_micros(200),
+            deadline: Duration::ZERO,
             sort_batches: true,
             fault_injector: None,
             queue_cap: 0,
@@ -294,29 +323,91 @@ enum OpKind {
 /// key.
 pub type RangeRows = Vec<(Vec<u8>, u64)>;
 
-/// Where one request's results go back: point ops reply with one `u64`
-/// per key, range ops with one row list per `[lo, hi]` pair.
-enum Reply {
-    Values(SyncSender<Result<Vec<u64>, SchedError>>),
-    Rows(SyncSender<Result<Vec<RangeRows>, SchedError>>),
+/// One request: a slice of same-kind operations from one caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchedOp {
+    /// Point lookups; answered with one value per key
+    /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
+    Lookup(Vec<Vec<u8>>),
+    /// Point updates (`DELETE` as the value deletes); answered with one
+    /// status per op (see [`status`](cuart::update::status)).
+    Update(Vec<(Vec<u8>, u64)>),
+    /// Point inserts; answered with one status per op (see
+    /// [`insert_status`](cuart::insert::insert_status)).
+    Insert(Vec<(Vec<u8>, u64)>),
+    /// Inclusive `[lo, hi]` range queries; answered with one sorted row
+    /// list per pair (see
+    /// [`CuartSession::range_batch`](cuart::CuartSession::range_batch)).
+    /// Inverted or empty ranges return empty row lists. Each range counts
+    /// as one resident op for admission purposes.
+    Range(Vec<(Vec<u8>, Vec<u8>)>),
 }
 
-impl Reply {
-    /// Fail the request, whichever shape it expects.
-    fn send_err(&self, e: SchedError) {
+/// What a served request comes back with, in the caller's submission
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchedAnswer {
+    /// One `u64` per point op.
+    Values(Vec<u64>),
+    /// One row list per range.
+    Rows(Vec<RangeRows>),
+}
+
+impl SchedAnswer {
+    /// The per-op values of a point request.
+    pub fn into_values(self) -> Result<Vec<u64>, SchedError> {
         match self {
-            Reply::Values(s) => {
-                let _ = s.send(Err(e));
-            }
-            Reply::Rows(s) => {
-                let _ = s.send(Err(e));
-            }
+            SchedAnswer::Values(v) => Ok(v),
+            SchedAnswer::Rows(_) => Err(SchedError::Session(
+                "range rows answered a point request".into(),
+            )),
+        }
+    }
+
+    /// The per-range row lists of a range request.
+    pub fn into_rows(self) -> Result<Vec<RangeRows>, SchedError> {
+        match self {
+            SchedAnswer::Rows(r) => Ok(r),
+            SchedAnswer::Values(_) => Err(SchedError::Session(
+                "point values answered a range request".into(),
+            )),
+        }
+    }
+}
+
+type Outcome = Result<SchedAnswer, SchedError>;
+
+/// A submitted request's claim on its answer. Dropping a ticket abandons
+/// the answer, not the request: an admitted request still executes.
+#[derive(Debug)]
+pub struct Ticket(TicketState);
+
+#[derive(Debug)]
+enum TicketState {
+    /// Decided at submission: an empty request, or an admission refusal.
+    Ready(Outcome),
+    /// Admitted; the executor answers on this channel.
+    Queued(Receiver<Outcome>),
+}
+
+impl Ticket {
+    fn ready(outcome: Outcome) -> Ticket {
+        Ticket(TicketState::Ready(outcome))
+    }
+
+    /// Block until the request's batch has executed (or the request was
+    /// shed). A dead executor surfaces as [`SchedError::Disconnected`],
+    /// never as a hang.
+    pub fn wait(self) -> Result<SchedAnswer, SchedError> {
+        match self.0 {
+            TicketState::Ready(outcome) => outcome,
+            TicketState::Queued(rx) => rx.recv().map_err(|_| SchedError::Disconnected)?,
         }
     }
 }
 
 /// One queued submission: a slice of same-kind point ops (or range
-/// queries) from one client call, plus the channel its results go back on.
+/// queries) from one client call, plus the channel its answer goes back on.
 struct Request {
     kind: OpKind,
     /// Point-op keys, or the `lo` bounds of range queries.
@@ -325,10 +416,48 @@ struct Request {
     his: Vec<Vec<u8>>,
     /// One value per key for updates/inserts; empty otherwise.
     values: Vec<u64>,
-    reply: Reply,
+    /// Rendezvous with the request's [`Ticket`]: buffer 1, so the
+    /// executor's send never blocks, and a dropped sender fails the
+    /// ticket's `recv`.
+    reply: SyncSender<Outcome>,
     enqueued: Instant,
     /// Shed (with `DeadlineExceeded`) if still undispatched past this.
     deadline: Option<Instant>,
+}
+
+/// The batch the executor is coalescing: whole requests in FIFO order.
+#[derive(Default)]
+struct Pending {
+    reqs: VecDeque<Request>,
+    keys: usize,
+    /// Earliest per-op deadline among `reqs`; `None` when nothing in the
+    /// batch can expire, which is what lets the shed pass return at once.
+    earliest_deadline: Option<Instant>,
+}
+
+impl Pending {
+    fn push(&mut self, req: Request) {
+        self.keys = self.keys.saturating_add(req.keys.len());
+        if let Some(d) = req.deadline {
+            self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
+        }
+        self.reqs.push_back(req);
+    }
+
+    /// When the oldest request has lingered long enough to flush; `None`
+    /// for an empty batch (or a linger too long to represent).
+    fn due_at(&self, linger: Duration) -> Option<Instant> {
+        self.reqs.front()?.enqueued.checked_add(linger)
+    }
+
+    /// When the executor must look at the batch again even if nothing
+    /// new arrives: the linger expiry or the first per-op deadline.
+    fn wake_at(&self, linger: Duration) -> Option<Instant> {
+        match (self.due_at(linger), self.earliest_deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// Mutex-guarded state of the bounded submission queue.
@@ -346,10 +475,10 @@ struct QueueInner {
 
 /// Bounded MPSC submission queue with resident-op accounting.
 ///
-/// `push` admits under the configured cap and policy; the executor `pop`s
-/// requests and calls `release` only once ops reach a terminal state
-/// (dispatched or shed), so `resident_ops ≤ cap` holds across the whole
-/// scheduler, by construction.
+/// `push` admits under the configured cap and policy; the executor takes
+/// requests with `drain_into` and calls `release` only once ops reach a
+/// terminal state (dispatched or shed), so `resident_ops ≤ cap` holds
+/// across the whole scheduler, by construction.
 struct SubmissionQueue {
     inner: Mutex<QueueInner>,
     /// Producers waiting for resident space.
@@ -364,11 +493,12 @@ struct SubmissionQueue {
     max_resident_ops: AtomicU64,
 }
 
-/// Outcome of one executor [`SubmissionQueue::pop`].
-enum Pop {
-    /// A request, FIFO.
-    Got(Request),
-    /// The wake deadline passed with the queue still empty.
+/// Outcome of one executor [`SubmissionQueue::drain_into`].
+#[derive(Debug, PartialEq, Eq)]
+enum Drain {
+    /// At least one request moved into the batch.
+    Took,
+    /// The wake instant passed with the queue still empty.
     TimedOut,
     /// Closed and fully drained: the executor can exit.
     Closed,
@@ -457,27 +587,36 @@ impl SubmissionQueue {
         }
     }
 
-    /// Executor-side pop. Blocks until a request arrives, the optional
-    /// `wake` instant passes, or the queue is closed *and* drained.
-    fn pop(&self, wake: Option<Instant>) -> Pop {
+    /// Executor-side drain: under one lock acquisition, move whole
+    /// requests FIFO into `batch` until it holds `target` keys; whatever
+    /// does not fit stays queued for the next batch. Blocks only while the
+    /// queue is *empty* — until a request arrives, the optional `wake`
+    /// instant passes, or the queue is closed.
+    fn drain_into(&self, batch: &mut Pending, target: usize, wake: Option<Instant>) -> Drain {
         let mut inner = self.lock();
         loop {
-            if let Some(req) = inner.queue.pop_front() {
-                return Pop::Got(req);
+            if !inner.queue.is_empty() {
+                while batch.keys < target {
+                    match inner.queue.pop_front() {
+                        Some(req) => batch.push(req),
+                        None => break,
+                    }
+                }
+                return Drain::Took;
             }
             if inner.closed {
-                return Pop::Closed;
+                return Drain::Closed;
             }
             match wake {
                 None => {
                     inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
                 }
-                Some(deadline) => {
+                Some(at) => {
                     let now = Instant::now();
-                    if now >= deadline {
-                        return Pop::TimedOut;
+                    if now >= at {
+                        return Drain::TimedOut;
                     }
-                    inner = match self.work.wait_timeout(inner, deadline - now) {
+                    inner = match self.work.wait_timeout(inner, at - now) {
                         Ok((g, _)) => g,
                         Err(p) => p.into_inner().0,
                     };
@@ -508,7 +647,7 @@ impl SubmissionQueue {
     }
 
     /// The executor is gone (exit or panic). Drop whatever is still
-    /// queued — each dropped `reply` sender fails its producer's `recv`
+    /// queued — each dropped `reply` sender fails its ticket's `recv`
     /// with [`SchedError::Disconnected`] — and wake every waiter.
     fn abort(&self) {
         let orphans: Vec<Request> = {
@@ -629,9 +768,9 @@ impl SchedulerStats {
     }
 }
 
-/// Cloneable producer-side handle. Each call blocks until its batch has
-/// executed (or it is refused/shed) and returns results in the caller's
-/// submission order.
+/// Cloneable producer-side handle. [`submit`](Self::submit) admits a
+/// request and returns its [`Ticket`]; the blocking calls are submit +
+/// wait and return results in the caller's submission order.
 #[derive(Clone)]
 pub struct SchedulerClient {
     queue: Arc<SubmissionQueue>,
@@ -640,64 +779,61 @@ pub struct SchedulerClient {
 }
 
 impl SchedulerClient {
-    fn submit(
-        &self,
-        kind: OpKind,
-        keys: Vec<Vec<u8>>,
-        values: Vec<u64>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
+    /// Admit `op` and return without waiting for its batch. Admission
+    /// control applies here: under [`AdmissionPolicy::Block`] a full queue
+    /// back-pressures this call, and a refusal (`QueueFull`,
+    /// `AdmissionTimeout`, `Shutdown`) comes back as a ticket that is
+    /// already decided. `budget` is the request's latency budget: still
+    /// waiting for coalescing when it expires, the request is shed with
+    /// [`SchedError::DeadlineExceeded`]; `None` falls back to
+    /// [`SchedulerConfig::op_deadline`]. An empty request is answered
+    /// without a trip through the executor.
+    pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> Ticket {
+        let (kind, keys, his, values) = match op {
+            SchedOp::Lookup(keys) => (OpKind::Lookup, keys, Vec::new(), Vec::new()),
+            SchedOp::Update(ops) => {
+                let (keys, values) = ops.into_iter().unzip();
+                (OpKind::Update, keys, Vec::new(), values)
+            }
+            SchedOp::Insert(ops) => {
+                let (keys, values) = ops.into_iter().unzip();
+                (OpKind::Insert, keys, Vec::new(), values)
+            }
+            SchedOp::Range(ranges) => {
+                let (los, his) = ranges.into_iter().unzip();
+                (OpKind::Range, los, his, Vec::new())
+            }
+        };
         if keys.is_empty() {
-            return Ok(Vec::new());
+            return Ticket::ready(Ok(match kind {
+                OpKind::Range => SchedAnswer::Rows(Vec::new()),
+                _ => SchedAnswer::Values(Vec::new()),
+            }));
         }
         let now = Instant::now();
-        let deadline = budget.or(self.default_deadline).map(|d| now + d);
-        // Rendezvous channel: the executor's send never blocks (buffer 1),
-        // and a dead executor surfaces as recv's Err.
-        let (reply, result) = mpsc::sync_channel(1);
+        let (reply, answer) = mpsc::sync_channel(1);
         let req = Request {
             kind,
             keys,
-            his: Vec::new(),
-            values,
-            reply: Reply::Values(reply),
-            enqueued: now,
-            deadline,
-        };
-        self.queue.push(req, self.admission)?;
-        result.recv().map_err(|_| SchedError::Disconnected)?
-    }
-
-    fn submit_range(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
-        }
-        let now = Instant::now();
-        let deadline = budget.or(self.default_deadline).map(|d| now + d);
-        let (keys, his) = split_ops_keyed(ranges);
-        let (reply, result) = mpsc::sync_channel(1);
-        let req = Request {
-            kind: OpKind::Range,
-            keys,
             his,
-            values: Vec::new(),
-            reply: Reply::Rows(reply),
+            values,
+            reply,
             enqueued: now,
-            deadline,
+            deadline: budget.or(self.default_deadline).map(|d| now + d),
         };
-        self.queue.push(req, self.admission)?;
-        result.recv().map_err(|_| SchedError::Disconnected)?
+        match self.queue.push(req, self.admission) {
+            Ok(()) => Ticket(TicketState::Queued(answer)),
+            Err(e) => Ticket::ready(Err(e)),
+        }
     }
 
     /// Submit a slice of point lookups; blocks until the batch containing
     /// them executes. Returns one result per key in submission order
     /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
     pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.submit(OpKind::Lookup, keys, Vec::new(), None)
+        self.submit(SchedOp::Lookup(keys), None)
+            .wait()?
+            .into_values()
     }
 
     /// [`lookup`](Self::lookup) with an explicit latency budget: if the
@@ -708,7 +844,9 @@ impl SchedulerClient {
         keys: Vec<Vec<u8>>,
         budget: Duration,
     ) -> Result<Vec<u64>, SchedError> {
-        self.submit(OpKind::Lookup, keys, Vec::new(), Some(budget))
+        self.submit(SchedOp::Lookup(keys), Some(budget))
+            .wait()?
+            .into_values()
     }
 
     /// Submit one point lookup.
@@ -719,8 +857,9 @@ impl SchedulerClient {
     /// Submit point updates (`DELETE` as the value deletes). Returns one
     /// status per op (see [`status`](cuart::update::status)).
     pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Update, keys, values, None)
+        self.submit(SchedOp::Update(ops), None)
+            .wait()?
+            .into_values()
     }
 
     /// [`update`](Self::update) with an explicit latency budget.
@@ -729,15 +868,17 @@ impl SchedulerClient {
         ops: Vec<(Vec<u8>, u64)>,
         budget: Duration,
     ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Update, keys, values, Some(budget))
+        self.submit(SchedOp::Update(ops), Some(budget))
+            .wait()?
+            .into_values()
     }
 
     /// Submit point inserts. Returns one status per op (see
     /// [`insert_status`](cuart::insert::insert_status)).
     pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Insert, keys, values, None)
+        self.submit(SchedOp::Insert(ops), None)
+            .wait()?
+            .into_values()
     }
 
     /// [`insert`](Self::insert) with an explicit latency budget.
@@ -746,17 +887,18 @@ impl SchedulerClient {
         ops: Vec<(Vec<u8>, u64)>,
         budget: Duration,
     ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Insert, keys, values, Some(budget))
+        self.submit(SchedOp::Insert(ops), Some(budget))
+            .wait()?
+            .into_values()
     }
 
     /// Submit inclusive range queries. Returns, per `[lo, hi]` pair and in
     /// submission order, every live `(key, value)` row in the range sorted
-    /// by key (see [`CuartSession::range_batch`](cuart::CuartSession::range_batch)).
-    /// Inverted or empty ranges return empty row lists. Each range counts
-    /// as one resident op for admission purposes.
+    /// by key (see [`SchedOp::Range`]).
     pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit_range(ranges, None)
+        self.submit(SchedOp::Range(ranges), None)
+            .wait()?
+            .into_rows()
     }
 
     /// [`range`](Self::range) with an explicit latency budget.
@@ -765,28 +907,10 @@ impl SchedulerClient {
         ranges: Vec<(Vec<u8>, Vec<u8>)>,
         budget: Duration,
     ) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit_range(ranges, Some(budget))
+        self.submit(SchedOp::Range(ranges), Some(budget))
+            .wait()?
+            .into_rows()
     }
-}
-
-fn split_ops(ops: Vec<(Vec<u8>, u64)>) -> (Vec<Vec<u8>>, Vec<u64>) {
-    let mut keys = Vec::with_capacity(ops.len());
-    let mut values = Vec::with_capacity(ops.len());
-    for (k, v) in ops {
-        keys.push(k);
-        values.push(v);
-    }
-    (keys, values)
-}
-
-fn split_ops_keyed(ops: Vec<(Vec<u8>, Vec<u8>)>) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let mut los = Vec::with_capacity(ops.len());
-    let mut his = Vec::with_capacity(ops.len());
-    for (lo, hi) in ops {
-        los.push(lo);
-        his.push(hi);
-    }
-    (los, his)
 }
 
 /// Owning handle for the executor thread. Dropping it shuts the executor
@@ -948,8 +1072,16 @@ struct ExecCtx<'a> {
     breaker: Option<Breaker>,
 }
 
-/// The executor loop: block for work, coalesce, shed expired ops, flush
-/// on size / deadline / shutdown.
+/// Why a batch was flushed; picks the stats counter and telemetry series.
+#[derive(Clone, Copy)]
+enum FlushCause {
+    Size,
+    Deadline,
+    Final,
+}
+
+/// The executor loop: block on an empty queue, drain it, shed expired
+/// ops, flush on size / linger / shutdown.
 fn executor(
     index: Arc<CuartIndex>,
     dev: DeviceConfig,
@@ -979,6 +1111,7 @@ fn executor(
         telemetry.gauge_set(names::SCHED_BREAKER_STATE, 0.0);
     }
     let batch_target = cfg.batch_target.max(1);
+    let linger = cfg.deadline;
     let breaker = cfg.breaker.clone().map(Breaker::new);
     let mut ctx = ExecCtx {
         session,
@@ -989,74 +1122,37 @@ fn executor(
         breaker,
     };
 
-    let mut pending: VecDeque<Request> = VecDeque::new();
-    let mut pending_keys = 0usize;
-
+    let mut pending = Pending::default();
     loop {
-        // Wake at the earlier of the batch deadline (oldest op + deadline)
-        // and the earliest per-op deadline; sleep unbounded when idle.
-        let wake = if let Some(front) = pending.front() {
-            let mut at = front.enqueued + ctx.cfg.deadline;
-            for r in &pending {
-                if let Some(d) = r.deadline {
-                    at = at.min(d);
-                }
+        // An empty batch has no wake instant: the executor sleeps only on
+        // an empty queue, and then without a timer.
+        let (before, wake) = (pending.keys, pending.wake_at(linger));
+        let drained = queue.drain_into(&mut pending, batch_target, wake);
+        let taken = pending.keys.saturating_sub(before) as u64;
+        if taken > 0 {
+            ctx.stats.ops_enqueued = ctx.stats.ops_enqueued.saturating_add(taken);
+            ctx.telemetry.incr(names::SCHED_ENQUEUED, taken);
+        }
+        if pending.keys >= batch_target {
+            ctx.flush(&mut pending, FlushCause::Size);
+            continue;
+        }
+        if drained == Drain::Closed {
+            if !pending.reqs.is_empty() {
+                ctx.flush(&mut pending, FlushCause::Final);
             }
-            Some(at)
-        } else {
-            None
-        };
-
-        match queue.pop(wake) {
-            Pop::Got(req) => {
-                ctx.stats.ops_enqueued =
-                    ctx.stats.ops_enqueued.saturating_add(req.keys.len() as u64);
-                ctx.telemetry
-                    .incr(names::SCHED_ENQUEUED, req.keys.len() as u64);
-                pending_keys = pending_keys.saturating_add(req.keys.len());
-                pending.push_back(req);
-                if pending_keys >= batch_target {
-                    let depth = pending_keys as u64;
-                    ctx.flush(&mut pending, &mut pending_keys);
-                    ctx.stats.size_flushes += 1;
-                    record_flush(&ctx.telemetry, Some(names::SCHED_SIZE_FLUSHES), depth);
-                }
-            }
-            Pop::TimedOut => {
-                // Either an op deadline expired (shed it, keep waiting) or
-                // the oldest op aged past the batch deadline (flush).
-                ctx.shed_expired(&mut pending, &mut pending_keys, Instant::now());
-                let batch_due = pending
-                    .front()
-                    .is_some_and(|r| r.enqueued.elapsed() >= ctx.cfg.deadline);
-                if batch_due {
-                    let depth = pending_keys as u64;
-                    ctx.flush(&mut pending, &mut pending_keys);
-                    ctx.stats.deadline_flushes += 1;
-                    record_flush(&ctx.telemetry, Some(names::SCHED_DEADLINE_FLUSHES), depth);
-                }
-            }
-            Pop::Closed => {
-                if !pending.is_empty() {
-                    let depth = pending_keys as u64;
-                    ctx.flush(&mut pending, &mut pending_keys);
-                    ctx.stats.final_flushes += 1;
-                    record_flush(&ctx.telemetry, None, depth);
-                }
-                break;
-            }
+            break;
+        }
+        // Shed what expired while waiting, then flush if the oldest
+        // survivor has lingered long enough — with the default zero
+        // linger, at once.
+        let now = Instant::now();
+        ctx.shed_expired(&mut pending, now);
+        if pending.due_at(linger).is_some_and(|due| due <= now) {
+            ctx.flush(&mut pending, FlushCause::Deadline);
         }
     }
     ctx.stats
-}
-
-/// Telemetry bookkeeping for one flush (optional counter + queue-depth
-/// gauge recording the backlog the flush drained).
-fn record_flush(telemetry: &SchedTelemetry, counter: Option<&'static str>, depth: u64) {
-    if let Some(c) = counter {
-        telemetry.incr(c, 1);
-    }
-    telemetry.gauge_set(names::SCHED_QUEUE_DEPTH, depth as f64);
 }
 
 /// Modeled host cost of packing one key into the coalesced batch buffer.
@@ -1072,33 +1168,30 @@ impl ExecCtx<'_> {
     /// Shed every pending request whose deadline has passed: reply
     /// `DeadlineExceeded`, free its resident slots, count and trace it.
     /// Runs at coalesce time — before sorting and dispatch — so late work
-    /// never consumes device time.
-    fn shed_expired(
-        &mut self,
-        pending: &mut VecDeque<Request>,
-        pending_keys: &mut usize,
-        now: Instant,
-    ) {
-        if pending.is_empty() {
+    /// never consumes device time. Costs one comparison when nothing in
+    /// the batch can have expired.
+    fn shed_expired(&mut self, pending: &mut Pending, now: Instant) {
+        if pending.earliest_deadline.is_none_or(|d| d > now) {
             return;
         }
         let mut shed_ops = 0usize;
         let mut shed_requests = 0u64;
-        let mut kept: VecDeque<Request> = VecDeque::with_capacity(pending.len());
-        while let Some(req) = pending.pop_front() {
-            if req.deadline.is_some_and(|d| d <= now) {
+        let mut earliest: Option<Instant> = None;
+        pending.reqs.retain(|req| match req.deadline {
+            Some(d) if d <= now => {
                 shed_ops = shed_ops.saturating_add(req.keys.len());
                 shed_requests = shed_requests.saturating_add(1);
-                req.reply.send_err(SchedError::DeadlineExceeded);
-            } else {
-                kept.push_back(req);
+                let _ = req.reply.send(Err(SchedError::DeadlineExceeded));
+                false
             }
-        }
-        *pending = kept;
-        if shed_ops == 0 {
-            return;
-        }
-        *pending_keys = pending_keys.saturating_sub(shed_ops);
+            Some(d) => {
+                earliest = Some(earliest.map_or(d, |e| e.min(d)));
+                true
+            }
+            None => true,
+        });
+        pending.earliest_deadline = earliest;
+        pending.keys = pending.keys.saturating_sub(shed_ops);
         self.stats.shed_ops = self.stats.shed_ops.saturating_add(shed_ops as u64);
         self.stats.requests += shed_requests;
         self.queue.release(shed_ops);
@@ -1113,23 +1206,38 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Drain the whole pending queue: shed expired ops, then execute the
+    /// Drain the whole pending batch: shed expired ops, then execute the
     /// remainder as maximal same-kind head runs, each run one device
     /// batch.
-    fn flush(&mut self, pending: &mut VecDeque<Request>, pending_keys: &mut usize) {
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(*pending_keys as u64);
-        self.shed_expired(pending, pending_keys, Instant::now());
-        while let Some(front) = pending.front() {
+    fn flush(&mut self, pending: &mut Pending, cause: FlushCause) {
+        let depth = pending.keys as u64;
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
+        self.shed_expired(pending, Instant::now());
+        while let Some(front) = pending.reqs.front() {
             let kind = front.kind;
             let mut run: Vec<Request> = Vec::new();
-            while pending.front().is_some_and(|r| r.kind == kind) {
-                if let Some(r) = pending.pop_front() {
+            while pending.reqs.front().is_some_and(|r| r.kind == kind) {
+                if let Some(r) = pending.reqs.pop_front() {
                     run.push(r);
                 }
             }
             self.execute_run(kind, run);
         }
-        *pending_keys = 0;
+        pending.keys = 0;
+        pending.earliest_deadline = None;
+        match cause {
+            FlushCause::Size => {
+                self.stats.size_flushes += 1;
+                self.telemetry.incr(names::SCHED_SIZE_FLUSHES, 1);
+            }
+            FlushCause::Deadline => {
+                self.stats.deadline_flushes += 1;
+                self.telemetry.incr(names::SCHED_DEADLINE_FLUSHES, 1);
+            }
+            FlushCause::Final => self.stats.final_flushes += 1,
+        }
+        self.telemetry
+            .gauge_set(names::SCHED_QUEUE_DEPTH, depth as f64);
     }
 
     /// Execute one same-kind run as a single (optionally sorted) device
@@ -1233,9 +1341,7 @@ impl ExecCtx<'_> {
                     self.stats.requests += 1;
                     let slice = results[off..off + len].to_vec();
                     off += len;
-                    if let Reply::Values(s) = &req.reply {
-                        let _ = s.send(Ok(slice));
-                    }
+                    let _ = req.reply.send(Ok(SchedAnswer::Values(slice)));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
@@ -1246,7 +1352,7 @@ impl ExecCtx<'_> {
                 let err = SchedError::from(&e);
                 for req in run {
                     self.stats.requests += 1;
-                    req.reply.send_err(err.clone());
+                    let _ = req.reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(true, 0.0, total as u64);
@@ -1312,9 +1418,7 @@ impl ExecCtx<'_> {
                     self.stats.requests += 1;
                     let slice = rows[off..off + len].to_vec();
                     off += len;
-                    if let Reply::Rows(s) = &req.reply {
-                        let _ = s.send(Ok(slice));
-                    }
+                    let _ = req.reply.send(Ok(SchedAnswer::Rows(slice)));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
@@ -1325,7 +1429,7 @@ impl ExecCtx<'_> {
                 let err = SchedError::from(&e);
                 for req in run {
                     self.stats.requests += 1;
-                    req.reply.send_err(err.clone());
+                    let _ = req.reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(true, 0.0, total as u64);
@@ -1620,6 +1724,117 @@ mod tests {
         drop(client);
         let stats = sched.join().unwrap();
         assert_eq!(stats.shed_ops, 1);
+    }
+
+    /// A queued request of `n` lookup keys tagged `tag`, and the ticket
+    /// side of its reply channel.
+    fn request(tag: u8, n: usize) -> (Request, Receiver<Outcome>) {
+        let (reply, answer) = mpsc::sync_channel(1);
+        let req = Request {
+            kind: OpKind::Lookup,
+            keys: vec![vec![tag]; n],
+            his: Vec::new(),
+            values: Vec::new(),
+            reply,
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        (req, answer)
+    }
+
+    #[test]
+    fn drain_is_fifo_and_stops_at_the_target_on_a_request_boundary() {
+        let queue = SubmissionQueue::new(0, SchedTelemetry::default());
+        let mut tickets = Vec::new();
+        for tag in 0..4u8 {
+            let (req, answer) = request(tag, 4);
+            queue.push(req, AdmissionPolicy::Block).unwrap();
+            tickets.push(answer);
+        }
+        // Target 6: the second whole request crosses it (8 keys); the
+        // other two stay queued, in order, for the next batch.
+        let mut batch = Pending::default();
+        assert_eq!(queue.drain_into(&mut batch, 6, None), Drain::Took);
+        let tags: Vec<u8> = batch.reqs.iter().map(|r| r.keys[0][0]).collect();
+        assert_eq!((tags, batch.keys), (vec![0, 1], 8));
+        let mut next = Pending::default();
+        assert_eq!(queue.drain_into(&mut next, 100, None), Drain::Took);
+        let tags: Vec<u8> = next.reqs.iter().map(|r| r.keys[0][0]).collect();
+        assert_eq!((tags, next.keys), (vec![2, 3], 8));
+        // Empty: a wake instant in the past times out, a close ends it.
+        let past = Instant::now();
+        assert_eq!(
+            queue.drain_into(&mut next, 100, Some(past)),
+            Drain::TimedOut
+        );
+        queue.close();
+        assert_eq!(queue.drain_into(&mut next, 100, None), Drain::Closed);
+    }
+
+    #[test]
+    fn default_config_dispatches_each_sequential_request_as_its_own_batch() {
+        let index = build_index(64);
+        let sched = spawn(&index, SchedulerConfig::default());
+        let client = sched.client().unwrap();
+        // Each call returns before the next is submitted, so the idle
+        // executor never finds two requests queued: N requests, N batches,
+        // none of them held open.
+        for i in 0..10u64 {
+            assert_eq!(client.lookup(vec![key(i), key(i + 1)]).unwrap().len(), 2);
+        }
+        drop(client);
+        let stats = sched.join().unwrap();
+        assert_eq!(stats.batches, 10);
+        assert_eq!(stats.deadline_flushes, 10, "zero linger: {stats:?}");
+        assert_eq!(stats.size_flushes + stats.final_flushes, 0);
+    }
+
+    #[test]
+    fn a_lingering_executor_coalesces_two_tickets_into_one_batch() {
+        let index = build_index(64);
+        let cfg = SchedulerConfig {
+            batch_target: 8,
+            deadline: Duration::from_secs(3600), // holds the first ticket open
+            ..SchedulerConfig::default()
+        };
+        let sched = spawn(&index, cfg);
+        let client = sched.client().unwrap();
+        // Submit both before waiting on either: whenever the executor
+        // picks up the first, it lingers until the second fills the batch.
+        let first = client.submit(SchedOp::Lookup((0..4).map(key).collect()), None);
+        let second = client.submit(SchedOp::Lookup((4..8).map(key).collect()), None);
+        assert_eq!(
+            first.wait().unwrap(),
+            SchedAnswer::Values((0..4).map(|i| i * 10).collect())
+        );
+        assert_eq!(
+            second.wait().unwrap(),
+            SchedAnswer::Values((4..8).map(|i| i * 10).collect())
+        );
+        drop(client);
+        let stats = sched.join().unwrap();
+        assert_eq!((stats.batches, stats.size_flushes), (1, 1), "{stats:?}");
+        assert_eq!(stats.keys_dispatched, 8);
+    }
+
+    #[test]
+    fn a_ticket_on_a_dead_executor_is_disconnected_not_hung() {
+        let queue = SubmissionQueue::new(0, SchedTelemetry::default());
+        let client = SchedulerClient {
+            queue: Arc::clone(&queue),
+            admission: AdmissionPolicy::Block,
+            default_deadline: None,
+        };
+        let ticket = client.submit(SchedOp::Lookup(vec![key(1)]), None);
+        // The executor's frame unwinding — here by panic — runs the guard.
+        let guard = AbortGuard(Arc::clone(&queue));
+        let died = std::thread::spawn(move || {
+            let _guard = guard;
+            panic!("executor died (expected by this test)");
+        });
+        assert!(died.join().is_err());
+        assert_eq!(ticket.wait(), Err(SchedError::Disconnected));
+        assert_eq!(client.lookup(vec![key(1)]), Err(SchedError::Shutdown));
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   holds fleet-wide).
 //! * [`ShardedClient`] calls look exactly like [`SchedulerClient`] calls:
 //!   the router splits the batch by shard (stable, so intra-request order
-//!   survives), dispatches the sub-batches **concurrently** through each
-//!   shard's sorted-batch machinery, and merges the answers back in
-//!   arrival order via the recorded index lists — an inverse permutation
-//!   over the split.
+//!   survives), **submits** every shard's sub-batch — the shards then run
+//!   them concurrently through their sorted-batch machinery — and only
+//!   then waits on each [`Ticket`], merging the answers back in arrival
+//!   order via the recorded index lists (an inverse permutation over the
+//!   split). No thread is spawned per request; [`ShardedClient::submit`]
+//!   exposes the same split as a [`ShardedTicket`].
 //!
 //! Each shard's scheduler mirrors its counters and gauges to
 //! `cuart.sched.shard.<i>.*` (summing to the global `cuart.sched.*`
@@ -31,13 +33,15 @@
 //! with the fan-out, next to the per-shard `sched.batch.*` trees.
 
 use crate::scheduler::{
-    RangeRows, SchedError, Scheduler, SchedulerClient, SchedulerConfig, SchedulerStats,
+    RangeRows, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerConfig,
+    SchedulerStats, Ticket,
 };
 use cuart::{CuartIndex, ShardRouter};
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{names, SpanNode, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Modeled host cost of routing one key to its shard (a fixed-width
 /// prefix load and one multiply — cheaper than the coalesce copy).
@@ -243,8 +247,14 @@ impl ShardedStats {
 }
 
 /// Cloneable producer-side handle over the whole fleet. Each call splits
-/// by shard, dispatches concurrently and merges back in arrival order —
-/// same blocking semantics and result order as [`SchedulerClient`].
+/// by shard, submits every sub-batch, waits and merges back in arrival
+/// order — same blocking semantics and result order as
+/// [`SchedulerClient`].
+///
+/// Error semantics: if any shard refuses or fails its sub-batch, the
+/// whole call returns that shard's error (lowest shard index wins).
+/// Sub-batches accepted by healthy shards still execute — per-shard
+/// at-most-once, exactly as if the shards had been called individually.
 #[derive(Clone)]
 pub struct ShardedClient {
     clients: Vec<SchedulerClient>,
@@ -253,179 +263,55 @@ pub struct ShardedClient {
     route: Arc<RouteCounters>,
 }
 
-impl ShardedClient {
-    /// Point lookups across the fleet; one result per key in submission
-    /// order ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent
-    /// keys).
-    pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.route(keys, Vec::new(), |c, k, _| c.lookup(k))
-    }
+/// One shard's share of a routed request.
+struct Part {
+    shard: usize,
+    /// Positions in the request this shard answers, ascending.
+    list: Vec<usize>,
+    ticket: Ticket,
+}
 
-    /// Point updates across the fleet (`DELETE` as the value deletes);
-    /// one status per op in submission order.
-    pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = unzip_ops(ops);
-        self.route(keys, values, |c, k, v| c.update(zip_ops(k, v)))
-    }
+/// A routed request's claim on its merged answer: one [`Ticket`] per
+/// shard the request touched, plus the index lists that put the shards'
+/// answers back in arrival order.
+pub struct ShardedTicket {
+    /// Ascending shard order — which is key order, the router being
+    /// monotone in the key prefix.
+    parts: Vec<Part>,
+    total: usize,
+    ranges: bool,
+    router: ShardRouter,
+}
 
-    /// Point inserts across the fleet; one status per op in submission
-    /// order.
-    pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = unzip_ops(ops);
-        self.route(keys, values, |c, k, v| c.insert(zip_ops(k, v)))
-    }
-
-    /// [`lookup`](Self::lookup) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn lookup_with_deadline(
-        &self,
-        keys: Vec<Vec<u8>>,
-        budget: std::time::Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.route(keys, Vec::new(), move |c, k, _| {
-            c.lookup_with_deadline(k, budget)
-        })
-    }
-
-    /// [`update`](Self::update) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn update_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: std::time::Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = unzip_ops(ops);
-        self.route(keys, values, move |c, k, v| {
-            c.update_with_deadline(zip_ops(k, v), budget)
-        })
-    }
-
-    /// [`insert`](Self::insert) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn insert_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: std::time::Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = unzip_ops(ops);
-        self.route(keys, values, move |c, k, v| {
-            c.insert_with_deadline(zip_ops(k, v), budget)
-        })
-    }
-
-    /// Inclusive range queries across the fleet; one sorted row list per
-    /// `[lo, hi]` pair in submission order (see
-    /// [`SchedulerClient::range`]).
-    ///
-    /// A range can span several shards' key intervals: the full `[lo, hi]`
-    /// query goes to every shard from `shard_of(lo)` to `shard_of(hi)`,
-    /// each shard's answer is filtered to the keys that shard *owns* (its
-    /// journal/overflow are authoritative only for those), and the shares
-    /// are concatenated in shard order — which is key order, because the
-    /// router is monotone in the key prefix.
-    pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
-        self.route_ranges(ranges, None)
-    }
-
-    /// [`range`](Self::range) with an explicit latency budget applied to
-    /// every sub-query.
-    pub fn range_with_deadline(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: std::time::Duration,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        self.route_ranges(ranges, Some(budget))
-    }
-
-    fn route_ranges(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<std::time::Duration>,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        let total = ranges.len();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        // Which original ranges touch each shard (inverted bounds touch
-        // none and stay empty in the merge).
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); self.clients.len()];
-        for (i, (lo, hi)) in ranges.iter().enumerate() {
-            if lo > hi {
-                continue;
-            }
-            for list in lists
-                .iter_mut()
-                .take(self.router.shard_of(hi) + 1)
-                .skip(self.router.shard_of(lo))
-            {
-                list.push(i);
-            }
-        }
-        let active = lists.iter().filter(|l| !l.is_empty()).count();
-        self.route.requests.fetch_add(1, Ordering::Relaxed);
-        self.route.keys.fetch_add(total as u64, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.incr(names::SCHED_ROUTED_REQUESTS, 1);
-            t.incr(names::SCHED_ROUTED_KEYS, total as u64);
-            let span = SpanNode::leaf(names::spans::SCHED_ROUTE, ROUTE_NS_PER_KEY * total as u64)
-                .with_attr("keys", total)
-                .with_attr("shards", active);
-            t.record_span_tree(&span);
-        }
-
-        type ShardRanges = Vec<(usize, Vec<(Vec<u8>, Vec<u8>)>)>;
-        let sub: ShardRanges = lists
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(shard, list)| (shard, list.iter().map(|&i| ranges[i].clone()).collect()))
-            .collect();
-        let call = |c: &SchedulerClient, r: Vec<(Vec<u8>, Vec<u8>)>| match budget {
-            Some(b) => c.range_with_deadline(r, b),
-            None => c.range(r),
-        };
-
-        let mut merged: Vec<RangeRows> = vec![Vec::new(); total];
-        let mut first_err: Option<SchedError> = None;
-        let outcomes: Vec<(usize, Result<Vec<RangeRows>, SchedError>)> = if sub.len() == 1 {
-            // Single-shard fast path: no reason to pay a thread spawn.
-            sub.into_iter()
-                .map(|(shard, r)| {
-                    let outcome = call(&self.clients[shard], r);
-                    (shard, outcome)
-                })
-                .collect()
+impl ShardedTicket {
+    /// Wait on every shard's ticket (all of them, so the call returns
+    /// only once each accepted sub-batch has executed) and merge.
+    pub fn wait(self) -> Result<SchedAnswer, SchedError> {
+        let (mut values, mut rows) = if self.ranges {
+            (Vec::new(), vec![RangeRows::new(); self.total])
         } else {
-            std::thread::scope(|scope| {
-                let call = &call;
-                let clients = &self.clients;
-                let handles: Vec<_> = sub
-                    .into_iter()
-                    .map(|(shard, r)| (shard, scope.spawn(move || call(&clients[shard], r))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(shard, h)| {
-                        let r = h.join().unwrap_or_else(|p| {
-                            Err(SchedError::ExecutorPanicked(format!(
-                                "shard {shard} dispatch panicked: {p:?}"
-                            )))
-                        });
-                        (shard, r)
-                    })
-                    .collect::<Vec<_>>()
-            })
+            (vec![0u64; self.total], Vec::new())
         };
-        // Shards ascending == key order (monotone router), so extending
-        // per original range keeps each row list sorted.
-        for (shard, outcome) in outcomes {
-            match outcome {
-                Ok(per_query) => {
-                    for (&i, rows) in lists[shard].iter().zip(per_query) {
-                        merged[i].extend(
-                            rows.into_iter()
-                                .filter(|(k, _)| self.router.shard_of(k) == shard),
-                        );
+        let mut first_err: Option<SchedError> = None;
+        for Part {
+            shard,
+            list,
+            ticket,
+        } in self.parts
+        {
+            match ticket.wait() {
+                Ok(SchedAnswer::Values(results)) => scatter(&mut values, &list, results),
+                // A shard's journal and overflow are authoritative only
+                // for the keys it owns: keep those, in shard order.
+                Ok(SchedAnswer::Rows(per_query)) => {
+                    for (&i, shard_rows) in list.iter().zip(per_query) {
+                        if let Some(merged) = rows.get_mut(i) {
+                            merged.extend(
+                                shard_rows
+                                    .into_iter()
+                                    .filter(|(k, _)| self.router.shard_of(k) == shard),
+                            );
+                        }
                     }
                 }
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -433,35 +319,115 @@ impl ShardedClient {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(merged),
+            None if self.ranges => Ok(SchedAnswer::Rows(rows)),
+            None => Ok(SchedAnswer::Values(values)),
+        }
+    }
+}
+
+impl ShardedClient {
+    /// Split `op` by shard and submit every sub-batch without waiting
+    /// (admission applies per shard, as in [`SchedulerClient::submit`]);
+    /// `budget` applies to every sub-batch.
+    ///
+    /// A range can span several shards' key intervals: the full `[lo, hi]`
+    /// query goes to every shard from `shard_of(lo)` to `shard_of(hi)`,
+    /// each shard's answer is filtered to the keys that shard *owns*, and
+    /// the shares are concatenated in shard order.
+    pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> ShardedTicket {
+        match op {
+            SchedOp::Lookup(keys) => self.route(keys, |k| k, SchedOp::Lookup, budget),
+            SchedOp::Update(ops) => self.route(ops, |o| &o.0, SchedOp::Update, budget),
+            SchedOp::Insert(ops) => self.route(ops, |o| &o.0, SchedOp::Insert, budget),
+            SchedOp::Range(ranges) => self.route_ranges(ranges, budget),
         }
     }
 
-    /// Split → dispatch → merge. `call` runs one shard's sub-batch on
-    /// that shard's client; sub-batches go out concurrently (scoped
-    /// threads — every client call blocks until its batch executes) and
-    /// the answers are scattered back through the recorded index lists.
-    ///
-    /// Error semantics: if any shard refuses or fails its sub-batch, the
-    /// whole call returns that shard's error (lowest shard index wins).
-    /// Sub-batches already accepted by healthy shards still execute —
-    /// per-shard at-most-once, exactly as if the shards had been called
-    /// individually.
-    fn route<F>(
+    /// Point lookups across the fleet; one result per key in submission
+    /// order ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent
+    /// keys).
+    pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Lookup(keys), None)
+            .wait()?
+            .into_values()
+    }
+
+    /// Point updates across the fleet (`DELETE` as the value deletes);
+    /// one status per op in submission order.
+    pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Update(ops), None)
+            .wait()?
+            .into_values()
+    }
+
+    /// Point inserts across the fleet; one status per op in submission
+    /// order.
+    pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Insert(ops), None)
+            .wait()?
+            .into_values()
+    }
+
+    /// [`lookup`](Self::lookup) with an explicit latency budget applied
+    /// to every sub-batch.
+    pub fn lookup_with_deadline(
         &self,
         keys: Vec<Vec<u8>>,
-        values: Vec<u64>,
-        call: F,
-    ) -> Result<Vec<u64>, SchedError>
-    where
-        F: Fn(&SchedulerClient, Vec<Vec<u8>>, Vec<u64>) -> Result<Vec<u64>, SchedError> + Sync,
-    {
-        let total = keys.len();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        let lists = self.router.split_indices(&keys);
-        let active = lists.iter().filter(|l| !l.is_empty()).count();
+        budget: Duration,
+    ) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Lookup(keys), Some(budget))
+            .wait()?
+            .into_values()
+    }
+
+    /// [`update`](Self::update) with an explicit latency budget applied
+    /// to every sub-batch.
+    pub fn update_with_deadline(
+        &self,
+        ops: Vec<(Vec<u8>, u64)>,
+        budget: Duration,
+    ) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Update(ops), Some(budget))
+            .wait()?
+            .into_values()
+    }
+
+    /// [`insert`](Self::insert) with an explicit latency budget applied
+    /// to every sub-batch.
+    pub fn insert_with_deadline(
+        &self,
+        ops: Vec<(Vec<u8>, u64)>,
+        budget: Duration,
+    ) -> Result<Vec<u64>, SchedError> {
+        self.submit(SchedOp::Insert(ops), Some(budget))
+            .wait()?
+            .into_values()
+    }
+
+    /// Inclusive range queries across the fleet; one sorted row list per
+    /// `[lo, hi]` pair in submission order (see
+    /// [`submit`](Self::submit) for how a range spanning shards merges).
+    pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
+        self.submit(SchedOp::Range(ranges), None)
+            .wait()?
+            .into_rows()
+    }
+
+    /// [`range`](Self::range) with an explicit latency budget applied to
+    /// every sub-query.
+    pub fn range_with_deadline(
+        &self,
+        ranges: Vec<(Vec<u8>, Vec<u8>)>,
+        budget: Duration,
+    ) -> Result<Vec<RangeRows>, SchedError> {
+        self.submit(SchedOp::Range(ranges), Some(budget))
+            .wait()?
+            .into_rows()
+    }
+
+    /// Router-side accounting for one routed request of `total` ops
+    /// touching `active` shards.
+    fn note_routed(&self, total: usize, active: usize) {
         self.route.requests.fetch_add(1, Ordering::Relaxed);
         self.route.keys.fetch_add(total as u64, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
@@ -474,68 +440,91 @@ impl ShardedClient {
                 .with_attr("shards", active);
             t.record_span_tree(&span);
         }
+    }
 
-        // One shard's share of the request: (shard, keys, values).
-        type SubBatch = (usize, Vec<Vec<u8>>, Vec<u64>);
-        // Move each op out of the request exactly once, in shard order.
-        let mut keys: Vec<Option<Vec<u8>>> = keys.into_iter().map(Some).collect();
-        let mut sub: Vec<SubBatch> = Vec::with_capacity(active);
-        for (shard, list) in lists.iter().enumerate() {
-            if list.is_empty() {
+    /// Submit each non-empty `(index list, sub-batch)` share of a
+    /// `total`-op request to its shard, in shard order. An empty request
+    /// touches no shard and is not counted as routed.
+    fn submit_shares<T>(
+        &self,
+        total: usize,
+        shares: Vec<(Vec<usize>, Vec<T>)>,
+        make: fn(Vec<T>) -> SchedOp,
+        budget: Option<Duration>,
+    ) -> Vec<Part> {
+        if total == 0 {
+            return Vec::new();
+        }
+        let active = shares.iter().filter(|(list, _)| !list.is_empty()).count();
+        self.note_routed(total, active);
+        self.clients
+            .iter()
+            .zip(shares)
+            .enumerate()
+            .filter(|(_, (_, (list, _)))| !list.is_empty())
+            .map(|(shard, (client, (list, sub)))| Part {
+                shard,
+                list,
+                ticket: client.submit(make(sub), budget),
+            })
+            .collect()
+    }
+
+    /// Split point ops by owning shard — each op moves into exactly one
+    /// share, arrival order kept within a share — and submit the shares.
+    fn route<T>(
+        &self,
+        ops: Vec<T>,
+        key_of: fn(&T) -> &Vec<u8>,
+        make: fn(Vec<T>) -> SchedOp,
+        budget: Option<Duration>,
+    ) -> ShardedTicket {
+        let total = ops.len();
+        let mut shares: Vec<(Vec<usize>, Vec<T>)> =
+            self.clients.iter().map(|_| Default::default()).collect();
+        for (i, op) in ops.into_iter().enumerate() {
+            if let Some((list, sub)) = shares.get_mut(self.router.shard_of(key_of(&op))) {
+                list.push(i);
+                sub.push(op);
+            }
+        }
+        ShardedTicket {
+            parts: self.submit_shares(total, shares, make, budget),
+            total,
+            ranges: false,
+            router: self.router,
+        }
+    }
+
+    /// Send each range to every shard its bounds touch (inverted bounds
+    /// touch none and stay empty in the merge) and submit the shares.
+    fn route_ranges(
+        &self,
+        ranges: Vec<(Vec<u8>, Vec<u8>)>,
+        budget: Option<Duration>,
+    ) -> ShardedTicket {
+        let total = ranges.len();
+        type Share = (Vec<usize>, Vec<(Vec<u8>, Vec<u8>)>);
+        let mut shares: Vec<Share> = self.clients.iter().map(|_| Default::default()).collect();
+        for (i, range) in ranges.iter().enumerate() {
+            let (lo, hi) = range;
+            if lo > hi {
                 continue;
             }
-            let sub_keys: Vec<Vec<u8>> = list
-                .iter()
-                // cuart-allow: panic-path route() emits each op index into exactly one shard list
-                .map(|&i| keys[i].take().expect("each index routed once"))
-                .collect();
-            let sub_values: Vec<u64> = if values.is_empty() {
-                Vec::new()
-            } else {
-                list.iter().map(|&i| values[i]).collect()
-            };
-            sub.push((shard, sub_keys, sub_values));
-        }
-
-        let mut merged: Vec<u64> = vec![0; total];
-        let mut first_err: Option<SchedError> = None;
-        if let [(shard, k, v)] = &mut sub[..] {
-            // Single-shard fast path: no reason to pay a thread spawn.
-            let (shard, k, v) = (*shard, std::mem::take(k), std::mem::take(v));
-            match call(&self.clients[shard], k, v) {
-                Ok(results) => scatter(&mut merged, &lists[shard], results),
-                Err(e) => first_err = Some(e),
-            }
-        } else {
-            let outcomes = std::thread::scope(|scope| {
-                let call = &call;
-                let clients = &self.clients;
-                let handles: Vec<_> = sub
-                    .into_iter()
-                    .map(|(shard, k, v)| (shard, scope.spawn(move || call(&clients[shard], k, v))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(shard, h)| {
-                        let r = h.join().unwrap_or_else(|p| {
-                            Err(SchedError::ExecutorPanicked(format!(
-                                "shard {shard} dispatch panicked: {p:?}"
-                            )))
-                        });
-                        (shard, r)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (shard, outcome) in outcomes {
-                match outcome {
-                    Ok(results) => scatter(&mut merged, &lists[shard], results),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
+            for (list, sub) in shares
+                .iter_mut()
+                .take(self.router.shard_of(hi) + 1)
+                .skip(self.router.shard_of(lo))
+            {
+                list.push(i);
+                sub.push(range.clone());
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(merged),
+        ShardedTicket {
+            parts: self.submit_shares(total, shares, SchedOp::Range, budget),
+            total,
+            ranges: true,
+            router: self.router,
         }
     }
 }
@@ -550,20 +539,6 @@ fn scatter(merged: &mut [u64], list: &[usize], results: Vec<u64>) {
     }
 }
 
-fn unzip_ops(ops: Vec<(Vec<u8>, u64)>) -> (Vec<Vec<u8>>, Vec<u64>) {
-    let mut keys = Vec::with_capacity(ops.len());
-    let mut values = Vec::with_capacity(ops.len());
-    for (k, v) in ops {
-        keys.push(k);
-        values.push(v);
-    }
-    (keys, values)
-}
-
-fn zip_ops(keys: Vec<Vec<u8>>, values: Vec<u64>) -> Vec<(Vec<u8>, u64)> {
-    keys.into_iter().zip(values).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,7 +546,6 @@ mod tests {
     use cuart_art::Art;
     use cuart_gpu_sim::batch::NOT_FOUND;
     use cuart_gpu_sim::devices;
-    use std::time::Duration;
 
     fn build_index(n: u64) -> Arc<CuartIndex> {
         let mut art = Art::new();
@@ -669,6 +643,62 @@ mod tests {
         assert_eq!(rows.last().unwrap(), &(hi_key, 222));
         let stats = sharded.join().unwrap();
         assert_eq!(stats.routed_requests, 2);
+    }
+
+    /// A key owned by shard 1 of 2 (top bit set); absent from the index.
+    fn high_key(i: u64) -> Vec<u8> {
+        (i | 1 << 63).to_be_bytes().to_vec()
+    }
+
+    #[test]
+    fn every_shard_holds_its_sub_batch_before_any_is_waited_on() {
+        let index = build_index(64);
+        let devs = [devices::rtx3090(), devices::gtx1070()];
+        // An hour's linger and an unreachable size target: a shard only
+        // answers when the fleet shuts down. Routing that waited on shard
+        // 0 before submitting to shard 1 would never get that far.
+        let held = SchedulerConfig {
+            batch_target: 1_000_000,
+            deadline: Duration::from_secs(3600),
+            ..SchedulerConfig::default()
+        };
+        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, held).unwrap();
+        let client = sharded.client().unwrap();
+        let low = |i: u64| i.to_be_bytes().to_vec();
+        let keys = vec![low(1), high_key(1), low(2), high_key(2)];
+        let ticket = client.submit(SchedOp::Lookup(keys), None);
+        let stats = sharded.join().unwrap();
+        for s in &stats.shards {
+            assert_eq!(s.stats.ops_enqueued, 2, "shard {}: {:?}", s.shard, s.stats);
+            assert_eq!(s.stats.final_flushes, 1, "shard {}: {:?}", s.shard, s.stats);
+        }
+        assert_eq!(
+            ticket.wait().unwrap(),
+            SchedAnswer::Values(vec![10, NOT_FOUND, 20, NOT_FOUND])
+        );
+    }
+
+    #[test]
+    fn a_refusing_shard_returns_its_error_while_the_other_executes() {
+        let index = build_index(64);
+        let devs = [devices::rtx3090(), devices::gtx1070()];
+        let tight = SchedulerConfig {
+            queue_cap: 2,
+            admission: crate::scheduler::AdmissionPolicy::Reject,
+            ..SchedulerConfig::default()
+        };
+        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, tight).unwrap();
+        let client = sharded.client().unwrap();
+        // Shard 0's share (3 ops) is larger than its whole queue; shard
+        // 1's share (1 op) fits.
+        let low = |i: u64| (1000 + i).to_be_bytes().to_vec();
+        let ops = vec![(low(1), 1), (low(2), 2), (high_key(7), 777), (low(3), 3)];
+        assert_eq!(client.insert(ops), Err(SchedError::QueueFull));
+        assert_eq!(client.lookup(vec![high_key(7)]).unwrap(), vec![777]);
+        assert_eq!(client.lookup(vec![low(1)]).unwrap(), vec![NOT_FOUND]);
+        let stats = sharded.join().unwrap();
+        assert_eq!(stats.shards[0].stats.rejected_ops, 3);
+        assert_eq!(stats.shards[1].stats.rejected_ops, 0);
     }
 
     #[test]

@@ -4,32 +4,38 @@
 //! [`ShardedScheduler`] fleet — and serves the wire protocol from
 //! [`proto`](crate::proto) over any number of connections:
 //!
-//! * **Per connection**: a reader thread decodes frames and feeds a
-//!   *bounded* in-flight window (a `sync_channel` of
-//!   [`NetServerConfig::window`] slots); when the window is full the
-//!   reader blocks, which stops draining the socket, which backs the TCP
-//!   flow-control window up to the client. Overload never silently drops
-//!   a connection — backend refusals ([`SchedError`]) come back as typed
-//!   error frames.
-//! * A small worker pool per connection executes the blocking scheduler
-//!   calls, so responses complete (and are written) out of order; the
-//!   client matches them by request id.
-//! * A writer thread serializes response frames; it is the only writer,
-//!   so frames never interleave.
+//! * **Per connection, two threads.** The *reader* decodes frames,
+//!   **submits** each request to the scheduler stack (a non-blocking
+//!   [`SchedulerClient::submit`](cuart_host::SchedulerClient::submit);
+//!   admission control applies there) and pushes the resulting ticket
+//!   into a *bounded* in-flight window (a `sync_channel` of
+//!   [`NetServerConfig::window`] slots). The *writer* pops tickets in
+//!   order, waits on each, encodes and writes its response frame. So
+//!   every in-flight request of a connection is in the scheduler at once
+//!   — a pipelining client coalesces with itself — and responses on one
+//!   connection are written **in request order** (the frame still carries
+//!   the request id).
+//! * **Backpressure.** When the window is full the reader blocks, which
+//!   stops draining the socket, which backs the TCP flow-control window
+//!   up to the client. Overload never silently drops a connection —
+//!   backend refusals ([`SchedError`]) come back as typed error frames.
 //! * **Malformed input** (bad magic, wrong version, CRC mismatch,
 //!   truncated or oversized frames) is answered with a typed error frame
-//!   and *that one connection* is closed; the server survives.
+//!   — after the responses to everything admitted before it — and *that
+//!   one connection* is closed; the server survives.
 //! * **Drain-safe shutdown** ([`ShutdownHandle::shutdown`] or a remote
 //!   [`Op::Shutdown`](crate::proto::Op::Shutdown) frame when enabled):
-//!   stop accepting, stop reading new frames, finish every admitted
-//!   request, flush writers, then `join()` the scheduler so its own FIFO
+//!   stop accepting, stop reading new frames, answer every admitted
+//!   ticket, flush writers, then `join()` the scheduler so its own FIFO
 //!   drain contract applies. [`names::NET_DRAINED`] flips to 1.0 only
 //!   after all of that succeeded.
 
-use crate::proto::{self, ErrorCode, Op, RespBody, Response, WireError};
-use cuart_host::scheduler::RangeRows;
+use crate::proto::{self, ErrorCode, Op, Opcode, RespBody, Response, WireError};
 use cuart_host::sharded::{ShardedClient, ShardedScheduler, ShardedStats};
-use cuart_host::{SchedError, Scheduler, SchedulerClient, SchedulerStats};
+use cuart_host::{
+    SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerStats, ShardedTicket,
+    Ticket,
+};
 use cuart_telemetry::{names, SpanNode, Telemetry};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,13 +48,11 @@ use std::time::{Duration, Instant};
 /// Tuning for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Per-connection in-flight window: at most this many decoded
-    /// requests may be queued or executing at once; beyond it the reader
-    /// stops draining the socket (TCP backpressure).
+    /// Per-connection in-flight window: at most this many submitted
+    /// requests may queue behind the one whose answer the writer is
+    /// waiting for; beyond it the reader stops draining the socket (TCP
+    /// backpressure).
     pub window: usize,
-    /// Worker threads per connection executing blocking scheduler calls;
-    /// also the maximum out-of-order depth of responses.
-    pub workers: usize,
     /// Poll tick for reads and accepts; shutdown latency is bounded by
     /// this (it is a poll interval, not a hard idle cutoff).
     pub tick: Duration,
@@ -65,7 +69,6 @@ impl Default for NetServerConfig {
     fn default() -> NetServerConfig {
         NetServerConfig {
             window: 32,
-            workers: 2,
             tick: Duration::from_millis(20),
             idle_timeout: None,
             allow_remote_shutdown: false,
@@ -136,59 +139,33 @@ enum AnySched {
     Sharded(ShardedScheduler),
 }
 
-/// A per-worker producer handle onto [`AnySched`].
+/// A per-connection producer handle onto [`AnySched`].
 #[derive(Clone)]
 enum AnyClient {
     Single(SchedulerClient),
     Sharded(ShardedClient),
 }
 
+/// The claim on one submitted request's answer.
+enum AnyTicket {
+    Single(Ticket),
+    Sharded(ShardedTicket),
+}
+
 impl AnyClient {
-    fn lookup(&self, keys: Vec<Vec<u8>>, budget: Option<Duration>) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.lookup(keys),
-            (AnyClient::Single(c), Some(b)) => c.lookup_with_deadline(keys, b),
-            (AnyClient::Sharded(c), None) => c.lookup(keys),
-            (AnyClient::Sharded(c), Some(b)) => c.lookup_with_deadline(keys, b),
+    fn submit(&self, op: SchedOp, budget: Option<Duration>) -> AnyTicket {
+        match self {
+            AnyClient::Single(c) => AnyTicket::Single(c.submit(op, budget)),
+            AnyClient::Sharded(c) => AnyTicket::Sharded(c.submit(op, budget)),
         }
     }
+}
 
-    fn update(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.update(ops),
-            (AnyClient::Single(c), Some(b)) => c.update_with_deadline(ops, b),
-            (AnyClient::Sharded(c), None) => c.update(ops),
-            (AnyClient::Sharded(c), Some(b)) => c.update_with_deadline(ops, b),
-        }
-    }
-
-    fn insert(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.insert(ops),
-            (AnyClient::Single(c), Some(b)) => c.insert_with_deadline(ops, b),
-            (AnyClient::Sharded(c), None) => c.insert(ops),
-            (AnyClient::Sharded(c), Some(b)) => c.insert_with_deadline(ops, b),
-        }
-    }
-
-    fn range(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.range(ranges),
-            (AnyClient::Single(c), Some(b)) => c.range_with_deadline(ranges, b),
-            (AnyClient::Sharded(c), None) => c.range(ranges),
-            (AnyClient::Sharded(c), Some(b)) => c.range_with_deadline(ranges, b),
+impl AnyTicket {
+    fn wait(self) -> Result<SchedAnswer, SchedError> {
+        match self {
+            AnyTicket::Single(t) => t.wait(),
+            AnyTicket::Sharded(t) => t.wait(),
         }
     }
 }
@@ -453,10 +430,22 @@ fn read_full(
     Ok(true)
 }
 
-/// One admitted unit of work handed to the worker pool.
-struct Job {
-    req: proto::Request,
+/// One admitted request travelling from the reader to the writer.
+struct InFlight {
+    id: u64,
+    opcode: Opcode,
+    ops: u64,
+    /// When the request's frame header had arrived.
     t0: Instant,
+    answer: Answer,
+}
+
+/// What the writer turns into the response body.
+enum Answer {
+    /// Decided by the reader (ping, shutdown).
+    Ready(RespBody),
+    /// Submitted to the scheduler stack; the writer waits.
+    Ticket(AnyTicket),
 }
 
 fn connection(mut stream: TcpStream, ctx: ConnCtx) {
@@ -491,13 +480,7 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     if let Err(e) = proto::decode_hello(&hello) {
         // Answer with a typed error frame (id 0: no request exists yet)
         // and close; the server survives bad peers.
-        note_decode_error(ctx, &e);
-        let resp = Response {
-            id: 0,
-            body: RespBody::Error(proto::wire_error_code(&e), e.to_string()),
-        };
-        write_response(stream, &resp, ctx)?;
-        return Ok(());
+        return refuse_malformed(stream, ctx, &e);
     }
     let our_hello = proto::encode_hello(proto::VERSION);
     stream.write_all(&our_hello)?;
@@ -506,67 +489,40 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
         .fetch_add(our_hello.len() as u64, Ordering::Relaxed);
 
     // --- Per-connection pipeline: reader (this thread) → bounded window
-    // → workers → writer. --------------------------------------------
-    let window = ctx.cfg.window.max(1);
-    let (work_tx, work_rx) = sync_channel::<Job>(window);
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let (resp_tx, resp_rx) = std::sync::mpsc::channel::<Vec<u8>>();
-
+    // of tickets → writer. -------------------------------------------
+    let (window_tx, window_rx) = sync_channel::<InFlight>(ctx.cfg.window.max(1));
     let writer = {
         let mut out = stream.try_clone()?;
         let counters = Arc::clone(&ctx.counters);
         let telemetry = ctx.telemetry.clone();
         std::thread::Builder::new()
             .name("net-writer".into())
-            .spawn(move || writer_loop(&mut out, resp_rx, counters, telemetry))?
+            .spawn(move || write_answers(&mut out, window_rx, &counters, telemetry.as_deref()))?
     };
 
-    let mut workers = Vec::new();
-    for _ in 0..ctx.cfg.workers.max(1) {
-        let work_rx = Arc::clone(&work_rx);
-        let resp_tx = resp_tx.clone();
-        let client = ctx.client.clone();
-        let stop = Arc::clone(&ctx.stop);
-        let counters = Arc::clone(&ctx.counters);
-        let telemetry = ctx.telemetry.clone();
-        let allow_shutdown = ctx.cfg.allow_remote_shutdown;
-        workers.push(
-            std::thread::Builder::new()
-                .name("net-worker".into())
-                .spawn(move || {
-                    worker_loop(
-                        work_rx,
-                        resp_tx,
-                        client,
-                        stop,
-                        counters,
-                        telemetry,
-                        allow_shutdown,
-                    )
-                })?,
-        );
-    }
-    drop(resp_tx);
+    let read_outcome = read_and_submit(stream, ctx, &window_tx, &mut started);
 
-    let read_outcome = reader_loop(stream, ctx, &work_tx, &mut started);
-
-    // Close the window: workers drain queued jobs, then their response
-    // senders drop, then the writer flushes and exits. Every admitted
-    // request is answered before the connection tears down.
-    drop(work_tx);
-    for w in workers {
-        let _ = w.join();
-    }
+    // Close the window: the writer answers every ticket still in it,
+    // flushes and exits, so every admitted request is answered before
+    // the connection tears down — and before a malformed frame's error,
+    // which this thread writes once it is the socket's only writer.
+    drop(window_tx);
     let _ = writer.join();
-    read_outcome
+    match read_outcome? {
+        Some(malformed) => refuse_malformed(stream, ctx, &malformed),
+        None => Ok(()),
+    }
 }
 
-fn reader_loop(
+/// Read, decode and submit frames until the peer closes, the server
+/// drains, or a frame is malformed (returned, for the caller to answer
+/// once the window has emptied).
+fn read_and_submit(
     stream: &mut TcpStream,
     ctx: &ConnCtx,
-    work_tx: &SyncSender<Job>,
+    window_tx: &SyncSender<InFlight>,
     started: &mut Instant,
-) -> io::Result<()> {
+) -> io::Result<Option<WireError>> {
     let mut header = [0u8; proto::FRAME_HEADER_BYTES];
     loop {
         if !read_full(
@@ -576,7 +532,7 @@ fn reader_loop(
             ctx.cfg.idle_timeout,
             started,
         )? {
-            return Ok(());
+            return Ok(None);
         }
         let t0 = Instant::now();
         ctx.counters
@@ -600,33 +556,31 @@ fn reader_loop(
         }
         let req = match decoded {
             Ok(req) => req,
-            Err(e) => {
-                note_decode_error(ctx, &e);
-                let resp = Response {
-                    id: 0,
-                    body: RespBody::Error(proto::wire_error_code(&e), e.to_string()),
-                };
-                write_response(stream, &resp, ctx)?;
-                // A peer whose framing we cannot trust gets its
-                // connection closed; everyone else is unaffected.
-                return Ok(());
-            }
+            // A peer whose framing we cannot trust gets its connection
+            // closed; everyone else is unaffected.
+            Err(e) => return Ok(Some(e)),
+        };
+        let in_flight = InFlight {
+            id: req.id,
+            opcode: req.op.opcode(),
+            ops: req.op.ops() as u64,
+            t0,
+            answer: submit(req, ctx),
         };
         // Bounded in-flight window. A full window blocks the reader —
         // that *is* the backpressure (the socket stops draining).
-        let job = Job { req, t0 };
-        match work_tx.try_send(job) {
+        match window_tx.try_send(in_flight) {
             Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
+            Err(TrySendError::Full(in_flight)) => {
                 ctx.counters.window_stalls.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = &ctx.telemetry {
                     t.incr(names::NET_WINDOW_STALLS, 1);
                 }
-                if work_tx.send(job).is_err() {
-                    return Ok(());
+                if window_tx.send(in_flight).is_err() {
+                    return Ok(None);
                 }
             }
-            Err(TrySendError::Disconnected(_)) => return Ok(()),
+            Err(TrySendError::Disconnected(_)) => return Ok(None),
         }
     }
 }
@@ -639,142 +593,134 @@ impl From<io::Error> for WireError {
     }
 }
 
-fn worker_loop(
-    work_rx: Arc<Mutex<Receiver<Job>>>,
-    resp_tx: std::sync::mpsc::Sender<Vec<u8>>,
-    client: AnyClient,
-    stop: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
-    telemetry: Option<Arc<Telemetry>>,
-    allow_shutdown: bool,
+/// Hand one decoded request to the scheduler stack without waiting for
+/// its batch; the control opcodes are decided on the spot.
+fn submit(req: proto::Request, ctx: &ConnCtx) -> Answer {
+    let budget = match req.deadline_us {
+        0 => None,
+        us => Some(Duration::from_micros(u64::from(us))),
+    };
+    let op = match req.op {
+        Op::Lookup(keys) => SchedOp::Lookup(keys),
+        Op::Update(ops) => SchedOp::Update(ops),
+        Op::Insert(ops) => SchedOp::Insert(ops),
+        Op::Range(ranges) => SchedOp::Range(ranges),
+        Op::Ping => return Answer::Ready(RespBody::Ok),
+        Op::Shutdown => {
+            return Answer::Ready(if ctx.cfg.allow_remote_shutdown {
+                // The reader sees the flag before its next frame: what
+                // was admitted ahead of this request is still answered.
+                ctx.stop.store(true, Ordering::SeqCst);
+                RespBody::Ok
+            } else {
+                RespBody::Error(ErrorCode::Unsupported, "remote shutdown disabled".into())
+            });
+        }
+    };
+    Answer::Ticket(ctx.client.submit(op, budget))
+}
+
+/// The response body for one waited ticket; a refusal, a shed or a dead
+/// executor becomes a typed error frame.
+fn response_body(outcome: Result<SchedAnswer, SchedError>) -> RespBody {
+    match outcome {
+        Ok(SchedAnswer::Values(values)) => RespBody::Values(values),
+        Ok(SchedAnswer::Rows(rows)) => RespBody::Rows(rows),
+        Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
+    }
+}
+
+/// The connection's only writer while it runs: answer the window's
+/// tickets in request order until the reader closes it.
+fn write_answers(
+    out: &mut TcpStream,
+    window_rx: Receiver<InFlight>,
+    counters: &NetCounters,
+    telemetry: Option<&Telemetry>,
 ) {
-    loop {
-        let job = {
-            let rx = work_rx.lock().expect("net work queue lock");
-            rx.recv()
+    // Once a write fails the client is gone; keep waiting on tickets so
+    // the reader never blocks on a full window, and drop the answers
+    // (each backend call still completes and releases its slots).
+    let mut peer_alive = true;
+    while let Ok(in_flight) = window_rx.recv() {
+        let body = match in_flight.answer {
+            Answer::Ready(body) => body,
+            Answer::Ticket(ticket) => response_body(ticket.wait()),
         };
-        let Ok(job) = job else { return };
-        let id = job.req.id;
-        let ops = job.req.op.ops() as u64;
-        let opcode = job.req.op.opcode();
-        let body = execute(job.req, &client, &stop, allow_shutdown);
         let ok = !matches!(body, RespBody::Error(..));
         if ok {
-            counters.served_ops.fetch_add(ops, Ordering::Relaxed);
+            counters
+                .served_ops
+                .fetch_add(in_flight.ops, Ordering::Relaxed);
         } else {
             counters.error_frames.fetch_add(1, Ordering::Relaxed);
         }
-        let wall_ns = job.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let Some(t) = &telemetry {
+        let wall_ns = in_flight.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if let Some(t) = telemetry {
             if !ok {
                 t.incr(names::NET_ERROR_FRAMES, 1);
             }
             t.observe(names::NET_REQUEST_NS, wall_ns);
             let span = SpanNode::leaf(names::spans::NET_REQUEST, wall_ns)
-                .with_attr("op", opcode.as_str())
-                .with_attr("ops", ops)
+                .with_attr("op", in_flight.opcode.as_str())
+                .with_attr("ops", in_flight.ops)
                 .with_attr("ok", ok);
             t.record_span_tree(&span);
         }
-        let resp = Response { id, body };
-        let Ok(payload) = proto::encode_response(&resp) else {
-            return;
+        let resp = Response {
+            id: in_flight.id,
+            body,
         };
-        if resp_tx.send(proto::encode_frame(&payload)).is_err() {
-            // Writer is gone (client disconnected): the backend call
-            // already completed and released its scheduler slots, so the
-            // result is simply dropped.
-            return;
-        }
-    }
-}
-
-/// Execute one decoded request against the scheduler stack.
-fn execute(
-    req: proto::Request,
-    client: &AnyClient,
-    stop: &AtomicBool,
-    allow_shutdown: bool,
-) -> RespBody {
-    let budget = if req.deadline_us == 0 {
-        None
-    } else {
-        Some(Duration::from_micros(u64::from(req.deadline_us)))
-    };
-    let sched = |r: Result<Vec<u64>, SchedError>| match r {
-        Ok(values) => RespBody::Values(values),
-        Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
-    };
-    match req.op {
-        Op::Lookup(keys) => sched(client.lookup(keys, budget)),
-        Op::Update(ops) => sched(client.update(ops, budget)),
-        Op::Insert(ops) => sched(client.insert(ops, budget)),
-        Op::Range(ranges) => match client.range(ranges, budget) {
-            Ok(rows) => RespBody::Rows(rows),
-            Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
-        },
-        Op::Ping => RespBody::Ok,
-        Op::Shutdown => {
-            if allow_shutdown {
-                stop.store(true, Ordering::SeqCst);
-                RespBody::Ok
-            } else {
-                RespBody::Error(ErrorCode::Unsupported, "remote shutdown disabled".into())
-            }
-        }
-    }
-}
-
-fn writer_loop(
-    out: &mut TcpStream,
-    resp_rx: std::sync::mpsc::Receiver<Vec<u8>>,
-    counters: Arc<NetCounters>,
-    telemetry: Option<Arc<Telemetry>>,
-) {
-    while let Ok(frame) = resp_rx.recv() {
-        if out.write_all(&frame).is_err() {
-            // Client is gone; keep draining so workers never block on a
-            // full response channel (it is unbounded, but be tidy).
+        let Ok(payload) = proto::encode_response(&resp) else {
             continue;
-        }
-        counters.frames_out.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if let Some(t) = &telemetry {
-            t.incr(names::NET_FRAMES_OUT, 1);
-            t.incr(names::NET_BYTES_OUT, frame.len() as u64);
+        };
+        if peer_alive {
+            peer_alive =
+                write_frame(out, &proto::encode_frame(&payload), counters, telemetry).is_ok();
         }
     }
     let _ = out.flush();
 }
 
-fn note_decode_error(ctx: &ConnCtx, e: &WireError) {
-    ctx.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-    let _ = e;
-    if let Some(t) = &ctx.telemetry {
-        t.incr(names::NET_DECODE_ERRORS, 1);
-    }
-}
-
-/// Serialize and send one response frame directly from the reader thread
-/// (used for handshake/decode failures that bypass the worker pool).
-fn write_response(stream: &mut TcpStream, resp: &Response, ctx: &ConnCtx) -> io::Result<()> {
-    ctx.counters.error_frames.fetch_add(1, Ordering::Relaxed);
-    if let Some(t) = &ctx.telemetry {
-        t.incr(names::NET_ERROR_FRAMES, 1);
-    }
-    let payload = proto::encode_response(resp)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let frame = proto::encode_frame(&payload);
-    stream.write_all(&frame)?;
-    ctx.counters.frames_out.fetch_add(1, Ordering::Relaxed);
-    ctx.counters
+/// Write one encoded frame and count it.
+fn write_frame(
+    out: &mut TcpStream,
+    frame: &[u8],
+    counters: &NetCounters,
+    telemetry: Option<&Telemetry>,
+) -> io::Result<()> {
+    out.write_all(frame)?;
+    counters.frames_out.fetch_add(1, Ordering::Relaxed);
+    counters
         .bytes_out
         .fetch_add(frame.len() as u64, Ordering::Relaxed);
-    if let Some(t) = &ctx.telemetry {
+    if let Some(t) = telemetry {
         t.incr(names::NET_FRAMES_OUT, 1);
         t.incr(names::NET_BYTES_OUT, frame.len() as u64);
     }
     Ok(())
+}
+
+/// Answer a malformed hello or frame with a typed error frame (id 0: it
+/// belongs to no request). Called only while this thread is the socket's
+/// sole writer; the caller closes the connection afterwards.
+fn refuse_malformed(stream: &mut TcpStream, ctx: &ConnCtx, e: &WireError) -> io::Result<()> {
+    ctx.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+    ctx.counters.error_frames.fetch_add(1, Ordering::Relaxed);
+    if let Some(t) = &ctx.telemetry {
+        t.incr(names::NET_DECODE_ERRORS, 1);
+        t.incr(names::NET_ERROR_FRAMES, 1);
+    }
+    let resp = Response {
+        id: 0,
+        body: RespBody::Error(proto::wire_error_code(e), e.to_string()),
+    };
+    let payload = proto::encode_response(&resp)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    write_frame(
+        stream,
+        &proto::encode_frame(&payload),
+        &ctx.counters,
+        ctx.telemetry.as_deref(),
+    )
 }

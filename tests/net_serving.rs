@@ -1,6 +1,6 @@
 //! Loopback integration suite for the `cuart-net` serving subsystem.
 //!
-//! Five contracts are pinned here:
+//! Six contracts are pinned here:
 //!
 //! 1. **Byte equivalence** — concurrent TCP clients spraying lookups
 //!    through a [`ShardedScheduler`]-backed server get answers
@@ -15,8 +15,13 @@
 //!    resident ops behind: a full-queue-cap request still admits after
 //!    the storm.
 //! 5. **Drain ordering** — shutdown answers everything already admitted
-//!    before closing, then the listener is really gone and the metrics
-//!    spill shows the drained gauge.
+//!    (tickets still held by a lingering executor included) before
+//!    closing, then the listener is really gone and the metrics spill
+//!    shows the drained gauge.
+//! 6. **Reader submits, writer waits** — every in-flight request of one
+//!    pipelining connection reaches the scheduler at once (so the
+//!    connection coalesces with itself), responses come back in request
+//!    order, and a dead executor is an error frame, not a hung writer.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
@@ -292,17 +297,19 @@ fn breaker_storm_stays_byte_equal_and_reports_trips() {
 // Hostile-input helpers
 // ---------------------------------------------------------------------------
 
-fn read_error_frame(stream: &mut TcpStream) -> (ErrorCode, String) {
+/// Read one response frame off a raw socket, checking its CRC.
+fn read_response(s: &mut TcpStream) -> proto::Response {
     let mut header = [0u8; proto::FRAME_HEADER_BYTES];
-    stream.read_exact(&mut header).expect("error frame header");
+    s.read_exact(&mut header).expect("response frame header");
     let (len, crc) = proto::decode_frame_header(&header).expect("frame header");
     let mut payload = vec![0u8; len];
-    stream
-        .read_exact(&mut payload)
-        .expect("error frame payload");
+    s.read_exact(&mut payload).expect("response frame payload");
     proto::check_frame_crc(&payload, crc).expect("frame crc");
-    let resp = proto::decode_response(&payload).expect("response");
-    match resp.body {
+    proto::decode_response(&payload).expect("response")
+}
+
+fn read_error_frame(stream: &mut TcpStream) -> (ErrorCode, String) {
+    match read_response(stream).body {
         RespBody::Error(code, msg) => (code, msg),
         other => panic!("expected an error frame, got {other:?}"),
     }
@@ -508,18 +515,12 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
     .unwrap();
     s.write_all(&proto::encode_frame(&payload)).unwrap();
 
-    // Eleven responses (order free — workers race), then EOF.
+    // Eleven responses (matched by id), then EOF.
     let mut got = std::collections::BTreeMap::new();
     let mut shutdown_acked = false;
     for _ in 0..11 {
-        let mut header = [0u8; proto::FRAME_HEADER_BYTES];
-        s.read_exact(&mut header)
-            .expect("drain must flush in-flight");
-        let (len, crc) = proto::decode_frame_header(&header).unwrap();
-        let mut payload = vec![0u8; len];
-        s.read_exact(&mut payload).unwrap();
-        proto::check_frame_crc(&payload, crc).unwrap();
-        let resp = proto::decode_response(&payload).unwrap();
+        // A missing frame here means the drain did not flush in-flight work.
+        let resp = read_response(&mut s);
         match resp.body {
             RespBody::Values(v) => {
                 got.insert(resp.id, v[0]);
@@ -550,4 +551,153 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
         TcpStream::connect(addr).is_err(),
         "accept loop must be stopped after drain"
     );
+}
+
+/// Write `requests` back to back on a handshaken raw socket without
+/// reading anything.
+fn pipeline(s: &mut TcpStream, requests: impl IntoIterator<Item = proto::Request>) {
+    for req in requests {
+        let payload = proto::encode_request(&req).unwrap();
+        s.write_all(&proto::encode_frame(&payload)).unwrap();
+    }
+}
+
+#[test]
+fn one_pipelining_connection_coalesces_with_itself_and_is_answered_in_order() {
+    const REQUESTS: u64 = 32;
+    const KEYS: u64 = 8;
+    let index = build_index(4096, None);
+    // A long linger and a size target of exactly the pipeline: the one
+    // batch forms only if all 32 requests sit in the scheduler together.
+    // A server that let fewer through at a time would flush them in
+    // several lingering batches.
+    let cfg = SchedulerConfig {
+        batch_target: (REQUESTS * KEYS) as usize,
+        deadline: Duration::from_secs(30),
+        ..SchedulerConfig::default()
+    };
+    let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
+    let server =
+        NetServer::serve_single(listener(), sched, None, NetServerConfig::default()).unwrap();
+    let stop = server.shutdown_handle();
+
+    let mut s = handshake_raw(server.local_addr());
+    pipeline(
+        &mut s,
+        (0..REQUESTS).map(|r| proto::Request {
+            id: r + 1,
+            deadline_us: 0,
+            op: Op::Lookup((0..KEYS).map(|i| key(r * KEYS + i)).collect()),
+        }),
+    );
+    for r in 0..REQUESTS {
+        let resp = read_response(&mut s);
+        assert_eq!(resp.id, r + 1, "responses come back in request order");
+        let want: Vec<u64> = (0..KEYS).map(|i| (r * KEYS + i) * 3 + 1).collect();
+        assert_eq!(resp.body, RespBody::Values(want));
+    }
+    drop(s);
+
+    stop.shutdown();
+    let report = server.join().unwrap();
+    let agg = report.sched.aggregate();
+    assert_eq!(report.served_ops, REQUESTS * KEYS);
+    assert!(
+        agg.mean_batch_fill() > KEYS as f64,
+        "a pipelining connection must coalesce: {agg:?}"
+    );
+    assert_eq!((agg.batches, agg.size_flushes), (1, 1), "{agg:?}");
+}
+
+#[test]
+fn drain_answers_tickets_a_lingering_executor_still_holds() {
+    let index = build_index(4096, None);
+    let cfg = SchedulerConfig {
+        batch_target: 1_000_000,
+        deadline: Duration::from_millis(200),
+        ..SchedulerConfig::default()
+    };
+    let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
+    let server = NetServer::serve_single(
+        listener(),
+        sched,
+        None,
+        NetServerConfig {
+            allow_remote_shutdown: true,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // Ten lookups, then the shutdown: the reader has submitted all ten —
+    // the executor is holding them open — when the drain begins.
+    let mut s = handshake_raw(server.local_addr());
+    let lookups = (0..10u64).map(|i| proto::Request {
+        id: i + 1,
+        deadline_us: 0,
+        op: Op::Lookup(vec![key(i)]),
+    });
+    pipeline(
+        &mut s,
+        lookups.chain([proto::Request {
+            id: 999,
+            deadline_us: 0,
+            op: Op::Shutdown,
+        }]),
+    );
+    for i in 0..10u64 {
+        let resp = read_response(&mut s);
+        assert_eq!(
+            (resp.id, resp.body),
+            (i + 1, RespBody::Values(vec![i * 3 + 1]))
+        );
+    }
+    assert_eq!(read_response(&mut s).body, RespBody::Ok);
+
+    let report = server.join().expect("remote-triggered drain");
+    assert_eq!((report.served_ops, report.frames_out), (10, 11));
+    let agg = report.sched.aggregate();
+    assert_eq!((agg.batches, agg.keys_dispatched), (1, 10), "{agg:?}");
+}
+
+#[test]
+fn a_dead_executor_is_an_error_frame_not_a_hung_writer() {
+    let index = build_index(4096, None);
+    // A device with no DRAM channels: the memory model divides by the
+    // channel count, so the first batch panics the executor mid-launch —
+    // with this connection's ticket in its hands.
+    let mut broken = devices::gtx1070();
+    broken.mem.channels = 0;
+    let sched = Scheduler::spawn(Arc::clone(&index), broken, SchedulerConfig::default());
+    let server =
+        NetServer::serve_single(listener(), sched, None, NetServerConfig::default()).unwrap();
+    let stop = server.shutdown_handle();
+    let mut conn = NetClient::connect(server.local_addr()).unwrap();
+
+    let err = conn.lookup(vec![key(1)]).expect_err("the executor died");
+    assert_eq!(
+        err.as_sched_error(),
+        Some(cuart_host::SchedError::Disconnected),
+        "{err}"
+    );
+    // The connection outlives the executor. A later request is refused at
+    // admission — or, admitted while the executor's frame is still
+    // unwinding, orphaned like the first.
+    let err = conn
+        .lookup(vec![key(2)])
+        .expect_err("nothing serves any more");
+    assert!(
+        matches!(
+            err.as_sched_error(),
+            Some(cuart_host::SchedError::Shutdown | cuart_host::SchedError::Disconnected)
+        ),
+        "{err}"
+    );
+    conn.ping().expect("the connection itself is fine");
+
+    stop.shutdown();
+    match server.join() {
+        Err(cuart_host::SchedError::ExecutorPanicked(_)) => {}
+        other => panic!("join must report the executor's panic, got {other:?}"),
+    }
 }
