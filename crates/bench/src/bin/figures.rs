@@ -10,10 +10,11 @@
 //! figures fig19 --smoke          # CI-sized sweep (threads/ops shrunk)
 //! figures fig-regress            # perf gate vs results/baseline.json
 //! figures fig-regress --update-baseline   # re-pin the baseline
+//! figures ablations              # modeled design-choice ablations
 //! ```
 
 use cuart_bench::series::merge_summary;
-use cuart_bench::{figures, regress, RunCtx};
+use cuart_bench::{ablations, figures, regress, RunCtx};
 use cuart_telemetry::Telemetry;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,9 +108,16 @@ fn main() {
             return;
         }
     }
+    if ids.iter().any(|id| id == "ablations") {
+        print!("{}", ablations::report());
+        ids.retain(|id| id != "ablations");
+        if ids.is_empty() {
+            return;
+        }
+    }
     if ids.is_empty() {
         eprintln!(
-            "usage: figures <all|figN|fig-regress ...> [--scale N] [--full] [--out DIR] \
+            "usage: figures <all|figN|fig-regress|ablations ...> [--scale N] [--full] [--out DIR] \
              [--telemetry] [--smoke] [--baseline FILE] [--update-baseline] [--threshold F]"
         );
         eprintln!("known figures: {:?}", figures::ALL);

@@ -53,16 +53,35 @@ pub fn fig7(ctx: &RunCtx) -> Figure {
 mod tests {
     use super::*;
 
+    fn small_fig7() -> Figure {
+        // Heavy scaling for test speed.
+        fig7(&RunCtx::new(512, std::env::temp_dir()))
+    }
+
     #[test]
-    fn fig7_cuart_layout_wins() {
-        // Heavy scaling for test speed; the ordering must still hold.
-        let ctx = RunCtx::new(512, std::env::temp_dir());
-        let fig = fig7(&ctx);
+    fn fig7_series_are_well_formed() {
+        let fig = small_fig7();
         assert_eq!(fig.series.len(), 4);
         for kl in [8usize, 32] {
             let art = fig.series(&format!("ART KL={kl}")).unwrap();
             let cuart = fig.series(&format!("CuART KL={kl}")).unwrap();
             assert_eq!(art.points.len(), cuart.points.len());
+            for &(x, y) in art.points.iter().chain(&cuart.points) {
+                assert!(y.is_finite() && y > 0.0, "KL={kl}: throughput {y} at n={x}");
+            }
+        }
+    }
+
+    /// Who wins a measured wall-clock race depends on what else the host is
+    /// doing, so this is not a tier-1 test. Run it alone:
+    /// `cargo test -p cuart-bench --release -- --ignored --test-threads 1`.
+    #[test]
+    #[ignore = "asserts the outcome of a wall-clock race"]
+    fn fig7_cuart_layout_wins_the_wall_clock_race() {
+        let fig = small_fig7();
+        for kl in [8usize, 32] {
+            let art = fig.series(&format!("ART KL={kl}")).unwrap();
+            let cuart = fig.series(&format!("CuART KL={kl}")).unwrap();
             // On the largest tree the contiguous layout must win clearly.
             let (last_x, art_y) = *art.points.last().unwrap();
             let cuart_y = cuart.y_at(last_x).unwrap();

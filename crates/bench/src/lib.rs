@@ -8,6 +8,7 @@
 //! cargo run -p cuart-bench --release --bin figures -- fig10 fig17
 //! cargo run -p cuart-bench --release --bin figures -- all --scale 64
 //! cargo run -p cuart-bench --release --bin figures -- all --full
+//! cargo run -p cuart-bench --release --bin figures -- ablations
 //! ```
 //!
 //! ## Scaling
@@ -23,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod context;
 pub mod figures;
 pub mod regress;

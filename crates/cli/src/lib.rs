@@ -44,8 +44,10 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::{devices, DeviceConfig, FaultConfig, FaultInjector};
 pub use cuart_host::scheduler::AdmissionPolicy;
-use cuart_host::scheduler::{BreakerConfig, SchedError, Scheduler, SchedulerConfig};
-use cuart_host::sharded::ShardedScheduler;
+use cuart_host::scheduler::{
+    BreakerConfig, SchedError, SchedOp, Scheduler, SchedulerConfig, SchedulerStats,
+};
+use cuart_host::sharded::{ShardedScheduler, ShardedStats};
 use cuart_telemetry::tracing::{critical_paths, to_chrome_json, to_folded};
 use cuart_telemetry::{Snapshot, Telemetry};
 use std::fmt::Write as _;
@@ -646,40 +648,112 @@ pub fn cmd_serve_sim(
         breaker,
         shard: None,
     };
-    if devs.len() > 1 {
-        return serve_sim_sharded(ShardRun {
-            index,
-            telemetry,
-            stored,
-            cfg,
-            devs,
+    let stack = if devs.len() > 1 {
+        Stack::Sharded(ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).map_err(sched_err)?)
+    } else {
+        Stack::Single(Scheduler::spawn(Arc::clone(&index), dev, cfg))
+    };
+    let load = drive_producers(&stack, &stored, producers, ops)?;
+    if smoke_storm {
+        drive_breaker_recovery(&stack.connect()?, &telemetry, &stored)?;
+    }
+    if smoke && overload.op_deadline_us.is_some() {
+        // Deterministic shed probe: a zero-budget lookup is expired by the
+        // time the executor coalesces it, so the drill always exercises
+        // (and the CI assertion always sees) the shedding path.
+        let lookup = stack.connect()?;
+        match lookup(vec![stored[0].0.clone()], Some(std::time::Duration::ZERO)) {
+            Err(SchedError::DeadlineExceeded) => {}
+            other => {
+                return Err(CliError::Input(format!(
+                    "shed probe: expected DeadlineExceeded, got {other:?}"
+                )))
+            }
+        }
+    }
+    let mut out = match stack {
+        Stack::Single(sched) => single_report(
+            &sched.join().map_err(sched_err)?,
             producers,
-            ops,
-            smoke,
-            queue_cap: overload.queue_cap,
-            op_deadline_us: overload.op_deadline_us,
-            metrics_out,
-            trace_out,
-            folded_out,
-        });
+            &load,
+            dev.name,
+            overload.queue_cap,
+        ),
+        Stack::Sharded(sharded) => sharded_report(
+            &sharded.join().map_err(sched_err)?,
+            producers,
+            &load,
+            overload.queue_cap,
+        ),
+    };
+    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
+    Ok(out)
+}
+
+fn sched_err(e: SchedError) -> CliError {
+    CliError::Input(format!("scheduler: {e}"))
+}
+
+/// One blocking lookup through a serving stack: keys and an optional
+/// latency budget in, values out.
+type Lookup =
+    Box<dyn Fn(Vec<Vec<u8>>, Option<std::time::Duration>) -> Result<Vec<u64>, SchedError> + Send>;
+
+/// The serving stack serve-sim drives: one scheduler, or a sharded fleet.
+enum Stack {
+    Single(Scheduler),
+    Sharded(ShardedScheduler),
+}
+
+impl Stack {
+    /// A new producer handle on the stack, as a [`Lookup`] built from the
+    /// client's `submit`.
+    fn connect(&self) -> Result<Lookup, CliError> {
+        Ok(match self {
+            Stack::Single(sched) => {
+                let client = sched.client().map_err(sched_err)?;
+                Box::new(move |keys, budget| {
+                    let ticket = client.submit(SchedOp::Lookup(keys), budget);
+                    ticket.wait()?.into_values()
+                })
+            }
+            Stack::Sharded(sharded) => {
+                let client = sharded.client().map_err(sched_err)?;
+                Box::new(move |keys, budget| {
+                    let ticket = client.submit(SchedOp::Lookup(keys), budget);
+                    ticket.wait()?.into_values()
+                })
+            }
+        })
     }
-    let sched = Scheduler::spawn(Arc::clone(&index), dev, cfg);
-    let per_producer = ops.div_ceil(producers).max(1);
+}
+
+/// What the serve-sim producers saw: hits, ops that were not refused, and
+/// the wall time of the run.
+struct Load {
+    hits: u64,
+    served: u64,
+    wall: std::time::Duration,
+}
+
+/// The serve-sim load, for either serving stack: `producers` threads each
+/// get a blocking lookup on `stack` and push their share of `ops`
+/// stored keys through it in 256-key requests. Overload refusals
+/// (`QueueFull`, `AdmissionTimeout`, `DeadlineExceeded`) are expected
+/// outcomes of an overload drill and are counted, not fatal; any other
+/// scheduler error fails the command.
+fn drive_producers(
+    stack: &Stack,
+    stored: &[(Vec<u8>, u64)],
+    producers: usize,
+    ops: usize,
+) -> Result<Load, CliError> {
     const REQUEST_KEYS: usize = 256;
-    /// Per-producer outcome tally: hits plus refused-op counts.
-    #[derive(Default)]
-    struct Tally {
-        hits: u64,
-        shed: u64,
-        rejected: u64,
-        timed_out: u64,
-    }
+    let per_producer = ops.div_ceil(producers).max(1);
     let started = std::time::Instant::now();
     let mut handles = Vec::new();
     for p in 0..producers {
-        let client = sched
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+        let lookup = stack.connect()?;
         // Each producer strides through the stored keys from its own
         // offset, so arrival order at the executor is interleaved and
         // unsorted.
@@ -690,65 +764,53 @@ pub fn cmd_serve_sim(
                     .clone()
             })
             .collect();
-        handles.push(std::thread::spawn(move || -> Result<Tally, SchedError> {
-            let mut tally = Tally::default();
+        handles.push(std::thread::spawn(move || {
+            let (mut hits, mut refused) = (0u64, 0u64);
             for chunk in probes.chunks(REQUEST_KEYS) {
-                match client.lookup(chunk.to_vec()) {
+                match lookup(chunk.to_vec(), None) {
                     Ok(results) => {
-                        tally.hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
+                        hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
                     }
-                    // Overload refusals are expected outcomes of an
-                    // overload drill, not failures.
-                    Err(SchedError::DeadlineExceeded) => tally.shed += chunk.len() as u64,
-                    Err(SchedError::QueueFull) => tally.rejected += chunk.len() as u64,
-                    Err(SchedError::AdmissionTimeout) => tally.timed_out += chunk.len() as u64,
+                    Err(
+                        SchedError::DeadlineExceeded
+                        | SchedError::QueueFull
+                        | SchedError::AdmissionTimeout,
+                    ) => refused += chunk.len() as u64,
                     Err(e) => return Err(e),
                 }
             }
-            Ok(tally)
+            Ok((hits, refused))
         }));
     }
-    let mut tally = Tally::default();
+    let (mut hits, mut refused) = (0u64, 0u64);
     for h in handles {
-        let t = h
+        let (h, r) = h
             .join()
             .map_err(|_| CliError::Input("producer thread panicked".into()))?
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        tally.hits += t.hits;
-        tally.shed += t.shed;
-        tally.rejected += t.rejected;
-        tally.timed_out += t.timed_out;
+            .map_err(sched_err)?;
+        hits += h;
+        refused += r;
     }
-    let wall = started.elapsed();
-    let served = (per_producer * producers) as u64 - tally.shed - tally.rejected - tally.timed_out;
-    if smoke_storm {
-        drive_breaker_recovery(&sched, &telemetry, &stored)?;
-    }
-    if smoke && overload.op_deadline_us.is_some() {
-        // Deterministic shed probe: a zero-budget lookup is expired by the
-        // time the executor coalesces it, so the drill always exercises
-        // (and the CI assertion always sees) the shedding path.
-        let client = sched
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        match client.lookup_with_deadline(vec![stored[0].0.clone()], std::time::Duration::ZERO) {
-            Err(SchedError::DeadlineExceeded) => tally.shed += 1,
-            other => {
-                return Err(CliError::Input(format!(
-                    "shed probe: expected DeadlineExceeded, got {other:?}"
-                )))
-            }
-        }
-    }
-    let stats = sched
-        .join()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+    Ok(Load {
+        hits,
+        served: (per_producer * producers) as u64 - refused,
+        wall: started.elapsed(),
+    })
+}
+
+/// The single-device serve-sim summary.
+fn single_report(
+    stats: &SchedulerStats,
+    producers: usize,
+    load: &Load,
+    device: &str,
+    queue_cap: usize,
+) -> String {
     let mut out = format!(
-        "{} lookups from {producers} producers on {} — {} batches \
+        "{} lookups from {producers} producers on {device} — {} batches \
          (mean fill {:.0}, {} size / {} deadline / {} final flushes)\n\
          modeled kernel {:.1} µs total, {:.2} ns/key, L2 hit rate {:.0}%, {} hits\n{}",
         stats.ops_enqueued,
-        dev.name,
         stats.batches,
         stats.mean_batch_fill(),
         stats.size_flushes,
@@ -757,144 +819,49 @@ pub fn cmd_serve_sim(
         stats.kernel_time_ns / 1e3,
         stats.kernel_ns_per_key(),
         100.0 * stats.l2_hit_rate(),
-        tally.hits,
-        two_clock_line(served, stats.kernel_time_ns, wall),
+        load.hits,
+        two_clock_line(load.served, stats.kernel_time_ns, load.wall),
     );
     let _ = write!(
         out,
         "\noverload: {} shed / {} rejected / {} admission timeouts, \
-         max resident {} (cap {})\nbreaker: {} trips, {} probe batches, \
+         max resident {} (cap {queue_cap})\nbreaker: {} trips, {} probe batches, \
          {} cpu-only batches",
         stats.shed_ops,
         stats.rejected_ops,
         stats.admission_timeout_ops,
         stats.max_resident_ops,
-        overload.queue_cap,
         stats.breaker_trips,
         stats.probe_batches,
         stats.breaker_open_batches,
     );
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
-    Ok(out)
+    out
 }
 
-/// Everything the sharded serve-sim branch needs, bundled to stay under
-/// clippy's argument limit.
-struct ShardRun<'a> {
-    index: Arc<CuartIndex>,
-    telemetry: Arc<Telemetry>,
-    stored: Vec<(Vec<u8>, u64)>,
-    cfg: SchedulerConfig,
-    devs: Vec<DeviceConfig>,
-    producers: usize,
-    ops: usize,
-    smoke: bool,
-    queue_cap: usize,
-    op_deadline_us: Option<u64>,
-    metrics_out: Option<&'a Path>,
-    trace_out: Option<&'a Path>,
-    folded_out: Option<&'a Path>,
-}
-
-/// The `--shards N` / `--shard-devices` serve-sim path: one scheduler per
-/// device, key space split by the §3.3 LUT prefix, producers submitting
-/// through the fleet router. Prints the aggregate summary, the modeled
-/// scale-out throughput (total keys over the slowest shard) and one line
-/// per shard.
-fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
-    const REQUEST_KEYS: usize = 256;
-    let sharded = ShardedScheduler::spawn(Arc::clone(&run.index), &run.devs, run.cfg)
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-    let per_producer = run.ops.div_ceil(run.producers).max(1);
-    #[derive(Default)]
-    struct Tally {
-        hits: u64,
-        shed: u64,
-        rejected: u64,
-        timed_out: u64,
-    }
-    let started = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for p in 0..run.producers {
-        let client = sharded
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        let probes: Vec<Vec<u8>> = (0..per_producer)
-            .map(|i| {
-                run.stored[p.wrapping_mul(131).wrapping_add(i.wrapping_mul(7)) % run.stored.len()]
-                    .0
-                    .clone()
-            })
-            .collect();
-        handles.push(std::thread::spawn(move || -> Result<Tally, SchedError> {
-            let mut tally = Tally::default();
-            for chunk in probes.chunks(REQUEST_KEYS) {
-                match client.lookup(chunk.to_vec()) {
-                    Ok(results) => {
-                        tally.hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
-                    }
-                    Err(SchedError::DeadlineExceeded) => tally.shed += chunk.len() as u64,
-                    Err(SchedError::QueueFull) => tally.rejected += chunk.len() as u64,
-                    Err(SchedError::AdmissionTimeout) => tally.timed_out += chunk.len() as u64,
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(tally)
-        }));
-    }
-    let mut tally = Tally::default();
-    for h in handles {
-        let t = h
-            .join()
-            .map_err(|_| CliError::Input("producer thread panicked".into()))?
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        tally.hits += t.hits;
-        tally.shed += t.shed;
-        tally.rejected += t.rejected;
-        tally.timed_out += t.timed_out;
-    }
-    let wall = started.elapsed();
-    let served =
-        (per_producer * run.producers) as u64 - tally.shed - tally.rejected - tally.timed_out;
-    if run.smoke && run.op_deadline_us.is_some() {
-        // Same deterministic shed probe as the single-device drill.
-        let client = sharded
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        match client.lookup_with_deadline(vec![run.stored[0].0.clone()], std::time::Duration::ZERO)
-        {
-            Err(SchedError::DeadlineExceeded) => tally.shed += 1,
-            other => {
-                return Err(CliError::Input(format!(
-                    "shed probe: expected DeadlineExceeded, got {other:?}"
-                )))
-            }
-        }
-    }
-    let stats = sharded
-        .join()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+/// The `--shards N` / `--shard-devices` serve-sim summary: the aggregate,
+/// the modeled scale-out throughput (total keys over the slowest shard)
+/// and one line per shard.
+fn sharded_report(stats: &ShardedStats, producers: usize, load: &Load, queue_cap: usize) -> String {
     let agg = stats.aggregate();
     let mut out = format!(
-        "{} lookups from {} producers over {} shards — {} batches \
+        "{} lookups from {producers} producers over {} shards — {} batches \
          (mean fill {:.0}), {} routed requests\n\
          modeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), {} hits\n{}",
         agg.ops_enqueued,
-        run.producers,
         stats.shards.len(),
         agg.batches,
         agg.mean_batch_fill(),
         stats.routed_requests,
         stats.modeled_aggregate_mops(),
         stats.modeled_time_ns() / 1e3,
-        tally.hits,
-        two_clock_line(served, stats.modeled_time_ns(), wall),
+        load.hits,
+        two_clock_line(load.served, stats.modeled_time_ns(), load.wall),
     );
     let _ = write!(
         out,
         "\noverload: {} shed / {} rejected / {} admission timeouts \
-         (per-shard cap {}), breaker: {} trips",
-        agg.shed_ops, agg.rejected_ops, agg.admission_timeout_ops, run.queue_cap, agg.breaker_trips,
+         (per-shard cap {queue_cap}), breaker: {} trips",
+        agg.shed_ops, agg.rejected_ops, agg.admission_timeout_ops, agg.breaker_trips,
     );
     for s in &stats.shards {
         let _ = write!(
@@ -911,14 +878,7 @@ fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
             s.stats.breaker_trips,
         );
     }
-    spill_serving_outputs(
-        &mut out,
-        &run.telemetry,
-        run.metrics_out,
-        run.trace_out,
-        run.folded_out,
-    )?;
-    Ok(out)
+    out
 }
 
 /// Shared serve-sim output tail: the telemetry-feature warning, the JSON
@@ -961,7 +921,7 @@ fn spill_serving_outputs(
 /// bounded number of rounds elapses. Used by the smoke fault drill, where
 /// the pinned workload may drain before the breaker cooldown does.
 fn drive_breaker_recovery(
-    sched: &Scheduler,
+    lookup: &Lookup,
     telemetry: &Arc<Telemetry>,
     stored: &[(Vec<u8>, u64)],
 ) -> Result<(), CliError> {
@@ -970,9 +930,6 @@ fn drive_breaker_recovery(
         // Without the `telemetry` feature there are no events to wait on.
         return Ok(());
     }
-    let client = sched
-        .client()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
     for _ in 0..500 {
         let recovered = telemetry
             .snapshot()
@@ -985,9 +942,8 @@ fn drive_breaker_recovery(
         // A generous explicit deadline: the drill's tight `--op-deadline-us`
         // default would shed this drive traffic before it reaches the
         // device and the probe window would never see a batch.
-        match client
-            .lookup_with_deadline(vec![stored[0].0.clone()], std::time::Duration::from_secs(5))
-        {
+        let budget = Some(std::time::Duration::from_secs(5));
+        match lookup(vec![stored[0].0.clone()], budget) {
             Ok(_) | Err(SchedError::DeadlineExceeded) => {}
             Err(e) => return Err(CliError::Input(format!("recovery drive: {e}"))),
         }

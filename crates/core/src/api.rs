@@ -4,8 +4,14 @@
 //! [`CuartIndex::device_session`] uploads it to a simulated device and
 //! keeps the L2 cache, hash table, free lists and staging buffers alive
 //! across batches — the steady-state regime the paper measures.
+//!
+//! A [`CuartSession`] runs every batch down one path: `point_batch` is the
+//! skeleton lookups, updates and inserts share, `range_batch` goes through
+//! the same device leg and telemetry epilogue, and a three-state [`Mode`]
+//! says who serves the device-eligible keys.
 
 use crate::buffers::{CuartBuffers, CuartConfig, LongKeyPolicy};
+use crate::claim::{ClaimTable, Staging, DEFAULT_TABLE_SLOTS};
 use crate::cpu;
 use crate::error::{CuartError, RetryPolicy};
 use crate::insert::{insert_status, ArenaTails, CuartInsertKernel};
@@ -15,12 +21,12 @@ use crate::mapper::{map_art, MAX_DEVICE_KEY};
 use crate::range::{
     pack_range_records, range_device_rows, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES,
 };
-use crate::update::{status, CuartUpdateKernel, FreeLists, DEFAULT_TABLE_SLOTS, DELETE};
+use crate::update::{status, CuartUpdateKernel, FreeLists, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::{pack_keys, pack_keys_into, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::cache::Cache;
 use cuart_gpu_sim::exec::{KernelReport, Launcher};
-use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite};
+use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite, PhasedKernel};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -357,27 +363,13 @@ struct RangeStaging {
     capacity: usize,
 }
 
-/// Staging buffers reused across batches within a session.
-#[derive(Clone, Copy)]
-struct Staging {
-    queries: BufferId,
-    layout: KeyBatchLayout,
-    results: BufferId,
-    values: BufferId,
-    scratch_loc: BufferId,
-    scratch_parent: BufferId,
-    scratch_leaf: BufferId,
-    capacity: usize,
-}
-
 /// The device-resident half of a session: everything a recovery
 /// re-upload rebuilds from scratch. Factored out of [`CuartSession::new`]
 /// so the fault-recovery path constructs exactly the same image.
 struct DeviceState {
     mem: DeviceMemory,
     tree: DeviceTree,
-    hash_keys: BufferId,
-    hash_vals: BufferId,
+    claims: ClaimTable,
     free_lists: FreeLists,
     tails: ArenaTails,
 }
@@ -387,8 +379,7 @@ impl DeviceState {
         let mut mem = DeviceMemory::new();
         let headroom = (index.buffers.entries / 4).max(1024);
         let tree = index.upload_with_headroom(&mut mem, headroom);
-        let hash_keys = mem.alloc("hash-keys", table_slots * 8, 32);
-        let hash_vals = mem.alloc("hash-vals", table_slots * 8, 32);
+        let claims = ClaimTable::alloc(&mut mem, table_slots);
         let fl_size = |ty: LinkType| 8 + (index.buffers.record_count(ty) + headroom) * 8 + 8;
         let free_lists = FreeLists {
             leaf8: mem.alloc("free-leaf8", fl_size(LinkType::Leaf8), 32),
@@ -406,8 +397,7 @@ impl DeviceState {
         DeviceState {
             mem,
             tree,
-            hash_keys,
-            hash_vals,
+            claims,
             free_lists,
             tails,
         }
@@ -429,8 +419,44 @@ pub struct FaultStats {
     pub degraded: bool,
 }
 
+/// Who serves a session's device-eligible keys.
+///
+/// ```text
+///          retries exhausted            set_cpu_only(true)
+///  Device ───────────────────▶ Degraded ──────────────────▶ Pinned
+///     ▲                         │    ▲                         │
+///     └── re-upload succeeds ───┘    └── set_cpu_only(false) ──┘
+/// ```
+///
+/// Pinning a `Device` session passes through `Degraded` on the way. The
+/// first step out of `Device` makes the mutation journal authoritative
+/// for every key it holds, for the rest of the session's life: a recovery
+/// re-upload restores the pristine build image, so device mutations made
+/// before the fault survive only there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Device legs run on the device.
+    Device,
+    /// Device legs are served by the CPU engine; every batch first probes
+    /// a recovery re-upload.
+    Degraded,
+    /// As `Degraded`, but held there by [`CuartSession::set_cpu_only`]:
+    /// no recovery probe, so no device traffic at all.
+    Pinned,
+}
+
 /// A stateful device session: uploaded tree + persistent L2, hash table,
 /// free lists, arena tails, host-side tables and staging buffers.
+///
+/// # One batch, one path
+///
+/// All four `*_batch` calls run the same sequence — recover, route every
+/// key, device leg under the retry policy (or the CPU engine when the
+/// session is not in [`Mode::Device`] or the retries run out), read back,
+/// overlay merge, fallback accounting, telemetry — and differ only in
+/// what is genuinely per kind (a `match` on `Kind` in the helper that
+/// owns the decision; ranges bring their own staging and materialise
+/// rows host-side).
 ///
 /// # Fault tolerance
 ///
@@ -453,9 +479,7 @@ pub struct CuartSession<'a> {
     l2: Cache,
     /// Trace arena and timing scratch, reused by every launch.
     launcher: Launcher,
-    table_slots: usize,
-    hash_keys: BufferId,
-    hash_vals: BufferId,
+    claims: ClaimTable,
     free_lists: FreeLists,
     tails: ArenaTails,
     staging: Option<Staging>,
@@ -473,20 +497,10 @@ pub struct CuartSession<'a> {
     /// all fault paths (the checks compile to a single branch).
     injector: Option<FaultInjector>,
     retry: RetryPolicy,
-    /// `true` while device legs are served by the CPU fallback.
-    degraded: bool,
-    /// External pin (the scheduler's circuit breaker): while set, the
-    /// session stays degraded and skips per-batch recovery probing, so an
-    /// open breaker serves every batch from the CPU path with no device
-    /// traffic at all.
-    cpu_only: bool,
-    /// Once a degradation happens the journal becomes the authority for
-    /// every key it contains — a recovery re-upload restores the pristine
-    /// build image, so pre-fault device mutations only survive here.
-    journal_authoritative: bool,
+    mode: Mode,
     /// Device-leg mutations since session open (`None` = deleted).
-    /// Maintained whenever an injector is attached or shadowing is
-    /// forced on.
+    /// Maintained whenever an injector is attached, shadowing is forced
+    /// on, or the session has ever degraded.
     journal: BTreeMap<Vec<u8>, Option<u64>>,
     /// Force journal shadowing even without an injector, so a later
     /// [`CuartSession::set_cpu_only`] pin (e.g. a latency-SLO breaker
@@ -502,6 +516,128 @@ pub struct CuartSession<'a> {
     record_spans: bool,
 }
 
+/// The three point kinds [`CuartSession::point_batch`] runs. What differs
+/// between them is spelled as a `match` on the kind inside the helper that
+/// owns each decision, so the three answers to one question sit side by
+/// side.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Lookup,
+    Update,
+    Insert,
+}
+
+/// A [`Kind`] as a type parameter: the skeleton and its helpers are
+/// monomorphised per kind, so every `match K::KIND` folds at compile time
+/// and no per-key call goes through a pointer.
+trait PointKind {
+    const KIND: Kind;
+    /// One op as the caller passes it: a bare key for lookups, `(key,
+    /// value)` for updates and inserts.
+    type Op;
+    /// The op's key and the value staged next to it.
+    fn split(op: &Self::Op) -> (&[u8], u64);
+}
+
+struct Lookup;
+struct Update;
+struct Insert;
+
+impl PointKind for Lookup {
+    const KIND: Kind = Kind::Lookup;
+    type Op = Vec<u8>;
+    fn split(key: &Vec<u8>) -> (&[u8], u64) {
+        (key, 0)
+    }
+}
+
+impl PointKind for Update {
+    const KIND: Kind = Kind::Update;
+    type Op = (Vec<u8>, u64);
+    fn split((key, value): &Self::Op) -> (&[u8], u64) {
+        (key, *value)
+    }
+}
+
+impl PointKind for Insert {
+    const KIND: Kind = Kind::Insert;
+    type Op = (Vec<u8>, u64);
+    fn split((key, value): &Self::Op) -> (&[u8], u64) {
+        (key, *value)
+    }
+}
+
+/// Metric, event and span names of one batch kind.
+struct KindNames {
+    batches: &'static str,
+    keys: &'static str,
+    kernel_ns: &'static str,
+    /// Counter fed with the batch's host-spill tally, where the kind
+    /// keeps one.
+    host_spills: Option<&'static str>,
+    event: BatchKind,
+    span: &'static str,
+}
+
+const RANGE_NAMES: KindNames = KindNames {
+    batches: names::RANGE_BATCHES,
+    keys: names::RANGE_KEYS,
+    kernel_ns: names::RANGE_KERNEL_NS,
+    host_spills: None,
+    event: BatchKind::Range,
+    span: names::spans::BATCH_RANGE,
+};
+
+impl Kind {
+    /// The answer of an op nothing claims.
+    const fn default_answer(self) -> u64 {
+        match self {
+            Kind::Lookup => NOT_FOUND,
+            Kind::Update => status::MISS,
+            Kind::Insert => insert_status::REJECTED,
+        }
+    }
+
+    /// Write kinds: the status of an op starved out of the claim table,
+    /// which the session re-runs. `None` for lookups.
+    const fn exhausted(self) -> Option<u64> {
+        match self {
+            Kind::Lookup => None,
+            Kind::Update => Some(status::EXHAUSTED),
+            Kind::Insert => Some(insert_status::EXHAUSTED),
+        }
+    }
+
+    const fn names(self) -> KindNames {
+        match self {
+            Kind::Lookup => KindNames {
+                batches: names::LOOKUP_BATCHES,
+                keys: names::LOOKUP_KEYS,
+                kernel_ns: names::LOOKUP_KERNEL_NS,
+                host_spills: Some(names::LOOKUP_HOST_SPILLS),
+                event: BatchKind::Lookup,
+                span: names::spans::BATCH_LOOKUP,
+            },
+            Kind::Update => KindNames {
+                batches: names::UPDATE_BATCHES,
+                keys: names::UPDATE_KEYS,
+                kernel_ns: names::UPDATE_KERNEL_NS,
+                host_spills: None,
+                event: BatchKind::Update,
+                span: names::spans::BATCH_UPDATE,
+            },
+            Kind::Insert => KindNames {
+                batches: names::INSERT_BATCHES,
+                keys: names::INSERT_KEYS,
+                kernel_ns: names::INSERT_KERNEL_NS,
+                host_spills: Some(names::INSERT_HOST_SPILLS),
+                event: BatchKind::Insert,
+                span: names::spans::BATCH_INSERT,
+            },
+        }
+    }
+}
+
 impl<'a> CuartSession<'a> {
     fn new(index: &'a CuartIndex, dev: &DeviceConfig, table_slots: usize) -> Self {
         let state = DeviceState::build(index, table_slots);
@@ -512,9 +648,7 @@ impl<'a> CuartSession<'a> {
             launcher: Launcher::default(),
             mem: state.mem,
             tree: state.tree,
-            table_slots,
-            hash_keys: state.hash_keys,
-            hash_vals: state.hash_vals,
+            claims: state.claims,
             free_lists: state.free_lists,
             tails: state.tails,
             staging: None,
@@ -525,9 +659,7 @@ impl<'a> CuartSession<'a> {
             overflow: BTreeMap::new(),
             injector: None,
             retry: RetryPolicy::default(),
-            degraded: false,
-            cpu_only: false,
-            journal_authoritative: false,
+            mode: Mode::Device,
             journal: BTreeMap::new(),
             journal_shadowing: false,
             retries_total: 0,
@@ -557,39 +689,6 @@ impl<'a> CuartSession<'a> {
         self.record_spans = on;
     }
 
-    /// Build and commit a `batch.<kind>` span tree for a device leg:
-    /// `h2d` (PCIe upload of the packed keys), the kernel's `dram`/`exec`
-    /// decomposition, and `d2h` (PCIe download of one `u64` per key). The
-    /// children run back to back, so the leaf durations sum to the root's
-    /// modeled batch time.
-    fn record_batch_span(
-        &self,
-        t: &Telemetry,
-        name: &str,
-        report: &KernelReport,
-        device_keys: usize,
-        total_keys: usize,
-    ) {
-        if !self.record_spans || device_keys == 0 || report.time_ns <= 0.0 {
-            return;
-        }
-        let stride = self.index.device_key_stride();
-        let up = cuart_gpu_sim::pcie::upload(&self.dev.pcie, device_keys, stride);
-        let down = cuart_gpu_sim::pcie::download(&self.dev.pcie, device_keys, 8);
-        let root = SpanNode::node(
-            name,
-            vec![
-                SpanNode::leaf(names::spans::H2D, up.time_ns as u64).with_attr("bytes", up.bytes),
-                report.to_span(),
-                SpanNode::leaf(names::spans::D2H, down.time_ns as u64)
-                    .with_attr("bytes", down.bytes),
-            ],
-        )
-        .with_attr("keys", total_keys)
-        .with_attr("device_keys", device_keys);
-        t.record_span_tree(&root);
-    }
-
     /// Attach a fault injector. Attach **before** the first mutating
     /// batch: only journaled mutations survive a recovery re-upload.
     pub fn attach_fault_injector(&mut self, injector: FaultInjector) {
@@ -606,9 +705,9 @@ impl<'a> CuartSession<'a> {
         &self.retry
     }
 
-    /// `true` while device keys are served by the CPU fallback.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
+    /// Who is serving device-eligible keys right now.
+    pub fn mode(&self) -> Mode {
+        self.mode
     }
 
     /// Pin (or release) the session to the authoritative CPU path.
@@ -621,15 +720,12 @@ impl<'a> CuartSession<'a> {
     /// next batch's normal `try_recover` performs the re-upload (and may
     /// itself fault, keeping the session degraded).
     pub fn set_cpu_only(&mut self, on: bool) {
-        self.cpu_only = on;
         if on {
             self.degrade(0);
+            self.mode = Mode::Pinned;
+        } else if self.mode == Mode::Pinned {
+            self.mode = Mode::Degraded;
         }
-    }
-
-    /// `true` while the session is pinned to the CPU path.
-    pub fn is_cpu_only(&self) -> bool {
-        self.cpu_only
     }
 
     /// Force journal shadowing of device mutations even without an
@@ -651,7 +747,7 @@ impl<'a> CuartSession<'a> {
             retries: self.retries_total,
             degradations: self.degradations,
             recoveries: self.recoveries,
-            degraded: self.degraded,
+            degraded: self.mode != Mode::Device,
         }
     }
 
@@ -676,19 +772,19 @@ impl<'a> CuartSession<'a> {
     /// accumulated backoff is *modeled* — added to the successful
     /// attempt's `time_ns` — rather than slept, keeping the simulator
     /// fast and reproducible.
-    fn run_with_retry(
+    fn run_with_retry<S>(
         &mut self,
-        mut attempt_fn: impl FnMut(&mut Self) -> Result<KernelReport, CuartError>,
-    ) -> Result<KernelReport, CuartError> {
+        mut attempt_fn: impl FnMut(&mut Self) -> Result<(S, KernelReport), CuartError>,
+    ) -> Result<(S, KernelReport), CuartError> {
         let max = self.retry.max_attempts.max(1);
         let jitter_seed = self.injector.as_ref().map(|i| i.config().seed).unwrap_or(0);
         let mut backoff_total = 0u64;
         let mut last: Option<CuartError> = None;
         for attempt in 1..=max {
             match attempt_fn(self) {
-                Ok(mut report) => {
+                Ok((staged, mut report)) => {
                     report.time_ns += backoff_total as f64;
-                    return Ok(report);
+                    return Ok((staged, report));
                 }
                 Err(e) if e.is_transient() => {
                     if attempt < max {
@@ -716,15 +812,48 @@ impl<'a> CuartSession<'a> {
         })
     }
 
-    /// Enter degraded mode: device legs are served by the CPU engine
+    /// The device leg of one batch of `batch_ops` ops, `device_ops` of
+    /// them device-bound: `stage` the inputs, then `launch`, with the
+    /// injector consulted before each; yields what was staged and the
+    /// kernel's report. `None` means the CPU engine must serve the
+    /// device-bound ops — the session is not in [`Mode::Device`], or this
+    /// leg exhausted its retries and degraded it — and has been counted as
+    /// fallback service.
+    fn device_leg<S>(
+        &mut self,
+        batch_ops: usize,
+        device_ops: usize,
+        mut stage: impl FnMut(&mut Self) -> Result<S, CuartError>,
+        mut launch: impl FnMut(&mut Self, &S) -> KernelReport,
+    ) -> Result<Option<(S, KernelReport)>, CuartError> {
+        if self.mode == Mode::Device {
+            match self.run_with_retry(|s| {
+                s.fault_check(FaultSite::Transfer)?;
+                let staged = stage(s)?;
+                s.fault_check(FaultSite::Kernel)?;
+                let report = launch(s, &staged);
+                Ok((staged, report))
+            }) {
+                Ok(launched) => return Ok(Some(launched)),
+                Err(CuartError::RetriesExhausted { .. }) => self.degrade(batch_ops as u64),
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(t) = &self.telemetry {
+            t.incr(names::FAULT_CPU_FALLBACK_BATCHES, 1);
+            t.incr(names::FAULT_CPU_FALLBACK_KEYS, device_ops as u64);
+        }
+        Ok(None)
+    }
+
+    /// Leave [`Mode::Device`]: device legs are served by the CPU engine
     /// until a re-upload succeeds. The journal becomes (and stays) the
     /// authority for every key it contains.
     fn degrade(&mut self, batch_keys: u64) {
-        if self.degraded {
+        if self.mode != Mode::Device {
             return;
         }
-        self.degraded = true;
-        self.journal_authoritative = true;
+        self.mode = Mode::Degraded;
         self.degradations += 1;
         if let Some(t) = &self.telemetry {
             t.incr(names::FAULT_DEGRADATIONS, 1);
@@ -733,27 +862,27 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    /// While degraded, attempt a device re-upload at the start of each
-    /// batch. The re-upload is itself a transfer and can fault — in that
-    /// case the session stays degraded and serves the batch on the CPU.
+    /// While degraded (and not pinned), attempt a device re-upload at the
+    /// start of each batch. The re-upload is itself a transfer and can
+    /// fault — in that case the session stays degraded and serves the
+    /// batch on the CPU.
     fn try_recover(&mut self) {
-        if !self.degraded || self.cpu_only {
+        if self.mode != Mode::Degraded {
             return;
         }
         if self.fault_check(FaultSite::Transfer).is_err() {
             return;
         }
-        let state = DeviceState::build(self.index, self.table_slots);
+        let state = DeviceState::build(self.index, self.claims.slots());
         self.mem = state.mem;
         self.tree = state.tree;
-        self.hash_keys = state.hash_keys;
-        self.hash_vals = state.hash_vals;
+        self.claims = state.claims;
         self.free_lists = state.free_lists;
         self.tails = state.tails;
         self.l2 = Cache::new(&self.dev.l2);
         self.staging = None;
         self.range_staging = None;
-        self.degraded = false;
+        self.mode = Mode::Device;
         self.recoveries += 1;
         if let Some(t) = &self.telemetry {
             t.incr(names::FAULT_RECOVERIES, 1);
@@ -762,67 +891,178 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    /// CPU-path lookup for a device-eligible key: journal, then overflow,
-    /// then the pristine build image.
-    fn degraded_lookup(&self, key: &[u8]) -> u64 {
-        if let Some(entry) = self.journal.get(key) {
-            return entry.unwrap_or(NOT_FOUND);
-        }
-        if let Some(v) = self.overflow.get(key) {
-            return *v;
-        }
-        cpu::lookup(&self.index.buffers, key).unwrap_or(NOT_FOUND)
+    /// `true` while device-leg mutations are shadowed in the journal, so a
+    /// recovery re-upload (which restores the pristine build image) or a
+    /// pin loses nothing.
+    fn keeps_journal(&self) -> bool {
+        self.injector.is_some() || self.journal_shadowing || self.degradations > 0
     }
 
-    /// CPU-path update for a device-eligible key. Overflow keys are left
-    /// as `MISS` here — the shared overflow block after the device leg
-    /// applies them.
-    fn degraded_update(&mut self, key: &[u8], value: u64) -> u64 {
-        let exists = match self.journal.get(key) {
-            Some(Some(_)) => true,
-            Some(None) => false,
+    /// Does the CPU path see `key` as live: the journal, then the pristine
+    /// build image.
+    fn cpu_has(&self, key: &[u8]) -> bool {
+        match self.journal.get(key) {
+            Some(entry) => entry.is_some(),
             None => cpu::lookup(&self.index.buffers, key).is_some(),
-        };
-        if !exists {
-            return status::MISS;
         }
-        self.journal.insert(
-            key.to_vec(),
-            if value == DELETE { None } else { Some(value) },
-        );
-        status::APPLIED
     }
 
-    /// CPU-path insert for a device-eligible key.
-    fn degraded_insert(&mut self, key: &[u8], value: u64) -> u64 {
-        let existed = match self.journal.get(key) {
-            Some(Some(_)) => true,
-            Some(None) => false,
-            None => cpu::lookup(&self.index.buffers, key).is_some(),
-        };
-        self.journal.insert(key.to_vec(), Some(value));
-        if existed {
-            insert_status::UPDATED
+    /// Answer one op without the device leg if a host-side overlay claims
+    /// its key; `None` sends it to the device. The order of the checks *is*
+    /// the precedence of the overlays over the device image, for every
+    /// point kind (the overflow gets a second say, on whatever the device
+    /// leg leaves unanswered, in [`answer_parked`](Self::answer_parked)).
+    fn off_device<K: PointKind>(
+        &mut self,
+        key: &[u8],
+        value: u64,
+        stride_max: usize,
+    ) -> Option<u64> {
+        if self.index.is_host_routed(key) || key.is_empty() {
+            return Some(self.on_host::<K>(key, value));
+        }
+        if key.len() > stride_max {
+            // The key cannot be packed at the device stride — and the
+            // stride covers every stored key, so no stored key can match.
+            // No structural attach point can exist for it either, so an
+            // insert spills to the host overflow table like any other
+            // structurally impossible insert.
+            if K::KIND != Kind::Insert {
+                return Some(K::KIND.default_answer());
+            }
+            self.overflow.insert(key.to_vec(), value);
+            return Some(insert_status::SPILLED);
+        }
+        if K::KIND == Kind::Insert {
+            if let Some(slot) = self.overflow.get_mut(key) {
+                *slot = value;
+                return Some(insert_status::UPDATED);
+            }
+        }
+        // Once a degradation has happened the journal is the authority for
+        // every key it contains — a recovery re-upload restores the
+        // pristine build image, so pre-fault device mutations only survive
+        // there.
+        if self.degradations > 0 && self.journal.contains_key(key) {
+            return Some(self.on_cpu::<K>(key, value));
+        }
+        None
+    }
+
+    /// Answer a host-routed op from the session's host tables. Long keys
+    /// only route here under CpuRoute, where `host_leaves` has no device
+    /// links referencing it — sorted insertion and removal are safe.
+    fn on_host<K: PointKind>(&mut self, key: &[u8], value: u64) -> u64 {
+        let table = if key.len() > MAX_DEVICE_KEY {
+            &mut self.host_leaves
         } else {
-            insert_status::INSERTED
+            &mut self.short_keys
+        };
+        let slot = table.binary_search_by(|(k, _)| k.as_slice().cmp(key));
+        match (K::KIND, slot) {
+            (Kind::Lookup, Ok(i)) => table[i].1,
+            (Kind::Lookup, Err(_)) => NOT_FOUND,
+            (Kind::Update, Ok(i)) => {
+                if value == DELETE {
+                    table.remove(i);
+                } else {
+                    table[i].1 = value;
+                }
+                status::APPLIED
+            }
+            (Kind::Update, Err(_)) => status::MISS,
+            (Kind::Insert, _) if key.is_empty() => insert_status::REJECTED,
+            (Kind::Insert, Ok(i)) => {
+                table[i].1 = value;
+                insert_status::UPDATED
+            }
+            (Kind::Insert, Err(i)) => {
+                table.insert(i, (key.to_vec(), value));
+                insert_status::INSERTED
+            }
         }
     }
 
-    /// Record CPU-fallback service in telemetry.
-    fn note_cpu_fallback(&self, keys_served: u64) {
-        if keys_served == 0 {
-            return;
-        }
-        if let Some(t) = &self.telemetry {
-            t.incr(names::FAULT_CPU_FALLBACK_BATCHES, 1);
-            t.incr(names::FAULT_CPU_FALLBACK_KEYS, keys_served);
+    /// Answer a device-eligible op on the CPU path: the journal, then (for
+    /// lookups) the overflow, then the pristine build image. Writes to
+    /// overflow keys are left unanswered here — the overflow merge after
+    /// the device leg applies them.
+    fn on_cpu<K: PointKind>(&mut self, key: &[u8], value: u64) -> u64 {
+        match K::KIND {
+            Kind::Lookup => match (self.journal.get(key), self.overflow.get(key)) {
+                (Some(entry), _) => entry.unwrap_or(NOT_FOUND),
+                (None, Some(v)) => *v,
+                (None, None) => cpu::lookup(&self.index.buffers, key).unwrap_or(NOT_FOUND),
+            },
+            Kind::Update if !self.cpu_has(key) => status::MISS,
+            Kind::Update => {
+                self.journal
+                    .insert(key.to_vec(), (value != DELETE).then_some(value));
+                status::APPLIED
+            }
+            Kind::Insert => {
+                let existed = self.cpu_has(key);
+                self.journal.insert(key.to_vec(), Some(value));
+                if existed {
+                    insert_status::UPDATED
+                } else {
+                    insert_status::INSERTED
+                }
+            }
         }
     }
 
-    /// `true` if this key must be answered from the session journal
-    /// rather than the (pristine, post-recovery) device image.
-    fn journal_routed(&self, key: &[u8]) -> bool {
-        self.journal_authoritative && self.journal.contains_key(key)
+    /// Turn one raw lookup result into its answer: host-leaf signals finish
+    /// on the CPU against the session table (which sees host-side updates).
+    fn resolve_host_signal(&self, raw: u64, key: &[u8], host_spills: &mut u64) -> u64 {
+        if raw == NOT_FOUND || raw & HOST_SIGNAL == 0 {
+            return raw;
+        }
+        *host_spills += 1;
+        let (stored, value) = &self.host_leaves[(raw & !HOST_SIGNAL) as usize];
+        if stored.as_slice() == key {
+            *value
+        } else {
+            NOT_FOUND
+        }
+    }
+
+    /// Write kinds, per device op after the launch: shadow an applied
+    /// mutation in the journal when `journaling`, park a spilled insert.
+    fn settle<K: PointKind>(&mut self, key: &[u8], value: u64, status: u64, journaling: bool) {
+        match (K::KIND, status) {
+            (Kind::Update, status::APPLIED) if journaling => {
+                self.journal
+                    .insert(key.to_vec(), (value != DELETE).then_some(value));
+            }
+            (Kind::Insert, insert_status::UPDATED | insert_status::INSERTED) if journaling => {
+                self.journal.insert(key.to_vec(), Some(value));
+            }
+            // Parked host-side; later spills of the same key win naturally
+            // (ops are visited in tid order).
+            (Kind::Insert, insert_status::SPILLED) => {
+                self.overflow.insert(key.to_vec(), value);
+            }
+            _ => {}
+        }
+    }
+
+    /// Answer an op the device leg (or its fallback) left at the default
+    /// from the overflow, if its key is parked there.
+    fn answer_parked<K: PointKind>(&mut self, key: &[u8], value: u64) -> Option<u64> {
+        let slot = self.overflow.get_mut(key)?;
+        match K::KIND {
+            Kind::Lookup => Some(*slot),
+            Kind::Update => {
+                if value == DELETE {
+                    self.overflow.remove(key);
+                } else {
+                    *slot = value;
+                }
+                Some(status::APPLIED)
+            }
+            Kind::Insert => None,
+        }
     }
 
     fn ensure_staging(&mut self, batch: usize) -> Staging {
@@ -842,9 +1082,9 @@ impl<'a> CuartSession<'a> {
                     layout,
                     results: self.mem.alloc("stage-results", cap * 8, 32),
                     values: self.mem.alloc("stage-values", cap * 8, 32),
-                    scratch_loc: self.mem.alloc("stage-loc", cap * 8, 32),
-                    scratch_parent: self.mem.alloc("stage-parent", cap * 8, 32),
-                    scratch_leaf: self.mem.alloc("stage-leaf", cap * 8, 32),
+                    loc: self.mem.alloc("stage-loc", cap * 8, 32),
+                    parent: self.mem.alloc("stage-parent", cap * 8, 32),
+                    aux: self.mem.alloc("stage-leaf", cap * 8, 32),
                     capacity: cap,
                 }
             }
@@ -852,128 +1092,292 @@ impl<'a> CuartSession<'a> {
         *self.staging.insert(st)
     }
 
-    /// The result buffer of the batch a launch just ran over.
-    fn staged_results(&self) -> Result<BufferId, CuartError> {
-        match &self.staging {
-            Some(st) => Ok(st.results),
-            None => Err(CuartError::Internal {
-                detail: "staging vanished after a launched batch".into(),
-            }),
-        }
-    }
-
-    /// Stage the keys and values of `ops[which]` for an update or insert
-    /// launch, in `which` order.
-    fn stage_ops(
+    /// Stage the keys (and, for write kinds, the values) of `ops[which]`
+    /// for a launch, in `which` order.
+    fn stage<K: PointKind>(
         &mut self,
-        ops: &[(Vec<u8>, u64)],
+        ops: &[K::Op],
         which: &[usize],
     ) -> Result<Staging, CuartError> {
         let st = self.ensure_staging(which.len());
-        let keys = which.iter().map(|&i| ops[i].0.as_slice());
+        let keys = which.iter().map(|&i| K::split(&ops[i]).0);
         pack_keys_into(&mut self.mem, st.queries, &st.layout, keys)?;
-        for (j, &i) in which.iter().enumerate() {
-            self.mem.write_u64(st.values, j * 8, ops[i].1);
+        if K::KIND != Kind::Lookup {
+            for (j, &i) in which.iter().enumerate() {
+                self.mem.write_u64(st.values, j * 8, K::split(&ops[i]).1);
+            }
         }
         Ok(st)
     }
 
-    /// Run the two-stage update kernel over the first `count` staged ops
-    /// against the all-zero claim table, then zero the slots it claimed.
-    /// The modeled clear (`hash_clear_ns`, a device memset of the whole
-    /// table) is charged to the report either way.
-    fn launch_update(&mut self, st: &Staging, count: usize) -> KernelReport {
-        let kernel = CuartUpdateKernel {
-            tree: self.tree,
-            queries: st.queries,
-            layout: st.layout,
-            values: st.values,
-            results: st.results,
-            count,
-            hash_keys: self.hash_keys,
-            hash_vals: self.hash_vals,
-            table_slots: self.table_slots,
-            scratch_loc: st.scratch_loc,
-            scratch_parent: st.scratch_parent,
-            scratch_leaf: st.scratch_leaf,
-            free_lists: self.free_lists,
-        };
-        let mut report =
-            self.launcher
-                .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
-        self.sweep_claims(st, count);
-        report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
-        report
-    }
-
-    /// Insert-engine twin of [`launch_update`](Self::launch_update).
-    fn launch_insert(&mut self, st: &Staging, count: usize) -> KernelReport {
-        let kernel = CuartInsertKernel {
-            tree: self.tree,
-            queries: st.queries,
-            layout: st.layout,
-            values: st.values,
-            results: st.results,
-            count,
-            hash_keys: self.hash_keys,
-            hash_vals: self.hash_vals,
-            table_slots: self.table_slots,
-            scratch_loc: st.scratch_loc,
-            scratch_parent: st.scratch_parent,
-            scratch_class: st.scratch_leaf,
-            free_lists: self.free_lists,
-            tails: self.tails,
-        };
-        let mut report =
-            self.launcher
-                .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2);
-        self.sweep_claims(st, count);
-        report.time_ns += crate::update::hash_clear_ns(&self.dev, self.table_slots);
-        report
-    }
-
-    /// Restore the claim table's all-zero invariant after an update or
-    /// insert launch over the first `count` staged ops, at a host cost
-    /// that follows the batch rather than the table's capacity.
-    ///
-    /// Linear probing without deletion puts every claim in the contiguous
-    /// non-zero run that starts at its home slot, so zeroing each op's run
-    /// from `hash_of(scratch_loc[tid])` to the next empty slot clears
-    /// every claim. `0` marks an op that claimed nothing (miss or spill).
-    /// A walk only ever zeroes non-zero slots, all of which must go, so
-    /// the `LOC_EXHAUSTED` sentinel and the stale location of an exhausted
-    /// insert are harmless starting points. Host-side accesses are not
-    /// recorded: no modeled statistic depends on how the table is cleared.
-    fn sweep_claims(&mut self, st: &Staging, count: usize) {
-        let slots = self.table_slots;
-        for tid in 0..count {
-            let location = self.mem.read_u64(st.scratch_loc, tid * 8);
-            if location == 0 {
-                continue;
+    /// Launch the kind's kernel over the first `count` staged ops.
+    fn launch<K: PointKind>(&mut self, st: &Staging, count: usize) -> KernelReport {
+        match K::KIND {
+            Kind::Lookup => {
+                let kernel = CuartLookupKernel {
+                    tree: self.tree,
+                    queries: st.queries,
+                    layout: st.layout,
+                    results: st.results,
+                    count,
+                };
+                self.launcher
+                    .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2)
             }
-            let mut h = crate::update::hash_of(location, slots);
-            for _ in 0..slots {
-                if self.mem.read_u64(self.hash_keys, h * 8) == 0 {
-                    break;
-                }
-                self.mem.write_u64(self.hash_keys, h * 8, 0);
-                self.mem.write_u64(self.hash_vals, h * 8, 0);
-                h = (h + 1) % slots;
+            Kind::Update => {
+                let kernel = CuartUpdateKernel {
+                    tree: self.tree,
+                    staging: *st,
+                    count,
+                    claims: self.claims,
+                    free_lists: self.free_lists,
+                };
+                self.launch_claiming(&kernel, st, count)
+            }
+            Kind::Insert => {
+                let kernel = CuartInsertKernel {
+                    tree: self.tree,
+                    staging: *st,
+                    count,
+                    claims: self.claims,
+                    free_lists: self.free_lists,
+                    tails: self.tails,
+                };
+                self.launch_claiming(&kernel, st, count)
             }
         }
-        debug_assert!(
-            self.claim_table_is_zero(),
-            "claim table must be all-zero between launches"
-        );
     }
 
-    /// `true` when both halves of the claim table are all-zero — the
-    /// state every update/insert launch starts from.
-    fn claim_table_is_zero(&self) -> bool {
-        let bytes = self.table_slots * 8;
-        [self.hash_keys, self.hash_vals]
-            .iter()
-            .all(|&half| self.mem.read_bytes(half, 0, bytes).iter().all(|&b| b == 0))
+    /// Run a two-stage write kernel over the first `count` staged ops
+    /// against the all-zero claim table, then zero the slots it claimed.
+    /// The modeled clear (a device memset of the whole table) is charged
+    /// to the report either way.
+    fn launch_claiming(
+        &mut self,
+        kernel: &impl PhasedKernel,
+        st: &Staging,
+        count: usize,
+    ) -> KernelReport {
+        let mut report =
+            self.launcher
+                .launch(&self.dev, &mut self.mem, kernel, count, &mut self.l2);
+        self.claims.sweep(&mut self.mem, st.loc, count);
+        report.time_ns += self.claims.clear_ns(&self.dev);
+        report
+    }
+
+    /// One point batch, start to finish: recover, route every key, run the
+    /// device leg (or its CPU fallback), read back, merge the overflow,
+    /// record. Answers come back in op order.
+    fn point_batch<K: PointKind>(
+        &mut self,
+        ops: &[K::Op],
+    ) -> Result<(Vec<u64>, KernelReport), CuartError> {
+        self.try_recover();
+        let stride_max = KeyBatchLayout {
+            stride: self.index.device_key_stride(),
+        }
+        .max_key_len();
+        let writes = K::KIND != Kind::Lookup;
+        let free_before = (writes && self.telemetry.is_some()).then(|| self.free_total());
+        let mut out = vec![K::KIND.default_answer(); ops.len()];
+        // Device-bound ops stay where the caller put them: the batch keeps
+        // their indices and the packer copies each key once, into staging.
+        let mut device_idx = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let (key, value) = K::split(op);
+            match self.off_device::<K>(key, value, stride_max) {
+                Some(answer) => out[i] = answer,
+                None => device_idx.push(i),
+            }
+        }
+        let mut host_spills = (ops.len() - device_idx.len()) as u64;
+        let mut report = KernelReport::default();
+        if !device_idx.is_empty() {
+            let launched = self.device_leg(
+                ops.len(),
+                device_idx.len(),
+                |s| s.stage::<K>(ops, &device_idx),
+                |s, st| s.launch::<K>(st, device_idx.len()),
+            )?;
+            match launched {
+                Some((st, r)) => {
+                    report = r;
+                    for (j, &i) in device_idx.iter().enumerate() {
+                        let raw = self.mem.read_u64(st.results, j * 8);
+                        out[i] = match K::KIND {
+                            Kind::Lookup => {
+                                self.resolve_host_signal(raw, K::split(&ops[i]).0, &mut host_spills)
+                            }
+                            _ => raw,
+                        };
+                    }
+                    if writes {
+                        self.rerun_exhausted::<K>(&mut out, &device_idx, ops, &mut report)?;
+                        // Only the max-tid winner of each key carries an
+                        // applied status. Runs before the overflow merge so
+                        // overflow-applied ops never enter the journal.
+                        let journaling = self.keeps_journal();
+                        for &i in &device_idx {
+                            let (key, value) = K::split(&ops[i]);
+                            self.settle::<K>(key, value, out[i], journaling);
+                        }
+                    }
+                }
+                None => {
+                    for &i in &device_idx {
+                        let (key, value) = K::split(&ops[i]);
+                        out[i] = self.on_cpu::<K>(key, value);
+                    }
+                }
+            }
+        }
+        // Ops the device leg left unanswered may target keys parked in the
+        // overflow (structural inserts the device spilled).
+        if !self.overflow.is_empty() {
+            for (i, op) in ops.iter().enumerate() {
+                if out[i] == K::KIND.default_answer() {
+                    let (key, value) = K::split(op);
+                    if let Some(answer) = self.answer_parked::<K>(key, value) {
+                        out[i] = answer;
+                    }
+                }
+            }
+        }
+        if self.telemetry.is_some() {
+            let spilled = out.iter().filter(|&&s| s == insert_status::SPILLED);
+            let host_spills = match K::KIND {
+                Kind::Lookup => host_spills,
+                Kind::Update => 0,
+                Kind::Insert => spilled.count() as u64,
+            };
+            // Inserts consume free slots; deletes push some back. Report
+            // net growth as refills.
+            let refills = free_before.map(|before| self.free_total().saturating_sub(before));
+            let names = K::KIND.names();
+            self.record_batch(&names, &report, ops.len(), host_spills, refills);
+            self.record_batch_span(
+                names.span,
+                &report,
+                device_idx.len(),
+                (self.index.device_key_stride(), 8),
+                [("keys", ops.len()), ("device_keys", device_idx.len())],
+            );
+        }
+        Ok((out, report))
+    }
+
+    /// Re-run ops starved out of the claim hash table against the table
+    /// the previous launch swept clean. The stage-1 linear probe covers
+    /// every slot, so `EXHAUSTED` for a location means that location is
+    /// nowhere in the table — exhaustion is all-or-nothing per location and
+    /// a sub-batch re-run (original relative order) preserves max-tid-wins
+    /// semantics.
+    /// Each round resolves at least one location, so the loop terminates;
+    /// a no-progress round means the table cannot hold a single entry.
+    /// Re-runs ride the already-fault-validated launch and are not
+    /// re-checked.
+    fn rerun_exhausted<K: PointKind>(
+        &mut self,
+        statuses: &mut [u64],
+        device_idx: &[usize],
+        ops: &[K::Op],
+        report: &mut KernelReport,
+    ) -> Result<(), CuartError> {
+        let Some(exhausted) = K::KIND.exhausted() else {
+            return Ok(());
+        };
+        loop {
+            let pending: Vec<usize> = device_idx
+                .iter()
+                .copied()
+                .filter(|&i| statuses[i] == exhausted)
+                .collect();
+            if pending.is_empty() {
+                return Ok(());
+            }
+            let st = self.stage::<K>(ops, &pending)?;
+            let sub = self.launch::<K>(&st, pending.len());
+            let mut progressed = false;
+            for (m, &i) in pending.iter().enumerate() {
+                statuses[i] = self.mem.read_u64(st.results, m * 8);
+                progressed |= statuses[i] != exhausted;
+            }
+            report.accumulate(&sub);
+            if !progressed {
+                return Err(CuartError::HashTableFull {
+                    table_slots: self.claims.slots(),
+                });
+            }
+        }
+    }
+
+    /// Counters, histogram, kernel statistics and the batch event of one
+    /// finished batch. `refills` is `Some` for the write kinds, which also
+    /// report their claim conflicts.
+    fn record_batch(
+        &self,
+        kind: &KindNames,
+        report: &KernelReport,
+        ops: usize,
+        host_spills: u64,
+        refills: Option<u64>,
+    ) {
+        let Some(t) = &self.telemetry else {
+            return;
+        };
+        t.incr(kind.batches, 1);
+        t.incr(kind.keys, ops as u64);
+        if let Some(name) = kind.host_spills {
+            t.incr(name, host_spills);
+        }
+        let mut e = report.to_event(kind.event, ops as u64);
+        e.host_spills = host_spills;
+        if let Some(refills) = refills {
+            t.incr(names::CLAIM_CONFLICTS, report.atomic_conflicts);
+            t.incr(names::FREELIST_REFILLS, refills);
+            e.claim_conflicts = report.atomic_conflicts;
+            e.freelist_refills = refills;
+        }
+        t.observe(kind.kernel_ns, report.time_ns as u64);
+        report.record_into(t);
+        t.record(e);
+    }
+
+    /// Build and commit a `batch.<kind>` span tree for a device leg over
+    /// `device_ops` ops costing `wire` bytes each up and down: `h2d`, the
+    /// kernel's `dram`/`exec` decomposition, and `d2h`. The children run
+    /// back to back, so the leaf durations sum to the root's modeled batch
+    /// time.
+    fn record_batch_span(
+        &self,
+        name: &str,
+        report: &KernelReport,
+        device_ops: usize,
+        wire: (usize, usize),
+        attrs: [(&str, usize); 2],
+    ) {
+        let Some(t) = &self.telemetry else {
+            return;
+        };
+        if !self.record_spans || device_ops == 0 || report.time_ns <= 0.0 {
+            return;
+        }
+        let up = cuart_gpu_sim::pcie::upload(&self.dev.pcie, device_ops, wire.0);
+        let down = cuart_gpu_sim::pcie::download(&self.dev.pcie, device_ops, wire.1);
+        let mut root = SpanNode::node(
+            name,
+            vec![
+                SpanNode::leaf(names::spans::H2D, up.time_ns as u64).with_attr("bytes", up.bytes),
+                report.to_span(),
+                SpanNode::leaf(names::spans::D2H, down.time_ns as u64)
+                    .with_attr("bytes", down.bytes),
+            ],
+        );
+        for (key, value) in attrs {
+            root = root.with_attr(key, value);
+        }
+        t.record_span_tree(&root);
     }
 
     fn ensure_range_staging(&mut self, batch: usize) -> &RangeStaging {
@@ -1033,15 +1437,6 @@ impl<'a> CuartSession<'a> {
         map.into_iter().collect()
     }
 
-    fn host_lookup(&self, key: &[u8]) -> u64 {
-        let table = if key.len() > MAX_DEVICE_KEY {
-            &self.host_leaves
-        } else {
-            &self.short_keys
-        };
-        CuartBuffers::search_table(table, key).unwrap_or(NOT_FOUND)
-    }
-
     /// Batch lookup: host-routed keys answered from the session tables,
     /// device keys through the lookup kernel; results in query order.
     ///
@@ -1052,121 +1447,39 @@ impl<'a> CuartSession<'a> {
         &mut self,
         keys: &[Vec<u8>],
     ) -> Result<(Vec<u64>, KernelReport), CuartError> {
-        self.try_recover();
-        let stride_max = KeyBatchLayout {
-            stride: self.index.device_key_stride(),
-        }
-        .max_key_len();
-        let mut results = vec![NOT_FOUND; keys.len()];
-        // Device-bound keys stay where the caller put them: the batch keeps
-        // their indices and the packer copies each key once, into staging.
-        let mut device_idx = Vec::with_capacity(keys.len());
-        let mut host_spills = 0u64;
-        for (i, k) in keys.iter().enumerate() {
-            if self.index.is_host_routed(k) || k.is_empty() {
-                results[i] = self.host_lookup(k);
-                host_spills += 1;
-            } else if k.len() > stride_max {
-                // The key cannot be packed at the device stride — and the
-                // stride covers every stored key, so this is a guaranteed
-                // miss (the overflow merge below still gets its say).
-                host_spills += 1;
-            } else if self.journal_routed(k) {
-                results[i] = self.journal.get(k).copied().flatten().unwrap_or(NOT_FOUND);
-                host_spills += 1;
-            } else {
-                device_idx.push(i);
-            }
-        }
-        let mut report = KernelReport::default();
-        let mut fallback_keys = 0u64;
-        if !device_idx.is_empty() {
-            let launched = if self.degraded {
-                None
-            } else {
-                match self.run_with_retry(|s| {
-                    s.fault_check(FaultSite::Transfer)?;
-                    let st = s.ensure_staging(device_idx.len());
-                    let device_keys = device_idx.iter().map(|&i| keys[i].as_slice());
-                    pack_keys_into(&mut s.mem, st.queries, &st.layout, device_keys)?;
-                    s.fault_check(FaultSite::Kernel)?;
-                    let kernel = CuartLookupKernel {
-                        tree: s.tree,
-                        queries: st.queries,
-                        layout: st.layout,
-                        results: st.results,
-                        count: device_idx.len(),
-                    };
-                    Ok(s.launcher
-                        .launch(&s.dev, &mut s.mem, &kernel, device_idx.len(), &mut s.l2))
-                }) {
-                    Ok(r) => Some(r),
-                    Err(CuartError::RetriesExhausted { .. }) => {
-                        self.degrade(keys.len() as u64);
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            match launched {
-                Some(r) => {
-                    report = r;
-                    let results_buf = self.staged_results()?;
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        let raw = self.mem.read_u64(results_buf, j * 8);
-                        // Host-leaf signals finish on the CPU against the
-                        // session table (which sees host-side updates).
-                        results[i] = if raw != NOT_FOUND && raw & HOST_SIGNAL != 0 {
-                            host_spills += 1;
-                            let idx = (raw & !HOST_SIGNAL) as usize;
-                            let (stored, value) = &self.host_leaves[idx];
-                            if stored.as_slice() == keys[i] {
-                                *value
-                            } else {
-                                NOT_FOUND
-                            }
-                        } else {
-                            raw
-                        };
-                    }
-                }
-                None => {
-                    for &i in &device_idx {
-                        results[i] = self.degraded_lookup(&keys[i]);
-                    }
-                    fallback_keys = device_idx.len() as u64;
-                }
-            }
-        }
-        self.note_cpu_fallback(fallback_keys);
-        // Device misses may be structural inserts parked in the overflow.
-        if !self.overflow.is_empty() {
-            for (i, k) in keys.iter().enumerate() {
-                if results[i] == NOT_FOUND {
-                    if let Some(v) = self.overflow.get(k) {
-                        results[i] = *v;
-                    }
-                }
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.incr(names::LOOKUP_BATCHES, 1);
-            t.incr(names::LOOKUP_KEYS, keys.len() as u64);
-            t.incr(names::LOOKUP_HOST_SPILLS, host_spills);
-            t.observe(names::LOOKUP_KERNEL_NS, report.time_ns as u64);
-            report.record_into(t);
-            let mut e = report.to_event(BatchKind::Lookup, keys.len() as u64);
-            e.host_spills = host_spills;
-            t.record(e);
-            self.record_batch_span(
-                t,
-                names::spans::BATCH_LOOKUP,
-                &report,
-                device_idx.len(),
-                keys.len(),
-            );
-        }
-        Ok((results, report))
+        self.point_batch::<Lookup>(keys)
+    }
+
+    /// Batch update/delete through the two-stage kernel. `DELETE` as the
+    /// value deletes the key. Returns per-op statuses (see
+    /// [`status`](crate::update::status)) and the kernel report (which
+    /// includes the hash-table clear cost).
+    ///
+    /// A device leg that exhausts its retries degrades to the CPU engine
+    /// rather than failing the batch; hash-table starvation with a
+    /// degenerate (zero-capacity) table surfaces as
+    /// [`CuartError::HashTableFull`].
+    pub fn update_batch(
+        &mut self,
+        ops: &[(Vec<u8>, u64)],
+    ) -> Result<(Vec<u64>, KernelReport), CuartError> {
+        self.point_batch::<Update>(ops)
+    }
+
+    /// Batch **insert** through the device-side insert engine (the §5.1
+    /// future-work extension). Existing keys are updated (thread-id
+    /// priority, like [`update_batch`](Self::update_batch)); new keys are
+    /// attached on the device where a single-CAS attach point exists, and
+    /// spill to the session's host overflow table otherwise. Returns one
+    /// [`insert_status`](crate::insert::insert_status) per op.
+    ///
+    /// A device leg that exhausts its retries degrades to the CPU engine
+    /// rather than failing the batch.
+    pub fn insert_batch(
+        &mut self,
+        ops: &[(Vec<u8>, u64)],
+    ) -> Result<(Vec<u64>, KernelReport), CuartError> {
+        self.point_batch::<Insert>(ops)
     }
 
     /// Batch of inclusive range queries: per range, every live `(key,
@@ -1191,455 +1504,72 @@ impl<'a> CuartSession<'a> {
         if ranges.is_empty() {
             return Ok((Vec::new(), KernelReport::default()));
         }
-        let mut report = KernelReport::default();
-        let mut fallback_keys = 0u64;
-        if self.degraded {
-            fallback_keys = ranges.len() as u64;
-        } else {
-            match self.run_with_retry(|s| {
-                s.fault_check(FaultSite::Transfer)?;
+        let launched = self.device_leg(
+            ranges.len(),
+            ranges.len(),
+            |s| {
                 let st = s.ensure_range_staging(ranges.len());
-                let (queries, results) = (st.queries, st.results);
+                let staged = (st.queries, st.results);
                 // Bounds longer than the packed 32-byte field are clamped:
                 // the kernel leg only models span-search cost, the host
                 // merge below is authoritative.
                 let live = ranges.len() * RANGE_RECORD_BYTES;
-                pack_range_records(s.mem.bytes_mut(queries, 0, live), ranges);
-                s.fault_check(FaultSite::Kernel)?;
+                pack_range_records(s.mem.bytes_mut(staged.0, 0, live), ranges);
+                Ok(staged)
+            },
+            |s, &(queries, results)| {
+                let mapped = |ty| s.index.buffers.record_count(ty) as u64;
                 let kernel = RangeSpanKernel {
                     tree: s.tree,
                     queries,
                     results,
                     count: ranges.len(),
                     mapped: [
-                        s.index.buffers.record_count(LinkType::Leaf8) as u64,
-                        s.index.buffers.record_count(LinkType::Leaf16) as u64,
-                        s.index.buffers.record_count(LinkType::Leaf32) as u64,
+                        mapped(LinkType::Leaf8),
+                        mapped(LinkType::Leaf16),
+                        mapped(LinkType::Leaf32),
                     ],
                 };
-                Ok(s.launcher
-                    .launch(&s.dev, &mut s.mem, &kernel, ranges.len(), &mut s.l2))
-            }) {
-                Ok(r) => report = r,
-                Err(CuartError::RetriesExhausted { .. }) => {
-                    self.degrade(ranges.len() as u64);
-                    fallback_keys = ranges.len() as u64;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.note_cpu_fallback(fallback_keys);
-        let mut rows_total = 0u64;
+                s.launcher
+                    .launch(&s.dev, &mut s.mem, &kernel, ranges.len(), &mut s.l2)
+            },
+        )?;
+        let device_ops = if launched.is_some() { ranges.len() } else { 0 };
+        let report = launched.map(|(_, report)| report).unwrap_or_default();
+        let mut rows_total = 0usize;
         let out: Vec<Vec<(Vec<u8>, u64)>> = ranges
             .iter()
             .map(|(lo, hi)| {
                 let rows = self.range_rows(lo, hi);
-                rows_total += rows.len() as u64;
+                rows_total += rows.len();
                 rows
             })
             .collect();
         if let Some(t) = &self.telemetry {
-            t.incr(names::RANGE_BATCHES, 1);
-            t.incr(names::RANGE_KEYS, ranges.len() as u64);
-            t.incr(names::RANGE_ROWS, rows_total);
-            t.observe(names::RANGE_KERNEL_NS, report.time_ns as u64);
-            report.record_into(t);
-            let mut e = report.to_event(BatchKind::Range, ranges.len() as u64);
-            e.host_spills = fallback_keys;
-            t.record(e);
-            if self.record_spans && fallback_keys == 0 && report.time_ns > 0.0 {
-                let up =
-                    cuart_gpu_sim::pcie::upload(&self.dev.pcie, ranges.len(), RANGE_RECORD_BYTES);
-                let down =
-                    cuart_gpu_sim::pcie::download(&self.dev.pcie, ranges.len(), RANGE_RESULT_BYTES);
-                let root = SpanNode::node(
-                    names::spans::BATCH_RANGE,
-                    vec![
-                        SpanNode::leaf(names::spans::H2D, up.time_ns as u64)
-                            .with_attr("bytes", up.bytes),
-                        report.to_span(),
-                        SpanNode::leaf(names::spans::D2H, down.time_ns as u64)
-                            .with_attr("bytes", down.bytes),
-                    ],
-                )
-                .with_attr("ranges", ranges.len())
-                .with_attr("rows", rows_total);
-                t.record_span_tree(&root);
-            }
+            t.incr(names::RANGE_ROWS, rows_total as u64);
         }
+        let on_cpu = (ranges.len() - device_ops) as u64;
+        self.record_batch(&RANGE_NAMES, &report, ranges.len(), on_cpu, None);
+        self.record_batch_span(
+            RANGE_NAMES.span,
+            &report,
+            device_ops,
+            (RANGE_RECORD_BYTES, RANGE_RESULT_BYTES),
+            [("ranges", ranges.len()), ("rows", rows_total)],
+        );
         Ok((out, report))
     }
 
-    /// Batch update/delete through the two-stage kernel. `DELETE` as the
-    /// value deletes the key. Returns per-op statuses (see
-    /// [`status`](crate::update::status)) and the kernel report (which
-    /// includes the hash-table clear cost).
-    ///
-    /// A device leg that exhausts its retries degrades to the CPU engine
-    /// rather than failing the batch; hash-table starvation with a
-    /// degenerate (zero-capacity) table surfaces as
-    /// [`CuartError::HashTableFull`].
-    pub fn update_batch(
-        &mut self,
-        ops: &[(Vec<u8>, u64)],
-    ) -> Result<(Vec<u64>, KernelReport), CuartError> {
-        self.try_recover();
-        let stride_max = KeyBatchLayout {
-            stride: self.index.device_key_stride(),
-        }
-        .max_key_len();
-        let free_before = if self.telemetry.is_some() {
-            self.free_total()
-        } else {
-            0
-        };
-        let mut statuses = vec![status::MISS; ops.len()];
-        let mut device_idx = Vec::with_capacity(ops.len());
-        for (i, (k, v)) in ops.iter().enumerate() {
-            if self.index.is_host_routed(k) || k.is_empty() {
-                statuses[i] = self.host_update(k, *v);
-            } else if k.len() > stride_max {
-                // Unpackable at the device stride — no stored key can match,
-                // so the op is a MISS here; the overflow merge below applies
-                // it if the key is parked host-side.
-            } else if self.journal_routed(k) {
-                statuses[i] = self.degraded_update(k, *v);
-            } else {
-                device_idx.push(i);
-            }
-        }
-        let mut report = KernelReport::default();
-        let mut fallback_keys = 0u64;
-        if !device_idx.is_empty() {
-            let launched = if self.degraded {
-                None
-            } else {
-                match self.run_with_retry(|s| {
-                    s.fault_check(FaultSite::Transfer)?;
-                    let st = s.stage_ops(ops, &device_idx)?;
-                    s.fault_check(FaultSite::Kernel)?;
-                    Ok(s.launch_update(&st, device_idx.len()))
-                }) {
-                    Ok(r) => Some(r),
-                    Err(CuartError::RetriesExhausted { .. }) => {
-                        self.degrade(ops.len() as u64);
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            match launched {
-                Some(r) => {
-                    report = r;
-                    let results_buf = self.staged_results()?;
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        statuses[i] = self.mem.read_u64(results_buf, j * 8);
-                    }
-                    self.rerun_exhausted(
-                        &mut statuses,
-                        &device_idx,
-                        ops,
-                        &mut report,
-                        status::EXHAUSTED,
-                        Self::launch_update,
-                    )?;
-                    self.journal_device_mutations(&statuses, &device_idx, ops, false);
-                }
-                None => {
-                    for &i in &device_idx {
-                        statuses[i] = self.degraded_update(&ops[i].0, ops[i].1);
-                    }
-                    fallback_keys = device_idx.len() as u64;
-                }
-            }
-        }
-        self.note_cpu_fallback(fallback_keys);
-        // Device misses may target keys parked in the overflow table.
-        if !self.overflow.is_empty() {
-            for (i, (k, v)) in ops.iter().enumerate() {
-                if statuses[i] == status::MISS && self.overflow.contains_key(k) {
-                    if *v == DELETE {
-                        self.overflow.remove(k);
-                    } else {
-                        self.overflow.insert(k.clone(), *v);
-                    }
-                    statuses[i] = status::APPLIED;
-                }
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            let refills = self.free_total().saturating_sub(free_before);
-            t.incr(names::UPDATE_BATCHES, 1);
-            t.incr(names::UPDATE_KEYS, ops.len() as u64);
-            t.incr(names::CLAIM_CONFLICTS, report.atomic_conflicts);
-            t.incr(names::FREELIST_REFILLS, refills);
-            t.observe(names::UPDATE_KERNEL_NS, report.time_ns as u64);
-            report.record_into(t);
-            let mut e = report.to_event(BatchKind::Update, ops.len() as u64);
-            e.claim_conflicts = report.atomic_conflicts;
-            e.freelist_refills = refills;
-            t.record(e);
-            self.record_batch_span(
-                t,
-                names::spans::BATCH_UPDATE,
-                &report,
-                device_idx.len(),
-                ops.len(),
-            );
-        }
-        Ok((statuses, report))
-    }
-
-    /// Re-run ops starved out of the claim hash table against the table
-    /// the previous launch swept clean, for the update engine and the insert engine alike
-    /// (`exhausted` is the engine's status code, `launch` its kernel). The
-    /// stage-1 linear probe covers every slot, so `EXHAUSTED` for a
-    /// location means that location is nowhere in the table — exhaustion
-    /// is all-or-nothing per location and a sub-batch re-run (original
-    /// relative order) preserves max-tid-wins semantics. Each round
-    /// resolves at least one location, so the loop terminates; a
-    /// no-progress round means the table cannot hold a single entry.
-    /// Re-runs ride the already-fault-validated launch and are not
-    /// re-checked.
-    fn rerun_exhausted(
-        &mut self,
-        statuses: &mut [u64],
-        device_idx: &[usize],
-        ops: &[(Vec<u8>, u64)],
-        report: &mut KernelReport,
-        exhausted: u64,
-        launch: fn(&mut Self, &Staging, usize) -> KernelReport,
-    ) -> Result<(), CuartError> {
-        loop {
-            let pending: Vec<usize> = device_idx
-                .iter()
-                .copied()
-                .filter(|&i| statuses[i] == exhausted)
-                .collect();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let st = self.stage_ops(ops, &pending)?;
-            let sub = launch(self, &st, pending.len());
-            let mut progressed = false;
-            for (m, &i) in pending.iter().enumerate() {
-                statuses[i] = self.mem.read_u64(st.results, m * 8);
-                progressed |= statuses[i] != exhausted;
-            }
-            report.accumulate(&sub);
-            if !progressed {
-                return Err(CuartError::HashTableFull {
-                    table_slots: self.table_slots,
-                });
-            }
-        }
-    }
-
-    /// Shadow device-leg mutations in the journal so a recovery
-    /// re-upload (which restores the pristine build image) loses
-    /// nothing. Only the max-tid winner of each key carries an applied
-    /// status. Runs before the overflow merge so overflow-applied ops
-    /// never enter the journal.
-    fn journal_device_mutations(
-        &mut self,
-        statuses: &[u64],
-        device_idx: &[usize],
-        ops: &[(Vec<u8>, u64)],
-        insert: bool,
-    ) {
-        if self.injector.is_none() && !self.journal_authoritative && !self.journal_shadowing {
-            return;
-        }
-        for &i in device_idx {
-            let applied = if insert {
-                statuses[i] == insert_status::UPDATED || statuses[i] == insert_status::INSERTED
-            } else {
-                statuses[i] == status::APPLIED
-            };
-            if applied {
-                let (key, v) = &ops[i];
-                let entry = if !insert && *v == DELETE {
-                    None
-                } else {
-                    Some(*v)
-                };
-                self.journal.insert(key.clone(), entry);
-            }
-        }
-    }
-
-    /// Batch **insert** through the device-side insert engine (the §5.1
-    /// future-work extension). Existing keys are updated (thread-id
-    /// priority, like [`update_batch`](Self::update_batch)); new keys are
-    /// attached on the device where a single-CAS attach point exists, and
-    /// spill to the session's host overflow table otherwise. Returns one
-    /// [`insert_status`](crate::insert::insert_status) per op.
-    ///
-    /// A device leg that exhausts its retries degrades to the CPU engine
-    /// rather than failing the batch.
-    pub fn insert_batch(
-        &mut self,
-        ops: &[(Vec<u8>, u64)],
-    ) -> Result<(Vec<u64>, KernelReport), CuartError> {
-        self.try_recover();
-        let stride_max = KeyBatchLayout {
-            stride: self.index.device_key_stride(),
-        }
-        .max_key_len();
-        let free_before = if self.telemetry.is_some() {
-            self.free_total()
-        } else {
-            0
-        };
-        let mut statuses = vec![insert_status::REJECTED; ops.len()];
-        let mut device_idx = Vec::with_capacity(ops.len());
-        for (i, (k, v)) in ops.iter().enumerate() {
-            if k.is_empty() {
-                continue; // REJECTED
-            }
-            if self.index.is_host_routed(k) {
-                statuses[i] = self.host_insert(k, *v);
-            } else if k.len() > stride_max {
-                // Unpackable at the device stride: no structural attach
-                // point can exist for it, so it spills to the host overflow
-                // table like any other structurally impossible insert.
-                self.overflow.insert(k.clone(), *v);
-                statuses[i] = insert_status::SPILLED;
-            } else if let Some(slot) = self.overflow.get_mut(k) {
-                *slot = *v;
-                statuses[i] = insert_status::UPDATED;
-            } else if self.journal_routed(k) {
-                statuses[i] = self.degraded_insert(k, *v);
-            } else {
-                device_idx.push(i);
-            }
-        }
-        let mut report = KernelReport::default();
-        let mut fallback_keys = 0u64;
-        if !device_idx.is_empty() {
-            let launched = if self.degraded {
-                None
-            } else {
-                match self.run_with_retry(|s| {
-                    s.fault_check(FaultSite::Transfer)?;
-                    let st = s.stage_ops(ops, &device_idx)?;
-                    s.fault_check(FaultSite::Kernel)?;
-                    Ok(s.launch_insert(&st, device_idx.len()))
-                }) {
-                    Ok(r) => Some(r),
-                    Err(CuartError::RetriesExhausted { .. }) => {
-                        self.degrade(ops.len() as u64);
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            match launched {
-                Some(r) => {
-                    report = r;
-                    let results_buf = self.staged_results()?;
-                    for (j, &i) in device_idx.iter().enumerate() {
-                        statuses[i] = self.mem.read_u64(results_buf, j * 8);
-                    }
-                    self.rerun_exhausted(
-                        &mut statuses,
-                        &device_idx,
-                        ops,
-                        &mut report,
-                        insert_status::EXHAUSTED,
-                        Self::launch_insert,
-                    )?;
-                    self.journal_device_mutations(&statuses, &device_idx, ops, true);
-                    for &i in &device_idx {
-                        if statuses[i] == insert_status::SPILLED {
-                            // Parked host-side; later spills of the same key
-                            // win naturally (ops are visited in tid order).
-                            self.overflow.insert(ops[i].0.clone(), ops[i].1);
-                        }
-                    }
-                }
-                None => {
-                    for &i in &device_idx {
-                        statuses[i] = self.degraded_insert(&ops[i].0, ops[i].1);
-                    }
-                    fallback_keys = device_idx.len() as u64;
-                }
-            }
-        }
-        self.note_cpu_fallback(fallback_keys);
-        if let Some(t) = &self.telemetry {
-            let spills = statuses
-                .iter()
-                .filter(|&&s| s == insert_status::SPILLED)
-                .count() as u64;
-            // Inserts consume free slots; deletes folded into the batch can
-            // also push some back. Report net growth as refills.
-            let refills = self.free_total().saturating_sub(free_before);
-            t.incr(names::INSERT_BATCHES, 1);
-            t.incr(names::INSERT_KEYS, ops.len() as u64);
-            t.incr(names::INSERT_HOST_SPILLS, spills);
-            t.incr(names::CLAIM_CONFLICTS, report.atomic_conflicts);
-            t.incr(names::FREELIST_REFILLS, refills);
-            t.observe(names::INSERT_KERNEL_NS, report.time_ns as u64);
-            report.record_into(t);
-            let mut e = report.to_event(BatchKind::Insert, ops.len() as u64);
-            e.host_spills = spills;
-            e.claim_conflicts = report.atomic_conflicts;
-            e.freelist_refills = refills;
-            t.record(e);
-            self.record_batch_span(
-                t,
-                names::spans::BATCH_INSERT,
-                &report,
-                device_idx.len(),
-                ops.len(),
-            );
-        }
-        Ok((statuses, report))
-    }
-
-    fn host_insert(&mut self, key: &[u8], value: u64) -> u64 {
-        // Long keys only route here under CpuRoute, where host_leaves has
-        // no device links referencing it — sorted insertion is safe.
-        let table = if key.len() > MAX_DEVICE_KEY {
-            &mut self.host_leaves
-        } else {
-            &mut self.short_keys
-        };
-        match table.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                table[i].1 = value;
-                insert_status::UPDATED
-            }
-            Err(i) => {
-                table.insert(i, (key.to_vec(), value));
-                insert_status::INSERTED
-            }
-        }
+    /// The claim table and the device memory it lives in, for the
+    /// [`claim`](crate::claim) tests that check it between launches.
+    #[cfg(test)]
+    pub(crate) fn claim_table(&mut self) -> (ClaimTable, &mut DeviceMemory) {
+        (self.claims, &mut self.mem)
     }
 
     /// Number of keys parked in the host overflow table.
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
-    }
-
-    fn host_update(&mut self, key: &[u8], value: u64) -> u64 {
-        let table = if key.len() > MAX_DEVICE_KEY {
-            &mut self.host_leaves
-        } else {
-            &mut self.short_keys
-        };
-        match table.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                if value == DELETE {
-                    table.remove(i);
-                } else {
-                    table[i].1 = value;
-                }
-                status::APPLIED
-            }
-            Err(_) => status::MISS,
-        }
     }
 
     /// Number of freed slots currently on the free list of a leaf class.
@@ -1662,15 +1592,6 @@ impl<'a> CuartSession<'a> {
     /// The telemetry registry this session records into, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// The freed leaf indices of a class (for tests and future inserts).
-    pub fn free_entries(&self, ty: LinkType) -> Vec<u64> {
-        let Ok(fl) = self.free_lists.of(ty) else {
-            return Vec::new();
-        };
-        let n = self.free_count(ty) as usize;
-        (0..n).map(|i| self.mem.read_u64(fl, 8 + i * 8)).collect()
     }
 }
 
@@ -1793,99 +1714,5 @@ mod tests {
         assert_eq!(results[0], NOT_FOUND);
         let (st, _) = session.update_batch(&[(b"anything".to_vec(), 5)]).unwrap();
         assert_eq!(st[0], status::MISS);
-    }
-
-    /// What the sweep replaced: zero both halves of the table wholesale.
-    fn dense_clear(session: &mut CuartSession<'_>) {
-        let bytes = session.table_slots * 8;
-        session.mem.bytes_mut(session.hash_keys, 0, bytes).fill(0);
-        session.mem.bytes_mut(session.hash_vals, 0, bytes).fill(0);
-    }
-
-    #[test]
-    fn sweep_clears_a_probe_chain_that_wraps_past_the_last_slot() {
-        const SLOTS: usize = 8;
-        let idx = index(64, &CuartConfig::for_tests());
-        let dev = cuart_gpu_sim::devices::a100();
-        let mut session = idx.device_session_with_table(&dev, SLOTS);
-        // A single-op launch leaves the op's claimed location in the
-        // staging scratch: collect the keys whose home is the last slot.
-        let mut last_slot_keys = Vec::new();
-        for i in 0..64u64 {
-            let key = (i * 2).to_be_bytes().to_vec();
-            session.update_batch(&[(key.clone(), i)]).unwrap();
-            let loc = session
-                .mem
-                .read_u64(session.staging.unwrap().scratch_loc, 0);
-            if crate::update::hash_of(loc, SLOTS) == SLOTS - 1 {
-                last_slot_keys.push(key);
-            }
-        }
-        assert!(
-            last_slot_keys.len() >= 3,
-            "64 keys over 8 home slots must put three on the last one"
-        );
-        // Three distinct locations homed on slot 7 claim slots 7, 0 and 1.
-        let ops: Vec<(Vec<u8>, u64)> = last_slot_keys
-            .iter()
-            .take(3)
-            .map(|k| (k.clone(), 99))
-            .collect();
-        let (statuses, _) = session.update_batch(&ops).unwrap();
-        assert_eq!(statuses, vec![status::APPLIED; 3]);
-        assert!(session.claim_table_is_zero());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
-
-        /// Random update and insert batches — in-batch duplicates, deletes,
-        /// misses, and tables small enough to force `EXHAUSTED` re-runs and
-        /// wrapped probe chains — leave both table halves all-zero after
-        /// every launch, and give the statuses and `KernelReport`s of a twin
-        /// session whose table is densely cleared before every batch.
-        #[test]
-        fn sparse_sweep_matches_the_dense_clear(
-            slots in 8usize..=64,
-            batches in proptest::collection::vec(
-                (
-                    proptest::prelude::any::<bool>(),
-                    proptest::collection::vec(
-                        (0u8..96, proptest::option::of(1u64..1_000)),
-                        1..48,
-                    ),
-                ),
-                1..8,
-            ),
-        ) {
-            let idx = index(64, &CuartConfig::for_tests());
-            let dev = cuart_gpu_sim::devices::a100();
-            let mut sparse = idx.device_session_with_table(&dev, slots);
-            let mut dense = idx.device_session_with_table(&dev, slots);
-            for (is_insert, spec) in &batches {
-                // Key ids 0..64 are stored, 64..96 are absent (update
-                // misses / fresh inserts); `None` deletes.
-                let ops: Vec<(Vec<u8>, u64)> = spec
-                    .iter()
-                    .map(|&(kid, v)| {
-                        let key = if kid < 64 {
-                            (u64::from(kid) * 2).to_be_bytes().to_vec()
-                        } else {
-                            (0xF000_0000_0000_0000u64 | u64::from(kid)).to_be_bytes().to_vec()
-                        };
-                        (key, v.unwrap_or(if *is_insert { 7 } else { DELETE }))
-                    })
-                    .collect();
-                dense_clear(&mut dense);
-                let (got, want) = if *is_insert {
-                    (sparse.insert_batch(&ops).unwrap(), dense.insert_batch(&ops).unwrap())
-                } else {
-                    (sparse.update_batch(&ops).unwrap(), dense.update_batch(&ops).unwrap())
-                };
-                proptest::prop_assert!(sparse.claim_table_is_zero());
-                proptest::prop_assert_eq!(&got.0, &want.0);
-                proptest::prop_assert_eq!(format!("{:?}", got.1), format!("{:?}", want.1));
-            }
-        }
     }
 }

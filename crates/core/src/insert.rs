@@ -28,11 +28,12 @@
 //! target slot in the atomic hash table; after the grid-wide sync, stage 2
 //! lets only the winning thread allocate and publish.
 
+use crate::claim::{ClaimTable, Staging};
 use crate::kernels::{device_traverse, slot_ref, Attach, DevHit, DeviceTree};
 use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride, EMPTY48};
 use crate::link::{LinkType, NodeLink};
-use crate::update::{hash_of, FreeLists};
-use cuart_gpu_sim::batch::{record_key, KeyBatchLayout};
+use crate::update::FreeLists;
+use cuart_gpu_sim::batch::record_key;
 use cuart_gpu_sim::{BufferId, DeviceBytes, PhasedKernel, ThreadCtx};
 
 /// Per-operation status written to the results buffer.
@@ -84,28 +85,15 @@ impl ArenaTails {
 pub struct CuartInsertKernel {
     /// Device tree handles.
     pub tree: DeviceTree,
-    /// Packed keys to insert.
-    pub queries: BufferId,
-    /// Query record layout.
-    pub layout: KeyBatchLayout,
-    /// One u64 value per op.
-    pub values: BufferId,
-    /// One status per op (see [`insert_status`]).
-    pub results: BufferId,
+    /// The staged batch: keys, one value per op, one status per op (see
+    /// [`insert_status`]), and the stage-1 scratch — primary target ref
+    /// (`loc`: value slot / attach slot / index ref), secondary (`parent`:
+    /// N48 node base) and classification code (`aux`) per thread.
+    pub staging: Staging,
     /// Number of ops.
     pub count: usize,
-    /// Claim hash table (keys), zeroed before the batch.
-    pub hash_keys: BufferId,
-    /// Claim hash table (max thread id + 1).
-    pub hash_vals: BufferId,
-    /// Hash-table capacity.
-    pub table_slots: usize,
-    /// Scratch: primary target ref (value slot / attach slot / index ref).
-    pub scratch_loc: BufferId,
-    /// Scratch: secondary (N48 node base).
-    pub scratch_parent: BufferId,
-    /// Scratch: classification code.
-    pub scratch_class: BufferId,
+    /// Claim table, all-zero at launch.
+    pub claims: ClaimTable,
     /// Leaf free lists (deleted slots reused first).
     pub free_lists: FreeLists,
     /// Leaf arena bump tails.
@@ -132,8 +120,12 @@ impl PhasedKernel for CuartInsertKernel {
 impl CuartInsertKernel {
     /// Thread `tid`'s packed query record; [`record_key`] slices the key.
     fn read_query(&self, tid: usize, ctx: &mut ThreadCtx<'_>) -> DeviceBytes {
-        let rec_off = self.layout.offset(tid);
-        ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes())
+        let rec_off = self.staging.layout.offset(tid);
+        ctx.read_bytes(
+            self.staging.queries,
+            rec_off,
+            self.staging.layout.record_bytes(),
+        )
     }
 
     /// Stage 1: classify against the pre-batch tree and claim the target.
@@ -151,49 +143,30 @@ impl CuartInsertKernel {
             },
             DevHit::Host(_) => (class::SPILL, 0, 0),
         };
-        ctx.write_u64(self.scratch_class, tid * 8, cls);
-        ctx.write_u64(self.scratch_loc, tid * 8, primary);
-        ctx.write_u64(self.scratch_parent, tid * 8, secondary);
-        if cls == class::SPILL {
-            return;
-        }
+        ctx.write_u64(self.staging.aux, tid * 8, cls);
+        ctx.write_u64(self.staging.loc, tid * 8, primary);
+        ctx.write_u64(self.staging.parent, tid * 8, secondary);
         // Claim the target (value slot or attach point) with max-tid wins.
-        let mut h = hash_of(primary, self.table_slots);
-        for _ in 0..self.table_slots {
-            let prev = ctx.atomic_cas_u64(self.hash_keys, h * 8, 0, primary);
-            if prev == 0 || prev == primary {
-                ctx.atomic_max_u64(self.hash_vals, h * 8, (tid + 1) as u64);
-                return;
-            }
-            h = (h + 1) % self.table_slots;
+        if cls != class::SPILL && !self.claims.claim(ctx, primary, tid) {
+            // Claim impossible: mark exhausted (no device write happened) so
+            // the session re-runs this op after the table is cleared.
+            ctx.write_u64(self.staging.aux, tid * 8, class::EXHAUSTED);
         }
-        // Claim impossible: mark exhausted (no device write happened) so
-        // the session re-runs this op after the table is cleared.
-        ctx.write_u64(self.scratch_class, tid * 8, class::EXHAUSTED);
     }
 
     /// Stage 2: the winning claimant allocates and publishes.
     fn stage2(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
-        let cls = ctx.read_u64(self.scratch_class, tid * 8);
+        let cls = ctx.read_u64(self.staging.aux, tid * 8);
         if cls == class::SPILL {
-            ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::SPILLED);
             return;
         }
         if cls == class::EXHAUSTED {
-            ctx.write_u64(self.results, tid * 8, insert_status::EXHAUSTED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::EXHAUSTED);
             return;
         }
-        let primary = ctx.read_u64(self.scratch_loc, tid * 8);
-        // Winner check.
-        let mut h = hash_of(primary, self.table_slots);
-        let winner = loop {
-            let k = ctx.read_u64(self.hash_keys, h * 8);
-            if k == primary {
-                break ctx.read_u64(self.hash_vals, h * 8);
-            }
-            debug_assert_ne!(k, 0, "claim vanished from hash table");
-            h = (h + 1) % self.table_slots;
-        };
+        let primary = ctx.read_u64(self.staging.loc, tid * 8);
+        let winner = self.claims.winner(ctx, primary);
         if winner != (tid + 1) as u64 {
             // For updates, a shared value slot means the same key: a
             // higher-priority duplicate wins. For attaches, a shared slot
@@ -211,26 +184,26 @@ impl CuartInsertKernel {
                     insert_status::SPILLED
                 }
             };
-            ctx.write_u64(self.results, tid * 8, verdict);
+            ctx.write_u64(self.staging.results, tid * 8, verdict);
             return;
         }
-        let value = ctx.read_u64(self.values, tid * 8);
+        let value = ctx.read_u64(self.staging.values, tid * 8);
         if cls == class::UPDATE {
             let (tag, off) = slot_ref::decode(primary);
             ctx.write_u64(slot_ref::buffer(&self.tree, tag), off, value);
-            ctx.write_u64(self.results, tid * 8, insert_status::UPDATED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::UPDATED);
             return;
         }
         // Attach a brand-new leaf.
         let query = self.read_query(tid, ctx);
         let key = record_key(&query);
         let Some(leaf_ty) = layout::leaf_class_for(key.len()) else {
-            ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::SPILLED);
             return;
         };
         let Some(slot_idx) = self.alloc_leaf(leaf_ty, ctx) else {
             // Arena exhausted: the host must grow the buffers.
-            ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::SPILLED);
             return;
         };
         // Write the leaf record before publishing any link to it.
@@ -252,13 +225,13 @@ impl CuartInsertKernel {
                 ctx.atomic_cas_u64(buf, off, 0, link.0) == 0
             }
             class::ATTACH_N48 => {
-                let node_base = ctx.read_u64(self.scratch_parent, tid * 8) as usize;
+                let node_base = ctx.read_u64(self.staging.parent, tid * 8) as usize;
                 self.attach_n48(primary, node_base, ctx, link)
             }
             _ => unreachable!("unknown class {cls}"), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
         };
         if published {
-            ctx.write_u64(self.results, tid * 8, insert_status::INSERTED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::INSERTED);
         } else {
             // Lost a publish race (possible when an update/delete batch ran
             // concurrently in a richer system): clear the unpublished
@@ -270,7 +243,7 @@ impl CuartInsertKernel {
                 &ZERO_RECORD[..stride(leaf_ty)],
             );
             self.free_leaf(leaf_ty, slot_idx, ctx);
-            ctx.write_u64(self.results, tid * 8, insert_status::SPILLED);
+            ctx.write_u64(self.staging.results, tid * 8, insert_status::SPILLED);
         }
     }
 

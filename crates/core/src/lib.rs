@@ -62,6 +62,7 @@
 
 pub mod api;
 pub mod buffers;
+pub mod claim;
 pub mod cpu;
 pub mod error;
 pub mod insert;
@@ -74,7 +75,7 @@ pub mod range;
 pub mod shard;
 pub mod update;
 
-pub use api::{CuartIndex, CuartSession, FaultStats};
+pub use api::{CuartIndex, CuartSession, FaultStats, Mode};
 pub use buffers::{CuartBuffers, CuartConfig, LongKeyPolicy};
 pub use error::{CuartError, RetryPolicy};
 pub use kernels::DeviceTree;

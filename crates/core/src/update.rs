@@ -20,23 +20,19 @@
 //! is deliberately **not** collapsed — that is what makes device-side
 //! deletion fast.
 //!
-//! The hash-table size is a parameter: §4.5 shows throughput dropping once
-//! batches are large enough to fill the 1 Mi-slot table (Figure 15); the
-//! `figures` harness reproduces that droop with this engine.
+//! The claim table both stages go through is [`ClaimTable`], shared with
+//! the insert engine and the session's post-launch sweep.
 
+use crate::claim::{ClaimTable, Staging};
 use crate::error::CuartError;
 use crate::kernels::{device_traverse, slot_ref, DevHit, DeviceTree};
 use crate::layout::{leaf::ZERO_RECORD, stride};
 use crate::link::LinkType;
-use cuart_gpu_sim::batch::{record_key, KeyBatchLayout};
-use cuart_gpu_sim::{BufferId, DeviceConfig, PhasedKernel, ThreadCtx};
+use cuart_gpu_sim::batch::record_key;
+use cuart_gpu_sim::{BufferId, PhasedKernel, ThreadCtx};
 
 /// Sentinel value meaning "delete this key" (the nil pointer of §3.4).
 pub const DELETE: u64 = u64::MAX;
-
-/// Default hash-table capacity used in the paper's evaluation (§4.5:
-/// "we used a hash table size of 1Mi entries").
-pub const DEFAULT_TABLE_SLOTS: usize = 1 << 20;
 
 /// Per-operation status written to the results buffer.
 pub mod status {
@@ -92,37 +88,17 @@ impl FreeLists {
 pub struct CuartUpdateKernel {
     /// Device tree handles.
     pub tree: DeviceTree,
-    /// Packed update keys.
-    pub queries: BufferId,
-    /// Query record layout.
-    pub layout: KeyBatchLayout,
-    /// One u64 new value per operation ([`DELETE`] = delete).
-    pub values: BufferId,
-    /// One u64 status per operation (see [`status`]).
-    pub results: BufferId,
+    /// The staged batch: keys, one new value per op ([`DELETE`] = delete),
+    /// one status per op (see [`status`]), and the stage-1 scratch —
+    /// resolved value-slot location (`loc`), parent link slot (`parent`)
+    /// and leaf link (`aux`) per thread.
+    pub staging: Staging,
     /// Number of operations.
     pub count: usize,
-    /// Hash-table key slots (`table_slots` × u64), zero-initialised.
-    pub hash_keys: BufferId,
-    /// Hash-table winner slots (`table_slots` × u64, holding thread id + 1).
-    pub hash_vals: BufferId,
-    /// Number of hash-table slots.
-    pub table_slots: usize,
-    /// Stage-1 scratch: resolved value-slot location per thread.
-    pub scratch_loc: BufferId,
-    /// Stage-1 scratch: parent link slot per thread.
-    pub scratch_parent: BufferId,
-    /// Stage-1 scratch: leaf link per thread.
-    pub scratch_leaf: BufferId,
+    /// Claim table, all-zero at launch.
+    pub claims: ClaimTable,
     /// Free lists for deleted leaves.
     pub free_lists: FreeLists,
-}
-
-/// Home slot of a claim in the linear-probing table. Shared by the update
-/// kernel, the insert kernel and the session's post-launch sweep, which
-/// must all agree on where a location's probe chain starts.
-pub(crate) fn hash_of(location: u64, slots: usize) -> usize {
-    (location.wrapping_mul(0x9E3779B97F4A7C15) >> 16) as usize % slots
 }
 
 impl PhasedKernel for CuartUpdateKernel {
@@ -145,8 +121,12 @@ impl PhasedKernel for CuartUpdateKernel {
 impl CuartUpdateKernel {
     /// Stage 1: resolve the leaf location and publish the claim.
     fn stage1(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
-        let rec_off = self.layout.offset(tid);
-        let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
+        let rec_off = self.staging.layout.offset(tid);
+        let rec = ctx.read_bytes(
+            self.staging.queries,
+            rec_off,
+            self.staging.layout.record_bytes(),
+        );
 
         let (location, parent, leaf_link) = match device_traverse(&self.tree, record_key(&rec), ctx)
         {
@@ -160,55 +140,33 @@ impl CuartUpdateKernel {
             // miss here (the host pipeline routes such ops to the CPU).
             DevHit::Miss { .. } | DevHit::Host(_) => (0, 0, 0),
         };
-        ctx.write_u64(self.scratch_loc, tid * 8, location);
-        ctx.write_u64(self.scratch_parent, tid * 8, parent);
-        ctx.write_u64(self.scratch_leaf, tid * 8, leaf_link);
-        if location == 0 {
-            return;
+        ctx.write_u64(self.staging.loc, tid * 8, location);
+        ctx.write_u64(self.staging.parent, tid * 8, parent);
+        ctx.write_u64(self.staging.aux, tid * 8, leaf_link);
+        if location != 0 && !self.claims.claim(ctx, location, tid) {
+            // Every slot holds a different location: this op cannot claim.
+            // Mark it exhausted — no device write happened for it, so the
+            // session can safely re-run it in a smaller sub-batch.
+            ctx.write_u64(self.staging.loc, tid * 8, LOC_EXHAUSTED);
         }
-        // Linear-probing insert: claim a slot for `location`, then raise
-        // the winning thread index (stored as tid + 1 so 0 = empty).
-        let mut h = hash_of(location, self.table_slots);
-        for _probe in 0..self.table_slots {
-            let prev = ctx.atomic_cas_u64(self.hash_keys, h * 8, 0, location);
-            if prev == 0 || prev == location {
-                ctx.atomic_max_u64(self.hash_vals, h * 8, (tid + 1) as u64);
-                return;
-            }
-            h = (h + 1) % self.table_slots;
-        }
-        // Every slot holds a different location: this op cannot claim.
-        // Mark it exhausted — no device write happened for it, so the
-        // session can safely re-run it in a smaller sub-batch.
-        ctx.write_u64(self.scratch_loc, tid * 8, LOC_EXHAUSTED);
     }
 
     /// Stage 2: the winning thread applies the write (or delete).
     fn stage2(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
-        let location = ctx.read_u64(self.scratch_loc, tid * 8);
+        let location = ctx.read_u64(self.staging.loc, tid * 8);
         if location == 0 {
-            ctx.write_u64(self.results, tid * 8, status::MISS);
+            ctx.write_u64(self.staging.results, tid * 8, status::MISS);
             return;
         }
         if location == LOC_EXHAUSTED {
-            ctx.write_u64(self.results, tid * 8, status::EXHAUSTED);
+            ctx.write_u64(self.staging.results, tid * 8, status::EXHAUSTED);
             return;
         }
-        // Probe to our location's slot and read the winner.
-        let mut h = hash_of(location, self.table_slots);
-        let winner = loop {
-            let k = ctx.read_u64(self.hash_keys, h * 8);
-            if k == location {
-                break ctx.read_u64(self.hash_vals, h * 8);
-            }
-            debug_assert_ne!(k, 0, "location vanished from hash table");
-            h = (h + 1) % self.table_slots;
-        };
-        if winner != (tid + 1) as u64 {
-            ctx.write_u64(self.results, tid * 8, status::SUPERSEDED);
+        if self.claims.winner(ctx, location) != (tid + 1) as u64 {
+            ctx.write_u64(self.staging.results, tid * 8, status::SUPERSEDED);
             return;
         }
-        let value = ctx.read_u64(self.values, tid * 8);
+        let value = ctx.read_u64(self.staging.values, tid * 8);
         let (tag, value_off) = slot_ref::decode(location);
         let buf = slot_ref::buffer(&self.tree, tag);
         if value == DELETE {
@@ -216,13 +174,13 @@ impl CuartUpdateKernel {
         } else {
             ctx.write_u64(buf, value_off, value);
         }
-        ctx.write_u64(self.results, tid * 8, status::APPLIED);
+        ctx.write_u64(self.staging.results, tid * 8, status::APPLIED);
     }
 
     /// Delete: clear the leaf record, null the parent's link, free the slot.
     fn delete_leaf(&self, tid: usize, _value_off: usize, ctx: &mut ThreadCtx<'_>) {
-        let leaf_link = crate::link::NodeLink(ctx.read_u64(self.scratch_leaf, tid * 8));
-        let parent = ctx.read_u64(self.scratch_parent, tid * 8);
+        let leaf_link = crate::link::NodeLink(ctx.read_u64(self.staging.aux, tid * 8));
+        let parent = ctx.read_u64(self.staging.parent, tid * 8);
         let ty = leaf_link.link_type().expect("leaf link"); // cuart-allow: panic-path link checked leaf-tagged before entering this path
                                                             // Clear the leaf contents (§3.3: "its contents are cleared").
         if ty.is_device_leaf() {
@@ -239,13 +197,6 @@ impl CuartUpdateKernel {
         let (ptag, poff) = slot_ref::decode(parent);
         ctx.write_u64(slot_ref::buffer(&self.tree, ptag), poff, 0);
     }
-}
-
-/// Host-side time to clear the hash table between batches (a device-side
-/// memset running at peak bandwidth).
-pub fn hash_clear_ns(dev: &DeviceConfig, table_slots: usize) -> f64 {
-    let bytes = (table_slots * 16) as f64;
-    bytes / dev.mem.peak_bandwidth_gbps() + 2_000.0
 }
 
 #[cfg(test)]
@@ -367,6 +318,11 @@ mod tests {
     #[test]
     fn hash_clear_cost_scales_with_table() {
         let dev = devices::a100();
-        assert!(hash_clear_ns(&dev, 1 << 20) > hash_clear_ns(&dev, 1 << 10));
+        let mut mem = cuart_gpu_sim::DeviceMemory::new();
+        let (big, small) = (
+            ClaimTable::alloc(&mut mem, 1 << 20),
+            ClaimTable::alloc(&mut mem, 1 << 10),
+        );
+        assert!(big.clear_ns(&dev) > small.clear_ns(&dev));
     }
 }

@@ -185,8 +185,15 @@ pub fn read_results(mem: &DeviceMemory, results: BufferId, queries: usize) -> Ve
 /// `i`. Stability matters for update batches — duplicate keys keep their
 /// submission order, so "last write wins" semantics survive sorting.
 pub fn sort_permutation(keys: &[Vec<u8>]) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..keys.len()).collect();
-    perm.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+    sort_permutation_by_key(keys, |k| k)
+}
+
+/// [`sort_permutation`] over items that carry their key (an update's
+/// `(key, value)` pair sorts by its key), so a batch is sorted where it
+/// lies instead of being split into keys and payload first.
+pub fn sort_permutation_by_key<T>(items: &[T], key: impl Fn(&T) -> &[u8]) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..items.len()).collect();
+    perm.sort_by(|&a, &b| key(&items[a]).cmp(key(&items[b])));
     perm
 }
 

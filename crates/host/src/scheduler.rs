@@ -32,7 +32,7 @@
 //! while work is queued.
 //!
 //! Before dispatch the batch keys are **sorted** (stable, via
-//! [`sort_permutation`]) so that adjacent kernel lanes traverse neighboring
+//! [`sort_permutation_by_key`]) so that adjacent kernel lanes traverse neighboring
 //! tree paths — the coalescing win §3.1 argues for — and the **inverse
 //! permutation** is applied on return so every caller sees results in its
 //! own submission order. Stability preserves last-write-wins semantics for
@@ -47,12 +47,17 @@
 //! # Submit and wait
 //!
 //! [`SchedulerClient::submit`] is the one entry: it admits a [`SchedOp`]
-//! (admission control applies here) and returns a [`Ticket`] without
-//! waiting for the batch; [`Ticket::wait`] yields the [`SchedAnswer`]. The
-//! blocking `lookup` / `update` / `insert` / `range` calls are submit +
-//! wait. A caller that holds several tickets — the sharded router, a
-//! connection's reader thread — has several requests in flight from one
-//! thread.
+//! (admission control applies here) with an optional latency budget and
+//! returns a [`Ticket`] without waiting for the batch; [`Ticket::wait`]
+//! yields the [`SchedAnswer`]. The blocking `lookup` / `update` / `insert`
+//! / `range` calls are submit + wait with no budget. A caller that holds
+//! several tickets — the sharded router, a connection's reader thread —
+//! has several requests in flight from one thread.
+//!
+//! The op travels intact: the queued request holds the [`SchedOp`] it was
+//! submitted with, the executor concatenates a same-kind run by appending
+//! payloads (moves), and the session is handed a borrowed slice of the
+//! payload the batch already owns — one `execute_run` for all four kinds.
 //!
 //! # Overload protection
 //!
@@ -66,8 +71,7 @@
 //!   `BlockWithTimeout` ([`SchedError::AdmissionTimeout`]) or `Reject`
 //!   ([`SchedError::QueueFull`]).
 //! * **Deadline shedding** — every request can carry a latency budget
-//!   (the `budget` of [`SchedulerClient::submit`],
-//!   [`SchedulerClient::lookup_with_deadline`] and friends, or the
+//!   (the `budget` of [`SchedulerClient::submit`], or the
 //!   [`SchedulerConfig::op_deadline`] default). Expired requests are shed
 //!   at coalesce time — before sorting and dispatch — and answered with
 //!   [`SchedError::DeadlineExceeded`], so one slow batch cannot cascade
@@ -89,7 +93,7 @@
 //! `std::thread` for the executor.
 
 use cuart::{CuartError, CuartIndex};
-use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation, take_permuted};
+use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation_by_key, take_permuted};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
@@ -310,15 +314,6 @@ impl From<&CuartError> for SchedError {
     }
 }
 
-/// Operation kind of one queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Lookup,
-    Update,
-    Insert,
-    Range,
-}
-
 /// The rows of one inclusive range query: `(key, value)` pairs sorted by
 /// key.
 pub type RangeRows = Vec<(Vec<u8>, u64)>;
@@ -341,6 +336,60 @@ pub enum SchedOp {
     /// Inverted or empty ranges return empty row lists. Each range counts
     /// as one resident op for admission purposes.
     Range(Vec<(Vec<u8>, Vec<u8>)>),
+}
+
+impl SchedOp {
+    /// Number of ops in the request.
+    fn len(&self) -> usize {
+        match self {
+            SchedOp::Lookup(keys) => keys.len(),
+            SchedOp::Update(ops) | SchedOp::Insert(ops) => ops.len(),
+            SchedOp::Range(ranges) => ranges.len(),
+        }
+    }
+
+    fn same_kind(&self, other: &SchedOp) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
+    /// Move `other`'s ops onto the end of this request. Head runs are
+    /// same-kind by construction; a mismatched payload is dropped.
+    fn append(&mut self, other: SchedOp) {
+        match (self, other) {
+            (SchedOp::Lookup(a), SchedOp::Lookup(mut b)) => a.append(&mut b),
+            (SchedOp::Update(a), SchedOp::Update(mut b))
+            | (SchedOp::Insert(a), SchedOp::Insert(mut b)) => a.append(&mut b),
+            (SchedOp::Range(a), SchedOp::Range(mut b)) => a.append(&mut b),
+            _ => debug_assert!(false, "a run mixes op kinds"),
+        }
+    }
+
+    /// Sorted-batch composition for point ops: put them in key order and
+    /// return the permutation that did it. The sort is stable, so
+    /// duplicate keys keep their submission order and kernel-side "highest
+    /// tid wins" still resolves to the latest submitted op. Ranges are
+    /// never sorted — each request's `[lo, hi]` pairs keep arrival order,
+    /// and rows come back sorted per range by construction.
+    fn sort_by_key(&mut self) -> Option<Vec<usize>> {
+        fn sort<T: Default>(items: &mut Vec<T>, key: impl Fn(&T) -> &[u8]) -> Vec<usize> {
+            let perm = sort_permutation_by_key(items, key);
+            *items = take_permuted(items, &perm);
+            perm
+        }
+        match self {
+            SchedOp::Lookup(keys) => Some(sort(keys, |k| k)),
+            SchedOp::Update(ops) | SchedOp::Insert(ops) => Some(sort(ops, |op| &op.0)),
+            SchedOp::Range(_) => None,
+        }
+    }
+
+    /// The answer to a request with no ops.
+    fn empty_answer(&self) -> SchedAnswer {
+        match self {
+            SchedOp::Range(_) => SchedAnswer::Rows(Vec::new()),
+            _ => SchedAnswer::Values(Vec::new()),
+        }
+    }
 }
 
 /// What a served request comes back with, in the caller's submission
@@ -406,16 +455,10 @@ impl Ticket {
     }
 }
 
-/// One queued submission: a slice of same-kind point ops (or range
-/// queries) from one client call, plus the channel its answer goes back on.
+/// One queued submission: the op of one client call, as submitted, plus
+/// the channel its answer goes back on.
 struct Request {
-    kind: OpKind,
-    /// Point-op keys, or the `lo` bounds of range queries.
-    keys: Vec<Vec<u8>>,
-    /// One `hi` bound per key for ranges; empty for point ops.
-    his: Vec<Vec<u8>>,
-    /// One value per key for updates/inserts; empty otherwise.
-    values: Vec<u64>,
+    op: SchedOp,
     /// Rendezvous with the request's [`Ticket`]: buffer 1, so the
     /// executor's send never blocks, and a dropped sender fails the
     /// ticket's `recv`.
@@ -437,7 +480,7 @@ struct Pending {
 
 impl Pending {
     fn push(&mut self, req: Request) {
-        self.keys = self.keys.saturating_add(req.keys.len());
+        self.keys = self.keys.saturating_add(req.op.len());
         if let Some(d) = req.deadline {
             self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
         }
@@ -534,7 +577,7 @@ impl SubmissionQueue {
 
     /// Admit one request under the cap, or fail per `policy`.
     fn push(&self, req: Request, policy: AdmissionPolicy) -> Result<(), SchedError> {
-        let ops = req.keys.len();
+        let ops = req.op.len();
         if self.cap > 0 && ops > self.cap {
             // Larger than the whole queue: no amount of waiting helps.
             self.note_rejected(ops);
@@ -789,34 +832,13 @@ impl SchedulerClient {
     /// [`SchedulerConfig::op_deadline`]. An empty request is answered
     /// without a trip through the executor.
     pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> Ticket {
-        let (kind, keys, his, values) = match op {
-            SchedOp::Lookup(keys) => (OpKind::Lookup, keys, Vec::new(), Vec::new()),
-            SchedOp::Update(ops) => {
-                let (keys, values) = ops.into_iter().unzip();
-                (OpKind::Update, keys, Vec::new(), values)
-            }
-            SchedOp::Insert(ops) => {
-                let (keys, values) = ops.into_iter().unzip();
-                (OpKind::Insert, keys, Vec::new(), values)
-            }
-            SchedOp::Range(ranges) => {
-                let (los, his) = ranges.into_iter().unzip();
-                (OpKind::Range, los, his, Vec::new())
-            }
-        };
-        if keys.is_empty() {
-            return Ticket::ready(Ok(match kind {
-                OpKind::Range => SchedAnswer::Rows(Vec::new()),
-                _ => SchedAnswer::Values(Vec::new()),
-            }));
+        if op.len() == 0 {
+            return Ticket::ready(Ok(op.empty_answer()));
         }
         let now = Instant::now();
         let (reply, answer) = mpsc::sync_channel(1);
         let req = Request {
-            kind,
-            keys,
-            his,
-            values,
+            op,
             reply,
             enqueued: now,
             deadline: budget.or(self.default_deadline).map(|d| now + d),
@@ -836,19 +858,6 @@ impl SchedulerClient {
             .into_values()
     }
 
-    /// [`lookup`](Self::lookup) with an explicit latency budget: if the
-    /// request is still waiting for coalescing when the budget expires it
-    /// is shed with [`SchedError::DeadlineExceeded`].
-    pub fn lookup_with_deadline(
-        &self,
-        keys: Vec<Vec<u8>>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Lookup(keys), Some(budget))
-            .wait()?
-            .into_values()
-    }
-
     /// Submit one point lookup.
     pub fn lookup_one(&self, key: Vec<u8>) -> Result<u64, SchedError> {
         Ok(self.lookup(vec![key])?[0])
@@ -862,32 +871,10 @@ impl SchedulerClient {
             .into_values()
     }
 
-    /// [`update`](Self::update) with an explicit latency budget.
-    pub fn update_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Update(ops), Some(budget))
-            .wait()?
-            .into_values()
-    }
-
     /// Submit point inserts. Returns one status per op (see
     /// [`insert_status`](cuart::insert::insert_status)).
     pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
         self.submit(SchedOp::Insert(ops), None)
-            .wait()?
-            .into_values()
-    }
-
-    /// [`insert`](Self::insert) with an explicit latency budget.
-    pub fn insert_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Insert(ops), Some(budget))
             .wait()?
             .into_values()
     }
@@ -897,17 +884,6 @@ impl SchedulerClient {
     /// by key (see [`SchedOp::Range`]).
     pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
         self.submit(SchedOp::Range(ranges), None)
-            .wait()?
-            .into_rows()
-    }
-
-    /// [`range`](Self::range) with an explicit latency budget.
-    pub fn range_with_deadline(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Duration,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit(SchedOp::Range(ranges), Some(budget))
             .wait()?
             .into_rows()
     }
@@ -1179,7 +1155,7 @@ impl ExecCtx<'_> {
         let mut earliest: Option<Instant> = None;
         pending.reqs.retain(|req| match req.deadline {
             Some(d) if d <= now => {
-                shed_ops = shed_ops.saturating_add(req.keys.len());
+                shed_ops = shed_ops.saturating_add(req.op.len());
                 shed_requests = shed_requests.saturating_add(1);
                 let _ = req.reply.send(Err(SchedError::DeadlineExceeded));
                 false
@@ -1213,15 +1189,15 @@ impl ExecCtx<'_> {
         let depth = pending.keys as u64;
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
         self.shed_expired(pending, Instant::now());
-        while let Some(front) = pending.reqs.front() {
-            let kind = front.kind;
-            let mut run: Vec<Request> = Vec::new();
-            while pending.reqs.front().is_some_and(|r| r.kind == kind) {
-                if let Some(r) = pending.reqs.pop_front() {
-                    run.push(r);
+        while let Some(first) = pending.reqs.pop_front() {
+            let mut run = vec![first];
+            while let Some(next) = pending.reqs.front() {
+                if !next.op.same_kind(&run[0].op) {
+                    break;
                 }
+                run.extend(pending.reqs.pop_front());
             }
-            self.execute_run(kind, run);
+            self.execute_run(run);
         }
         pending.keys = 0;
         pending.earliest_deadline = None;
@@ -1240,38 +1216,30 @@ impl ExecCtx<'_> {
             .gauge_set(names::SCHED_QUEUE_DEPTH, depth as f64);
     }
 
-    /// Execute one same-kind run as a single (optionally sorted) device
-    /// batch and reply to every request in it.
-    fn execute_run(&mut self, kind: OpKind, mut run: Vec<Request>) {
-        if kind == OpKind::Range {
-            return self.execute_range_run(run);
-        }
+    /// Execute one same-kind run as a single device batch — sorted, for
+    /// point ops, when the config asks for it — and reply to every request
+    /// in it.
+    fn execute_run(&mut self, run: Vec<Request>) {
         // Concatenate the run into one batch, remembering per-request
-        // extents. The run owns its requests, so their keys move.
-        let total: usize = run.iter().map(|r| r.keys.len()).sum();
-        let mut keys: Vec<Vec<u8>> = Vec::with_capacity(total);
-        let mut values: Vec<u64> = Vec::with_capacity(total);
-        let mut extents: Vec<usize> = Vec::with_capacity(run.len());
+        // extents. The run owns its requests, so their payloads move: the
+        // first request's op becomes the batch, the rest are appended.
         let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &mut run {
-            extents.push(r.keys.len());
-            keys.append(&mut r.keys);
-            values.append(&mut r.values);
-        }
-
-        // Sorted-batch composition: stable sort keeps duplicate keys in
-        // submission order, so kernel-side "highest tid wins" still
-        // resolves to the latest submitted op.
-        let perm = if self.cfg.sort_batches && total > 1 {
-            let p = sort_permutation(&keys);
-            keys = take_permuted(&mut keys, &p);
-            if !values.is_empty() {
-                values = take_permuted(&mut values, &p);
+        let mut tickets: Vec<(usize, SyncSender<Outcome>)> = Vec::with_capacity(run.len());
+        let mut batch: Option<SchedOp> = None;
+        for req in run {
+            tickets.push((req.op.len(), req.reply));
+            match &mut batch {
+                Some(batch) => batch.append(req.op),
+                None => batch = Some(req.op),
             }
-            Some(p)
-        } else {
-            None
+        }
+        let Some(mut batch) = batch else {
+            return;
         };
+        let total = batch.len();
+        let perm = (self.cfg.sort_batches && total > 1)
+            .then(|| batch.sort_by_key())
+            .flatten();
 
         let mode = self.breaker_before(total as u64);
         if mode == DispatchMode::Probe {
@@ -1282,20 +1250,16 @@ impl ExecCtx<'_> {
         }
         let injected_before = self.session.fault_stats().injected;
 
-        let outcome = match kind {
-            OpKind::Lookup => self.session.lookup_batch(&keys),
-            OpKind::Update => {
-                let ops: Vec<(Vec<u8>, u64)> = keys.into_iter().zip(values).collect();
-                self.session.update_batch(&ops)
-            }
-            OpKind::Insert => {
-                let ops: Vec<(Vec<u8>, u64)> = keys.into_iter().zip(values).collect();
-                self.session.insert_batch(&ops)
-            }
-            // Dispatched to execute_range_run above; kept panic-free.
-            OpKind::Range => Err(CuartError::Internal {
-                detail: "range run reached the point-op path".into(),
-            }),
+        // The session borrows the payload the batch already owns.
+        let values = |(v, report)| (SchedAnswer::Values(v), report);
+        let outcome = match &batch {
+            SchedOp::Lookup(keys) => self.session.lookup_batch(keys).map(values),
+            SchedOp::Update(ops) => self.session.update_batch(ops).map(values),
+            SchedOp::Insert(ops) => self.session.insert_batch(ops).map(values),
+            SchedOp::Range(ranges) => self
+                .session
+                .range_batch(ranges)
+                .map(|(rows, report)| (SchedAnswer::Rows(rows), report)),
         };
         let injected_delta = self
             .session
@@ -1304,17 +1268,11 @@ impl ExecCtx<'_> {
             .saturating_sub(injected_before);
 
         match outcome {
-            Ok((batch_results, report)) => {
+            Ok((answer, report)) => {
                 self.stats.absorb_report(total, &report);
-                if perm.is_some() {
-                    self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
-                }
-                let results = match &perm {
-                    Some(p) => scatter_inverse(&batch_results, p),
-                    None => batch_results,
-                };
                 self.telemetry.incr(names::SCHED_BATCHES, 1);
                 if perm.is_some() {
+                    self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
                     self.telemetry.incr(names::SCHED_SORTED_BATCHES, 1);
                 }
                 if let Some(t) = self.telemetry.raw() {
@@ -1325,100 +1283,17 @@ impl ExecCtx<'_> {
                             start.elapsed().as_nanos() as u64,
                         );
                     }
-                    record_sched_span(
-                        &self.session,
-                        t,
-                        kind,
-                        total,
-                        perm.is_some(),
-                        mode == DispatchMode::Probe,
-                        &report,
-                    );
+                    let probe = mode == DispatchMode::Probe;
+                    record_sched_span(&self.session, t, &batch, perm.is_some(), probe, &report);
                 }
-                // Slice results back out per request, in FIFO order.
-                let mut off = 0usize;
-                for (req, len) in run.into_iter().zip(extents) {
-                    self.stats.requests += 1;
-                    let slice = results[off..off + len].to_vec();
-                    off += len;
-                    let _ = req.reply.send(Ok(SchedAnswer::Values(slice)));
-                }
-                if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
-                }
-            }
-            Err(e) => {
-                self.stats.failed_batches = self.stats.failed_batches.saturating_add(1);
-                let err = SchedError::from(&e);
-                for req in run {
-                    self.stats.requests += 1;
-                    let _ = req.reply.send(Err(err.clone()));
-                }
-                if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(true, 0.0, total as u64);
-                }
-            }
-        }
-        self.queue.release(total);
-    }
-
-    /// Execute one run of range requests as a single device batch. Ranges
-    /// are never sorted — each request's `[lo, hi]` pairs keep arrival
-    /// order, and rows come back sorted per range by construction.
-    fn execute_range_run(&mut self, mut run: Vec<Request>) {
-        let total: usize = run.iter().map(|r| r.keys.len()).sum();
-        let mut ranges: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(total);
-        let mut extents: Vec<usize> = Vec::with_capacity(run.len());
-        let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &mut run {
-            extents.push(r.keys.len());
-            ranges.extend(r.keys.drain(..).zip(r.his.drain(..)));
-        }
-
-        let mode = self.breaker_before(total as u64);
-        if mode == DispatchMode::Probe {
-            self.stats.probe_batches = self.stats.probe_batches.saturating_add(1);
-            self.telemetry.incr(names::SCHED_PROBE_BATCHES, 1);
-        } else if mode == DispatchMode::CpuOnly {
-            self.stats.breaker_open_batches = self.stats.breaker_open_batches.saturating_add(1);
-        }
-        let injected_before = self.session.fault_stats().injected;
-
-        let outcome = self.session.range_batch(&ranges);
-        let injected_delta = self
-            .session
-            .fault_stats()
-            .injected
-            .saturating_sub(injected_before);
-
-        match outcome {
-            Ok((rows, report)) => {
-                self.stats.absorb_report(total, &report);
-                self.telemetry.incr(names::SCHED_BATCHES, 1);
-                if let Some(t) = self.telemetry.raw() {
-                    t.observe(names::SCHED_BATCH_FILL, total as u64);
-                    if let Some(start) = oldest {
-                        t.observe(
-                            names::SCHED_QUEUE_LATENCY_NS,
-                            start.elapsed().as_nanos() as u64,
-                        );
+                self.stats.requests += tickets.len() as u64;
+                match answer {
+                    SchedAnswer::Values(v) => {
+                        reply_slices(v, perm.as_deref(), tickets, SchedAnswer::Values)
                     }
-                    record_sched_span(
-                        &self.session,
-                        t,
-                        OpKind::Range,
-                        total,
-                        false,
-                        mode == DispatchMode::Probe,
-                        &report,
-                    );
-                }
-                let mut off = 0usize;
-                for (req, len) in run.into_iter().zip(extents) {
-                    self.stats.requests += 1;
-                    let slice = rows[off..off + len].to_vec();
-                    off += len;
-                    let _ = req.reply.send(Ok(SchedAnswer::Rows(slice)));
+                    SchedAnswer::Rows(r) => {
+                        reply_slices(r, perm.as_deref(), tickets, SchedAnswer::Rows)
+                    }
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
@@ -1427,9 +1302,9 @@ impl ExecCtx<'_> {
             Err(e) => {
                 self.stats.failed_batches = self.stats.failed_batches.saturating_add(1);
                 let err = SchedError::from(&e);
-                for req in run {
-                    self.stats.requests += 1;
-                    let _ = req.reply.send(Err(err.clone()));
+                self.stats.requests += tickets.len() as u64;
+                for (_, reply) in tickets {
+                    let _ = reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(true, 0.0, total as u64);
@@ -1562,6 +1437,25 @@ impl ExecCtx<'_> {
     }
 }
 
+/// Put a batch's answers back in submission order (inverting the sort
+/// permutation, if one was applied) and slice them out per request, in
+/// FIFO order.
+fn reply_slices<T: Clone + Default>(
+    answers: Vec<T>,
+    perm: Option<&[usize]>,
+    tickets: Vec<(usize, SyncSender<Outcome>)>,
+    wrap: fn(Vec<T>) -> SchedAnswer,
+) {
+    let answers = match perm {
+        Some(p) => scatter_inverse(&answers, p),
+        None => answers,
+    };
+    let mut answers = answers.into_iter();
+    for (len, reply) in tickets {
+        let _ = reply.send(Ok(wrap(answers.by_ref().take(len).collect())));
+    }
+}
+
 /// Commit the `sched.batch.<kind>` span tree for one dispatched run:
 /// host-side coalesce / sort / scatter (modeled constants above), the
 /// PCIe legs, the launch overhead and the kernel's `dram`/`exec`
@@ -1570,12 +1464,12 @@ impl ExecCtx<'_> {
 fn record_sched_span(
     session: &cuart::CuartSession<'_>,
     t: &Telemetry,
-    kind: OpKind,
-    total: usize,
+    batch: &SchedOp,
     sorted: bool,
     probe: bool,
     report: &KernelReport,
 ) {
+    let total = batch.len();
     if report.time_ns <= 0.0 || total == 0 {
         return;
     }
@@ -1585,8 +1479,8 @@ fn record_sched_span(
     let log2n = (u64::BITS - n.leading_zeros()).max(1) as u64;
     // Ranges ship packed [lo, hi] records up and per-class span pairs
     // down; point ops ship stride-packed keys up and one u64 down.
-    let (up_stride, down_stride) = match kind {
-        OpKind::Range => (
+    let (up_stride, down_stride) = match batch {
+        SchedOp::Range(_) => (
             cuart::range::RANGE_RECORD_BYTES,
             cuart::range::RANGE_RESULT_BYTES,
         ),
@@ -1609,11 +1503,11 @@ fn record_sched_span(
     if sorted {
         children.push(SpanNode::leaf(spans::SCATTER, SCATTER_NS_PER_KEY * n));
     }
-    let name = match kind {
-        OpKind::Lookup => spans::SCHED_BATCH_LOOKUP,
-        OpKind::Update => spans::SCHED_BATCH_UPDATE,
-        OpKind::Insert => spans::SCHED_BATCH_INSERT,
-        OpKind::Range => spans::SCHED_BATCH_RANGE,
+    let name = match batch {
+        SchedOp::Lookup(_) => spans::SCHED_BATCH_LOOKUP,
+        SchedOp::Update(_) => spans::SCHED_BATCH_UPDATE,
+        SchedOp::Insert(_) => spans::SCHED_BATCH_INSERT,
+        SchedOp::Range(_) => spans::SCHED_BATCH_RANGE,
     };
     let mut root = SpanNode::node(name, children)
         .with_attr("keys", total)
@@ -1719,7 +1613,8 @@ mod tests {
         };
         let sched = spawn(&index, cfg);
         let client = sched.client().unwrap();
-        let got = client.range_with_deadline(vec![(key(0), key(9))], Duration::ZERO);
+        let ranges = SchedOp::Range(vec![(key(0), key(9))]);
+        let got = client.submit(ranges, Some(Duration::ZERO)).wait();
         assert_eq!(got, Err(SchedError::DeadlineExceeded));
         drop(client);
         let stats = sched.join().unwrap();
@@ -1731,10 +1626,7 @@ mod tests {
     fn request(tag: u8, n: usize) -> (Request, Receiver<Outcome>) {
         let (reply, answer) = mpsc::sync_channel(1);
         let req = Request {
-            kind: OpKind::Lookup,
-            keys: vec![vec![tag]; n],
-            his: Vec::new(),
-            values: Vec::new(),
+            op: SchedOp::Lookup(vec![vec![tag]; n]),
             reply,
             enqueued: Instant::now(),
             deadline: None,
@@ -1755,11 +1647,15 @@ mod tests {
         // other two stay queued, in order, for the next batch.
         let mut batch = Pending::default();
         assert_eq!(queue.drain_into(&mut batch, 6, None), Drain::Took);
-        let tags: Vec<u8> = batch.reqs.iter().map(|r| r.keys[0][0]).collect();
+        let tag = |r: &Request| match &r.op {
+            SchedOp::Lookup(keys) => keys[0][0],
+            other => panic!("lookups were queued, got {other:?}"),
+        };
+        let tags: Vec<u8> = batch.reqs.iter().map(tag).collect();
         assert_eq!((tags, batch.keys), (vec![0, 1], 8));
         let mut next = Pending::default();
         assert_eq!(queue.drain_into(&mut next, 100, None), Drain::Took);
-        let tags: Vec<u8> = next.reqs.iter().map(|r| r.keys[0][0]).collect();
+        let tags: Vec<u8> = next.reqs.iter().map(tag).collect();
         assert_eq!((tags, next.keys), (vec![2, 3], 8));
         // Empty: a wake instant in the past times out, a close ends it.
         let past = Instant::now();
@@ -2125,8 +2021,9 @@ mod tests {
         let client = sched.client().unwrap();
         // The call returns in milliseconds even though the batch deadline
         // is half a minute away: only the op-deadline shed can answer it.
+        let budget = Some(Duration::from_millis(5));
         assert_eq!(
-            client.lookup_with_deadline(vec![key(1)], Duration::from_millis(5)),
+            client.submit(SchedOp::Lookup(vec![key(1)]), budget).wait(),
             Err(SchedError::DeadlineExceeded)
         );
         drop(client);

@@ -368,59 +368,11 @@ impl ShardedClient {
             .into_values()
     }
 
-    /// [`lookup`](Self::lookup) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn lookup_with_deadline(
-        &self,
-        keys: Vec<Vec<u8>>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Lookup(keys), Some(budget))
-            .wait()?
-            .into_values()
-    }
-
-    /// [`update`](Self::update) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn update_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Update(ops), Some(budget))
-            .wait()?
-            .into_values()
-    }
-
-    /// [`insert`](Self::insert) with an explicit latency budget applied
-    /// to every sub-batch.
-    pub fn insert_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Insert(ops), Some(budget))
-            .wait()?
-            .into_values()
-    }
-
     /// Inclusive range queries across the fleet; one sorted row list per
     /// `[lo, hi]` pair in submission order (see
     /// [`submit`](Self::submit) for how a range spanning shards merges).
     pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
         self.submit(SchedOp::Range(ranges), None)
-            .wait()?
-            .into_rows()
-    }
-
-    /// [`range`](Self::range) with an explicit latency budget applied to
-    /// every sub-query.
-    pub fn range_with_deadline(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Duration,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit(SchedOp::Range(ranges), Some(budget))
             .wait()?
             .into_rows()
     }

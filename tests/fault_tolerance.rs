@@ -7,7 +7,9 @@
 //! full session workload and verify correctness — they just skip the
 //! assertions that require faults to actually fire. CI runs both builds.
 
-use cuart::{CuartConfig, CuartIndex, DELETE};
+use cuart::insert::insert_status;
+use cuart::update::status;
+use cuart::{CuartConfig, CuartIndex, Mode, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::{devices, FaultConfig, FaultInjector};
@@ -178,6 +180,148 @@ fn fault_schedules_replay_deterministically() {
     assert_eq!(wrong_a, 0);
     assert_eq!(wrong_b, 0);
     assert_eq!(stats_a, stats_b, "same seed must replay the same schedule");
+}
+
+/// One cell row of the mode × kind matrix: run a lookup, an update batch
+/// (a delete, an in-batch duplicate, a miss), an insert batch (two new keys
+/// that need the same branch point — the device attaches one and spills
+/// the other —, an existing key) and two ranges through `session`, and
+/// require every answer to be the `BTreeMap` model's. Statuses are checked
+/// by class: which of "applied" and "superseded" an in-batch duplicate gets,
+/// and whether a structural insert is `SPILLED` or journaled as `INSERTED`,
+/// is the one thing the device and CPU paths may spell differently.
+fn check_every_kind(
+    session: &mut cuart::CuartSession<'_>,
+    model: &mut BTreeMap<Vec<u8>, u64>,
+    row: u64,
+) {
+    let fresh = |tag: u8| vec![b'z', b'0' + row as u8, b'-', tag];
+    let lookups_match = |session: &mut cuart::CuartSession<'_>, model: &BTreeMap<_, _>| {
+        let probes: Vec<Vec<u8>> = (0..60)
+            .map(key)
+            .chain((0..4).flat_map(|r| {
+                [
+                    vec![b'z', b'0' + r, b'-', b'a'],
+                    vec![b'z', b'0' + r, b'-', b'b'],
+                ]
+            }))
+            .collect();
+        let (got, _) = session.lookup_batch(&probes).unwrap();
+        for (probe, got) in probes.iter().zip(got) {
+            let want = model.get(probe).copied().unwrap_or(NOT_FOUND);
+            assert_eq!(got, want, "row {row}: lookup of {probe:?}");
+        }
+    };
+    lookups_match(session, model);
+
+    let (deleted, twice) = (key(row * 10 + 1), key(row * 10 + 2));
+    let updates = vec![
+        (deleted.clone(), DELETE),
+        (twice.clone(), 100 + row),
+        (twice.clone(), 200 + row),
+        (key(9_999), 1),
+    ];
+    let (statuses, _) = session.update_batch(&updates).unwrap();
+    let hit = |s: u64| s == status::APPLIED || s == status::SUPERSEDED;
+    assert!(
+        hit(statuses[0]) && hit(statuses[1]),
+        "row {row}: {statuses:?}"
+    );
+    assert_eq!(statuses[2..], [status::APPLIED, status::MISS], "row {row}");
+    model.remove(&deleted);
+    model.insert(twice, 200 + row);
+    lookups_match(session, model);
+
+    let existing = key(row * 10 + 3);
+    let inserts = vec![
+        (fresh(b'a'), 300 + row),
+        (fresh(b'b'), 400 + row),
+        (existing.clone(), 500 + row),
+    ];
+    let (statuses, _) = session.insert_batch(&inserts).unwrap();
+    let stored = |s: u64| s == insert_status::INSERTED || s == insert_status::SPILLED;
+    assert!(
+        stored(statuses[0]) && stored(statuses[1]),
+        "row {row}: {statuses:?}"
+    );
+    assert!(
+        statuses[..2].contains(&insert_status::INSERTED),
+        "row {row}"
+    );
+    assert_eq!(statuses[2], insert_status::UPDATED, "row {row}");
+    model.extend(inserts);
+    lookups_match(session, model);
+
+    let ranges = vec![(vec![0u8], vec![0xFFu8; 12]), (key(5), key(35))];
+    let (rows, _) = session.range_batch(&ranges).unwrap();
+    for ((lo, hi), got) in ranges.iter().zip(rows) {
+        let want: Vec<(Vec<u8>, u64)> = model
+            .range(lo.clone()..=hi.clone())
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(got, want, "row {row}: range {lo:?}..={hi:?}");
+    }
+}
+
+/// The mode × kind matrix: every batch kind, in every [`Mode`] a session
+/// can be in, answers like the model — with the mutations of the earlier
+/// rows still visible — and `fault_stats()` reports each transition once.
+/// The `Degraded` row needs faults that fire; without `--features faults`
+/// the pin takes the session out of `Device` instead.
+#[test]
+fn every_mode_answers_every_kind_like_the_model() {
+    let (art, mut model) = build(60);
+    let index = CuartIndex::build(&art, &CuartConfig::for_tests());
+    // A silent injector from the start keeps the journal from the first
+    // mutation on; shadowing is what a caller that pins must switch on.
+    let mut session =
+        index.device_session_with_faults(&devices::rtx3090(), FaultInjector::uniform(7, 0.0));
+    session.set_journal_shadowing(true);
+
+    check_every_kind(&mut session, &mut model, 0);
+    assert_eq!(session.mode(), Mode::Device);
+    assert!(
+        session.overflow_len() > 0,
+        "the device row must spill an insert"
+    );
+    assert_eq!(session.fault_stats(), cuart::FaultStats::default());
+
+    if FaultInjector::is_active() {
+        // Every device op fails: the first batch exhausts its retries and
+        // no later recovery probe gets through.
+        session.attach_fault_injector(FaultInjector::uniform(7, 1.0));
+        check_every_kind(&mut session, &mut model, 1);
+        assert_eq!(session.mode(), Mode::Degraded);
+        let stats = session.fault_stats();
+        assert_eq!((stats.degradations, stats.recoveries), (1, 0), "{stats:?}");
+        assert_eq!(
+            stats.retries + 1,
+            u64::from(session.retry_policy().max_attempts)
+        );
+    }
+
+    session.set_cpu_only(true);
+    assert_eq!(session.mode(), Mode::Pinned);
+    check_every_kind(&mut session, &mut model, 2);
+    assert_eq!(
+        session.mode(),
+        Mode::Pinned,
+        "a pinned session never probes"
+    );
+    let stats = session.fault_stats();
+    assert_eq!((stats.degradations, stats.recoveries), (1, 0), "{stats:?}");
+    assert!(stats.degraded);
+
+    // Release: the next batch's recovery probe re-uploads the pristine
+    // image, and the journal answers for everything written since open.
+    session.attach_fault_injector(FaultInjector::uniform(7, 0.0));
+    session.set_cpu_only(false);
+    assert_eq!(session.mode(), Mode::Degraded);
+    check_every_kind(&mut session, &mut model, 3);
+    assert_eq!(session.mode(), Mode::Device);
+    let stats = session.fault_stats();
+    assert_eq!((stats.degradations, stats.recoveries), (1, 1), "{stats:?}");
+    assert!(!stats.degraded);
 }
 
 proptest! {

@@ -26,7 +26,7 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
 use cuart_host::scheduler::{
-    AdmissionPolicy, BreakerConfig, SchedError, Scheduler, SchedulerConfig,
+    AdmissionPolicy, BreakerConfig, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerConfig,
 };
 use cuart_telemetry::{names, Telemetry};
 use std::sync::Arc;
@@ -186,14 +186,16 @@ fn expired_ops_are_shed_not_dispatched_and_counted() {
     let client = sched.client().unwrap();
     // An already-expired deadline: the coalesce-time shed must answer
     // this before the flush dispatches anything.
+    let expired = SchedOp::Lookup(vec![key(1), key(2)]);
     assert_eq!(
-        client.lookup_with_deadline(vec![key(1), key(2)], Duration::ZERO),
+        client.submit(expired, Some(Duration::ZERO)).wait(),
         Err(SchedError::DeadlineExceeded)
     );
     // A healthy op through the same scheduler still gets a real answer.
+    let healthy = SchedOp::Lookup(vec![key(3)]);
     assert_eq!(
-        client.lookup_with_deadline(vec![key(3)], Duration::from_secs(10)),
-        Ok(vec![10])
+        client.submit(healthy, Some(Duration::from_secs(10))).wait(),
+        Ok(SchedAnswer::Values(vec![10]))
     );
     drop(client);
     let stats = sched.join().unwrap();
