@@ -7,7 +7,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id (`panic-path`, `arith-overflow`, `metric-name`,
-    /// `feature-gate`, `index-hot-path`, `bad-allow`, …).
+    /// `index-hot-path`, `bad-allow`, …).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,

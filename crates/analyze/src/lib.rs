@@ -11,8 +11,6 @@
 //!   span name flows through the generated registry
 //!   (`crates/telemetry/src/names.rs`), which is cross-checked against
 //!   the DESIGN.md metric table;
-//! * `feature-gate` — `enabled`/`faults`-gated public items keep
-//!   API-identical no-op twins;
 //! * `bad-allow` — suppressions stay auditable.
 //!
 //! Findings fingerprint into a committed baseline
@@ -29,7 +27,7 @@ pub mod registry;
 pub mod source;
 
 use findings::Finding;
-use lints::{Lint, LintCtx};
+use lints::Lint;
 use source::{classify, SourceFile};
 use std::path::Path;
 
@@ -58,7 +56,7 @@ pub fn analyze_tree(root: &Path) -> std::io::Result<Analysis> {
 }
 
 /// Analyze an in-memory file set. `tree_checks` also runs the
-/// cross-file rules (registry/docs consistency, feature twins).
+/// cross-file rules (registry/docs consistency).
 pub fn analyze_files(files: &[SourceFile], root: &Path, tree_checks: bool) -> Analysis {
     let rules = lints::all_rules();
     let mut raw = Vec::new();
@@ -68,9 +66,8 @@ pub fn analyze_files(files: &[SourceFile], root: &Path, tree_checks: bool) -> An
         }
     }
     if tree_checks {
-        let ctx = LintCtx { files, root };
         for rule in &rules {
-            rule.check_tree(&ctx, &mut raw);
+            rule.check_tree(root, &mut raw);
         }
     }
     // Apply suppressions. `bad-allow` findings cannot be allowed away.
@@ -139,20 +136,13 @@ pub fn check_fixtures(root: &Path) -> std::io::Result<Vec<String>> {
             classify(&pretend),
         ));
     }
-    // Per-file and feature-twin rules run against the pretend paths; the
-    // registry/docs rule is exercised separately below.
+    // Per-file rules run against the pretend paths; the registry/docs
+    // rule is exercised separately below.
     let rules = lints::all_rules();
     let mut raw = Vec::new();
     for rule in &rules {
         for file in &files {
             rule.check_file(file, &mut raw);
-        }
-        if rule.id() == "feature-gate" {
-            let ctx = LintCtx {
-                files: &files,
-                root,
-            };
-            rule.check_tree(&ctx, &mut raw);
         }
     }
     // Apply the same suppression semantics as a real run, so fixtures can
@@ -192,11 +182,7 @@ pub fn check_fixtures(root: &Path) -> std::io::Result<Vec<String>> {
     )?;
     std::fs::write(scratch.join("DESIGN.md"), "# no markers here\n")?;
     let mut drift = Vec::new();
-    let ctx = LintCtx {
-        files: &[],
-        root: &scratch,
-    };
-    lints::metrics::MetricRegistry.check_tree(&ctx, &mut drift);
+    lints::metrics::MetricRegistry.check_tree(&scratch, &mut drift);
     if !drift
         .iter()
         .any(|f| f.message.contains("stale") || f.message.contains("drifted"))

@@ -13,10 +13,11 @@
 //!   exactly what `--emit-design-table` generates; every registered span
 //!   name must appear in DESIGN.md §6.1.
 
-use super::{Lint, LintCtx};
+use super::Lint;
 use crate::findings::Finding;
 use crate::registry;
 use crate::source::{SourceFile, Tier};
+use std::path::Path;
 
 /// Does a string literal look like a series name? Namespace prefix plus
 /// at least one further dotted segment of metric-ish characters.
@@ -167,9 +168,9 @@ impl Lint for MetricRegistry {
         "generated registry and DESIGN.md metric/span tables match the catalog"
     }
 
-    fn check_tree(&self, ctx: &LintCtx<'_>, out: &mut Vec<Finding>) {
+    fn check_tree(&self, root: &Path, out: &mut Vec<Finding>) {
         // 1. The generated registry module is current.
-        let names_path = ctx.root.join("crates/telemetry/src/names.rs");
+        let names_path = root.join("crates/telemetry/src/names.rs");
         match std::fs::read_to_string(&names_path) {
             Ok(actual) => {
                 if actual != registry::generate_names_rs() {
@@ -189,7 +190,7 @@ impl Lint for MetricRegistry {
 
         // 2. The DESIGN.md metric table is current, and every span name
         //    is documented.
-        let design_path = ctx.root.join("DESIGN.md");
+        let design_path = root.join("DESIGN.md");
         let design = match std::fs::read_to_string(&design_path) {
             Ok(d) => d,
             Err(e) => {

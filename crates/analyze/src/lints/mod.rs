@@ -1,26 +1,18 @@
 //! The pluggable lint framework and the project-specific rules.
 //!
 //! Each rule is a [`Lint`]: per-file checks walk one token stream,
-//! tree checks see every file at once (plus the workspace root, for
-//! DESIGN.md and the generated registry). Suppression
+//! tree checks see the workspace root (for DESIGN.md and the generated
+//! registry). Suppression
 //! (`// cuart-allow: <rule> <reason>`) and the baseline are applied by
 //! the driver, not the rules, so rules always report everything they see.
 
 pub mod arith;
-pub mod feature_gate;
 pub mod metrics;
 pub mod panic_path;
 
 use crate::findings::Finding;
 use crate::source::SourceFile;
 use std::path::Path;
-
-/// Cross-file lint context.
-pub struct LintCtx<'a> {
-    pub files: &'a [SourceFile],
-    /// Workspace root (for DESIGN.md / generated-registry checks).
-    pub root: &'a Path,
-}
 
 /// One lint rule.
 pub trait Lint {
@@ -30,8 +22,9 @@ pub trait Lint {
     fn describe(&self) -> &'static str;
     /// Per-file check.
     fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
-    /// Whole-tree check (registry/docs consistency).
-    fn check_tree(&self, _ctx: &LintCtx<'_>, _out: &mut Vec<Finding>) {}
+    /// Whole-tree check against the workspace `root` (registry/docs
+    /// consistency).
+    fn check_tree(&self, _root: &Path, _out: &mut Vec<Finding>) {}
 }
 
 /// The full rule set, in reporting order.
@@ -43,7 +36,6 @@ pub fn all_rules() -> Vec<Box<dyn Lint>> {
         Box::new(metrics::MetricName),
         Box::new(metrics::SpanName),
         Box::new(metrics::MetricRegistry),
-        Box::new(feature_gate::FeatureGate),
         Box::new(BadAllow),
     ]
 }

@@ -43,9 +43,6 @@ fn run_regress_gate(baseline_path: &str, update: bool, threshold: f64) {
         eprintln!("fig-regress: bad baseline {baseline_path}: {e}");
         std::process::exit(2);
     });
-    if !cfg!(feature = "telemetry") {
-        eprintln!("warning: built without `telemetry`; stage-share metrics are skipped");
-    }
     print!("{}", regress::diff_report(&current, &base));
     let regressions = regress::compare(&current, &base, threshold);
     if regressions.is_empty() {
@@ -128,9 +125,6 @@ fn main() {
     let telemetry = want_telemetry.then(|| Arc::new(Telemetry::new()));
     let mut ctx = RunCtx::new(scale, &out_dir).with_smoke(smoke);
     if let Some(t) = &telemetry {
-        if !t.is_enabled() {
-            eprintln!("warning: built without the `telemetry` feature; snapshot will be empty");
-        }
         ctx = ctx.with_telemetry(t.clone());
     }
     println!("# CuART figure regeneration (scale 1/{scale}, output {out_dir}/)\n");

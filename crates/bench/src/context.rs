@@ -150,7 +150,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn attached_telemetry_flows_into_built_indexes() {
         use cuart_telemetry::names;
         let telemetry = Arc::new(Telemetry::new());

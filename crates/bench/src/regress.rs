@@ -42,8 +42,7 @@ const SEED: u64 = 0xC0A7;
 ///   request coalesces into exactly one batch and the modeled time is
 ///   exact across runs despite the TCP transport).
 /// - `stage_share.<name>` — fraction of total leaf span time spent in each
-///   pipeline stage (`h2d`, `dram`, `exec`, `d2h`), present only when the
-///   binary was built with the `telemetry` feature.
+///   pipeline stage (`h2d`, `dram`, `exec`, `d2h`).
 pub fn run_smoke() -> BTreeMap<String, f64> {
     let all = uniform_keys(KEYS + 2 * BATCH, KEY_LEN, SEED);
     let (stored, fresh) = all.split_at(KEYS);
@@ -223,21 +222,15 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, f64>, String> {
 /// drop more than `threshold` relative; `stage_share.*` metrics regress
 /// when they drift more than `threshold` absolute in either direction —
 /// a stage silently growing its share is exactly the kind of change the
-/// gate exists to surface. When `current` carries no stage shares at all
-/// (built without telemetry), share metrics are skipped rather than
-/// reported missing.
+/// gate exists to surface.
 pub fn compare(
     current: &BTreeMap<String, f64>,
     baseline: &BTreeMap<String, f64>,
     threshold: f64,
 ) -> Vec<String> {
-    let have_shares = current.keys().any(|k| k.starts_with("stage_share."));
     let mut regressions = Vec::new();
     for (name, &base) in baseline {
         let is_share = name.starts_with("stage_share.");
-        if is_share && !have_shares {
-            continue;
-        }
         let Some(&cur) = current.get(name) else {
             regressions.push(format!(
                 "{name}: missing from current run (baseline {base:.4})"
@@ -298,20 +291,17 @@ mod tests {
         assert!(a["update_mops"] > 0.0);
         assert!(a["insert_mops"] > 0.0);
         assert!(a["net_lookup_mops"] > 0.0);
-        #[cfg(feature = "telemetry")]
-        {
-            let share_sum: f64 = a
-                .iter()
-                .filter(|(k, _)| k.starts_with("stage_share."))
-                .map(|(_, v)| v)
-                .sum();
-            assert!(
-                (share_sum - 1.0).abs() < 1e-9,
-                "shares sum to 1, got {share_sum}"
-            );
-            assert!(a.contains_key("stage_share.exec"), "{a:?}");
-            assert!(a.contains_key("stage_share.h2d"), "{a:?}");
-        }
+        let share_sum: f64 = a
+            .iter()
+            .filter(|(k, _)| k.starts_with("stage_share."))
+            .map(|(_, v)| v)
+            .sum();
+        assert!(
+            (share_sum - 1.0).abs() < 1e-9,
+            "shares sum to 1, got {share_sum}"
+        );
+        assert!(a.contains_key("stage_share.exec"), "{a:?}");
+        assert!(a.contains_key("stage_share.h2d"), "{a:?}");
     }
 
     #[test]
@@ -355,15 +345,12 @@ mod tests {
         ]
         .into();
         assert!(compare(&fast, &base, 0.05).is_empty());
-        // A telemetry-less run skips shares but still checks throughput.
+        // A share the current run lost is a regression like any other.
         let no_shares: BTreeMap<String, f64> = [("lookup_mops".to_string(), 100.0)].into();
-        assert!(compare(&no_shares, &base, 0.05).is_empty());
-        let no_shares_slow: BTreeMap<String, f64> = [("lookup_mops".to_string(), 10.0)].into();
-        assert_eq!(compare(&no_shares_slow, &base, 0.05).len(), 1);
+        assert_eq!(compare(&no_shares, &base, 0.05).len(), 1);
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn committed_baseline_matches_current_code() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/baseline.json");
         let text = std::fs::read_to_string(path)

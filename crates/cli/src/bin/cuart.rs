@@ -50,7 +50,7 @@ METRICS: counters, gauges, histograms and the per-batch event trace of the
 run, as JSON (default) or Prometheus text
 FAULTS: --fault-rate P injects device faults with probability P per op
 (seeded by --fault-seed, default 0) to drill the retry/degrade/recover
-path; needs a binary built with `--features faults` to actually fire.
+path.
 TRACING: `trace` (and serve-sim --trace-out) export hierarchical span
 trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
 --folded writes flamegraph-style folded stacks. --smoke pins the

@@ -321,23 +321,14 @@ impl ShardOptions {
 }
 
 /// Open a device session, attaching a [`FaultInjector`] when fault
-/// options were given. Warns on stderr when the binary was built without
-/// the `faults` feature (the injector then never fires).
+/// options were given.
 fn open_session<'a>(
     index: &'a CuartIndex,
     dev: &DeviceConfig,
     faults: Option<FaultOptions>,
 ) -> CuartSession<'a> {
     match faults {
-        Some(f) => {
-            if !FaultInjector::is_active() {
-                eprintln!(
-                    "warning: built without the `faults` feature; \
-                     --fault-seed/--fault-rate have no effect"
-                );
-            }
-            index.device_session_with_faults(dev, FaultInjector::uniform(f.seed, f.rate))
-        }
+        Some(f) => index.device_session_with_faults(dev, FaultInjector::uniform(f.seed, f.rate)),
         None => index.device_session(dev),
     }
 }
@@ -532,9 +523,6 @@ pub fn cmd_metrics(
         session.lookup_batch(&queries)?;
     }
     let rendered = render_metrics(&telemetry.snapshot(), format)?;
-    if !telemetry.is_enabled() {
-        eprintln!("warning: built without the `telemetry` feature; snapshot is empty");
-    }
     match metrics_out {
         Some(out) => {
             std::fs::write(out, &rendered)?;
@@ -605,18 +593,12 @@ pub fn cmd_serve_sim(
     if stored.is_empty() {
         return Err(CliError::Input("index is empty".into()));
     }
-    if faults.is_some() && !FaultInjector::is_active() {
-        eprintln!(
-            "warning: built without the `faults` feature; \
-             --fault-seed/--fault-rate have no effect"
-        );
-    }
     // The deterministic smoke storm: a pinned run of early device-op
     // faults (degrade + breaker trip), clean afterwards (half-open probes
-    // recover). Only meaningful when the injector can actually fire, and
-    // only driven on the single-device path (the sharded path re-seeds
-    // injectors per shard, so the pinned schedule would not line up).
-    let smoke_storm = smoke && faults.is_some() && FaultInjector::is_active() && devs.len() == 1;
+    // recover). Only driven on the single-device path (the sharded path
+    // re-seeds injectors per shard, so the pinned schedule would not line
+    // up).
+    let smoke_storm = smoke && faults.is_some() && devs.len() == 1;
     let injector = faults.map(|f| {
         if smoke_storm {
             FaultInjector::new(FaultConfig::uniform(f.seed, 0.0).fail_range(0, 8))
@@ -881,8 +863,8 @@ fn sharded_report(stats: &ShardedStats, producers: usize, load: &Load, queue_cap
     out
 }
 
-/// Shared serve-sim output tail: the telemetry-feature warning, the JSON
-/// metrics spill and the Chrome-trace / folded-stack exports.
+/// Shared serve-sim output tail: the JSON metrics spill and the
+/// Chrome-trace / folded-stack exports.
 fn spill_serving_outputs(
     out: &mut String,
     telemetry: &Arc<Telemetry>,
@@ -890,9 +872,6 @@ fn spill_serving_outputs(
     trace_out: Option<&Path>,
     folded_out: Option<&Path>,
 ) -> Result<(), CliError> {
-    if !cfg!(feature = "telemetry") {
-        eprintln!("warning: built without the `telemetry` feature; metrics will be empty");
-    }
     if let Some(path) = metrics_out {
         out.push_str(&spill_metrics(telemetry, path)?);
     }
@@ -926,10 +905,6 @@ fn drive_breaker_recovery(
     stored: &[(Vec<u8>, u64)],
 ) -> Result<(), CliError> {
     use cuart_telemetry::BatchKind;
-    if !telemetry.is_enabled() {
-        // Without the `telemetry` feature there are no events to wait on.
-        return Ok(());
-    }
     for _ in 0..500 {
         let recovered = telemetry
             .snapshot()
@@ -985,9 +960,6 @@ pub fn cmd_trace(
             .map(|i| stored[(b * batch + i * 7) % stored.len()].0.clone())
             .collect();
         session.lookup_batch(&queries)?;
-    }
-    if !telemetry.is_enabled() {
-        eprintln!("warning: built without the `telemetry` feature; trace is empty");
     }
     let snap = telemetry.snapshot();
     let json = to_chrome_json(&snap.spans);
@@ -1197,12 +1169,6 @@ pub fn cmd_serve(
     let devs = shard.resolve(dev)?;
     let telemetry = Arc::new(Telemetry::new());
     let index = Arc::new(index.with_telemetry(telemetry.clone()));
-    if faults.is_some() && !FaultInjector::is_active() {
-        eprintln!(
-            "warning: built without the `faults` feature; \
-             --fault-seed/--fault-rate have no effect"
-        );
-    }
     let cfg = SchedulerConfig {
         batch_target: batch.max(1),
         deadline: std::time::Duration::from_micros(deadline_us),
@@ -1528,12 +1494,9 @@ mod tests {
         // Prometheus text to stdout.
         let prom = cmd_metrics(&idx, None, false, "a100", 64, 2, "prom", None).unwrap();
         assert!(prom.contains("cuart_events_dropped"), "{prom}");
-        #[cfg(feature = "telemetry")]
-        {
-            assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
-            assert!(json.contains("\"kind\":\"lookup\""), "{json}");
-            assert!(prom.contains("cuart_lookup_batches 2"), "{prom}");
-        }
+        assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
+        assert!(json.contains("\"kind\":\"lookup\""), "{json}");
+        assert!(prom.contains("cuart_lookup_batches 2"), "{prom}");
         // Spill to a file via --metrics-out.
         let out_file = tmp("metrics-out");
         let msg = cmd_metrics(&idx, None, false, "a100", 64, 1, "json", Some(&out_file)).unwrap();
@@ -1644,12 +1607,9 @@ mod tests {
             "both clocks, labelled: {out}"
         );
         assert!(out.contains("metrics ->"), "{out}");
-        #[cfg(feature = "telemetry")]
-        {
-            let written = std::fs::read_to_string(&out_file).unwrap();
-            assert!(written.contains("cuart.sched.batches"), "{written}");
-            assert!(written.contains("cuart.sched.enqueued"), "{written}");
-        }
+        let written = std::fs::read_to_string(&out_file).unwrap();
+        assert!(written.contains("cuart.sched.batches"), "{written}");
+        assert!(written.contains("cuart.sched.enqueued"), "{written}");
         // The unsorted control also runs.
         let out = cmd_serve_sim(
             &idx,
@@ -1710,12 +1670,9 @@ mod tests {
         assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
         assert!(out.contains("shard 0 (NVIDIA RTX 3090"), "{out}");
         assert!(out.contains("shard 1 (NVIDIA GTX 1070"), "{out}");
-        #[cfg(feature = "telemetry")]
-        {
-            let written = std::fs::read_to_string(&out_file).unwrap();
-            assert!(written.contains("cuart.sched.routed_requests"), "{written}");
-            assert!(written.contains("cuart.sched.shard.0."), "{written}");
-        }
+        let written = std::fs::read_to_string(&out_file).unwrap();
+        assert!(written.contains("cuart.sched.routed_requests"), "{written}");
+        assert!(written.contains("cuart.sched.shard.0."), "{written}");
         // Count mismatch between --shards and --shard-devices is refused.
         let err = cmd_serve_sim(
             &idx,
@@ -1783,16 +1740,13 @@ mod tests {
         assert!(out.contains("overload:"), "{out}");
         assert!(!out.contains("overload: 0 shed"), "{out}");
         assert!(out.contains("cap 4096"), "{out}");
-        #[cfg(all(feature = "telemetry", feature = "faults"))]
-        {
-            // The storm tripped the breaker and the drill drove it back to
-            // recovery: both ends of the walk land in the metrics spill.
-            let written = std::fs::read_to_string(&out_file).unwrap();
-            assert!(written.contains("cuart.sched.breaker_trips"), "{written}");
-            assert!(written.contains("cuart.sched.shed"), "{written}");
-            assert!(written.contains("\"breaker_open\""), "{written}");
-            assert!(written.contains("\"recovered\""), "{written}");
-        }
+        // The storm tripped the breaker and the drill drove it back to
+        // recovery: both ends of the walk land in the metrics spill.
+        let written = std::fs::read_to_string(&out_file).unwrap();
+        assert!(written.contains("cuart.sched.breaker_trips"), "{written}");
+        assert!(written.contains("cuart.sched.shed"), "{written}");
+        assert!(written.contains("\"breaker_open\""), "{written}");
+        assert!(written.contains("\"recovered\""), "{written}");
         for p in [keys, idx, out_file] {
             std::fs::remove_file(p).ok();
         }
@@ -1808,18 +1762,13 @@ mod tests {
         let trace = tmp("trace-json");
         let folded = tmp("trace-folded");
         let out = cmd_trace(&idx, "rtx3090", 128, 4, Some(&trace), Some(&folded)).unwrap();
-        #[cfg(feature = "telemetry")]
-        {
-            assert!(out.contains("spans from 4 batches of 128"), "{out}");
-            assert!(out.contains("critical path"), "{out}");
-            let verdict = cmd_verify_trace(&trace).unwrap();
-            assert!(verdict.contains("OK"), "{verdict}");
-            assert!(verdict.contains("4 batch trees"), "{verdict}");
-            let stacks = std::fs::read_to_string(&folded).unwrap();
-            assert!(stacks.contains("batch.lookup;"), "{stacks}");
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert!(out.contains("0 spans"), "{out}");
+        assert!(out.contains("spans from 4 batches of 128"), "{out}");
+        assert!(out.contains("critical path"), "{out}");
+        let verdict = cmd_verify_trace(&trace).unwrap();
+        assert!(verdict.contains("OK"), "{verdict}");
+        assert!(verdict.contains("4 batch trees"), "{verdict}");
+        let stacks = std::fs::read_to_string(&folded).unwrap();
+        assert!(stacks.contains("batch.lookup;"), "{stacks}");
         for p in [keys, idx, trace, folded] {
             std::fs::remove_file(p).ok();
         }
@@ -1853,13 +1802,10 @@ mod tests {
         // Smoke mode pins the workload shape regardless of the flags.
         assert!(out.contains("8192 lookups from 2 producers"), "{out}");
         assert!(out.contains("trace ->"), "{out}");
-        #[cfg(feature = "telemetry")]
-        {
-            let verdict = cmd_verify_trace(&trace).unwrap();
-            assert!(verdict.contains("OK"), "{verdict}");
-            let text = std::fs::read_to_string(&trace).unwrap();
-            assert!(text.contains("sched.batch.lookup"), "{text}");
-        }
+        let verdict = cmd_verify_trace(&trace).unwrap();
+        assert!(verdict.contains("OK"), "{verdict}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        assert!(text.contains("sched.batch.lookup"), "{text}");
         for p in [keys, idx, trace] {
             std::fs::remove_file(p).ok();
         }
@@ -1920,12 +1866,9 @@ mod tests {
         assert!(out.contains("ops/s goodput"), "{out}");
         assert!(out.contains("drained"), "{out}");
         assert!(out.contains("512 ops served"), "{out}");
-        #[cfg(feature = "telemetry")]
-        {
-            let written = std::fs::read_to_string(&spill).unwrap();
-            assert!(written.contains("cuart.net.frames_out"), "{written}");
-            assert!(written.contains("cuart.net.drained"), "{written}");
-        }
+        let written = std::fs::read_to_string(&spill).unwrap();
+        assert!(written.contains("cuart.net.frames_out"), "{written}");
+        assert!(written.contains("cuart.net.drained"), "{written}");
         for p in [keys, idx, spill] {
             std::fs::remove_file(p).ok();
         }
@@ -1988,11 +1931,8 @@ mod tests {
         let served = server.join().unwrap().unwrap();
         assert!(served.contains("drained"), "{served}");
         assert!(served.contains("ops served"), "{served}");
-        #[cfg(feature = "telemetry")]
-        {
-            let written = std::fs::read_to_string(&spill).unwrap();
-            assert!(written.contains("cuart.net.drained"), "{written}");
-        }
+        let written = std::fs::read_to_string(&spill).unwrap();
+        assert!(written.contains("cuart.net.drained"), "{written}");
         for p in [keys, idx, spill] {
             std::fs::remove_file(p).ok();
         }

@@ -18,9 +18,8 @@ use crate::insert::{insert_status, ArenaTails, CuartInsertKernel};
 use crate::kernels::{CuartLookupKernel, DeviceTree, HOST_SIGNAL};
 use crate::link::LinkType;
 use crate::mapper::{map_art, MAX_DEVICE_KEY};
-use crate::range::{
-    pack_range_records, range_device_rows, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES,
-};
+use crate::overlay::{Home, HostOverlay};
+use crate::range::{pack_range_records, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES};
 use crate::update::{status, CuartUpdateKernel, FreeLists, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::{pack_keys, pack_keys_into, KeyBatchLayout, NOT_FOUND};
@@ -28,7 +27,6 @@ use cuart_gpu_sim::cache::Cache;
 use cuart_gpu_sim::exec::{KernelReport, Launcher};
 use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite, PhasedKernel};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A built CuART index (host-side image of the device buffers).
@@ -247,15 +245,6 @@ impl CuartIndex {
         }
     }
 
-    /// `true` if this key is served by the host rather than the device
-    /// (too short for the LUT, or long under the CpuRoute policy).
-    pub fn is_host_routed(&self, key: &[u8]) -> bool {
-        let span = self.buffers.config.lut_span;
-        (span > 0 && key.len() < span)
-            || (key.len() > MAX_DEVICE_KEY
-                && self.buffers.config.long_key_policy == LongKeyPolicy::CpuRoute)
-    }
-
     /// Open a stateful device session with the default 1 Mi-slot update
     /// hash table (§4.5).
     pub fn device_session(&self, dev: &DeviceConfig) -> CuartSession<'_> {
@@ -272,10 +261,10 @@ impl CuartIndex {
     }
 
     /// Open a session with a [`FaultInjector`] attached from the first
-    /// batch. Attaching at open time matters: the session journals every
-    /// device-leg mutation from the start, so a later degradation and
-    /// recovery re-upload (which restores the pristine build image) loses
-    /// nothing.
+    /// batch. Attaching at open time matters: the session shadows every
+    /// device-leg mutation in its host overlay from the start, so a later
+    /// degradation and recovery re-upload (which restores the build image)
+    /// loses nothing.
     pub fn device_session_with_faults(
         &self,
         dev: &DeviceConfig,
@@ -429,9 +418,9 @@ pub struct FaultStats {
 /// ```
 ///
 /// Pinning a `Device` session passes through `Degraded` on the way. The
-/// first step out of `Device` makes the mutation journal authoritative
-/// for every key it holds, for the rest of the session's life: a recovery
-/// re-upload restores the pristine build image, so device mutations made
+/// first step out of `Device` makes the host overlay authoritative for
+/// every device mutation it shadows, for the rest of the session's life: a
+/// recovery re-upload restores the build image, so device mutations made
 /// before the fault survive only there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -446,14 +435,26 @@ pub enum Mode {
 }
 
 /// A stateful device session: uploaded tree + persistent L2, hash table,
-/// free lists, arena tails, host-side tables and staging buffers.
+/// free lists, arena tails, staging buffers, and one host overlay over the
+/// index image.
+///
+/// # One image, one overlay
+///
+/// The index image is immutable for the session's whole life. Whatever
+/// the host knows beyond it — writes to host-routed keys, inserts the
+/// device could not attach, a shadow of device mutations — is one entry per
+/// key in a single ordered overlay (`crate::overlay`), so the CPU side
+/// reads, writes and ranges by one rule each and cannot disagree with
+/// itself. The overlay only ever grows with the keys a session touches;
+/// folding it back (`image ⊕ overlay → new image, clear overlay`) is the
+/// remap ROADMAP item 2(b) describes, and this pair is its input.
 ///
 /// # One batch, one path
 ///
 /// All four `*_batch` calls run the same sequence — recover, route every
 /// key, device leg under the retry policy (or the CPU engine when the
 /// session is not in [`Mode::Device`] or the retries run out), read back,
-/// overlay merge, fallback accounting, telemetry — and differ only in
+/// parked-key answers, fallback accounting, telemetry — and differ only in
 /// what is genuinely per kind (a `match` on `Kind` in the helper that
 /// owns the decision; ranges bring their own staging and materialise
 /// rows host-side).
@@ -468,9 +469,9 @@ pub enum Mode {
 /// retry. Transient failures are retried under the session's
 /// [`RetryPolicy`] with modeled exponential backoff; when the budget is
 /// exhausted the session *degrades* — the failed batch and all following
-/// device legs are served by the CPU engine against the pristine build
-/// image plus a session journal of device mutations — until a re-upload
-/// succeeds at the start of a later batch and the session *recovers*.
+/// device legs are served by the CPU engine against the build image plus
+/// the overlay's shadow of device mutations — until a re-upload succeeds
+/// at the start of a later batch and the session *recovers*.
 pub struct CuartSession<'a> {
     index: &'a CuartIndex,
     dev: DeviceConfig,
@@ -486,26 +487,19 @@ pub struct CuartSession<'a> {
     range_staging: Option<RangeStaging>,
     /// Inherited from the index at session open; `None` records nothing.
     telemetry: Option<Arc<Telemetry>>,
-    /// Session-private copies of the host-side tables so host-routed
-    /// updates stay coherent with device state.
-    short_keys: Vec<(Vec<u8>, u64)>,
-    host_leaves: Vec<(Vec<u8>, u64)>,
-    /// Structural inserts the device spilled (§5.1 extension): consulted
-    /// after device misses, folded back into the tree at the next remap.
-    overflow: BTreeMap<Vec<u8>, u64>,
+    /// Everything the host knows beyond the image: host-routed writes,
+    /// structural inserts the device spilled (§5.1 extension) and, while
+    /// [`keeps_journal`](Self::keeps_journal), a shadow of every device
+    /// mutation. The input of a remap, which would fold it into a new image.
+    overlay: HostOverlay<'a>,
     /// Deterministic fault source for the device legs; `None` disables
     /// all fault paths (the checks compile to a single branch).
     injector: Option<FaultInjector>,
     retry: RetryPolicy,
     mode: Mode,
-    /// Device-leg mutations since session open (`None` = deleted).
-    /// Maintained whenever an injector is attached, shadowing is forced
-    /// on, or the session has ever degraded.
-    journal: BTreeMap<Vec<u8>, Option<u64>>,
-    /// Force journal shadowing even without an injector, so a later
-    /// [`CuartSession::set_cpu_only`] pin (e.g. a latency-SLO breaker
-    /// trip with no fault injector) still finds every device mutation in
-    /// the journal.
+    /// Shadow device mutations in the overlay even without an injector, so
+    /// a later [`CuartSession::set_cpu_only`] pin (e.g. a latency-SLO
+    /// breaker trip with no fault injector) still finds every one of them.
     journal_shadowing: bool,
     retries_total: u64,
     degradations: u64,
@@ -654,13 +648,10 @@ impl<'a> CuartSession<'a> {
             staging: None,
             range_staging: None,
             telemetry: index.telemetry.clone(),
-            short_keys: index.buffers.short_keys.clone(),
-            host_leaves: index.buffers.host_leaves.clone(),
-            overflow: BTreeMap::new(),
+            overlay: HostOverlay::new(&index.buffers),
             injector: None,
             retry: RetryPolicy::default(),
             mode: Mode::Device,
-            journal: BTreeMap::new(),
             journal_shadowing: false,
             retries_total: 0,
             degradations: 0,
@@ -690,7 +681,7 @@ impl<'a> CuartSession<'a> {
     }
 
     /// Attach a fault injector. Attach **before** the first mutating
-    /// batch: only journaled mutations survive a recovery re-upload.
+    /// batch: only shadowed mutations survive a recovery re-upload.
     pub fn attach_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }
@@ -712,7 +703,7 @@ impl<'a> CuartSession<'a> {
 
     /// Pin (or release) the session to the authoritative CPU path.
     ///
-    /// Pinning degrades the session (journal becomes authoritative, a
+    /// Pinning degrades the session (the overlay becomes authoritative, a
     /// `Degraded` event is emitted) and suppresses the per-batch recovery
     /// probe, so no device traffic happens until the pin is released —
     /// this is how the scheduler's circuit breaker serves an `Open`
@@ -728,7 +719,7 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    /// Force journal shadowing of device mutations even without an
+    /// Shadow device mutations in the host overlay even without an
     /// injector. Callers that may pin the session later (the scheduler's
     /// circuit breaker) enable this **before** the first mutating batch,
     /// so the CPU path is authoritative whenever the pin lands.
@@ -847,8 +838,8 @@ impl<'a> CuartSession<'a> {
     }
 
     /// Leave [`Mode::Device`]: device legs are served by the CPU engine
-    /// until a re-upload succeeds. The journal becomes (and stays) the
-    /// authority for every key it contains.
+    /// until a re-upload succeeds. The overlay becomes (and stays) the
+    /// authority for every key it shadows.
     fn degrade(&mut self, batch_keys: u64) {
         if self.mode != Mode::Device {
             return;
@@ -891,178 +882,72 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    /// `true` while device-leg mutations are shadowed in the journal, so a
-    /// recovery re-upload (which restores the pristine build image) or a
-    /// pin loses nothing.
+    /// `true` while device-leg mutations are shadowed in the overlay, so a
+    /// recovery re-upload (which restores the build image) or a pin loses
+    /// nothing.
     fn keeps_journal(&self) -> bool {
         self.injector.is_some() || self.journal_shadowing || self.degradations > 0
     }
 
-    /// Does the CPU path see `key` as live: the journal, then the pristine
-    /// build image.
-    fn cpu_has(&self, key: &[u8]) -> bool {
-        match self.journal.get(key) {
-            Some(entry) => entry.is_some(),
-            None => cpu::lookup(&self.index.buffers, key).is_some(),
-        }
-    }
-
-    /// Answer one op without the device leg if a host-side overlay claims
-    /// its key; `None` sends it to the device. The order of the checks *is*
-    /// the precedence of the overlays over the device image, for every
-    /// point kind (the overflow gets a second say, on whatever the device
-    /// leg leaves unanswered, in [`answer_parked`](Self::answer_parked)).
+    /// Answer one op without the device leg if the host must; `None` sends
+    /// it to the device. Which ops that is never depends on what the
+    /// overlay shadows until a degradation has happened, so the modeled
+    /// device work of a healthy session is a function of its batches alone.
     fn off_device<K: PointKind>(
         &mut self,
         key: &[u8],
         value: u64,
         stride_max: usize,
     ) -> Option<u64> {
-        if self.index.is_host_routed(key) || key.is_empty() {
-            return Some(self.on_host::<K>(key, value));
+        if key.is_empty() {
+            return Some(K::KIND.default_answer());
         }
-        if key.len() > stride_max {
-            // The key cannot be packed at the device stride — and the
-            // stride covers every stored key, so no stored key can match.
-            // No structural attach point can exist for it either, so an
-            // insert spills to the host overflow table like any other
-            // structurally impossible insert.
-            if K::KIND != Kind::Insert {
-                return Some(K::KIND.default_answer());
-            }
-            self.overflow.insert(key.to_vec(), value);
-            return Some(insert_status::SPILLED);
+        // Host-routed classes, and keys that cannot be packed at the device
+        // stride: the stride covers every stored key, so the device holds
+        // no such key and has no attach point for one.
+        if self.index.buffers.is_host_routed(key) || key.len() > stride_max {
+            return Some(self.on_host::<K>(key, value, Home::Host));
         }
-        if K::KIND == Kind::Insert {
-            if let Some(slot) = self.overflow.get_mut(key) {
-                *slot = value;
-                return Some(insert_status::UPDATED);
-            }
+        // A parked key has no attach point on the device either: a second
+        // insert would only spill again.
+        if K::KIND == Kind::Insert && self.overlay.parked() > 0 && self.overlay.is_parked(key) {
+            return Some(self.on_host::<K>(key, value, Home::Host));
         }
-        // Once a degradation has happened the journal is the authority for
-        // every key it contains — a recovery re-upload restores the
-        // pristine build image, so pre-fault device mutations only survive
-        // there.
-        if self.degradations > 0 && self.journal.contains_key(key) {
-            return Some(self.on_cpu::<K>(key, value));
+        // A recovery re-upload restores the build image, so once a
+        // degradation has happened the device may be stale for every key
+        // the overlay shadows.
+        if self.degradations > 0 && self.overlay.preempts(key) {
+            return Some(self.on_host::<K>(key, value, Home::Shadow));
         }
         None
     }
 
-    /// Answer a host-routed op from the session's host tables. Long keys
-    /// only route here under CpuRoute, where `host_leaves` has no device
-    /// links referencing it — sorted insertion and removal are safe.
-    fn on_host<K: PointKind>(&mut self, key: &[u8], value: u64) -> u64 {
-        let table = if key.len() > MAX_DEVICE_KEY {
-            &mut self.host_leaves
-        } else {
-            &mut self.short_keys
-        };
-        let slot = table.binary_search_by(|(k, _)| k.as_slice().cmp(key));
-        match (K::KIND, slot) {
-            (Kind::Lookup, Ok(i)) => table[i].1,
-            (Kind::Lookup, Err(_)) => NOT_FOUND,
-            (Kind::Update, Ok(i)) => {
-                if value == DELETE {
-                    table.remove(i);
-                } else {
-                    table[i].1 = value;
-                }
-                status::APPLIED
-            }
-            (Kind::Update, Err(_)) => status::MISS,
-            (Kind::Insert, _) if key.is_empty() => insert_status::REJECTED,
-            (Kind::Insert, Ok(i)) => {
-                table[i].1 = value;
-                insert_status::UPDATED
-            }
-            (Kind::Insert, Err(i)) => {
-                table.insert(i, (key.to_vec(), value));
-                insert_status::INSERTED
-            }
-        }
-    }
-
-    /// Answer a device-eligible op on the CPU path: the journal, then (for
-    /// lookups) the overflow, then the pristine build image. Writes to
-    /// overflow keys are left unanswered here — the overflow merge after
-    /// the device leg applies them.
-    fn on_cpu<K: PointKind>(&mut self, key: &[u8], value: u64) -> u64 {
+    /// Answer one op on the host: the overlay, then the image. `home` is
+    /// where a key the overlay does not hold yet is filed.
+    fn on_host<K: PointKind>(&mut self, key: &[u8], value: u64, home: Home) -> u64 {
         match K::KIND {
-            Kind::Lookup => match (self.journal.get(key), self.overflow.get(key)) {
-                (Some(entry), _) => entry.unwrap_or(NOT_FOUND),
-                (None, Some(v)) => *v,
-                (None, None) => cpu::lookup(&self.index.buffers, key).unwrap_or(NOT_FOUND),
-            },
-            Kind::Update if !self.cpu_has(key) => status::MISS,
-            Kind::Update => {
-                self.journal
-                    .insert(key.to_vec(), (value != DELETE).then_some(value));
-                status::APPLIED
-            }
-            Kind::Insert => {
-                let existed = self.cpu_has(key);
-                self.journal.insert(key.to_vec(), Some(value));
-                if existed {
-                    insert_status::UPDATED
-                } else {
-                    insert_status::INSERTED
-                }
-            }
-        }
-    }
-
-    /// Turn one raw lookup result into its answer: host-leaf signals finish
-    /// on the CPU against the session table (which sees host-side updates).
-    fn resolve_host_signal(&self, raw: u64, key: &[u8], host_spills: &mut u64) -> u64 {
-        if raw == NOT_FOUND || raw & HOST_SIGNAL == 0 {
-            return raw;
-        }
-        *host_spills += 1;
-        let (stored, value) = &self.host_leaves[(raw & !HOST_SIGNAL) as usize];
-        if stored.as_slice() == key {
-            *value
-        } else {
-            NOT_FOUND
+            Kind::Lookup => self.overlay.lookup(key),
+            Kind::Update => self.overlay.update(key, value, home),
+            Kind::Insert => self.overlay.insert(key, value, home),
         }
     }
 
     /// Write kinds, per device op after the launch: shadow an applied
-    /// mutation in the journal when `journaling`, park a spilled insert.
+    /// mutation when `journaling`, park a spilled insert.
     fn settle<K: PointKind>(&mut self, key: &[u8], value: u64, status: u64, journaling: bool) {
-        match (K::KIND, status) {
+        let (value, home) = match (K::KIND, status) {
             (Kind::Update, status::APPLIED) if journaling => {
-                self.journal
-                    .insert(key.to_vec(), (value != DELETE).then_some(value));
+                ((value != DELETE).then_some(value), Home::Shadow)
             }
             (Kind::Insert, insert_status::UPDATED | insert_status::INSERTED) if journaling => {
-                self.journal.insert(key.to_vec(), Some(value));
+                (Some(value), Home::Shadow)
             }
-            // Parked host-side; later spills of the same key win naturally
-            // (ops are visited in tid order).
-            (Kind::Insert, insert_status::SPILLED) => {
-                self.overflow.insert(key.to_vec(), value);
-            }
-            _ => {}
-        }
-    }
-
-    /// Answer an op the device leg (or its fallback) left at the default
-    /// from the overflow, if its key is parked there.
-    fn answer_parked<K: PointKind>(&mut self, key: &[u8], value: u64) -> Option<u64> {
-        let slot = self.overflow.get_mut(key)?;
-        match K::KIND {
-            Kind::Lookup => Some(*slot),
-            Kind::Update => {
-                if value == DELETE {
-                    self.overflow.remove(key);
-                } else {
-                    *slot = value;
-                }
-                Some(status::APPLIED)
-            }
-            Kind::Insert => None,
-        }
+            // Later spills of the same key win naturally (ops are visited
+            // in tid order).
+            (Kind::Insert, insert_status::SPILLED) => (Some(value), Home::Host),
+            _ => return,
+        };
+        self.overlay.set(key, value, home);
     }
 
     fn ensure_staging(&mut self, batch: usize) -> Staging {
@@ -1167,7 +1052,7 @@ impl<'a> CuartSession<'a> {
     }
 
     /// One point batch, start to finish: recover, route every key, run the
-    /// device leg (or its CPU fallback), read back, merge the overflow,
+    /// device leg (or its CPU fallback), read back, answer parked keys,
     /// record. Answers come back in op order.
     fn point_batch<K: PointKind>(
         &mut self,
@@ -1206,8 +1091,12 @@ impl<'a> CuartSession<'a> {
                     for (j, &i) in device_idx.iter().enumerate() {
                         let raw = self.mem.read_u64(st.results, j * 8);
                         out[i] = match K::KIND {
+                            // Host-leaf signals finish on the CPU (§3.2.3
+                            // option 2).
                             Kind::Lookup => {
-                                self.resolve_host_signal(raw, K::split(&ops[i]).0, &mut host_spills)
+                                host_spills +=
+                                    u64::from(raw != NOT_FOUND && raw & HOST_SIGNAL != 0);
+                                self.index.resolve_host_signal(raw, K::split(&ops[i]).0)
                             }
                             _ => raw,
                         };
@@ -1215,31 +1104,28 @@ impl<'a> CuartSession<'a> {
                     if writes {
                         self.rerun_exhausted::<K>(&mut out, &device_idx, ops, &mut report)?;
                         // Only the max-tid winner of each key carries an
-                        // applied status. Runs before the overflow merge so
-                        // overflow-applied ops never enter the journal.
+                        // applied status.
                         let journaling = self.keeps_journal();
                         for &i in &device_idx {
                             let (key, value) = K::split(&ops[i]);
                             self.settle::<K>(key, value, out[i], journaling);
                         }
                     }
+                    // The device holds no parked key: lookups and updates
+                    // of one came back unanswered.
+                    if K::KIND != Kind::Insert && self.overlay.parked() > 0 {
+                        for &i in &device_idx {
+                            let (key, value) = K::split(&ops[i]);
+                            if out[i] == K::KIND.default_answer() && self.overlay.is_parked(key) {
+                                out[i] = self.on_host::<K>(key, value, Home::Host);
+                            }
+                        }
+                    }
                 }
                 None => {
                     for &i in &device_idx {
                         let (key, value) = K::split(&ops[i]);
-                        out[i] = self.on_cpu::<K>(key, value);
-                    }
-                }
-            }
-        }
-        // Ops the device leg left unanswered may target keys parked in the
-        // overflow (structural inserts the device spilled).
-        if !self.overflow.is_empty() {
-            for (i, op) in ops.iter().enumerate() {
-                if out[i] == K::KIND.default_answer() {
-                    let (key, value) = K::split(op);
-                    if let Some(answer) = self.answer_parked::<K>(key, value) {
-                        out[i] = answer;
+                        out[i] = self.on_host::<K>(key, value, Home::Shadow);
                     }
                 }
             }
@@ -1400,45 +1286,8 @@ impl<'a> CuartSession<'a> {
         self.range_staging.insert(st)
     }
 
-    /// Host-authoritative rows for one inclusive range: pristine device
-    /// rows (arena spans + dynamic leaves), the session's host tables,
-    /// parked overflow inserts, and finally the mutation journal overlay
-    /// (which wins on conflicts and removes deletions). Inverted bounds
-    /// yield an empty result rather than panicking.
-    fn range_rows(&self, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, u64)> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let mut map: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        for (k, v) in range_device_rows(&self.index.buffers, lo, hi) {
-            map.insert(k, v);
-        }
-        for table in [&self.short_keys, &self.host_leaves] {
-            for (k, v) in table.iter() {
-                if k.as_slice() >= lo && k.as_slice() <= hi {
-                    map.insert(k.clone(), *v);
-                }
-            }
-        }
-        let bounds = (std::ops::Bound::Included(lo), std::ops::Bound::Included(hi));
-        for (k, v) in self.overflow.range::<[u8], _>(bounds) {
-            map.insert(k.clone(), *v);
-        }
-        for (k, entry) in self.journal.range::<[u8], _>(bounds) {
-            match entry {
-                Some(v) => {
-                    map.insert(k.clone(), *v);
-                }
-                None => {
-                    map.remove(k);
-                }
-            }
-        }
-        map.into_iter().collect()
-    }
-
-    /// Batch lookup: host-routed keys answered from the session tables,
-    /// device keys through the lookup kernel; results in query order.
+    /// Batch lookup: host-routed keys answered from the overlay and the
+    /// image, device keys through the lookup kernel; results in query order.
     ///
     /// Infallible unless a non-transient error escapes the fault path: a
     /// device leg that exhausts its retries degrades to the CPU engine
@@ -1470,7 +1319,7 @@ impl<'a> CuartSession<'a> {
     /// future-work extension). Existing keys are updated (thread-id
     /// priority, like [`update_batch`](Self::update_batch)); new keys are
     /// attached on the device where a single-CAS attach point exists, and
-    /// spill to the session's host overflow table otherwise. Returns one
+    /// are parked in the session's host overlay otherwise. Returns one
     /// [`insert_status`](crate::insert::insert_status) per op.
     ///
     /// A device leg that exhausts its retries degrades to the CPU engine
@@ -1487,9 +1336,8 @@ impl<'a> CuartSession<'a> {
     ///
     /// The device leg runs the §3.2.1 span kernel over the session's
     /// arenas to model the lookup cost, but the rows themselves are
-    /// materialized host-side (pristine spans + dynamic leaves, session
-    /// host tables, parked overflow inserts, then the mutation journal
-    /// overlay) so device mutations recorded in the journal are visible.
+    /// materialized host-side (the image's rows with the host overlay laid
+    /// over them) so device mutations the overlay shadows are visible.
     /// Mutations made *before* journal shadowing was enabled are not —
     /// the scheduler path enables shadowing up front, so serving-path
     /// ranges are exact. Inverted or empty ranges return empty rows. A
@@ -1512,7 +1360,7 @@ impl<'a> CuartSession<'a> {
                 let staged = (st.queries, st.results);
                 // Bounds longer than the packed 32-byte field are clamped:
                 // the kernel leg only models span-search cost, the host
-                // merge below is authoritative.
+                // rows below are authoritative.
                 let live = ranges.len() * RANGE_RECORD_BYTES;
                 pack_range_records(s.mem.bytes_mut(staged.0, 0, live), ranges);
                 Ok(staged)
@@ -1540,7 +1388,7 @@ impl<'a> CuartSession<'a> {
         let out: Vec<Vec<(Vec<u8>, u64)>> = ranges
             .iter()
             .map(|(lo, hi)| {
-                let rows = self.range_rows(lo, hi);
+                let rows = self.overlay.range(lo, hi);
                 rows_total += rows.len();
                 rows
             })
@@ -1567,9 +1415,10 @@ impl<'a> CuartSession<'a> {
         (self.claims, &mut self.mem)
     }
 
-    /// Number of keys parked in the host overflow table.
+    /// Number of device-eligible keys parked host-side: the inserts the
+    /// device could not take.
     pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.overlay.parked()
     }
 
     /// Number of freed slots currently on the free list of a leaf class.

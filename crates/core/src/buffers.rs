@@ -8,6 +8,7 @@
 use crate::error::CuartError;
 use crate::layout::stride;
 use crate::link::{LinkType, NodeLink};
+use crate::mapper::MAX_DEVICE_KEY;
 
 /// How keys longer than the 32-byte device maximum are handled (§3.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +251,15 @@ impl CuartBuffers {
     /// Keys held on the host side (short + long tables).
     pub fn host_entries(&self) -> usize {
         self.short_keys.len() + self.host_leaves.len()
+    }
+
+    /// `true` if `key` is served by the host rather than the device: too
+    /// short for the LUT, or long under the CpuRoute policy.
+    pub fn is_host_routed(&self, key: &[u8]) -> bool {
+        let span = self.config.lut_span;
+        (span > 0 && key.len() < span)
+            || (key.len() > MAX_DEVICE_KEY
+                && self.config.long_key_policy == LongKeyPolicy::CpuRoute)
     }
 
     /// Binary search a host-side sorted table.

@@ -7,7 +7,7 @@
 //! module is that engine; it is also the functional reference the GPU
 //! kernels are tested against.
 
-use crate::buffers::{CuartBuffers, LongKeyPolicy};
+use crate::buffers::CuartBuffers;
 use crate::layout::{self, leaf, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::{lut_slot, MAX_DEVICE_KEY};
@@ -160,12 +160,10 @@ pub fn traverse(b: &CuartBuffers, key: &[u8]) -> Resolution {
 /// Full lookup: routes short and long keys to the host-side tables exactly
 /// as the host pipeline would, and resolves host-compare signals.
 pub fn lookup(b: &CuartBuffers, key: &[u8]) -> Option<u64> {
-    let span = b.config.lut_span;
-    if span > 0 && !key.is_empty() && key.len() < span {
-        return CuartBuffers::search_table(&b.short_keys, key);
-    }
-    if key.len() > MAX_DEVICE_KEY && b.config.long_key_policy == LongKeyPolicy::CpuRoute {
-        return CuartBuffers::search_table(&b.host_leaves, key);
+    if b.is_host_routed(key) {
+        let long = key.len() > MAX_DEVICE_KEY;
+        let table = if long { &b.host_leaves } else { &b.short_keys };
+        return CuartBuffers::search_table(table, key);
     }
     match traverse(b, key) {
         Resolution::Found(v) => Some(v),

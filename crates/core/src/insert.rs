@@ -19,9 +19,10 @@
 //!   cases that need no restructuring.
 //! * **Everything else spills** — N4/N16 array inserts (sorted-array
 //!   shifts are not atomic), prefix splits, leaf splits, grown nodes and
-//!   capacity exhaustion go to a host-side overflow table that the session
-//!   consults after device misses. A production system would fold the
-//!   overflow back into the tree at the next remap.
+//!   capacity exhaustion are parked in the session's host overlay
+//!   (`crate::overlay`), which answers for them after device misses. A
+//!   remap — image ⊕ overlay → new image — is what would fold them back
+//!   into the tree.
 //!
 //! Like the update engine (§3.4), inserts are batched with thread-id
 //! priority: stage 1 classifies against the pre-batch state and claims the
@@ -44,7 +45,7 @@ pub mod insert_status {
     pub const SUPERSEDED: u64 = 2;
     /// New key attached on the device.
     pub const INSERTED: u64 = 3;
-    /// Structural insert required: op spilled to the host overflow table.
+    /// Structural insert required: op parked in the session's host overlay.
     pub const SPILLED: u64 = 4;
     /// Invalid operation (empty key): not stored anywhere.
     pub const REJECTED: u64 = 5;

@@ -70,6 +70,7 @@ pub mod kernels;
 pub mod layout;
 pub mod link;
 pub mod mapper;
+mod overlay;
 pub mod persist;
 pub mod range;
 pub mod shard;

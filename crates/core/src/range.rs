@@ -121,12 +121,11 @@ pub fn materialize_span(b: &CuartBuffers, span: &LeafSpan) -> Vec<(Vec<u8>, u64)
         .collect()
 }
 
-/// The device-resident rows of the inclusive key interval `[lo, hi]`:
-/// ordered leaf-arena spans plus the (unordered, scanned) dynamic leaves.
-/// Host-side tables are **excluded** — callers that maintain their own
-/// host tables (a [`CuartSession`](crate::CuartSession)) merge those
-/// themselves; [`range_query`] merges the buffers' copies.
-pub fn range_device_rows(b: &CuartBuffers, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, u64)> {
+/// Full range query over the **inclusive key interval** `[lo, hi]`:
+/// ordered leaf-arena spans, the (unordered, scanned) dynamic leaves and
+/// the host-side tables, merged in lexicographic order. Matches
+/// `Art::range` on the same data.
+pub fn range_query(b: &CuartBuffers, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, u64)> {
     let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
     for span in range_spans(b, lo, hi) {
         out.extend(materialize_span(b, &span));
@@ -150,14 +149,6 @@ pub fn range_device_rows(b: &CuartBuffers, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>
         }
         off = (off + 2 + len + 8).next_multiple_of(8);
     }
-    out
-}
-
-/// Full range query over the **inclusive key interval** `[lo, hi]`:
-/// device spans plus host-side tables, merged in lexicographic order.
-/// Matches `Art::range` on the same data.
-pub fn range_query(b: &CuartBuffers, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, u64)> {
-    let mut out = range_device_rows(b, lo, hi);
     for table in [&b.short_keys, &b.host_leaves] {
         for (k, v) in table {
             if k.as_slice() >= lo && k.as_slice() <= hi {

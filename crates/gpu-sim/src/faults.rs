@@ -4,9 +4,9 @@
 //! allocation failure as *recoverable batch outcomes*, not process aborts.
 //! This module gives the simulator the same failure surface: a seedable
 //! [`FaultInjector`] that engines consult at every operation boundary
-//! (before a transfer, before a launch, before an arena grow). When the
-//! `faults` cargo feature is **off** the check body compiles away to
-//! `Ok(())`, so production builds pay nothing.
+//! (before a transfer, before a launch, before an arena grow). "Faults
+//! off" is an engine with no injector attached: one `Option` branch per
+//! check site.
 //!
 //! Determinism: the injector is a pure function of its
 //! [`FaultConfig`] (seed, per-site probabilities, explicit fail-Nth
@@ -98,7 +98,6 @@ impl FaultConfig {
         self
     }
 
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
     fn rate_for(&self, site: FaultSite) -> f64 {
         match site {
             FaultSite::Transfer => self.transfer_rate,
@@ -116,7 +115,6 @@ impl FaultConfig {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     cfg: FaultConfig,
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
     state: u64,
     ops: u64,
     injected: u64,
@@ -141,13 +139,6 @@ impl FaultInjector {
         Self::new(FaultConfig::uniform(seed, rate))
     }
 
-    /// `true` when the crate was compiled with the `faults` feature and
-    /// the injector can actually fire. When `false`, `check` always
-    /// returns `Ok`, regardless of configuration.
-    pub const fn is_active() -> bool {
-        cfg!(feature = "faults")
-    }
-
     /// Total `check` calls made on this injector.
     pub fn ops_checked(&self) -> u64 {
         self.ops
@@ -166,36 +157,27 @@ impl FaultInjector {
     /// Consult the injector at an op boundary of kind `site`.
     ///
     /// Returns `Err(DeviceFault)` when the op should fail. The op index
-    /// advances on every call (also with the feature off, so op-indexed
-    /// schedules line up across builds — they just never fire).
+    /// advances on every call.
     pub fn check(&mut self, site: FaultSite) -> Result<(), DeviceFault> {
         let op_index = self.ops;
         self.ops = self.ops.saturating_add(1);
-        #[cfg(feature = "faults")]
-        {
-            let scheduled = self.cfg.fail_ops.contains(&op_index);
-            let rate = self.cfg.rate_for(site);
-            let rolled = if rate > 0.0 {
-                // Advance the RNG only when a rate is configured so that
-                // pure-schedule configs are insensitive to rate changes.
-                let r = self.next_u64();
-                (r >> 11) as f64 / (1u64 << 53) as f64 <= rate
-            } else {
-                false
-            };
-            if scheduled || rolled {
-                self.injected += 1;
-                return Err(DeviceFault { site, op_index });
-            }
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = (site, op_index);
+        let scheduled = self.cfg.fail_ops.contains(&op_index);
+        let rate = self.cfg.rate_for(site);
+        let rolled = if rate > 0.0 {
+            // Advance the RNG only when a rate is configured so that
+            // pure-schedule configs are insensitive to rate changes.
+            let r = self.next_u64();
+            (r >> 11) as f64 / (1u64 << 53) as f64 <= rate
+        } else {
+            false
+        };
+        if scheduled || rolled {
+            self.injected += 1;
+            return Err(DeviceFault { site, op_index });
         }
         Ok(())
     }
 
-    #[cfg(feature = "faults")]
     fn next_u64(&mut self) -> u64 {
         self.state = splitmix64(self.state);
         self.state
@@ -225,7 +207,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "faults")]
     fn same_seed_same_schedule() {
         let run = |seed| {
             let mut inj = FaultInjector::uniform(seed, 0.05);
@@ -238,7 +219,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "faults")]
     fn rate_is_roughly_respected() {
         let mut inj = FaultInjector::uniform(1, 0.05);
         let n = 20_000;
@@ -256,7 +236,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "faults")]
     fn fail_nth_schedule_fires_exactly_there() {
         let mut inj = FaultInjector::new(FaultConfig::default().fail_range(3, 5));
         let results: Vec<bool> = (0..8)
@@ -270,7 +249,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "faults")]
     fn fault_carries_site_and_op_index() {
         let mut inj = FaultInjector::new(FaultConfig::default().fail_range(1, 2));
         assert!(inj.check(FaultSite::Transfer).is_ok());
@@ -278,16 +256,5 @@ mod tests {
         assert_eq!(err.site, FaultSite::Kernel);
         assert_eq!(err.op_index, 1);
         assert!(err.to_string().contains("kernel"));
-    }
-
-    #[test]
-    #[cfg(not(feature = "faults"))]
-    fn without_feature_even_scheduled_faults_are_noops() {
-        let mut inj = FaultInjector::new(FaultConfig::uniform(0, 1.0).fail_range(0, 100));
-        for _ in 0..100 {
-            assert!(inj.check(FaultSite::Transfer).is_ok());
-        }
-        assert_eq!(inj.faults_injected(), 0);
-        assert!(!FaultInjector::is_active());
     }
 }

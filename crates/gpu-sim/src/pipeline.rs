@@ -416,18 +416,14 @@ mod tests {
         assert_eq!(plain.makespan_ns, traced.makespan_ns);
         assert_eq!(plain.mops, traced.mops);
         let s = t.snapshot();
-        if t.is_enabled() {
-            // Root + TRACED_BATCHES subtrees × (1 node + 6 leaves).
-            assert_eq!(s.spans.len(), 1 + TRACED_BATCHES * 7);
-            let root = &s.spans[0];
-            assert_eq!(root.name, "pipeline");
-            assert_eq!(root.duration_ns(), plain.makespan_ns.round() as u64);
-            // Every batch span nests inside the root envelope.
-            for sp in &s.spans[1..] {
-                assert!(sp.end_ns <= root.end_ns, "{sp:?}");
-            }
-        } else {
-            assert!(s.spans.is_empty());
+        // Root + TRACED_BATCHES subtrees × (1 node + 6 leaves).
+        assert_eq!(s.spans.len(), 1 + TRACED_BATCHES * 7);
+        let root = &s.spans[0];
+        assert_eq!(root.name, "pipeline");
+        assert_eq!(root.duration_ns(), plain.makespan_ns.round() as u64);
+        // Every batch span nests inside the root envelope.
+        for sp in &s.spans[1..] {
+            assert!(sp.end_ns <= root.end_ns, "{sp:?}");
         }
     }
 

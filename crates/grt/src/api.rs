@@ -280,7 +280,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn telemetry_records_device_batches() {
         use cuart_telemetry::names;
         let telemetry = Arc::new(Telemetry::new());

@@ -279,7 +279,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn traced_run_records_routing_decision() {
         let telemetry = Telemetry::new();
         let gpu = gpu_report(170.0);

@@ -18,12 +18,11 @@
 //!
 //! # Cost model
 //!
-//! With the default `enabled` feature, recording through a handle is one
-//! relaxed atomic op; the registry locks are touched only on name
-//! resolution and the event ring takes one short mutex per *batch*.
-//! Compiled with `--no-default-features`, every type here becomes an
-//! API-identical zero-sized no-op, so the only residual cost in the
-//! engines is the `Option` branch at each recording site.
+//! Recording through a handle is one relaxed atomic op; the registry
+//! locks are touched only on name resolution and the event ring takes one
+//! short mutex per *batch*. "Telemetry off" is an index with no registry
+//! attached: the only residual cost in the engines is the `Option` branch
+//! at each recording site.
 
 #![forbid(unsafe_code)]
 
@@ -36,18 +35,8 @@ pub use event::{BatchEvent, BatchKind};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use tracing::{Span, SpanNode, DEFAULT_SPAN_CAPACITY};
 
-#[cfg(feature = "enabled")]
 mod real;
-#[cfg(feature = "enabled")]
 pub use real::{
-    Counter, CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, Telemetry,
-    DEFAULT_EVENT_CAPACITY,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
     Counter, CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, Telemetry,
     DEFAULT_EVENT_CAPACITY,
 };
@@ -58,7 +47,6 @@ pub mod names;
 mod tests {
     use super::*;
 
-    /// The surface every build must expose identically.
     #[test]
     fn api_surface_compiles_and_snapshots() {
         let t = Telemetry::new();
@@ -69,12 +57,8 @@ mod tests {
         let s = t.snapshot();
         let json = s.to_json();
         let prom = s.to_prometheus();
-        if t.is_enabled() {
-            assert_eq!(s.counters.get(names::LOOKUP_BATCHES), Some(&1));
-            assert!(json.contains("cuart.lookup.batches"));
-            assert!(prom.contains("cuart_lookup_batches 1"));
-        } else {
-            assert!(s.counters.is_empty());
-        }
+        assert_eq!(s.counters.get(names::LOOKUP_BATCHES), Some(&1));
+        assert!(json.contains("cuart.lookup.batches"));
+        assert!(prom.contains("cuart_lookup_batches 1"));
     }
 }

@@ -1,4 +1,4 @@
-//! The live registry, compiled when the `enabled` feature is on.
+//! The registry.
 //!
 //! Hot paths are lock-light: metric handles are `Arc`s of atomics, so the
 //! registry's `RwLock`s are only taken when a metric name is first (or
@@ -341,12 +341,6 @@ impl Telemetry {
             self.gauge_set(names::TRACE_CRITICAL_SHARE, share);
         }
         id
-    }
-
-    /// Whether recording is compiled in (always `true` here; the no-op
-    /// build returns `false`).
-    pub fn is_enabled(&self) -> bool {
-        true
     }
 
     /// Freeze the whole registry into an owned [`Snapshot`].

@@ -10,11 +10,8 @@
 //! verified, and a deliberately corrupted copy is shown to be rejected.
 //!
 //! ```text
-//! cargo run -p cuart-examples --features faults --bin fault_drill
+//! cargo run -p cuart-examples --bin fault_drill
 //! ```
-//!
-//! Built *without* `--features faults` the injector is inert and the
-//! drill degenerates into a plain (still correct) session run.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
@@ -40,9 +37,6 @@ fn main() {
     let index = CuartIndex::build(&art, &CuartConfig::default()).with_telemetry(telemetry.clone());
     let dev = devices::rtx3090();
 
-    if !FaultInjector::is_active() {
-        eprintln!("note: built without the `faults` feature; the injector will never fire");
-    }
     // 5 % per-op fault rate, plus a scheduled 16-op burst: 16 consecutive
     // failing device ops comfortably exhaust the default 4-attempt retry
     // budget, so the drill is guaranteed to visit the degraded state no
@@ -107,11 +101,9 @@ fn main() {
         24 * 1024
     );
     assert_eq!(wrong, 0, "fault handling must never corrupt results");
-    if FaultInjector::is_active() {
-        assert!(stats.retries > 0, "the drill should have retried");
-        assert!(stats.degradations > 0, "the burst should have degraded");
-        assert!(stats.recoveries > 0, "a later batch should have recovered");
-    }
+    assert!(stats.retries > 0, "the drill should have retried");
+    assert!(stats.degradations > 0, "the burst should have degraded");
+    assert!(stats.recoveries > 0, "a later batch should have recovered");
 
     // The same story, as telemetry.
     let snap = telemetry.snapshot();

@@ -48,10 +48,6 @@ fn main() {
         index.len(),
         index.device_bytes() as f64 / (1 << 20) as f64
     );
-    if !telemetry.is_enabled() {
-        eprintln!("note: built without the `telemetry` feature; snapshots will be empty");
-    }
-
     for round in 0..10u64 {
         // Each scrape updates every known series' latest value...
         let updates: Vec<(Vec<u8>, u64)> = (0..500)

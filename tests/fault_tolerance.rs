@@ -1,11 +1,6 @@
 //! Fault-tolerance integration suite: the retry → degrade → recover
 //! session loop under a deterministic device-fault injector, checked
 //! against a `BTreeMap` oracle at every step.
-//!
-//! The suite is feature-aware: without `--features faults` the injector
-//! is inert (every check compiles to `Ok`), so the tests still run the
-//! full session workload and verify correctness — they just skip the
-//! assertions that require faults to actually fire. CI runs both builds.
 
 use cuart::insert::insert_status;
 use cuart::update::status;
@@ -105,9 +100,6 @@ fn five_percent_fault_rate_never_corrupts_and_recovers() {
     let wrong = drive_rounds(&mut session, &mut oracle, n, 20);
     assert_eq!(wrong, 0, "fault handling returned wrong lookup results");
 
-    if !FaultInjector::is_active() {
-        return; // injector inert without --features faults
-    }
     let stats = session.fault_stats();
     assert!(stats.injected > 0, "5% rate should have fired");
     assert!(
@@ -140,9 +132,6 @@ fn five_percent_fault_rate_never_corrupts_and_recovers() {
 /// served correctly by the CPU path.
 #[test]
 fn total_device_loss_degrades_but_serves_correctly() {
-    if !FaultInjector::is_active() {
-        return;
-    }
     let n = 2_000;
     let (art, mut oracle) = build(n);
     let index = CuartIndex::build(&art, &CuartConfig::for_tests());
@@ -162,9 +151,6 @@ fn total_device_loss_degrades_but_serves_correctly() {
 /// drill — stats included — is deterministic.
 #[test]
 fn fault_schedules_replay_deterministically() {
-    if !FaultInjector::is_active() {
-        return;
-    }
     let n = 1_500;
     let run = || {
         let (art, mut oracle) = build(n);
@@ -182,21 +168,36 @@ fn fault_schedules_replay_deterministically() {
     assert_eq!(stats_a, stats_b, "same seed must replay the same schedule");
 }
 
+/// A key of each class the host alone serves, per matrix row: shorter than
+/// the LUT span, longer than `MAX_DEVICE_KEY` under CpuRoute, and longer
+/// than the device stride (10 here) while still a device class.
+fn host_class_keys(row: u8) -> [Vec<u8>; 3] {
+    let tagged = |tag: u8, len: usize| {
+        let mut k = vec![b'0' + row; len];
+        k[0] = tag;
+        k
+    };
+    [vec![b'0' + row], tagged(b'L', 40), tagged(b'w', 20)]
+}
+
 /// One cell row of the mode × kind matrix: run a lookup, an update batch
 /// (a delete, an in-batch duplicate, a miss), an insert batch (two new keys
 /// that need the same branch point — the device attaches one and spills
-/// the other —, an existing key) and two ranges through `session`, and
-/// require every answer to be the `BTreeMap` model's. Statuses are checked
-/// by class: which of "applied" and "superseded" an in-batch duplicate gets,
-/// and whether a structural insert is `SPILLED` or journaled as `INSERTED`,
-/// is the one thing the device and CPU paths may spell differently.
+/// the other —, an existing key), two device keys deleted and re-inserted
+/// in one batch, and a key of every host class inserted, re-inserted,
+/// updated, deleted and re-inserted through `session`, and after every step
+/// require a lookup of every key touched *and* two ranges to be the
+/// `BTreeMap` model's. Statuses are checked by class: which of "applied"
+/// and "superseded" an in-batch duplicate gets, and whether a structural
+/// insert is `SPILLED` or shadowed as `INSERTED`, is the one thing the
+/// device and CPU paths may spell differently.
 fn check_every_kind(
     session: &mut cuart::CuartSession<'_>,
     model: &mut BTreeMap<Vec<u8>, u64>,
     row: u64,
 ) {
     let fresh = |tag: u8| vec![b'z', b'0' + row as u8, b'-', tag];
-    let lookups_match = |session: &mut cuart::CuartSession<'_>, model: &BTreeMap<_, _>| {
+    let answers_match = |session: &mut cuart::CuartSession<'_>, model: &BTreeMap<Vec<u8>, u64>| {
         let probes: Vec<Vec<u8>> = (0..60)
             .map(key)
             .chain((0..4).flat_map(|r| {
@@ -205,14 +206,24 @@ fn check_every_kind(
                     vec![b'z', b'0' + r, b'-', b'b'],
                 ]
             }))
+            .chain((0..4).flat_map(host_class_keys))
             .collect();
         let (got, _) = session.lookup_batch(&probes).unwrap();
         for (probe, got) in probes.iter().zip(got) {
             let want = model.get(probe).copied().unwrap_or(NOT_FOUND);
             assert_eq!(got, want, "row {row}: lookup of {probe:?}");
         }
+        let ranges = vec![(vec![0u8], vec![0xFFu8; 12]), (key(5), key(35))];
+        let (rows, _) = session.range_batch(&ranges).unwrap();
+        for ((lo, hi), got) in ranges.iter().zip(rows) {
+            let want: Vec<(Vec<u8>, u64)> = model
+                .range(lo.clone()..=hi.clone())
+                .map(|(k, v)| (k.clone(), *v))
+                .collect();
+            assert_eq!(got, want, "row {row}: range {lo:?}..={hi:?}");
+        }
     };
-    lookups_match(session, model);
+    answers_match(session, model);
 
     let (deleted, twice) = (key(row * 10 + 1), key(row * 10 + 2));
     let updates = vec![
@@ -230,7 +241,7 @@ fn check_every_kind(
     assert_eq!(statuses[2..], [status::APPLIED, status::MISS], "row {row}");
     model.remove(&deleted);
     model.insert(twice, 200 + row);
-    lookups_match(session, model);
+    answers_match(session, model);
 
     let existing = key(row * 10 + 3);
     let inserts = vec![
@@ -250,24 +261,68 @@ fn check_every_kind(
     );
     assert_eq!(statuses[2], insert_status::UPDATED, "row {row}");
     model.extend(inserts);
-    lookups_match(session, model);
+    answers_match(session, model);
 
-    let ranges = vec![(vec![0u8], vec![0xFFu8; 12]), (key(5), key(35))];
-    let (rows, _) = session.range_batch(&ranges).unwrap();
-    for ((lo, hi), got) in ranges.iter().zip(rows) {
-        let want: Vec<(Vec<u8>, u64)> = model
-            .range(lo.clone()..=hi.clone())
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        assert_eq!(got, want, "row {row}: range {lo:?}..={hi:?}");
+    // Two device keys deleted, then re-inserted in one batch: the device
+    // removed their leaves without collapsing the nodes above, so on a
+    // healthy device both re-inserts spill — over their own tombstones.
+    let healthy = session.mode() == Mode::Device && session.fault_stats().degradations == 0;
+    let pair = [key(row * 10 + 5), key(row * 10 + 6)];
+    let deletes: Vec<_> = pair.iter().map(|k| (k.clone(), DELETE)).collect();
+    let (statuses, _) = session.update_batch(&deletes).unwrap();
+    assert_eq!(statuses, [status::APPLIED; 2], "row {row}");
+    for k in &pair {
+        model.remove(k);
     }
+    answers_match(session, model);
+    let reinserts: Vec<_> = pair.iter().map(|k| (k.clone(), 600 + row)).collect();
+    let (statuses, _) = session.insert_batch(&reinserts).unwrap();
+    assert!(
+        statuses.iter().all(|&s| stored(s)),
+        "row {row}: {statuses:?}"
+    );
+    if healthy {
+        assert_eq!(statuses, [insert_status::SPILLED; 2], "row {row}");
+    }
+    model.extend(reinserts);
+    answers_match(session, model);
+
+    // The host classes: the first insert of a key too wide for the device
+    // stride is a spill, every later one of a live key an update.
+    let host = host_class_keys(row as u8);
+    let first = [
+        insert_status::INSERTED,
+        insert_status::INSERTED,
+        insert_status::SPILLED,
+    ];
+    let with =
+        |value: u64| -> Vec<(Vec<u8>, u64)> { host.iter().map(|k| (k.clone(), value)).collect() };
+    let insert_twice =
+        |session: &mut cuart::CuartSession<'_>, model: &mut BTreeMap<_, _>, value| {
+            let (statuses, _) = session.insert_batch(&with(value)).unwrap();
+            assert_eq!(statuses, first, "row {row}: fresh insert");
+            let (statuses, _) = session.insert_batch(&with(value + 10)).unwrap();
+            assert_eq!(statuses, [insert_status::UPDATED; 3], "row {row}");
+            model.extend(with(value + 10));
+            answers_match(session, model);
+        };
+    insert_twice(session, model, 700 + row);
+    let (statuses, _) = session.update_batch(&with(720 + row)).unwrap();
+    assert_eq!(statuses, [status::APPLIED; 3], "row {row}");
+    model.extend(with(720 + row));
+    answers_match(session, model);
+    let (statuses, _) = session.update_batch(&with(DELETE)).unwrap();
+    assert_eq!(statuses, [status::APPLIED; 3], "row {row}");
+    for k in &host {
+        model.remove(k);
+    }
+    answers_match(session, model);
+    insert_twice(session, model, 800 + row);
 }
 
 /// The mode × kind matrix: every batch kind, in every [`Mode`] a session
 /// can be in, answers like the model — with the mutations of the earlier
 /// rows still visible — and `fault_stats()` reports each transition once.
-/// The `Degraded` row needs faults that fire; without `--features faults`
-/// the pin takes the session out of `Device` instead.
 #[test]
 fn every_mode_answers_every_kind_like_the_model() {
     let (art, mut model) = build(60);
@@ -286,19 +341,17 @@ fn every_mode_answers_every_kind_like_the_model() {
     );
     assert_eq!(session.fault_stats(), cuart::FaultStats::default());
 
-    if FaultInjector::is_active() {
-        // Every device op fails: the first batch exhausts its retries and
-        // no later recovery probe gets through.
-        session.attach_fault_injector(FaultInjector::uniform(7, 1.0));
-        check_every_kind(&mut session, &mut model, 1);
-        assert_eq!(session.mode(), Mode::Degraded);
-        let stats = session.fault_stats();
-        assert_eq!((stats.degradations, stats.recoveries), (1, 0), "{stats:?}");
-        assert_eq!(
-            stats.retries + 1,
-            u64::from(session.retry_policy().max_attempts)
-        );
-    }
+    // Every device op fails: the first batch exhausts its retries and no
+    // later recovery probe gets through.
+    session.attach_fault_injector(FaultInjector::uniform(7, 1.0));
+    check_every_kind(&mut session, &mut model, 1);
+    assert_eq!(session.mode(), Mode::Degraded);
+    let stats = session.fault_stats();
+    assert_eq!((stats.degradations, stats.recoveries), (1, 0), "{stats:?}");
+    assert_eq!(
+        stats.retries + 1,
+        u64::from(session.retry_policy().max_attempts)
+    );
 
     session.set_cpu_only(true);
     assert_eq!(session.mode(), Mode::Pinned);

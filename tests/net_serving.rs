@@ -5,9 +5,9 @@
 //! 1. **Byte equivalence** — concurrent TCP clients spraying lookups
 //!    through a [`ShardedScheduler`]-backed server get answers
 //!    byte-identical to `CuartIndex::lookup_batch_cpu`.
-//! 2. **Typed refusals** — queue-cap rejects, deadline sheds and (under
-//!    `--features faults`) a breaker storm surface as typed error frames
-//!    on a connection that stays usable; overload never drops a peer.
+//! 2. **Typed refusals** — queue-cap rejects, deadline sheds and a
+//!    breaker storm surface as typed error frames on a connection that
+//!    stays usable; overload never drops a peer.
 //! 3. **Hostile input** — bad magic, wrong version, CRC corruption,
 //!    oversized and truncated frames each get an error frame (where the
 //!    socket allows one) and cost at most that one connection.
@@ -246,11 +246,6 @@ fn overload_refusals_are_typed_error_frames_on_a_live_connection() {
 #[test]
 fn breaker_storm_stays_byte_equal_and_reports_trips() {
     use cuart_gpu_sim::{FaultConfig, FaultInjector};
-    if !FaultInjector::is_active() {
-        // Injector compiled out without `--features faults`; CI runs this
-        // suite both ways.
-        return;
-    }
     let index = build_index(4096, None);
     let injector = FaultInjector::new(FaultConfig::uniform(0xB0BA, 0.0).fail_range(0, 8));
     let cfg = SchedulerConfig {

@@ -16,7 +16,7 @@
 //!    walks `Closed → Open → HalfOpen → Closed`, service stays
 //!    byte-identical to `lookup_batch_cpu` throughout (CPU-only service
 //!    while open), and the walk is visible in the telemetry event ring
-//!    in that order. Runs only with the `faults` feature armed.
+//!    in that order.
 //! 4. **Shutdown** — racing producers against `join()` always resolves
 //!    in a value or a clean `SchedError::Shutdown`, never a hang or a
 //!    panic (loom-style repeated interleaving).
@@ -209,11 +209,6 @@ fn expired_ops_are_shed_not_dispatched_and_counted() {
 fn fault_storm_walks_the_breaker_and_stays_byte_equal_to_cpu() {
     use cuart_gpu_sim::{FaultConfig, FaultInjector};
     use cuart_telemetry::BatchKind;
-    if !FaultInjector::is_active() {
-        // Without the `faults` feature the injector is compiled out; the
-        // storm cannot happen. CI runs this suite both ways.
-        return;
-    }
     let telemetry = Arc::new(Telemetry::new());
     let mut art = Art::new();
     for i in 0..2048u64 {
