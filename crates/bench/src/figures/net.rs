@@ -21,7 +21,7 @@
 //! about — so absolute values vary by machine; the shapes (scaling with
 //! connections, the small- vs large-request gap) are the point. The
 //! deterministic modeled counterpart lives in `fig-regress`
-//! (`net_lookup_mops`), which gates regressions.
+//! (`served_lookup_modeled_mops`), which gates regressions.
 
 use crate::context::RunCtx;
 use crate::series::{Figure, Series};

@@ -30,12 +30,13 @@
 //! lets only the winning thread allocate and publish.
 
 use crate::claim::{ClaimTable, Staging};
-use crate::kernels::{device_traverse, slot_ref, Attach, DevHit, DeviceTree};
+use crate::kernels::{device_traverse, slot_ref, warm_traverse, Attach, DevHit, DeviceTree};
 use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride, EMPTY48};
 use crate::link::{LinkType, NodeLink};
 use crate::update::FreeLists;
 use cuart_gpu_sim::batch::record_key;
-use cuart_gpu_sim::{BufferId, DeviceBytes, PhasedKernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, DeviceBytes, DeviceMemory, PhasedKernel, ThreadCtx};
+use std::ops::Range;
 
 /// Per-operation status written to the results buffer.
 pub mod insert_status {
@@ -114,6 +115,16 @@ impl PhasedKernel for CuartInsertKernel {
             self.stage1(tid, ctx);
         } else {
             self.stage2(tid, ctx);
+        }
+    }
+
+    fn warm(&self, phase: usize, tids: Range<usize>, mem: &DeviceMemory) {
+        // Stage 1 is the traversal; stage 2 reads the scratch it left, in
+        // thread order.
+        if phase == 0 {
+            let live = tids.start..tids.end.min(self.count);
+            let st = &self.staging;
+            warm_traverse(&self.tree, st.queries, &st.layout, live, mem);
         }
     }
 }

@@ -13,6 +13,14 @@
 //!   8-byte LUT read,
 //! * leaves are one aligned read; key comparison is **word-oriented**
 //!   (§4.4 — the reason GRT wins on very short keys and CuART on long).
+//!
+//! [`warm_traverse`] is the traversal's host-side companion: the simulator
+//! runs threads one after another, so on a large index every thread's LUT
+//! entry and first record is a serialized host cache miss. Before a chunk
+//! of threads runs, `warm_traverse` walks the same first two levels for the
+//! whole chunk with plain loads, which the host overlaps. It reads through
+//! `&DeviceMemory`, records nothing and decides nothing — every modeled
+//! number is what [`device_traverse`] traces, with or without it.
 
 // cuart-allow-file: index-hot-path device traversal indexes packed arenas; every offset is derived from a validated NodeLink and bounds-checked at build time (layout::stride invariants), and a panic here is preferable to silently reading a wrong record
 
@@ -21,7 +29,8 @@ use crate::layout::{self, leaf, stride, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::lut_slot;
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
-use cuart_gpu_sim::{BufferId, Dep, Kernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, Dep, DeviceMemory, Kernel, ThreadCtx};
+use std::ops::Range;
 
 /// Result bit signalling "finish this comparison on the CPU" (host-leaf
 /// links, §3.2.3 option 2). The low bits carry the host-leaf index.
@@ -456,6 +465,97 @@ fn parent_of_inner(
     unreachable!("child link not found in parent record"); // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
 }
 
+/// Threads [`warm_traverse`] walks in lockstep: the size of its on-stack
+/// link array. Longer ranges are walked in groups of this many.
+const WARM_LANES: usize = 64;
+
+/// Bytes of the record behind a `ty` link that [`device_traverse`] reads
+/// first: a whole leaf or N4/N16, the header of the wider nodes, a dynamic
+/// leaf's length field. Zero for host leaves, which have no record.
+fn first_read_bytes(ty: LinkType) -> usize {
+    match ty {
+        LinkType::Leaf8 | LinkType::Leaf16 | LinkType::Leaf32 => leaf::read_bytes(ty),
+        LinkType::N4 | LinkType::N16 => stride(ty),
+        LinkType::N48 | LinkType::N256 | LinkType::N2L => HEADER_BYTES,
+        LinkType::DynLeaf => 2,
+        LinkType::HostLeaf => 0,
+    }
+}
+
+/// Touch-ahead for the callers of [`device_traverse`] (the lookup kernel
+/// and stage 1 of the two write kernels): load, for every thread of `tids`,
+/// the host cache lines the first two levels of its traversal will read —
+/// its compacted-root entry and the record that entry links to.
+///
+/// Two tight loops rather than one walk per thread: no load in either loop
+/// depends on another iteration's, and a body is a few dozen instructions,
+/// so the host's reorder window keeps several iterations' misses in flight
+/// — with plain loads, no prefetch intrinsic, no `unsafe`. Deeper levels
+/// are left to the traversal: they branch on record contents, and two
+/// levels already reach the leaf for most keys under a 3-byte LUT.
+///
+/// Without a LUT every thread starts at the one `meta` root, which is all
+/// that is touched. `RangeSpanKernel` has no such hook — the top probes of
+/// a range's binary search are the same lines for every thread — and
+/// neither has GRT, whose wall time no benchmark row measures.
+///
+/// This runs ahead of the kernel's own checks on whatever the staging
+/// buffers hold, so it must tolerate anything: every load is a `get`, an
+/// unknown tag, a host-leaf link or an index past its arena is skipped. It
+/// allocates nothing and its only output is a `black_box`ed byte.
+pub(crate) fn warm_traverse(
+    tree: &DeviceTree,
+    queries: BufferId,
+    layout: &KeyBatchLayout,
+    tids: Range<usize>,
+    mem: &DeviceMemory,
+) {
+    let u64_at = |bytes: &[u8], at: usize| {
+        let word = bytes.get(at..at.saturating_add(8))?;
+        Some(u64::from_le_bytes(word.try_into().ok()?))
+    };
+    let span = tree.lut_span;
+    if span == 0 {
+        std::hint::black_box(u64_at(mem.buffer(tree.meta).bytes(), 0));
+        return;
+    }
+    let staged = mem.buffer(queries).bytes();
+    let lut = mem.buffer(tree.lut).bytes();
+    let record_bytes = layout.record_bytes();
+    let mut links = [NodeLink::NULL; WARM_LANES];
+    let mut sink = 0u8;
+    for start in tids.clone().step_by(WARM_LANES) {
+        let group = start..start.saturating_add(WARM_LANES).min(tids.end);
+        // Level 0: each thread's staged key selects its LUT entry.
+        for (link, tid) in links.iter_mut().zip(group.clone()) {
+            let at = tid.saturating_mul(record_bytes);
+            let entry = staged
+                .get(at..at.saturating_add(record_bytes))
+                .and_then(|rec| rec.get(1..1 + usize::from(*rec.first()?)))
+                .filter(|key| key.len() >= span)
+                .and_then(|key| u64_at(lut, lut_slot(key, span).saturating_mul(8)));
+            *link = NodeLink(entry.unwrap_or(0)).without_aux();
+        }
+        // Level 1: the first and last byte of the record each entry links
+        // to (one line, unless the record straddles two).
+        for link in links.iter().take(group.len()) {
+            let Some(ty) = link.link_type() else {
+                continue; // null entry (the traversal ends there) or unknown tag
+            };
+            let Ok(arena) = tree.arena(ty) else {
+                continue; // host leaf: the CPU finishes it
+            };
+            let index = usize::try_from(link.index()).unwrap_or(usize::MAX);
+            // A dynamic leaf's index is already a byte offset (stride 0).
+            let at = index.saturating_mul(stride(ty).max(1));
+            let last = at.saturating_add(first_read_bytes(ty).saturating_sub(1));
+            let record = mem.buffer(arena).bytes();
+            sink ^= record.get(at).copied().unwrap_or(0) ^ record.get(last).copied().unwrap_or(0);
+        }
+    }
+    std::hint::black_box(sink);
+}
+
 /// One lookup per thread over the CuART structure of buffers.
 pub struct CuartLookupKernel {
     /// Device tree handles.
@@ -483,6 +583,11 @@ impl Kernel for CuartLookupKernel {
             DevHit::Host(idx) => HOST_SIGNAL | idx,
         };
         ctx.write_u64(self.results, tid * 8, result);
+    }
+
+    fn warm(&self, tids: Range<usize>, mem: &DeviceMemory) {
+        let live = tids.start..tids.end.min(self.count);
+        warm_traverse(&self.tree, self.queries, &self.layout, live, mem);
     }
 }
 

@@ -25,11 +25,12 @@
 
 use crate::claim::{ClaimTable, Staging};
 use crate::error::CuartError;
-use crate::kernels::{device_traverse, slot_ref, DevHit, DeviceTree};
+use crate::kernels::{device_traverse, slot_ref, warm_traverse, DevHit, DeviceTree};
 use crate::layout::{leaf::ZERO_RECORD, stride};
 use crate::link::LinkType;
 use cuart_gpu_sim::batch::record_key;
-use cuart_gpu_sim::{BufferId, PhasedKernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, DeviceMemory, PhasedKernel, ThreadCtx};
+use std::ops::Range;
 
 /// Sentinel value meaning "delete this key" (the nil pointer of §3.4).
 pub const DELETE: u64 = u64::MAX;
@@ -114,6 +115,16 @@ impl PhasedKernel for CuartUpdateKernel {
             self.stage1(tid, ctx);
         } else {
             self.stage2(tid, ctx);
+        }
+    }
+
+    fn warm(&self, phase: usize, tids: Range<usize>, mem: &DeviceMemory) {
+        // Stage 1 is the traversal; stage 2 reads the scratch it left, in
+        // thread order.
+        if phase == 0 {
+            let live = tids.start..tids.end.min(self.count);
+            let st = &self.staging;
+            warm_traverse(&self.tree, st.queries, &st.layout, live, mem);
         }
     }
 }

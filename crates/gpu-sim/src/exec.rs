@@ -3,8 +3,18 @@
 //! Execution proceeds in two passes per phase:
 //!
 //! 1. **Functional pass** — every thread runs to completion against real
-//!    device memory, appending its trace to the launch's
-//!    [`TraceArena`](crate::trace::TraceArena).
+//!    device memory, in thread-id order, appending its trace to the launch's
+//!    [`TraceArena`](crate::trace::TraceArena). The pass walks the grid in
+//!    chunks of `WARM_CHUNK` threads and, before a chunk runs, hands its
+//!    id range to the kernel's [`warm`](PhasedKernel::warm) hook — a
+//!    *touch-ahead*. A thread's traversal is a chain of dependent loads,
+//!    each a host cache (and TLB) miss on a large index, and threads run
+//!    one after another, so without it the host pays those misses serially
+//!    — the opposite of the device being modeled, which keeps thousands in
+//!    flight. The hook lets a kernel issue the chunk's first loads
+//!    back to back, so the host's own out-of-order window overlaps them.
+//!    It sees `&DeviceMemory` only: it cannot write device memory and has
+//!    no `ThreadCtx` to record through, so it cannot change a report.
 //! 2. **Timing pass** — threads are grouped into warps of 32; warp steps are
 //!    processed round-robin (approximating the interleaved execution of
 //!    resident warps), coalesced into sectors, filtered through the L2 and
@@ -45,6 +55,13 @@ const ATOMIC_SERIALIZE_NS: f64 = 8.0;
 
 /// Overhead of a grid-wide synchronisation between kernel phases.
 const GRID_SYNC_NS: f64 = 2_000.0;
+
+/// Threads per touch-ahead chunk of the functional pass. Large enough that
+/// a chunk's touches outnumber what the host keeps in flight (so the
+/// misses overlap), small enough that the lines are still cached when the
+/// chunk's last thread runs. A host-side constant, not a model parameter:
+/// no modeled statistic can depend on it.
+const WARM_CHUNK: usize = 64;
 
 /// Result of a kernel launch: modeled time and transaction statistics.
 #[derive(Debug, Clone, Default)]
@@ -281,11 +298,16 @@ impl Launcher {
         let phases = kernel.phases();
         let mut total = KernelReport::default();
         for phase in 0..phases {
-            // Functional pass.
+            // Functional pass: chunk by chunk, each warmed, then executed
+            // in thread-id order.
             self.trace.clear();
-            for tid in 0..threads {
-                let mut ctx = ThreadCtx::new(mem, &mut self.trace);
-                kernel.execute_phase(phase, tid, &mut ctx);
+            for start in (0..threads).step_by(WARM_CHUNK) {
+                let chunk = start..start.saturating_add(WARM_CHUNK).min(threads);
+                kernel.warm(phase, chunk.clone(), mem);
+                for tid in chunk {
+                    let mut ctx = ThreadCtx::new(mem, &mut self.trace);
+                    kernel.execute_phase(phase, tid, &mut ctx);
+                }
             }
             assert!(
                 self.trace.indices_fit(),
@@ -817,6 +839,65 @@ mod tests {
         let (reused, fresh) = (run(true), run(false));
         assert_eq!(reused, fresh);
         assert!(!reused[1].contains("atomic_conflicts: 0,"), "{}", reused[1]);
+    }
+
+    /// Logs every `warm` and `execute_phase` call it receives.
+    struct Recording {
+        phases: usize,
+        log: std::cell::RefCell<Vec<Call>>,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Warm(usize, std::ops::Range<usize>),
+        Execute(usize, usize),
+    }
+
+    impl PhasedKernel for Recording {
+        fn phases(&self) -> usize {
+            self.phases
+        }
+        fn execute_phase(&self, phase: usize, tid: usize, _ctx: &mut ThreadCtx<'_>) {
+            self.log.borrow_mut().push(Call::Execute(phase, tid));
+        }
+        fn warm(&self, phase: usize, tids: std::ops::Range<usize>, _mem: &DeviceMemory) {
+            self.log.borrow_mut().push(Call::Warm(phase, tids));
+        }
+    }
+
+    #[test]
+    fn every_chunk_is_warmed_once_just_before_its_threads_run() {
+        let dev = devices::a100();
+        for phases in [1, 2] {
+            for threads in [0, 1, 63, 64, 65, 200] {
+                let kernel = Recording {
+                    phases,
+                    log: Default::default(),
+                };
+                launch(&dev, &mut DeviceMemory::new(), &kernel, threads);
+                let log = kernel.log.into_inner();
+                let mut calls = log.iter();
+                for phase in 0..phases {
+                    // Chunks tile 0..threads in order; each is announced,
+                    // then executed tid by tid, before the next is.
+                    let mut next = 0;
+                    while next < threads {
+                        let Some(Call::Warm(p, chunk)) = calls.next() else {
+                            panic!("{threads} threads: no warm before tid {next}");
+                        };
+                        assert_eq!((*p, chunk.start), (phase, next));
+                        assert!(!chunk.is_empty() && chunk.end <= threads, "{chunk:?}");
+                        for tid in chunk.clone() {
+                            assert_eq!(calls.next(), Some(&Call::Execute(phase, tid)));
+                        }
+                        next = chunk.end;
+                    }
+                }
+                assert_eq!(calls.next(), None, "{phases} phases x {threads} threads");
+                let warms = log.iter().filter(|c| matches!(c, Call::Warm(..))).count();
+                assert_eq!(warms, phases * threads.div_ceil(64));
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,18 @@
 //! cooperative-groups `grid.sync()` the two-stage update engine needs
 //! between publishing claims to the hash table and applying the winning
 //! writes.
+//!
+//! Both traits carry a provided `warm` hook, which the launcher calls for a
+//! chunk of thread ids just before it executes them. It is a *host-side*
+//! speed-up only: a kernel uses it to load, for the whole chunk at once,
+//! the host cache lines its threads are about to chase one by one. The
+//! hook is handed `&DeviceMemory` and no [`ThreadCtx`], so it may read but
+//! can neither write device memory nor record an access — nothing it does
+//! can reach a [`KernelReport`](crate::exec::KernelReport).
 
 use crate::memory::{BufferId, DeviceMemory};
 use crate::trace::{Access, AccessKind, Dep, TraceArena};
+use std::ops::Range;
 
 /// Largest read [`DeviceBytes`] holds inline: a 255-byte key with its length
 /// byte, or a 255-byte dynamic leaf with its value, rounded up to 8. Node
@@ -177,6 +186,11 @@ impl<'a> ThreadCtx<'a> {
 pub trait Kernel {
     /// Execute the kernel body for thread `tid`.
     fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>);
+
+    /// Touch the host memory threads `tids` are about to read (see the
+    /// module docs). May read `mem`; cannot write it or trace. Default:
+    /// nothing.
+    fn warm(&self, _tids: Range<usize>, _mem: &DeviceMemory) {}
 }
 
 /// A kernel with grid-wide barriers between phases (cooperative launch).
@@ -185,6 +199,10 @@ pub trait PhasedKernel {
     fn phases(&self) -> usize;
     /// Execute `phase` for thread `tid`.
     fn execute_phase(&self, phase: usize, tid: usize, ctx: &mut ThreadCtx<'_>);
+
+    /// [`Kernel::warm`] for one phase: called before threads `tids` execute
+    /// `phase`. Default: nothing.
+    fn warm(&self, _phase: usize, _tids: Range<usize>, _mem: &DeviceMemory) {}
 }
 
 impl<K: Kernel> PhasedKernel for K {
@@ -194,6 +212,10 @@ impl<K: Kernel> PhasedKernel for K {
 
     fn execute_phase(&self, _phase: usize, tid: usize, ctx: &mut ThreadCtx<'_>) {
         self.execute(tid, ctx);
+    }
+
+    fn warm(&self, _phase: usize, tids: Range<usize>, mem: &DeviceMemory) {
+        Kernel::warm(self, tids, mem);
     }
 }
 
