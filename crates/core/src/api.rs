@@ -245,13 +245,14 @@ impl CuartIndex {
         }
     }
 
-    /// Open a stateful device session with the default 1 Mi-slot update
-    /// hash table (§4.5).
+    /// Open a stateful device session whose update hash table has the
+    /// paper's capacity of 1 Mi slots (§4.5).
     pub fn device_session(&self, dev: &DeviceConfig) -> CuartSession<'_> {
         self.device_session_with_table(dev, DEFAULT_TABLE_SLOTS)
     }
 
-    /// Open a session with an explicit update hash-table capacity.
+    /// Open a session with an explicit update hash-table capacity (the
+    /// batch size at which Figure 15 droops; smaller launches use a prefix).
     pub fn device_session_with_table(
         &self,
         dev: &DeviceConfig,
@@ -997,6 +998,7 @@ impl<'a> CuartSession<'a> {
 
     /// Launch the kind's kernel over the first `count` staged ops.
     fn launch<K: PointKind>(&mut self, st: &Staging, count: usize) -> KernelReport {
+        let claims = self.claims.sized_for(count);
         match K::KIND {
             Kind::Lookup => {
                 let kernel = CuartLookupKernel {
@@ -1014,40 +1016,40 @@ impl<'a> CuartSession<'a> {
                     tree: self.tree,
                     staging: *st,
                     count,
-                    claims: self.claims,
+                    claims,
                     free_lists: self.free_lists,
                 };
-                self.launch_claiming(&kernel, st, count)
+                self.launch_claiming(&kernel, claims, count)
             }
             Kind::Insert => {
                 let kernel = CuartInsertKernel {
                     tree: self.tree,
                     staging: *st,
                     count,
-                    claims: self.claims,
+                    claims,
                     free_lists: self.free_lists,
                     tails: self.tails,
                 };
-                self.launch_claiming(&kernel, st, count)
+                self.launch_claiming(&kernel, claims, count)
             }
         }
     }
 
-    /// Run a two-stage write kernel over the first `count` staged ops
-    /// against the all-zero claim table, then zero the slots it claimed.
-    /// The modeled clear (a device memset of the whole table) is charged
-    /// to the report either way.
+    /// Run a two-stage write kernel over `count` threads against `claims`
+    /// — all-zero at launch — then zero it again. The report is charged
+    /// the device memset that clear stands for.
     fn launch_claiming(
         &mut self,
         kernel: &impl PhasedKernel,
-        st: &Staging,
+        claims: ClaimTable,
         count: usize,
     ) -> KernelReport {
+        debug_assert!(claims.is_zero(&self.mem), "claim table dirty at launch");
         let mut report =
             self.launcher
                 .launch(&self.dev, &mut self.mem, kernel, count, &mut self.l2);
-        self.claims.sweep(&mut self.mem, st.loc, count);
-        report.time_ns += self.claims.clear_ns(&self.dev);
+        claims.clear(&mut self.mem);
+        report.time_ns += claims.clear_ns(&self.dev);
         report
     }
 
@@ -1142,23 +1144,29 @@ impl<'a> CuartSession<'a> {
             let refills = free_before.map(|before| self.free_total().saturating_sub(before));
             let names = K::KIND.names();
             self.record_batch(&names, &report, ops.len(), host_spills, refills);
+            let n = device_idx.len();
+            let attrs = [
+                ("keys", ops.len()),
+                ("device_keys", n),
+                ("claim_slots", self.claim_slots(n)),
+            ];
             self.record_batch_span(
                 names.span,
                 &report,
-                device_idx.len(),
+                n,
                 (self.index.device_key_stride(), 8),
-                [("keys", ops.len()), ("device_keys", device_idx.len())],
+                &attrs[..2 + usize::from(writes)], // `claim_slots`: write kinds only
             );
         }
         Ok((out, report))
     }
 
-    /// Re-run ops starved out of the claim hash table against the table
-    /// the previous launch swept clean. The stage-1 linear probe covers
-    /// every slot, so `EXHAUSTED` for a location means that location is
-    /// nowhere in the table — exhaustion is all-or-nothing per location and
-    /// a sub-batch re-run (original relative order) preserves max-tid-wins
-    /// semantics.
+    /// Re-run ops starved out of the claim hash table (only a batch with
+    /// more targets than its capacity has any) against a cleared table. The
+    /// stage-1 linear probe covers every slot in use, so `EXHAUSTED` for a
+    /// location means that location is nowhere in the table — exhaustion is
+    /// all-or-nothing per location and a sub-batch re-run (original
+    /// relative order) preserves max-tid-wins semantics.
     /// Each round resolves at least one location, so the loop terminates;
     /// a no-progress round means the table cannot hold a single entry.
     /// Re-runs ride the already-fault-validated launch and are not
@@ -1241,7 +1249,7 @@ impl<'a> CuartSession<'a> {
         report: &KernelReport,
         device_ops: usize,
         wire: (usize, usize),
-        attrs: [(&str, usize); 2],
+        attrs: &[(&str, usize)],
     ) {
         let Some(t) = &self.telemetry else {
             return;
@@ -1260,7 +1268,7 @@ impl<'a> CuartSession<'a> {
                     .with_attr("bytes", down.bytes),
             ],
         );
-        for (key, value) in attrs {
+        for &(key, value) in attrs {
             root = root.with_attr(key, value);
         }
         t.record_span_tree(&root);
@@ -1403,9 +1411,14 @@ impl<'a> CuartSession<'a> {
             &report,
             device_ops,
             (RANGE_RECORD_BYTES, RANGE_RESULT_BYTES),
-            [("ranges", ranges.len()), ("rows", rows_total)],
+            &[("ranges", ranges.len()), ("rows", rows_total)],
         );
         Ok((out, report))
+    }
+
+    /// Claim-table slots a write launch over `threads` threads hashes over.
+    pub fn claim_slots(&self, threads: usize) -> usize {
+        self.claims.sized_for(threads).slots()
     }
 
     /// The claim table and the device memory it lives in, for the

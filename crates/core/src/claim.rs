@@ -4,12 +4,15 @@
 //! hash table (Farrell's simple GPU hash table, linear probing): stage 1
 //! publishes `(target → max thread index)`, stage 2 lets only the winner
 //! write. The update kernel, the insert kernel and the session's
-//! post-launch sweep must agree on where a target's probe chain starts and
-//! how it is walked; [`ClaimTable`] is the only place that knows.
+//! post-launch clear must agree on which slots a launch uses and how a
+//! probe chain is walked; [`ClaimTable`] is the only place that knows.
 //!
-//! The table size is a parameter: §4.5 shows throughput dropping once
-//! batches are large enough to fill the 1 Mi-slot table (Figure 15); the
-//! `figures` harness reproduces that droop with this table.
+//! A launch hashes over a *prefix* of the session's table, sized to the
+//! batch ([`ClaimTable::sized_for`]), so its claims and the clear after it
+//! cost what the batch cost. The configured size is the capacity that
+//! prefix is capped at: §4.5 shows throughput dropping once batches fill
+//! the 1 Mi-slot table (Figure 15), and from that batch size on the whole
+//! table is in use — the `figures` harness reproduces the droop with it.
 
 use cuart_gpu_sim::batch::KeyBatchLayout;
 use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, ThreadCtx};
@@ -44,13 +47,14 @@ pub struct Staging {
 }
 
 /// Linear-probing claim table in device memory: `slots` target words and
-/// `slots` winner words (thread id + 1, so `0` = empty). All-zero between
-/// launches.
+/// `slots` winner words (thread id + 1, so `0` = empty) at the front of two
+/// buffers of `capacity` words each. All-zero between launches.
 #[derive(Debug, Clone, Copy)]
 pub struct ClaimTable {
     keys: BufferId,
     vals: BufferId,
     slots: usize,
+    capacity: usize,
 }
 
 impl ClaimTable {
@@ -60,10 +64,20 @@ impl ClaimTable {
             keys: mem.alloc("hash-keys", slots * 8, 32),
             vals: mem.alloc("hash-vals", slots * 8, 32),
             slots,
+            capacity: slots,
         }
     }
 
-    /// Number of slots.
+    /// The table a launch over `count` threads uses: the same two buffers,
+    /// hashed over their first `2 × count` slots (a power of two ≥ 64, so the
+    /// load factor is ≤ ½), or over all of them once that exceeds the capacity.
+    pub fn sized_for(&self, count: usize) -> Self {
+        let mut sized = *self;
+        sized.slots = (2 * count).next_power_of_two().max(64).min(self.capacity);
+        sized
+    }
+
+    /// Slots in use: the capacity, or what [`sized_for`](Self::sized_for) chose.
     pub fn slots(&self) -> usize {
         self.slots
     }
@@ -75,7 +89,7 @@ impl ClaimTable {
 
     /// Stage 1: claim a slot for `target`, then raise the winning thread
     /// index. `false` when every slot holds a different target — the op
-    /// made no device write and can be re-run against a swept table.
+    /// made no device write and can be re-run against a cleared table.
     pub(crate) fn claim(&self, ctx: &mut ThreadCtx<'_>, target: u64, tid: usize) -> bool {
         let mut h = self.hash_of(target);
         for _ in 0..self.slots {
@@ -103,54 +117,27 @@ impl ClaimTable {
         }
     }
 
-    /// Restore the all-zero invariant after a launch over `count` threads,
-    /// at a host cost that follows the batch rather than the table's
-    /// capacity.
-    ///
-    /// Linear probing without deletion puts every claim in the contiguous
-    /// non-zero run that starts at its home slot, so zeroing each thread's
-    /// run from `hash_of(loc[tid])` to the next empty slot clears every
-    /// claim. `0` marks a thread that claimed nothing (miss or spill). A
-    /// walk only ever zeroes non-zero slots, all of which must go, so an
-    /// exhausted thread's sentinel or stale location is a harmless
-    /// starting point. Host-side accesses are not recorded: no modeled
-    /// statistic depends on how the table is cleared.
-    pub(crate) fn sweep(&self, mem: &mut DeviceMemory, loc: BufferId, count: usize) {
-        for tid in 0..count {
-            let target = mem.read_u64(loc, tid * 8);
-            if target == 0 {
-                continue;
-            }
-            let mut h = self.hash_of(target);
-            for _ in 0..self.slots {
-                if mem.read_u64(self.keys, h * 8) == 0 {
-                    break;
-                }
-                mem.write_u64(self.keys, h * 8, 0);
-                mem.write_u64(self.vals, h * 8, 0);
-                h = (h + 1) % self.slots;
-            }
-        }
-        debug_assert!(
-            self.is_zero(mem),
-            "claim table must be all-zero between launches"
-        );
-    }
-
-    /// `true` when both halves are all-zero — the state every launch
-    /// starts from.
-    fn is_zero(&self, mem: &DeviceMemory) -> bool {
+    /// Restore the all-zero invariant after a launch: zero-fill the slots
+    /// in use (a launch writes nothing past them). The fill is host-side and
+    /// unrecorded; [`clear_ns`](Self::clear_ns) prices the device memset.
+    pub(crate) fn clear(&self, mem: &mut DeviceMemory) {
         let bytes = self.slots * 8;
-        [self.keys, self.vals]
-            .iter()
-            .all(|&half| mem.read_bytes(half, 0, bytes).iter().all(|&b| b == 0))
+        mem.bytes_mut(self.keys, 0, bytes).fill(0);
+        mem.bytes_mut(self.vals, 0, bytes).fill(0);
     }
 
-    /// Modeled time to clear the table between batches (a device-side
-    /// memset of both halves running at peak bandwidth).
+    /// `true` when the slots in use are all-zero: how every launch starts.
+    pub(crate) fn is_zero(&self, mem: &DeviceMemory) -> bool {
+        const ZEROS: [u8; 4096] = [0; 4096];
+        let zero = |b: &[u8]| b.chunks(4096).all(|page| page == &ZEROS[..page.len()]);
+        let bytes = self.slots * 8;
+        zero(mem.read_bytes(self.keys, 0, bytes)) && zero(mem.read_bytes(self.vals, 0, bytes))
+    }
+
+    /// Modeled time of [`clear`](Self::clear): a device-side memset of the
+    /// slots in use, both halves, running at peak bandwidth.
     pub fn clear_ns(&self, dev: &DeviceConfig) -> f64 {
-        let bytes = (self.slots * 16) as f64;
-        bytes / dev.mem.peak_bandwidth_gbps() + 2_000.0
+        (self.slots * 16) as f64 / dev.mem.peak_bandwidth_gbps() + 2_000.0
     }
 }
 
@@ -159,80 +146,44 @@ mod tests {
     use super::*;
     use crate::api::CuartIndex;
     use crate::buffers::CuartConfig;
-    use crate::update::DELETE;
+    use crate::insert::insert_status;
+    use crate::update::{status, DELETE};
     use cuart_art::Art;
-    use cuart_gpu_sim::cache::Cache;
-    use cuart_gpu_sim::exec::Launcher;
-    use cuart_gpu_sim::{devices, PhasedKernel};
-
-    /// What both write kernels do around their own work: every thread
-    /// claims `targets[tid]` in stage 1 and reads the winner in stage 2
-    /// (`0` for a thread that could not claim).
-    struct ClaimKernel {
-        table: ClaimTable,
-        targets: BufferId,
-        winners: BufferId,
-    }
-
-    impl PhasedKernel for ClaimKernel {
-        fn phases(&self) -> usize {
-            2
-        }
-
-        fn execute_phase(&self, phase: usize, tid: usize, ctx: &mut ThreadCtx<'_>) {
-            let target = ctx.read_u64(self.targets, tid * 8);
-            if phase == 0 {
-                let claimed = self.table.claim(ctx, target, tid);
-                ctx.write_u64(self.winners, tid * 8, claimed as u64);
-            } else if ctx.read_u64(self.winners, tid * 8) != 0 {
-                let winner = self.table.winner(ctx, target);
-                ctx.write_u64(self.winners, tid * 8, winner);
-            }
-        }
-    }
+    use cuart_gpu_sim::batch::NOT_FOUND;
+    use cuart_gpu_sim::devices;
+    use std::collections::BTreeMap;
 
     #[test]
-    fn sweep_clears_a_probe_chain_that_wraps_past_the_last_slot() {
-        const SLOTS: usize = 8;
-        let dev = devices::a100();
+    fn sized_for_is_a_capped_power_of_two_at_least_twice_the_batch() {
         let mut mem = DeviceMemory::new();
-        let table = ClaimTable::alloc(&mut mem, SLOTS);
-        // Three distinct targets homed on the last slot, the first of them
-        // claimed twice: the chain occupies slots 7, 0 and 1.
-        let homed: Vec<u64> = (1u64..)
-            .filter(|&t| table.hash_of(t) == SLOTS - 1)
-            .take(3)
-            .collect();
-        let claims = [homed[0], homed[1], homed[2], homed[0]];
-        let targets = mem.alloc("targets", claims.len() * 8, 32);
-        let winners = mem.alloc("winners", claims.len() * 8, 32);
-        for (tid, &t) in claims.iter().enumerate() {
-            mem.write_u64(targets, tid * 8, t);
+        for capacity in [8usize, 64, 100, 4096, DEFAULT_TABLE_SLOTS] {
+            let table = ClaimTable::alloc(&mut mem, capacity);
+            assert_eq!(table.slots(), capacity);
+            for count in [0, 1, 31, 32, 33, capacity / 2, capacity, 2 * capacity] {
+                let sized = table.sized_for(count);
+                let slots = sized.slots();
+                assert_eq!((sized.keys, sized.vals), (table.keys, table.vals));
+                assert_eq!(sized.capacity, capacity);
+                assert!(slots <= capacity);
+                if slots < capacity {
+                    assert!(slots.is_power_of_two() && slots >= 2 * count);
+                    assert!(slots >= 64);
+                    // The smallest such prefix.
+                    assert!(slots == 64 || slots / 2 < 2 * count);
+                } else {
+                    // Capped: the unbounded rule would ask for at least this.
+                    assert!((2 * count).next_power_of_two().max(64) >= capacity);
+                }
+                // Sizing starts from the capacity, not from the last prefix.
+                assert_eq!(sized.sized_for(capacity).slots(), capacity);
+            }
         }
-        let kernel = ClaimKernel {
-            table,
-            targets,
-            winners,
-        };
-        let mut l2 = Cache::new(&dev.l2);
-        Launcher::default().launch(&dev, &mut mem, &kernel, claims.len(), &mut l2);
-        let slot = |mem: &DeviceMemory, h: usize| {
-            (
-                mem.read_u64(table.keys, h * 8),
-                mem.read_u64(table.vals, h * 8),
-            )
-        };
-        // Max thread id + 1 wins each target; the duplicate raised slot 7.
-        assert_eq!(slot(&mem, SLOTS - 1), (homed[0], 4));
-        assert_eq!(slot(&mem, 0), (homed[1], 2));
-        assert_eq!(slot(&mem, 1), (homed[2], 3));
-        assert_eq!(slot(&mem, 2), (0, 0));
-        let seen: Vec<u64> = (0..claims.len())
-            .map(|tid| mem.read_u64(winners, tid * 8))
-            .collect();
-        assert_eq!(seen, vec![4, 2, 3, 4]);
-        table.sweep(&mut mem, targets, claims.len());
-        assert!(table.is_zero(&mem));
+        let table = ClaimTable::alloc(&mut mem, 4096);
+        let slots = |count| table.sized_for(count).slots();
+        assert_eq!(
+            [0, 1, 31, 32, 33, 2047, 2048, 2049, 8192].map(slots),
+            [64, 64, 64, 64, 128, 4096, 4096, 4096, 4096]
+        );
     }
 
     fn index(n: u64) -> CuartIndex {
@@ -243,23 +194,37 @@ mod tests {
         CuartIndex::build(&art, &CuartConfig::for_tests())
     }
 
+    /// Key ids 0..64 are stored at build time, 64..96 are absent (update
+    /// misses / fresh inserts).
+    fn key_of(kid: u8) -> Vec<u8> {
+        if kid < 64 {
+            (u64::from(kid) * 2).to_be_bytes().to_vec()
+        } else {
+            (0xF000_0000_0000_0000u64 | u64::from(kid))
+                .to_be_bytes()
+                .to_vec()
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
         /// Random update and insert batches — in-batch duplicates, deletes,
-        /// misses, and tables small enough to force `EXHAUSTED` re-runs and
-        /// wrapped probe chains — leave both table halves all-zero after
-        /// every launch, and give the statuses and `KernelReport`s of a twin
-        /// session whose table is densely cleared before every batch.
+        /// misses, fresh inserts — give the same statuses and the same final
+        /// answers whatever the table's capacity: 64 slots (every batch
+        /// above 32 ops is capped, and one with more than 64 distinct
+        /// targets takes the `EXHAUSTED` re-run path), 4096 and the default
+        /// 1 Mi (prefix sized to the batch). The answers are those of a
+        /// last-write-wins map, and the *whole* table — not just the prefix
+        /// the launch used — is all-zero after every launch.
         #[test]
-        fn sparse_sweep_matches_the_dense_clear(
-            slots in 8usize..=64,
+        fn answers_do_not_depend_on_the_table_capacity(
             batches in proptest::collection::vec(
                 (
                     proptest::prelude::any::<bool>(),
                     proptest::collection::vec(
                         (0u8..96, proptest::option::of(1u64..1_000)),
-                        1..48,
+                        1..128,
                     ),
                 ),
                 1..8,
@@ -267,36 +232,118 @@ mod tests {
         ) {
             let idx = index(64);
             let dev = devices::a100();
-            let mut sparse = idx.device_session_with_table(&dev, slots);
-            let mut dense = idx.device_session_with_table(&dev, slots);
+            let mut sessions = [64, 4096, DEFAULT_TABLE_SLOTS]
+                .map(|slots| idx.device_session_with_table(&dev, slots));
+            let keys: Vec<Vec<u8>> = (0..96u8).map(key_of).collect();
+            let mut oracle: BTreeMap<Vec<u8>, u64> =
+                (0..64u8).map(|kid| (key_of(kid), u64::from(kid))).collect();
             for (is_insert, spec) in &batches {
-                // Key ids 0..64 are stored, 64..96 are absent (update
-                // misses / fresh inserts); `None` deletes.
+                // `None` deletes (update) or writes a fixed value (insert).
+                // Once a batch deletes a key, its later ops on that key
+                // delete too: delete-then-update in one batch is the one
+                // sequence a device key (membership as of the launch, pinned
+                // by `delete_then_update_same_key_in_one_batch`) and a
+                // host-parked key (op by op) answer differently.
+                let mut deleted = std::collections::BTreeSet::new();
                 let ops: Vec<(Vec<u8>, u64)> = spec
                     .iter()
                     .map(|&(kid, v)| {
-                        let key = if kid < 64 {
-                            (u64::from(kid) * 2).to_be_bytes().to_vec()
-                        } else {
-                            (0xF000_0000_0000_0000u64 | u64::from(kid)).to_be_bytes().to_vec()
-                        };
-                        (key, v.unwrap_or(if *is_insert { 7 } else { DELETE }))
+                        let value = v.unwrap_or(if *is_insert { 7 } else { DELETE });
+                        let delete = value == DELETE || deleted.contains(&kid);
+                        deleted.extend(delete.then_some(kid));
+                        (key_of(kid), if delete { DELETE } else { value })
                     })
                     .collect();
-                // What the sweep replaced: zero both halves wholesale.
-                let (table, mem) = dense.claim_table();
-                mem.bytes_mut(table.keys, 0, table.slots * 8).fill(0);
-                mem.bytes_mut(table.vals, 0, table.slots * 8).fill(0);
-                let (got, want) = if *is_insert {
-                    (sparse.insert_batch(&ops).unwrap(), dense.insert_batch(&ops).unwrap())
-                } else {
-                    (sparse.update_batch(&ops).unwrap(), dense.update_batch(&ops).unwrap())
-                };
-                let (table, mem) = sparse.claim_table();
-                proptest::prop_assert!(table.is_zero(mem));
-                proptest::prop_assert_eq!(&got.0, &want.0);
-                proptest::prop_assert_eq!(format!("{:?}", got.1), format!("{:?}", want.1));
+                let mut answers = Vec::new();
+                for session in &mut sessions {
+                    let (statuses, _) = if *is_insert {
+                        session.insert_batch(&ops).unwrap()
+                    } else {
+                        session.update_batch(&ops).unwrap()
+                    };
+                    let exhausted = if *is_insert { insert_status::EXHAUSTED } else { status::EXHAUSTED };
+                    proptest::prop_assert!(!statuses.contains(&exhausted));
+                    let (table, mem) = session.claim_table();
+                    proptest::prop_assert_eq!(table.slots(), table.capacity);
+                    proptest::prop_assert!(table.is_zero(mem));
+                    answers.push(statuses);
+                }
+                proptest::prop_assert_eq!(&answers[0], &answers[1]);
+                proptest::prop_assert_eq!(&answers[0], &answers[2]);
+                // The last op on a key wins; an update of a key absent
+                // when the batch started is a miss.
+                let last: BTreeMap<&Vec<u8>, u64> = ops.iter().map(|(k, v)| (k, *v)).collect();
+                for (key, value) in last {
+                    if value == DELETE {
+                        oracle.remove(key);
+                    } else if *is_insert || oracle.contains_key(key) {
+                        oracle.insert(key.clone(), value);
+                    }
+                }
+                let want: Vec<u64> = keys
+                    .iter()
+                    .map(|k| oracle.get(k).copied().unwrap_or(NOT_FOUND))
+                    .collect();
+                for session in &mut sessions {
+                    proptest::prop_assert_eq!(&session.lookup_batch(&keys).unwrap().0, &want);
+                }
             }
         }
+    }
+
+    #[test]
+    fn write_batch_spans_name_the_prefix_they_claimed_in() {
+        let telemetry = std::sync::Arc::new(cuart_telemetry::Telemetry::new());
+        let idx = index(600).with_telemetry(telemetry.clone());
+        let dev = devices::rtx3090();
+        let mut session = idx.device_session_with_table(&dev, 512);
+        let ops = |n: u64| -> Vec<(Vec<u8>, u64)> {
+            (0..n)
+                .map(|i| ((i * 2).to_be_bytes().to_vec(), 9))
+                .collect()
+        };
+        let keys: Vec<Vec<u8>> = ops(100).into_iter().map(|(k, _)| k).collect();
+        session.lookup_batch(&keys).unwrap();
+        session.update_batch(&ops(100)).unwrap();
+        session.insert_batch(&ops(3)).unwrap();
+        session.update_batch(&ops(600)).unwrap();
+        let snap = telemetry.snapshot();
+        let got: Vec<(&str, Option<&str>)> = snap
+            .spans
+            .iter()
+            .filter(|s| s.parent == 0)
+            .map(|s| {
+                let attr = s.attrs.iter().find(|(k, _)| k == "claim_slots");
+                (s.name.as_str(), attr.map(|(_, v)| v.as_str()))
+            })
+            .collect();
+        // 2 × 100 → 256; the 64-slot floor; 2 × 600 capped at the 512-slot
+        // capacity (and re-run, since 600 targets cannot fit).
+        let want = [
+            ("batch.lookup", None),
+            ("batch.update", Some("256")),
+            ("batch.insert", Some("64")),
+            ("batch.update", Some("512")),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_batch_that_outgrows_the_capacity_reruns_exhausted_ops_and_converges() {
+        // 96 distinct stored keys against 64 slots: the first launch can
+        // claim at most 64 targets, so at least 32 ops come back `EXHAUSTED`
+        // and only the re-run can apply them.
+        let idx = index(96);
+        let dev = devices::a100();
+        let mut small = idx.device_session_with_table(&dev, 64);
+        let mut roomy = idx.device_session_with_table(&dev, 4096);
+        let ops: Vec<(Vec<u8>, u64)> = (0..96u64)
+            .map(|i| ((i * 2).to_be_bytes().to_vec(), 500 + i))
+            .collect();
+        let (statuses, _) = small.update_batch(&ops).unwrap();
+        assert_eq!(statuses, roomy.update_batch(&ops).unwrap().0);
+        assert!(statuses.iter().all(|&s| s == status::APPLIED));
+        let (table, mem) = small.claim_table();
+        assert!(table.is_zero(mem));
     }
 }

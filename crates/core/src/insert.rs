@@ -94,7 +94,7 @@ pub struct CuartInsertKernel {
     pub staging: Staging,
     /// Number of ops.
     pub count: usize,
-    /// Claim table, all-zero at launch.
+    /// Claim table sized for `count`, all-zero at launch.
     pub claims: ClaimTable,
     /// Leaf free lists (deleted slots reused first).
     pub free_lists: FreeLists,

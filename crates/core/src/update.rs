@@ -21,7 +21,7 @@
 //! deletion fast.
 //!
 //! The claim table both stages go through is [`ClaimTable`], shared with
-//! the insert engine and the session's post-launch sweep.
+//! the insert engine; the session sizes it to each launch.
 
 use crate::claim::{ClaimTable, Staging};
 use crate::error::CuartError;
@@ -96,7 +96,7 @@ pub struct CuartUpdateKernel {
     pub staging: Staging,
     /// Number of operations.
     pub count: usize,
-    /// Claim table, all-zero at launch.
+    /// Claim table sized for `count`, all-zero at launch.
     pub claims: ClaimTable,
     /// Free lists for deleted leaves.
     pub free_lists: FreeLists,
@@ -334,6 +334,16 @@ mod tests {
             ClaimTable::alloc(&mut mem, 1 << 20),
             ClaimTable::alloc(&mut mem, 1 << 10),
         );
-        assert!(big.clear_ns(&dev) > small.clear_ns(&dev));
+        let clear = |table: &ClaimTable, count| table.sized_for(count).clear_ns(&dev);
+        // Below both capacities the clear follows the batch alone …
+        assert!(clear(&big, 256) > clear(&big, 32));
+        assert_eq!(clear(&big, 256), clear(&small, 256));
+        // … and once the cap binds it is the whole-table memset it was
+        // when every launch used the whole table.
+        assert!(clear(&big, 4096) > clear(&small, 4096));
+        assert_eq!(clear(&small, 4096), small.clear_ns(&dev));
+        assert_eq!(clear(&big, 1 << 20), big.clear_ns(&dev));
+        let whole = ((1u64 << 20) * 16) as f64 / dev.mem.peak_bandwidth_gbps() + 2_000.0;
+        assert_eq!(big.clear_ns(&dev), whole);
     }
 }

@@ -1515,6 +1515,10 @@ fn record_sched_span(
     if probe {
         root = root.with_attr("probe", true);
     }
+    if matches!(batch, SchedOp::Update(_) | SchedOp::Insert(_)) {
+        // The claim-table prefix of the batch's first, largest launch.
+        root = root.with_attr("claim_slots", session.claim_slots(report.threads));
+    }
     t.record_span_tree(&root);
 }
 
@@ -1849,6 +1853,39 @@ mod tests {
         assert_eq!(client.lookup_one(k).unwrap(), 777);
         drop(client);
         sched.join().unwrap();
+    }
+
+    #[test]
+    fn write_batch_spans_name_the_claim_table_prefix_they_used() {
+        let mut art = Art::new();
+        for i in 0..512u64 {
+            art.insert(&i.to_be_bytes(), i).unwrap();
+        }
+        let telemetry = Arc::new(Telemetry::new());
+        let index = Arc::new(
+            CuartIndex::build(&art, &CuartConfig::for_tests()).with_telemetry(telemetry.clone()),
+        );
+        let sched = spawn(&index, SchedulerConfig::default());
+        let client = sched.client().unwrap();
+        client.lookup((0..100).map(key).collect()).unwrap();
+        client
+            .update((0..100).map(|i| (key(i), i + 1)).collect())
+            .unwrap();
+        client.insert(vec![(key(1_000_000), 7)]).unwrap();
+        drop(client);
+        sched.join().unwrap();
+        let snap = telemetry.snapshot();
+        let claim_slots = |name: &str| -> Option<String> {
+            let root = snap.spans.iter().find(|s| s.parent == 0 && s.name == name);
+            let attrs = &root.unwrap_or_else(|| panic!("no {name} tree")).attrs;
+            let attr = attrs.iter().find(|(k, _)| k == "claim_slots");
+            attr.map(|(_, v)| v.clone())
+        };
+        // 2 × 100 ops rounds up to 256 slots; one op gets the 64-slot floor;
+        // a lookup touches no claim table.
+        assert_eq!(claim_slots("sched.batch.update").as_deref(), Some("256"));
+        assert_eq!(claim_slots("sched.batch.insert").as_deref(), Some("64"));
+        assert_eq!(claim_slots("sched.batch.lookup"), None);
     }
 
     #[test]

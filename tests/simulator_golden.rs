@@ -6,6 +6,13 @@
 //! report is compared, `f64`s by their bit pattern, so a change to the walk
 //! order of the timing pass (L2 decisions, DRAM issue order, float
 //! accumulation order) fails here even when it moves a number by one ulp.
+//!
+//! One change to the *model* has re-derived part of it since: PR 24 sized
+//! the claim table to the launch, which moved the session's `update` and
+//! `insert` lines (fewer DRAM transactions, a smaller clear) and, through
+//! the L2 those kernels leave behind, the hit counts of the `range` and
+//! `relookup` lines after them. The first `lookup` and every one-shot line
+//! are still PR 11's.
 
 use cuart::{CuartConfig, CuartIndex, LongKeyPolicy, DELETE};
 use cuart_art::Art;
@@ -149,10 +156,10 @@ fn one_shot_kernels_reproduce_parent_reports() {
 #[rustfmt::skip]
 const SESSION_GOLDEN: [&str; 5] = [
     "lookup: time=40b544bd0bd0bd1c threads=4096 warps=128 steps=17473 chain=6 raw=17473 sectors=16161 l2_hits=9147 dram_tx=7014 dram_bytes=224448 imb=3ff0eac20691d905 compute=140304 conflicts=0 active=17473 issued=20640 lat=40a29c2f819b8fbc bw=40b544bd0bd0bd1c cmp=408f8ba19f85fec8",
-    "update: time=40df0ee84a60f705 threads=2048 warps=64 steps=28384 chain=11 raw=28384 sectors=21506 l2_hits=10453 dram_tx=11053 dram_bytes=353696 imb=3ff32b7f65f3f710 compute=70032 conflicts=64 active=28384 issued=36704 lat=40c1676e7acb2de8 bw=40c28cba6ba6ba79 cmp=407f7dd140ecefd0",
-    "insert: time=40df2d9c31dbd843 threads=1024 warps=32 steps=15433 chain=12 raw=15433 sectors=9647 l2_hits=5567 dram_tx=4080 dram_bytes=130560 imb=3ff795b3d1f00e31 compute=15294 conflicts=492 active=15433 issued=18112 lat=40c3890840b58062 bw=40ad0bdb3db3db46 cmp=405b82592ecd384e",
-    "range: time=40c43bb4b445c72b threads=64 warps=2 steps=2292 chain=37 raw=2292 sectors=2466 l2_hits=1925 dram_tx=541 dram_bytes=17312 imb=3ffa4331af8e6eb7 compute=14752 conflicts=0 active=2292 issued=2368 lat=40c43bb4b445c72b bw=40845fabfabfabf9 cmp=405a88c6c5fff691",
-    "relookup: time=409f53d57a1b5365 threads=1000 warps=32 steps=4278 chain=5 raw=4278 sectors=3980 l2_hits=1957 dram_tx=2023 dram_bytes=64736 imb=3ff3bdb0c8726580 compute=34448 conflicts=0 active=4278 issued=5120 lat=409f53d57a1b5365 bw=409ca2222222222a cmp=406efb0b9f43fba7",
+    "update: time=40cb8ea038e2da81 threads=2048 warps=64 steps=29198 chain=17 raw=29198 sectors=22664 l2_hits=17217 dram_tx=5447 dram_bytes=174304 imb=3ff3cd7d214a9e6f compute=70032 conflicts=67 active=29198 issued=41312 lat=40c39b9e08bfd851 bw=40b1f6f42f42f437 cmp=407f7dd140ecefd0",
+    "insert: time=40c89beb7eb89181 threads=1024 warps=32 steps=15745 chain=14 raw=15745 sectors=10271 l2_hits=8069 dram_tx=2202 dram_bytes=70464 imb=3ff616a7a5616a7a compute=15294 conflicts=469 active=15745 issued=20608 lat=40c0ba6a66a71069 bw=409ed5fd5fd5fd63 cmp=405b82592ecd384e",
+    "range: time=40c435358ee81fa4 threads=64 warps=2 steps=2292 chain=37 raw=2292 sectors=2466 l2_hits=1947 dram_tx=519 dram_bytes=16608 imb=3ff9e55d39b602f2 compute=14752 conflicts=0 active=2292 issued=2368 lat=40c435358ee81fa4 bw=408345be5be5be5b cmp=405a88c6c5fff691",
+    "relookup: time=409f13addb6b8826 threads=1000 warps=32 steps=4278 chain=5 raw=4278 sectors=3980 l2_hits=1958 dram_tx=2022 dram_bytes=64704 imb=3ff38f929c7c94e7 compute=34448 conflicts=0 active=4278 issued=5120 lat=409f13addb6b8826 bw=409c5ba6ba6ba6c2 cmp=406efb0b9f43fba7",
 ];
 
 #[rustfmt::skip]
