@@ -156,6 +156,10 @@ pub const METRICS: &[MetricDef] = &[
         "Gauge: mapped leaf16 records in the device arena."),
     metric!(BUILD_RECORDS_LEAF32, "cuart.build.records.leaf32", Gauge, "build-records",
         "Gauge: mapped leaf32 records in the device arena."),
+    metric!(DEVICE_SHARED_BYTES, "cuart.device.shared_bytes", Gauge, "device",
+        "Gauge: index-image bytes a session's device buffers still share with\nthe image (read in place, never copied)."),
+    metric!(DEVICE_OWNED_BYTES, "cuart.device.owned_bytes", Gauge, "device",
+        "Gauge: bytes of a session's uploaded device buffers it owns: the chunks\nits device has written (copied out of the image on first write)."),
     metric!(HYBRID_GPU_BATCHES, "cuart.hybrid.gpu_batches", Counter, "hybrid",
         "Hybrid batches routed to the GPU."),
     metric!(HYBRID_CPU_KEYS, "cuart.hybrid.cpu_keys", Counter, "hybrid",
@@ -277,6 +281,8 @@ pub const GROUPS: &[GroupDef] = &[
         hook: "§3.2 mapping: built-image size, node/leaf totals and host-side overflow population." },
     GroupDef { id: "build-records", table_name: Some("`cuart.build.records.<class>`"),
         hook: "§3.2 mapping: arena population per node/leaf class (`n4`/`n16`/`n48`/`n256`/`n2l`/`leaf8`/`leaf16`/`leaf32` — density effects of §4.4)." },
+    GroupDef { id: "device", table_name: Some("`cuart.device.shared_bytes`, `cuart.device.owned_bytes`"),
+        hook: "§3.3 one coherent set of buffers: what a session's device reads in place from the shared index image, and the chunks its writes made its own — 0 owned after open and after a recovery re-upload; lookups never add to it." },
     GroupDef { id: "range", table_name: None,
         hook: "§3.2.1 range queries: span-kernel batches over the ordered leaf arenas, queries served and rows returned (result = per-class `[start, end)` index pairs, materialized host-side)." },
     GroupDef { id: "hybrid", table_name: None,

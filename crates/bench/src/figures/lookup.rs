@@ -11,7 +11,8 @@ use cuart_workloads::{btc_keys, QueryStream};
 
 /// The three lookup engines compared throughout §4.3/§4.4. Indexes are
 /// built once per data set and shared across sweep points — rebuilding the
-/// 128 MB compacted-root LUT per point would dominate the harness.
+/// 128 MB compacted-root LUT per point would dominate the harness — and a
+/// sweep over data sets holds one at a time (`sweep_engines`).
 pub(crate) struct EngineSet {
     cuart: CuartIndex,
     grt: GrtIndex,
@@ -123,23 +124,30 @@ pub fn fig10(ctx: &RunCtx) -> Figure {
         batch_size: 16 * 1024,
         ..RunConfig::default()
     };
-    let mut sets: Vec<(usize, EngineSet)> = Vec::new();
-    for &paper_n in &paper_sizes {
-        let n = ctx.tree_size(paper_n);
-        if sets.iter().any(|(m, _)| *m == n) {
-            continue; // scaling can collapse adjacent sizes
-        }
+    let mut sizes: Vec<usize> = paper_sizes.iter().map(|&n| ctx.tree_size(n)).collect();
+    sizes.dedup(); // scaling can collapse adjacent sizes
+    fig.series = sweep_engines(&sizes, |&n| {
         let (art, keys) = ctx.build_art(n, 32, 1000 + n as u64);
-        sets.push((n, EngineSet::build(ctx, &art, keys)));
-    }
-    for engine in EngineSet::labels() {
-        let mut s = Series::new(engine);
-        for (n, set) in &sets {
-            s.push(*n as f64, set.mops(engine, &dev, &cfg, 10));
-        }
-        fig.series.push(s);
-    }
+        let set = EngineSet::build(ctx, &art, keys);
+        drop(art);
+        let mops = EngineSet::labels().map(|engine| set.mops(engine, &dev, &cfg, 10));
+        (n as f64, mops)
+    });
     fig
+}
+
+/// One series per engine over `points`, each point built, measured on all
+/// three engines and dropped before the next is built — so a sweep holds
+/// one data set's trees at a time, not all of them.
+fn sweep_engines<P>(points: &[P], mut measure: impl FnMut(&P) -> (f64, [f64; 3])) -> Vec<Series> {
+    let mut series = EngineSet::labels().map(Series::new);
+    for point in points {
+        let (x, mops) = measure(point);
+        for (s, y) in series.iter_mut().zip(mops) {
+            s.push(x, y);
+        }
+    }
+    series.into()
 }
 
 /// Figure 11 — *"Lookup Throughput with increasing key length (26Mi
@@ -156,18 +164,13 @@ pub fn fig11(ctx: &RunCtx) -> Figure {
     let n = ctx.tree_size(26_000_000);
     let dev = ctx.server();
     let cfg = RunConfig::default();
-    let mut sets = Vec::new();
-    for kl in [4usize, 8, 16, 24, 32] {
+    fig.series = sweep_engines(&[4usize, 8, 16, 24, 32], |&kl| {
         let (art, keys) = ctx.build_art(n, kl, 1100 + kl as u64);
-        sets.push((kl, EngineSet::build(ctx, &art, keys)));
-    }
-    for engine in EngineSet::labels() {
-        let mut s = Series::new(engine);
-        for (kl, set) in &sets {
-            s.push(*kl as f64, set.mops(engine, &dev, &cfg, 11));
-        }
-        fig.series.push(s);
-    }
+        let set = EngineSet::build(ctx, &art, keys);
+        drop(art);
+        let mops = EngineSet::labels().map(|engine| set.mops(engine, &dev, &cfg, 11));
+        (kl as f64, mops)
+    });
     fig
 }
 

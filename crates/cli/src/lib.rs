@@ -1497,6 +1497,9 @@ mod tests {
         assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
         assert!(json.contains("\"kind\":\"lookup\""), "{json}");
         assert!(prom.contains("cuart_lookup_batches 2"), "{prom}");
+        // Lookups share the whole image and own none of it.
+        assert!(prom.contains("cuart_device_owned_bytes 0"), "{prom}");
+        assert!(json.contains("\"cuart.device.shared_bytes\":"), "{json}");
         // Spill to a file via --metrics-out.
         let out_file = tmp("metrics-out");
         let msg = cmd_metrics(&idx, None, false, "a100", 64, 1, "json", Some(&out_file)).unwrap();

@@ -9,6 +9,19 @@
 //! skeleton lookups, updates and inserts share, `range_batch` goes through
 //! the same device leg and telemetry epilogue, and a three-state [`Mode`]
 //! says who serves the device-eligible keys.
+//!
+//! # One image, shared copy-on-write
+//!
+//! The index image is immutable, and a device never copies it:
+//! [`upload`](CuartIndex::upload) shares each arena and the LUT with a
+//! device buffer that owns only the chunks its device has written
+//! (`cuart_gpu_sim::memory`). So a session open (`DeviceState::build`), every
+//! shard of a fleet, a one-shot [`lookup_batch_device`](CuartIndex::lookup_batch_device)
+//! and a recovery re-upload cost O(chunks), and a recovery is "drop the
+//! written chunks, clear the bits": the rebuilt state reads the image again.
+//! The `cuart.device.shared_bytes` / `cuart.device.owned_bytes` gauges say
+//! where a session stands — recorded at open, after a recovery and with
+//! every batch.
 
 use crate::buffers::{CuartBuffers, CuartConfig, LongKeyPolicy};
 use crate::claim::{ClaimTable, Staging, DEFAULT_TABLE_SLOTS};
@@ -162,35 +175,37 @@ impl CuartIndex {
     /// Upload with `leaf_headroom` extra zeroed record slots per leaf
     /// class, so the device-side insert engine (§5.1 extension) can bump-
     /// allocate new leaves.
+    ///
+    /// Every arena and the LUT are *shared* with the device, not copied
+    /// ([`DeviceMemory::upload`]): the upload costs O(chunks) whatever the
+    /// image's size, a device write copies only the chunk it lands in, and
+    /// the image itself never changes. Base addresses, lengths and so every
+    /// modeled number are those of a full copy.
     pub fn upload_with_headroom(&self, mem: &mut DeviceMemory, leaf_headroom: usize) -> DeviceTree {
         let b = &self.buffers;
-        // Pre-sized chunk writes: the default LUT is 2^24 entries, and a
-        // per-element `flat_map().collect()` made every session open (and
-        // every recovery re-upload) pay seconds for it in debug builds.
-        let mut lut_bytes = vec![0u8; b.lut.len() * 8];
-        for (chunk, v) in lut_bytes.chunks_exact_mut(8).zip(&b.lut) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        let mut meta = [0u8; 8];
-        meta.copy_from_slice(&b.root.0.to_le_bytes());
-        let padded = |name: &str, data: &[u8], ty: LinkType, mem: &mut DeviceMemory| {
-            let extra = leaf_headroom * crate::layout::stride(ty);
-            let id = mem.alloc(name, data.len() + extra, 32);
-            mem.write_bytes(id, 0, data);
-            id
+        // Chunks follow each arena's record stride (a dynamic leaf's is 0:
+        // the whole arena is one chunk); leaf classes get the headroom.
+        let mut share = |name: &str, image: &Arc<Vec<u8>>, ty: LinkType| {
+            let stride = crate::layout::stride(ty);
+            let headroom = if ty.is_device_leaf() {
+                leaf_headroom
+            } else {
+                0
+            };
+            mem.upload(name, image, stride, image.len() + headroom * stride, 32)
         };
         DeviceTree {
-            n4: mem.alloc_from("cuart-n4", &b.n4, 32),
-            n16: mem.alloc_from("cuart-n16", &b.n16, 32),
-            n48: mem.alloc_from("cuart-n48", &b.n48, 32),
-            n256: mem.alloc_from("cuart-n256", &b.n256, 32),
-            n2l: mem.alloc_from("cuart-n2l", &b.n2l, 32),
-            leaf8: padded("cuart-leaf8", &b.leaf8, LinkType::Leaf8, mem),
-            leaf16: padded("cuart-leaf16", &b.leaf16, LinkType::Leaf16, mem),
-            leaf32: padded("cuart-leaf32", &b.leaf32, LinkType::Leaf32, mem),
-            dyn_leaves: mem.alloc_from("cuart-dyn", &b.dyn_leaves, 32),
-            lut: mem.alloc_from("cuart-lut", &lut_bytes, 32),
-            meta: mem.alloc_from("cuart-meta", &meta, 16),
+            n4: share("cuart-n4", &b.n4, LinkType::N4),
+            n16: share("cuart-n16", &b.n16, LinkType::N16),
+            n48: share("cuart-n48", &b.n48, LinkType::N48),
+            n256: share("cuart-n256", &b.n256, LinkType::N256),
+            n2l: share("cuart-n2l", &b.n2l, LinkType::N2L),
+            leaf8: share("cuart-leaf8", &b.leaf8, LinkType::Leaf8),
+            leaf16: share("cuart-leaf16", &b.leaf16, LinkType::Leaf16),
+            leaf32: share("cuart-leaf32", &b.leaf32, LinkType::Leaf32),
+            dyn_leaves: share("cuart-dyn", &b.dyn_leaves, LinkType::DynLeaf),
+            lut: mem.upload("cuart-lut", &b.lut, 8, b.lut.len(), 32),
+            meta: mem.alloc_from("cuart-meta", &b.root.0.to_le_bytes(), 16),
             lut_span: b.config.lut_span,
         }
     }
@@ -355,7 +370,9 @@ struct RangeStaging {
 
 /// The device-resident half of a session: everything a recovery
 /// re-upload rebuilds from scratch. Factored out of [`CuartSession::new`]
-/// so the fault-recovery path constructs exactly the same image.
+/// so the fault-recovery path constructs exactly the same image — which
+/// it shares with the index rather than copies, so a rebuild drops the
+/// chunks the old device wrote and costs O(chunks).
 struct DeviceState {
     mem: DeviceMemory,
     tree: DeviceTree,
@@ -636,7 +653,7 @@ impl Kind {
 impl<'a> CuartSession<'a> {
     fn new(index: &'a CuartIndex, dev: &DeviceConfig, table_slots: usize) -> Self {
         let state = DeviceState::build(index, table_slots);
-        CuartSession {
+        let session = CuartSession {
             index,
             dev: *dev,
             l2: Cache::new(&dev.l2),
@@ -658,7 +675,9 @@ impl<'a> CuartSession<'a> {
             degradations: 0,
             recoveries: 0,
             record_spans: true,
-        }
+        };
+        session.record_image_sharing();
+        session
     }
 
     /// The device configuration this session runs on.
@@ -880,6 +899,15 @@ impl<'a> CuartSession<'a> {
             t.incr(names::FAULT_RECOVERIES, 1);
             t.gauge_set(names::FAULT_DEGRADED, 0.0);
             t.record(BatchEvent::new(BatchKind::Recovered, 0));
+        }
+        self.record_image_sharing();
+    }
+
+    /// Gauge what the device shares with the index image and what it owns.
+    fn record_image_sharing(&self) {
+        if let Some(t) = &self.telemetry {
+            t.gauge_set(names::DEVICE_SHARED_BYTES, self.mem.shared_bytes() as f64);
+            t.gauge_set(names::DEVICE_OWNED_BYTES, self.mem.owned_bytes() as f64);
         }
     }
 
@@ -1236,6 +1264,7 @@ impl<'a> CuartSession<'a> {
         t.observe(kind.kernel_ns, report.time_ns as u64);
         report.record_into(t);
         t.record(e);
+        self.record_image_sharing();
     }
 
     /// Build and commit a `batch.<kind>` span tree for a device leg over
@@ -1454,6 +1483,17 @@ impl<'a> CuartSession<'a> {
     /// The telemetry registry this session records into, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
+    }
+
+    /// The session's device memory, read-only: what its buffers share with
+    /// the index image and which chunks its device has written.
+    pub fn device_memory(&self) -> &DeviceMemory {
+        &self.mem
+    }
+
+    /// The device handles of the uploaded tree.
+    pub fn device_tree(&self) -> &DeviceTree {
+        &self.tree
     }
 }
 

@@ -1,14 +1,19 @@
 //! The structure-of-buffers representation: one typed arena per node kind.
 //!
-//! This is the host-side image of the index. [`upload`](crate::CuartIndex::upload)
-//! copies each arena into its own aligned device buffer; the paper's §3.3
-//! uses CUDA unified memory for the same purpose, so host and device see one
-//! coherent set of buffers.
+//! This is the host-side image of the index, and it is the device image
+//! too: every arena and the compacted-root table are bytes exactly as the
+//! device holds them (the LUT little-endian), each behind an `Arc`. The
+//! paper's §3.3 uses CUDA unified memory so that host and device see one
+//! coherent set of buffers; here [`upload`](crate::CuartIndex::upload)
+//! shares each `Arc` with a device buffer that copies a chunk only when the
+//! device first writes it (see `cuart_gpu_sim::memory`). The mapper fills
+//! the arenas while it alone holds them; once built they are immutable.
 
 use crate::error::CuartError;
 use crate::layout::stride;
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::MAX_DEVICE_KEY;
+use std::sync::Arc;
 
 /// How keys longer than the 32-byte device maximum are handled (§3.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,25 +91,26 @@ pub struct CuartBuffers {
     /// Build configuration.
     pub config: CuartConfig,
     /// N4 records.
-    pub n4: Vec<u8>,
+    pub n4: Arc<Vec<u8>>,
     /// N16 records.
-    pub n16: Vec<u8>,
+    pub n16: Arc<Vec<u8>>,
     /// N48 records.
-    pub n48: Vec<u8>,
+    pub n48: Arc<Vec<u8>>,
     /// N256 records.
-    pub n256: Vec<u8>,
+    pub n256: Arc<Vec<u8>>,
     /// Multi-layer (N2L) records, when `multi_layer_nodes` is enabled.
-    pub n2l: Vec<u8>,
+    pub n2l: Arc<Vec<u8>>,
     /// Leaf records for keys ≤ 8 bytes.
-    pub leaf8: Vec<u8>,
+    pub leaf8: Arc<Vec<u8>>,
     /// Leaf records for keys ≤ 16 bytes.
-    pub leaf16: Vec<u8>,
+    pub leaf16: Arc<Vec<u8>>,
     /// Leaf records for keys ≤ 32 bytes.
-    pub leaf32: Vec<u8>,
+    pub leaf32: Arc<Vec<u8>>,
     /// Dynamically sized leaves (LongKeyPolicy::DynamicLeaf).
-    pub dyn_leaves: Vec<u8>,
-    /// Compacted-root lookup table: `lut_entries()` packed links.
-    pub lut: Vec<u64>,
+    pub dyn_leaves: Arc<Vec<u8>>,
+    /// Compacted-root lookup table: `lut_entries()` packed links,
+    /// little-endian, as the device reads them ([`lut_entry`](Self::lut_entry)).
+    pub lut: Arc<Vec<u8>>,
     /// Root link, used when the LUT is disabled and as the traversal
     /// fallback for keys shorter than the LUT span.
     pub root: NodeLink,
@@ -124,16 +130,18 @@ impl CuartBuffers {
     pub fn new(config: CuartConfig) -> Self {
         CuartBuffers {
             config,
-            n4: Vec::new(),
-            n16: Vec::new(),
-            n48: Vec::new(),
-            n256: Vec::new(),
-            n2l: Vec::new(),
-            leaf8: Vec::new(),
-            leaf16: Vec::new(),
-            leaf32: Vec::new(),
-            dyn_leaves: Vec::new(),
-            lut: vec![0; config.lut_entries()],
+            n4: Arc::default(),
+            n16: Arc::default(),
+            n48: Arc::default(),
+            n256: Arc::default(),
+            n2l: Arc::default(),
+            leaf8: Arc::default(),
+            leaf16: Arc::default(),
+            leaf32: Arc::default(),
+            dyn_leaves: Arc::default(),
+            // Zeroed, and untouched until a slot is set: a 2^24-entry
+            // table costs resident memory only where it holds links.
+            lut: Arc::new(vec![0; config.lut_entries() * 8]),
             root: NodeLink::NULL,
             short_keys: Vec::new(),
             host_leaves: Vec::new(),
@@ -146,7 +154,7 @@ impl CuartBuffers {
     ///
     /// Host leaves live in host memory by definition, so asking for their
     /// device arena is a typed [`CuartError::NoDeviceArena`] — not a panic.
-    pub fn arena(&self, ty: LinkType) -> Result<&Vec<u8>, CuartError> {
+    pub fn arena(&self, ty: LinkType) -> Result<&Arc<Vec<u8>>, CuartError> {
         Ok(match ty {
             LinkType::N4 => &self.n4,
             LinkType::N16 => &self.n16,
@@ -161,8 +169,10 @@ impl CuartBuffers {
         })
     }
 
+    /// Mutable `ty` arena, for the mapper while it alone holds the image
+    /// (`Arc::make_mut` would copy a shared one).
     pub(crate) fn arena_mut(&mut self, ty: LinkType) -> Result<&mut Vec<u8>, CuartError> {
-        Ok(match ty {
+        Ok(Arc::make_mut(match ty {
             LinkType::N4 => &mut self.n4,
             LinkType::N16 => &mut self.n16,
             LinkType::N48 => &mut self.n48,
@@ -173,7 +183,27 @@ impl CuartBuffers {
             LinkType::Leaf32 => &mut self.leaf32,
             LinkType::DynLeaf => &mut self.dyn_leaves,
             LinkType::HostLeaf => return Err(CuartError::NoDeviceArena { link_type: ty }),
-        })
+        }))
+    }
+
+    /// The LUT entry at `slot`: a packed link, 0 when empty (or past the
+    /// table's end).
+    pub fn lut_entry(&self, slot: usize) -> u64 {
+        let at = slot.saturating_mul(8);
+        self.lut
+            .get(at..at.saturating_add(8))
+            .and_then(|word| word.try_into().ok())
+            .map_or(0, u64::from_le_bytes)
+    }
+
+    /// Install `entry` at LUT `slot` (the mapper and snapshot loader).
+    pub(crate) fn set_lut(&mut self, slot: usize, entry: u64) {
+        Arc::make_mut(&mut self.lut)[slot * 8..slot * 8 + 8].copy_from_slice(&entry.to_le_bytes());
+    }
+
+    /// Number of LUT slots (0 when the LUT is disabled).
+    pub fn lut_slots(&self) -> usize {
+        self.lut.len() / 8
     }
 
     /// Append a zeroed record to `ty`'s arena; returns its index.
@@ -245,7 +275,7 @@ impl CuartBuffers {
             + self.leaf16.len()
             + self.leaf32.len()
             + self.dyn_leaves.len()
-            + self.lut.len() * 8
+            + self.lut.len()
     }
 
     /// Keys held on the host side (short + long tables).
@@ -321,10 +351,10 @@ mod tests {
     #[test]
     fn device_bytes_accounts_everything() {
         let mut b = CuartBuffers::new(CuartConfig::for_tests());
-        let lut_bytes = (1usize << 16) * 8;
-        assert_eq!(b.device_bytes(), lut_bytes);
+        let lut = (1usize << 16) * 8;
+        assert_eq!(b.device_bytes(), lut);
         b.alloc_record(LinkType::Leaf32);
-        assert_eq!(b.device_bytes(), lut_bytes + 48);
+        assert_eq!(b.device_bytes(), lut + 48);
     }
 
     #[test]

@@ -128,10 +128,15 @@ impl ClaimTable {
 
     /// `true` when the slots in use are all-zero: how every launch starts.
     pub(crate) fn is_zero(&self, mem: &DeviceMemory) -> bool {
-        const ZEROS: [u8; 4096] = [0; 4096];
-        let zero = |b: &[u8]| b.chunks(4096).all(|page| page == &ZEROS[..page.len()]);
+        let mut page = [0u8; 4096];
         let bytes = self.slots * 8;
-        zero(mem.read_bytes(self.keys, 0, bytes)) && zero(mem.read_bytes(self.vals, 0, bytes))
+        [self.keys, self.vals].into_iter().all(|half| {
+            (0..bytes).step_by(page.len()).all(|at| {
+                let page = &mut page[..(bytes - at).min(4096)];
+                mem.read_into(half, at, page);
+                page.iter().all(|&b| b == 0)
+            })
+        })
     }
 
     /// Modeled time of [`clear`](Self::clear): a device-side memset of the

@@ -36,7 +36,7 @@ pub fn traverse(b: &CuartBuffers, key: &[u8]) -> Resolution {
         if key.len() < span {
             return Resolution::NotFound;
         }
-        let entry = NodeLink(b.lut[lut_slot(key, span)]);
+        let entry = NodeLink(b.lut_entry(lut_slot(key, span)));
         if entry.is_null() {
             return Resolution::NotFound;
         }

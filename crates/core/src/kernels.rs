@@ -29,7 +29,7 @@ use crate::layout::{self, leaf, stride, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::lut_slot;
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
-use cuart_gpu_sim::{BufferId, Dep, DeviceMemory, Kernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, Dep, DeviceBuffer, DeviceMemory, Kernel, ThreadCtx};
 use std::ops::Range;
 
 /// Result bit signalling "finish this comparison on the CPU" (host-leaf
@@ -510,17 +510,15 @@ pub(crate) fn warm_traverse(
     tids: Range<usize>,
     mem: &DeviceMemory,
 ) {
-    let u64_at = |bytes: &[u8], at: usize| {
-        let word = bytes.get(at..at.saturating_add(8))?;
-        Some(u64::from_le_bytes(word.try_into().ok()?))
-    };
+    let u64_at =
+        |buf: &DeviceBuffer, at: usize| Some(u64::from_le_bytes(buf.get(at, 8)?.try_into().ok()?));
+    let byte_at = |buf: &DeviceBuffer, at: usize| buf.get(at, 1).map_or(0, |b| b[0]);
     let span = tree.lut_span;
     if span == 0 {
-        std::hint::black_box(u64_at(mem.buffer(tree.meta).bytes(), 0));
+        std::hint::black_box(u64_at(mem.buffer(tree.meta), 0));
         return;
     }
-    let staged = mem.buffer(queries).bytes();
-    let lut = mem.buffer(tree.lut).bytes();
+    let (staged, lut) = (mem.buffer(queries), mem.buffer(tree.lut));
     let record_bytes = layout.record_bytes();
     let mut links = [NodeLink::NULL; WARM_LANES];
     let mut sink = 0u8;
@@ -528,9 +526,8 @@ pub(crate) fn warm_traverse(
         let group = start..start.saturating_add(WARM_LANES).min(tids.end);
         // Level 0: each thread's staged key selects its LUT entry.
         for (link, tid) in links.iter_mut().zip(group.clone()) {
-            let at = tid.saturating_mul(record_bytes);
             let entry = staged
-                .get(at..at.saturating_add(record_bytes))
+                .get(tid.saturating_mul(record_bytes), record_bytes)
                 .and_then(|rec| rec.get(1..1 + usize::from(*rec.first()?)))
                 .filter(|key| key.len() >= span)
                 .and_then(|key| u64_at(lut, lut_slot(key, span).saturating_mul(8)));
@@ -549,8 +546,8 @@ pub(crate) fn warm_traverse(
             // A dynamic leaf's index is already a byte offset (stride 0).
             let at = index.saturating_mul(stride(ty).max(1));
             let last = at.saturating_add(first_read_bytes(ty).saturating_sub(1));
-            let record = mem.buffer(arena).bytes();
-            sink ^= record.get(at).copied().unwrap_or(0) ^ record.get(last).copied().unwrap_or(0);
+            let record = mem.buffer(arena);
+            sink ^= byte_at(record, at) ^ byte_at(record, last);
         }
     }
     std::hint::black_box(sink);

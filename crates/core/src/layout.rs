@@ -172,6 +172,34 @@ mod tests {
     }
 
     #[test]
+    fn no_record_straddles_a_device_chunk() {
+        // An uploaded arena is copied to its device a chunk at a time, and a
+        // read of one record must be one slice, written or not.
+        use cuart_gpu_sim::DeviceMemory;
+        let image = std::sync::Arc::new(Vec::new());
+        for ty in (0..=u8::MAX).filter_map(LinkType::from_tag) {
+            let s = stride(ty);
+            if s == 0 {
+                continue; // varying-size records: the arena is one chunk
+            }
+            let mut mem = DeviceMemory::new();
+            let id = mem.upload("arena", &image, s, 1 << 30, 32);
+            let buf = mem.buffer(id);
+            let records = (1usize << 30) / s;
+            for r in (0..4096)
+                .chain((0..records).step_by(997))
+                .chain(records - 64..records)
+            {
+                assert_eq!(
+                    buf.chunk_of(r * s),
+                    buf.chunk_of(r * s + s - 1),
+                    "{ty:?} record {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn prefix_cap_is_one_more_than_grt() {
         assert_eq!(PREFIX_CAP, 14);
     }

@@ -102,18 +102,17 @@ fn emit(
                         NodeLink::new(LinkType::HostLeaf, idx)
                     }
                     LongKeyPolicy::DynamicLeaf => {
-                        let off = b.dyn_leaves.len() as u64;
+                        let arena = std::sync::Arc::make_mut(&mut b.dyn_leaves);
+                        let off = arena.len() as u64;
                         assert!(
                             key.len() <= u16::MAX as usize,
                             "key too long for dynamic leaf"
                         );
-                        b.dyn_leaves
-                            .extend_from_slice(&(key.len() as u16).to_le_bytes());
-                        b.dyn_leaves.extend_from_slice(key);
-                        b.dyn_leaves.extend_from_slice(&value.to_le_bytes());
+                        arena.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                        arena.extend_from_slice(key);
+                        arena.extend_from_slice(&value.to_le_bytes());
                         // Pad to 8 bytes so following records stay aligned.
-                        let pad = b.dyn_leaves.len().next_multiple_of(8) - b.dyn_leaves.len();
-                        b.dyn_leaves.extend(std::iter::repeat_n(0, pad));
+                        arena.resize(arena.len().next_multiple_of(8), 0);
                         NodeLink::new(LinkType::DynLeaf, off)
                     }
                 },
@@ -121,7 +120,7 @@ fn emit(
             // A leaf reached at or before the LUT boundary owns its slot.
             if span > 0 && depth <= span && key.len() >= span {
                 let slot = lut_slot(key, span);
-                b.lut[slot] = link.0;
+                b.set_lut(slot, link.0);
             }
             link
         }
@@ -154,7 +153,7 @@ fn emit(
                 let mut full = path.clone();
                 full.extend_from_slice(&prefix[..span - depth]);
                 let slot = lut_slot(&full, span);
-                b.lut[slot] = NodeLink::with_aux(class, idx, (span - depth) as u8).0;
+                b.set_lut(slot, NodeLink::with_aux(class, idx, (span - depth) as u8).0);
             }
             // Children, in ascending key order. Host-routed keys (CpuRoute)
             // yield null links and are excluded from the device arrays, so
@@ -250,7 +249,10 @@ fn try_emit_multilayer(
         let mut full = path.clone();
         full.extend_from_slice(&prefix[..span - depth]);
         let slot = lut_slot(&full, span);
-        b.lut[slot] = NodeLink::with_aux(LinkType::N2L, idx, (span - depth) as u8).0;
+        b.set_lut(
+            slot,
+            NodeLink::with_aux(LinkType::N2L, idx, (span - depth) as u8).0,
+        );
     }
     // Grandchildren sit two bytes below this node's prefix.
     let grandchild_depth = depth + prefix.len() + 2;
@@ -344,11 +346,14 @@ mod tests {
         let b = map_art(&art_of(&[b"abcd", b"wxyz"]), &cfg(2));
         let slot_ab = lut_slot(b"abcd", 2);
         let slot_wx = lut_slot(b"wxyz", 2);
-        assert_ne!(b.lut[slot_ab], 0);
-        assert_ne!(b.lut[slot_wx], 0);
-        assert_eq!(NodeLink(b.lut[slot_ab]).link_type(), Some(LinkType::Leaf8));
+        assert_ne!(b.lut_entry(slot_ab), 0);
+        assert_ne!(b.lut_entry(slot_wx), 0);
+        assert_eq!(
+            NodeLink(b.lut_entry(slot_ab)).link_type(),
+            Some(LinkType::Leaf8)
+        );
         // Unrelated slots are null.
-        assert_eq!(b.lut[lut_slot(b"zz", 2)], 0);
+        assert_eq!(b.lut_entry(lut_slot(b"zz", 2)), 0);
         assert_eq!(lookup(&b, b"abcd"), Some(1));
         assert_eq!(lookup(&b, b"abcx"), None);
     }
@@ -358,7 +363,7 @@ mod tests {
         // Root compresses "comm" (4 bytes) — the 2-byte LUT boundary falls
         // inside the prefix, so the entry's aux must be 2.
         let b = map_art(&art_of(&[b"commA", b"commB"]), &cfg(2));
-        let entry = NodeLink(b.lut[lut_slot(b"co", 2)]);
+        let entry = NodeLink(b.lut_entry(lut_slot(b"co", 2)));
         assert!(!entry.is_null());
         assert_eq!(entry.aux(), 2);
         assert_eq!(entry.link_type(), Some(LinkType::N4));
@@ -373,7 +378,7 @@ mod tests {
         // below the boundary; its ancestor crossing the boundary (the root,
         // prefix "ab" + branch at byte 2) is installed per first-crossing.
         let b = map_art(&art_of(&[b"abXcd", b"abXce", b"abYcd"]), &cfg(2));
-        let entry = NodeLink(b.lut[lut_slot(b"ab", 2)]);
+        let entry = NodeLink(b.lut_entry(lut_slot(b"ab", 2)));
         assert!(!entry.is_null());
         assert_eq!(entry.aux(), 2, "boundary at end of prefix");
         for (i, k) in [&b"abXcd"[..], b"abXce", b"abYcd"].iter().enumerate() {
@@ -589,7 +594,7 @@ mod multilayer_tests {
         let b = map_art(&art, &ml_cfg(2));
         assert_eq!(b.record_count(LinkType::N2L), 1);
         // The LUT entry for [9,9] must point at the N2L node.
-        let entry = NodeLink(b.lut[lut_slot(&[9, 9], 2)]);
+        let entry = NodeLink(b.lut_entry(lut_slot(&[9, 9], 2)));
         assert_eq!(entry.link_type(), Some(LinkType::N2L));
         for k in keys.iter().step_by(173) {
             assert_eq!(lookup(&b, k), art.get(k).copied());

@@ -46,6 +46,7 @@ use crate::link::NodeLink;
 use crate::CuartIndex;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"CUARTIDX";
 /// Current snapshot format version (see the module docs).
@@ -209,16 +210,17 @@ fn encode_sections(b: &CuartBuffers) -> Vec<Vec<u8>> {
         &b.leaf32,
         &b.dyn_leaves,
     ] {
-        sections.push(arena.clone());
+        sections.push(arena.to_vec());
     }
     // Section 10: LUT, stored sparsely (most of the 2^24 table is null).
     let mut lut = Vec::new();
     let occupied: Vec<(u64, u64)> = b
         .lut
-        .iter()
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().unwrap_or_default()))
         .enumerate()
-        .filter(|(_, &v)| v != 0)
-        .map(|(i, &v)| (i as u64, v))
+        .filter(|&(_, v)| v != 0)
+        .map(|(i, v)| (i as u64, v))
         .collect();
     put_u64(&mut lut, occupied.len() as u64);
     for (slot, v) in occupied {
@@ -313,27 +315,27 @@ fn parse_buffers(sections: &[&[u8]]) -> Result<CuartBuffers, CuartError> {
     b.root = root;
     b.entries = entries;
     b.max_key_len = max_key_len;
-    b.n4 = sections[1].to_vec();
-    b.n16 = sections[2].to_vec();
-    b.n48 = sections[3].to_vec();
-    b.n256 = sections[4].to_vec();
-    b.n2l = sections[5].to_vec();
-    b.leaf8 = sections[6].to_vec();
-    b.leaf16 = sections[7].to_vec();
-    b.leaf32 = sections[8].to_vec();
-    b.dyn_leaves = sections[9].to_vec();
+    b.n4 = Arc::new(sections[1].to_vec());
+    b.n16 = Arc::new(sections[2].to_vec());
+    b.n48 = Arc::new(sections[3].to_vec());
+    b.n256 = Arc::new(sections[4].to_vec());
+    b.n2l = Arc::new(sections[5].to_vec());
+    b.leaf8 = Arc::new(sections[6].to_vec());
+    b.leaf16 = Arc::new(sections[7].to_vec());
+    b.leaf32 = Arc::new(sections[8].to_vec());
+    b.dyn_leaves = Arc::new(sections[9].to_vec());
     let mut lut = Cursor::new(sections[10]);
     let occupied = lut.u64("LUT occupancy")? as usize;
     for _ in 0..occupied {
         let slot = lut.u64("LUT slot")? as usize;
         let v = lut.u64("LUT value")?;
-        if slot >= b.lut.len() {
+        if slot >= b.lut_slots() {
             return Err(CuartError::corrupt(format!(
                 "LUT slot {slot} out of range ({} slots)",
-                b.lut.len()
+                b.lut_slots()
             )));
         }
-        b.lut[slot] = v;
+        b.set_lut(slot, v);
     }
     if !lut.done() {
         return Err(CuartError::corrupt("LUT section has trailing bytes"));
@@ -597,6 +599,22 @@ mod tests {
             idx.device_bytes()
         );
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Captured on the parent of the copy-on-write image change (PR 26):
+        // holding the LUT as little-endian bytes must not move one byte of
+        // the format.
+        let pinned = |cfg: &CuartConfig| {
+            let path = temp("pinned");
+            sample(cfg).save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(path).ok();
+            (bytes.len(), crc32(&bytes))
+        };
+        assert_eq!(pinned(&CuartConfig::for_tests()), (128_256, 1_224_748_654));
+        assert_eq!(pinned(&CuartConfig::default()), (128_256, 303_933_702));
     }
 
     #[test]

@@ -47,12 +47,12 @@ proptest! {
         let b = idx.buffers();
         for k in &keys {
             let slot = lut_slot(k, 2);
-            prop_assert!(!NodeLink(b.lut[slot]).is_null(), "key {:x?} has null LUT slot", k);
+            prop_assert!(!NodeLink(b.lut_entry(slot)).is_null(), "key {:x?} has null LUT slot", k);
         }
         let prefixes: std::collections::HashSet<usize> =
             keys.iter().map(|k| lut_slot(k, 2)).collect();
-        for (slot, &entry) in b.lut.iter().enumerate() {
-            if entry != 0 {
+        for slot in 0..b.lut_slots() {
+            if b.lut_entry(slot) != 0 {
                 // Some stored key must own this prefix.
                 prop_assert!(prefixes.contains(&slot), "orphan LUT slot {slot:#x}");
             }

@@ -293,7 +293,8 @@ fn run(
                 )
             }
         };
-        let results = mem.read_bytes(st.results, 0, CAPACITY * 8).to_vec();
+        let mut results = vec![0; CAPACITY * 8];
+        mem.read_into(st.results, 0, &mut results);
         out.push((results, fields(&report)));
     }
     out

@@ -244,9 +244,9 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             let off = layout.offset(i);
             assert_eq!(mem.read_u8(buf, off) as usize, key.len());
-            assert_eq!(mem.read_bytes(buf, off + 1, key.len()), &key[..]);
+            assert_eq!(mem.get(buf, off + 1, key.len()).unwrap(), &key[..]);
             assert_eq!(
-                record_key(mem.read_bytes(buf, off, layout.record_bytes())),
+                record_key(mem.get(buf, off, layout.record_bytes()).unwrap()),
                 &key[..]
             );
         }
@@ -306,9 +306,9 @@ mod tests {
         pack_keys_into(&mut mem, buf, &layout, [&backing[3..5]].into_iter()).unwrap();
         let off = layout.offset(0);
         assert_eq!(mem.read_u8(buf, off), 2);
-        assert_eq!(mem.read_bytes(buf, off + 1, 2), vec![0x11, 0x11]);
+        assert_eq!(mem.get(buf, off + 1, 2).unwrap(), vec![0x11, 0x11]);
         // Bytes 3..8 of record 0 must be zero, not stale 0xAA.
-        assert_eq!(mem.read_bytes(buf, off + 3, 6), vec![0u8; 6]);
+        assert_eq!(mem.get(buf, off + 3, 6).unwrap(), vec![0u8; 6]);
         // A key that does not fit leaves the buffer as it was.
         let err = pack_keys_into(
             &mut mem,
@@ -317,7 +317,7 @@ mod tests {
             [&[7u8; 1][..], &[7u8; 9]].into_iter(),
         );
         assert!(matches!(err, Err(PackError::KeyTooLong { index: 1, .. })));
-        assert_eq!(mem.read_bytes(buf, off, 3), vec![2, 0x11, 0x11]);
+        assert_eq!(mem.get(buf, off, 3).unwrap(), vec![2, 0x11, 0x11]);
     }
 
     #[test]

@@ -44,14 +44,15 @@ enum Repr {
 }
 
 impl DeviceBytes {
-    fn copy_of(bytes: &[u8]) -> Self {
-        let len = bytes.len();
+    fn read(mem: &DeviceMemory, id: BufferId, offset: usize, len: usize) -> Self {
         DeviceBytes(if len <= INLINE_BYTES {
             let mut buf = [0u8; INLINE_BYTES];
-            buf[..len].copy_from_slice(bytes);
+            mem.read_into(id, offset, &mut buf[..len]);
             Repr::Inline { len, buf }
         } else {
-            Repr::Spilled(bytes.to_vec())
+            let mut bytes = vec![0; len];
+            mem.read_into(id, offset, &mut bytes);
+            Repr::Spilled(bytes)
         })
     }
 }
@@ -107,7 +108,7 @@ impl<'a> ThreadCtx<'a> {
         dep: Dep,
     ) -> DeviceBytes {
         self.log(id, offset, len, AccessKind::Read, dep);
-        DeviceBytes::copy_of(self.mem.read_bytes(id, offset, len))
+        DeviceBytes::read(self.mem, id, offset, len)
     }
 
     /// Read a u64 (dependent).
@@ -268,7 +269,7 @@ mod tests {
             ctx.write_bytes(buf, 8, b"xyz");
         }
         assert_eq!(mem.read_u64(buf, 0), 123);
-        assert_eq!(mem.read_bytes(buf, 8, 3), b"xyz");
+        assert_eq!(mem.get(buf, 8, 3).unwrap(), b"xyz");
     }
 
     #[test]

@@ -7,7 +7,133 @@ use cuart_gpu_sim::config::CacheConfig;
 use cuart_gpu_sim::devices;
 use cuart_gpu_sim::dram::DramModel;
 use cuart_gpu_sim::pipeline::{simulate, PipelineParams};
+use cuart_gpu_sim::DeviceMemory;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Record strides the CuART arenas are uploaded with (`cuart::layout`),
+/// the LUT's 8, and 0 for variable-size records.
+const STRIDES: [usize; 10] = [8, 24, 32, 48, 64, 160, 656, 2064, 524_304, 0];
+
+proptest! {
+    // Cheap cases: many of them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn an_uploaded_buffer_reads_like_a_private_copy(
+        pick in 0usize..STRIDES.len(),
+        records in 0usize..48,
+        headroom in 0usize..24,
+        ops in prop::collection::vec((0u8..7, any::<u64>(), 1usize..80, any::<u64>()), 1..120),
+    ) {
+        let stride = STRIDES[pick];
+        // At most ~48 KiB of image and of headroom, so a case stays cheap
+        // whatever the stride, and one more record so it is never empty.
+        let width = if stride == 0 { 24 } else { stride };
+        let (records, headroom) = (records.min(49_152 / width), headroom.min(49_152 / width));
+        let pristine: Vec<u8> = (0..records * width).map(|i| (i * 31 % 251) as u8).collect();
+        let image = Arc::new(pristine.clone());
+        let len = pristine.len() + (headroom + 1) * width;
+        let mut mem = DeviceMemory::new();
+        let id = mem.upload("image", &image, stride, len, 32);
+        let mut model = pristine.clone();
+        model.resize(len, 0);
+        let mut written = BTreeSet::new();
+        let chunk = |mem: &DeviceMemory, at: usize| mem.buffer(id).chunk_of(at);
+        for &(kind, at, n, value) in &ops {
+            let n = n.min(len);
+            let off = (at % (len - n + 1) as u64) as usize;
+            let word = (off + 8 <= len).then(|| u64::from_le_bytes(model[off..off + 8].try_into().unwrap()));
+            // What the op stores, if anything.
+            let store: Option<Vec<u8>> = match (kind, word) {
+                (0, _) => {
+                    let mut got = vec![0; n];
+                    mem.read_into(id, off, &mut got);
+                    prop_assert_eq!(&got[..], &model[off..off + n]);
+                    None
+                }
+                (1, Some(old)) => {
+                    prop_assert_eq!(mem.read_u64(id, off), old);
+                    prop_assert_eq!(mem.read_u32(id, off), old as u32);
+                    prop_assert_eq!(mem.read_u16(id, off), old as u16);
+                    prop_assert_eq!(mem.read_u8(id, off), old as u8);
+                    None
+                }
+                (2, Some(_)) => {
+                    mem.write_u64(id, off, value);
+                    Some(value.to_le_bytes().to_vec())
+                }
+                (3, _) => {
+                    let bytes: Vec<u8> = (0..n).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+                    mem.write_bytes(id, off, &bytes);
+                    Some(bytes)
+                }
+                (4, Some(old)) => {
+                    let (got, new) = match value % 3 {
+                        0 => {
+                            let expected = if value & 8 == 0 { old } else { value };
+                            let cas = mem.atomic_cas_u64(id, off, expected, value);
+                            (cas, (old == expected).then_some(value))
+                        }
+                        1 => (mem.atomic_max_u64(id, off, value), (value > old).then_some(value)),
+                        _ => (mem.atomic_add_u64(id, off, value), Some(old.wrapping_add(value))),
+                    };
+                    prop_assert_eq!(got, old);
+                    new.map(|v| v.to_le_bytes().to_vec())
+                }
+                (5, _) => {
+                    mem.bytes_mut(id, off, n).fill(value as u8);
+                    Some(vec![value as u8; n])
+                }
+                _ => {
+                    // A whole record is one borrowed slice, written or not
+                    // (unwritten headroom records up to a page wide: the
+                    // leaf classes are the ones uploaded with headroom).
+                    // Variable-size records may sit anywhere in the image.
+                    let (start, end) = match stride {
+                        0 => (0, pristine.len().max(1)),
+                        _ => (off / stride * stride, off / stride * stride + stride),
+                    };
+                    if end <= pristine.len() || (end <= len && stride <= 4096) {
+                        let got = mem.get(id, start, end - start);
+                        prop_assert!(got.is_some(), "record {}..{} split", start, end);
+                        prop_assert_eq!(got.unwrap(), &model[start..end]);
+                    }
+                    None
+                }
+            };
+            if let Some(bytes) = store {
+                model[off..off + bytes.len()].copy_from_slice(&bytes);
+                written.extend(chunk(&mem, off)..=chunk(&mem, off + bytes.len() - 1));
+            }
+        }
+        let mut whole = vec![0; len];
+        mem.read_into(id, 0, &mut whole);
+        prop_assert_eq!(&whole, &model);
+        prop_assert_eq!(&image[..], &pristine[..], "the device wrote through to its image");
+        // An image byte is owned once its chunk is written, shared until.
+        let owned = |at: &usize| written.contains(&chunk(&mem, *at));
+        let image_chunks = pristine.len().checked_sub(1).map_or(0, |last| chunk(&mem, last) + 1);
+        let copied = written.iter().filter(|&&c| c < image_chunks).count();
+        prop_assert_eq!(mem.buffer(id).copied_chunks(), copied);
+        prop_assert_eq!(mem.owned_bytes(), (0..pristine.len()).filter(owned).count());
+        prop_assert_eq!(mem.shared_bytes(), (0..pristine.len()).filter(|at| !owned(at)).count());
+    }
+
+    #[test]
+    fn no_record_straddles_a_chunk(pick in 0usize..STRIDES.len() - 1, first in 0usize..1 << 20) {
+        // A 1 GiB upload costs its bit map only.
+        let stride = STRIDES[pick];
+        let mut mem = DeviceMemory::new();
+        let id = mem.upload("huge", &Arc::new(Vec::new()), stride, 1 << 30, 32);
+        let buf = mem.buffer(id);
+        for record in (first..first + 64).filter(|r| (r + 1) * stride <= 1 << 30) {
+            let at = record * stride;
+            prop_assert_eq!(buf.chunk_of(at), buf.chunk_of(at + stride - 1), "stride {} record {}", stride, record);
+        }
+    }
+}
 
 proptest! {
     #[test]

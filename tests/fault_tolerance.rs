@@ -340,6 +340,10 @@ fn every_mode_answers_every_kind_like_the_model() {
         "the device row must spill an insert"
     );
     assert_eq!(session.fault_stats(), cuart::FaultStats::default());
+    assert!(
+        session.device_memory().owned_bytes() > 0,
+        "the device row writes image chunks"
+    );
 
     // Every device op fails: the first batch exhausts its retries and no
     // later recovery probe gets through.
@@ -370,6 +374,12 @@ fn every_mode_answers_every_kind_like_the_model() {
     session.attach_fault_injector(FaultInjector::uniform(7, 0.0));
     session.set_cpu_only(false);
     assert_eq!(session.mode(), Mode::Degraded);
+    // The re-upload shares the image again: the chunks the old device wrote
+    // are dropped, and the journal answers for what they held.
+    let (keys, expect): (Vec<Vec<u8>>, Vec<u64>) = model.clone().into_iter().unzip();
+    assert_eq!(session.lookup_batch(&keys).unwrap().0, expect);
+    assert_eq!(session.mode(), Mode::Device);
+    assert_eq!(session.device_memory().owned_bytes(), 0);
     check_every_kind(&mut session, &mut model, 3);
     assert_eq!(session.mode(), Mode::Device);
     let stats = session.fault_stats();
