@@ -1,11 +1,13 @@
-//! A lightweight Rust lexer — just enough structure for the lints.
+//! A lightweight Rust lexer — just enough structure for the name scan in
+//! [`crate::lints::metrics`].
 //!
 //! The scanner produces a flat token stream with byte offsets and line
 //! numbers. It understands the lexical shapes that would otherwise break
-//! a text-level lint: nested block comments, raw strings (`r#"…"#`),
-//! byte strings, char literals vs. lifetimes, and multi-character
-//! operators (so `+=` is one token, distinguishable from `+` `=`).
-//! It does **not** build an AST; the lints pattern-match on the stream.
+//! a line-level scan: nested block comments, trailing comments, raw
+//! strings (`r#"…"#`), byte strings, char literals vs. lifetimes, and
+//! multi-character operators (so `::` is one token). It does **not**
+//! build an AST; the scan pattern-matches on the stream, so a call that
+//! rustfmt breaks across lines reads the same as one on a single line.
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,43 +74,12 @@ const PUNCTS: &[&str] = &[
     "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>", "..",
 ];
 
-const SINGLE_PUNCTS: &[(&str, char)] = &[
-    ("+", '+'),
-    ("-", '-'),
-    ("*", '*'),
-    ("/", '/'),
-    ("%", '%'),
-    ("^", '^'),
-    ("!", '!'),
-    ("&", '&'),
-    ("|", '|'),
-    ("=", '='),
-    (">", '>'),
-    ("<", '<'),
-    ("@", '@'),
-    ("_", '_'),
-    (".", '.'),
-    (",", ','),
-    (";", ';'),
-    (":", ':'),
-    ("#", '#'),
-    ("$", '$'),
-    ("?", '?'),
-    ("(", '('),
-    (")", ')'),
-    ("[", '['),
-    ("]", ']'),
-    ("{", '{'),
-    ("}", '}'),
-    ("'", '\''),
-    ("~", '~'),
-];
+/// Single-character punctuation, all ASCII.
+const SINGLE_PUNCTS: &str = "+-*/%^!&|=><@_.,;:#$?()[]{}'~";
 
 fn single_punct(c: char) -> Option<&'static str> {
-    SINGLE_PUNCTS
-        .iter()
-        .find(|(_, ch)| *ch == c)
-        .map(|(s, _)| *s)
+    let at = SINGLE_PUNCTS.find(c)?;
+    SINGLE_PUNCTS.get(at..at + 1)
 }
 
 /// Tokenize `src`. Unknown bytes are skipped (the lints treat them as

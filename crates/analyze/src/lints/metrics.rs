@@ -1,125 +1,71 @@
-//! `metric-name`, `span-name`, `metric-registry`: every series/span name
-//! flows through the generated registry, and docs cannot drift from it.
+//! `metric-name` / `span-name`: library code takes every series and span
+//! name from `cuart_telemetry::names`, the module generated from
+//! [`crate::registry`]. Clippy has no lint for this, so the scan lives
+//! here and `tests/metric_registry.rs` runs it over the tree.
 //!
-//! * `metric-name` — a `"cuart.*"` / `"grt.*"` string literal outside
-//!   the registry and outside tests must be replaced by its
-//!   `cuart_telemetry::names::*` constant.
-//! * `span-name` — `SpanNode::leaf("…")` / `SpanNode::node("…")` with a
-//!   literal name must use `names::spans::*`; unknown span names are
-//!   flagged even when constants are used elsewhere.
-//! * `metric-registry` — `crates/telemetry/src/names.rs` must be exactly
-//!   what `--emit-registry` generates, and the DESIGN.md §6 metric table
-//!   (between the `<!-- analyze:metric-table -->` markers) must be
-//!   exactly what `--emit-design-table` generates; every registered span
-//!   name must appear in DESIGN.md §6.1.
+//! * A `"cuart.…"` / `"grt.…"` string literal is a spelled-out series name.
+//! * `SpanNode::leaf("…")` / `SpanNode::node("…")` is a spelled-out span
+//!   name.
+//!
+//! The scan reads tokens, not lines: comments never fire, and a call that
+//! rustfmt breaks across lines still does. It stops at a file's first
+//! `#[cfg(test)]`, since tests may spell names out.
 
-use super::Lint;
-use crate::findings::Finding;
+use crate::lexer::{lex, Token};
 use crate::registry;
-use crate::source::{SourceFile, Tier};
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// Does a string literal look like a series name? Namespace prefix plus
-/// at least one further dotted segment of metric-ish characters.
+/// One spelled-out name: its line and what to use instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StrayName {
+    pub line: u32,
+    pub message: String,
+}
+
+/// Does a string literal look like a series name? A namespace prefix
+/// followed by a lowercase letter or a digit.
 fn looks_like_metric(s: &str) -> bool {
-    let rest = s.strip_prefix("cuart.").or_else(|| s.strip_prefix("grt."));
-    match rest {
-        Some(r) => {
-            !r.is_empty()
-                && r.chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
-        }
-        None => false,
-    }
+    ["cuart.", "grt."].iter().any(|p| {
+        s.strip_prefix(p)
+            .and_then(|rest| rest.chars().next())
+            .is_some_and(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+    })
 }
 
-pub struct MetricName;
-
-impl Lint for MetricName {
-    fn id(&self) -> &'static str {
-        "metric-name"
-    }
-    fn describe(&self) -> &'static str {
-        "cuart.*/grt.* series names must come from the generated registry"
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.tier == Tier::Skip || file.rel_path.starts_with("crates/analyze/") {
-            return;
-        }
-        for (_, t) in file.code_tokens() {
-            if file.in_test_code(t.start) {
-                continue;
-            }
-            let Some(s) = t.str_lit() else { continue };
-            if !looks_like_metric(s) {
-                continue;
-            }
-            let known = registry::METRICS.iter().find(|m| m.name == s);
-            let message = match known {
-                Some(m) => format!(
-                    "metric name literal \"{s}\": use `cuart_telemetry::names::{}`",
-                    m.konst
-                ),
-                None => format!(
-                    "unregistered series name literal \"{s}\": add it to \
-                     crates/analyze/src/registry.rs and regenerate"
-                ),
-            };
-            out.push(Finding {
-                rule: "metric-name",
-                path: file.rel_path.clone(),
-                line: t.line,
-                message,
-                snippet: file.line_text(t.line).to_string(),
-                key: String::new(),
-            });
-        }
-    }
+/// Do the tokens from `at` spell `#[cfg(test)]`?
+fn is_cfg_test(code: &[&Token], at: usize) -> bool {
+    let want = ["#", "[", "cfg", "(", "test", ")", "]"];
+    code.get(at..at + want.len()).is_some_and(|toks| {
+        want.iter()
+            .zip(toks)
+            .all(|(w, t)| t.is_punct(w) || t.ident() == Some(w))
+    })
 }
 
-pub struct SpanName;
+/// Is the string literal at `at` the first argument of
+/// `SpanNode::leaf(` / `SpanNode::node(`?
+fn is_span_name(code: &[&Token], at: usize) -> bool {
+    let call = at.checked_sub(4).and_then(|from| code.get(from..at));
+    matches!(call, Some([ty, path, ctor, open])
+        if ty.ident() == Some("SpanNode")
+            && path.is_punct("::")
+            && matches!(ctor.ident(), Some("leaf" | "node"))
+            && open.is_punct("("))
+}
 
-impl Lint for SpanName {
-    fn id(&self) -> &'static str {
-        "span-name"
-    }
-    fn describe(&self) -> &'static str {
-        "SpanNode names must come from the registry's spans module"
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        // The tracing module itself and tests may spell names out.
-        if file.tier == Tier::Skip
-            || file.rel_path.starts_with("crates/analyze/")
-            || file.rel_path == "crates/telemetry/src/tracing.rs"
-        {
-            return;
-        }
-        let toks: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
-        for (i, t) in toks.iter().enumerate() {
-            // Pattern: `SpanNode :: (leaf|node) ( "…"`.
-            if !matches!(t.ident(), Some("leaf" | "node")) {
-                continue;
-            }
-            if !(i >= 2
-                && toks[i - 1].is_punct("::")
-                && toks[i - 2].ident() == Some("SpanNode")
-                && toks.get(i + 1).is_some_and(|p| p.is_punct("(")))
-            {
-                continue;
-            }
-            let Some(name_tok) = toks.get(i + 2) else {
-                continue;
-            };
-            let Some(s) = name_tok.str_lit() else {
-                continue; // a constant or expression — fine
-            };
-            if file.in_test_code(t.start) {
-                continue;
-            }
-            let known = registry::SPANS.iter().find(|d| d.name == s);
-            let message = match known {
+/// Every spelled-out series or span name in `source`, in order.
+pub fn stray_names(source: &str) -> Vec<StrayName> {
+    let tokens = lex(source);
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let end = (0..code.len())
+        .find(|&at| is_cfg_test(&code, at))
+        .unwrap_or(code.len());
+    let mut out = Vec::new();
+    for (at, t) in code.iter().enumerate().take(end) {
+        let Some(s) = t.str_lit() else { continue };
+        let message = if is_span_name(&code, at) {
+            match registry::SPANS.iter().find(|d| d.name == s) {
                 Some(d) => format!(
                     "span name literal \"{s}\": use `cuart_telemetry::names::spans::{}`",
                     d.konst
@@ -128,104 +74,70 @@ impl Lint for SpanName {
                     "unregistered span name \"{s}\": add it to \
                      crates/analyze/src/registry.rs and regenerate"
                 ),
-            };
-            out.push(Finding {
-                rule: "span-name",
-                path: file.rel_path.clone(),
-                line: name_tok.line,
-                message,
-                snippet: file.line_text(name_tok.line).to_string(),
-                key: String::new(),
-            });
-        }
-    }
-}
-
-/// Markers bracketing the generated metric table in DESIGN.md.
-pub const TABLE_BEGIN: &str = "<!-- analyze:metric-table:begin -->";
-pub const TABLE_END: &str = "<!-- analyze:metric-table:end -->";
-
-pub struct MetricRegistry;
-
-impl MetricRegistry {
-    fn finding(path: &str, message: String) -> Finding {
-        Finding {
-            rule: "metric-registry",
-            path: path.to_string(),
-            line: 1,
-            message,
-            snippet: String::new(),
-            key: String::new(),
-        }
-    }
-}
-
-impl Lint for MetricRegistry {
-    fn id(&self) -> &'static str {
-        "metric-registry"
-    }
-    fn describe(&self) -> &'static str {
-        "generated registry and DESIGN.md metric/span tables match the catalog"
-    }
-
-    fn check_tree(&self, root: &Path, out: &mut Vec<Finding>) {
-        // 1. The generated registry module is current.
-        let names_path = root.join("crates/telemetry/src/names.rs");
-        match std::fs::read_to_string(&names_path) {
-            Ok(actual) => {
-                if actual != registry::generate_names_rs() {
-                    out.push(Self::finding(
-                        "crates/telemetry/src/names.rs",
-                        "generated registry is stale: run \
-                         `cargo run -p cuart-analyze -- --emit-registry`"
-                            .to_string(),
-                    ));
-                }
             }
-            Err(e) => out.push(Self::finding(
-                "crates/telemetry/src/names.rs",
-                format!("cannot read generated registry: {e}"),
-            )),
-        }
-
-        // 2. The DESIGN.md metric table is current, and every span name
-        //    is documented.
-        let design_path = root.join("DESIGN.md");
-        let design = match std::fs::read_to_string(&design_path) {
-            Ok(d) => d,
-            Err(e) => {
-                out.push(Self::finding("DESIGN.md", format!("cannot read: {e}")));
-                return;
+        } else if looks_like_metric(s) {
+            match registry::METRICS.iter().find(|m| m.name == s) {
+                Some(m) => format!(
+                    "metric name literal \"{s}\": use `cuart_telemetry::names::{}`",
+                    m.konst
+                ),
+                None => format!(
+                    "unregistered series name literal \"{s}\": add it to \
+                     crates/analyze/src/registry.rs and regenerate"
+                ),
             }
+        } else {
+            continue;
         };
-        match extract_between(&design, TABLE_BEGIN, TABLE_END) {
-            Some(block) => {
-                if block.trim() != registry::generate_metric_table().trim() {
-                    out.push(Self::finding(
-                        "DESIGN.md",
-                        "metric table drifted from the registry: run \
-                         `cargo run -p cuart-analyze -- --emit-design-table`"
-                            .to_string(),
-                    ));
-                }
-            }
-            None => out.push(Self::finding(
-                "DESIGN.md",
-                format!("missing metric-table markers {TABLE_BEGIN} … {TABLE_END}"),
-            )),
-        }
-        for s in registry::SPANS {
-            if !design.contains(&format!("`{}`", s.name)) {
-                out.push(Self::finding(
-                    "DESIGN.md",
-                    format!("span `{}` is registered but undocumented in §6.1", s.name),
-                ));
-            }
-        }
+        out.push(StrayName {
+            line: t.line,
+            message,
+        });
     }
+    out
 }
 
-fn extract_between<'a>(text: &'a str, begin: &str, end: &str) -> Option<&'a str> {
+/// Scan every `.rs` file under `crates/*/src` of the workspace at `root`,
+/// except this crate and the generated `names.rs`. Returns one
+/// `path:line: message` per spelled-out name.
+pub fn scan_tree(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates"))? {
+        let krate = krate?.path();
+        if !krate.ends_with("analyze") {
+            rust_files(&krate.join("src"), &mut files)?;
+        }
+    }
+    files.sort();
+    let mut hits = Vec::new();
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with("telemetry/src/names.rs"))
+    {
+        let source = std::fs::read_to_string(file)?;
+        let rel = file.strip_prefix(root).unwrap_or(file).display();
+        for stray in stray_names(&source) {
+            hits.push(format!("{rel}:{}: {}", stray.line, stray.message));
+        }
+    }
+    Ok(hits)
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            rust_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// The text between the first `begin` in `text` and the next `end`.
+pub fn extract_between<'a>(text: &'a str, begin: &str, end: &str) -> Option<&'a str> {
     let b = text.find(begin)? + begin.len();
     let e = text[b..].find(end)? + b;
     Some(&text[b..e])
@@ -234,35 +146,36 @@ fn extract_between<'a>(text: &'a str, begin: &str, end: &str) -> Option<&'a str>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{SourceFile, Tier};
 
-    fn run(rule: &dyn Lint, path: &str, text: &str, tier: Tier) -> Vec<Finding> {
-        let f = SourceFile::from_text(path.into(), text.into(), tier);
-        let mut out = Vec::new();
-        rule.check_file(&f, &mut out);
-        out
+    fn lines(out: &[StrayName]) -> Vec<u32> {
+        out.iter().map(|s| s.line).collect()
     }
 
     #[test]
     fn literal_metric_names_are_flagged_with_their_const() {
-        let text = r#"fn f(t: &T) { t.incr("cuart.lookup.batches", 1); t.incr("cuart.not.registered", 1); }"#;
-        let out = run(&MetricName, "crates/core/src/api.rs", text, Tier::Lib);
-        assert_eq!(out.len(), 2, "{out:#?}");
+        let text = r#"fn f(t: &T) { t.incr("cuart.lookup.batches", 1); t.incr("cuart.not.registered", 1); }
+fn g(t: &T) { t.incr(names::LOOKUP_BATCHES, 1); t.gauge_set("grt.fixture.bytes", 1.0); }
+"#;
+        let out = stray_names(text);
+        assert_eq!(lines(&out), [1, 1, 2], "{out:#?}");
         assert!(out[0].message.contains("names::LOOKUP_BATCHES"));
         assert!(out[1].message.contains("unregistered"));
+        assert!(out[2].message.contains("unregistered"));
     }
 
     #[test]
     fn non_metric_strings_and_tests_pass() {
         let text = r#"
 fn f() -> &'static str { "cuart. is the namespace"; "cuart-analyze"; "grt" }
+// t.incr("cuart.in.a.line.comment", 1);
+fn g(t: &T) { t.incr(names::LOOKUP_BATCHES, 1); /* "cuart.in.a.block" */ } // "cuart.trailing"
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() { assert_eq!(x, "cuart.lookup.batches"); }
+    fn t() { assert_eq!(x, "cuart.lookup.batches"); let s = SpanNode::leaf("h2d", 1); }
 }
 "#;
-        let out = run(&MetricName, "crates/core/src/api.rs", text, Tier::Lib);
+        let out = stray_names(text);
         assert!(out.is_empty(), "{out:#?}");
     }
 
@@ -273,12 +186,17 @@ fn f() {
     let a = SpanNode::leaf("h2d", 5);
     let b = SpanNode::node("mystery.span", vec![]);
     let c = SpanNode::leaf(names::spans::D2H, 5);
+    let d = SpanNode::leaf(
+        "d2h",
+        5,
+    );
 }
 "#;
-        let out = run(&SpanName, "crates/core/src/api.rs", text, Tier::Lib);
-        assert_eq!(out.len(), 2, "{out:#?}");
+        let out = stray_names(text);
+        assert_eq!(lines(&out), [3, 4, 7], "{out:#?}");
         assert!(out[0].message.contains("spans::H2D"));
         assert!(out[1].message.contains("unregistered"));
+        assert!(out[2].message.contains("spans::D2H"));
     }
 
     #[test]

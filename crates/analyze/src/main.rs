@@ -1,234 +1,78 @@
-//! The `cuart-analyze` binary: run the lints, manage the baseline, and
-//! regenerate the registry artifacts.
+//! The `cuart-analyze` binary: regenerate the files derived from the
+//! metric/span catalog in [`cuart_analyze::registry`].
 //!
 //! ```text
-//! cuart-analyze                                  # lint, fail on any finding
-//! cuart-analyze --baseline results/analyze-baseline.json --deny-new
-//! cuart-analyze --update-baseline results/analyze-baseline.json
-//! cuart-analyze --json                           # findings as JSON on stdout
-//! cuart-analyze --emit-registry                  # rewrite telemetry names.rs
-//! cuart-analyze --emit-design-table              # rewrite the DESIGN.md table
-//! cuart-analyze --fixtures                       # prove every rule still fires
-//! cuart-analyze --list-rules
+//! cuart-analyze --emit-registry        # rewrite crates/telemetry/src/names.rs
+//! cuart-analyze --emit-design-table    # rewrite the DESIGN.md §6 metric table
+//! cuart-analyze --root P ...           # against the workspace at P (default .)
 //! ```
 
-use cuart_analyze::lints::metrics::{TABLE_BEGIN, TABLE_END};
-use cuart_analyze::{analyze_tree, baseline, check_fixtures, findings, lints, registry};
-use std::path::PathBuf;
+use cuart_analyze::registry::{self, TABLE_BEGIN, TABLE_END};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-struct Options {
-    root: PathBuf,
-    json: bool,
-    baseline: Option<PathBuf>,
-    deny_new: bool,
-    update_baseline: Option<PathBuf>,
-    emit_registry: bool,
-    emit_design_table: bool,
-    fixtures: bool,
-    list_rules: bool,
-}
+const USAGE: &str = "usage: cuart-analyze [--root P] [--emit-registry] [--emit-design-table]";
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        json: false,
-        baseline: None,
-        deny_new: false,
-        update_baseline: None,
-        emit_registry: false,
-        emit_design_table: false,
-        fixtures: false,
-        list_rules: false,
-    };
+fn main() -> ExitCode {
+    let mut root = PathBuf::from(".");
+    let (mut emit_registry, mut emit_design_table) = (false, false);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                opts.root = PathBuf::from(args.next().ok_or("--root needs a path")?);
-            }
-            "--json" => opts.json = true,
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
-            }
-            "--deny-new" => opts.deny_new = true,
-            "--update-baseline" => {
-                opts.update_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--update-baseline needs a path")?,
-                ));
-            }
-            "--emit-registry" => opts.emit_registry = true,
-            "--emit-design-table" => opts.emit_design_table = true,
-            "--fixtures" => opts.fixtures = true,
-            "--list-rules" => opts.list_rules = true,
+            "--root" => match args.next() {
+                Some(p) => root = PathBuf::from(p),
+                None => return fail("--root needs a path"),
+            },
+            "--emit-registry" => emit_registry = true,
+            "--emit-design-table" => emit_design_table = true,
             "--help" | "-h" => {
-                return Err("see module docs: cuart-analyze [--root P] [--json] \
-                            [--baseline P [--deny-new]] [--update-baseline P] \
-                            [--emit-registry] [--emit-design-table] [--fixtures] [--list-rules]"
-                    .to_string());
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(opts)
-}
-
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cuart-analyze: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.list_rules {
-        for rule in lints::all_rules() {
-            println!("{:<16} {}", rule.id(), rule.describe());
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.emit_registry {
-        let path = opts.root.join("crates/telemetry/src/names.rs");
-        if let Err(e) = std::fs::write(&path, registry::generate_names_rs()) {
-            eprintln!("cuart-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.emit_design_table {
-        let path = opts.root.join("DESIGN.md");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cuart-analyze: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let (Some(b), Some(e)) = (text.find(TABLE_BEGIN), text.find(TABLE_END)) else {
-            eprintln!(
-                "cuart-analyze: {} lacks the {TABLE_BEGIN} … {TABLE_END} markers",
-                path.display()
-            );
-            return ExitCode::from(2);
-        };
-        let new = format!(
-            "{}{}\n{}\n{}",
-            &text[..b],
-            TABLE_BEGIN,
-            registry::generate_metric_table(),
-            &text[e..]
-        );
-        if let Err(err) = std::fs::write(&path, new) {
-            eprintln!("cuart-analyze: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("rewrote metric table in {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.fixtures {
-        match check_fixtures(&opts.root) {
-            Ok(errors) if errors.is_empty() => {
-                println!("fixture corpus: every rule fires as expected");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            Ok(errors) => {
-                for e in &errors {
-                    eprintln!("fixture mismatch: {e}");
-                }
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("cuart-analyze: fixtures: {e}");
-                return ExitCode::from(2);
-            }
+            other => return fail(&format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-
-    let analysis = match analyze_tree(&opts.root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cuart-analyze: {e}");
-            return ExitCode::from(2);
+    if !emit_registry && !emit_design_table {
+        return fail(USAGE);
+    }
+    if emit_registry {
+        let path = root.join("crates/telemetry/src/names.rs");
+        if let Err(e) = std::fs::write(&path, registry::generate_names_rs()) {
+            return fail(&format!("writing {}: {e}", path.display()));
         }
-    };
-
-    if let Some(path) = &opts.update_baseline {
-        if let Err(e) = std::fs::write(path, baseline::render(&analysis.findings)) {
-            eprintln!("cuart-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
+        println!("wrote {}", path.display());
+    }
+    if emit_design_table {
+        if let Err(e) = rewrite_design_table(&root.join("DESIGN.md")) {
+            return fail(&e);
         }
-        println!(
-            "baseline updated: {} finding(s) accepted into {}",
-            analysis.findings.len(),
+    }
+    ExitCode::SUCCESS
+}
+
+/// Replace the text between DESIGN.md's metric-table markers with the
+/// table generated from the catalog.
+fn rewrite_design_table(path: &Path) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let (Some(b), Some(e)) = (text.find(TABLE_BEGIN), text.find(TABLE_END)) else {
+        return Err(format!(
+            "{} lacks the {TABLE_BEGIN} … {TABLE_END} markers",
             path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+        ));
+    };
+    let new = format!(
+        "{}{TABLE_BEGIN}\n{}\n{}",
+        &text[..b],
+        registry::generate_metric_table(),
+        &text[e..]
+    );
+    std::fs::write(path, new).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    println!("rewrote metric table in {}", path.display());
+    Ok(())
+}
 
-    if opts.json {
-        print!("{}", findings::to_json(&analysis.findings));
-    }
-
-    match &opts.baseline {
-        Some(path) => {
-            let base = match baseline::Baseline::load(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cuart-analyze: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let diff = base.diff(&analysis.findings);
-            if !opts.json {
-                for f in &diff.new {
-                    println!("NEW {f}");
-                }
-                for k in &diff.fixed {
-                    println!("FIXED (remove from baseline): {k}");
-                }
-                println!(
-                    "{} file(s), {} finding(s): {} baselined, {} new, {} fixed, {} suppressed",
-                    analysis.files_scanned,
-                    analysis.findings.len(),
-                    analysis.findings.len() - diff.new.len(),
-                    diff.new.len(),
-                    diff.fixed.len(),
-                    analysis.suppressed
-                );
-            }
-            if opts.deny_new && !diff.new.is_empty() {
-                eprintln!(
-                    "cuart-analyze: {} new finding(s) not in {} — fix them, add a \
-                     `// cuart-allow: <rule> <reason>`, or re-baseline deliberately",
-                    diff.new.len(),
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        None => {
-            if !opts.json {
-                for f in &analysis.findings {
-                    println!("{f}");
-                }
-                println!(
-                    "{} file(s), {} finding(s), {} suppressed",
-                    analysis.files_scanned,
-                    analysis.findings.len(),
-                    analysis.suppressed
-                );
-            }
-            if analysis.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
+fn fail(message: &str) -> ExitCode {
+    eprintln!("cuart-analyze: {message}");
+    ExitCode::from(2)
 }

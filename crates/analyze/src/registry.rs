@@ -1,8 +1,8 @@
 //! The canonical metric/span-name catalog.
 //!
 //! This module is the **single source of truth** for every `cuart.*` /
-//! `grt.*` series name and every span name in the workspace. From it the
-//! analyzer generates:
+//! `grt.*` series name and every span name in the workspace. From it
+//! `cuart-analyze` generates:
 //!
 //! * `crates/telemetry/src/names.rs` — the registry module all call
 //!   sites must reference (`cuart-analyze --emit-registry`), and
@@ -10,8 +10,9 @@
 //!   `<!-- analyze:metric-table -->` markers
 //!   (`cuart-analyze --emit-design-table`).
 //!
-//! The `metric-name` lint verifies both artifacts are in sync with this
-//! catalog, so code, registry and docs cannot drift independently.
+//! `tests/metric_registry.rs` checks both artifacts against this catalog,
+//! and that library code takes its names from `names.rs`, so code,
+//! registry and docs cannot drift independently.
 
 /// What a series is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,8 +415,8 @@ pub fn generate_names_rs() -> String {
          //!\n\
          //! @generated by `cuart-analyze --emit-registry` from\n\
          //! `crates/analyze/src/registry.rs` — do not edit by hand; edit the\n\
-         //! catalog and regenerate (CI fails on drift via the `metric-name`\n\
-         //! lint).\n\n",
+         //! catalog and regenerate (`tests/metric_registry.rs` fails on\n\
+         //! drift).\n\n",
     );
     for m in METRICS {
         push_doc(&mut out, "", m.doc);
@@ -555,6 +556,10 @@ pub fn generate_metric_table() -> String {
     out.push_str("| event ring (`BatchEvent`) | trace | one structured record per batch (build/lookup/update/insert/hybrid_route); bounded, oldest dropped, drop count exported. |\n");
     out
 }
+
+/// Markers bracketing the generated metric table in DESIGN.md.
+pub const TABLE_BEGIN: &str = "<!-- analyze:metric-table:begin -->";
+pub const TABLE_END: &str = "<!-- analyze:metric-table:end -->";
 
 #[cfg(test)]
 mod tests {

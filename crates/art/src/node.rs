@@ -47,11 +47,11 @@ impl NodeType {
 }
 
 /// A tree node: either a single-value leaf (lazy expansion) or an inner node.
-// The size gap between the variants is deliberate: `Node` is always behind
-// a `Box`, and splitting `Inner` further would add an indirection per
-// traversal step.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "`Node` is always behind a `Box`, and splitting `Inner` further would add an indirection per traversal step"
+)]
 pub(crate) enum Node<V> {
     Leaf(Leaf<V>),
     Inner(Inner<V>),
@@ -208,7 +208,11 @@ impl<V> Children<V> {
             Children::Node48 { len, index, ptrs } => {
                 let n = *len as usize;
                 assert!(n < 48, "Node48 overflow");
-                let slot = ptrs.iter().position(|p| p.is_none()).expect("free slot"); // cuart-allow: panic-path `n < 48` is asserted above so a free slot exists; a miss is a broken len/ptrs invariant, covered by this method's documented panic-on-logic-error contract
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`n < 48` is asserted above so a free slot exists; a miss is a broken len/ptrs invariant, covered by this method's documented panic-on-logic-error contract"
+                )]
+                let slot = ptrs.iter().position(|p| p.is_none()).expect("free slot");
                 ptrs[slot] = Some(child);
                 index[byte as usize] = slot as u8;
                 *len += 1;
@@ -446,15 +450,27 @@ impl<V> Children<V> {
         let byte = match self {
             Children::Node4 { keys, .. } => keys[0],
             Children::Node16 { keys, .. } => keys[0],
+            #[expect(
+                clippy::expect_used,
+                reason = "`len() == 1` is asserted above so one index slot is occupied; a miss is a corrupt index, covered by this method's documented panic contract"
+            )]
             Children::Node48 { index, .. } => {
                 let slot = index.iter().position(|&s| s != EMPTY48);
-                slot.expect("one child") as u8 // cuart-allow: panic-path `len() == 1` is asserted above so one index slot is occupied; a miss is a corrupt index, covered by this method's documented panic contract
+                slot.expect("one child") as u8
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`len() == 1` is asserted above so one pointer is occupied; a miss is a corrupt ptrs array, covered by this method's documented panic contract"
+            )]
             Children::Node256 { ptrs, .. } => {
-                ptrs.iter().position(|p| p.is_some()).expect("one child") as u8 // cuart-allow: panic-path `len() == 1` is asserted above so one pointer is occupied; a miss is a corrupt ptrs array, covered by this method's documented panic contract
+                ptrs.iter().position(|p| p.is_some()).expect("one child") as u8
             }
         };
-        let child = self.remove(byte).expect("child present"); // cuart-allow: panic-path `byte` was just located in this node under the asserted single-child invariant; a failed remove is a tree-code bug, covered by this method's documented panic contract
+        #[expect(
+            clippy::expect_used,
+            reason = "`byte` was just located in this node under the asserted single-child invariant; a failed remove is a tree-code bug, covered by this method's documented panic contract"
+        )]
+        let child = self.remove(byte).expect("child present");
         (byte, child)
     }
 }

@@ -342,7 +342,11 @@ impl<V> FromIterator<(Vec<u8>, V)> for Art<V> {
     fn from_iter<T: IntoIterator<Item = (Vec<u8>, V)>>(iter: T) -> Self {
         let mut art = Art::new();
         for (k, v) in iter {
-            art.insert(&k, v).expect("prefix-free key set"); // cuart-allow: panic-path `FromIterator` cannot surface a `Result`; the panic-on-prefix-violation contract is documented on this impl
+            #[expect(
+                clippy::expect_used,
+                reason = "`FromIterator` cannot surface a `Result`; the panic-on-prefix-violation contract is documented on this impl"
+            )]
+            art.insert(&k, v).expect("prefix-free key set");
         }
         art
     }

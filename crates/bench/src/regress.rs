@@ -66,7 +66,7 @@ pub fn run_smoke() -> BTreeMap<String, f64> {
             })
             .collect();
         let (_, report) = session.lookup_batch(&queries).expect("smoke lookup");
-        lookup_ns += report.time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        lookup_ns += report.time_ns;
     }
     metrics.insert("lookup_mops".into(), KEYS as f64 / lookup_ns * 1000.0);
 
@@ -76,7 +76,7 @@ pub fn run_smoke() -> BTreeMap<String, f64> {
             .map(|i| (stored[(b * BATCH + i) % stored.len()].clone(), i as u64))
             .collect();
         let (_, report) = session.update_batch(&ops).expect("smoke update");
-        update_ns += report.time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        update_ns += report.time_ns;
     }
     metrics.insert(
         "update_mops".into(),
@@ -91,7 +91,7 @@ pub fn run_smoke() -> BTreeMap<String, f64> {
             .map(|(i, k)| (k.clone(), i as u64 + 1_000_000))
             .collect();
         let (_, report) = session.insert_batch(&ops).expect("smoke insert");
-        insert_ns += report.time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        insert_ns += report.time_ns;
     }
     metrics.insert(
         "insert_mops".into(),

@@ -486,7 +486,10 @@ pub fn cmd_bench(
 ///
 /// Probes come from `--keys` when given, otherwise the stored keys are
 /// replayed round-robin. Output goes to stdout, or to `--metrics-out`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per command-line flag"
+)]
 pub fn cmd_metrics(
     path: &Path,
     keys_path: Option<&Path>,
@@ -561,7 +564,10 @@ pub fn cmd_metrics(
 /// device, key space split by the §3.3 LUT prefix, per-shard breakers and
 /// `cuart.sched.shard.<i>.*` telemetry, and a modeled aggregate
 /// throughput line (total keys over the slowest shard).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per command-line flag"
+)]
 pub fn cmd_serve_sim(
     path: &Path,
     device: &str,
@@ -1148,7 +1154,10 @@ impl NetOptions {
 /// `--allow-shutdown`) or the process is killed; on a clean drain the
 /// final summary (and `--metrics-out` spill, including the
 /// `cuart.net.*` series and the `cuart.net.drained` gauge) is emitted.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per command-line flag"
+)]
 pub fn cmd_serve(
     path: &Path,
     listen: &str,
@@ -1255,7 +1264,10 @@ fn render_net_report(report: &cuart_net::NetReport, addr: &str) -> String {
 /// `--smoke` pins the workload (4 clients × 8192 ops in 256-key frames)
 /// for comparable CI runs; `--shutdown` sends the remote-shutdown frame
 /// when done (self-hosted drills always drain their own server).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per command-line flag"
+)]
 pub fn cmd_bench_net(
     path: &Path,
     connect: Option<&str>,

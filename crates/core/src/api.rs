@@ -1380,7 +1380,10 @@ impl<'a> CuartSession<'a> {
     /// ranges are exact. Inverted or empty ranges return empty rows. A
     /// device leg that exhausts its retries degrades to the CPU engine
     /// rather than failing the batch.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "rows of (key, value) pairs per range plus the report; an alias would hide the shape"
+    )]
     pub fn range_batch(
         &mut self,
         ranges: &[(Vec<u8>, Vec<u8>)],

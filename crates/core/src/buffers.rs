@@ -210,9 +210,13 @@ impl CuartBuffers {
     pub fn alloc_record(&mut self, ty: LinkType) -> u64 {
         let s = stride(ty);
         assert!(s > 0, "{ty:?} has no fixed-stride arena");
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+        )]
         let arena = self
             .arena_mut(ty)
-            .expect("fixed-stride types have a device arena"); // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+            .expect("fixed-stride types have a device arena");
         let index = (arena.len() / s) as u64;
         arena.resize(arena.len() + s, 0);
         index
@@ -234,7 +238,11 @@ impl CuartBuffers {
     /// (like slice indexing guarantees `index` is in bounds).
     pub fn record(&self, ty: LinkType, index: u64) -> &[u8] {
         let off = self.record_offset(ty, index);
-        let arena = self.arena(ty).expect("record() needs a device arena"); // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+        )]
+        let arena = self.arena(ty).expect("record() needs a device arena");
         &arena[off..off + stride(ty)]
     }
 
@@ -242,25 +250,41 @@ impl CuartBuffers {
     pub fn record_mut(&mut self, ty: LinkType, index: u64) -> &mut [u8] {
         let off = self.record_offset(ty, index);
         let s = stride(ty);
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+        )]
         let arena = self
             .arena_mut(ty)
-            .expect("record_mut() needs a device arena"); // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+            .expect("record_mut() needs a device arena");
         &mut arena[off..off + s]
     }
 
     /// Read a packed link stored at byte `off` within `ty`'s arena.
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+    )]
     pub fn link_at(&self, ty: LinkType, off: usize) -> NodeLink {
-        let arena = self.arena(ty).expect("link_at() needs a device arena"); // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+        )]
+        let arena = self.arena(ty).expect("link_at() needs a device arena");
         NodeLink(u64::from_le_bytes(
-            arena[off..off + 8].try_into().expect("8 bytes"), // cuart-allow: panic-path slice indexed to the exact field width on this line
+            arena[off..off + 8].try_into().expect("8 bytes"),
         ))
     }
 
     /// Write a packed link at byte `off` within `ty`'s arena.
     pub fn set_link_at(&mut self, ty: LinkType, off: usize, link: NodeLink) {
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+        )]
         let arena = self
             .arena_mut(ty)
-            .expect("set_link_at() needs a device arena"); // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+            .expect("set_link_at() needs a device arena");
         arena[off..off + 8].copy_from_slice(&link.0.to_le_bytes());
     }
 

@@ -58,21 +58,34 @@ pub fn traverse(b: &CuartBuffers, key: &[u8]) -> Resolution {
                 let len = rec[leaf::len_at(ty)] as usize;
                 if len == key.len() && &rec[..len] == key {
                     let at = leaf::value_at(ty);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                    )]
                     return Resolution::Found(u64::from_le_bytes(
-                        rec[at..at + 8].try_into().expect("8 bytes"), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                        rec[at..at + 8].try_into().expect("8 bytes"),
                     ));
                 }
                 return Resolution::NotFound;
             }
             LinkType::DynLeaf => {
                 let off = link.index() as usize;
-                let len = u16::from_le_bytes(b.dyn_leaves[off..off + 2].try_into().expect("2 bytes")) // cuart-allow: panic-path slice indexed to the exact field width on this line
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                )]
+                let len =
+                    u16::from_le_bytes(b.dyn_leaves[off..off + 2].try_into().expect("2 bytes"))
                         as usize;
                 let stored = &b.dyn_leaves[off + 2..off + 2 + len];
                 if stored == key {
                     let at = off + 2 + len;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                    )]
                     return Resolution::Found(u64::from_le_bytes(
-                        b.dyn_leaves[at..at + 8].try_into().expect("8 bytes"), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                        b.dyn_leaves[at..at + 8].try_into().expect("8 bytes"),
                     ));
                 }
                 return Resolution::NotFound;
@@ -145,7 +158,11 @@ pub fn traverse(b: &CuartBuffers, key: &[u8]) -> Resolution {
                     LinkType::N256 => {
                         b.link_at(ty, base + layout::links_at(ty) + byte as usize * 8)
                     }
-                    _ => unreachable!(), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "arm excluded by the tag/class validation guarding this match"
+                    )]
+                    _ => unreachable!(),
                 };
                 if next.is_null() {
                     return Resolution::NotFound;

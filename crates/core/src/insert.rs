@@ -78,7 +78,11 @@ impl ArenaTails {
             LinkType::Leaf8 => 0,
             LinkType::Leaf16 => 8,
             LinkType::Leaf32 => 16,
-            _ => panic!("no tail for {ty:?}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+            #[expect(
+                clippy::panic,
+                reason = "caller contract documented on the function: only validated classes reach here"
+            )]
+            _ => panic!("no tail for {ty:?}"),
         }
     }
 }
@@ -240,7 +244,11 @@ impl CuartInsertKernel {
                 let node_base = ctx.read_u64(self.staging.parent, tid * 8) as usize;
                 self.attach_n48(primary, node_base, ctx, link)
             }
-            _ => unreachable!("unknown class {cls}"), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+            #[expect(
+                clippy::unreachable,
+                reason = "arm excluded by the tag/class validation guarding this match"
+            )]
+            _ => unreachable!("unknown class {cls}"),
         };
         if published {
             ctx.write_u64(self.staging.results, tid * 8, insert_status::INSERTED);
@@ -333,7 +341,11 @@ pub fn n48_consistent(rec: &[u8]) -> bool {
         let slot = rec[layout::HEADER_BYTES + b];
         if slot != EMPTY48 {
             let at = links_at + slot as usize * 8;
-            let link = u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes")); // cuart-allow: panic-path slice indexed to the exact field width on this line
+            #[expect(
+                clippy::expect_used,
+                reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+            )]
+            let link = u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
             if link == 0 {
                 return false;
             }

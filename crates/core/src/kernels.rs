@@ -21,8 +21,11 @@
 //! whole chunk with plain loads, which the host overlaps. It reads through
 //! `&DeviceMemory`, records nothing and decides nothing — every modeled
 //! number is what [`device_traverse`] traces, with or without it.
-
-// cuart-allow-file: index-hot-path device traversal indexes packed arenas; every offset is derived from a validated NodeLink and bounds-checked at build time (layout::stride invariants), and a panic here is preferable to silently reading a wrong record
+//!
+//! The traversal indexes packed arenas with plain brackets. Every offset is
+//! derived from a validated `NodeLink` and bounds-checked at build time
+//! (the `layout::stride` invariants), and a panic here is preferable to
+//! silently reading a wrong record.
 
 use crate::error::CuartError;
 use crate::layout::{self, leaf, stride, EMPTY48, HEADER_BYTES, PREFIX_CAP};
@@ -103,9 +106,13 @@ impl DeviceTree {
     /// Infallible arena accessor for traversal-internal types: every
     /// `ty` that reaches here is guaranteed device-resident by the caller
     /// (host leaves short-circuit before any arena access).
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+    )]
     pub(crate) fn dev_arena(&self, ty: LinkType) -> BufferId {
         self.arena(ty)
-            .expect("traversal link types have device arenas") // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+            .expect("traversal link types have device arenas")
     }
 }
 
@@ -135,7 +142,11 @@ pub mod slot_ref {
         match tag {
             TAG_LUT => tree.lut,
             TAG_META => tree.meta,
-            t => tree.dev_arena(LinkType::from_tag(t).expect("valid arena tag")), // cuart-allow: panic-path fixed-stride traversal types always carry a device arena (mapper invariant)
+            #[expect(
+                clippy::expect_used,
+                reason = "fixed-stride traversal types always carry a device arena (mapper invariant)"
+            )]
+            t => tree.dev_arena(LinkType::from_tag(t).expect("valid arena tag")),
         }
     }
 }
@@ -243,8 +254,12 @@ pub(crate) fn device_traverse(tree: &DeviceTree, key: &[u8], ctx: &mut ThreadCtx
                 ctx.compute(word_cmp_cycles(len.max(key.len())));
                 if len == key.len() && &rec[..len] == key {
                     let at = leaf::value_at(ty);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                    )]
                     return DevHit::Found {
-                        value: u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes")), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                        value: u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes")),
                         value_slot: slot_ref::encode(ty as u8, base + at),
                         parent_slot,
                         leaf_link: link,
@@ -262,8 +277,12 @@ pub(crate) fn device_traverse(tree: &DeviceTree, key: &[u8], ctx: &mut ThreadCtx
                 // Byte-oriented comparison of the arbitrary-length key.
                 ctx.compute(3 * len as u32);
                 if &body[..len] == key {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                    )]
                     return DevHit::Found {
-                        value: u64::from_le_bytes(body[len..len + 8].try_into().expect("8 bytes")), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                        value: u64::from_le_bytes(body[len..len + 8].try_into().expect("8 bytes")),
                         value_slot: slot_ref::encode(ty as u8, off + 2 + len),
                         parent_slot,
                         leaf_link: link,
@@ -325,10 +344,14 @@ pub(crate) fn device_traverse(tree: &DeviceTree, key: &[u8], ctx: &mut ThreadCtx
                                 let keys = &rec[HEADER_BYTES..HEADER_BYTES + count];
                                 ctx.compute(4);
                                 match keys.iter().position(|&k| k == byte) {
+                                    #[expect(
+                                        clippy::expect_used,
+                                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                                    )]
                                     Some(i) => {
                                         let at = layout::links_at(ty) + i * 8;
                                         NodeLink(u64::from_le_bytes(
-                                            rec[at..at + 8].try_into().expect("8 bytes"), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                                            rec[at..at + 8].try_into().expect("8 bytes"),
                                         ))
                                     }
                                     None => NodeLink::NULL,
@@ -395,7 +418,11 @@ pub(crate) fn device_traverse(tree: &DeviceTree, key: &[u8], ctx: &mut ThreadCtx
                             None => return DevHit::MISS,
                         }
                     }
-                    _ => unreachable!(), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "arm excluded by the tag/class validation guarding this match"
+                    )]
+                    _ => unreachable!(),
                 };
                 if next.is_null() {
                     return DevHit::Miss {
@@ -441,6 +468,10 @@ fn match_inner(rec: &[u8], key: &[u8], depth: &mut usize, skip: &mut usize) -> O
 /// Locate the link slot within an N4/N16/N48 record that holds `target`.
 /// (Cheap host-side scan over data already fetched — no extra device
 /// traffic is logged.)
+#[expect(
+    clippy::unreachable,
+    reason = "arm excluded by the tag/class validation guarding this match"
+)]
 fn parent_of_inner(
     tree: &DeviceTree,
     ty: LinkType,
@@ -453,7 +484,11 @@ fn parent_of_inner(
         LinkType::N4 => 4,
         LinkType::N16 => 16,
         LinkType::N48 => 48,
-        _ => unreachable!(), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+        #[expect(
+            clippy::unreachable,
+            reason = "arm excluded by the tag/class validation guarding this match"
+        )]
+        _ => unreachable!(),
     };
     let mem = ctx.memory();
     for i in 0..cap {
@@ -462,7 +497,7 @@ fn parent_of_inner(
             return slot_ref::encode(ty as u8, at);
         }
     }
-    unreachable!("child link not found in parent record"); // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+    unreachable!("child link not found in parent record");
 }
 
 /// Threads [`warm_traverse`] walks in lockstep: the size of its on-stack

@@ -53,7 +53,11 @@ pub fn leaf_key_cap(ty: LinkType) -> usize {
         LinkType::Leaf8 => 8,
         LinkType::Leaf16 => 16,
         LinkType::Leaf32 => 32,
-        _ => panic!("not a fixed-size leaf class: {ty:?}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+        #[expect(
+            clippy::panic,
+            reason = "caller contract documented on the function: only validated classes reach here"
+        )]
+        _ => panic!("not a fixed-size leaf class: {ty:?}"),
     }
 }
 
@@ -73,7 +77,11 @@ pub fn leaf_class_for(len: usize) -> Option<LinkType> {
 pub fn keys_at(ty: LinkType) -> usize {
     match ty {
         LinkType::N4 | LinkType::N16 => HEADER_BYTES,
-        _ => panic!("{ty:?} has no keys array"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+        #[expect(
+            clippy::panic,
+            reason = "caller contract documented on the function: only validated classes reach here"
+        )]
+        _ => panic!("{ty:?} has no keys array"),
     }
 }
 
@@ -85,7 +93,11 @@ pub fn links_at(ty: LinkType) -> usize {
         LinkType::N48 => HEADER_BYTES + 256,
         LinkType::N256 => HEADER_BYTES,
         LinkType::N2L => HEADER_BYTES,
-        _ => panic!("{ty:?} has no links array"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+        #[expect(
+            clippy::panic,
+            reason = "caller contract documented on the function: only validated classes reach here"
+        )]
+        _ => panic!("{ty:?} has no links array"),
     }
 }
 

@@ -200,7 +200,11 @@ fn emit(
                             *child_link,
                         );
                     }
-                    _ => unreachable!(), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "arm excluded by the tag/class validation guarding this match"
+                    )]
+                    _ => unreachable!(),
                 }
             }
             link
@@ -257,8 +261,13 @@ fn try_emit_multilayer(
     // Grandchildren sit two bytes below this node's prefix.
     let grandchild_depth = depth + prefix.len() + 2;
     for (b1, child) in children.iter() {
-        let NodeView::Inner(ci) = child else {
-            unreachable!("checked above") // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+        #[expect(
+            clippy::unreachable,
+            reason = "arm excluded by the tag/class validation guarding this match"
+        )]
+        let NodeView::Inner(ci) = child
+        else {
+            unreachable!("checked above")
         };
         for (b2, grandchild) in ci.children().iter() {
             path.extend_from_slice(prefix);

@@ -138,14 +138,22 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+    )]
     fn u32(&mut self, what: &str) -> Result<u32, CuartError> {
         let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes"))) // cuart-allow: panic-path slice indexed to the exact field width on this line
+        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+    )]
     fn u64(&mut self, what: &str) -> Result<u64, CuartError> {
         let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes"))) // cuart-allow: panic-path slice indexed to the exact field width on this line
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     fn done(&self) -> bool {

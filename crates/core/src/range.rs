@@ -46,10 +46,14 @@ fn leaf_key(b: &CuartBuffers, class: LinkType, i: u64) -> Option<&[u8]> {
 }
 
 /// The value of leaf `i`.
+#[expect(
+    clippy::expect_used,
+    reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+)]
 fn leaf_value(b: &CuartBuffers, class: LinkType, i: u64) -> u64 {
     let rec = b.record(class, i);
     let at = leaf::value_at(class);
-    u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes")) // cuart-allow: panic-path slice indexed to the exact field width on this line
+    u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"))
 }
 
 /// First index whose key is `>= bound`, skipping deleted holes. The arenas
@@ -133,16 +137,24 @@ pub fn range_query(b: &CuartBuffers, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, u64)
     // Dynamic leaves are not index-ordered; scan them.
     let mut off = 0usize;
     while off + 2 <= b.dyn_leaves.len() {
+        #[expect(
+            clippy::expect_used,
+            reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+        )]
         let len =
-            u16::from_le_bytes(b.dyn_leaves[off..off + 2].try_into().expect("2 bytes")) as usize; // cuart-allow: panic-path slice indexed to the exact field width on this line
+            u16::from_le_bytes(b.dyn_leaves[off..off + 2].try_into().expect("2 bytes")) as usize;
         if len == 0 {
             break;
         }
         let key = &b.dyn_leaves[off + 2..off + 2 + len];
+        #[expect(
+            clippy::expect_used,
+            reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+        )]
         let value = u64::from_le_bytes(
             b.dyn_leaves[off + 2 + len..off + 2 + len + 8]
                 .try_into()
-                .expect("8 bytes"), // cuart-allow: panic-path slice indexed to the exact field width on this line
+                .expect("8 bytes"),
         );
         if key >= lo && key <= hi {
             out.push((key.to_vec(), value));

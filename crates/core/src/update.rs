@@ -80,8 +80,12 @@ impl FreeLists {
 
     /// Infallible accessor for kernel-internal sites where `ty` is already
     /// known to be a device leaf class.
+    #[expect(
+        clippy::expect_used,
+        reason = "device leaf classes are created with free lists at build time"
+    )]
     pub(crate) fn dev_of(&self, ty: LinkType) -> BufferId {
-        self.of(ty).expect("device leaf classes have free lists") // cuart-allow: panic-path device leaf classes are created with free lists at build time
+        self.of(ty).expect("device leaf classes have free lists")
     }
 }
 
@@ -192,8 +196,12 @@ impl CuartUpdateKernel {
     fn delete_leaf(&self, tid: usize, _value_off: usize, ctx: &mut ThreadCtx<'_>) {
         let leaf_link = crate::link::NodeLink(ctx.read_u64(self.staging.aux, tid * 8));
         let parent = ctx.read_u64(self.staging.parent, tid * 8);
-        let ty = leaf_link.link_type().expect("leaf link"); // cuart-allow: panic-path link checked leaf-tagged before entering this path
-                                                            // Clear the leaf contents (§3.3: "its contents are cleared").
+        #[expect(
+            clippy::expect_used,
+            reason = "link checked leaf-tagged before entering this path"
+        )]
+        let ty = leaf_link.link_type().expect("leaf link");
+        // Clear the leaf contents (§3.3: "its contents are cleared").
         if ty.is_device_leaf() {
             let base = leaf_link.index() as usize * stride(ty);
             ctx.write_bytes(self.tree.dev_arena(ty), base, &ZERO_RECORD[..stride(ty)]);

@@ -6,6 +6,11 @@
 //! twins that withhold the `warm` hook. Results buffers must be equal and
 //! every `KernelReport` equal field by field, floats by bit pattern.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers: a broken fixture is the test failing"
+)]
+
 use cuart::claim::{ClaimTable, Staging};
 use cuart::insert::{ArenaTails, CuartInsertKernel};
 use cuart::kernels::CuartLookupKernel;

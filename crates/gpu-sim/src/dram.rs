@@ -44,7 +44,7 @@ impl DramModel {
     pub fn issue(&mut self, addr: u64, bytes: usize) -> f64 {
         let t = self.cfg.transaction_ns(bytes);
         let ch = self.channel_of(addr);
-        self.busy_ns[ch] += t; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        self.busy_ns[ch] += t;
         self.transactions = self.transactions.saturating_add(1);
         self.bytes = self.bytes.saturating_add(bytes as u64);
         t

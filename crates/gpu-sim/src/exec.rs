@@ -42,6 +42,11 @@
 //! The reported `time_ns` excludes the kernel-launch overhead; the
 //! [`pipeline`](crate::pipeline) model adds it per dispatch.
 
+// The launch loops run per thread and per warp step: a bounds panic here
+// would abort the whole simulated device, so they index with `get()` and
+// iterators, never brackets. Tests may index what they built.
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 use crate::cache::Cache;
 use crate::coalesce::{push_sectors, SECTOR_BYTES};
 use crate::config::DeviceConfig;
@@ -122,7 +127,7 @@ impl KernelReport {
     /// Merge another report (e.g. a later phase) into this one, summing
     /// times and statistics.
     pub fn accumulate(&mut self, other: &KernelReport) {
-        self.time_ns += other.time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        self.time_ns += other.time_ns;
         self.threads = self.threads.max(other.threads);
         self.warps = self.warps.max(other.warps);
         self.steps_total = self.steps_total.saturating_add(other.steps_total);
@@ -139,9 +144,9 @@ impl KernelReport {
         self.atomic_conflicts = self.atomic_conflicts.saturating_add(other.atomic_conflicts);
         self.active_lane_steps += other.active_lane_steps;
         self.issued_lane_steps += other.issued_lane_steps;
-        self.latency_bound_ns += other.latency_bound_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
-        self.bandwidth_bound_ns += other.bandwidth_bound_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
-        self.compute_bound_ns += other.compute_bound_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+        self.latency_bound_ns += other.latency_bound_ns;
+        self.bandwidth_bound_ns += other.bandwidth_bound_ns;
+        self.compute_bound_ns += other.compute_bound_ns;
     }
 
     /// Sectors that missed the L2 (each miss issues one DRAM transaction).
@@ -317,7 +322,7 @@ impl Launcher {
             let report = self.time_phase(dev, l2);
             total.accumulate(&report);
             if phase + 1 < phases {
-                total.time_ns += GRID_SYNC_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+                total.time_ns += GRID_SYNC_NS;
             }
         }
         total
@@ -394,7 +399,7 @@ impl Launcher {
                         }
                     }
                 }
-                chain.atomic_extra_ns += conflict_extra as f64 * ATOMIC_SERIALIZE_NS; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+                chain.atomic_extra_ns += conflict_extra as f64 * ATOMIC_SERIALIZE_NS;
 
                 // Coalesce and serve, sectors ascending.
                 sectors.sort_unstable();
@@ -454,7 +459,7 @@ impl Launcher {
                     + dev.cycles_to_ns(c.compute_cycles as f64)
                     + c.atomic_extra_ns;
                 max_chain = max_chain.max(t);
-                sum_chain += t; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+                sum_chain += t;
             }
             (max_chain, sum_chain)
         };

@@ -36,8 +36,10 @@ const INLINE_BYTES: usize = 264;
 /// the heap. Dereferences to `[u8]`.
 pub struct DeviceBytes(Repr);
 
-// The large variant is the point: it is what keeps reads off the heap.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "the large variant is the point: it is what keeps reads off the heap"
+)]
 enum Repr {
     Inline { len: usize, buf: [u8; INLINE_BYTES] },
     Spilled(Vec<u8>),

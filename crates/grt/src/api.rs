@@ -168,8 +168,11 @@ impl GrtIndex {
         let device_queries: &[Vec<u8>] = if oversized { &packable } else { queries };
         let mut mem = DeviceMemory::new();
         let handle = self.upload(&mut mem);
+        #[expect(
+            clippy::expect_used,
+            reason = "the oversized branch above filtered every key against this stride"
+        )]
         let (qbuf, layout) = pack_keys(&mut mem, "queries", device_queries, stride)
-            // cuart-allow: panic-path the oversized branch above filtered every key against this stride
             .expect("keys pre-filtered to stride");
         let results = alloc_results(&mut mem, "results", device_queries.len());
         let kernel = GrtLookupKernel {

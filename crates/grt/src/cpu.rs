@@ -59,7 +59,11 @@ pub fn lookup_value_offset(buf: &GrtBuffer, key: &[u8]) -> Option<usize> {
                 }
             }
             tag::N256 => buf.u64_at(off + layout::offsets_at(t) + b as usize * 8),
-            _ => panic!("corrupt GRT buffer: tag {t} at offset {off}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+            #[expect(
+                clippy::panic,
+                reason = "caller contract documented on the function: only validated classes reach here"
+            )]
+            _ => panic!("corrupt GRT buffer: tag {t} at offset {off}"),
         };
         if next == 0 {
             return None;

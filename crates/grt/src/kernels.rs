@@ -5,8 +5,11 @@
 //! body reads whose size was only known after the header arrived. Nothing
 //! is aligned, so reads regularly straddle 32-byte sectors. Key comparison
 //! is byte-oriented with early exit (§4.4).
-
-// cuart-allow-file: index-hot-path packed-buffer traversal mirrors the GRT layout contract; offsets come from in-buffer tags validated by the mapper, and the kernel is modeled per-access so checked indexing would distort the cycle counts
+//!
+//! The packed-buffer traversal indexes with plain brackets, mirroring the
+//! GRT layout contract: offsets come from in-buffer tags the mapper
+//! validated, and the kernel is modeled per access, so checked indexing
+//! would distort the cycle counts.
 
 use crate::layout::{self, tag, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
@@ -73,7 +76,10 @@ impl GrtLookupKernel {
                 let agree = stored.iter().zip(key).take_while(|(a, b)| a == b).count();
                 ctx.compute(BYTE_CMP_CYCLES * (agree.min(len) as u32 + 1));
                 if stored == key {
-                    // cuart-allow: panic-path slice indexed to the exact field width on this line
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                    )]
                     return u64::from_le_bytes(body[len..len + 8].try_into().expect("8 bytes"));
                 }
                 return NOT_FOUND;
@@ -102,9 +108,12 @@ impl GrtLookupKernel {
                     let count = (header[1] as usize).min(cap);
                     ctx.compute(count as u32);
                     match body[..count].iter().position(|&k| k == b) {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+                        )]
                         Some(i) => {
                             let at = cap + i * 8;
-                            // cuart-allow: panic-path slice indexed to the exact field width on this line
                             u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"))
                         }
                         None => 0,
@@ -121,7 +130,11 @@ impl GrtLookupKernel {
                     }
                 }
                 tag::N256 => ctx.read_u64(self.tree, off + layout::offsets_at(t) + b as usize * 8),
-                _ => panic!("corrupt GRT buffer: tag {t} at offset {off}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+                #[expect(
+                    clippy::panic,
+                    reason = "caller contract documented on the function: only validated classes reach here"
+                )]
+                _ => panic!("corrupt GRT buffer: tag {t} at offset {off}"),
             };
             if next == 0 {
                 return NOT_FOUND;

@@ -49,7 +49,11 @@ pub fn inner_body_bytes(t: u8) -> usize {
         tag::N16 => 16 + 16 * 8,
         tag::N48 => 256 + 48 * 8,
         tag::N256 => 256 * 8,
-        _ => panic!("not an inner node tag: {t}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+        #[expect(
+            clippy::panic,
+            reason = "caller contract documented on the function: only validated classes reach here"
+        )]
+        _ => panic!("not an inner node tag: {t}"),
     }
 }
 
@@ -70,7 +74,11 @@ pub fn offsets_at(t: u8) -> usize {
         tag::N16 => HEADER_BYTES + 16,
         tag::N48 => HEADER_BYTES + 256,
         tag::N256 => HEADER_BYTES,
-        _ => panic!("not an inner node tag: {t}"), // cuart-allow: panic-path caller contract documented on the function: only validated classes reach here
+        #[expect(
+            clippy::panic,
+            reason = "caller contract documented on the function: only validated classes reach here"
+        )]
+        _ => panic!("not an inner node tag: {t}"),
     }
 }
 
@@ -110,14 +118,20 @@ impl GrtBuffer {
     }
 
     /// Little-endian u16 at `off`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+    )]
     pub fn u16_at(&self, off: usize) -> u16 {
-        // cuart-allow: panic-path slice indexed to the exact field width on this line
         u16::from_le_bytes(self.bytes[off..off + 2].try_into().expect("2 bytes"))
     }
 
     /// Little-endian u64 at `off`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is cut to the exact field width, so the conversion cannot fail"
+    )]
     pub fn u64_at(&self, off: usize) -> u64 {
-        // cuart-allow: panic-path slice indexed to the exact field width on this line
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("8 bytes"))
     }
 

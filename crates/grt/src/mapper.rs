@@ -92,7 +92,11 @@ fn emit(bytes: &mut Vec<u8>, view: &NodeView<'_, u64>, max_key_len: &mut usize) 
                         bytes[slot..slot + 8].copy_from_slice(&child_off.to_le_bytes());
                     }
                 }
-                _ => unreachable!(), // cuart-allow: panic-path arm excluded by the tag/class validation guarding this match
+                #[expect(
+                    clippy::unreachable,
+                    reason = "arm excluded by the tag/class validation guarding this match"
+                )]
+                _ => unreachable!(),
             }
             node_off as u64
         }

@@ -146,9 +146,9 @@ pub fn run_cuart_lookups(
     let samples: Vec<(f64, KernelReport)> = (0..cfg.sample_batches.max(2))
         .map(|_| {
             let batch = queries.next_batch(cfg.batch_size);
+            #[expect(clippy::expect_used, reason = "figure-runner over an in-memory device; a lookup error is a bench-setup bug worth aborting the run for")]
             let (_, report) = session
                 .lookup_batch(&batch)
-                // cuart-allow: panic-path figure-runner over an in-memory device; a lookup error is a bench-setup bug worth aborting the run for
                 .expect("device lookup leg failed");
             (report.time_ns, report)
         })
@@ -206,9 +206,9 @@ pub fn run_cuart_updates(
     let samples: Vec<(f64, KernelReport)> = (0..cfg.sample_batches.max(2))
         .map(|_| {
             let batch = updates.next_batch(cfg.batch_size, DELETE);
+            #[expect(clippy::expect_used, reason = "figure-runner over an in-memory device; an update error is a bench-setup bug worth aborting the run for")]
             let (_, report) = session
                 .update_batch(&batch)
-                // cuart-allow: panic-path figure-runner over an in-memory device; an update error is a bench-setup bug worth aborting the run for
                 .expect("device update leg failed");
             (report.time_ns, report)
         })

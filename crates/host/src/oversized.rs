@@ -106,7 +106,10 @@ impl PartitionedIndex {
             let mut art = Art::new();
             for (k, v) in keys.iter().zip(values) {
                 if !k.is_empty() && k[0] >= lo && k[0] <= hi {
-                    // cuart-allow: panic-path caller contract: partitioned build takes the same prefix-free key set Art::insert validates
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "caller contract: partitioned build takes the same prefix-free key set Art::insert validates"
+                    )]
                     art.insert(k, *v).expect("prefix-free keys");
                 }
             }

@@ -203,7 +203,7 @@ impl ShardedStats {
             agg.final_flushes += st.final_flushes;
             agg.keys_dispatched = agg.keys_dispatched.saturating_add(st.keys_dispatched);
             agg.max_queue_depth = agg.max_queue_depth.max(st.max_queue_depth);
-            agg.kernel_time_ns += st.kernel_time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+            agg.kernel_time_ns += st.kernel_time_ns;
             agg.l2_hits = agg.l2_hits.saturating_add(st.l2_hits);
             agg.sectors = agg.sectors.saturating_add(st.sectors);
             agg.dram_transactions = agg.dram_transactions.saturating_add(st.dram_transactions);

@@ -13,7 +13,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Client-side failure.
@@ -253,7 +253,7 @@ impl NetPool {
 
     /// An idle pooled connection, or a freshly dialed one.
     pub fn get(&self) -> Result<PooledClient<'_>, NetError> {
-        let parked = { self.idle.lock().expect("net pool lock").pop() };
+        let parked = { self.lock_idle().pop() };
         let client = match parked {
             Some(c) => c,
             None => NetClient::connect(self.addr.as_str())?,
@@ -265,10 +265,17 @@ impl NetPool {
     }
 
     fn put_back(&self, client: NetClient) {
-        let mut idle = self.idle.lock().expect("net pool lock");
+        let mut idle = self.lock_idle();
         if idle.len() < self.max_idle {
             idle.push(client);
         }
+    }
+
+    /// The parked connections. A thread that panicked while holding the
+    /// lock left the list intact (a `pop` or a `push`), so poisoning is
+    /// recovered rather than passed on to every later caller.
+    fn lock_idle(&self) -> MutexGuard<'_, Vec<NetClient>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -281,12 +288,20 @@ pub struct PooledClient<'a> {
 impl Deref for PooledClient<'_> {
     type Target = NetClient;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`client` is `Some` from construction until `Drop` takes it"
+    )]
     fn deref(&self) -> &NetClient {
         self.client.as_ref().expect("pooled client taken")
     }
 }
 
 impl DerefMut for PooledClient<'_> {
+    #[expect(
+        clippy::expect_used,
+        reason = "`client` is `Some` from construction until `Drop` takes it"
+    )]
     fn deref_mut(&mut self) -> &mut NetClient {
         self.client.as_mut().expect("pooled client taken")
     }
@@ -297,5 +312,49 @@ impl Drop for PooledClient<'_> {
         if let Some(c) = self.client.take() {
             self.pool.put_back(c);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn pool_survives_a_poisoned_idle_lock() {
+        // A one-connection server: answer the handshake, then hold the
+        // socket open until the test is done with it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut hello = [0u8; proto::HELLO_BYTES];
+            s.read_exact(&mut hello).unwrap();
+            s.write_all(&proto::encode_hello(proto::VERSION)).unwrap();
+            let _ = s.read(&mut [0u8; 1]);
+        });
+
+        let pool = NetPool::new(addr.to_string(), 2);
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = pool.idle.lock();
+                panic!("poison the pool's idle lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(pool.idle.is_poisoned());
+
+        // Nothing parked: `get` dials, and dropping the guard parks it.
+        drop(pool.get().unwrap());
+        assert_eq!(pool.lock_idle().len(), 1);
+        // The parked connection is handed out again, not re-dialed.
+        let again = pool.get().unwrap();
+        assert!(pool.lock_idle().is_empty());
+        drop(again);
+        assert_eq!(pool.lock_idle().len(), 1);
+
+        drop(pool);
+        server.join().unwrap();
     }
 }

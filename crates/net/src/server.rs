@@ -41,7 +41,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -295,7 +295,12 @@ impl NetServer {
         if self.accept.join().is_err() {
             return Err(SchedError::ExecutorPanicked("net accept thread".into()));
         }
-        let sched = { self.sched.lock().expect("net sched lock").take() };
+        let sched = {
+            self.sched
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+        };
         let sched = match sched {
             Some(AnySched::Single(s)) => SchedReport::Single(s.join()?),
             Some(AnySched::Sharded(s)) => SchedReport::Sharded(s.join()?),

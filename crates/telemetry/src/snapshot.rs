@@ -5,7 +5,10 @@
 //! Both exporters emit keys in deterministic (BTreeMap) order so snapshots
 //! of identical sessions are byte-identical — the golden tests rely on it.
 
-// cuart-allow-file: panic-path every `.expect("string write")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code
+#![expect(
+    clippy::expect_used,
+    reason = "every `.expect(\"string write\")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code"
+)]
 
 use crate::event::BatchEvent;
 use crate::tracing::Span;

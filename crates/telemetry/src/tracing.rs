@@ -24,7 +24,10 @@
 //!   microsecond timestamps with nanosecond precision,
 //! * [`to_folded`] — flamegraph folded stacks (`a;b;c <self-ns>`).
 
-// cuart-allow-file: panic-path every `.expect("string write")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code
+#![expect(
+    clippy::expect_used,
+    reason = "every `.expect(\"string write\")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code"
+)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,15 +1,30 @@
-//! The generated name registry (`cuart_telemetry::names`, emitted by
-//! `cuart-analyze --emit-registry`) must match what the runtime actually
-//! emits: every series and span name in a live snapshot is registered,
-//! and the registry itself is well-formed (unique, `cuart.`-prefixed).
+//! One catalog of names, everywhere. The catalog in
+//! `crates/analyze/src/registry.rs` generates `cuart_telemetry::names`
+//! (`cuart-analyze --emit-registry`) and the DESIGN.md §6 metric table
+//! (`--emit-design-table`). This suite checks that both generated files
+//! are current, that every registered span is documented in §6.1, that
+//! library code takes its names from `names` rather than spelling them
+//! out (the token scan in `cuart_analyze::lints::metrics`), and that
+//! everything a live session emits is registered.
 
 use cuart::{CuartConfig, CuartIndex};
+use cuart_analyze::lints::metrics;
+use cuart_analyze::registry;
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
 use cuart_telemetry::{names, Telemetry};
 use cuart_workloads::uniform_keys;
 use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("tests/ sits in the workspace root")
+        .to_path_buf()
+}
 
 fn instrumented_index(n: usize) -> (CuartIndex, Vec<Vec<u8>>, Arc<Telemetry>) {
     let keys = uniform_keys(n, 8, 42);
@@ -85,4 +100,48 @@ fn live_snapshot_emits_only_registered_names() {
             span.name
         );
     }
+}
+
+#[test]
+fn generated_names_rs_is_current() {
+    let on_disk = fs::read_to_string(workspace_root().join("crates/telemetry/src/names.rs"))
+        .expect("names.rs is readable");
+    assert!(
+        on_disk == registry::generate_names_rs(),
+        "crates/telemetry/src/names.rs is stale: run \
+         `cargo run -p cuart-analyze -- --emit-registry`"
+    );
+}
+
+#[test]
+fn design_md_documents_the_registry() {
+    let design = fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
+    let table = metrics::extract_between(&design, registry::TABLE_BEGIN, registry::TABLE_END)
+        .expect("DESIGN.md keeps the metric-table markers");
+    assert!(
+        table.trim() == registry::generate_metric_table().trim(),
+        "the DESIGN.md §6 metric table drifted from the registry: run \
+         `cargo run -p cuart-analyze -- --emit-design-table`"
+    );
+    let spans = metrics::extract_between(&design, "### 6.1 ", "\n## ")
+        .expect("DESIGN.md has a §6.1 before its next section");
+    for span in registry::SPANS {
+        assert!(
+            spans.contains(&format!("`{}`", span.name)),
+            "span `{}` is registered but not documented in DESIGN.md §6.1",
+            span.name
+        );
+    }
+}
+
+#[test]
+fn library_code_takes_names_from_the_registry() {
+    let hits = metrics::scan_tree(&workspace_root()).expect("crates/*/src is readable");
+    assert!(
+        hits.is_empty(),
+        "use the `cuart_telemetry::names` constant; a new name goes into \
+         crates/analyze/src/registry.rs, then `cargo run -p cuart-analyze -- \
+         --emit-registry --emit-design-table`:\n{}",
+        hits.join("\n")
+    );
 }
