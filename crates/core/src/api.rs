@@ -37,9 +37,11 @@ use crate::update::{status, CuartUpdateKernel, FreeLists, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::{pack_keys, pack_keys_into, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::cache::Cache;
-use cuart_gpu_sim::exec::{KernelReport, Launcher};
+use cuart_gpu_sim::exec::{KernelReport, KernelSeries, Launcher};
 use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite, PhasedKernel};
-use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
+use cuart_telemetry::{
+    names, BatchEvent, BatchKind, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry,
+};
 use std::sync::Arc;
 
 /// A built CuART index (host-side image of the device buffers).
@@ -503,8 +505,9 @@ pub struct CuartSession<'a> {
     tails: ArenaTails,
     staging: Option<Staging>,
     range_staging: Option<RangeStaging>,
-    /// Inherited from the index at session open; `None` records nothing.
-    telemetry: Option<Arc<Telemetry>>,
+    /// Inherited from the index at session open, with every per-batch
+    /// handle resolved; `None` records nothing.
+    telemetry: Option<SessionTelemetry>,
     /// Everything the host knows beyond the image: host-routed writes,
     /// structural inserts the device spilled (§5.1 extension) and, while
     /// [`keeps_journal`](Self::keeps_journal), a shadow of every device
@@ -581,6 +584,8 @@ impl PointKind for Insert {
 
 /// Metric, event and span names of one batch kind.
 struct KindNames {
+    /// Position of the kind's handles in [`SessionTelemetry::kinds`].
+    slot: usize,
     batches: &'static str,
     keys: &'static str,
     kernel_ns: &'static str,
@@ -592,6 +597,7 @@ struct KindNames {
 }
 
 const RANGE_NAMES: KindNames = KindNames {
+    slot: 3,
     batches: names::RANGE_BATCHES,
     keys: names::RANGE_KEYS,
     kernel_ns: names::RANGE_KERNEL_NS,
@@ -623,6 +629,7 @@ impl Kind {
     const fn names(self) -> KindNames {
         match self {
             Kind::Lookup => KindNames {
+                slot: 0,
                 batches: names::LOOKUP_BATCHES,
                 keys: names::LOOKUP_KEYS,
                 kernel_ns: names::LOOKUP_KERNEL_NS,
@@ -631,6 +638,7 @@ impl Kind {
                 span: names::spans::BATCH_LOOKUP,
             },
             Kind::Update => KindNames {
+                slot: 1,
                 batches: names::UPDATE_BATCHES,
                 keys: names::UPDATE_KEYS,
                 kernel_ns: names::UPDATE_KERNEL_NS,
@@ -639,6 +647,7 @@ impl Kind {
                 span: names::spans::BATCH_UPDATE,
             },
             Kind::Insert => KindNames {
+                slot: 2,
                 batches: names::INSERT_BATCHES,
                 keys: names::INSERT_KEYS,
                 kernel_ns: names::INSERT_KERNEL_NS,
@@ -646,6 +655,61 @@ impl Kind {
                 event: BatchKind::Insert,
                 span: names::spans::BATCH_INSERT,
             },
+        }
+    }
+}
+
+/// Held handles of one batch kind's series (see [`KindNames`]).
+struct KindSeries {
+    batches: CounterHandle,
+    keys: CounterHandle,
+    kernel_ns: HistogramHandle,
+    host_spills: Option<CounterHandle>,
+}
+
+impl KindSeries {
+    fn new(t: &Telemetry, kind: &KindNames) -> KindSeries {
+        KindSeries {
+            batches: t.counter(kind.batches),
+            keys: t.counter(kind.keys),
+            kernel_ns: t.histogram(kind.kernel_ns),
+            host_spills: kind.host_spills.map(|name| t.counter(name)),
+        }
+    }
+}
+
+/// A session's telemetry: the registry plus every handle the per-batch
+/// epilogue bumps, resolved once at session open. The fault and recovery
+/// paths, which are rare, record by name through `registry`.
+struct SessionTelemetry {
+    registry: Arc<Telemetry>,
+    /// Indexed by [`KindNames::slot`]: lookup, update, insert, range.
+    kinds: [KindSeries; 4],
+    kernel: KernelSeries,
+    claim_conflicts: CounterHandle,
+    freelist_refills: CounterHandle,
+    range_rows: CounterHandle,
+    shared_bytes: GaugeHandle,
+    owned_bytes: GaugeHandle,
+}
+
+impl SessionTelemetry {
+    fn new(t: &Arc<Telemetry>) -> SessionTelemetry {
+        let kind = |k: &KindNames| KindSeries::new(t, k);
+        SessionTelemetry {
+            registry: Arc::clone(t),
+            kinds: [
+                kind(&Kind::Lookup.names()),
+                kind(&Kind::Update.names()),
+                kind(&Kind::Insert.names()),
+                kind(&RANGE_NAMES),
+            ],
+            kernel: KernelSeries::new(t),
+            claim_conflicts: t.counter(names::CLAIM_CONFLICTS),
+            freelist_refills: t.counter(names::FREELIST_REFILLS),
+            range_rows: t.counter(names::RANGE_ROWS),
+            shared_bytes: t.gauge(names::DEVICE_SHARED_BYTES),
+            owned_bytes: t.gauge(names::DEVICE_OWNED_BYTES),
         }
     }
 }
@@ -665,7 +729,7 @@ impl<'a> CuartSession<'a> {
             tails: state.tails,
             staging: None,
             range_staging: None,
-            telemetry: index.telemetry.clone(),
+            telemetry: index.telemetry.as_ref().map(SessionTelemetry::new),
             overlay: HostOverlay::new(&index.buffers),
             injector: None,
             retry: RetryPolicy::default(),
@@ -769,7 +833,7 @@ impl<'a> CuartSession<'a> {
     fn fault_check(&mut self, site: FaultSite) -> Result<(), CuartError> {
         if let Some(inj) = &mut self.injector {
             if let Err(fault) = inj.check(site) {
-                if let Some(t) = &self.telemetry {
+                if let Some(t) = self.telemetry() {
                     t.incr(names::FAULTS_INJECTED, 1);
                 }
                 return Err(fault.into());
@@ -802,7 +866,7 @@ impl<'a> CuartSession<'a> {
                         let wait = self.retry.backoff_ns(attempt, jitter_seed);
                         backoff_total = backoff_total.saturating_add(wait);
                         self.retries_total += 1;
-                        if let Some(t) = &self.telemetry {
+                        if let Some(t) = self.telemetry() {
                             t.incr(names::FAULT_RETRIES, 1);
                             t.observe(names::FAULT_BACKOFF_NS, wait);
                         }
@@ -850,7 +914,7 @@ impl<'a> CuartSession<'a> {
                 Err(e) => return Err(e),
             }
         }
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.telemetry() {
             t.incr(names::FAULT_CPU_FALLBACK_BATCHES, 1);
             t.incr(names::FAULT_CPU_FALLBACK_KEYS, device_ops as u64);
         }
@@ -866,7 +930,7 @@ impl<'a> CuartSession<'a> {
         }
         self.mode = Mode::Degraded;
         self.degradations += 1;
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.telemetry() {
             t.incr(names::FAULT_DEGRADATIONS, 1);
             t.gauge_set(names::FAULT_DEGRADED, 1.0);
             t.record(BatchEvent::new(BatchKind::Degraded, batch_keys));
@@ -895,7 +959,7 @@ impl<'a> CuartSession<'a> {
         self.range_staging = None;
         self.mode = Mode::Device;
         self.recoveries += 1;
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.telemetry() {
             t.incr(names::FAULT_RECOVERIES, 1);
             t.gauge_set(names::FAULT_DEGRADED, 0.0);
             t.record(BatchEvent::new(BatchKind::Recovered, 0));
@@ -906,8 +970,8 @@ impl<'a> CuartSession<'a> {
     /// Gauge what the device shares with the index image and what it owns.
     fn record_image_sharing(&self) {
         if let Some(t) = &self.telemetry {
-            t.gauge_set(names::DEVICE_SHARED_BYTES, self.mem.shared_bytes() as f64);
-            t.gauge_set(names::DEVICE_OWNED_BYTES, self.mem.owned_bytes() as f64);
+            t.shared_bytes.set(self.mem.shared_bytes() as f64);
+            t.owned_bytes.set(self.mem.owned_bytes() as f64);
         }
     }
 
@@ -1248,22 +1312,23 @@ impl<'a> CuartSession<'a> {
         let Some(t) = &self.telemetry else {
             return;
         };
-        t.incr(kind.batches, 1);
-        t.incr(kind.keys, ops as u64);
-        if let Some(name) = kind.host_spills {
-            t.incr(name, host_spills);
+        let series = &t.kinds[kind.slot];
+        series.batches.incr(1);
+        series.keys.incr(ops as u64);
+        if let Some(spills) = &series.host_spills {
+            spills.incr(host_spills);
         }
         let mut e = report.to_event(kind.event, ops as u64);
         e.host_spills = host_spills;
         if let Some(refills) = refills {
-            t.incr(names::CLAIM_CONFLICTS, report.atomic_conflicts);
-            t.incr(names::FREELIST_REFILLS, refills);
+            t.claim_conflicts.incr(report.atomic_conflicts);
+            t.freelist_refills.incr(refills);
             e.claim_conflicts = report.atomic_conflicts;
             e.freelist_refills = refills;
         }
-        t.observe(kind.kernel_ns, report.time_ns as u64);
-        report.record_into(t);
-        t.record(e);
+        series.kernel_ns.observe(report.time_ns as u64);
+        t.kernel.record(report);
+        t.registry.record(e);
         self.record_image_sharing();
     }
 
@@ -1274,11 +1339,11 @@ impl<'a> CuartSession<'a> {
     /// time.
     fn record_batch_span(
         &self,
-        name: &str,
+        name: &'static str,
         report: &KernelReport,
         device_ops: usize,
         wire: (usize, usize),
-        attrs: &[(&str, usize)],
+        attrs: &[(&'static str, usize)],
     ) {
         let Some(t) = &self.telemetry else {
             return;
@@ -1300,7 +1365,7 @@ impl<'a> CuartSession<'a> {
         for &(key, value) in attrs {
             root = root.with_attr(key, value);
         }
-        t.record_span_tree(&root);
+        t.registry.record_span_tree(root);
     }
 
     fn ensure_range_staging(&mut self, batch: usize) -> &RangeStaging {
@@ -1434,7 +1499,7 @@ impl<'a> CuartSession<'a> {
             })
             .collect();
         if let Some(t) = &self.telemetry {
-            t.incr(names::RANGE_ROWS, rows_total as u64);
+            t.range_rows.incr(rows_total as u64);
         }
         let on_cpu = (ranges.len() - device_ops) as u64;
         self.record_batch(&RANGE_NAMES, &report, ranges.len(), on_cpu, None);
@@ -1485,7 +1550,7 @@ impl<'a> CuartSession<'a> {
 
     /// The telemetry registry this session records into, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        self.telemetry.as_ref().map(|t| &t.registry)
     }
 
     /// The session's device memory, read-only: what its buffers share with

@@ -54,6 +54,7 @@ use crate::dram::DramModel;
 use crate::kernel::{PhasedKernel, ThreadCtx};
 use crate::memory::DeviceMemory;
 use crate::trace::{AccessKind, TraceArena};
+use cuart_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
 
 /// Cost, in nanoseconds, of one serialized same-address atomic at the L2.
 const ATOMIC_SERIALIZE_NS: f64 = 8.0;
@@ -163,22 +164,6 @@ impl KernelReport {
         }
     }
 
-    /// Record this kernel's transaction statistics into a telemetry
-    /// registry: running totals as counters, the latest hit rate and
-    /// channel imbalance as gauges, DRAM transactions as a histogram.
-    pub fn record_into(&self, t: &cuart_telemetry::Telemetry) {
-        use cuart_telemetry::names;
-        t.incr(names::L2_HITS, self.l2_hits);
-        t.incr(names::L2_MISSES, self.l2_misses());
-        t.incr(names::DRAM_TRANSACTIONS, self.dram_transactions);
-        t.incr(names::DRAM_BYTES, self.dram_bytes);
-        t.incr(names::COALESCED_ACCESSES, self.sectors);
-        t.incr(names::RAW_ACCESSES, self.raw_accesses);
-        t.gauge_set(names::L2_HIT_RATE, self.l2_hit_rate());
-        t.gauge_set(names::DRAM_IMBALANCE, self.dram_imbalance);
-        t.observe(names::DRAM_TX_PER_BATCH, self.dram_transactions);
-    }
-
     /// Seed a [`BatchEvent`] with everything this report knows; callers
     /// fill in engine-level fields (spills, conflicts, refills) on top.
     pub fn to_event(
@@ -203,23 +188,71 @@ impl KernelReport {
     /// time, capped at the kernel time) and `exec` is the rest (latency
     /// chains, compute issue, sync and atomic serialisation).
     pub fn to_span(&self) -> cuart_telemetry::SpanNode {
+        use cuart_telemetry::names::spans;
+        use cuart_telemetry::{AttrValue, SpanNode};
         let total = self.time_ns.max(0.0) as u64;
         let dram = (self.bandwidth_bound_ns.max(0.0) as u64).min(total);
         let exec = total - dram;
-        use cuart_telemetry::names::spans;
-        cuart_telemetry::SpanNode::node(
+        SpanNode::node(
             spans::KERNEL,
             vec![
-                cuart_telemetry::SpanNode::leaf(spans::DRAM, dram)
+                SpanNode::leaf(spans::DRAM, dram)
                     .with_attr("transactions", self.dram_transactions)
                     .with_attr("bytes", self.dram_bytes),
-                cuart_telemetry::SpanNode::leaf(spans::EXEC, exec)
+                SpanNode::leaf(spans::EXEC, exec)
                     .with_attr("latency_bound_ns", self.latency_bound_ns as u64)
                     .with_attr("compute_bound_ns", self.compute_bound_ns as u64),
             ],
         )
-        .with_attr("l2_hit_rate", format!("{:.3}", self.l2_hit_rate()))
+        .with_attr("l2_hit_rate", AttrValue::Ratio(self.l2_hit_rate()))
         .with_attr("warps", self.warps)
+    }
+}
+
+/// The kernel-statistics series of one telemetry registry, resolved once
+/// by the owner that records every batch (a device session holds one).
+#[derive(Debug)]
+pub struct KernelSeries {
+    l2_hits: CounterHandle,
+    l2_misses: CounterHandle,
+    dram_transactions: CounterHandle,
+    dram_bytes: CounterHandle,
+    coalesced_accesses: CounterHandle,
+    raw_accesses: CounterHandle,
+    l2_hit_rate: GaugeHandle,
+    dram_imbalance: GaugeHandle,
+    dram_tx_per_batch: HistogramHandle,
+}
+
+impl KernelSeries {
+    /// Resolve the series in `t`.
+    pub fn new(t: &Telemetry) -> KernelSeries {
+        KernelSeries {
+            l2_hits: t.counter(names::L2_HITS),
+            l2_misses: t.counter(names::L2_MISSES),
+            dram_transactions: t.counter(names::DRAM_TRANSACTIONS),
+            dram_bytes: t.counter(names::DRAM_BYTES),
+            coalesced_accesses: t.counter(names::COALESCED_ACCESSES),
+            raw_accesses: t.counter(names::RAW_ACCESSES),
+            l2_hit_rate: t.gauge(names::L2_HIT_RATE),
+            dram_imbalance: t.gauge(names::DRAM_IMBALANCE),
+            dram_tx_per_batch: t.histogram(names::DRAM_TX_PER_BATCH),
+        }
+    }
+
+    /// Record one kernel's transaction statistics: running totals as
+    /// counters, the latest hit rate and channel imbalance as gauges, DRAM
+    /// transactions as a histogram.
+    pub fn record(&self, report: &KernelReport) {
+        self.l2_hits.incr(report.l2_hits);
+        self.l2_misses.incr(report.l2_misses());
+        self.dram_transactions.incr(report.dram_transactions);
+        self.dram_bytes.incr(report.dram_bytes);
+        self.coalesced_accesses.incr(report.sectors);
+        self.raw_accesses.incr(report.raw_accesses);
+        self.l2_hit_rate.set(report.l2_hit_rate());
+        self.dram_imbalance.set(report.dram_imbalance);
+        self.dram_tx_per_batch.observe(report.dram_transactions);
     }
 }
 

@@ -70,7 +70,7 @@ pub mod pipeline;
 pub mod trace;
 
 pub use config::{CacheConfig, DeviceConfig, MemConfig, MemKind, PcieConfig};
-pub use exec::{launch, KernelReport, Launcher};
+pub use exec::{launch, KernelReport, KernelSeries, Launcher};
 pub use faults::{DeviceFault, FaultConfig, FaultInjector, FaultSite};
 pub use kernel::{DeviceBytes, Kernel, PhasedKernel, ThreadCtx};
 pub use memory::{BufferId, DeviceBuffer, DeviceMemory};

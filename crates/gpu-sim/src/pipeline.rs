@@ -217,7 +217,7 @@ pub fn simulate_traced(
             .with_attr("host_threads", host_threads)
             .with_attr("streams", streams);
         root.duration_ns = ns(makespan);
-        t.record_span_tree(&root);
+        t.record_span_tree(root);
     }
 
     let total_items = (p.batches * p.items_per_batch) as f64;

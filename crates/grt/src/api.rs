@@ -12,7 +12,7 @@ use crate::mapper::map_art;
 use crate::update::{apply_batch, UpdateOutcome};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::{alloc_results, pack_keys, read_results};
-use cuart_gpu_sim::{launch, BufferId, DeviceConfig, DeviceMemory, KernelReport};
+use cuart_gpu_sim::{launch, BufferId, DeviceConfig, DeviceMemory, KernelReport, KernelSeries};
 use cuart_telemetry::{names, BatchEvent, BatchKind, Telemetry};
 use std::sync::Arc;
 
@@ -188,7 +188,7 @@ impl GrtIndex {
             t.incr(names::GRT_LOOKUP_BATCHES, 1);
             t.incr(names::GRT_LOOKUP_KEYS, queries.len() as u64);
             t.observe(names::GRT_LOOKUP_KERNEL_NS, report.time_ns as u64);
-            report.record_into(t);
+            KernelSeries::new(t).record(&report);
             t.record(report.to_event(BatchKind::Lookup, queries.len() as u64));
         }
         let device_results = read_results(&mem, results, device_queries.len());

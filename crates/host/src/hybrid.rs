@@ -68,7 +68,7 @@ impl HybridReport {
         let root = SpanNode::node(names::spans::HYBRID_ROUTE, children)
             .with_attr("keys", batch_size)
             .with_attr("cpu_bound", self.cpu_bound);
-        telemetry.record_span_tree(&root);
+        telemetry.record_span_tree(root);
     }
 }
 

@@ -96,7 +96,9 @@ use cuart::{CuartError, CuartIndex};
 use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation_by_key, take_permuted};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
-use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
+use cuart_telemetry::{
+    names, BatchEvent, BatchKind, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,54 +212,87 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Telemetry sink scoped to an optional shard: every counter and gauge
-/// write lands on the global `cuart.sched.*` series and, when a shard
-/// index is configured, on its `cuart.sched.shard.<i>.*` twin as well.
+/// A `cuart.sched.*` counter or gauge and, when a shard index is
+/// configured, its `cuart.sched.shard.<i>.*` twin: every write lands on
+/// both.
+struct Twin<H> {
+    global: H,
+    shard: Option<H>,
+}
+
+impl<H> Twin<H> {
+    fn new(global: &'static str, shard: Option<&str>, resolve: impl Fn(&str) -> H) -> Twin<H> {
+        Twin {
+            global: resolve(global),
+            shard: shard.map(|prefix| {
+                let suffix = global.strip_prefix(names::SCHED_PREFIX).unwrap_or(global);
+                resolve(&format!("{prefix}{suffix}"))
+            }),
+        }
+    }
+}
+
+impl Twin<CounterHandle> {
+    fn incr(&self, n: u64) {
+        self.global.incr(n);
+        if let Some(c) = &self.shard {
+            c.incr(n);
+        }
+    }
+}
+
+impl Twin<GaugeHandle> {
+    fn set(&self, v: f64) {
+        self.global.set(v);
+        if let Some(g) = &self.shard {
+            g.set(v);
+        }
+    }
+}
+
+/// The scheduler's telemetry: the registry and every series its queue
+/// and executor write, resolved once at [`Scheduler::spawn`] — a shard's
+/// twin names included — so no bump resolves or formats a name.
 /// Histograms, batch events and span trees stay global-only to bound
 /// series cardinality.
-#[derive(Clone, Default)]
 struct SchedTelemetry {
-    t: Option<Arc<Telemetry>>,
-    /// Pre-rendered `"cuart.sched.shard.<i>."` prefix.
-    shard_prefix: Option<Arc<str>>,
+    registry: Arc<Telemetry>,
+    enqueued: Twin<CounterHandle>,
+    batches: Twin<CounterHandle>,
+    sorted_batches: Twin<CounterHandle>,
+    probe_batches: Twin<CounterHandle>,
+    size_flushes: Twin<CounterHandle>,
+    deadline_flushes: Twin<CounterHandle>,
+    shed: Twin<CounterHandle>,
+    rejected: Twin<CounterHandle>,
+    breaker_trips: Twin<CounterHandle>,
+    queue_depth: Twin<GaugeHandle>,
+    breaker_state: Twin<GaugeHandle>,
+    batch_fill: HistogramHandle,
+    queue_latency_ns: HistogramHandle,
 }
 
 impl SchedTelemetry {
-    fn new(t: Option<Arc<Telemetry>>, shard: Option<usize>) -> SchedTelemetry {
+    fn new(t: &Arc<Telemetry>, shard: Option<usize>) -> SchedTelemetry {
+        let prefix = shard.map(|i| format!("{}{i}.", names::SCHED_SHARD_PREFIX));
+        let prefix = prefix.as_deref();
+        let counter = |name| Twin::new(name, prefix, |n| t.counter(n));
+        let gauge = |name| Twin::new(name, prefix, |n| t.gauge(n));
         SchedTelemetry {
-            shard_prefix: shard.map(|i| format!("{}{i}.", names::SCHED_SHARD_PREFIX).into()),
-            t,
-        }
-    }
-
-    /// The raw registry, for the global-only paths (histograms, events,
-    /// span trees).
-    fn raw(&self) -> Option<&Arc<Telemetry>> {
-        self.t.as_ref()
-    }
-
-    fn shard_name(&self, global: &str) -> Option<String> {
-        self.shard_prefix.as_ref().map(|p| {
-            let suffix = global.strip_prefix(names::SCHED_PREFIX).unwrap_or(global);
-            format!("{p}{suffix}")
-        })
-    }
-
-    fn incr(&self, global: &'static str, n: u64) {
-        if let Some(t) = &self.t {
-            t.incr(global, n);
-            if let Some(name) = self.shard_name(global) {
-                t.incr(&name, n);
-            }
-        }
-    }
-
-    fn gauge_set(&self, global: &'static str, v: f64) {
-        if let Some(t) = &self.t {
-            t.gauge_set(global, v);
-            if let Some(name) = self.shard_name(global) {
-                t.gauge_set(&name, v);
-            }
+            registry: Arc::clone(t),
+            enqueued: counter(names::SCHED_ENQUEUED),
+            batches: counter(names::SCHED_BATCHES),
+            sorted_batches: counter(names::SCHED_SORTED_BATCHES),
+            probe_batches: counter(names::SCHED_PROBE_BATCHES),
+            size_flushes: counter(names::SCHED_SIZE_FLUSHES),
+            deadline_flushes: counter(names::SCHED_DEADLINE_FLUSHES),
+            shed: counter(names::SCHED_SHED),
+            rejected: counter(names::SCHED_REJECTED),
+            breaker_trips: counter(names::SCHED_BREAKER_TRIPS),
+            queue_depth: gauge(names::SCHED_QUEUE_DEPTH),
+            breaker_state: gauge(names::SCHED_BREAKER_STATE),
+            batch_fill: t.histogram(names::SCHED_BATCH_FILL),
+            queue_latency_ns: t.histogram(names::SCHED_QUEUE_LATENCY_NS),
         }
     }
 }
@@ -530,7 +565,8 @@ struct SubmissionQueue {
     work: Condvar,
     /// 0 = unbounded.
     cap: usize,
-    telemetry: SchedTelemetry,
+    /// Shared with the executor, which reaches it through the queue.
+    telemetry: Option<SchedTelemetry>,
     rejected_ops: AtomicU64,
     timeout_ops: AtomicU64,
     max_resident_ops: AtomicU64,
@@ -548,7 +584,7 @@ enum Drain {
 }
 
 impl SubmissionQueue {
-    fn new(cap: usize, telemetry: SchedTelemetry) -> Arc<SubmissionQueue> {
+    fn new(cap: usize, telemetry: Option<SchedTelemetry>) -> Arc<SubmissionQueue> {
         Arc::new(SubmissionQueue {
             inner: Mutex::new(QueueInner {
                 queue: VecDeque::new(),
@@ -572,7 +608,9 @@ impl SubmissionQueue {
 
     fn note_rejected(&self, ops: usize) {
         self.rejected_ops.fetch_add(ops as u64, Ordering::Relaxed);
-        self.telemetry.incr(names::SCHED_REJECTED, ops as u64);
+        if let Some(t) = &self.telemetry {
+            t.rejected.incr(ops as u64);
+        }
     }
 
     /// Admit one request under the cap, or fail per `policy`.
@@ -618,7 +656,9 @@ impl SubmissionQueue {
                     if now >= deadline {
                         drop(inner);
                         self.timeout_ops.fetch_add(ops as u64, Ordering::Relaxed);
-                        self.telemetry.incr(names::SCHED_REJECTED, ops as u64);
+                        if let Some(t) = &self.telemetry {
+                            t.rejected.incr(ops as u64);
+                        }
                         return Err(SchedError::AdmissionTimeout);
                     }
                     inner = match self.admit.wait_timeout(inner, deadline - now) {
@@ -905,7 +945,7 @@ impl Scheduler {
     /// whole life) and serves batches until [`join`](Scheduler::join) or
     /// `Drop` shuts it down.
     pub fn spawn(index: Arc<CuartIndex>, dev: DeviceConfig, cfg: SchedulerConfig) -> Scheduler {
-        let telemetry = SchedTelemetry::new(index.telemetry().cloned(), cfg.shard);
+        let telemetry = index.telemetry().map(|t| SchedTelemetry::new(t, cfg.shard));
         let queue = SubmissionQueue::new(cfg.queue_cap, telemetry);
         let cfg_admission = cfg.admission;
         let cfg_op_deadline = cfg.op_deadline;
@@ -1043,7 +1083,8 @@ struct ExecCtx<'a> {
     session: cuart::CuartSession<'a>,
     cfg: &'a SchedulerConfig,
     queue: &'a SubmissionQueue,
-    telemetry: SchedTelemetry,
+    /// The queue's telemetry, resolved at spawn.
+    telemetry: Option<&'a SchedTelemetry>,
     stats: SchedulerStats,
     breaker: Option<Breaker>,
 }
@@ -1068,7 +1109,7 @@ fn executor(
     // frame — including a panic — the queue is aborted, which drops the
     // orphaned reply channels and wakes blocked admissions.
     let _abort = AbortGuard(Arc::clone(&queue));
-    let telemetry = SchedTelemetry::new(index.telemetry().cloned(), cfg.shard);
+    let telemetry = queue.telemetry.as_ref();
     let mut session = index.device_session(&dev);
     // The scheduler records the full `sched.batch.*` tree around each
     // device leg (queueing, sort, scatter and the leg itself); the
@@ -1083,8 +1124,8 @@ fn executor(
     // host-side merge reads the journal overlay — both need it on from
     // the first mutating batch.
     session.set_journal_shadowing(true);
-    if cfg.breaker.is_some() {
-        telemetry.gauge_set(names::SCHED_BREAKER_STATE, 0.0);
+    if let Some(t) = telemetry.filter(|_| cfg.breaker.is_some()) {
+        t.breaker_state.set(0.0);
     }
     let batch_target = cfg.batch_target.max(1);
     let linger = cfg.deadline;
@@ -1107,7 +1148,9 @@ fn executor(
         let taken = pending.keys.saturating_sub(before) as u64;
         if taken > 0 {
             ctx.stats.ops_enqueued = ctx.stats.ops_enqueued.saturating_add(taken);
-            ctx.telemetry.incr(names::SCHED_ENQUEUED, taken);
+            if let Some(t) = ctx.telemetry {
+                t.enqueued.incr(taken);
+            }
         }
         if pending.keys >= batch_target {
             ctx.flush(&mut pending, FlushCause::Size);
@@ -1171,14 +1214,14 @@ impl ExecCtx<'_> {
         self.stats.shed_ops = self.stats.shed_ops.saturating_add(shed_ops as u64);
         self.stats.requests += shed_requests;
         self.queue.release(shed_ops);
-        self.telemetry.incr(names::SCHED_SHED, shed_ops as u64);
-        if let Some(t) = self.telemetry.raw() {
+        if let Some(t) = self.telemetry {
+            t.shed.incr(shed_ops as u64);
             // Not a `sched.batch.*` root: shed work has no device leg, so
             // the leaf-sum invariant the trace verifier enforces on batch
             // roots does not apply.
             let span = SpanNode::leaf(names::spans::SCHED_SHED, SHED_NS_PER_OP * shed_ops as u64)
                 .with_attr("ops", shed_ops);
-            t.record_span_tree(&span);
+            t.registry.record_span_tree(span);
         }
     }
 
@@ -1202,18 +1245,18 @@ impl ExecCtx<'_> {
         pending.keys = 0;
         pending.earliest_deadline = None;
         match cause {
-            FlushCause::Size => {
-                self.stats.size_flushes += 1;
-                self.telemetry.incr(names::SCHED_SIZE_FLUSHES, 1);
-            }
-            FlushCause::Deadline => {
-                self.stats.deadline_flushes += 1;
-                self.telemetry.incr(names::SCHED_DEADLINE_FLUSHES, 1);
-            }
+            FlushCause::Size => self.stats.size_flushes += 1,
+            FlushCause::Deadline => self.stats.deadline_flushes += 1,
             FlushCause::Final => self.stats.final_flushes += 1,
         }
-        self.telemetry
-            .gauge_set(names::SCHED_QUEUE_DEPTH, depth as f64);
+        if let Some(t) = self.telemetry {
+            match cause {
+                FlushCause::Size => t.size_flushes.incr(1),
+                FlushCause::Deadline => t.deadline_flushes.incr(1),
+                FlushCause::Final => {}
+            }
+            t.queue_depth.set(depth as f64);
+        }
     }
 
     /// Execute one same-kind run as a single device batch — sorted, for
@@ -1244,7 +1287,9 @@ impl ExecCtx<'_> {
         let mode = self.breaker_before(total as u64);
         if mode == DispatchMode::Probe {
             self.stats.probe_batches = self.stats.probe_batches.saturating_add(1);
-            self.telemetry.incr(names::SCHED_PROBE_BATCHES, 1);
+            if let Some(t) = self.telemetry {
+                t.probe_batches.incr(1);
+            }
         } else if mode == DispatchMode::CpuOnly {
             self.stats.breaker_open_batches = self.stats.breaker_open_batches.saturating_add(1);
         }
@@ -1270,21 +1315,24 @@ impl ExecCtx<'_> {
         match outcome {
             Ok((answer, report)) => {
                 self.stats.absorb_report(total, &report);
-                self.telemetry.incr(names::SCHED_BATCHES, 1);
                 if perm.is_some() {
                     self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
-                    self.telemetry.incr(names::SCHED_SORTED_BATCHES, 1);
                 }
-                if let Some(t) = self.telemetry.raw() {
-                    t.observe(names::SCHED_BATCH_FILL, total as u64);
+                if let Some(t) = self.telemetry {
+                    t.batches.incr(1);
+                    if perm.is_some() {
+                        t.sorted_batches.incr(1);
+                    }
+                    t.batch_fill.observe(total as u64);
                     if let Some(start) = oldest {
-                        t.observe(
-                            names::SCHED_QUEUE_LATENCY_NS,
-                            start.elapsed().as_nanos() as u64,
-                        );
+                        t.queue_latency_ns
+                            .observe(start.elapsed().as_nanos() as u64);
                     }
                     let probe = mode == DispatchMode::Probe;
-                    record_sched_span(&self.session, t, &batch, perm.is_some(), probe, &report);
+                    let span = sched_span(&self.session, &batch, perm.is_some(), probe, &report);
+                    if let Some(span) = span {
+                        t.registry.record_span_tree(span);
+                    }
                 }
                 self.stats.requests += tickets.len() as u64;
                 match answer {
@@ -1331,9 +1379,10 @@ impl ExecCtx<'_> {
                 b.state = BreakerState::HalfOpen;
                 b.clean_probes = 0;
                 self.session.set_cpu_only(false);
-                self.telemetry.gauge_set(names::SCHED_BREAKER_STATE, 1.0);
-                if let Some(t) = self.telemetry.raw() {
-                    t.record(BatchEvent::new(BatchKind::BreakerHalfOpen, run_keys));
+                if let Some(t) = self.telemetry {
+                    t.breaker_state.set(1.0);
+                    t.registry
+                        .record(BatchEvent::new(BatchKind::BreakerHalfOpen, run_keys));
                 }
                 DispatchMode::Probe
             }
@@ -1415,10 +1464,11 @@ impl ExecCtx<'_> {
         b.window.clear();
         self.stats.breaker_trips = self.stats.breaker_trips.saturating_add(1);
         self.session.set_cpu_only(true);
-        self.telemetry.incr(names::SCHED_BREAKER_TRIPS, 1);
-        self.telemetry.gauge_set(names::SCHED_BREAKER_STATE, 2.0);
-        if let Some(t) = self.telemetry.raw() {
-            t.record(BatchEvent::new(BatchKind::BreakerOpen, run_keys));
+        if let Some(t) = self.telemetry {
+            t.breaker_trips.incr(1);
+            t.breaker_state.set(2.0);
+            t.registry
+                .record(BatchEvent::new(BatchKind::BreakerOpen, run_keys));
         }
     }
 
@@ -1430,9 +1480,10 @@ impl ExecCtx<'_> {
             b.clean_probes = 0;
             b.window.clear();
         }
-        self.telemetry.gauge_set(names::SCHED_BREAKER_STATE, 0.0);
-        if let Some(t) = self.telemetry.raw() {
-            t.record(BatchEvent::new(BatchKind::BreakerClosed, run_keys));
+        if let Some(t) = self.telemetry {
+            t.breaker_state.set(0.0);
+            t.registry
+                .record(BatchEvent::new(BatchKind::BreakerClosed, run_keys));
         }
     }
 }
@@ -1456,22 +1507,21 @@ fn reply_slices<T: Clone + Default>(
     }
 }
 
-/// Commit the `sched.batch.<kind>` span tree for one dispatched run:
-/// host-side coalesce / sort / scatter (modeled constants above), the
-/// PCIe legs, the launch overhead and the kernel's `dram`/`exec`
-/// decomposition. All children are sequential, so the leaf durations sum
-/// to the root — the batch's modeled end-to-end time.
-fn record_sched_span(
+/// The `sched.batch.<kind>` span tree of one dispatched run: host-side
+/// coalesce / sort / scatter (modeled constants above), the PCIe legs,
+/// the launch overhead and the kernel's `dram`/`exec` decomposition. All
+/// children are sequential, so the leaf durations sum to the root — the
+/// batch's modeled end-to-end time. `None` for a run with no modeled time.
+fn sched_span(
     session: &cuart::CuartSession<'_>,
-    t: &Telemetry,
     batch: &SchedOp,
     sorted: bool,
     probe: bool,
     report: &KernelReport,
-) {
+) -> Option<SpanNode> {
     let total = batch.len();
     if report.time_ns <= 0.0 || total == 0 {
-        return;
+        return None;
     }
     let dev = session.device();
     let n = total as u64;
@@ -1489,7 +1539,8 @@ fn record_sched_span(
     let up = cuart_gpu_sim::pcie::upload(&dev.pcie, total, up_stride);
     let down = cuart_gpu_sim::pcie::download(&dev.pcie, total, down_stride);
     use names::spans;
-    let mut children = vec![SpanNode::leaf(spans::COALESCE, COALESCE_NS_PER_KEY * n)];
+    let mut children = Vec::with_capacity(7);
+    children.push(SpanNode::leaf(spans::COALESCE, COALESCE_NS_PER_KEY * n));
     if sorted {
         children.push(SpanNode::leaf(spans::SORT, SORT_NS_PER_KEY_LOG * n * log2n));
     }
@@ -1519,7 +1570,7 @@ fn record_sched_span(
         // The claim-table prefix of the batch's first, largest launch.
         root = root.with_attr("claim_slots", session.claim_slots(report.threads));
     }
-    t.record_span_tree(&root);
+    Some(root)
 }
 
 #[cfg(test)]
@@ -1640,7 +1691,7 @@ mod tests {
 
     #[test]
     fn drain_is_fifo_and_stops_at_the_target_on_a_request_boundary() {
-        let queue = SubmissionQueue::new(0, SchedTelemetry::default());
+        let queue = SubmissionQueue::new(0, None);
         let mut tickets = Vec::new();
         for tag in 0..4u8 {
             let (req, answer) = request(tag, 4);
@@ -1719,7 +1770,7 @@ mod tests {
 
     #[test]
     fn a_ticket_on_a_dead_executor_is_disconnected_not_hung() {
-        let queue = SubmissionQueue::new(0, SchedTelemetry::default());
+        let queue = SubmissionQueue::new(0, None);
         let client = SchedulerClient {
             queue: Arc::clone(&queue),
             admission: AdmissionPolicy::Block,

@@ -38,7 +38,7 @@ use crate::scheduler::{
 };
 use cuart::{CuartIndex, ShardRouter};
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
-use cuart_telemetry::{names, SpanNode, Telemetry};
+use cuart_telemetry::{names, CounterHandle, SpanNode, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,8 +61,26 @@ pub struct ShardedScheduler {
     shards: Vec<Scheduler>,
     devices: Vec<DeviceConfig>,
     router: ShardRouter,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<RouteTelemetry>>,
     route: Arc<RouteCounters>,
+}
+
+/// The router's telemetry, resolved once per fleet and shared by its
+/// clients.
+struct RouteTelemetry {
+    registry: Arc<Telemetry>,
+    requests: CounterHandle,
+    keys: CounterHandle,
+}
+
+impl RouteTelemetry {
+    fn new(t: &Arc<Telemetry>) -> RouteTelemetry {
+        RouteTelemetry {
+            registry: Arc::clone(t),
+            requests: t.counter(names::SCHED_ROUTED_REQUESTS),
+            keys: t.counter(names::SCHED_ROUTED_KEYS),
+        }
+    }
 }
 
 impl ShardedScheduler {
@@ -79,7 +97,7 @@ impl ShardedScheduler {
         if devices.is_empty() {
             return Err(SchedError::NoShards);
         }
-        let telemetry = index.telemetry().cloned();
+        let telemetry = index.telemetry().map(|t| Arc::new(RouteTelemetry::new(t)));
         let router = ShardRouter::new(devices.len());
         let shards = devices
             .iter()
@@ -259,7 +277,7 @@ impl ShardedStats {
 pub struct ShardedClient {
     clients: Vec<SchedulerClient>,
     router: ShardRouter,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<RouteTelemetry>>,
     route: Arc<RouteCounters>,
 }
 
@@ -383,14 +401,14 @@ impl ShardedClient {
         self.route.requests.fetch_add(1, Ordering::Relaxed);
         self.route.keys.fetch_add(total as u64, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
-            t.incr(names::SCHED_ROUTED_REQUESTS, 1);
-            t.incr(names::SCHED_ROUTED_KEYS, total as u64);
+            t.requests.incr(1);
+            t.keys.incr(total as u64);
             // Standalone root (like `sched.shed`): routing has no device
             // leg, so the batch-root leaf-sum invariant does not apply.
             let span = SpanNode::leaf(names::spans::SCHED_ROUTE, ROUTE_NS_PER_KEY * total as u64)
                 .with_attr("keys", total)
                 .with_attr("shards", active);
-            t.record_span_tree(&span);
+            t.registry.record_span_tree(span);
         }
     }
 

@@ -36,7 +36,7 @@ use cuart_host::{
     SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerStats, ShardedTicket,
     Ticket,
 };
-use cuart_telemetry::{names, SpanNode, Telemetry};
+use cuart_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -189,6 +189,40 @@ impl ShutdownHandle {
     }
 }
 
+/// The server's telemetry: the registry and every series a connection
+/// writes, resolved once per server and shared by its threads.
+struct NetTelemetry {
+    registry: Arc<Telemetry>,
+    accepted: CounterHandle,
+    frames_in: CounterHandle,
+    frames_out: CounterHandle,
+    bytes_out: CounterHandle,
+    window_stalls: CounterHandle,
+    error_frames: CounterHandle,
+    decode_errors: CounterHandle,
+    connections: GaugeHandle,
+    drained: GaugeHandle,
+    request_ns: HistogramHandle,
+}
+
+impl NetTelemetry {
+    fn new(t: &Arc<Telemetry>) -> NetTelemetry {
+        NetTelemetry {
+            registry: Arc::clone(t),
+            accepted: t.counter(names::NET_ACCEPTED),
+            frames_in: t.counter(names::NET_FRAMES_IN),
+            frames_out: t.counter(names::NET_FRAMES_OUT),
+            bytes_out: t.counter(names::NET_BYTES_OUT),
+            window_stalls: t.counter(names::NET_WINDOW_STALLS),
+            error_frames: t.counter(names::NET_ERROR_FRAMES),
+            decode_errors: t.counter(names::NET_DECODE_ERRORS),
+            connections: t.gauge(names::NET_CONNECTIONS),
+            drained: t.gauge(names::NET_DRAINED),
+            request_ns: t.histogram(names::NET_REQUEST_NS),
+        }
+    }
+}
+
 /// A running server; see the [module docs](self) for the thread layout.
 pub struct NetServer {
     addr: SocketAddr,
@@ -196,7 +230,7 @@ pub struct NetServer {
     accept: JoinHandle<()>,
     sched: Arc<Mutex<Option<AnySched>>>,
     counters: Arc<NetCounters>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<NetTelemetry>>,
 }
 
 impl NetServer {
@@ -249,9 +283,10 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
+        let telemetry = telemetry.map(|t| Arc::new(NetTelemetry::new(&t)));
         if let Some(t) = &telemetry {
-            t.gauge_set(names::NET_DRAINED, 0.0);
-            t.gauge_set(names::NET_CONNECTIONS, 0.0);
+            t.drained.set(0.0);
+            t.connections.set(0.0);
         }
         let accept = {
             let stop = Arc::clone(&stop);
@@ -307,8 +342,8 @@ impl NetServer {
             None => return Err(SchedError::Shutdown),
         };
         if let Some(t) = &self.telemetry {
-            t.gauge_set(names::NET_DRAINED, 1.0);
-            t.gauge_set(names::NET_CONNECTIONS, 0.0);
+            t.drained.set(1.0);
+            t.connections.set(0.0);
         }
         let c = &self.counters;
         Ok(NetReport {
@@ -329,7 +364,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     client: AnyClient,
     counters: Arc<NetCounters>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<NetTelemetry>>,
     cfg: NetServerConfig,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
@@ -339,8 +374,8 @@ fn accept_loop(
                 counters.accepted.fetch_add(1, Ordering::Relaxed);
                 let open = counters.open.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Some(t) = &telemetry {
-                    t.incr(names::NET_ACCEPTED, 1);
-                    t.gauge_set(names::NET_CONNECTIONS, open as f64);
+                    t.accepted.incr(1);
+                    t.connections.set(open as f64);
                 }
                 let ctx = ConnCtx {
                     stop: Arc::clone(&stop),
@@ -378,7 +413,7 @@ struct ConnCtx {
     stop: Arc<AtomicBool>,
     client: AnyClient,
     counters: Arc<NetCounters>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<NetTelemetry>>,
     cfg: NetServerConfig,
 }
 
@@ -459,7 +494,7 @@ fn connection(mut stream: TcpStream, ctx: ConnCtx) {
     let outcome = connection_inner(&mut stream, &ctx);
     let open = ctx.counters.open.fetch_sub(1, Ordering::Relaxed) - 1;
     if let Some(t) = &ctx.telemetry {
-        t.gauge_set(names::NET_CONNECTIONS, open as f64);
+        t.connections.set(open as f64);
     }
     // Socket errors mid-connection (including client disconnects) end
     // that one connection only; nothing to escalate.
@@ -557,7 +592,7 @@ fn read_and_submit(
         });
         ctx.counters.frames_in.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &ctx.telemetry {
-            t.incr(names::NET_FRAMES_IN, 1);
+            t.frames_in.incr(1);
         }
         let req = match decoded {
             Ok(req) => req,
@@ -579,7 +614,7 @@ fn read_and_submit(
             Err(TrySendError::Full(in_flight)) => {
                 ctx.counters.window_stalls.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = &ctx.telemetry {
-                    t.incr(names::NET_WINDOW_STALLS, 1);
+                    t.window_stalls.incr(1);
                 }
                 if window_tx.send(in_flight).is_err() {
                     return Ok(None);
@@ -641,7 +676,7 @@ fn write_answers(
     out: &mut TcpStream,
     window_rx: Receiver<InFlight>,
     counters: &NetCounters,
-    telemetry: Option<&Telemetry>,
+    telemetry: Option<&NetTelemetry>,
 ) {
     // Once a write fails the client is gone; keep waiting on tickets so
     // the reader never blocks on a full window, and drop the answers
@@ -663,14 +698,14 @@ fn write_answers(
         let wall_ns = in_flight.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(t) = telemetry {
             if !ok {
-                t.incr(names::NET_ERROR_FRAMES, 1);
+                t.error_frames.incr(1);
             }
-            t.observe(names::NET_REQUEST_NS, wall_ns);
+            t.request_ns.observe(wall_ns);
             let span = SpanNode::leaf(names::spans::NET_REQUEST, wall_ns)
                 .with_attr("op", in_flight.opcode.as_str())
                 .with_attr("ops", in_flight.ops)
                 .with_attr("ok", ok);
-            t.record_span_tree(&span);
+            t.registry.record_span_tree(span);
         }
         let resp = Response {
             id: in_flight.id,
@@ -692,7 +727,7 @@ fn write_frame(
     out: &mut TcpStream,
     frame: &[u8],
     counters: &NetCounters,
-    telemetry: Option<&Telemetry>,
+    telemetry: Option<&NetTelemetry>,
 ) -> io::Result<()> {
     out.write_all(frame)?;
     counters.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -700,8 +735,8 @@ fn write_frame(
         .bytes_out
         .fetch_add(frame.len() as u64, Ordering::Relaxed);
     if let Some(t) = telemetry {
-        t.incr(names::NET_FRAMES_OUT, 1);
-        t.incr(names::NET_BYTES_OUT, frame.len() as u64);
+        t.frames_out.incr(1);
+        t.bytes_out.incr(frame.len() as u64);
     }
     Ok(())
 }
@@ -713,8 +748,8 @@ fn refuse_malformed(stream: &mut TcpStream, ctx: &ConnCtx, e: &WireError) -> io:
     ctx.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
     ctx.counters.error_frames.fetch_add(1, Ordering::Relaxed);
     if let Some(t) = &ctx.telemetry {
-        t.incr(names::NET_DECODE_ERRORS, 1);
-        t.incr(names::NET_ERROR_FRAMES, 1);
+        t.decode_errors.incr(1);
+        t.error_frames.incr(1);
     }
     let resp = Response {
         id: 0,

@@ -19,10 +19,13 @@
 //! # Cost model
 //!
 //! Recording through a handle is one relaxed atomic op; the registry
-//! locks are touched only on name resolution and the event ring takes one
-//! short mutex per *batch*. "Telemetry off" is an index with no registry
-//! attached: the only residual cost in the engines is the `Option` branch
-//! at each recording site.
+//! locks are touched only on name resolution, which the per-batch owners
+//! do once (see the hot-path rule in the registry docs). The event ring
+//! takes one short mutex per *batch*, and so does a span-tree commit,
+//! which moves the tree into the span ring without copying a string.
+//! "Telemetry off" is an index with no registry attached: the only
+//! residual cost in the engines is the `Option` branch at each recording
+//! site.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +36,7 @@ pub mod tracing;
 
 pub use event::{BatchEvent, BatchKind};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use tracing::{Span, SpanNode, DEFAULT_SPAN_CAPACITY};
+pub use tracing::{AttrValue, Span, SpanNode, DEFAULT_SPAN_CAPACITY};
 
 mod real;
 pub use real::{

@@ -1,51 +1,95 @@
 //! The registry.
 //!
-//! Hot paths are lock-light: metric handles are `Arc`s of atomics, so the
-//! registry's `RwLock`s are only taken when a metric name is first (or
-//! repeatedly, read-locked) resolved — never while bumping a counter
-//! through a held handle. The event ring takes a short `Mutex` per batch,
-//! which is amortised across the whole batch, not per key.
+//! # Hot-path rule
+//!
+//! Metric handles are `Arc`s of atomics. An owner that records per batch
+//! or per request resolves its handles **once**, when it is built, and
+//! bumps through them: one or two relaxed atomic ops, no lock, no name
+//! lookup, no allocation. The owners that do so are the device session
+//! (per-kind series, the kernel series, the image-sharing gauges — at
+//! session open), the scheduler (its `cuart.sched.*` series and a shard's
+//! `cuart.sched.shard.<i>.*` twins — at spawn), the sharded router and the
+//! network server (once per server). The by-name calls
+//! ([`Telemetry::incr`], [`Telemetry::gauge_set`], [`Telemetry::observe`])
+//! resolve through the registry's `RwLock`ed maps on every call; they stay
+//! only where recording is rare — index build, a session's fault and
+//! recovery events — and in one-shot tools (GRT, the hybrid model), where
+//! a held handle would buy nothing. (Breaker transitions and connection
+//! open/close are rare too, but their owners hold the handles anyway.)
+//!
+//! A resolved series appears in snapshots only once it has been written,
+//! so resolving a handle early never changes what a snapshot shows.
+//!
+//! The event ring takes a short `Mutex` per batch, and so does the span
+//! ring per committed tree; both are amortised across the whole batch,
+//! not per key.
 
 use crate::event::BatchEvent;
 use crate::names;
 use crate::snapshot::{HistogramSnapshot, Snapshot};
-use crate::tracing::{Span, SpanNode, DEFAULT_SPAN_CAPACITY};
+use crate::tracing::{share, AttrValue, Span, SpanNode, DEFAULT_SPAN_CAPACITY};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Default bound of the batch event ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
+/// Set on a series' first write; snapshots skip series never written.
+#[derive(Debug, Default)]
+struct Live(AtomicBool);
+
+impl Live {
+    fn mark(&self) {
+        // Read first: after the first write the flag's line stays shared.
+        if !self.0.load(Ordering::Relaxed) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn get(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Monotonic counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    value: AtomicU64,
+    live: Live,
+}
 
 impl Counter {
     /// Add `n`.
     pub fn incr(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        self.live.mark();
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// Last-write-wins gauge storing an `f64`.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
+pub struct Gauge {
+    bits: AtomicU64,
+    live: Live,
+}
 
 impl Gauge {
     /// Set the gauge.
     pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.live.mark();
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -171,17 +215,117 @@ impl EventRing {
     }
 }
 
+/// One span as the ring keeps it: the committed tree's name and typed
+/// attributes, moved in, rendered to a [`Span`] only by a snapshot.
+#[derive(Debug)]
+struct SpanRecord {
+    id: u64,
+    parent: u64,
+    name: Cow<'static, str>,
+    start_ns: u64,
+    end_ns: u64,
+    attrs: Vec<(&'static str, AttrValue)>,
+}
+
+impl SpanRecord {
+    fn render(&self) -> Span {
+        Span {
+            id: self.id,
+            parent: self.parent,
+            name: self.name.to_string(),
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            attrs: self
+                .attrs
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SpanInner {
-    buf: VecDeque<Span>,
+    buf: VecDeque<SpanRecord>,
+    /// Spans ever pushed; `pushed - buf.len()` is the position of
+    /// `buf[0]` in push order.
+    pushed: u64,
     /// Next span id; starts at 1 so 0 can mean "no parent".
     next_id: u64,
     /// Modeled session clock: committed trees are laid out back to back.
     clock_ns: u64,
     dropped: u64,
+    /// `cuart.trace.critical.<stage>` handles, resolved on a stage's
+    /// first attribution.
+    critical: Vec<(Cow<'static, str>, CounterHandle)>,
 }
 
-/// Bounded ring of flattened [`Span`]s plus the modeled session clock.
+impl SpanInner {
+    /// Append `span`, evicting the oldest at `capacity`; returns its
+    /// position in push order.
+    fn push(&mut self, capacity: usize, span: SpanRecord) -> u64 {
+        if self.buf.len() == capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(span);
+        self.pushed += 1;
+        self.pushed - 1
+    }
+
+    /// Set the end of the span pushed at position `at`, unless a larger
+    /// tree than the ring has already evicted it.
+    fn set_end(&mut self, at: u64, end_ns: u64) {
+        let first = self.pushed - self.buf.len() as u64;
+        if let Some(span) = at
+            .checked_sub(first)
+            .and_then(|i| self.buf.get_mut(i as usize))
+        {
+            span.end_ns = end_ns;
+        }
+    }
+
+    /// Move `node` and its subtree into the ring starting at `start_ns`,
+    /// parents before children; returns the node's end time. Children
+    /// without an explicit offset run back to back; a node ends at the
+    /// later of its own duration and its last-ending child.
+    fn lay_out(&mut self, capacity: usize, node: SpanNode, parent: u64, start_ns: u64) -> u64 {
+        let SpanNode {
+            name,
+            duration_ns,
+            attrs,
+            children,
+            ..
+        } = node;
+        let id = self.next_id;
+        self.next_id += 1;
+        let at = self.push(
+            capacity,
+            SpanRecord {
+                id,
+                parent,
+                name,
+                start_ns,
+                end_ns: start_ns,
+                attrs,
+            },
+        );
+        let mut cursor = start_ns;
+        let mut end = start_ns.saturating_add(duration_ns);
+        for child in children {
+            let child_start = child
+                .start_rel_ns
+                .map_or(cursor, |rel| start_ns.saturating_add(rel));
+            let child_end = self.lay_out(capacity, child, id, child_start);
+            cursor = child_end;
+            end = end.max(child_end);
+        }
+        self.set_end(at, end);
+        end
+    }
+}
+
+/// Bounded ring of committed spans plus the modeled session clock.
 ///
 /// Eviction is per span, oldest first — a very long session can shed the
 /// head of an old tree while keeping its tail; `dropped` counts what went
@@ -199,37 +343,21 @@ impl SpanRing {
             capacity: capacity.max(1),
             inner: Mutex::new(SpanInner {
                 buf: VecDeque::new(),
+                pushed: 0,
                 next_id: 1,
                 clock_ns: 0,
                 dropped: 0,
+                critical: Vec::new(),
             }),
         }
     }
 
-    /// Lay `root` out at the current modeled clock, advance the clock to
-    /// the tree's end and retain the flattened spans. Returns the root id.
-    fn record_tree(&self, root: &SpanNode) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut flat = Vec::new();
-        let start = inner.clock_ns;
-        let mut next_id = inner.next_id;
-        let end = root.layout(0, start, &mut next_id, &mut flat);
-        inner.next_id = next_id;
-        inner.clock_ns = end.max(start);
-        let root_id = flat.first().map(|s| s.id).unwrap_or(0);
-        for span in flat {
-            if inner.buf.len() == self.capacity {
-                inner.buf.pop_front();
-                inner.dropped += 1;
-            }
-            inner.buf.push_back(span);
-        }
-        root_id
-    }
-
     fn snapshot(&self) -> (Vec<Span>, u64) {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        (inner.buf.iter().cloned().collect(), inner.dropped)
+        (
+            inner.buf.iter().map(SpanRecord::render).collect(),
+            inner.dropped,
+        )
     }
 }
 
@@ -252,6 +380,8 @@ pub struct Telemetry {
     histograms: RwLock<BTreeMap<String, HistogramHandle>>,
     events: EventRing,
     spans: SpanRing,
+    /// `cuart.trace.critical_share`, set by every committed tree.
+    critical_share: GaugeHandle,
 }
 
 impl Default for Telemetry {
@@ -274,12 +404,18 @@ impl Telemetry {
     /// New registry retaining at most `event_capacity` trace events and
     /// `span_capacity` spans.
     pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
+        let critical_share = GaugeHandle::default();
+        let gauges = BTreeMap::from([(
+            names::TRACE_CRITICAL_SHARE.to_string(),
+            Arc::clone(&critical_share),
+        )]);
         Telemetry {
             counters: RwLock::new(BTreeMap::new()),
-            gauges: RwLock::new(BTreeMap::new()),
+            gauges: RwLock::new(gauges),
             histograms: RwLock::new(BTreeMap::new()),
             events: EventRing::new(event_capacity),
             spans: SpanRing::new(span_capacity),
+            critical_share,
         }
     }
 
@@ -291,22 +427,26 @@ impl Telemetry {
         Arc::clone(w.entry(name.to_string()).or_default())
     }
 
-    /// Handle to the counter `name`, creating it on first use.
+    /// Handle to the counter `name`, creating it on first use. The
+    /// counter shows in snapshots from its first bump on.
     pub fn counter(&self, name: &str) -> CounterHandle {
         Self::resolve(&self.counters, name)
     }
 
-    /// Handle to the gauge `name`, creating it on first use.
+    /// Handle to the gauge `name`, creating it on first use. The gauge
+    /// shows in snapshots from its first set on.
     pub fn gauge(&self, name: &str) -> GaugeHandle {
         Self::resolve(&self.gauges, name)
     }
 
-    /// Handle to the histogram `name`, creating it on first use.
+    /// Handle to the histogram `name`, creating it on first use. The
+    /// histogram shows in snapshots from its first observation on.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         Self::resolve(&self.histograms, name)
     }
 
-    /// Convenience: bump counter `name` by `n`.
+    /// Convenience: bump counter `name` by `n`. Resolves the name on
+    /// every call — cold paths only; see the module docs.
     pub fn incr(&self, name: &str, n: u64) {
         self.counter(name).incr(n);
     }
@@ -330,17 +470,35 @@ impl Telemetry {
     /// its critical path; returns the root span's id.
     ///
     /// The tree is laid out on the modeled session clock (trees are
-    /// placed back to back, children within a tree per
-    /// [`SpanNode::layout`]). The dominant *leaf* stage bumps
-    /// `cuart.trace.critical.<stage>` and its share of total leaf time is
-    /// published on the `cuart.trace.critical_share` gauge.
-    pub fn record_span_tree(&self, root: &SpanNode) -> u64 {
-        let id = self.spans.record_tree(root);
-        if let Some((stage, _ns, share)) = root.dominant_leaf() {
-            self.incr(&format!("{}{stage}", names::TRACE_CRITICAL_PREFIX), 1);
-            self.gauge_set(names::TRACE_CRITICAL_SHARE, share);
+    /// placed back to back; within a tree children run back to back
+    /// unless pinned with [`SpanNode::at`]) and moved into the store, so
+    /// the commit copies no string. The dominant *leaf* stage (see
+    /// [`SpanNode::dominant_leaf`]) bumps `cuart.trace.critical.<stage>`
+    /// — through a handle cached per stage — and its share of total leaf
+    /// time is published on the `cuart.trace.critical_share` gauge.
+    pub fn record_span_tree(&self, root: SpanNode) -> u64 {
+        let critical = root.dominant();
+        let mut inner = self
+            .spans
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((stage, ns, total)) = critical {
+            match inner.critical.iter().find(|(s, _)| s == stage) {
+                Some((_, counter)) => counter.incr(1),
+                None => {
+                    let counter = self.counter(&format!("{}{stage}", names::TRACE_CRITICAL_PREFIX));
+                    counter.incr(1);
+                    inner.critical.push((stage.clone(), counter));
+                }
+            }
+            self.critical_share.set(share(ns, total));
         }
-        id
+        let root_id = inner.next_id;
+        let start = inner.clock_ns;
+        let end = inner.lay_out(self.spans.capacity, root, 0, start);
+        inner.clock_ns = end.max(start);
+        root_id
     }
 
     /// Freeze the whole registry into an owned [`Snapshot`].
@@ -350,6 +508,7 @@ impl Telemetry {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
+            .filter(|(_, v)| v.live.get())
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         let gauges = self
@@ -357,6 +516,7 @@ impl Telemetry {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
+            .filter(|(_, v)| v.live.get())
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         let histograms = self
@@ -364,6 +524,7 @@ impl Telemetry {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
+            .filter(|(_, v)| v.count() > 0)
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
         let (events, events_dropped) = self.events.snapshot();
@@ -469,6 +630,24 @@ mod tests {
     }
 
     #[test]
+    fn resolved_series_show_once_written() {
+        let t = Telemetry::new();
+        let (c, g, h) = (t.counter("c"), t.gauge("g"), t.histogram("h"));
+        let s = t.snapshot();
+        assert!(!s.counters.contains_key("c"));
+        assert!(s.gauges.is_empty(), "{:?}", s.gauges);
+        assert!(s.histograms.is_empty());
+        // A zero bump and a zero set still register, as by name.
+        c.incr(0);
+        g.set(0.0);
+        h.observe(0);
+        let s = t.snapshot();
+        assert_eq!(s.counters.get("c"), Some(&0));
+        assert_eq!(s.gauges.get("g"), Some(&0.0));
+        assert_eq!(s.histograms.get("h").map(|h| h.count), Some(1));
+    }
+
+    #[test]
     fn span_trees_lay_out_on_the_session_clock() {
         let t = Telemetry::new();
         let batch = SpanNode::node(
@@ -479,8 +658,8 @@ mod tests {
                 SpanNode::leaf("d2h", 50),
             ],
         );
-        let id1 = t.record_span_tree(&batch);
-        let id2 = t.record_span_tree(&batch);
+        let id1 = t.record_span_tree(batch.clone());
+        let id2 = t.record_span_tree(batch);
         assert!(id1 >= 1 && id2 > id1);
         let s = t.snapshot();
         assert_eq!(s.spans.len(), 8);
@@ -499,12 +678,29 @@ mod tests {
         let t = Telemetry::with_capacities(DEFAULT_EVENT_CAPACITY, 3);
         let tree = SpanNode::node("root", vec![SpanNode::leaf("leaf", 10)]);
         for _ in 0..3 {
-            t.record_span_tree(&tree);
+            t.record_span_tree(tree.clone());
         }
         let s = t.snapshot();
         assert_eq!(s.spans.len(), 3);
         assert_eq!(s.spans_dropped, 3);
         assert_eq!(s.counters.get(names::SPANS_DROPPED), Some(&3));
+    }
+
+    #[test]
+    fn a_tree_larger_than_the_ring_keeps_its_tail() {
+        let t = Telemetry::with_capacities(DEFAULT_EVENT_CAPACITY, 3);
+        let leaves = (1..=4).map(|i| SpanNode::leaf("leaf", 10 * i)).collect();
+        let root = t.record_span_tree(SpanNode::node("root", leaves));
+        let s = t.snapshot();
+        // The root was evicted before its end was known; its children
+        // survive as orphans, laid out back to back.
+        assert_eq!(s.spans_dropped, 2);
+        let kept: Vec<(u64, u64, u64)> = s
+            .spans
+            .iter()
+            .map(|x| (x.parent, x.start_ns, x.end_ns))
+            .collect();
+        assert_eq!(kept, [(root, 10, 30), (root, 30, 60), (root, 60, 100)]);
     }
 
     #[test]
@@ -521,7 +717,7 @@ mod tests {
                 SpanNode::leaf("d2h", 100),
             ],
         );
-        t.record_span_tree(&tree);
+        t.record_span_tree(tree);
         let s = t.snapshot();
         assert_eq!(s.counters.get("cuart.trace.critical.dram"), Some(&1));
         let share = s.gauges.get(names::TRACE_CRITICAL_SHARE).copied().unwrap();

@@ -6,9 +6,18 @@
 //! durations are modeled nanoseconds) and commit it with
 //! [`Telemetry::record_span_tree`](crate::Telemetry::record_span_tree),
 //! which lays the tree out on a session-monotonic modeled clock, assigns
-//! ids, stores the flattened [`Span`]s in a bounded ring and attributes
-//! the tree's time to its dominant leaf stage
-//! (`cuart.trace.critical.<stage>` counters).
+//! ids, stores the spans in a bounded ring and attributes the tree's time
+//! to its dominant leaf stage (`cuart.trace.critical.<stage>` counters).
+//!
+//! # Hot-path rule
+//!
+//! A tree is built from `'static` names and typed [`AttrValue`]s, so its
+//! only allocations are its own `Vec`s. The commit takes it **by value**
+//! and moves names and attributes into the ring; with the ring full and
+//! the tree's stage seen before (its critical counter handle is cached per
+//! stage), a commit allocates nothing. Strings are made only when
+//! [`Telemetry::snapshot`](crate::Telemetry::snapshot) renders the ring
+//! into [`Span`]s.
 //!
 //! Invariant the producers uphold (and the exporter checks verify): for a
 //! per-batch tree (`batch.*` / `sched.batch.*` roots) the children run
@@ -29,13 +38,18 @@
     reason = "every `.expect(\"string write\")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code"
 )]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Default bound of the span ring (whole spans, not trees).
 pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
 /// One recorded span: a named interval on the modeled timeline.
+///
+/// This is the exported form: [`Telemetry::snapshot`](crate::Telemetry::snapshot)
+/// renders it from the registry's compact store, so names and attribute
+/// values are strings here however they were recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Session-unique id (assigned at commit; never 0).
@@ -59,30 +73,95 @@ impl Span {
     }
 }
 
+/// A span attribute value, kept typed until an exporter reads it: a
+/// commit stores it as is, and only [`Telemetry::snapshot`](crate::Telemetry::snapshot)
+/// renders it to the string a [`Span`] carries.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    /// An unsigned integer (counts, bytes, nanoseconds).
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// Text; a `&'static str` costs no allocation.
+    Text(Cow<'static, str>),
+    /// A share in `0.0..=1.0`, rendered with three decimals.
+    Ratio(f64),
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(v) => write!(f, "{v}"),
+            AttrValue::Bool(v) => write!(f, "{v}"),
+            AttrValue::Text(v) => f.write_str(v),
+            AttrValue::Ratio(v) => write!(f, "{v:.3}"),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(v: u64) -> Self {
+        AttrValue::U64(v)
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(v: u32) -> Self {
+        AttrValue::U64(u64::from(v))
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(v: bool) -> Self {
+        AttrValue::Bool(v)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Text(Cow::Borrowed(v))
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(v: String) -> Self {
+        AttrValue::Text(Cow::Owned(v))
+    }
+}
+
 /// A span tree under construction, before ids and absolute times exist.
 ///
 /// Leaves carry modeled durations; interior nodes span their children.
 /// Children are laid out back to back unless [`SpanNode::at`] pins one to
-/// an explicit offset from the parent's start (overlap, pipelines).
+/// an explicit offset from the parent's start (overlap, pipelines). Names
+/// and attribute keys are usually `'static`, so building a tree allocates
+/// only its `Vec`s, and [`Telemetry::record_span_tree`](crate::Telemetry::record_span_tree)
+/// moves it into the span store without copying a string.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanNode {
     /// Stage name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Own duration: the full duration for leaves; for interior nodes a
     /// floor that children may extend past.
     pub duration_ns: u64,
     /// Explicit start offset from the parent's start; `None` means
     /// "directly after the previous sibling".
     pub start_rel_ns: Option<u64>,
-    /// Free-form key/value attributes.
-    pub attrs: Vec<(String, String)>,
+    /// Key/value attributes.
+    pub attrs: Vec<(&'static str, AttrValue)>,
     /// Child stages.
     pub children: Vec<SpanNode>,
 }
 
 impl SpanNode {
     /// A leaf stage of `duration_ns` modeled nanoseconds.
-    pub fn leaf(name: impl Into<String>, duration_ns: u64) -> SpanNode {
+    pub fn leaf(name: impl Into<Cow<'static, str>>, duration_ns: u64) -> SpanNode {
         SpanNode {
             name: name.into(),
             duration_ns,
@@ -91,7 +170,7 @@ impl SpanNode {
     }
 
     /// An interior node spanning `children` (laid out sequentially).
-    pub fn node(name: impl Into<String>, children: Vec<SpanNode>) -> SpanNode {
+    pub fn node(name: impl Into<Cow<'static, str>>, children: Vec<SpanNode>) -> SpanNode {
         SpanNode {
             name: name.into(),
             children,
@@ -100,8 +179,8 @@ impl SpanNode {
     }
 
     /// Attach an attribute (builder style).
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl ToString) -> SpanNode {
-        self.attrs.push((key.into(), value.to_string()));
+    pub fn with_attr(mut self, key: &'static str, value: impl Into<AttrValue>) -> SpanNode {
+        self.attrs.push((key, value.into()));
         self
     }
 
@@ -118,69 +197,97 @@ impl SpanNode {
         self
     }
 
-    /// Sum leaf durations into `totals`, keyed by leaf name.
-    pub fn leaf_totals(&self, totals: &mut BTreeMap<String, u64>) {
+    /// Visit every leaf, depth first.
+    fn for_each_leaf<'s>(&'s self, f: &mut impl FnMut(&'s SpanNode)) {
         if self.children.is_empty() {
-            *totals.entry(self.name.clone()).or_insert(0) += self.duration_ns;
+            f(self);
         } else {
             for c in &self.children {
-                c.leaf_totals(totals);
+                c.for_each_leaf(f);
             }
         }
+    }
+
+    /// The dominant leaf stage: its name, its summed duration and the
+    /// tree's total leaf time. Ties resolve to the lexicographically first
+    /// name. One walk sums the leaves per name into a table on the stack,
+    /// no map; a tree with more distinct leaf names than it holds (none the
+    /// engines build) sums into a table with a slot per leaf instead.
+    pub(crate) fn dominant(&self) -> Option<(&Cow<'static, str>, u64, u64)> {
+        let mut stages = [(NO_STAGE, 0u64); STAGE_TABLE];
+        if let Some((len, total)) = self.stage_totals(&mut stages) {
+            return pick_dominant(&stages[..len], total);
+        }
+        let mut leaves = 0;
+        self.for_each_leaf(&mut |_| leaves += 1);
+        let mut stages = vec![(NO_STAGE, 0u64); leaves];
+        let (len, total) = self.stage_totals(&mut stages)?;
+        pick_dominant(&stages[..len], total)
+    }
+
+    /// Sum leaf durations per distinct name into `table`; returns the
+    /// number of names and the total leaf time, or `None` when the tree
+    /// has more distinct names than `table` has slots.
+    fn stage_totals<'s>(
+        &'s self,
+        table: &mut [(&'s Cow<'static, str>, u64)],
+    ) -> Option<(usize, u64)> {
+        let (mut len, mut total, mut overflow) = (0, 0u64, false);
+        let slots = table.len();
+        self.for_each_leaf(&mut |l| {
+            total += l.duration_ns;
+            // Stage names are mostly the same `'static` constants, so
+            // compare addresses before bytes.
+            let same = |name: &Cow<'static, str>| {
+                (name.as_ptr() == l.name.as_ptr() && name.len() == l.name.len()) || *name == l.name
+            };
+            match table[..len].iter_mut().find(|(name, _)| same(name)) {
+                Some((_, ns)) => *ns += l.duration_ns,
+                None if len < slots => {
+                    table[len] = (&l.name, l.duration_ns);
+                    len += 1;
+                }
+                None => overflow = true,
+            }
+        });
+        (!overflow).then_some((len, total))
     }
 
     /// The dominant leaf stage `(name, duration, share-of-leaf-time)`, or
     /// `None` for an empty tree. Ties resolve to the lexicographically
     /// first name, so attribution is deterministic.
-    pub fn dominant_leaf(&self) -> Option<(String, u64, f64)> {
-        let mut totals = BTreeMap::new();
-        self.leaf_totals(&mut totals);
-        let total: u64 = totals.values().sum();
-        let (name, ns) = totals.into_iter().max_by_key(|(_, ns)| *ns)?;
-        let share = if total == 0 {
-            0.0
-        } else {
-            ns as f64 / total as f64
-        };
-        Some((name, ns, share))
+    pub fn dominant_leaf(&self) -> Option<(&str, u64, f64)> {
+        self.dominant()
+            .map(|(name, ns, total)| (name.as_ref(), ns, share(ns, total)))
     }
+}
 
-    /// Flatten this tree into [`Span`]s starting at `start_ns`, assigning
-    /// ids from `next_id` (pre-increment). Returns the root's end time.
-    /// Children without an explicit offset run back to back; the root's
-    /// end is the later of its own duration and its last-ending child.
-    pub fn layout(
-        &self,
-        parent: u64,
-        start_ns: u64,
-        next_id: &mut u64,
-        out: &mut Vec<Span>,
-    ) -> u64 {
-        let id = *next_id;
-        *next_id += 1;
-        // Reserve the slot so parents precede children in store order.
-        let slot = out.len();
-        out.push(Span {
-            id,
-            parent,
-            name: self.name.clone(),
-            start_ns,
-            end_ns: start_ns,
-            attrs: self.attrs.clone(),
-        });
-        let mut cursor = start_ns;
-        let mut end = start_ns.saturating_add(self.duration_ns);
-        for child in &self.children {
-            let child_start = match child.start_rel_ns {
-                Some(rel) => start_ns.saturating_add(rel),
-                None => cursor,
-            };
-            let child_end = child.layout(id, child_start, next_id, out);
-            cursor = child_end;
-            end = end.max(child_end);
-        }
-        out[slot].end_ns = end;
-        end
+/// Distinct leaf names [`SpanNode::dominant`] sums on the stack. The
+/// engines' trees have at most eight.
+const STAGE_TABLE: usize = 16;
+
+/// Filler of the stage table's unused slots.
+const NO_STAGE: &Cow<'static, str> = &Cow::Borrowed("");
+
+/// The largest per-name total; a tie goes to the lexicographically first
+/// name.
+fn pick_dominant<'s>(
+    stages: &[(&'s Cow<'static, str>, u64)],
+    total: u64,
+) -> Option<(&'s Cow<'static, str>, u64, u64)> {
+    let best = stages.iter().fold(None, |best, &(name, ns)| match best {
+        Some((b_name, b_ns)) if b_ns > ns || (b_ns == ns && b_name <= name) => best,
+        _ => Some((name, ns)),
+    });
+    best.map(|(name, ns)| (name, ns, total))
+}
+
+/// `part / total`, 0 for an empty total.
+pub(crate) fn share(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
     }
 }
 
@@ -239,17 +346,21 @@ pub fn critical_paths(spans: &[Span]) -> Vec<CriticalPath> {
         .into_iter()
         .filter_map(|(root, totals)| {
             let total: u64 = totals.values().sum();
-            let (stage, stage_ns) = totals.into_iter().max_by_key(|(_, ns)| *ns)?;
+            // Ascending names; a later one wins only when strictly
+            // larger, so ties go to the lexicographically first.
+            let (stage, stage_ns) =
+                totals
+                    .into_iter()
+                    .fold(None, |best, (name, ns)| match best {
+                        Some((_, b)) if b >= ns => best,
+                        _ => Some((name, ns)),
+                    })?;
             Some(CriticalPath {
                 root,
                 root_name: by_id.get(&root).map(|s| s.name.clone()).unwrap_or_default(),
                 stage,
                 stage_ns,
-                share: if total == 0 {
-                    0.0
-                } else {
-                    stage_ns as f64 / total as f64
-                },
+                share: share(stage_ns, total),
             })
         })
         .collect()
@@ -355,6 +466,7 @@ pub fn to_folded(spans: &[Span]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     fn batch_tree() -> SpanNode {
         SpanNode::node(
@@ -369,16 +481,32 @@ mod tests {
                 SpanNode::leaf("d2h", 100),
             ],
         )
-        .with_attr("keys", 1024)
+        .with_attr("keys", 1024usize)
+    }
+
+    /// Commit `trees` back to back into a fresh registry, after a
+    /// `start_ns`-long pad leaf when `start_ns > 0`; returns the spans of
+    /// the trees (the pad dropped).
+    fn committed(start_ns: u64, trees: Vec<SpanNode>) -> Vec<Span> {
+        let t = Telemetry::new();
+        if start_ns > 0 {
+            t.record_span_tree(SpanNode::leaf("pad", start_ns));
+        }
+        for tree in trees {
+            t.record_span_tree(tree);
+        }
+        let mut spans = t.snapshot().spans;
+        if start_ns > 0 {
+            spans.remove(0);
+        }
+        spans
     }
 
     #[test]
     fn sequential_layout_sums_leaves_to_root() {
-        let mut out = Vec::new();
-        let mut next = 1;
-        let end = batch_tree().layout(0, 1_000, &mut next, &mut out);
-        assert_eq!(end, 1_000 + 1_600);
+        let out = committed(1_000, vec![batch_tree()]);
         let root = &out[0];
+        assert_eq!(root.end_ns, 1_000 + 1_600);
         assert_eq!(root.parent, 0);
         assert_eq!(root.duration_ns(), 1_600);
         let leaf_sum: u64 = out
@@ -411,10 +539,8 @@ mod tests {
                 SpanNode::leaf("cpu", 900).at(0),
             ],
         );
-        let mut out = Vec::new();
-        let mut next = 1;
-        let end = tree.layout(0, 0, &mut next, &mut out);
-        assert_eq!(end, 900);
+        let out = committed(0, vec![tree]);
+        assert_eq!(out[0].end_ns, 900);
         assert_eq!(out[0].duration_ns(), 900);
         assert_eq!(out[1].start_ns, 0);
         assert_eq!(out[2].start_ns, 0);
@@ -422,15 +548,13 @@ mod tests {
 
     #[test]
     fn dominant_leaf_attribution() {
-        let (stage, ns, share) = batch_tree().dominant_leaf().unwrap();
+        let tree = batch_tree();
+        let (stage, ns, share) = tree.dominant_leaf().unwrap();
         assert_eq!(stage, "dram");
         assert_eq!(ns, 600);
         assert!((share - 600.0 / 1_600.0).abs() < 1e-12);
-        // Recomputation from flattened spans agrees.
-        let mut out = Vec::new();
-        let mut next = 1;
-        batch_tree().layout(0, 0, &mut next, &mut out);
-        let cps = critical_paths(&out);
+        // Recomputation from the committed spans agrees.
+        let cps = critical_paths(&committed(0, vec![batch_tree()]));
         assert_eq!(cps.len(), 1);
         assert_eq!(cps[0].stage, "dram");
         assert_eq!(cps[0].root_name, "sched.batch.lookup");
@@ -438,10 +562,79 @@ mod tests {
     }
 
     #[test]
+    fn tied_leaves_resolve_to_the_lexicographically_first_name() {
+        // `h2d` and `d2h` tie at 300 ns (the `d2h` total is split over two
+        // leaves); `d2h` sorts first. `zz` is listed first but is smaller.
+        let tree = SpanNode::node(
+            "batch.lookup",
+            vec![
+                SpanNode::leaf("zz", 100),
+                SpanNode::leaf("h2d", 300),
+                SpanNode::leaf("d2h", 200),
+                SpanNode::leaf("d2h", 100),
+            ],
+        );
+        let (stage, ns, share) = tree.dominant_leaf().unwrap();
+        assert_eq!((stage, ns), ("d2h", 300));
+        assert!((share - 300.0 / 700.0).abs() < 1e-12);
+        let t = Telemetry::new();
+        t.record_span_tree(tree);
+        let snap = t.snapshot();
+        assert_eq!(snap.counters.get("cuart.trace.critical.d2h"), Some(&1));
+        assert_eq!(snap.counters.get("cuart.trace.critical.h2d"), None);
+        let cps = critical_paths(&snap.spans);
+        assert_eq!(cps.len(), 1);
+        assert_eq!((cps[0].stage.as_str(), cps[0].stage_ns), ("d2h", 300));
+    }
+
+    #[test]
+    fn trees_with_many_stage_names_apply_the_same_rule() {
+        // More distinct leaf names than the stack table holds: `s05` and
+        // `s17` tie at the maximum, `s05` sorts first.
+        const NAMES: [&str; 20] = [
+            "s00", "s01", "s02", "s03", "s04", "s05", "s06", "s07", "s08", "s09", "s10", "s11",
+            "s12", "s13", "s14", "s15", "s16", "s17", "s18", "s19",
+        ];
+        let leaves = NAMES
+            .iter()
+            .rev()
+            .map(|&n| SpanNode::leaf(n, if n == "s05" || n == "s17" { 50 } else { 10 }))
+            .collect();
+        let tree = SpanNode::node("root", leaves);
+        let (stage, ns, share) = tree.dominant_leaf().unwrap();
+        assert_eq!((stage, ns), ("s05", 50));
+        assert!((share - 50.0 / 280.0).abs() < 1e-12);
+        let cps = critical_paths(&committed(0, vec![tree]));
+        assert_eq!((cps[0].stage.as_str(), cps[0].stage_ns), ("s05", 50));
+    }
+
+    #[test]
+    fn attributes_render_when_read() {
+        let tree = SpanNode::leaf("kernel", 10)
+            .with_attr("warps", 16u64)
+            .with_attr("sorted", false)
+            .with_attr("op", "lookup")
+            .with_attr("l2_hit_rate", AttrValue::Ratio(0.77777));
+        let out = committed(0, vec![tree]);
+        let attrs: Vec<(&str, &str)> = out[0]
+            .attrs
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            attrs,
+            [
+                ("warps", "16"),
+                ("sorted", "false"),
+                ("op", "lookup"),
+                ("l2_hit_rate", "0.778")
+            ]
+        );
+    }
+
+    #[test]
     fn chrome_json_is_parseable_and_ns_exact() {
-        let mut out = Vec::new();
-        let mut next = 1;
-        batch_tree().layout(0, 1_234, &mut next, &mut out);
+        let out = committed(1_234, vec![batch_tree()]);
         let json = to_chrome_json(&out);
         let v = crate::json::parse(&json).expect("chrome trace parses");
         let events = v
@@ -464,10 +657,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_aggregate_self_time() {
-        let mut out = Vec::new();
-        let mut next = 1;
-        batch_tree().layout(0, 0, &mut next, &mut out);
-        batch_tree().layout(0, 2_000, &mut next, &mut out);
+        let out = committed(0, vec![batch_tree(), batch_tree()]);
         let folded = to_folded(&out);
         // Leaves carry all the time; two identical trees double it.
         assert!(

@@ -6,14 +6,25 @@
 //! the caller put them, and kernel reads are heap-free — so once a session
 //! is warm, a batch call allocates a handful of times (its result vector,
 //! its index list, the per-phase DRAM model) however many keys it carries.
+//! With a telemetry registry attached the same holds: the session bumps
+//! handles it resolved at open and commits its span tree by move, so the
+//! only extra allocations are the `Vec`s of that tree.
 //! One test only: the counter is process-wide.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
+use cuart_telemetry::Telemetry;
 use cuart_workloads::uniform_keys;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// `Vec`s of one `batch.lookup` / `batch.update` span tree: the root's
+/// children and attributes, the attributes of `h2d` and `d2h`, and the
+/// `kernel` subtree's children plus the attributes of `kernel`, `dram`
+/// and `exec`.
+const SPAN_TREE_VECS: u64 = 8;
 
 struct CountingAllocator;
 
@@ -80,4 +91,43 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
         "1 Ki-op vs 8 Ki-op update_batch"
     );
     assert!(update_large <= 6, "update_batch allocated {update_large}×");
+
+    // The telemetry-attached twin, span recording on. Small rings, filled
+    // by the warm-up: a long-running server records into full rings. The
+    // warm-up also runs both sizes once, because the first tree a stage
+    // dominates resolves that stage's critical-path counter.
+    let telemetry = Arc::new(Telemetry::with_capacities(16, 64));
+    let traced = index.clone().with_telemetry(Arc::clone(&telemetry));
+    let mut session = traced.device_session(&devices::rtx3090());
+    for _ in 0..8 {
+        session.lookup_batch(large).unwrap();
+        session.lookup_batch(small).unwrap();
+        session.update_batch(&large_ops).unwrap();
+        session.update_batch(&small_ops).unwrap();
+    }
+    let snap = telemetry.snapshot();
+    assert!(
+        snap.events_dropped > 0 && snap.spans_dropped > 0,
+        "rings full"
+    );
+    let traced_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
+    let traced_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));
+    assert_eq!(
+        traced_small, traced_large,
+        "1 Ki-key vs 8 Ki-key lookup_batch with telemetry"
+    );
+    assert!(
+        traced_large <= lookup_large + SPAN_TREE_VECS,
+        "traced lookup_batch allocated {traced_large}× (plain: {lookup_large}×)"
+    );
+    let traced_small = allocations_of(|| drop(session.update_batch(&small_ops).unwrap()));
+    let traced_large = allocations_of(|| drop(session.update_batch(&large_ops).unwrap()));
+    assert_eq!(
+        traced_small, traced_large,
+        "1 Ki-op vs 8 Ki-op update_batch with telemetry"
+    );
+    assert!(
+        traced_large <= update_large + SPAN_TREE_VECS,
+        "traced update_batch allocated {traced_large}× (plain: {update_large}×)"
+    );
 }
