@@ -293,7 +293,7 @@ pub const GROUPS: &[GroupDef] = &[
     GroupDef { id: "sched", table_name: None,
         hook: "serving layer (extension): keys accepted from producers, device batches dispatched, and how many took the sorted §3.1-locality path. `enqueued == keys_dispatched` at shutdown is the no-loss invariant." },
     GroupDef { id: "sched-flush", table_name: None,
-        hook: "why each batch flushed: it reached the size target, or the linger ran out on an underfilled one — with the default zero linger, an idle executor took what was queued (the fill/latency trade fig19 sweeps with positive lingers)." },
+        hook: "why each batch flushed: it reached the size target, or the linger ran out on an underfilled one — with the default zero linger, an idle executor took what was queued (a positive `--deadline-us` linger trades latency for fill)." },
     GroupDef { id: "sched-depth", table_name: None,
         hook: "pending keys at flush time — backpressure signal from producers outrunning the executor." },
     GroupDef { id: "sched-lat", table_name: None,

@@ -7,7 +7,6 @@
 //! figures all --full             # paper-scale (needs a big machine)
 //! figures all --out results/     # output directory (default: results/)
 //! figures all --telemetry        # also dump results/telemetry.json
-//! figures fig19 --smoke          # CI-sized sweep (threads/ops shrunk)
 //! figures fig-regress            # perf gate vs results/baseline.json
 //! figures fig-regress --update-baseline   # re-pin the baseline
 //! figures ablations              # modeled design-choice ablations
@@ -60,13 +59,35 @@ fn run_regress_gate(baseline_path: &str, update: bool, threshold: f64) {
     }
 }
 
+const USAGE: &str = "usage: figures <all|figN|fig-regress|ablations ...> [--scale N] [--full] \
+                     [--out DIR] [--telemetry] [--baseline FILE] [--update-baseline] [--threshold F]";
+
+/// Print the usage and the known ids, then exit 2 — before any figure ran.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("figures: {msg}\n{USAGE}");
+    eprintln!(
+        "known ids: all {} fig-regress ablations",
+        figures::ALL.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The value after flag `args[*i]`, advancing `i` past it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i) {
+        Some(v) => v,
+        None => usage_error(&format!("{flag} takes a value")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
     let mut scale = 16usize;
     let mut out_dir = "results".to_string();
     let mut want_telemetry = false;
-    let mut smoke = false;
     let mut baseline = "results/baseline.json".to_string();
     let mut update_baseline = false;
     let mut threshold = regress::DEFAULT_THRESHOLD;
@@ -74,29 +95,31 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes an integer");
+                scale = match flag_value(&args, &mut i).parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => usage_error("--scale takes an integer >= 1"),
+                }
             }
             "--full" => scale = 1,
-            "--out" => {
-                i += 1;
-                out_dir = args[i].clone();
-            }
+            "--out" => out_dir = flag_value(&args, &mut i).to_string(),
             "--telemetry" => want_telemetry = true,
-            "--smoke" => smoke = true,
-            "--baseline" => {
-                i += 1;
-                baseline = args[i].clone();
-            }
+            "--baseline" => baseline = flag_value(&args, &mut i).to_string(),
             "--update-baseline" => update_baseline = true,
             "--threshold" => {
-                i += 1;
-                threshold = args[i].parse().expect("--threshold takes a float");
+                threshold = flag_value(&args, &mut i)
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--threshold takes a float"))
             }
             "all" => ids.extend(figures::ALL.iter().map(|s| s.to_string())),
-            id => ids.push(id.to_string()),
+            id if figures::ALL.contains(&id) || id == "fig-regress" || id == "ablations" => {
+                ids.push(id.to_string())
+            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
         i += 1;
+    }
+    if ids.is_empty() {
+        usage_error("no figure id given");
     }
     if ids.iter().any(|id| id == "fig-regress") {
         run_regress_gate(&baseline, update_baseline, threshold);
@@ -112,18 +135,10 @@ fn main() {
             return;
         }
     }
-    if ids.is_empty() {
-        eprintln!(
-            "usage: figures <all|figN|fig-regress|ablations ...> [--scale N] [--full] [--out DIR] \
-             [--telemetry] [--smoke] [--baseline FILE] [--update-baseline] [--threshold F]"
-        );
-        eprintln!("known figures: {:?}", figures::ALL);
-        std::process::exit(2);
-    }
     ids.dedup();
 
     let telemetry = want_telemetry.then(|| Arc::new(Telemetry::new()));
-    let mut ctx = RunCtx::new(scale, &out_dir).with_smoke(smoke);
+    let mut ctx = RunCtx::new(scale, &out_dir);
     if let Some(t) = &telemetry {
         ctx = ctx.with_telemetry(t.clone());
     }

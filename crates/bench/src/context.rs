@@ -19,9 +19,6 @@ pub struct RunCtx {
     /// Optional telemetry sink; when set, every index the context builds
     /// records its batches into it (`figures --telemetry`).
     telemetry: Option<Arc<Telemetry>>,
-    /// Smoke mode (`figures --smoke`): figures shrink their thread counts
-    /// and op totals so CI can exercise them end-to-end in seconds.
-    smoke: bool,
 }
 
 impl RunCtx {
@@ -32,20 +29,7 @@ impl RunCtx {
             scale,
             out_dir: out_dir.into(),
             telemetry: None,
-            smoke: false,
         }
-    }
-
-    /// Enable smoke mode: figures that sweep threads or large op counts
-    /// shrink to a CI-sized footprint.
-    pub fn with_smoke(mut self, smoke: bool) -> Self {
-        self.smoke = smoke;
-        self
-    }
-
-    /// `true` when running in CI smoke mode.
-    pub fn smoke(&self) -> bool {
-        self.smoke
     }
 
     /// Attach a telemetry registry: indexes built through [`cuart`](Self::cuart)

@@ -4,35 +4,15 @@ pub mod cpu;
 pub mod gpu_devices;
 pub mod hybrid;
 pub mod lookup;
-pub mod net;
-pub mod overload;
-pub mod scaleout;
-pub mod serving;
 pub mod update;
 
 use crate::context::RunCtx;
 use crate::series::Figure;
 
-/// All figure ids in paper order (`fig19`, `fig-overload`, `fig-scaleout`
-/// and `fig-net` are this repo's serving-layer extensions, not paper
-/// figures).
+/// All figure ids in paper order.
 pub const ALL: &[&str] = &[
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
+    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
     "fig18",
-    "fig19",
-    "fig-overload",
-    "fig-scaleout",
-    "fig-net",
 ];
 
 /// Run one figure by id.
@@ -50,10 +30,6 @@ pub fn run(id: &str, ctx: &RunCtx) -> Figure {
         "fig16" => update::fig16(ctx),
         "fig17" => update::fig17(ctx),
         "fig18" => gpu_devices::fig18(ctx),
-        "fig19" => serving::fig19(ctx),
-        "fig-overload" => overload::fig_overload(ctx),
-        "fig-scaleout" => scaleout::fig_scaleout(ctx),
-        "fig-net" => net::fig_net(ctx),
         other => panic!("unknown figure id {other:?}; known: {ALL:?}"),
     }
 }

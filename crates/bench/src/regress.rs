@@ -41,7 +41,8 @@ const SEED: u64 = 0xC0A7;
 ///   (single sequential client, request size pinned to the batch target, so
 ///   each request coalesces into exactly one batch and the modeled time is
 ///   exact across runs despite the TCP transport). Modeled device clock,
-///   not wall clock: the wall-clock figure of that path is `fig-net`.
+///   not wall clock: the stack benchmark (`benchmark/`) measures that
+///   path's wall clock.
 /// - `stage_share.<name>` — fraction of total leaf span time spent in each
 ///   pipeline stage (`h2d`, `dram`, `exec`, `d2h`).
 pub fn run_smoke() -> BTreeMap<String, f64> {
@@ -131,10 +132,11 @@ pub fn run_smoke() -> BTreeMap<String, f64> {
 /// Deterministic by construction: one sequential client, each request
 /// exactly `BATCH` keys against a scheduler whose batch target is also
 /// `BATCH` with a far-off coalescing deadline, so every request flushes
-/// as exactly one size-triggered batch. The metric is modeled kernel
-/// time plus one launch overhead per batch (the fig19 convention) —
-/// wall-clock TCP and thread-handoff time is deliberately excluded, so
-/// the number is exact across runs and machines.
+/// as exactly one size-triggered batch. The metric divides by
+/// [`SchedulerStats::modeled_time_ns`](cuart_host::scheduler::SchedulerStats::modeled_time_ns)
+/// (kernel time plus one launch overhead per batch) — wall-clock TCP and
+/// thread-handoff time is deliberately excluded, so the number is exact
+/// across runs and machines.
 fn net_smoke_mops(
     art: &cuart_art::Art<u64>,
     stored: &[Vec<u8>],
@@ -174,8 +176,7 @@ fn net_smoke_mops(
         (KEYS / BATCH) as u64,
         "one batch per request"
     );
-    let total_ns = stats.kernel_time_ns + stats.batches as f64 * dev.launch_overhead_us * 1_000.0;
-    stats.keys_dispatched as f64 * 1_000.0 / total_ns
+    stats.keys_dispatched as f64 * 1_000.0 / stats.modeled_time_ns(dev)
 }
 
 /// Serialize a metric map as the baseline JSON document.

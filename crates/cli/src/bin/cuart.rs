@@ -1,7 +1,6 @@
 //! The `cuart` command-line tool. See the `cuart-cli` crate docs.
 
 use cuart_cli::*;
-use cuart_host::SchedulerConfig;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -21,28 +20,22 @@ USAGE:
                [--fault-seed N] [--fault-rate P]
   cuart metrics INDEX [--keys FILE] [--hex] [--device NAME] [--batch N]
                 [--batches N] [--format json|prom] [--metrics-out FILE]
-  cuart serve-sim INDEX [--producers 4] [--deadline-us {deadline_us}] [--batch {batch}]
-                  [--ops 65536] [--unsorted] [--smoke] [--device NAME]
-                  [--shards N] [--shard-devices NAME,NAME,...]
-                  [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
-                  [--fault-seed N] [--fault-rate P]
-                  [--admission block|reject] [--admission-timeout-us N]
-                  [--queue-cap N] [--op-deadline-us N]
-  cuart serve  INDEX --listen ADDR [--device NAME] [--batch {batch}]
-               [--deadline-us {deadline_us}] [--unsorted] [--shards N]
-               [--shard-devices NAME,NAME,...] [--window {window}]
+  cuart serve  INDEX --listen ADDR [SERVER FLAGS] [--window {window}]
                [--idle-timeout-ms N] [--allow-shutdown]
-               [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
-               [--fault-seed N] [--fault-rate P]
-               [--admission block|reject] [--admission-timeout-us N]
-               [--queue-cap N] [--op-deadline-us N]
-  cuart bench-net INDEX [--connect ADDR] [--clients 4] [--ops 65536]
-               [--req-keys 256] [--smoke] [--shutdown] [--device NAME]
-               [--metrics-out FILE]
+  cuart bench-net INDEX [--connect ADDR [--shutdown] | SERVER FLAGS]
+               [--clients 4] [--ops 65536] [--req-keys 256] [--smoke]
   cuart trace  INDEX [--device NAME] [--batch N] [--batches N]
                [--out trace.json] [--folded out.txt]
   cuart verify-trace TRACE.json
   cuart verify-snapshot INDEX
+
+SERVER FLAGS (serve, and bench-net's self-hosted server):
+  [--device NAME] [--batch {batch}] [--deadline-us {deadline_us}] [--unsorted]
+  [--shards N] [--shard-devices NAME,NAME,...]
+  [--fault-seed N] [--fault-rate P]
+  [--admission block|reject] [--admission-timeout-us N]
+  [--queue-cap N] [--op-deadline-us N]
+  [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
 
 DEVICES: a100 (server), rtx3090 (workstation), gtx1070 (notebook)
 KEY FILES: one key per line; optional 'key<TAB>value'; --hex for hex keys
@@ -51,12 +44,11 @@ run, as JSON (default) or Prometheus text
 FAULTS: --fault-rate P injects device faults with probability P per op
 (seeded by --fault-seed, default 0) to drill the retry/degrade/recover
 path.
-TRACING: `trace` (and serve-sim --trace-out) export hierarchical span
-trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
---folded writes flamegraph-style folded stacks. --smoke pins the
-serve-sim workload to 8192 ops in batches of 1024 for comparable CI
-runs. verify-trace checks a trace file nests and that every batch
-tree's leaf durations reproduce the modeled batch time (±1%).
+TRACING: `trace` (and serve/bench-net --trace-out) export hierarchical
+span trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
+--folded writes flamegraph-style folded stacks. verify-trace checks a
+trace file nests and that every batch tree's leaf durations reproduce
+the modeled batch time (±1%).
 BATCHING: the executor dispatches whatever is queued as soon as it is
 free; --deadline-us makes an idle executor hold an underfilled batch
 open that long (a linger), --batch caps one batch.
@@ -74,9 +66,33 @@ structural parse) without loading it
 NETWORK: `serve` puts the scheduler behind the cuart-net binary RPC
 protocol on --listen and blocks until a remote shutdown frame
 (--allow-shutdown) drains it; `bench-net` sprays lookups from --clients
-TCP connections at --connect (or a self-hosted loopback server) and
-reports goodput. --smoke pins bench-net to 4 clients x 8192 ops in
-256-key frames; --shutdown sends the drain frame when done.";
+TCP connections at --connect, or at the server `serve` would build from
+the same SERVER FLAGS on a self-hosted loopback port, and reports
+goodput (refusals counted, not fatal) and, self-hosted, both clocks.
+--smoke pins bench-net to 4 clients x 8192 ops in 256-key frames and,
+self-hosted, drills a pinned fault storm to breaker recovery (with
+--fault-*) and a shed (with --op-deadline-us); --shutdown sends the
+drain frame to a --connect server when done.";
+
+/// The flags [`serve_options`] reads: they configure a server, so
+/// `bench-net --connect` refuses them.
+const SERVER_FLAGS: &[&str] = &[
+    "device",
+    "batch",
+    "deadline-us",
+    "unsorted",
+    "shards",
+    "shard-devices",
+    "fault-seed",
+    "fault-rate",
+    "admission",
+    "admission-timeout-us",
+    "queue-cap",
+    "op-deadline-us",
+    "metrics-out",
+    "trace-out",
+    "folded-out",
+];
 
 struct Args {
     positional: Vec<String>,
@@ -116,6 +132,12 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// `--name` parsed as a `T`; a value that does not parse fails.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.flag(name)
+            .map(|s| s.parse().unwrap_or_else(|_| fail(&format!("bad --{name}"))))
+    }
+
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
@@ -128,26 +150,11 @@ impl Args {
 /// [`USAGE`] with the defaults `cuart serve` ships — read from the same
 /// config structs the server is built from, so the text cannot drift.
 fn usage() -> String {
-    let sched = SchedulerConfig::default();
+    let serve = ServeOptions::default();
     USAGE
-        .replace("{deadline_us}", &sched.deadline.as_micros().to_string())
-        .replace("{batch}", &sched.batch_target.to_string())
+        .replace("{deadline_us}", &serve.deadline_us.to_string())
+        .replace("{batch}", &serve.batch.to_string())
         .replace("{window}", &NetOptions::default().window.to_string())
-}
-
-/// `--deadline-us` / `--batch`, defaulting to what [`SchedulerConfig`]
-/// does.
-fn batching_options(args: &Args) -> (u64, usize) {
-    let sched = SchedulerConfig::default();
-    let deadline_us = args
-        .flag("deadline-us")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
-        .unwrap_or(sched.deadline.as_micros() as u64);
-    let batch = args
-        .flag("batch")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-        .unwrap_or(sched.batch_target);
-    (deadline_us, batch)
 }
 
 fn fail(msg: &str) -> ! {
@@ -166,12 +173,8 @@ fn required_path(_args: &Args, what: &str, value: Option<&str>) -> PathBuf {
 /// flag switches injection on; the seed defaults to 0 and the rate to
 /// 0.05 (the 5 % drill rate).
 fn fault_options(args: &Args) -> Option<FaultOptions> {
-    let seed = args
-        .flag("fault-seed")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --fault-seed")));
-    let rate: Option<f64> = args
-        .flag("fault-rate")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --fault-rate")));
+    let seed = args.parsed("fault-seed");
+    let rate: Option<f64> = args.parsed("fault-rate");
     if seed.is_none() && rate.is_none() {
         return None;
     }
@@ -185,13 +188,11 @@ fn fault_options(args: &Args) -> Option<FaultOptions> {
     })
 }
 
-/// Parse the serve-sim overload knobs (`--admission`,
-/// `--admission-timeout-us`, `--queue-cap`, `--op-deadline-us`).
-fn overload_options(args: &Args) -> OverloadOptions {
-    let timeout_us: Option<u64> = args.flag("admission-timeout-us").map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| fail("bad --admission-timeout-us"))
-    });
+/// Parse the server-side flags `serve` and self-hosted `bench-net` share
+/// ([`SERVER_FLAGS`] but the three spill paths).
+fn serve_options(args: &Args) -> ServeOptions {
+    let defaults = ServeOptions::default();
+    let timeout_us = args.parsed("admission-timeout-us");
     let admission = match (args.flag("admission"), timeout_us) {
         (Some("reject"), _) => AdmissionPolicy::Reject,
         (Some("block") | None, Some(us)) => {
@@ -200,26 +201,21 @@ fn overload_options(args: &Args) -> OverloadOptions {
         (Some("block") | None, None) => AdmissionPolicy::Block,
         (Some(other), _) => fail(&format!("bad --admission {other:?} (block|reject)")),
     };
-    OverloadOptions {
-        admission,
-        queue_cap: args
-            .flag("queue-cap")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --queue-cap")))
-            .unwrap_or(0),
-        op_deadline_us: args
-            .flag("op-deadline-us")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --op-deadline-us"))),
-    }
-}
-
-/// Parse the serve-sim scale-out knobs (`--shards`, `--shard-devices`).
-fn shard_options(args: &Args) -> ShardOptions {
-    ShardOptions {
-        shards: args
-            .flag("shards")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --shards")))
-            .unwrap_or(0),
-        devices: args.flag("shard-devices").map(str::to_string),
+    ServeOptions {
+        device: args.flag("device").unwrap_or(&defaults.device).to_string(),
+        batch: args.parsed("batch").unwrap_or(defaults.batch),
+        deadline_us: args.parsed("deadline-us").unwrap_or(defaults.deadline_us),
+        unsorted: args.has("unsorted"),
+        faults: fault_options(args),
+        overload: OverloadOptions {
+            admission,
+            queue_cap: args.parsed("queue-cap").unwrap_or(0),
+            op_deadline_us: args.parsed("op-deadline-us"),
+        },
+        shard: ShardOptions {
+            shards: args.parsed("shards").unwrap_or(0),
+            devices: args.flag("shard-devices").map(str::to_string),
+        },
     }
 }
 
@@ -231,14 +227,14 @@ fn main() {
     let cmd = raw[0].clone();
     let args = Args::parse(&raw[1..]);
     let hex = args.has("hex");
+    let metrics_out = args.flag("metrics-out").map(PathBuf::from);
+    let trace_out = args.flag("trace-out").map(PathBuf::from);
+    let folded_out = args.flag("folded-out").map(PathBuf::from);
     let result = match cmd.as_str() {
         "build" => {
             let keys = required_path(&args, "--keys FILE", args.flag("keys"));
             let out = required_path(&args, "--out FILE", args.flag("out"));
-            let span = args
-                .flag("lut-span")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --lut-span")))
-                .unwrap_or(3);
+            let span = args.parsed("lut-span").unwrap_or(3);
             cmd_build(&keys, &out, hex, span)
         }
         "info" => cmd_info(&required_path(&args, "INDEX", args.pos(0))),
@@ -251,16 +247,12 @@ fn main() {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let lo = args.pos(1).unwrap_or_else(|| fail("missing LO"));
             let hi = args.pos(2).unwrap_or_else(|| fail("missing HI"));
-            let limit = args
-                .flag("limit")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --limit")))
-                .unwrap_or(20);
+            let limit = args.parsed("limit").unwrap_or(20);
             cmd_range(&idx, lo, hi, hex, limit)
         }
         "query" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let keys = required_path(&args, "--keys FILE", args.flag("keys"));
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
             cmd_query(
                 &idx,
                 &keys,
@@ -272,15 +264,8 @@ fn main() {
         }
         "bench" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(8);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
+            let batch = args.parsed("batch").unwrap_or(32 * 1024);
+            let batches = args.parsed("batches").unwrap_or(8);
             cmd_bench(
                 &idx,
                 args.flag("device").unwrap_or("rtx3090"),
@@ -293,15 +278,8 @@ fn main() {
         "metrics" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let keys = args.flag("keys").map(PathBuf::from);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(4096);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(4);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
+            let batch = args.parsed("batch").unwrap_or(4096);
+            let batches = args.parsed("batches").unwrap_or(4);
             cmd_metrics(
                 &idx,
                 keys.as_deref(),
@@ -313,109 +291,56 @@ fn main() {
                 metrics_out.as_deref(),
             )
         }
-        "serve-sim" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let producers = args
-                .flag("producers")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --producers")))
-                .unwrap_or(4);
-            let (deadline_us, batch) = batching_options(&args);
-            let ops = args
-                .flag("ops")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --ops")))
-                .unwrap_or(64 * 1024);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
-            let trace_out = args.flag("trace-out").map(PathBuf::from);
-            let folded_out = args.flag("folded-out").map(PathBuf::from);
-            cmd_serve_sim(
-                &idx,
-                args.flag("device").unwrap_or("rtx3090"),
-                producers,
-                deadline_us,
-                batch,
-                ops,
-                args.has("unsorted"),
-                args.has("smoke"),
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-                fault_options(&args),
-                overload_options(&args),
-                shard_options(&args),
-            )
-        }
         "serve" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let listen = args
                 .flag("listen")
                 .unwrap_or_else(|| fail("missing --listen ADDR"));
-            let (deadline_us, batch) = batching_options(&args);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
-            let trace_out = args.flag("trace-out").map(PathBuf::from);
-            let folded_out = args.flag("folded-out").map(PathBuf::from);
-            let mut net = NetOptions {
+            let defaults = NetOptions::default();
+            let net = NetOptions {
+                window: args.parsed("window").unwrap_or(defaults.window),
+                idle_timeout_ms: args.parsed("idle-timeout-ms").unwrap_or(0),
                 allow_shutdown: args.has("allow-shutdown"),
-                ..NetOptions::default()
             };
-            if let Some(w) = args.flag("window") {
-                net.window = w.parse().unwrap_or_else(|_| fail("bad --window"));
-            }
-            if let Some(ms) = args.flag("idle-timeout-ms") {
-                net.idle_timeout_ms = ms.parse().unwrap_or_else(|_| fail("bad --idle-timeout-ms"));
-            }
             cmd_serve(
                 &idx,
                 listen,
-                args.flag("device").unwrap_or("rtx3090"),
-                deadline_us,
-                batch,
-                args.has("unsorted"),
+                &serve_options(&args),
+                net,
                 metrics_out.as_deref(),
                 trace_out.as_deref(),
                 folded_out.as_deref(),
-                fault_options(&args),
-                overload_options(&args),
-                shard_options(&args),
-                net,
             )
         }
         "bench-net" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let clients = args
-                .flag("clients")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --clients")))
-                .unwrap_or(4);
-            let ops = args
-                .flag("ops")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --ops")))
-                .unwrap_or(64 * 1024);
-            let req_keys = args
-                .flag("req-keys")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --req-keys")))
-                .unwrap_or(256);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
+            let connect = args.flag("connect");
+            if connect.is_some() {
+                if let Some(flag) = SERVER_FLAGS.iter().find(|f| args.has(f)) {
+                    fail(&format!(
+                        "--{flag} configures the self-hosted server; --connect drives \
+                         an external one"
+                    ));
+                }
+            }
             cmd_bench_net(
                 &idx,
-                args.flag("connect"),
-                clients,
-                ops,
-                req_keys,
+                connect,
+                args.parsed("clients").unwrap_or(4),
+                args.parsed("ops").unwrap_or(64 * 1024),
+                args.parsed("req-keys").unwrap_or(256),
                 args.has("smoke"),
                 args.has("shutdown"),
-                args.flag("device").unwrap_or("rtx3090"),
+                &serve_options(&args),
                 metrics_out.as_deref(),
+                trace_out.as_deref(),
+                folded_out.as_deref(),
             )
         }
         "trace" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(4096);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(8);
+            let batch = args.parsed("batch").unwrap_or(4096);
+            let batches = args.parsed("batches").unwrap_or(8);
             let out = args.flag("out").map(PathBuf::from);
             let folded = args.flag("folded").map(PathBuf::from);
             cmd_trace(

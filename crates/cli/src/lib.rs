@@ -11,18 +11,17 @@
 //!              [--fault-seed N] [--fault-rate P]
 //! cuart metrics idx.cuart [--keys probes.txt] [--hex] [--device NAME]
 //!               [--batch N] [--batches N] [--format json|prom] [--metrics-out FILE]
-//! cuart serve-sim idx.cuart [--producers 4] [--deadline-us N] [--batch N]
-//!                 [--ops 65536] [--unsorted] [--smoke] [--device NAME] [--metrics-out FILE]
-//!                 [--shards N] [--shard-devices NAME,NAME,...]
-//!                 [--trace-out FILE] [--folded-out FILE] [--fault-seed N] [--fault-rate P]
-//!                 [--admission block|reject] [--admission-timeout-us N]
-//!                 [--queue-cap N] [--op-deadline-us N]
-//! cuart serve  idx.cuart --listen 127.0.0.1:7070 [--device NAME] [--batch N]
-//!              [--deadline-us N] [--unsorted] [--shards N] [--shard-devices ...]
-//!              [--window N] [--idle-timeout-ms N]
-//!              [--allow-shutdown] [--metrics-out FILE] [overload/fault knobs]
-//! cuart bench-net idx.cuart [--connect ADDR] [--clients 4] [--ops 65536]
-//!              [--req-keys 256] [--smoke] [--shutdown] [--metrics-out FILE]
+//! cuart serve  idx.cuart --listen 127.0.0.1:7070 [server flags]
+//!              [--window N] [--idle-timeout-ms N] [--allow-shutdown]
+//! cuart bench-net idx.cuart [--connect ADDR [--shutdown] | server flags]
+//!              [--clients 4] [--ops 65536] [--req-keys 256] [--smoke]
+//!
+//! server flags: [--device NAME] [--batch N] [--deadline-us N] [--unsorted]
+//!               [--shards N] [--shard-devices NAME,NAME,...]
+//!               [--fault-seed N] [--fault-rate P]
+//!               [--admission block|reject] [--admission-timeout-us N]
+//!               [--queue-cap N] [--op-deadline-us N]
+//!               [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
 //! cuart trace  idx.cuart [--device NAME] [--batch N] [--batches N]
 //!              [--out trace.json] [--folded out.txt]
 //! cuart verify-trace trace.json
@@ -44,15 +43,16 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::{devices, DeviceConfig, FaultConfig, FaultInjector};
 pub use cuart_host::scheduler::AdmissionPolicy;
-use cuart_host::scheduler::{
-    BreakerConfig, SchedError, SchedOp, Scheduler, SchedulerConfig, SchedulerStats,
-};
-use cuart_host::sharded::{ShardedScheduler, ShardedStats};
+use cuart_host::scheduler::{BreakerConfig, SchedError, Scheduler, SchedulerConfig};
+use cuart_host::sharded::ShardedScheduler;
+use cuart_net::{NetClient, NetError, NetServer, SchedReport};
 use cuart_telemetry::tracing::{critical_paths, to_chrome_json, to_folded};
 use cuart_telemetry::{Snapshot, Telemetry};
 use std::fmt::Write as _;
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -267,7 +267,7 @@ pub struct FaultOptions {
     pub rate: f64,
 }
 
-/// Overload-protection options for `serve-sim` (`--admission`,
+/// Overload-protection options of a served scheduler (`--admission`,
 /// `--admission-timeout-us`, `--queue-cap`, `--op-deadline-us`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverloadOptions {
@@ -280,10 +280,11 @@ pub struct OverloadOptions {
     pub op_deadline_us: Option<u64>,
 }
 
-/// Scale-out options for `serve-sim` (`--shards`, `--shard-devices`).
+/// Scale-out options of a served fleet (`--shards`, `--shard-devices`).
 #[derive(Debug, Clone, Default)]
 pub struct ShardOptions {
-    /// Number of shards; `0` or `1` selects the single-device path.
+    /// Number of shards (`0` = not given); without `--shard-devices`,
+    /// `0` or `1` selects the single-device path.
     pub shards: usize,
     /// Comma-separated device names, one per shard (e.g.
     /// `rtx3090,rtx3090,gtx1070,gtx1070`). Overrides `--device`; when
@@ -306,7 +307,7 @@ impl ShardOptions {
                 if devs.is_empty() {
                     return Err(CliError::Input("--shard-devices names no device".into()));
                 }
-                if self.shards > 1 && devs.len() != self.shards {
+                if self.shards > 0 && devs.len() != self.shards {
                     return Err(CliError::Input(format!(
                         "--shards {} disagrees with --shard-devices ({} devices)",
                         self.shards,
@@ -318,6 +319,64 @@ impl ShardOptions {
             None => Ok(vec![default_dev; self.shards.max(1)]),
         }
     }
+}
+
+/// The server-side flags `cuart serve` and a self-hosted `cuart bench-net`
+/// share, parsed once, so the server a drill runs is the one `serve`
+/// builds (see `start_server`).
+#[derive(Debug, Clone)]
+pub struct ServeOptions {
+    /// Serving device (`--device`); every shard's unless
+    /// `--shard-devices` names them.
+    pub device: String,
+    /// Most keys in one batch (`--batch`).
+    pub batch: usize,
+    /// How long an idle executor holds an underfilled batch open, in µs
+    /// (`--deadline-us`).
+    pub deadline_us: u64,
+    /// Dispatch batches in arrival order instead of sorted (`--unsorted`).
+    pub unsorted: bool,
+    /// Device fault injection (`--fault-seed` / `--fault-rate`).
+    pub faults: Option<FaultOptions>,
+    /// Admission and shedding.
+    pub overload: OverloadOptions,
+    /// Scale-out.
+    pub shard: ShardOptions,
+}
+
+impl Default for ServeOptions {
+    /// What `cuart serve` ships: [`SchedulerConfig::default`]'s batching
+    /// on one RTX 3090.
+    fn default() -> Self {
+        let sched = SchedulerConfig::default();
+        ServeOptions {
+            device: "rtx3090".into(),
+            batch: sched.batch_target,
+            deadline_us: sched.deadline.as_micros() as u64,
+            unsorted: false,
+            faults: None,
+            overload: OverloadOptions::default(),
+            shard: ShardOptions::default(),
+        }
+    }
+}
+
+impl ServeOptions {
+    /// The serving devices: one, or one per shard.
+    pub fn devices(&self) -> Result<Vec<DeviceConfig>, CliError> {
+        self.shard.resolve(device_by_name(&self.device)?)
+    }
+}
+
+/// Every stored `(key, value)` of the index in key order; the workload
+/// the commands replay. An empty index is an input error.
+fn stored_keys(index: &CuartIndex) -> Result<Vec<(Vec<u8>, u64)>, CliError> {
+    let b = index.buffers();
+    let stored = cuart::range::range_query(b, &[0u8], &vec![0xFFu8; b.max_key_len.max(1)]);
+    if stored.is_empty() {
+        return Err(CliError::Input("index is empty".into()));
+    }
+    Ok(stored)
 }
 
 /// Open a device session, attaching a [`FaultInjector`] when fault
@@ -408,7 +467,7 @@ pub fn cmd_query(
 /// the paper's figures and `fig-regress` read) and the host wall clock
 /// (what running the simulator and the serving stack costs on this
 /// machine). `modeled_ns` is summed modeled time, `wall` the measured span.
-fn two_clock_line(keys: u64, modeled_ns: f64, wall: std::time::Duration) -> String {
+fn two_clock_line(keys: u64, modeled_ns: f64, wall: Duration) -> String {
     let modeled = if modeled_ns > 0.0 {
         format!("{:.1} MOps/s", keys as f64 / modeled_ns * 1e3)
     } else {
@@ -444,17 +503,10 @@ pub fn cmd_bench(
     let telemetry = Arc::new(Telemetry::new());
     let index = index.with_telemetry(telemetry.clone());
     // Query the stored keys themselves (all hits), round-robin.
-    let stored = cuart::range::range_query(
-        index.buffers(),
-        &[0u8],
-        &vec![0xFFu8; index.buffers().max_key_len.max(1)],
-    );
-    if stored.is_empty() {
-        return Err(CliError::Input("index is empty".into()));
-    }
+    let stored = stored_keys(&index)?;
     let mut session = open_session(&index, &dev, faults);
     let mut total_ns = 0.0;
-    let mut wall = std::time::Duration::ZERO;
+    let mut wall = Duration::ZERO;
     for b in 0..batches {
         let queries: Vec<Vec<u8>> = (0..batch)
             .map(|i| stored[(b * batch + i * 7) % stored.len()].0.clone())
@@ -506,17 +558,7 @@ pub fn cmd_metrics(
     let index = index.with_telemetry(telemetry.clone());
     let probes: Vec<Vec<u8>> = match keys_path {
         Some(p) => load_key_file(p, hex)?.into_iter().map(|(k, _)| k).collect(),
-        None => {
-            let stored = cuart::range::range_query(
-                index.buffers(),
-                &[0u8],
-                &vec![0xFFu8; index.buffers().max_key_len.max(1)],
-            );
-            if stored.is_empty() {
-                return Err(CliError::Input("index is empty".into()));
-            }
-            stored.into_iter().map(|(k, _)| k).collect()
-        }
+        None => stored_keys(&index)?.into_iter().map(|(k, _)| k).collect(),
     };
     let mut session = index.device_session(&dev);
     for b in 0..batches {
@@ -535,341 +577,7 @@ pub fn cmd_metrics(
     }
 }
 
-/// Drive the concurrent serving layer against a saved index: N producer
-/// threads submit point lookups through the
-/// [`scheduler`](cuart_host::scheduler), whose executor coalesces what
-/// is queued whenever it is free (at most `batch` keys per batch; an idle
-/// executor holds an underfilled batch open for `deadline_us`), sorted
-/// for locality unless `unsorted` is set.
-///
-/// Probes replay the stored keys round-robin (all hits) in shuffled
-/// order. With `metrics_out`, a JSON telemetry snapshot of the run —
-/// including the `cuart.sched.*` series — is written too. `smoke` pins
-/// the workload shape (8192 ops in batches of 1024) so CI runs are
-/// comparable; `trace_out` / `folded_out` export the recorded
-/// `sched.batch.*` span trees as Chrome-trace JSON / folded stacks.
-///
-/// Producers tolerate overload refusals (`QueueFull`, `AdmissionTimeout`,
-/// `DeadlineExceeded` are counted, not fatal); any other scheduler error
-/// still fails the command. Under `smoke` with faults armed the random
-/// rate is replaced by a pinned deterministic fault storm and the run is
-/// extended until the circuit breaker demonstrably walks
-/// `Open → HalfOpen → Closed` (a 5 % random rate cannot reliably produce
-/// a full trip-and-recover inside 8192 ops), so the CI overload drill can
-/// assert a clean `recovered` event in the metrics spill.
-///
-/// With `shard` asking for more than one device (`--shards N`,
-/// `--shard-devices`), the run switches to the
-/// [`sharded`](cuart_host::sharded) scale-out layer: one scheduler per
-/// device, key space split by the §3.3 LUT prefix, per-shard breakers and
-/// `cuart.sched.shard.<i>.*` telemetry, and a modeled aggregate
-/// throughput line (total keys over the slowest shard).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per command-line flag"
-)]
-pub fn cmd_serve_sim(
-    path: &Path,
-    device: &str,
-    producers: usize,
-    deadline_us: u64,
-    batch: usize,
-    ops: usize,
-    unsorted: bool,
-    smoke: bool,
-    metrics_out: Option<&Path>,
-    trace_out: Option<&Path>,
-    folded_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-    overload: OverloadOptions,
-    shard: ShardOptions,
-) -> Result<String, CliError> {
-    let producers = producers.max(1);
-    let (ops, batch) = if smoke { (8192, 1024) } else { (ops, batch) };
-    let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let devs = shard.resolve(dev)?;
-    let telemetry = Arc::new(Telemetry::new());
-    let index = Arc::new(index.with_telemetry(telemetry.clone()));
-    let stored = cuart::range::range_query(
-        index.buffers(),
-        &[0u8],
-        &vec![0xFFu8; index.buffers().max_key_len.max(1)],
-    );
-    if stored.is_empty() {
-        return Err(CliError::Input("index is empty".into()));
-    }
-    // The deterministic smoke storm: a pinned run of early device-op
-    // faults (degrade + breaker trip), clean afterwards (half-open probes
-    // recover). Only driven on the single-device path (the sharded path
-    // re-seeds injectors per shard, so the pinned schedule would not line
-    // up).
-    let smoke_storm = smoke && faults.is_some() && devs.len() == 1;
-    let injector = faults.map(|f| {
-        if smoke_storm {
-            FaultInjector::new(FaultConfig::uniform(f.seed, 0.0).fail_range(0, 8))
-        } else {
-            FaultInjector::uniform(f.seed, f.rate)
-        }
-    });
-    let breaker = if smoke_storm {
-        // Short cooldown so the Open → HalfOpen → Closed walk completes
-        // inside the pinned smoke workload.
-        Some(BreakerConfig {
-            open_cooldown: std::time::Duration::from_millis(2),
-            probe_batches: 1,
-            ..BreakerConfig::default()
-        })
-    } else {
-        Some(BreakerConfig::default())
-    };
-    let cfg = SchedulerConfig {
-        batch_target: batch.max(1),
-        deadline: std::time::Duration::from_micros(deadline_us),
-        sort_batches: !unsorted,
-        fault_injector: injector,
-        queue_cap: overload.queue_cap,
-        admission: overload.admission,
-        op_deadline: overload
-            .op_deadline_us
-            .map(std::time::Duration::from_micros),
-        breaker,
-        shard: None,
-    };
-    let stack = if devs.len() > 1 {
-        Stack::Sharded(ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).map_err(sched_err)?)
-    } else {
-        Stack::Single(Scheduler::spawn(Arc::clone(&index), dev, cfg))
-    };
-    let load = drive_producers(&stack, &stored, producers, ops)?;
-    if smoke_storm {
-        drive_breaker_recovery(&stack.connect()?, &telemetry, &stored)?;
-    }
-    if smoke && overload.op_deadline_us.is_some() {
-        // Deterministic shed probe: a zero-budget lookup is expired by the
-        // time the executor coalesces it, so the drill always exercises
-        // (and the CI assertion always sees) the shedding path.
-        let lookup = stack.connect()?;
-        match lookup(vec![stored[0].0.clone()], Some(std::time::Duration::ZERO)) {
-            Err(SchedError::DeadlineExceeded) => {}
-            other => {
-                return Err(CliError::Input(format!(
-                    "shed probe: expected DeadlineExceeded, got {other:?}"
-                )))
-            }
-        }
-    }
-    let mut out = match stack {
-        Stack::Single(sched) => single_report(
-            &sched.join().map_err(sched_err)?,
-            producers,
-            &load,
-            dev.name,
-            overload.queue_cap,
-        ),
-        Stack::Sharded(sharded) => sharded_report(
-            &sharded.join().map_err(sched_err)?,
-            producers,
-            &load,
-            overload.queue_cap,
-        ),
-    };
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
-    Ok(out)
-}
-
-fn sched_err(e: SchedError) -> CliError {
-    CliError::Input(format!("scheduler: {e}"))
-}
-
-/// One blocking lookup through a serving stack: keys and an optional
-/// latency budget in, values out.
-type Lookup =
-    Box<dyn Fn(Vec<Vec<u8>>, Option<std::time::Duration>) -> Result<Vec<u64>, SchedError> + Send>;
-
-/// The serving stack serve-sim drives: one scheduler, or a sharded fleet.
-enum Stack {
-    Single(Scheduler),
-    Sharded(ShardedScheduler),
-}
-
-impl Stack {
-    /// A new producer handle on the stack, as a [`Lookup`] built from the
-    /// client's `submit`.
-    fn connect(&self) -> Result<Lookup, CliError> {
-        Ok(match self {
-            Stack::Single(sched) => {
-                let client = sched.client().map_err(sched_err)?;
-                Box::new(move |keys, budget| {
-                    let ticket = client.submit(SchedOp::Lookup(keys), budget);
-                    ticket.wait()?.into_values()
-                })
-            }
-            Stack::Sharded(sharded) => {
-                let client = sharded.client().map_err(sched_err)?;
-                Box::new(move |keys, budget| {
-                    let ticket = client.submit(SchedOp::Lookup(keys), budget);
-                    ticket.wait()?.into_values()
-                })
-            }
-        })
-    }
-}
-
-/// What the serve-sim producers saw: hits, ops that were not refused, and
-/// the wall time of the run.
-struct Load {
-    hits: u64,
-    served: u64,
-    wall: std::time::Duration,
-}
-
-/// The serve-sim load, for either serving stack: `producers` threads each
-/// get a blocking lookup on `stack` and push their share of `ops`
-/// stored keys through it in 256-key requests. Overload refusals
-/// (`QueueFull`, `AdmissionTimeout`, `DeadlineExceeded`) are expected
-/// outcomes of an overload drill and are counted, not fatal; any other
-/// scheduler error fails the command.
-fn drive_producers(
-    stack: &Stack,
-    stored: &[(Vec<u8>, u64)],
-    producers: usize,
-    ops: usize,
-) -> Result<Load, CliError> {
-    const REQUEST_KEYS: usize = 256;
-    let per_producer = ops.div_ceil(producers).max(1);
-    let started = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for p in 0..producers {
-        let lookup = stack.connect()?;
-        // Each producer strides through the stored keys from its own
-        // offset, so arrival order at the executor is interleaved and
-        // unsorted.
-        let probes: Vec<Vec<u8>> = (0..per_producer)
-            .map(|i| {
-                stored[p.wrapping_mul(131).wrapping_add(i.wrapping_mul(7)) % stored.len()]
-                    .0
-                    .clone()
-            })
-            .collect();
-        handles.push(std::thread::spawn(move || {
-            let (mut hits, mut refused) = (0u64, 0u64);
-            for chunk in probes.chunks(REQUEST_KEYS) {
-                match lookup(chunk.to_vec(), None) {
-                    Ok(results) => {
-                        hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
-                    }
-                    Err(
-                        SchedError::DeadlineExceeded
-                        | SchedError::QueueFull
-                        | SchedError::AdmissionTimeout,
-                    ) => refused += chunk.len() as u64,
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((hits, refused))
-        }));
-    }
-    let (mut hits, mut refused) = (0u64, 0u64);
-    for h in handles {
-        let (h, r) = h
-            .join()
-            .map_err(|_| CliError::Input("producer thread panicked".into()))?
-            .map_err(sched_err)?;
-        hits += h;
-        refused += r;
-    }
-    Ok(Load {
-        hits,
-        served: (per_producer * producers) as u64 - refused,
-        wall: started.elapsed(),
-    })
-}
-
-/// The single-device serve-sim summary.
-fn single_report(
-    stats: &SchedulerStats,
-    producers: usize,
-    load: &Load,
-    device: &str,
-    queue_cap: usize,
-) -> String {
-    let mut out = format!(
-        "{} lookups from {producers} producers on {device} — {} batches \
-         (mean fill {:.0}, {} size / {} deadline / {} final flushes)\n\
-         modeled kernel {:.1} µs total, {:.2} ns/key, L2 hit rate {:.0}%, {} hits\n{}",
-        stats.ops_enqueued,
-        stats.batches,
-        stats.mean_batch_fill(),
-        stats.size_flushes,
-        stats.deadline_flushes,
-        stats.final_flushes,
-        stats.kernel_time_ns / 1e3,
-        stats.kernel_ns_per_key(),
-        100.0 * stats.l2_hit_rate(),
-        load.hits,
-        two_clock_line(load.served, stats.kernel_time_ns, load.wall),
-    );
-    let _ = write!(
-        out,
-        "\noverload: {} shed / {} rejected / {} admission timeouts, \
-         max resident {} (cap {queue_cap})\nbreaker: {} trips, {} probe batches, \
-         {} cpu-only batches",
-        stats.shed_ops,
-        stats.rejected_ops,
-        stats.admission_timeout_ops,
-        stats.max_resident_ops,
-        stats.breaker_trips,
-        stats.probe_batches,
-        stats.breaker_open_batches,
-    );
-    out
-}
-
-/// The `--shards N` / `--shard-devices` serve-sim summary: the aggregate,
-/// the modeled scale-out throughput (total keys over the slowest shard)
-/// and one line per shard.
-fn sharded_report(stats: &ShardedStats, producers: usize, load: &Load, queue_cap: usize) -> String {
-    let agg = stats.aggregate();
-    let mut out = format!(
-        "{} lookups from {producers} producers over {} shards — {} batches \
-         (mean fill {:.0}), {} routed requests\n\
-         modeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), {} hits\n{}",
-        agg.ops_enqueued,
-        stats.shards.len(),
-        agg.batches,
-        agg.mean_batch_fill(),
-        stats.routed_requests,
-        stats.modeled_aggregate_mops(),
-        stats.modeled_time_ns() / 1e3,
-        load.hits,
-        two_clock_line(load.served, stats.modeled_time_ns(), load.wall),
-    );
-    let _ = write!(
-        out,
-        "\noverload: {} shed / {} rejected / {} admission timeouts \
-         (per-shard cap {queue_cap}), breaker: {} trips",
-        agg.shed_ops, agg.rejected_ops, agg.admission_timeout_ops, agg.breaker_trips,
-    );
-    for s in &stats.shards {
-        let _ = write!(
-            out,
-            "\nshard {} ({}): {} ops, {} batches, kernel {:.1} µs, \
-             {} shed / {} rejected, {} breaker trips",
-            s.shard,
-            s.device.name,
-            s.stats.ops_enqueued,
-            s.stats.batches,
-            s.stats.kernel_time_ns / 1e3,
-            s.stats.shed_ops,
-            s.stats.rejected_ops,
-            s.stats.breaker_trips,
-        );
-    }
-    out
-}
-
-/// Shared serve-sim output tail: the JSON metrics spill and the
+/// Shared serving-command output tail: the JSON metrics spill and the
 /// Chrome-trace / folded-stack exports.
 fn spill_serving_outputs(
     out: &mut String,
@@ -900,41 +608,6 @@ fn spill_serving_outputs(
     Ok(())
 }
 
-/// Keep trickling probe lookups through the scheduler until the circuit
-/// breaker's recovery is visible in telemetry (a `recovered` session
-/// event — the half-open probe re-uploaded the device image), or a
-/// bounded number of rounds elapses. Used by the smoke fault drill, where
-/// the pinned workload may drain before the breaker cooldown does.
-fn drive_breaker_recovery(
-    lookup: &Lookup,
-    telemetry: &Arc<Telemetry>,
-    stored: &[(Vec<u8>, u64)],
-) -> Result<(), CliError> {
-    use cuart_telemetry::BatchKind;
-    for _ in 0..500 {
-        let recovered = telemetry
-            .snapshot()
-            .events
-            .iter()
-            .any(|ev| ev.kind == BatchKind::Recovered);
-        if recovered {
-            return Ok(());
-        }
-        // A generous explicit deadline: the drill's tight `--op-deadline-us`
-        // default would shed this drive traffic before it reaches the
-        // device and the probe window would never see a batch.
-        let budget = Some(std::time::Duration::from_secs(5));
-        match lookup(vec![stored[0].0.clone()], budget) {
-            Ok(_) | Err(SchedError::DeadlineExceeded) => {}
-            Err(e) => return Err(CliError::Input(format!("recovery drive: {e}"))),
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    Err(CliError::Input(
-        "breaker never recovered within the drill budget".into(),
-    ))
-}
-
 /// Run an instrumented lookup workload and export the recorded span trees
 /// as Chrome-trace / Perfetto JSON (`out`) and, optionally, flamegraph
 /// folded stacks (`folded_out`). With `out` unset the Chrome-trace JSON
@@ -952,14 +625,7 @@ pub fn cmd_trace(
     let dev = device_by_name(device)?;
     let telemetry = Arc::new(Telemetry::new());
     let index = index.with_telemetry(telemetry.clone());
-    let stored = cuart::range::range_query(
-        index.buffers(),
-        &[0u8],
-        &vec![0xFFu8; index.buffers().max_key_len.max(1)],
-    );
-    if stored.is_empty() {
-        return Err(CliError::Input("index is empty".into()));
-    }
+    let stored = stored_keys(&index)?;
     let mut session = index.device_session(&dev);
     for b in 0..batches {
         let queries: Vec<Vec<u8>> = (0..batch)
@@ -1139,7 +805,7 @@ impl NetOptions {
             window: self.window.max(1),
             idle_timeout: match self.idle_timeout_ms {
                 0 => None,
-                ms => Some(std::time::Duration::from_millis(ms)),
+                ms => Some(Duration::from_millis(ms)),
             },
             allow_remote_shutdown: self.allow_shutdown,
             ..cuart_net::NetServerConfig::default()
@@ -1147,62 +813,84 @@ impl NetOptions {
     }
 }
 
+/// Start the server `cuart serve` runs: a scheduler built from `opts` —
+/// a sharded fleet when `devs` names several devices — behind
+/// `listener`, every layer recording into `telemetry`. `storm` replaces
+/// the random fault rate with the pinned smoke storm of [`cmd_bench_net`].
+fn start_server(
+    index: CuartIndex,
+    telemetry: &Arc<Telemetry>,
+    devs: &[DeviceConfig],
+    opts: &ServeOptions,
+    net: &NetOptions,
+    listener: TcpListener,
+    storm: bool,
+) -> Result<NetServer, CliError> {
+    let index = Arc::new(index.with_telemetry(telemetry.clone()));
+    let (fault_injector, breaker) = match opts.faults {
+        // Early device ops fail (degrade + breaker trip), later ones are
+        // clean, and a short cooldown lets the Open → HalfOpen → Closed
+        // walk finish inside the drill.
+        Some(f) if storm => (
+            Some(FaultInjector::new(
+                FaultConfig::uniform(f.seed, 0.0).fail_range(0, 8),
+            )),
+            BreakerConfig {
+                open_cooldown: Duration::from_millis(2),
+                probe_batches: 1,
+                ..BreakerConfig::default()
+            },
+        ),
+        faults => (
+            faults.map(|f| FaultInjector::uniform(f.seed, f.rate)),
+            BreakerConfig::default(),
+        ),
+    };
+    let cfg = SchedulerConfig {
+        batch_target: opts.batch.max(1),
+        deadline: Duration::from_micros(opts.deadline_us),
+        sort_batches: !opts.unsorted,
+        fault_injector,
+        queue_cap: opts.overload.queue_cap,
+        admission: opts.overload.admission,
+        op_deadline: opts.overload.op_deadline_us.map(Duration::from_micros),
+        breaker: Some(breaker),
+        shard: None,
+    };
+    let telemetry = Some(Arc::clone(telemetry));
+    if devs.len() > 1 {
+        let fleet = ShardedScheduler::spawn(index, devs, cfg)
+            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+        NetServer::serve_sharded(listener, fleet, telemetry, net.server_config())
+    } else {
+        let sched = Scheduler::spawn(index, devs[0], cfg);
+        NetServer::serve_single(listener, sched, telemetry, net.server_config())
+    }
+    .map_err(CliError::Io)
+}
+
 /// Serve a saved index over TCP (`cuart serve INDEX --listen ADDR`): the
-/// binary RPC protocol of [`cuart_net`], backed by the coalescing
-/// scheduler — or, with `--shards`/`--shard-devices`, the sharded fleet.
-/// Blocks until a remote shutdown frame arrives (requires
-/// `--allow-shutdown`) or the process is killed; on a clean drain the
-/// final summary (and `--metrics-out` spill, including the
-/// `cuart.net.*` series and the `cuart.net.drained` gauge) is emitted.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per command-line flag"
-)]
+/// binary RPC protocol of [`cuart_net`] in front of the server
+/// `start_server` builds from `opts`. Blocks until a remote shutdown
+/// frame arrives (requires `--allow-shutdown`) or the process is killed;
+/// on a clean drain the final summary (and `--metrics-out` spill,
+/// including the `cuart.net.*` series and the `cuart.net.drained` gauge)
+/// is emitted.
 pub fn cmd_serve(
     path: &Path,
     listen: &str,
-    device: &str,
-    deadline_us: u64,
-    batch: usize,
-    unsorted: bool,
+    opts: &ServeOptions,
+    net: NetOptions,
     metrics_out: Option<&Path>,
     trace_out: Option<&Path>,
     folded_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-    overload: OverloadOptions,
-    shard: ShardOptions,
-    net: NetOptions,
 ) -> Result<String, CliError> {
     let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let devs = shard.resolve(dev)?;
+    let devs = opts.devices()?;
     let telemetry = Arc::new(Telemetry::new());
-    let index = Arc::new(index.with_telemetry(telemetry.clone()));
-    let cfg = SchedulerConfig {
-        batch_target: batch.max(1),
-        deadline: std::time::Duration::from_micros(deadline_us),
-        sort_batches: !unsorted,
-        fault_injector: faults.map(|f| FaultInjector::uniform(f.seed, f.rate)),
-        queue_cap: overload.queue_cap,
-        admission: overload.admission,
-        op_deadline: overload
-            .op_deadline_us
-            .map(std::time::Duration::from_micros),
-        breaker: Some(BreakerConfig::default()),
-        shard: None,
-    };
-    let listener = std::net::TcpListener::bind(listen)
+    let listener = TcpListener::bind(listen)
         .map_err(|e| CliError::Input(format!("cannot listen on {listen}: {e}")))?;
-    let net_cfg = net.server_config();
-    let server = if devs.len() > 1 {
-        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg)
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        cuart_net::NetServer::serve_sharded(listener, sharded, Some(telemetry.clone()), net_cfg)
-    } else {
-        let sched = Scheduler::spawn(Arc::clone(&index), devs[0], cfg);
-        cuart_net::NetServer::serve_single(listener, sched, Some(telemetry.clone()), net_cfg)
-    }
-    .map_err(CliError::Io)?;
+    let server = start_server(index, &telemetry, &devs, opts, &net, listener, false)?;
     let addr = server.local_addr();
     // Liveness line on stderr before blocking, so scripts (and the CI
     // drill) know the listener is up even when stdout is buffered.
@@ -1225,13 +913,16 @@ pub fn cmd_serve(
     Ok(out)
 }
 
+/// The drained server's summary; a sharded fleet adds its modeled
+/// scale-out throughput (total keys over the slowest shard) and one line
+/// per shard.
 fn render_net_report(report: &cuart_net::NetReport, addr: &str) -> String {
     let agg = report.sched.aggregate();
     let mut out = format!(
         "drained {addr} cleanly — {} connection(s), {} ops served\n\
          frames {} in / {} out, {} decode errors, {} error frames, \
          {} window stalls\nscheduler: {} batches (mean fill {:.0}), \
-         {} shed / {} rejected, {} breaker trips",
+         {} shed / {} rejected / {} admission timeouts, {} breaker trips",
         report.accepted,
         report.served_ops,
         report.frames_in,
@@ -1243,27 +934,59 @@ fn render_net_report(report: &cuart_net::NetReport, addr: &str) -> String {
         agg.mean_batch_fill(),
         agg.shed_ops,
         agg.rejected_ops,
+        agg.admission_timeout_ops,
         agg.breaker_trips,
     );
-    if let cuart_net::SchedReport::Sharded(s) = &report.sched {
+    if let SchedReport::Sharded(s) = &report.sched {
         let _ = write!(
             out,
-            "\nsharded: {} requests routed over {} shard(s)",
+            "\nsharded: {} requests routed over {} shards, modeled scale-out \
+             {:.1} MOps/s (slowest shard {:.1} µs busy)",
             s.routed_requests,
-            s.shards.len()
+            s.shards.len(),
+            s.modeled_aggregate_mops(),
+            s.modeled_time_ns() / 1e3,
         );
+        for shard in &s.shards {
+            let st = &shard.stats;
+            let _ = write!(
+                out,
+                "\nshard {} ({}): {} ops, {} batches, kernel {:.1} µs, \
+                 {} shed / {} rejected, {} breaker trips",
+                shard.shard,
+                shard.device.name,
+                st.ops_enqueued,
+                st.batches,
+                st.kernel_time_ns / 1e3,
+                st.shed_ops,
+                st.rejected_ops,
+                st.breaker_trips,
+            );
+        }
     }
     out
 }
 
 /// Loopback/remote serving drill (`cuart bench-net`): N client threads
-/// spray point lookups at a [`cuart_net`] server and the goodput is
-/// reported. With `--connect ADDR` the drill drives an external
-/// `cuart serve` process (retrying the dial until the listener is up);
-/// otherwise it self-hosts a server on an ephemeral loopback port.
-/// `--smoke` pins the workload (4 clients × 8192 ops in 256-key frames)
-/// for comparable CI runs; `--shutdown` sends the remote-shutdown frame
-/// when done (self-hosted drills always drain their own server).
+/// spray point lookups at a [`cuart_net`] server in `req_keys`-key
+/// frames. With `connect` the drill drives an external `cuart serve`
+/// (retrying the dial until the listener is up; `serve` is not read, and
+/// the CLI refuses server-side flags there). Otherwise it self-hosts the
+/// server `start_server` builds from `serve` on an ephemeral loopback
+/// port, drains it when done, and reports both clocks and the server's
+/// summary.
+///
+/// Clients count overload refusals (`QueueFull`, `AdmissionTimeout`,
+/// `DeadlineExceeded`) instead of failing on them; goodput is the ops
+/// that were not refused. `smoke` pins the load (4 clients × 8192 ops in
+/// 256-key frames) for comparable CI runs and, self-hosted, adds the
+/// deterministic drill:
+/// - with faults on one device, a pinned fault storm replaces the random
+///   rate, and 1-key lookups follow the load until the circuit breaker's
+///   `Open → HalfOpen → Closed` walk shows a `recovered` event;
+/// - with `--op-deadline-us`, 1 µs-budget lookups follow until one is shed.
+///
+/// `shutdown` sends the remote-shutdown frame to a `connect`ed server.
 #[allow(
     clippy::too_many_arguments,
     reason = "one parameter per command-line flag"
@@ -1276,8 +999,10 @@ pub fn cmd_bench_net(
     req_keys: usize,
     smoke: bool,
     shutdown: bool,
-    device: &str,
+    serve: &ServeOptions,
     metrics_out: Option<&Path>,
+    trace_out: Option<&Path>,
+    folded_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let (clients, ops, req_keys) = if smoke {
         (4, 8192, 256)
@@ -1285,54 +1010,31 @@ pub fn cmd_bench_net(
         (clients.max(1), ops.max(1), req_keys.max(1))
     };
     let index = CuartIndex::load(path)?;
-    let stored = cuart::range::range_query(
-        index.buffers(),
-        &[0u8],
-        &vec![0xFFu8; index.buffers().max_key_len.max(1)],
-    );
-    if stored.is_empty() {
-        return Err(CliError::Input("index is empty".into()));
-    }
+    let stored = stored_keys(&index)?;
 
-    // Self-hosted server unless --connect points at an external one.
+    // Self-hosted server unless `connect` points at an external one.
     let telemetry = Arc::new(Telemetry::new());
-    let mut hosted = None;
-    let addr = match connect {
-        Some(a) => a.to_string(),
+    let (addr, hosted) = match connect {
+        Some(a) => (a.to_string(), None),
         None => {
-            let dev = device_by_name(device)?;
-            let index = Arc::new(index.with_telemetry(telemetry.clone()));
-            // Batching as `cuart serve` ships it, sized to the drill.
-            let cfg = SchedulerConfig {
-                batch_target: req_keys * clients,
-                ..SchedulerConfig::default()
-            };
-            let sched = Scheduler::spawn(index, dev, cfg);
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-            let server = cuart_net::NetServer::serve_single(
-                listener,
-                sched,
-                Some(telemetry.clone()),
-                cuart_net::NetServerConfig {
-                    allow_remote_shutdown: true,
-                    ..cuart_net::NetServerConfig::default()
-                },
-            )?;
-            let addr = server.local_addr().to_string();
-            hosted = Some(server);
-            addr
+            let devs = serve.devices()?;
+            let storm = smoke && serve.faults.is_some() && devs.len() == 1;
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let net = NetOptions::default();
+            let server = start_server(index, &telemetry, &devs, serve, &net, listener, storm)?;
+            (server.local_addr().to_string(), Some((server, devs, storm)))
         }
     };
 
     // An external listener may still be binding; retry the dial briefly.
-    let dial = |what: &str| -> Result<cuart_net::NetClient, CliError> {
+    let dial = |what: &str| -> Result<NetClient, CliError> {
         let mut last = None;
         for _ in 0..100 {
-            match cuart_net::NetClient::connect(&addr) {
+            match NetClient::connect(&addr) {
                 Ok(c) => return Ok(c),
                 Err(e) => {
                     last = Some(e);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    std::thread::sleep(Duration::from_millis(50));
                 }
             }
         }
@@ -1348,6 +1050,8 @@ pub fn cmd_bench_net(
     let mut handles = Vec::new();
     for p in 0..clients {
         let mut conn = dial("client")?;
+        // Each client strides through the stored keys from its own
+        // offset, so arrival order at the executor is interleaved.
         let probes: Vec<Vec<u8>> = (0..per_client)
             .map(|i| {
                 stored[p.wrapping_mul(131).wrapping_add(i.wrapping_mul(7)) % stored.len()]
@@ -1355,55 +1059,127 @@ pub fn cmd_bench_net(
                     .clone()
             })
             .collect();
-        handles.push(std::thread::spawn(
-            move || -> Result<u64, cuart_net::NetError> {
-                let mut hits = 0u64;
-                for chunk in probes.chunks(req_keys) {
-                    let results = conn.lookup(chunk.to_vec())?;
-                    hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
+        handles.push(std::thread::spawn(move || -> Result<_, NetError> {
+            let (mut hits, mut refused) = (0u64, 0u64);
+            for chunk in probes.chunks(req_keys) {
+                match conn.lookup(chunk.to_vec()) {
+                    Ok(results) => {
+                        hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
+                    }
+                    Err(e) if is_refusal(&e) => refused += chunk.len() as u64,
+                    Err(e) => return Err(e),
                 }
-                Ok(hits)
-            },
-        ));
+            }
+            Ok((hits, refused))
+        }));
     }
-    let mut hits = 0u64;
+    let (mut hits, mut refused) = (0u64, 0u64);
     for h in handles {
-        hits += h
+        let (h, r) = h
             .join()
             .map_err(|_| CliError::Input("client thread panicked".into()))?
             .map_err(net_err)?;
+        hits += h;
+        refused += r;
     }
     let wall = t0.elapsed();
-    let sent = per_client * clients;
+    let sent = (per_client * clients) as u64;
+    let served = sent - refused;
     let mut out = format!(
         "{sent} lookups from {clients} client(s) over TCP to {addr} — \
-         {hits} hits, {:.1} ms wall, {:.0} ops/s goodput",
+         {hits} hits, {refused} refused, {:.1} ms wall, {:.0} ops/s goodput",
         wall.as_secs_f64() * 1e3,
-        sent as f64 / wall.as_secs_f64().max(1e-9),
+        served as f64 / wall.as_secs_f64().max(1e-9),
     );
-    if shutdown || hosted.is_some() {
-        dial("shutdown")?.shutdown_server().map_err(net_err)?;
-    }
-    if let Some(server) = hosted {
-        let report = server
-            .join()
-            .map_err(|e| CliError::Input(format!("drain: {e}")))?;
-        let _ = write!(out, "\n{}", render_net_report(&report, &addr));
-        if let Some(p) = metrics_out {
-            out.push_str(&spill_metrics(&telemetry, p)?);
+    let Some((server, devs, storm)) = hosted else {
+        if shutdown {
+            dial("shutdown")?.shutdown_server().map_err(net_err)?;
         }
-    } else if let Some(p) = metrics_out {
-        // Connected mode: the server owns the telemetry; nothing useful
-        // to spill client-side.
-        eprintln!(
-            "warning: --metrics-out {} ignored with --connect (the server spills its own)",
-            p.display()
-        );
+        return Ok(out);
+    };
+    let key = &stored[0].0;
+    if storm {
+        drive_breaker_recovery(&mut dial("recovery drive")?, &telemetry, key)?;
     }
+    if smoke && serve.overload.op_deadline_us.is_some() {
+        shed_probe(&mut dial("shed probe")?, key)?;
+    }
+    server.shutdown_handle().shutdown();
+    let report = server
+        .join()
+        .map_err(|e| CliError::Input(format!("drain: {e}")))?;
+    let modeled_ns = match &report.sched {
+        SchedReport::Single(s) => s.modeled_time_ns(&devs[0]),
+        SchedReport::Sharded(s) => s.modeled_time_ns(),
+    };
+    let _ = write!(
+        out,
+        "\n{}\n{}",
+        two_clock_line(served, modeled_ns, wall),
+        render_net_report(&report, &addr)
+    );
+    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
     Ok(out)
 }
 
-fn net_err(e: cuart_net::NetError) -> CliError {
+/// An overload refusal, which a drill counts instead of failing on.
+fn is_refusal(e: &NetError) -> bool {
+    matches!(
+        e.as_sched_error(),
+        Some(SchedError::QueueFull | SchedError::AdmissionTimeout | SchedError::DeadlineExceeded)
+    )
+}
+
+/// Send 1-key lookups until the circuit breaker's recovery is visible in
+/// telemetry (a `recovered` session event: the half-open probe
+/// re-uploaded the device image), for at most 500 rounds. The pinned
+/// storm's load may drain before the breaker's cooldown does.
+fn drive_breaker_recovery(
+    conn: &mut NetClient,
+    telemetry: &Telemetry,
+    key: &[u8],
+) -> Result<(), CliError> {
+    use cuart_telemetry::BatchKind;
+    // A generous budget: the drill's tight `--op-deadline-us` default
+    // would shed this traffic before it reaches the device.
+    conn.set_deadline(Some(Duration::from_secs(5)));
+    for _ in 0..500 {
+        let snap = telemetry.snapshot();
+        if snap.events.iter().any(|ev| ev.kind == BatchKind::Recovered) {
+            return Ok(());
+        }
+        match conn.lookup(vec![key.to_vec()]) {
+            Ok(_) => {}
+            Err(e) if matches!(e.as_sched_error(), Some(SchedError::DeadlineExceeded)) => {}
+            Err(e) => return Err(CliError::Input(format!("recovery drive: {e}"))),
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Err(CliError::Input(
+        "breaker never recovered within the drill budget".into(),
+    ))
+}
+
+/// Send 1 µs-budget lookups (the wire encodes "no budget" as 0) until one
+/// is shed with `DeadlineExceeded`, at most 100, so the drill always
+/// exercises the shedding path.
+fn shed_probe(conn: &mut NetClient, key: &[u8]) -> Result<(), CliError> {
+    conn.set_deadline(Some(Duration::from_micros(1)));
+    for _ in 0..100 {
+        match conn.lookup(vec![key.to_vec()]) {
+            Err(e) if matches!(e.as_sched_error(), Some(SchedError::DeadlineExceeded)) => {
+                return Ok(())
+            }
+            Ok(_) => {}
+            Err(e) => return Err(net_err(e)),
+        }
+    }
+    Err(CliError::Input(
+        "shed probe: no 1 µs-budget lookup was shed in 100 tries".into(),
+    ))
+}
+
+fn net_err(e: NetError) -> CliError {
     CliError::Input(format!("net: {e}"))
 }
 
@@ -1431,6 +1207,40 @@ mod tests {
         let p = tmp(name);
         std::fs::write(&p, lines.join("\n")).unwrap();
         p
+    }
+
+    /// A key file of `n` keys `00000000, 00000001, …` (each valued by its
+    /// number) and the index built from it.
+    fn fixture(name: &str, n: u64) -> (std::path::PathBuf, std::path::PathBuf) {
+        let lines: Vec<String> = (0..n).map(|i| format!("{i:08}\t{i}")).collect();
+        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
+        let keys = write_keys(name, &refs);
+        let idx = tmp(&format!("{name}-idx"));
+        cmd_build(&keys, &idx, false, 2).unwrap();
+        (keys, idx)
+    }
+
+    /// A self-hosted `bench-net` run of `clients` × `ops` lookups in
+    /// 64-key frames against the server `serve` describes.
+    fn hosted(
+        idx: &Path,
+        clients: usize,
+        ops: usize,
+        smoke: bool,
+        serve: &ServeOptions,
+        spill: Option<&Path>,
+        trace: Option<&Path>,
+    ) -> Result<String, CliError> {
+        cmd_bench_net(
+            idx, None, clients, ops, 64, smoke, false, serve, spill, trace, None,
+        )
+    }
+
+    fn notebook() -> ServeOptions {
+        ServeOptions {
+            device: "gtx1070".into(),
+            ..ServeOptions::default()
+        }
     }
 
     #[test]
@@ -1570,11 +1380,7 @@ mod tests {
 
     #[test]
     fn fault_flags_run_and_report() {
-        let lines: Vec<String> = (0..300u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("faultopts", &refs);
-        let idx = tmp("faultopts-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
+        let (keys, idx) = fixture("faultopts", 300);
         let opts = Some(FaultOptions {
             seed: 7,
             rate: 0.05,
@@ -1591,189 +1397,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_sim_runs_producers_and_reports() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("serve", &refs);
-        let idx = tmp("serve-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
-        let out_file = tmp("serve-metrics");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            512,
-            1024,
-            false,
-            false,
-            Some(&out_file),
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
-        assert!(out.contains("1024 lookups from 2 producers"), "{out}");
-        assert!(out.contains("1024 hits"), "{out}");
-        assert!(
-            out.contains(" MOps/s; host wall clock: ") && out.contains(" keys/s (1024 keys in "),
-            "both clocks, labelled: {out}"
-        );
-        assert!(out.contains("metrics ->"), "{out}");
-        let written = std::fs::read_to_string(&out_file).unwrap();
-        assert!(written.contains("cuart.sched.batches"), "{written}");
-        assert!(written.contains("cuart.sched.enqueued"), "{written}");
-        // The unsorted control also runs.
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            1,
-            100,
-            256,
-            256,
-            true,
-            false,
-            None,
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
-        assert!(out.contains("256 lookups from 1 producers"), "{out}");
-        for p in [keys, idx, out_file] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn serve_sim_sharded_routes_and_reports_per_shard() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("sharded", &refs);
-        let idx = tmp("sharded-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
-        let out_file = tmp("sharded-metrics");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            512,
-            2048,
-            false,
-            false,
-            Some(&out_file),
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions {
-                shards: 2,
-                devices: Some("rtx3090, gtx1070".into()),
-            },
-        )
-        .unwrap();
-        assert!(
-            out.contains("2048 lookups from 2 producers over 2 shards"),
-            "{out}"
-        );
-        assert!(out.contains("modeled scale-out"), "{out}");
-        assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
-        assert!(out.contains("shard 0 (NVIDIA RTX 3090"), "{out}");
-        assert!(out.contains("shard 1 (NVIDIA GTX 1070"), "{out}");
-        let written = std::fs::read_to_string(&out_file).unwrap();
-        assert!(written.contains("cuart.sched.routed_requests"), "{written}");
-        assert!(written.contains("cuart.sched.shard.0."), "{written}");
-        // Count mismatch between --shards and --shard-devices is refused.
-        let err = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            1,
-            200,
-            512,
-            256,
-            false,
-            false,
-            None,
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions {
-                shards: 3,
-                devices: Some("rtx3090,gtx1070".into()),
-            },
-        );
-        assert!(
-            matches!(err, Err(CliError::Input(ref m)) if m.contains("disagrees")),
-            "{err:?}"
-        );
-        for p in [keys, idx, out_file] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn serve_sim_overload_drill_sheds_and_recovers() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("overload", &refs);
-        let idx = tmp("overload-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
-        let out_file = tmp("overload-metrics");
-        let overload = OverloadOptions {
-            admission: AdmissionPolicy::Reject,
-            queue_cap: 4096,
-            op_deadline_us: Some(500),
-        };
-        let faults = Some(FaultOptions {
-            seed: 7,
-            rate: 0.05,
-        });
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            4,
-            200,
-            1024,
-            8192,
-            false,
-            true, // smoke: pinned workload + deterministic fault storm
-            Some(&out_file),
-            None,
-            None,
-            faults,
-            overload,
-            ShardOptions::default(),
-        )
-        .unwrap();
-        // The deterministic shed probe guarantees a non-zero shed count.
-        assert!(out.contains("overload:"), "{out}");
-        assert!(!out.contains("overload: 0 shed"), "{out}");
-        assert!(out.contains("cap 4096"), "{out}");
-        // The storm tripped the breaker and the drill drove it back to
-        // recovery: both ends of the walk land in the metrics spill.
-        let written = std::fs::read_to_string(&out_file).unwrap();
-        assert!(written.contains("cuart.sched.breaker_trips"), "{written}");
-        assert!(written.contains("cuart.sched.shed"), "{written}");
-        assert!(written.contains("\"breaker_open\""), "{written}");
-        assert!(written.contains("\"recovered\""), "{written}");
-        for p in [keys, idx, out_file] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
     fn trace_exports_verify_clean() {
-        let lines: Vec<String> = (0..300u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("trace", &refs);
-        let idx = tmp("trace-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
+        let (keys, idx) = fixture("trace", 300);
         let trace = tmp("trace-json");
         let folded = tmp("trace-folded");
         let out = cmd_trace(&idx, "rtx3090", 128, 4, Some(&trace), Some(&folded)).unwrap();
@@ -1785,43 +1410,6 @@ mod tests {
         let stacks = std::fs::read_to_string(&folded).unwrap();
         assert!(stacks.contains("batch.lookup;"), "{stacks}");
         for p in [keys, idx, trace, folded] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn serve_sim_smoke_writes_verifiable_trace() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("smoke", &refs);
-        let idx = tmp("smoke-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
-        let trace = tmp("smoke-trace");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            64, // smoke overrides the batch/ops knobs
-            128,
-            false,
-            true,
-            None,
-            Some(&trace),
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
-        // Smoke mode pins the workload shape regardless of the flags.
-        assert!(out.contains("8192 lookups from 2 producers"), "{out}");
-        assert!(out.contains("trace ->"), "{out}");
-        let verdict = cmd_verify_trace(&trace).unwrap();
-        assert!(verdict.contains("OK"), "{verdict}");
-        let text = std::fs::read_to_string(&trace).unwrap();
-        assert!(text.contains("sched.batch.lookup"), "{text}");
-        for p in [keys, idx, trace] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1858,24 +1446,9 @@ mod tests {
 
     #[test]
     fn bench_net_self_hosted_drill_drains_cleanly() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("bench-net", &refs);
-        let idx = tmp("bench-net-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
+        let (keys, idx) = fixture("bench-net", 400);
         let spill = tmp("bench-net-metrics");
-        let out = cmd_bench_net(
-            &idx,
-            None,
-            2,
-            512,
-            64,
-            false,
-            false,
-            "gtx1070",
-            Some(&spill),
-        )
-        .unwrap();
+        let out = hosted(&idx, 2, 512, false, &notebook(), Some(&spill), None).unwrap();
         assert!(out.contains("512 lookups from 2 client(s)"), "{out}");
         assert!(out.contains("512 hits"), "{out}");
         assert!(out.contains("ops/s goodput"), "{out}");
@@ -1889,13 +1462,141 @@ mod tests {
         }
     }
 
+    /// The serving simulation: producers drive a self-hosted server's
+    /// scheduler, which reports both clocks and spills its series.
+    #[test]
+    fn serve_sim_runs_producers_and_reports() {
+        let (keys, idx) = fixture("serve", 400);
+        let spill = tmp("serve-metrics");
+        // Sorted batches, then the unsorted control.
+        for unsorted in [false, true] {
+            let serve = ServeOptions {
+                unsorted,
+                ..notebook()
+            };
+            let out = hosted(&idx, 2, 512, false, &serve, Some(&spill), None).unwrap();
+            assert!(out.contains("512 lookups from 2 client(s)"), "{out}");
+            assert!(out.contains("512 hits, 0 refused"), "{out}");
+            assert!(
+                out.contains(" MOps/s; host wall clock: ") && out.contains(" keys/s (512 keys in "),
+                "both clocks, labelled: {out}"
+            );
+            assert!(out.contains("metrics ->"), "{out}");
+            let written = std::fs::read_to_string(&spill).unwrap();
+            assert!(written.contains("cuart.sched.batches"), "{written}");
+            assert!(written.contains("cuart.sched.enqueued"), "{written}");
+        }
+        for p in [keys, idx, spill] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn bench_net_sharded_fleet_reports_per_shard() {
+        let (keys, idx) = fixture("sharded", 400);
+        let spill = tmp("sharded-metrics");
+        let fleet = |shards: usize| ServeOptions {
+            shard: ShardOptions {
+                shards,
+                devices: Some("rtx3090, gtx1070".into()),
+            },
+            ..notebook()
+        };
+        let out = hosted(&idx, 2, 2048, false, &fleet(2), Some(&spill), None).unwrap();
+        assert!(out.contains("2048 hits"), "{out}");
+        assert!(out.contains("routed over 2 shards"), "{out}");
+        assert!(out.contains("modeled scale-out"), "{out}");
+        assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
+        assert!(out.contains("shard 0 (NVIDIA RTX 3090"), "{out}");
+        assert!(out.contains("shard 1 (NVIDIA GTX 1070"), "{out}");
+        // The per-shard twins sum to the global series exactly (a shard
+        // no key routed to has no series).
+        let doc = cuart_telemetry::json::parse(&std::fs::read_to_string(&spill).unwrap()).unwrap();
+        let counter = |name: &str| {
+            let value = doc.get("counters").unwrap().get(name);
+            value.map_or(0, |v| v.as_u64().unwrap())
+        };
+        assert!(counter("cuart.sched.routed_requests") > 0);
+        let twins: u64 = (0..2)
+            .map(|i| counter(&format!("cuart.sched.shard.{i}.enqueued")))
+            .sum();
+        assert_eq!(twins, counter("cuart.sched.enqueued"));
+        assert!(twins > 0);
+        // A shard count that disagrees with --shard-devices is refused,
+        // an explicit `--shards 1` included.
+        for shards in [3, 1] {
+            let err = hosted(&idx, 1, 256, false, &fleet(shards), None, None);
+            assert!(
+                matches!(err, Err(CliError::Input(ref m)) if m.contains("disagrees")),
+                "--shards {shards}: {err:?}"
+            );
+        }
+        for p in [keys, idx, spill] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn bench_net_overload_drill_sheds_and_recovers() {
+        let (keys, idx) = fixture("overload", 400);
+        let spill = tmp("overload-metrics");
+        let serve = ServeOptions {
+            faults: Some(FaultOptions {
+                seed: 7,
+                rate: 0.05,
+            }),
+            overload: OverloadOptions {
+                admission: AdmissionPolicy::Reject,
+                queue_cap: 4096,
+                op_deadline_us: Some(500),
+            },
+            ..notebook()
+        };
+        // Smoke: the pinned load, the deterministic fault storm, the
+        // recovery drive and the shed probe.
+        let out = hosted(&idx, 2, 512, true, &serve, Some(&spill), None).unwrap();
+        let shed: u64 = out
+            .split(" shed / ")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no shed count: {out}"));
+        assert!(shed > 0, "the shed probe guarantees a shed op: {out}");
+        // The storm tripped the breaker and the drill drove it back to
+        // recovery: both ends of the walk land in the spill, in order.
+        let written = std::fs::read_to_string(&spill).unwrap();
+        assert!(written.contains("cuart.sched.breaker_trips"), "{written}");
+        assert!(written.contains("cuart.sched.shed"), "{written}");
+        let open = written
+            .find("\"breaker_open\"")
+            .expect("breaker_open event");
+        let recovered = written.find("\"recovered\"").expect("recovered event");
+        assert!(open < recovered, "{written}");
+        for p in [keys, idx, spill] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn bench_net_smoke_writes_verifiable_trace() {
+        let (keys, idx) = fixture("smoke", 400);
+        let trace = tmp("smoke-trace");
+        let out = hosted(&idx, 1, 64, true, &notebook(), None, Some(&trace)).unwrap();
+        // Smoke pins the load shape regardless of the flags.
+        assert!(out.contains("8192 lookups from 4 client(s)"), "{out}");
+        assert!(out.contains("trace ->"), "{out}");
+        let verdict = cmd_verify_trace(&trace).unwrap();
+        assert!(verdict.contains("OK"), "{verdict}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        assert!(text.contains("sched.batch.lookup"), "{text}");
+        for p in [keys, idx, trace] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
     #[test]
     fn serve_and_bench_net_pair_over_a_real_socket() {
-        let lines: Vec<String> = (0..400u64).map(|i| format!("{i:08}\t{i}")).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let keys = write_keys("serve-net", &refs);
-        let idx = tmp("serve-net-idx");
-        cmd_build(&keys, &idx, false, 2).unwrap();
+        let (keys, idx) = fixture("serve-net", 400);
         // Grab an ephemeral port, free it, and hand it to `cuart serve`
         // (bench-net's dial loop retries while the server binds).
         let port = std::net::TcpListener::bind("127.0.0.1:0")
@@ -1910,24 +1611,16 @@ mod tests {
             let addr = addr.clone();
             let spill = spill.clone();
             std::thread::spawn(move || {
-                cmd_serve(
-                    &idx,
-                    &addr,
-                    "gtx1070",
-                    200,
-                    512,
-                    false,
-                    Some(&spill),
-                    None,
-                    None,
-                    None,
-                    OverloadOptions::default(),
-                    ShardOptions::default(),
-                    NetOptions {
-                        allow_shutdown: true,
-                        ..NetOptions::default()
-                    },
-                )
+                let opts = ServeOptions {
+                    deadline_us: 200,
+                    batch: 512,
+                    ..notebook()
+                };
+                let net = NetOptions {
+                    allow_shutdown: true,
+                    ..NetOptions::default()
+                };
+                cmd_serve(&idx, &addr, &opts, net, Some(&spill), None, None)
             })
         };
         let out = cmd_bench_net(
@@ -1938,7 +1631,9 @@ mod tests {
             64,
             false,
             true, // --shutdown drains the serve thread
-            "gtx1070",
+            &ServeOptions::default(),
+            None,
+            None,
             None,
         )
         .unwrap();

@@ -467,7 +467,8 @@ pub enum Mode {
 /// reads, writes and ranges by one rule each and cannot disagree with
 /// itself. The overlay only ever grows with the keys a session touches;
 /// folding it back (`image ⊕ overlay → new image, clear overlay`) is the
-/// remap ROADMAP item 2(b) describes, and this pair is its input.
+/// remap DESIGN §7's overlay paragraph describes, and this pair is its
+/// input.
 ///
 /// # One batch, one path
 ///

@@ -838,6 +838,13 @@ impl SchedulerStats {
         }
     }
 
+    /// Modeled served time on `dev`: kernel time plus one launch overhead
+    /// per dispatched batch. The one rule every served-throughput figure
+    /// divides by.
+    pub fn modeled_time_ns(&self, dev: &DeviceConfig) -> f64 {
+        self.kernel_time_ns + self.batches as f64 * dev.launch_overhead_us * 1_000.0
+    }
+
     fn absorb_report(&mut self, keys: usize, report: &KernelReport) {
         self.batches = self.batches.saturating_add(1);
         self.keys_dispatched = self.keys_dispatched.saturating_add(keys as u64);

@@ -185,11 +185,10 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Modeled busy time of this shard: kernel time plus one launch
-    /// overhead per dispatched batch (the fig19 convention).
+    /// Modeled busy time of this shard on its device
+    /// ([`SchedulerStats::modeled_time_ns`]).
     pub fn modeled_time_ns(&self) -> f64 {
-        self.stats.kernel_time_ns
-            + self.stats.batches as f64 * self.device.launch_overhead_us * 1_000.0
+        self.stats.modeled_time_ns(&self.device)
     }
 }
 
