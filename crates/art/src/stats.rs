@@ -1,4 +1,4 @@
-//! Structural statistics of an [`Art`](crate::Art) tree.
+//! Structural statistics of an [`Art`] tree.
 //!
 //! Used by the benchmark harness to report node populations (the density
 //! effects discussed in §4.4 of the CuART paper) and by the GPU mappers to

@@ -1,4 +1,4 @@
-//! Read-only structural views of an [`Art`](crate::Art) tree.
+//! Read-only structural views of an [`Art`] tree.
 //!
 //! The GPU layout crates (`cuart-grt`, `cuart`) flatten the pointer-based
 //! tree into device buffers. They need to see the structure — node types,

@@ -3,7 +3,10 @@
 //! [`CuartIndex::build`] maps an ART into the structure of buffers;
 //! [`CuartIndex::device_session`] uploads it to a simulated device and
 //! keeps the L2 cache, hash table, free lists and staging buffers alive
-//! across batches — the steady-state regime the paper measures.
+//! across batches — the steady-state regime the paper measures. The one
+//! device path outside a session is the one-shot
+//! [`lookup_batch_device`](CuartIndex::lookup_batch_device): fresh device
+//! memory and a cold L2 per call, the kernel sample `gpu_runner` composes.
 //!
 //! A [`CuartSession`] runs every batch down one path: `point_batch` is the
 //! skeleton lookups, updates and inserts share, `range_batch` goes through
@@ -35,7 +38,7 @@ use crate::overlay::{Home, HostOverlay};
 use crate::range::{pack_range_records, RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES};
 use crate::update::{status, CuartUpdateKernel, FreeLists, DELETE};
 use cuart_art::Art;
-use cuart_gpu_sim::batch::{pack_keys, pack_keys_into, KeyBatchLayout, NOT_FOUND};
+use cuart_gpu_sim::batch::{lookup_fitting, pack_keys_into, KeyBatchLayout, NOT_FOUND};
 use cuart_gpu_sim::cache::Cache;
 use cuart_gpu_sim::exec::{KernelReport, KernelSeries, Launcher};
 use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSite, PhasedKernel};
@@ -231,9 +234,12 @@ impl CuartIndex {
     }
 
     /// As [`lookup_batch_device`](Self::lookup_batch_device) but returning
-    /// raw kernel results (host signals unresolved). Queries longer than
-    /// the batch stride saturate to [`NOT_FOUND`] — a key that does not
-    /// fit the stride cannot be stored under it either.
+    /// raw kernel results (host signals unresolved). The batch is staged by
+    /// [`lookup_fitting`], the rule GRT's one-shot lookup shares: queries
+    /// longer than the stride answer [`NOT_FOUND`], and a batch in which no
+    /// key fits launches nothing. A session uploads with leaf headroom and
+    /// a claim table, so its buffer addresses, and the modeled numbers
+    /// `gpu_runner` samples here, differ from this path's.
     pub fn lookup_batch_device_raw(
         &self,
         dev: &DeviceConfig,
@@ -243,7 +249,21 @@ impl CuartIndex {
         let mut mem = DeviceMemory::new();
         let tree = self.upload(&mut mem);
         let mut l2 = Cache::new(&dev.l2);
-        run_lookup_batch(dev, &mut mem, &tree, &mut l2, queries, stride)
+        lookup_fitting(
+            &mut mem,
+            queries,
+            stride,
+            |mem, queries, layout, results, count| {
+                let kernel = CuartLookupKernel {
+                    tree,
+                    queries,
+                    layout,
+                    results,
+                    count,
+                };
+                Launcher::default().launch(dev, mem, &kernel, count, &mut l2)
+            },
+        )
     }
 
     /// Resolve a raw kernel result: follow host-leaf signals into the host
@@ -292,73 +312,6 @@ impl CuartIndex {
         session.attach_fault_injector(injector);
         session
     }
-}
-
-/// Low-level: run one lookup batch against an already-uploaded tree,
-/// without a [`CuartSession`]. Used by the out-of-core partition manager
-/// (`cuart-host::oversized`), which juggles many resident trees in one
-/// device memory. Allocates fresh query/result staging per call.
-///
-/// Queries longer than the batch stride (or the 255-byte length field)
-/// saturate to [`NOT_FOUND`] instead of panicking: a key that cannot be
-/// packed under this stride cannot be stored under it either, so the miss
-/// is the semantically correct answer.
-pub fn run_lookup_batch(
-    dev: &DeviceConfig,
-    mem: &mut DeviceMemory,
-    tree: &DeviceTree,
-    l2: &mut Cache,
-    queries: &[Vec<u8>],
-    stride: usize,
-) -> (Vec<u64>, KernelReport) {
-    let max = KeyBatchLayout { stride }.max_key_len();
-    if queries.iter().any(|q| q.len() > max) {
-        let keep: Vec<usize> = (0..queries.len())
-            .filter(|&i| queries[i].len() <= max)
-            .collect();
-        let mut out = vec![NOT_FOUND; queries.len()];
-        if keep.is_empty() {
-            return (out, KernelReport::default());
-        }
-        let sub: Vec<Vec<u8>> = keep.iter().map(|&i| queries[i].clone()).collect();
-        let (sub_results, report) = run_packable_lookup_batch(dev, mem, tree, l2, &sub, stride);
-        for (j, &i) in keep.iter().enumerate() {
-            out[i] = sub_results[j];
-        }
-        return (out, report);
-    }
-    run_packable_lookup_batch(dev, mem, tree, l2, queries, stride)
-}
-
-/// [`run_lookup_batch`] after oversized-query filtering: every key is
-/// guaranteed to fit the stride.
-fn run_packable_lookup_batch(
-    dev: &DeviceConfig,
-    mem: &mut DeviceMemory,
-    tree: &DeviceTree,
-    l2: &mut Cache,
-    queries: &[Vec<u8>],
-    stride: usize,
-) -> (Vec<u64>, KernelReport) {
-    let (qbuf, layout) = match pack_keys(mem, "oversized-queries", queries, stride) {
-        Ok(packed) => packed,
-        // The caller filtered every key against the layout's max length;
-        // if the packer still refuses, answer misses rather than panic.
-        Err(_) => return (vec![NOT_FOUND; queries.len()], KernelReport::default()),
-    };
-    let results = cuart_gpu_sim::batch::alloc_results(mem, "oversized-results", queries.len());
-    let kernel = CuartLookupKernel {
-        tree: *tree,
-        queries: qbuf,
-        layout,
-        results,
-        count: queries.len(),
-    };
-    let report = Launcher::default().launch(dev, mem, &kernel, queries.len(), l2);
-    (
-        cuart_gpu_sim::batch::read_results(mem, results, queries.len()),
-        report,
-    )
 }
 
 /// Reusable device buffers for range-span batches
@@ -769,11 +722,6 @@ impl<'a> CuartSession<'a> {
     /// batch: only shadowed mutations survive a recovery re-upload.
     pub fn attach_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
-    }
-
-    /// Override the default [`RetryPolicy`].
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// The retry policy governing device-leg failures.
@@ -1403,9 +1351,8 @@ impl<'a> CuartSession<'a> {
     }
 
     /// Batch update/delete through the two-stage kernel. `DELETE` as the
-    /// value deletes the key. Returns per-op statuses (see
-    /// [`status`](crate::update::status)) and the kernel report (which
-    /// includes the hash-table clear cost).
+    /// value deletes the key. Returns per-op statuses (see [`status`]) and
+    /// the kernel report (which includes the hash-table clear cost).
     ///
     /// A device leg that exhausts its retries degrades to the CPU engine
     /// rather than failing the batch; hash-table starvation with a
@@ -1423,7 +1370,7 @@ impl<'a> CuartSession<'a> {
     /// priority, like [`update_batch`](Self::update_batch)); new keys are
     /// attached on the device where a single-CAS attach point exists, and
     /// are parked in the session's host overlay otherwise. Returns one
-    /// [`insert_status`](crate::insert::insert_status) per op.
+    /// [`insert_status`] per op.
     ///
     /// A device leg that exhausts its retries degrades to the CPU engine
     /// rather than failing the batch.
@@ -1674,6 +1621,22 @@ mod tests {
         for (i, r) in results.iter().enumerate() {
             assert_eq!(*r, i as u64);
         }
+        // An over-stride key and an empty key miss in place; every hit
+        // around them keeps its answer.
+        let mut mixed = keys.clone();
+        mixed.insert(3, vec![0; 9]);
+        mixed.insert(7, Vec::new());
+        let mut expected: Vec<u64> = (0..50).collect();
+        expected.insert(3, NOT_FOUND);
+        expected.insert(7, NOT_FOUND);
+        assert_eq!(idx.lookup_batch_device(&dev, &mixed, 8).0, expected);
+        // No key fits: all misses and no launch.
+        let (misses, report) = idx.lookup_batch_device(&dev, &[vec![1; 9], vec![2; 12]], 8);
+        assert_eq!(misses, [NOT_FOUND; 2]);
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", KernelReport::default())
+        );
     }
 
     #[test]

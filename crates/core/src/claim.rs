@@ -139,7 +139,7 @@ impl ClaimTable {
         })
     }
 
-    /// Modeled time of [`clear`](Self::clear): a device-side memset of the
+    /// Modeled time of `clear`: a device-side memset of the
     /// slots in use, both halves, running at peak bandwidth.
     pub fn clear_ns(&self, dev: &DeviceConfig) -> f64 {
         (self.slots * 16) as f64 / dev.mem.peak_bandwidth_gbps() + 2_000.0

@@ -31,7 +31,7 @@
 
 use crate::claim::{ClaimTable, Staging};
 use crate::kernels::{device_traverse, slot_ref, warm_traverse, Attach, DevHit, DeviceTree};
-use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride, EMPTY48};
+use crate::layout::{self, leaf, leaf::ZERO_RECORD, stride};
 use crate::link::{LinkType, NodeLink};
 use crate::update::FreeLists;
 use cuart_gpu_sim::batch::record_key;
@@ -325,33 +325,6 @@ impl CuartInsertKernel {
         let pos = ctx.atomic_add_u64(fl, 0, 1);
         ctx.write_u64(fl, 8 + pos as usize * 8, idx);
     }
-}
-
-/// Cleared-record check used by tests: a freshly attached or recycled leaf
-/// must be fully initialised.
-pub fn leaf_is_live(rec: &[u8], ty: LinkType) -> bool {
-    rec[leaf::live_at(ty)] == 1
-}
-
-/// Validate an N48 node's index/link consistency (test helper): every
-/// non-EMPTY index byte points at a non-null link slot.
-pub fn n48_consistent(rec: &[u8]) -> bool {
-    let links_at = layout::links_at(LinkType::N48);
-    for b in 0..256 {
-        let slot = rec[layout::HEADER_BYTES + b];
-        if slot != EMPTY48 {
-            let at = links_at + slot as usize * 8;
-            #[expect(
-                clippy::expect_used,
-                reason = "the slice is cut to the exact field width, so the conversion cannot fail"
-            )]
-            let link = u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
-            if link == 0 {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -14,13 +14,13 @@
 //! * leaves are one aligned read; key comparison is **word-oriented**
 //!   (§4.4 — the reason GRT wins on very short keys and CuART on long).
 //!
-//! [`warm_traverse`] is the traversal's host-side companion: the simulator
+//! `warm_traverse` is the traversal's host-side companion: the simulator
 //! runs threads one after another, so on a large index every thread's LUT
 //! entry and first record is a serialized host cache miss. Before a chunk
 //! of threads runs, `warm_traverse` walks the same first two levels for the
 //! whole chunk with plain loads, which the host overlaps. It reads through
 //! `&DeviceMemory`, records nothing and decides nothing — every modeled
-//! number is what [`device_traverse`] traces, with or without it.
+//! number is what `device_traverse` traces, with or without it.
 //!
 //! The traversal indexes packed arenas with plain brackets. Every offset is
 //! derived from a validated `NodeLink` and bounds-checked at build time

@@ -10,6 +10,8 @@
 //! represented, and a reused staging buffer may be smaller than the batch.
 //! Both conditions surface as [`PackError`] instead of a panic so service
 //! layers (sessions, schedulers) can route the offending key elsewhere.
+//! [`lookup_fitting`] is the one-shot form of that routing both engines'
+//! `lookup_batch_device` share: an over-stride key answers [`NOT_FOUND`].
 //!
 //! The module also hosts the **sorted-batch** helpers ([`sort_permutation`],
 //! [`gather`] / [`take_permuted`], [`scatter_inverse`]): packing a batch in key order makes
@@ -18,6 +20,7 @@
 //! is inverted on result return so callers still see results in submission
 //! order.
 
+use crate::exec::KernelReport;
 use crate::memory::{BufferId, DeviceMemory};
 use std::fmt;
 
@@ -113,10 +116,10 @@ pub fn record_key(record: &[u8]) -> &[u8] {
 /// Pack `keys` into a new device buffer with the given per-record stride.
 /// Fails with [`PackError::KeyTooLong`] if any key exceeds the stride (or
 /// the 255-byte length field).
-pub fn pack_keys(
+pub fn pack_keys<K: AsRef<[u8]>>(
     mem: &mut DeviceMemory,
     name: &str,
-    keys: &[Vec<u8>],
+    keys: &[K],
     stride: usize,
 ) -> Result<(BufferId, KeyBatchLayout), PackError> {
     let layout = KeyBatchLayout { stride };
@@ -174,6 +177,42 @@ pub fn alloc_results(mem: &mut DeviceMemory, name: &str, queries: usize) -> Buff
 /// Read back all results.
 pub fn read_results(mem: &DeviceMemory, results: BufferId, queries: usize) -> Vec<u64> {
     (0..queries).map(|i| mem.read_u64(results, i * 8)).collect()
+}
+
+/// The one-shot lookup rule both engines share. The keys of `queries` that
+/// fit `stride` are packed into fresh `queries` / `results` buffers (in that
+/// order), `launch` runs the kernel over them as
+/// `launch(mem, queries, layout, results, count)`, and the answers are
+/// scattered back into submission order. A key longer than the stride (or
+/// the 255-byte length field) answers [`NOT_FOUND`]: a key that cannot be
+/// packed under this stride cannot be stored under it either. When no key
+/// fits, nothing is allocated or launched and the report is the default.
+pub fn lookup_fitting(
+    mem: &mut DeviceMemory,
+    queries: &[Vec<u8>],
+    stride: usize,
+    launch: impl FnOnce(&mut DeviceMemory, BufferId, KeyBatchLayout, BufferId, usize) -> KernelReport,
+) -> (Vec<u64>, KernelReport) {
+    let max = KeyBatchLayout { stride }.max_key_len();
+    let fits = |q: &Vec<u8>| q.len() <= max;
+    let mut out = vec![NOT_FOUND; queries.len()];
+    let fitting: Vec<&Vec<u8>> = queries.iter().filter(|q| fits(q)).collect();
+    if fitting.is_empty() {
+        return (out, KernelReport::default());
+    }
+    // Every packed key fits and the buffer is sized to the batch, so the
+    // packer cannot refuse; if it did, misses are the answer, not a panic.
+    let Ok((qbuf, layout)) = pack_keys(mem, "queries", &fitting, stride) else {
+        return (out, KernelReport::default());
+    };
+    let results = alloc_results(mem, "results", fitting.len());
+    let report = launch(mem, qbuf, layout, results, fitting.len());
+    let answers = read_results(mem, results, fitting.len());
+    let slots = out.iter_mut().zip(queries).filter(|(_, q)| fits(q));
+    for ((slot, _), answer) in slots.zip(answers) {
+        *slot = answer;
+    }
+    (out, report)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //!
 //! 1. **Functional pass** — every thread runs to completion against real
 //!    device memory, in thread-id order, appending its trace to the launch's
-//!    [`TraceArena`](crate::trace::TraceArena). The pass walks the grid in
+//!    [`TraceArena`]. The pass walks the grid in
 //!    chunks of `WARM_CHUNK` threads and, before a chunk runs, hands its
 //!    id range to the kernel's [`warm`](PhasedKernel::warm) hook — a
 //!    *touch-ahead*. A thread's traversal is a chain of dependent loads,
@@ -164,7 +164,7 @@ impl KernelReport {
         }
     }
 
-    /// Seed a [`BatchEvent`] with everything this report knows; callers
+    /// Seed a [`BatchEvent`](cuart_telemetry::BatchEvent) with everything this report knows; callers
     /// fill in engine-level fields (spills, conflicts, refills) on top.
     pub fn to_event(
         &self,

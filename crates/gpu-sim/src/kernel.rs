@@ -32,7 +32,7 @@ const INLINE_BYTES: usize = 264;
 ///
 /// Owned (the kernel keeps using the context while it holds them) but
 /// stored inline, so a read costs no heap allocation. Reads longer than
-/// [`INLINE_BYTES`] (a query stride or stored key above 255 bytes) spill to
+/// `INLINE_BYTES` (a query stride or stored key above 255 bytes) spill to
 /// the heap. Dereferences to `[u8]`.
 pub struct DeviceBytes(Repr);
 

@@ -20,7 +20,7 @@
 //!    quantities §4.6 of the paper uses to explain why GDDR6X beats HBM2 for
 //!    pointer chasing.
 //!
-//! The [`launch`](exec::launch) entry point returns a [`KernelReport`] with
+//! The [`launch`] entry point returns a [`KernelReport`] with
 //! the modeled kernel time and full transaction statistics. [`pcie`] models
 //! host↔device transfers and [`pipeline`] models multi-stream software
 //! pipelining, so an end-to-end throughput in the paper's sense (§4.1:

@@ -55,11 +55,6 @@ impl PipelineParams {
     pub fn split_host_ns(total_host_ns: f64) -> (f64, f64) {
         (total_host_ns * 0.5, total_host_ns * 0.5)
     }
-
-    /// Total host CPU time per batch (prepare + post).
-    pub fn host_ns_per_batch(&self) -> f64 {
-        self.host_prepare_ns + self.host_post_ns
-    }
 }
 
 /// Pipeline stage names, for bottleneck reporting.

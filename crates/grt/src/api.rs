@@ -11,7 +11,7 @@ use crate::layout::GrtBuffer;
 use crate::mapper::map_art;
 use crate::update::{apply_batch, UpdateOutcome};
 use cuart_art::Art;
-use cuart_gpu_sim::batch::{alloc_results, pack_keys, read_results};
+use cuart_gpu_sim::batch::lookup_fitting;
 use cuart_gpu_sim::{launch, BufferId, DeviceConfig, DeviceMemory, KernelReport, KernelSeries};
 use cuart_telemetry::{names, BatchEvent, BatchKind, Telemetry};
 use std::sync::Arc;
@@ -106,11 +106,6 @@ impl GrtIndex {
         &self.buffer
     }
 
-    /// Mutable access for the host-side update engine.
-    pub fn buffer_mut(&mut self) -> &mut GrtBuffer {
-        &mut self.buffer
-    }
-
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.buffer.entries
@@ -144,8 +139,8 @@ impl GrtIndex {
     /// Convenience: run one batch of lookups on a fresh simulated device.
     /// Returns the results (one per query, [`NOT_FOUND`] on miss) and the
     /// kernel report. `stride` is the per-record key capacity; queries
-    /// longer than the stride saturate to [`NOT_FOUND`] (they cannot be
-    /// stored under this stride either) instead of panicking.
+    /// longer than the stride answer [`NOT_FOUND`] under the rule CuART's
+    /// one-shot lookup shares ([`lookup_fitting`]).
     ///
     /// [`NOT_FOUND`]: cuart_gpu_sim::batch::NOT_FOUND
     pub fn lookup_batch_device(
@@ -154,36 +149,24 @@ impl GrtIndex {
         queries: &[Vec<u8>],
         stride: usize,
     ) -> (Vec<u64>, KernelReport) {
-        use cuart_gpu_sim::batch::{KeyBatchLayout, NOT_FOUND};
-        let max = KeyBatchLayout { stride }.max_key_len();
-        let oversized = queries.iter().any(|q| q.len() > max);
-        let keep: Vec<usize> = (0..queries.len())
-            .filter(|&i| queries[i].len() <= max)
-            .collect();
-        let packable: Vec<Vec<u8>> = if oversized {
-            keep.iter().map(|&i| queries[i].clone()).collect()
-        } else {
-            Vec::new()
-        };
-        let device_queries: &[Vec<u8>] = if oversized { &packable } else { queries };
         let mut mem = DeviceMemory::new();
         let handle = self.upload(&mut mem);
-        #[expect(
-            clippy::expect_used,
-            reason = "the oversized branch above filtered every key against this stride"
-        )]
-        let (qbuf, layout) = pack_keys(&mut mem, "queries", device_queries, stride)
-            .expect("keys pre-filtered to stride");
-        let results = alloc_results(&mut mem, "results", device_queries.len());
-        let kernel = GrtLookupKernel {
-            tree: handle.tree,
-            root: handle.root,
-            queries: qbuf,
-            layout,
-            results,
-            count: device_queries.len(),
-        };
-        let report = launch(dev, &mut mem, &kernel, device_queries.len());
+        let (results, report) = lookup_fitting(
+            &mut mem,
+            queries,
+            stride,
+            |mem, queries, layout, results, count| {
+                let kernel = GrtLookupKernel {
+                    tree: handle.tree,
+                    root: handle.root,
+                    queries,
+                    layout,
+                    results,
+                    count,
+                };
+                launch(dev, mem, &kernel, count)
+            },
+        );
         if let Some(t) = &self.telemetry {
             t.incr(names::GRT_LOOKUP_BATCHES, 1);
             t.incr(names::GRT_LOOKUP_KEYS, queries.len() as u64);
@@ -191,15 +174,7 @@ impl GrtIndex {
             KernelSeries::new(t).record(&report);
             t.record(report.to_event(BatchKind::Lookup, queries.len() as u64));
         }
-        let device_results = read_results(&mem, results, device_queries.len());
-        if !oversized {
-            return (device_results, report);
-        }
-        let mut out = vec![NOT_FOUND; queries.len()];
-        for (j, &i) in keep.iter().enumerate() {
-            out[i] = device_results[j];
-        }
-        (out, report)
+        (results, report)
     }
 
     /// Apply a host-side update batch (see [`update`](crate::update)).
@@ -256,6 +231,26 @@ mod tests {
         }
         assert!(report.time_ns > 0.0);
         assert!(report.dram_transactions > 0);
+        // An over-stride key and an empty key miss in place; every hit
+        // around them keeps its answer.
+        let mut mixed = queries.clone();
+        mixed.insert(3, vec![0; 9]);
+        mixed.insert(7, Vec::new());
+        let mut expected: Vec<u64> = (0..300).collect();
+        expected.insert(3, NOT_FOUND);
+        expected.insert(7, NOT_FOUND);
+        assert_eq!(
+            idx.lookup_batch_device(&devices::rtx3090(), &mixed, 8).0,
+            expected
+        );
+        // No key fits: all misses and no launch.
+        let (misses, report) =
+            idx.lookup_batch_device(&devices::rtx3090(), &[vec![1; 9], vec![2; 12]], 8);
+        assert_eq!(misses, [NOT_FOUND; 2]);
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", KernelReport::default())
+        );
     }
 
     #[test]

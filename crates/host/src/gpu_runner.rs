@@ -391,68 +391,3 @@ mod tests {
         assert_eq!(Engine::GrtOpenCl.label(), "GRT-OpenCL");
     }
 }
-
-/// End-to-end throughput of device-side **range queries** (§3.2.1: one
-/// binary-search kernel thread per query, returning per-class index pairs).
-/// Queries are spans of roughly `span_keys` consecutive stored keys.
-pub fn run_cuart_ranges(
-    index: &CuartIndex,
-    dev: &DeviceConfig,
-    cfg: &RunConfig,
-    ranges: &[(Vec<u8>, Vec<u8>)],
-) -> E2eReport {
-    assert!(!ranges.is_empty());
-    // Sample the kernel on up to `batch_size` queries (cycled if fewer).
-    let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..cfg.batch_size.min(ranges.len() * 4))
-        .map(|i| ranges[i % ranges.len()].clone())
-        .collect();
-    let (_, kernel) = index.range_spans_device(dev, &batch);
-    let kernel_ns = kernel.time_ns;
-    // A range record is 72 B up, 48 B of span indices down.
-
-    compose(
-        dev,
-        cfg,
-        kernel_ns,
-        kernel,
-        72 - 1, // compose adds 1 for the length byte
-        dev.launch_overhead_us * 1000.0,
-        cfg.streams,
-    )
-}
-
-#[cfg(test)]
-mod range_tests {
-    use super::*;
-    use cuart::CuartConfig;
-    use cuart_art::Art;
-    use cuart_gpu_sim::devices;
-    use cuart_workloads::queries::range_queries;
-    use cuart_workloads::uniform_keys;
-
-    #[test]
-    fn range_runner_reports_throughput() {
-        let keys = uniform_keys(20_000, 8, 77);
-        let mut art = Art::new();
-        for (i, k) in keys.iter().enumerate() {
-            art.insert(k, i as u64).unwrap();
-        }
-        let index = CuartIndex::build(&art, &CuartConfig::for_tests());
-        let ranges = range_queries(&keys, 64, 50, 3);
-        let cfg = RunConfig {
-            batch_size: 256,
-            total_queries: 4096,
-            sample_batches: 2,
-            ..RunConfig::default()
-        };
-        let r = run_cuart_ranges(&index, &devices::a100(), &cfg, &ranges);
-        assert!(r.mops > 0.0);
-        // Range spans resolve via binary search: the chain must be
-        // logarithmic in the tree size, not linear.
-        assert!(
-            r.kernel.max_chain_steps < 120,
-            "chain {}",
-            r.kernel.max_chain_steps
-        );
-    }
-}

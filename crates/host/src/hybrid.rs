@@ -117,30 +117,6 @@ pub fn hybrid_throughput(
     }
 }
 
-/// Throughput of a **degraded** session: the GPU leg is unavailable (the
-/// device faulted out and the session fell back to the CPU path, see
-/// `cuart::CuartSession`), so the *entire* batch runs on the host thread
-/// pool. This is the floor the fault-tolerant engine guarantees — service
-/// continues, at CPU speed — and the reference point for judging how much
-/// a recovery re-upload buys back.
-///
-/// `cpu_threads == 0` saturates to a single thread instead of panicking —
-/// the degraded path must never abort on caller-supplied sizes.
-pub fn degraded_throughput(
-    batch_size: usize,
-    cpu_threads: usize,
-    cpu_ns_per_op: f64,
-) -> HybridReport {
-    let cpu_threads = cpu_threads.max(1);
-    let cpu_leg_ns = SPLIT_SYNC_NS + batch_size as f64 * cpu_ns_per_op / cpu_threads as f64;
-    HybridReport {
-        mops: batch_size as f64 / cpu_leg_ns * 1000.0,
-        gpu_leg_ns: 0.0,
-        cpu_leg_ns,
-        cpu_bound: true,
-    }
-}
-
 /// [`hybrid_throughput`] with an optional telemetry sink: when `telemetry`
 /// is attached, the routing decision is recorded via
 /// [`HybridReport::record_into`]. The pure function stays untouched so the
@@ -239,34 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_is_the_cpu_floor() {
-        // Full CPU fallback must be slower than any hybrid split that
-        // still has a working GPU leg, but strictly positive (service
-        // continues), and scale with host threads.
-        let gpu = gpu_report(170.0);
-        let hybrid = hybrid_throughput(&gpu, 32768, 0.03, 56, CPU_LONG_KEY_NS);
-        let degraded = degraded_throughput(32768, 56, CPU_LONG_KEY_NS);
-        assert!(degraded.mops > 0.0);
-        assert!(degraded.cpu_bound);
-        assert!(
-            degraded.mops < hybrid.mops,
-            "all-CPU ({}) must undercut the 3% split ({})",
-            degraded.mops,
-            hybrid.mops
-        );
-        let wider = degraded_throughput(32768, 112, CPU_LONG_KEY_NS);
-        assert!(wider.mops > degraded.mops);
-    }
-
-    #[test]
     fn degenerate_parameters_saturate_instead_of_panicking() {
         // Zero threads behaves like one thread; fractions outside [0, 1]
         // (and NaN) clamp. A parameter sweep over caller-supplied grids
         // must never abort.
         let gpu = gpu_report(170.0);
-        let zero = degraded_throughput(32768, 0, CPU_LONG_KEY_NS);
-        let one = degraded_throughput(32768, 1, CPU_LONG_KEY_NS);
-        assert_eq!(zero.mops, one.mops);
         let h_zero = hybrid_throughput(&gpu, 32768, 0.10, 0, CPU_LONG_KEY_NS);
         let h_one = hybrid_throughput(&gpu, 32768, 0.10, 1, CPU_LONG_KEY_NS);
         assert_eq!(h_zero.mops, h_one.mops);

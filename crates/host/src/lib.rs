@@ -13,9 +13,6 @@
 //!   atomic CPU updates (Figure 17),
 //! * [`hybrid`] — the CPU/GPU split of §3.2.3 option 1: long keys answered
 //!   by host threads while the GPU serves the rest (Figures 13/14),
-//! * [`oversized`] — the §5.1 out-of-core extension: indexes larger than
-//!   device memory, partitioned by key range with access-driven migration
-//!   between device and host,
 //! * [`scheduler`] — the concurrent serving layer: N producer threads
 //!   submit point ops through an MPSC queue (submit returns a ticket, wait
 //!   yields the answer); a work-conserving executor thread drains whatever
@@ -32,7 +29,6 @@
 pub mod cpu_runner;
 pub mod gpu_runner;
 pub mod hybrid;
-pub mod oversized;
 pub mod scheduler;
 pub mod sharded;
 

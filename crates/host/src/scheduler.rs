@@ -319,7 +319,7 @@ pub enum SchedError {
     /// The executor thread panicked; carries the panic payload.
     ExecutorPanicked(String),
     /// The session failed the batch with a non-transient error. Carries
-    /// the rendered [`CuartError`](cuart::CuartError).
+    /// the rendered [`CuartError`].
     Session(String),
     /// A [`ShardedScheduler`](crate::sharded::ShardedScheduler) was asked
     /// to spawn over an empty device list.
@@ -826,15 +826,6 @@ impl SchedulerStats {
             1.0
         } else {
             self.l2_hits as f64 / self.sectors as f64
-        }
-    }
-
-    /// Modeled kernel nanoseconds per dispatched key (0 when idle).
-    pub fn kernel_ns_per_key(&self) -> f64 {
-        if self.keys_dispatched == 0 {
-            0.0
-        } else {
-            self.kernel_time_ns / self.keys_dispatched as f64
         }
     }
 

@@ -214,23 +214,6 @@ impl NetClient {
         }
         Ok(out)
     }
-
-    /// Batch helper: updates in frames of at most `chunk` ops.
-    pub fn update_chunked(
-        &mut self,
-        ops: Vec<(Vec<u8>, u64)>,
-        chunk: usize,
-    ) -> Result<Vec<u64>, NetError> {
-        let chunk = chunk.max(1);
-        let mut out = Vec::with_capacity(ops.len());
-        let mut ops = ops;
-        while !ops.is_empty() {
-            let rest = ops.split_off(ops.len().min(chunk));
-            out.extend(self.update(ops)?);
-            ops = rest;
-        }
-        Ok(out)
-    }
 }
 
 /// A small connection pool over one server address. `get()` hands out an

@@ -2,7 +2,7 @@
 //!
 //! The server owns a scheduler stack — a plain [`Scheduler`] or a
 //! [`ShardedScheduler`] fleet — and serves the wire protocol from
-//! [`proto`](crate::proto) over any number of connections:
+//! [`proto`] over any number of connections:
 //!
 //! * **Per connection, two threads.** The *reader* decodes frames,
 //!   **submits** each request to the scheduler stack (a non-blocking
@@ -24,7 +24,7 @@
 //!   — after the responses to everything admitted before it — and *that
 //!   one connection* is closed; the server survives.
 //! * **Drain-safe shutdown** ([`ShutdownHandle::shutdown`] or a remote
-//!   [`Op::Shutdown`](crate::proto::Op::Shutdown) frame when enabled):
+//!   [`Op::Shutdown`] frame when enabled):
 //!   stop accepting, stop reading new frames, answer every admitted
 //!   ticket, flush writers, then `join()` the scheduler so its own FIFO
 //!   drain contract applies. [`names::NET_DRAINED`] flips to 1.0 only
@@ -59,7 +59,7 @@ pub struct NetServerConfig {
     /// Close a connection that has sent no frame for this long.
     /// `None` keeps idle connections open until shutdown.
     pub idle_timeout: Option<Duration>,
-    /// Honor the wire [`Op::Shutdown`](crate::proto::Op::Shutdown)
+    /// Honor the wire [`Op::Shutdown`]
     /// opcode. Meant for drills and tests; defaults to off so a stray
     /// client cannot stop a server.
     pub allow_remote_shutdown: bool,
@@ -181,11 +181,6 @@ impl ShutdownHandle {
     /// scheduler. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
     }
 }
 

@@ -191,12 +191,6 @@ impl SpanNode {
         self
     }
 
-    /// Append a child (builder style).
-    pub fn with_child(mut self, child: SpanNode) -> SpanNode {
-        self.children.push(child);
-        self
-    }
-
     /// Visit every leaf, depth first.
     fn for_each_leaf<'s>(&'s self, f: &mut impl FnMut(&'s SpanNode)) {
         if self.children.is_empty() {
