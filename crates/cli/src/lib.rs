@@ -808,7 +808,6 @@ impl NetOptions {
                 ms => Some(Duration::from_millis(ms)),
             },
             allow_remote_shutdown: self.allow_shutdown,
-            ..cuart_net::NetServerConfig::default()
         }
     }
 }

@@ -221,13 +221,10 @@ struct Twin<H> {
 }
 
 impl<H> Twin<H> {
-    fn new(global: &'static str, shard: Option<&str>, resolve: impl Fn(&str) -> H) -> Twin<H> {
+    fn new(global: &'static str, shard: Option<usize>, resolve: impl Fn(&str) -> H) -> Twin<H> {
         Twin {
             global: resolve(global),
-            shard: shard.map(|prefix| {
-                let suffix = global.strip_prefix(names::SCHED_PREFIX).unwrap_or(global);
-                resolve(&format!("{prefix}{suffix}"))
-            }),
+            shard: shard.map(|i| resolve(&names::sched_shard(i, global))),
         }
     }
 }
@@ -274,10 +271,8 @@ struct SchedTelemetry {
 
 impl SchedTelemetry {
     fn new(t: &Arc<Telemetry>, shard: Option<usize>) -> SchedTelemetry {
-        let prefix = shard.map(|i| format!("{}{i}.", names::SCHED_SHARD_PREFIX));
-        let prefix = prefix.as_deref();
-        let counter = |name| Twin::new(name, prefix, |n| t.counter(n));
-        let gauge = |name| Twin::new(name, prefix, |n| t.gauge(n));
+        let counter = |name| Twin::new(name, shard, |n| t.counter(n));
+        let gauge = |name| Twin::new(name, shard, |n| t.gauge(n));
         SchedTelemetry {
             registry: Arc::clone(t),
             enqueued: counter(names::SCHED_ENQUEUED),

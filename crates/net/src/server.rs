@@ -45,6 +45,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Poll tick for reads and accepts; shutdown latency is bounded by this
+/// (it is a poll interval, not a hard idle cutoff).
+const TICK: Duration = Duration::from_millis(20);
+
 /// Tuning for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
@@ -53,9 +57,6 @@ pub struct NetServerConfig {
     /// waiting for; beyond it the reader stops draining the socket (TCP
     /// backpressure).
     pub window: usize,
-    /// Poll tick for reads and accepts; shutdown latency is bounded by
-    /// this (it is a poll interval, not a hard idle cutoff).
-    pub tick: Duration,
     /// Close a connection that has sent no frame for this long.
     /// `None` keeps idle connections open until shutdown.
     pub idle_timeout: Option<Duration>,
@@ -69,7 +70,6 @@ impl Default for NetServerConfig {
     fn default() -> NetServerConfig {
         NetServerConfig {
             window: 32,
-            tick: Duration::from_millis(20),
             idle_timeout: None,
             allow_remote_shutdown: false,
         }
@@ -392,9 +392,9 @@ fn accept_loop(
                 conns.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(cfg.tick.min(Duration::from_millis(5)));
+                std::thread::sleep(Duration::from_millis(5));
             }
-            Err(_) => std::thread::sleep(cfg.tick),
+            Err(_) => std::thread::sleep(TICK),
         }
     }
     // Drain: every connection finishes its admitted requests and exits.
@@ -485,7 +485,7 @@ enum Answer {
 
 fn connection(mut stream: TcpStream, ctx: ConnCtx) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(ctx.cfg.tick));
+    let _ = stream.set_read_timeout(Some(TICK));
     let outcome = connection_inner(&mut stream, &ctx);
     let open = ctx.counters.open.fetch_sub(1, Ordering::Relaxed) - 1;
     if let Some(t) = &ctx.telemetry {

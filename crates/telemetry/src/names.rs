@@ -1,303 +1,235 @@
 //! Canonical metric and span names shared by producers and consumers,
 //! so the CLI, the bench harness and the tests never drift on spelling.
 //!
-//! @generated by `cuart-analyze --emit-registry` from
-//! `crates/analyze/src/registry.rs` — do not edit by hand; edit the
-//! catalog and regenerate (`tests/metric_registry.rs` fails on
-//! drift).
+//! This module is the catalog: a new series or span is one line in a
+//! `catalog!` block below, which declares its constant and lists it in
+//! [`ALL_METRICS`] / [`spans::ALL_SPANS`] at once. DESIGN.md §6 maps each
+//! name to the part of the paper it instruments; `tests/metric_registry.rs`
+//! fails when §6 and this module disagree, or when library code spells a
+//! name out instead of using the constant.
 
-/// Lookup batches served on the device path.
-pub const LOOKUP_BATCHES: &str = "cuart.lookup.batches";
-/// Keys submitted to device lookups.
-pub const LOOKUP_KEYS: &str = "cuart.lookup.keys";
-/// Histogram: modeled kernel ns per lookup batch.
-pub const LOOKUP_KERNEL_NS: &str = "cuart.lookup.kernel_ns";
-/// Lookup keys resolved on the host (HOST_SIGNAL / overflow).
-pub const LOOKUP_HOST_SPILLS: &str = "cuart.lookup.host_spills";
-/// Update batches served on the device path.
-pub const UPDATE_BATCHES: &str = "cuart.update.batches";
-/// Keys submitted to device updates.
-pub const UPDATE_KEYS: &str = "cuart.update.keys";
-/// Histogram: modeled kernel ns per update batch.
-pub const UPDATE_KERNEL_NS: &str = "cuart.update.kernel_ns";
-/// Update/insert slot-claim conflicts (atomic CAS retries).
-pub const CLAIM_CONFLICTS: &str = "cuart.update.claim_conflicts";
-/// Insert batches served on the device path.
-pub const INSERT_BATCHES: &str = "cuart.insert.batches";
-/// Keys submitted to device inserts.
-pub const INSERT_KEYS: &str = "cuart.insert.keys";
-/// Inserts spilled to the host overflow table.
-pub const INSERT_HOST_SPILLS: &str = "cuart.insert.host_spills";
-/// Free-list refills triggered by inserts.
-pub const FREELIST_REFILLS: &str = "cuart.insert.freelist_refills";
-/// Histogram: modeled kernel ns per insert batch.
-pub const INSERT_KERNEL_NS: &str = "cuart.insert.kernel_ns";
-/// Range-query batches served through the session.
-pub const RANGE_BATCHES: &str = "cuart.range.batches";
-/// Inclusive range queries submitted (one per [lo, hi] pair).
-pub const RANGE_KEYS: &str = "cuart.range.keys";
-/// Rows materialized across all range queries.
-pub const RANGE_ROWS: &str = "cuart.range.rows";
-/// Histogram: modeled span-kernel ns per range batch.
-pub const RANGE_KERNEL_NS: &str = "cuart.range.kernel_ns";
-/// L2 hits across all kernels.
-pub const L2_HITS: &str = "cuart.kernel.l2_hits";
-/// L2 misses across all kernels.
-pub const L2_MISSES: &str = "cuart.kernel.l2_misses";
-/// Gauge: L2 hit rate of the most recent kernel.
-pub const L2_HIT_RATE: &str = "cuart.kernel.l2_hit_rate";
-/// DRAM sector transactions across all kernels.
-pub const DRAM_TRANSACTIONS: &str = "cuart.kernel.dram_transactions";
-/// DRAM bytes moved across all kernels.
-pub const DRAM_BYTES: &str = "cuart.kernel.dram_bytes";
-/// Gauge: DRAM channel imbalance of the most recent kernel.
-pub const DRAM_IMBALANCE: &str = "cuart.kernel.dram_imbalance";
-/// Coalesced memory requests across all kernels.
-pub const COALESCED_ACCESSES: &str = "cuart.kernel.coalesced_accesses";
-/// Raw per-lane memory requests across all kernels.
-pub const RAW_ACCESSES: &str = "cuart.kernel.raw_accesses";
-/// Histogram: DRAM transactions per batch.
-pub const DRAM_TX_PER_BATCH: &str = "cuart.kernel.dram_tx_per_batch";
-/// Gauge: device-resident bytes of the built index.
-pub const DEVICE_BYTES: &str = "cuart.build.device_bytes";
-/// Gauge: number of inner nodes in the built index.
-pub const BUILD_NODES: &str = "cuart.build.nodes";
-/// Gauge: number of leaves in the built index.
-pub const BUILD_LEAVES: &str = "cuart.build.leaves";
-/// Gauge: keys kept in the host-side overflow store.
-pub const BUILD_HOST_ENTRIES: &str = "cuart.build.host_entries";
-/// Gauge: mapped Node4 records in the device arena.
-pub const BUILD_RECORDS_N4: &str = "cuart.build.records.n4";
-/// Gauge: mapped Node16 records in the device arena.
-pub const BUILD_RECORDS_N16: &str = "cuart.build.records.n16";
-/// Gauge: mapped Node48 records in the device arena.
-pub const BUILD_RECORDS_N48: &str = "cuart.build.records.n48";
-/// Gauge: mapped Node256 records in the device arena.
-pub const BUILD_RECORDS_N256: &str = "cuart.build.records.n256";
-/// Gauge: mapped node-to-leaf records in the device arena.
-pub const BUILD_RECORDS_N2L: &str = "cuart.build.records.n2l";
-/// Gauge: mapped leaf8 records in the device arena.
-pub const BUILD_RECORDS_LEAF8: &str = "cuart.build.records.leaf8";
-/// Gauge: mapped leaf16 records in the device arena.
-pub const BUILD_RECORDS_LEAF16: &str = "cuart.build.records.leaf16";
-/// Gauge: mapped leaf32 records in the device arena.
-pub const BUILD_RECORDS_LEAF32: &str = "cuart.build.records.leaf32";
-/// Gauge: index-image bytes a session's device buffers still share with
-/// the image (read in place, never copied).
-pub const DEVICE_SHARED_BYTES: &str = "cuart.device.shared_bytes";
-/// Gauge: bytes of a session's uploaded device buffers it owns: the chunks
-/// its device has written (copied out of the image on first write).
-pub const DEVICE_OWNED_BYTES: &str = "cuart.device.owned_bytes";
-/// Hybrid batches routed to the GPU.
-pub const HYBRID_GPU_BATCHES: &str = "cuart.hybrid.gpu_batches";
-/// Hybrid keys routed to the CPU (long-key / HOST_SIGNAL path).
-pub const HYBRID_CPU_KEYS: &str = "cuart.hybrid.cpu_keys";
-/// Hybrid keys routed to the GPU.
-pub const HYBRID_GPU_KEYS: &str = "cuart.hybrid.gpu_keys";
-/// Gauge: fraction of keys routed to the CPU in the last hybrid run.
-pub const HYBRID_CPU_FRACTION: &str = "cuart.hybrid.cpu_fraction";
-/// Device faults injected (or observed) across the session.
-pub const FAULTS_INJECTED: &str = "cuart.faults.injected";
-/// Batch retries after a device fault.
-pub const FAULT_RETRIES: &str = "cuart.faults.retries";
-/// Histogram: modeled retry backoff ns per attempt.
-pub const FAULT_BACKOFF_NS: &str = "cuart.faults.backoff_ns";
-/// Times the session degraded to the CPU path.
-pub const FAULT_DEGRADATIONS: &str = "cuart.faults.degradations";
-/// Times a degraded session recovered its device image.
-pub const FAULT_RECOVERIES: &str = "cuart.faults.recoveries";
-/// Batches served entirely by the CPU fallback while degraded.
-pub const FAULT_CPU_FALLBACK_BATCHES: &str = "cuart.faults.cpu_fallback_batches";
-/// Keys served by the CPU fallback while degraded.
-pub const FAULT_CPU_FALLBACK_KEYS: &str = "cuart.faults.cpu_fallback_keys";
-/// Gauge: 1 while the session is degraded, 0 otherwise.
-pub const FAULT_DEGRADED: &str = "cuart.faults.degraded";
-/// GRT lookup batches.
-pub const GRT_LOOKUP_BATCHES: &str = "grt.lookup.batches";
-/// GRT keys submitted to lookups.
-pub const GRT_LOOKUP_KEYS: &str = "grt.lookup.keys";
-/// Histogram: modeled kernel ns per GRT lookup batch.
-pub const GRT_LOOKUP_KERNEL_NS: &str = "grt.lookup.kernel_ns";
-/// GRT update batches.
-pub const GRT_UPDATE_BATCHES: &str = "grt.update.batches";
-/// Gauge: device-resident bytes of the built GRT.
-pub const GRT_DEVICE_BYTES: &str = "grt.build.device_bytes";
-/// Operations accepted by the batch scheduler's submission queue.
-pub const SCHED_ENQUEUED: &str = "cuart.sched.enqueued";
-/// Batches the scheduler dispatched to the session.
-pub const SCHED_BATCHES: &str = "cuart.sched.batches";
-/// Batches packed in sorted key order (the locality path).
-pub const SCHED_SORTED_BATCHES: &str = "cuart.sched.sorted_batches";
-/// Batches flushed because the size target was reached.
-pub const SCHED_SIZE_FLUSHES: &str = "cuart.sched.size_flushes";
-/// Batches flushed because the oldest queued op hit its deadline.
-pub const SCHED_DEADLINE_FLUSHES: &str = "cuart.sched.deadline_flushes";
-/// Gauge: ops waiting in the scheduler queue at the last flush.
-pub const SCHED_QUEUE_DEPTH: &str = "cuart.sched.queue_depth";
-/// Histogram: keys per dispatched scheduler batch.
-pub const SCHED_BATCH_FILL: &str = "cuart.sched.batch_fill";
-/// Histogram: per-batch queueing latency (enqueue of the oldest op to
-/// dispatch), nanoseconds.
-pub const SCHED_QUEUE_LATENCY_NS: &str = "cuart.sched.queue_latency_ns";
-/// Ops shed at coalesce time because their deadline had already passed.
-pub const SCHED_SHED: &str = "cuart.sched.shed";
-/// Ops refused at admission (queue full under the `Reject` policy).
-pub const SCHED_REJECTED: &str = "cuart.sched.rejected";
-/// Gauge: breaker state (0 = Closed, 1 = HalfOpen, 2 = Open).
-pub const SCHED_BREAKER_STATE: &str = "cuart.sched.breaker_state";
-/// Circuit-breaker trips (`Closed`/`HalfOpen` → `Open`).
-pub const SCHED_BREAKER_TRIPS: &str = "cuart.sched.breaker_trips";
-/// Half-open probe batches dispatched to the device while recovering.
-pub const SCHED_PROBE_BATCHES: &str = "cuart.sched.probe_batches";
-/// Requests routed through a sharded scheduler's split/merge router.
-pub const SCHED_ROUTED_REQUESTS: &str = "cuart.sched.routed_requests";
-/// Keys routed through a sharded scheduler's split/merge router.
-pub const SCHED_ROUTED_KEYS: &str = "cuart.sched.routed_keys";
+/// Declare each name once: its `pub const` (with its doc) and its entry
+/// in the listing named first, so a name cannot be declared but unlisted.
+macro_rules! catalog {
+    ($(#[$list_doc:meta])* $list:ident; $($(#[$doc:meta])* $konst:ident = $name:literal;)*) => {
+        $($(#[$doc])* pub const $konst: &str = $name;)*
+        $(#[$list_doc])*
+        pub const $list: &[&str] = &[$($konst),*];
+    };
+}
+
+catalog! {
+    /// Every exact registered series name (prefix families excluded).
+    ALL_METRICS;
+    /// Lookup batches served on the device path.
+    LOOKUP_BATCHES = "cuart.lookup.batches";
+    /// Keys submitted to device lookups.
+    LOOKUP_KEYS = "cuart.lookup.keys";
+    /// Histogram: modeled kernel ns per lookup batch.
+    LOOKUP_KERNEL_NS = "cuart.lookup.kernel_ns";
+    /// Lookup keys resolved on the host (HOST_SIGNAL / overflow).
+    LOOKUP_HOST_SPILLS = "cuart.lookup.host_spills";
+    /// Update batches served on the device path.
+    UPDATE_BATCHES = "cuart.update.batches";
+    /// Keys submitted to device updates.
+    UPDATE_KEYS = "cuart.update.keys";
+    /// Histogram: modeled kernel ns per update batch.
+    UPDATE_KERNEL_NS = "cuart.update.kernel_ns";
+    /// Update/insert slot-claim conflicts (atomic CAS retries).
+    CLAIM_CONFLICTS = "cuart.update.claim_conflicts";
+    /// Insert batches served on the device path.
+    INSERT_BATCHES = "cuart.insert.batches";
+    /// Keys submitted to device inserts.
+    INSERT_KEYS = "cuart.insert.keys";
+    /// Inserts spilled to the host overflow table.
+    INSERT_HOST_SPILLS = "cuart.insert.host_spills";
+    /// Free-list refills triggered by inserts.
+    FREELIST_REFILLS = "cuart.insert.freelist_refills";
+    /// Histogram: modeled kernel ns per insert batch.
+    INSERT_KERNEL_NS = "cuart.insert.kernel_ns";
+    /// Range-query batches served through the session.
+    RANGE_BATCHES = "cuart.range.batches";
+    /// Inclusive range queries submitted (one per [lo, hi] pair).
+    RANGE_KEYS = "cuart.range.keys";
+    /// Rows materialized across all range queries.
+    RANGE_ROWS = "cuart.range.rows";
+    /// Histogram: modeled span-kernel ns per range batch.
+    RANGE_KERNEL_NS = "cuart.range.kernel_ns";
+    /// L2 hits across all kernels.
+    L2_HITS = "cuart.kernel.l2_hits";
+    /// L2 misses across all kernels.
+    L2_MISSES = "cuart.kernel.l2_misses";
+    /// Gauge: L2 hit rate of the most recent kernel.
+    L2_HIT_RATE = "cuart.kernel.l2_hit_rate";
+    /// DRAM sector transactions across all kernels.
+    DRAM_TRANSACTIONS = "cuart.kernel.dram_transactions";
+    /// DRAM bytes moved across all kernels.
+    DRAM_BYTES = "cuart.kernel.dram_bytes";
+    /// Gauge: DRAM channel imbalance of the most recent kernel.
+    DRAM_IMBALANCE = "cuart.kernel.dram_imbalance";
+    /// Coalesced memory requests across all kernels.
+    COALESCED_ACCESSES = "cuart.kernel.coalesced_accesses";
+    /// Raw per-lane memory requests across all kernels.
+    RAW_ACCESSES = "cuart.kernel.raw_accesses";
+    /// Histogram: DRAM transactions per batch.
+    DRAM_TX_PER_BATCH = "cuart.kernel.dram_tx_per_batch";
+    /// Gauge: device-resident bytes of the built index.
+    DEVICE_BYTES = "cuart.build.device_bytes";
+    /// Gauge: number of inner nodes in the built index.
+    BUILD_NODES = "cuart.build.nodes";
+    /// Gauge: number of leaves in the built index.
+    BUILD_LEAVES = "cuart.build.leaves";
+    /// Gauge: keys kept in the host-side overflow store.
+    BUILD_HOST_ENTRIES = "cuart.build.host_entries";
+    /// Gauge: mapped Node4 records in the device arena.
+    BUILD_RECORDS_N4 = "cuart.build.records.n4";
+    /// Gauge: mapped Node16 records in the device arena.
+    BUILD_RECORDS_N16 = "cuart.build.records.n16";
+    /// Gauge: mapped Node48 records in the device arena.
+    BUILD_RECORDS_N48 = "cuart.build.records.n48";
+    /// Gauge: mapped Node256 records in the device arena.
+    BUILD_RECORDS_N256 = "cuart.build.records.n256";
+    /// Gauge: mapped node-to-leaf records in the device arena.
+    BUILD_RECORDS_N2L = "cuart.build.records.n2l";
+    /// Gauge: mapped leaf8 records in the device arena.
+    BUILD_RECORDS_LEAF8 = "cuart.build.records.leaf8";
+    /// Gauge: mapped leaf16 records in the device arena.
+    BUILD_RECORDS_LEAF16 = "cuart.build.records.leaf16";
+    /// Gauge: mapped leaf32 records in the device arena.
+    BUILD_RECORDS_LEAF32 = "cuart.build.records.leaf32";
+    /// Gauge: index-image bytes a session's device buffers still share with
+    /// the image (read in place, never copied).
+    DEVICE_SHARED_BYTES = "cuart.device.shared_bytes";
+    /// Gauge: bytes of a session's uploaded device buffers it owns: the chunks
+    /// its device has written (copied out of the image on first write).
+    DEVICE_OWNED_BYTES = "cuart.device.owned_bytes";
+    /// Hybrid batches routed to the GPU.
+    HYBRID_GPU_BATCHES = "cuart.hybrid.gpu_batches";
+    /// Hybrid keys routed to the CPU (long-key / HOST_SIGNAL path).
+    HYBRID_CPU_KEYS = "cuart.hybrid.cpu_keys";
+    /// Hybrid keys routed to the GPU.
+    HYBRID_GPU_KEYS = "cuart.hybrid.gpu_keys";
+    /// Gauge: fraction of keys routed to the CPU in the last hybrid run.
+    HYBRID_CPU_FRACTION = "cuart.hybrid.cpu_fraction";
+    /// Device faults injected (or observed) across the session.
+    FAULTS_INJECTED = "cuart.faults.injected";
+    /// Batch retries after a device fault.
+    FAULT_RETRIES = "cuart.faults.retries";
+    /// Histogram: modeled retry backoff ns per attempt.
+    FAULT_BACKOFF_NS = "cuart.faults.backoff_ns";
+    /// Times the session degraded to the CPU path.
+    FAULT_DEGRADATIONS = "cuart.faults.degradations";
+    /// Times a degraded session recovered its device image.
+    FAULT_RECOVERIES = "cuart.faults.recoveries";
+    /// Batches served entirely by the CPU fallback while degraded.
+    FAULT_CPU_FALLBACK_BATCHES = "cuart.faults.cpu_fallback_batches";
+    /// Keys served by the CPU fallback while degraded.
+    FAULT_CPU_FALLBACK_KEYS = "cuart.faults.cpu_fallback_keys";
+    /// Gauge: 1 while the session is degraded, 0 otherwise.
+    FAULT_DEGRADED = "cuart.faults.degraded";
+    /// GRT lookup batches.
+    GRT_LOOKUP_BATCHES = "grt.lookup.batches";
+    /// GRT keys submitted to lookups.
+    GRT_LOOKUP_KEYS = "grt.lookup.keys";
+    /// Histogram: modeled kernel ns per GRT lookup batch.
+    GRT_LOOKUP_KERNEL_NS = "grt.lookup.kernel_ns";
+    /// GRT update batches.
+    GRT_UPDATE_BATCHES = "grt.update.batches";
+    /// Gauge: device-resident bytes of the built GRT.
+    GRT_DEVICE_BYTES = "grt.build.device_bytes";
+    /// Operations accepted by the batch scheduler's submission queue.
+    SCHED_ENQUEUED = "cuart.sched.enqueued";
+    /// Batches the scheduler dispatched to the session.
+    SCHED_BATCHES = "cuart.sched.batches";
+    /// Batches packed in sorted key order (the locality path).
+    SCHED_SORTED_BATCHES = "cuart.sched.sorted_batches";
+    /// Batches flushed because the size target was reached.
+    SCHED_SIZE_FLUSHES = "cuart.sched.size_flushes";
+    /// Batches flushed because the oldest queued op hit its deadline.
+    SCHED_DEADLINE_FLUSHES = "cuart.sched.deadline_flushes";
+    /// Gauge: ops waiting in the scheduler queue at the last flush.
+    SCHED_QUEUE_DEPTH = "cuart.sched.queue_depth";
+    /// Histogram: keys per dispatched scheduler batch.
+    SCHED_BATCH_FILL = "cuart.sched.batch_fill";
+    /// Histogram: per-batch queueing latency (enqueue of the oldest op to
+    /// dispatch), nanoseconds.
+    SCHED_QUEUE_LATENCY_NS = "cuart.sched.queue_latency_ns";
+    /// Ops shed at coalesce time because their deadline had already passed.
+    SCHED_SHED = "cuart.sched.shed";
+    /// Ops refused at admission (queue full under the `Reject` policy).
+    SCHED_REJECTED = "cuart.sched.rejected";
+    /// Gauge: breaker state (0 = Closed, 1 = HalfOpen, 2 = Open).
+    SCHED_BREAKER_STATE = "cuart.sched.breaker_state";
+    /// Circuit-breaker trips (`Closed`/`HalfOpen` → `Open`).
+    SCHED_BREAKER_TRIPS = "cuart.sched.breaker_trips";
+    /// Half-open probe batches dispatched to the device while recovering.
+    SCHED_PROBE_BATCHES = "cuart.sched.probe_batches";
+    /// Requests routed through a sharded scheduler's split/merge router.
+    SCHED_ROUTED_REQUESTS = "cuart.sched.routed_requests";
+    /// Keys routed through a sharded scheduler's split/merge router.
+    SCHED_ROUTED_KEYS = "cuart.sched.routed_keys";
+    /// Gauge: currently open client connections.
+    NET_CONNECTIONS = "cuart.net.connections";
+    /// Client connections accepted since the server started.
+    NET_ACCEPTED = "cuart.net.accepted";
+    /// Gauge: 1 once the server finished a drain-safe shutdown (stopped
+    /// accepting, flushed in-flight requests, joined the scheduler).
+    NET_DRAINED = "cuart.net.drained";
+    /// Request frames decoded off client connections.
+    NET_FRAMES_IN = "cuart.net.frames_in";
+    /// Response frames written to client connections.
+    NET_FRAMES_OUT = "cuart.net.frames_out";
+    /// Payload bytes read off client connections.
+    NET_BYTES_IN = "cuart.net.bytes_in";
+    /// Payload bytes written to client connections.
+    NET_BYTES_OUT = "cuart.net.bytes_out";
+    /// Frames rejected at decode time (bad magic/version/CRC/truncation).
+    NET_DECODE_ERRORS = "cuart.net.decode_errors";
+    /// Times a connection's reader blocked on its full in-flight window
+    /// (network backpressure composing with queue admission).
+    NET_WINDOW_STALLS = "cuart.net.window_stalls";
+    /// Typed error frames returned to clients (admission rejects, sheds,
+    /// breaker-open refusals, decode errors).
+    NET_ERROR_FRAMES = "cuart.net.error_frames";
+    /// Histogram: server-side wall ns per request (decode to response
+    /// write handoff).
+    NET_REQUEST_NS = "cuart.net.request_ns";
+    /// Events evicted from the bounded batch-event ring (overflow is
+    /// surfaced, not silent).
+    EVENTS_DROPPED = "cuart.telemetry.events_dropped";
+    /// Spans evicted from the bounded span ring.
+    SPANS_DROPPED = "cuart.telemetry.spans_dropped";
+    /// Gauge: dominant stage's share of leaf time in the last committed
+    /// span tree.
+    TRACE_CRITICAL_SHARE = "cuart.trace.critical_share";
+}
+
+/// Common prefix of every scheduler series above.
+pub const SCHED_PREFIX: &str = "cuart.sched.";
+
 /// Prefix of the per-shard scheduler twins: a scheduler running as
 /// shard `i` of a `ShardedScheduler` mirrors each of its counters and
 /// gauges to `cuart.sched.shard.<i>.<suffix>`, so per-shard counters
 /// sum to the global `cuart.sched.*` totals by construction.
 pub const SCHED_SHARD_PREFIX: &str = "cuart.sched.shard.";
-/// Gauge: currently open client connections.
-pub const NET_CONNECTIONS: &str = "cuart.net.connections";
-/// Client connections accepted since the server started.
-pub const NET_ACCEPTED: &str = "cuart.net.accepted";
-/// Gauge: 1 once the server finished a drain-safe shutdown (stopped
-/// accepting, flushed in-flight requests, joined the scheduler).
-pub const NET_DRAINED: &str = "cuart.net.drained";
-/// Request frames decoded off client connections.
-pub const NET_FRAMES_IN: &str = "cuart.net.frames_in";
-/// Response frames written to client connections.
-pub const NET_FRAMES_OUT: &str = "cuart.net.frames_out";
-/// Payload bytes read off client connections.
-pub const NET_BYTES_IN: &str = "cuart.net.bytes_in";
-/// Payload bytes written to client connections.
-pub const NET_BYTES_OUT: &str = "cuart.net.bytes_out";
-/// Frames rejected at decode time (bad magic/version/CRC/truncation).
-pub const NET_DECODE_ERRORS: &str = "cuart.net.decode_errors";
-/// Times a connection's reader blocked on its full in-flight window
-/// (network backpressure composing with queue admission).
-pub const NET_WINDOW_STALLS: &str = "cuart.net.window_stalls";
-/// Typed error frames returned to clients (admission rejects, sheds,
-/// breaker-open refusals, decode errors).
-pub const NET_ERROR_FRAMES: &str = "cuart.net.error_frames";
-/// Histogram: server-side wall ns per request (decode to response
-/// write handoff).
-pub const NET_REQUEST_NS: &str = "cuart.net.request_ns";
-/// Events evicted from the bounded batch-event ring (overflow is
-/// surfaced, not silent).
-pub const EVENTS_DROPPED: &str = "cuart.telemetry.events_dropped";
-/// Spans evicted from the bounded span ring.
-pub const SPANS_DROPPED: &str = "cuart.telemetry.spans_dropped";
+
 /// Prefix of the critical-path counters: committing a span tree bumps
 /// `cuart.trace.critical.<stage>` for its dominant leaf stage.
 pub const TRACE_CRITICAL_PREFIX: &str = "cuart.trace.critical.";
-/// Gauge: dominant stage's share of leaf time in the last committed
-/// span tree.
-pub const TRACE_CRITICAL_SHARE: &str = "cuart.trace.critical_share";
 
-/// Common prefix of every scheduler series above.
-pub const SCHED_PREFIX: &str = "cuart.sched.";
+/// Prefixes of dynamically-keyed series families.
+pub const METRIC_PREFIXES: &[&str] = &[SCHED_SHARD_PREFIX, TRACE_CRITICAL_PREFIX];
 
-/// Per-shard twin of a global `cuart.sched.*` series name:
-/// `sched_shard(3, SCHED_SHED)` → `"cuart.sched.shard.3.shed"`.
+/// Per-shard twin of a global `cuart.sched.*` series name.
+///
+/// ```
+/// use cuart_telemetry::names::{sched_shard, SCHED_SHED};
+/// assert_eq!(sched_shard(3, SCHED_SHED), "cuart.sched.shard.3.shed");
+/// ```
 pub fn sched_shard(shard: usize, global: &str) -> String {
     let suffix = global.strip_prefix(SCHED_PREFIX).unwrap_or(global);
     format!("{SCHED_SHARD_PREFIX}{shard}.{suffix}")
 }
-
-/// Every exact registered series name (prefix families excluded).
-pub const ALL_METRICS: &[&str] = &[
-    LOOKUP_BATCHES,
-    LOOKUP_KEYS,
-    LOOKUP_KERNEL_NS,
-    LOOKUP_HOST_SPILLS,
-    UPDATE_BATCHES,
-    UPDATE_KEYS,
-    UPDATE_KERNEL_NS,
-    CLAIM_CONFLICTS,
-    INSERT_BATCHES,
-    INSERT_KEYS,
-    INSERT_HOST_SPILLS,
-    FREELIST_REFILLS,
-    INSERT_KERNEL_NS,
-    RANGE_BATCHES,
-    RANGE_KEYS,
-    RANGE_ROWS,
-    RANGE_KERNEL_NS,
-    L2_HITS,
-    L2_MISSES,
-    L2_HIT_RATE,
-    DRAM_TRANSACTIONS,
-    DRAM_BYTES,
-    DRAM_IMBALANCE,
-    COALESCED_ACCESSES,
-    RAW_ACCESSES,
-    DRAM_TX_PER_BATCH,
-    DEVICE_BYTES,
-    BUILD_NODES,
-    BUILD_LEAVES,
-    BUILD_HOST_ENTRIES,
-    BUILD_RECORDS_N4,
-    BUILD_RECORDS_N16,
-    BUILD_RECORDS_N48,
-    BUILD_RECORDS_N256,
-    BUILD_RECORDS_N2L,
-    BUILD_RECORDS_LEAF8,
-    BUILD_RECORDS_LEAF16,
-    BUILD_RECORDS_LEAF32,
-    DEVICE_SHARED_BYTES,
-    DEVICE_OWNED_BYTES,
-    HYBRID_GPU_BATCHES,
-    HYBRID_CPU_KEYS,
-    HYBRID_GPU_KEYS,
-    HYBRID_CPU_FRACTION,
-    FAULTS_INJECTED,
-    FAULT_RETRIES,
-    FAULT_BACKOFF_NS,
-    FAULT_DEGRADATIONS,
-    FAULT_RECOVERIES,
-    FAULT_CPU_FALLBACK_BATCHES,
-    FAULT_CPU_FALLBACK_KEYS,
-    FAULT_DEGRADED,
-    GRT_LOOKUP_BATCHES,
-    GRT_LOOKUP_KEYS,
-    GRT_LOOKUP_KERNEL_NS,
-    GRT_UPDATE_BATCHES,
-    GRT_DEVICE_BYTES,
-    SCHED_ENQUEUED,
-    SCHED_BATCHES,
-    SCHED_SORTED_BATCHES,
-    SCHED_SIZE_FLUSHES,
-    SCHED_DEADLINE_FLUSHES,
-    SCHED_QUEUE_DEPTH,
-    SCHED_BATCH_FILL,
-    SCHED_QUEUE_LATENCY_NS,
-    SCHED_SHED,
-    SCHED_REJECTED,
-    SCHED_BREAKER_STATE,
-    SCHED_BREAKER_TRIPS,
-    SCHED_PROBE_BATCHES,
-    SCHED_ROUTED_REQUESTS,
-    SCHED_ROUTED_KEYS,
-    NET_CONNECTIONS,
-    NET_ACCEPTED,
-    NET_DRAINED,
-    NET_FRAMES_IN,
-    NET_FRAMES_OUT,
-    NET_BYTES_IN,
-    NET_BYTES_OUT,
-    NET_DECODE_ERRORS,
-    NET_WINDOW_STALLS,
-    NET_ERROR_FRAMES,
-    NET_REQUEST_NS,
-    EVENTS_DROPPED,
-    SPANS_DROPPED,
-    TRACE_CRITICAL_SHARE,
-];
-
-/// Prefixes of dynamically-keyed series families.
-pub const METRIC_PREFIXES: &[&str] = &[SCHED_SHARD_PREFIX, TRACE_CRITICAL_PREFIX];
 
 /// Is `name` a registered series — an exact name, or a member of a
 /// registered dynamic family (non-empty remainder after the prefix)?
@@ -310,95 +242,64 @@ pub fn is_registered(name: &str) -> bool {
 
 /// Canonical span names (see DESIGN.md §6.1 for the paper mapping).
 pub mod spans {
-    /// Root: one CuART session lookup batch (§3.2).
-    pub const BATCH_LOOKUP: &str = "batch.lookup";
-    /// Root: one CuART session update/delete batch (§3.4).
-    pub const BATCH_UPDATE: &str = "batch.update";
-    /// Root: one CuART session insert batch (§5.1).
-    pub const BATCH_INSERT: &str = "batch.insert";
-    /// Root: one CuART session range batch (§3.2.1 span kernel).
-    pub const BATCH_RANGE: &str = "batch.range";
-    /// Root: one serving-layer lookup batch (coalesce→sort→dispatch→scatter).
-    pub const SCHED_BATCH_LOOKUP: &str = "sched.batch.lookup";
-    /// Root: one serving-layer update batch.
-    pub const SCHED_BATCH_UPDATE: &str = "sched.batch.update";
-    /// Root: one serving-layer insert batch.
-    pub const SCHED_BATCH_INSERT: &str = "sched.batch.insert";
-    /// Root: one serving-layer range batch (coalesce→dispatch, no sort
-    /// or scatter — ranges keep arrival order).
-    pub const SCHED_BATCH_RANGE: &str = "sched.batch.range";
-    /// Standalone leaf: one network request served (decode→backend→
-    /// response write), wall-clock, attrs opcode/bytes.
-    pub const NET_REQUEST: &str = "net.request";
-    /// Standalone leaf: coalesce-time shedding of deadline-expired ops.
-    pub const SCHED_SHED: &str = "sched.shed";
-    /// Standalone leaf: one routed fleet call (split→dispatch→merge).
-    pub const SCHED_ROUTE: &str = "sched.route";
-    /// Root: §3.2.3 hybrid split; spans the slower of the gpu/cpu legs.
-    pub const HYBRID_ROUTE: &str = "hybrid.route";
-    /// Root: one S-stream software-pipelined run (Figs. 8/9).
-    pub const PIPELINE: &str = "pipeline";
-    /// Node: one batch inside a pipelined run, children at scheduled offsets.
-    pub const PIPELINE_BATCH: &str = "pipeline.batch";
-    /// Node: a device kernel, decomposed into `dram` + `exec`.
-    pub const KERNEL: &str = "kernel";
-    /// Leaf: the kernel share covered by the DRAM bandwidth bound.
-    pub const DRAM: &str = "dram";
-    /// Leaf: the kernel share left after the DRAM bound (latency/compute).
-    pub const EXEC: &str = "exec";
-    /// Leaf: PCIe upload of the key batch (bytes attached).
-    pub const H2D: &str = "h2d";
-    /// Leaf: PCIe download of results (bytes attached).
-    pub const D2H: &str = "d2h";
-    /// Leaf: kernel-launch overhead (§4.1's batching motivation).
-    pub const LAUNCH: &str = "launch";
-    /// Leaf: request coalescing into a device batch (serving layer).
-    pub const COALESCE: &str = "coalesce";
-    /// Leaf: §3.2 sorted batches — ordering queries for §3.1 locality.
-    pub const SORT: &str = "sort";
-    /// Leaf: result scatter back to producers in arrival order.
-    pub const SCATTER: &str = "scatter";
-    /// Leaf: host-side batch preparation stage of the pipeline.
-    pub const PREPARE: &str = "prepare";
-    /// Leaf: host-side post-processing stage of the pipeline.
-    pub const POST: &str = "post";
-    /// Leaf: the GPU leg of a hybrid batch (starts at t=0).
-    pub const GPU: &str = "gpu";
-    /// Leaf: the CPU leg of a hybrid batch (starts at t=0, overlaps `gpu`).
-    pub const CPU: &str = "cpu";
-    /// Prefix of the session batch roots (`batch.lookup/update/insert`).
-    pub const BATCH_PREFIX: &str = "batch.";
-    /// Prefix of the serving-layer batch roots.
-    pub const SCHED_BATCH_PREFIX: &str = "sched.batch.";
-
-    /// Every registered span name.
-    pub const ALL_SPANS: &[&str] = &[
-        BATCH_LOOKUP,
-        BATCH_UPDATE,
-        BATCH_INSERT,
-        BATCH_RANGE,
-        SCHED_BATCH_LOOKUP,
-        SCHED_BATCH_UPDATE,
-        SCHED_BATCH_INSERT,
-        SCHED_BATCH_RANGE,
-        NET_REQUEST,
-        SCHED_SHED,
-        SCHED_ROUTE,
-        HYBRID_ROUTE,
-        PIPELINE,
-        PIPELINE_BATCH,
-        KERNEL,
-        DRAM,
-        EXEC,
-        H2D,
-        D2H,
-        LAUNCH,
-        COALESCE,
-        SORT,
-        SCATTER,
-        PREPARE,
-        POST,
-        GPU,
-        CPU,
-    ];
+    catalog! {
+        /// Every registered span name.
+        ALL_SPANS;
+        /// Root: one CuART session lookup batch (§3.2).
+        BATCH_LOOKUP = "batch.lookup";
+        /// Root: one CuART session update/delete batch (§3.4).
+        BATCH_UPDATE = "batch.update";
+        /// Root: one CuART session insert batch (§5.1).
+        BATCH_INSERT = "batch.insert";
+        /// Root: one CuART session range batch (§3.2.1 span kernel).
+        BATCH_RANGE = "batch.range";
+        /// Root: one serving-layer lookup batch (coalesce→sort→dispatch→scatter).
+        SCHED_BATCH_LOOKUP = "sched.batch.lookup";
+        /// Root: one serving-layer update batch.
+        SCHED_BATCH_UPDATE = "sched.batch.update";
+        /// Root: one serving-layer insert batch.
+        SCHED_BATCH_INSERT = "sched.batch.insert";
+        /// Root: one serving-layer range batch (coalesce→dispatch, no sort
+        /// or scatter — ranges keep arrival order).
+        SCHED_BATCH_RANGE = "sched.batch.range";
+        /// Standalone leaf: one network request served (decode→backend→
+        /// response write), wall-clock, attrs opcode/bytes.
+        NET_REQUEST = "net.request";
+        /// Standalone leaf: coalesce-time shedding of deadline-expired ops.
+        SCHED_SHED = "sched.shed";
+        /// Standalone leaf: one routed fleet call (split→dispatch→merge).
+        SCHED_ROUTE = "sched.route";
+        /// Root: §3.2.3 hybrid split; spans the slower of the gpu/cpu legs.
+        HYBRID_ROUTE = "hybrid.route";
+        /// Root: one S-stream software-pipelined run (Figs. 8/9).
+        PIPELINE = "pipeline";
+        /// Node: one batch inside a pipelined run, children at scheduled offsets.
+        PIPELINE_BATCH = "pipeline.batch";
+        /// Node: a device kernel, decomposed into `dram` + `exec`.
+        KERNEL = "kernel";
+        /// Leaf: the kernel share covered by the DRAM bandwidth bound.
+        DRAM = "dram";
+        /// Leaf: the kernel share left after the DRAM bound (latency/compute).
+        EXEC = "exec";
+        /// Leaf: PCIe upload of the key batch (bytes attached).
+        H2D = "h2d";
+        /// Leaf: PCIe download of results (bytes attached).
+        D2H = "d2h";
+        /// Leaf: kernel-launch overhead (§4.1's batching motivation).
+        LAUNCH = "launch";
+        /// Leaf: request coalescing into a device batch (serving layer).
+        COALESCE = "coalesce";
+        /// Leaf: §3.2 sorted batches — ordering queries for §3.1 locality.
+        SORT = "sort";
+        /// Leaf: result scatter back to producers in arrival order.
+        SCATTER = "scatter";
+        /// Leaf: host-side batch preparation stage of the pipeline.
+        PREPARE = "prepare";
+        /// Leaf: host-side post-processing stage of the pipeline.
+        POST = "post";
+        /// Leaf: the GPU leg of a hybrid batch (starts at t=0).
+        GPU = "gpu";
+        /// Leaf: the CPU leg of a hybrid batch (starts at t=0, overlaps `gpu`).
+        CPU = "cpu";
+    }
 }
