@@ -25,7 +25,7 @@ USAGE:
   cuart bench-net INDEX [--connect ADDR [--shutdown] | SERVER FLAGS]
                [--clients 4] [--ops 65536] [--req-keys 256] [--smoke]
   cuart trace  INDEX [--device NAME] [--batch N] [--batches N]
-               [--out trace.json] [--folded out.txt]
+               [--trace-out trace.json] [--folded-out out.txt]
   cuart verify-trace TRACE.json
   cuart verify-snapshot INDEX
 
@@ -38,15 +38,17 @@ SERVER FLAGS (serve, and bench-net's self-hosted server):
   [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
 
 DEVICES: a100 (server), rtx3090 (workstation), gtx1070 (notebook)
+FLAGS: a flag the command does not list above is refused (exit 2)
 KEY FILES: one key per line; optional 'key<TAB>value'; --hex for hex keys
-METRICS: counters, gauges, histograms and the per-batch event trace of the
-run, as JSON (default) or Prometheus text
+METRICS: counters, gauges, histograms, the per-batch span trees and the
+state-transition events (degraded/recovered, breaker_*) of the run, as
+JSON (default) or Prometheus text
 FAULTS: --fault-rate P injects device faults with probability P per op
 (seeded by --fault-seed, default 0) to drill the retry/degrade/recover
 path.
-TRACING: `trace` (and serve/bench-net --trace-out) export hierarchical
+TRACING: --trace-out (trace, serve, bench-net) exports hierarchical
 span trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
---folded writes flamegraph-style folded stacks. verify-trace checks a
+--folded-out writes flamegraph-style folded stacks. verify-trace checks a
 trace file nests and that every batch tree's leaf durations reproduce
 the modeled batch time (±1%).
 BATCHING: the executor dispatches whatever is queued as soon as it is
@@ -93,6 +95,24 @@ const SERVER_FLAGS: &[&str] = &[
     "trace-out",
     "folded-out",
 ];
+
+/// The flags each command reads (`serve` and `bench-net` also read
+/// [`SERVER_FLAGS`]); `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "build" => "keys out hex lut-span",
+        "info" | "verify-trace" | "verify-snapshot" => "",
+        "get" => "hex",
+        "range" => "hex limit",
+        "query" => "keys hex device metrics-out fault-seed fault-rate",
+        "bench" => "device batch batches metrics-out fault-seed fault-rate",
+        "metrics" => "keys hex device batch batches format metrics-out",
+        "serve" => "listen window idle-timeout-ms allow-shutdown",
+        "bench-net" => "connect clients ops req-keys smoke shutdown",
+        "trace" => "device batch batches trace-out folded-out",
+        _ => return None,
+    })
+}
 
 struct Args {
     positional: Vec<String>,
@@ -226,6 +246,15 @@ fn main() {
     }
     let cmd = raw[0].clone();
     let args = Args::parse(&raw[1..]);
+    if let Some(own) = command_flags(&cmd) {
+        let serving = matches!(cmd.as_str(), "serve" | "bench-net");
+        let known = |f: &str| {
+            own.split_whitespace().any(|o| o == f) || (serving && SERVER_FLAGS.contains(&f))
+        };
+        if let Some((flag, _)) = args.flags.iter().find(|(f, _)| !known(f)) {
+            fail(&format!("{cmd} does not take --{flag}"));
+        }
+    }
     let hex = args.has("hex");
     let metrics_out = args.flag("metrics-out").map(PathBuf::from);
     let trace_out = args.flag("trace-out").map(PathBuf::from);
@@ -341,15 +370,13 @@ fn main() {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let batch = args.parsed("batch").unwrap_or(4096);
             let batches = args.parsed("batches").unwrap_or(8);
-            let out = args.flag("out").map(PathBuf::from);
-            let folded = args.flag("folded").map(PathBuf::from);
             cmd_trace(
                 &idx,
                 args.flag("device").unwrap_or("rtx3090"),
                 batch,
                 batches,
-                out.as_deref(),
-                folded.as_deref(),
+                trace_out.as_deref(),
+                folded_out.as_deref(),
             )
         }
         "verify-trace" => cmd_verify_trace(&required_path(&args, "TRACE.json", args.pos(0))),

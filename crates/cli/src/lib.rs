@@ -23,7 +23,7 @@
 //!               [--queue-cap N] [--op-deadline-us N]
 //!               [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
 //! cuart trace  idx.cuart [--device NAME] [--batch N] [--batches N]
-//!              [--out trace.json] [--folded out.txt]
+//!              [--trace-out trace.json] [--folded-out out.txt]
 //! cuart verify-trace trace.json
 //! cuart verify-snapshot idx.cuart
 //! ```
@@ -33,7 +33,7 @@
 //! value unless a tab-separated `key<TAB>value` format is used.
 //!
 //! All command logic lives in this library (unit-tested); the binary is a
-//! thin argument parser.
+//! thin argument parser that refuses any flag its command does not read.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -534,7 +534,8 @@ pub fn cmd_bench(
 }
 
 /// Run an instrumented lookup workload and dump the full telemetry
-/// snapshot (counters, gauges, histograms, and the per-batch event trace).
+/// snapshot (counters, gauges, histograms, the per-batch span trees and
+/// the state-transition events).
 ///
 /// Probes come from `--keys` when given, otherwise the stored keys are
 /// replayed round-robin. Output goes to stdout, or to `--metrics-out`.
@@ -1316,7 +1317,7 @@ mod tests {
         let prom = cmd_metrics(&idx, None, false, "a100", 64, 2, "prom", None).unwrap();
         assert!(prom.contains("cuart_events_dropped"), "{prom}");
         assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
-        assert!(json.contains("\"kind\":\"lookup\""), "{json}");
+        assert!(json.contains("\"name\":\"batch.lookup\""), "{json}");
         assert!(prom.contains("cuart_lookup_batches 2"), "{prom}");
         // Lookups share the whole image and own none of it.
         assert!(prom.contains("cuart_device_owned_bytes 0"), "{prom}");

@@ -75,9 +75,8 @@ impl CuartIndex {
     }
 
     /// Attach a telemetry registry. Build-shape gauges (device bytes,
-    /// node/leaf-class occupancy) are recorded immediately and a `build`
-    /// event is traced; sessions opened afterwards inherit the registry
-    /// and record every batch.
+    /// node/leaf-class occupancy) are recorded immediately; sessions
+    /// opened afterwards inherit the registry and record every batch.
     pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.record_build_metrics(&telemetry);
         self.telemetry = Some(telemetry);
@@ -124,9 +123,6 @@ impl CuartIndex {
         t.gauge_set(names::BUILD_NODES, nodes as f64);
         t.gauge_set(names::BUILD_LEAVES, leaves as f64);
         t.gauge_set(names::BUILD_HOST_ENTRIES, b.host_entries() as f64);
-        let mut e = BatchEvent::new(BatchKind::Build, b.entries as u64);
-        e.dram_bytes = self.device_bytes() as u64;
-        t.record(e);
     }
 
     /// The underlying buffers.
@@ -536,7 +532,7 @@ impl PointKind for Insert {
     }
 }
 
-/// Metric, event and span names of one batch kind.
+/// Metric and span names of one batch kind.
 struct KindNames {
     /// Position of the kind's handles in [`SessionTelemetry::kinds`].
     slot: usize,
@@ -546,7 +542,6 @@ struct KindNames {
     /// Counter fed with the batch's host-spill tally, where the kind
     /// keeps one.
     host_spills: Option<&'static str>,
-    event: BatchKind,
     span: &'static str,
 }
 
@@ -556,7 +551,6 @@ const RANGE_NAMES: KindNames = KindNames {
     keys: names::RANGE_KEYS,
     kernel_ns: names::RANGE_KERNEL_NS,
     host_spills: None,
-    event: BatchKind::Range,
     span: names::spans::BATCH_RANGE,
 };
 
@@ -588,7 +582,6 @@ impl Kind {
                 keys: names::LOOKUP_KEYS,
                 kernel_ns: names::LOOKUP_KERNEL_NS,
                 host_spills: Some(names::LOOKUP_HOST_SPILLS),
-                event: BatchKind::Lookup,
                 span: names::spans::BATCH_LOOKUP,
             },
             Kind::Update => KindNames {
@@ -597,7 +590,6 @@ impl Kind {
                 keys: names::UPDATE_KEYS,
                 kernel_ns: names::UPDATE_KERNEL_NS,
                 host_spills: None,
-                event: BatchKind::Update,
                 span: names::spans::BATCH_UPDATE,
             },
             Kind::Insert => KindNames {
@@ -606,7 +598,6 @@ impl Kind {
                 keys: names::INSERT_KEYS,
                 kernel_ns: names::INSERT_KERNEL_NS,
                 host_spills: Some(names::INSERT_HOST_SPILLS),
-                event: BatchKind::Insert,
                 span: names::spans::BATCH_INSERT,
             },
         }
@@ -1247,9 +1238,9 @@ impl<'a> CuartSession<'a> {
         }
     }
 
-    /// Counters, histogram, kernel statistics and the batch event of one
-    /// finished batch. `refills` is `Some` for the write kinds, which also
-    /// report their claim conflicts.
+    /// Counters, histogram and kernel statistics of one finished batch.
+    /// `refills` is `Some` for the write kinds, which also report their
+    /// claim conflicts.
     fn record_batch(
         &self,
         kind: &KindNames,
@@ -1267,17 +1258,12 @@ impl<'a> CuartSession<'a> {
         if let Some(spills) = &series.host_spills {
             spills.incr(host_spills);
         }
-        let mut e = report.to_event(kind.event, ops as u64);
-        e.host_spills = host_spills;
         if let Some(refills) = refills {
             t.claim_conflicts.incr(report.atomic_conflicts);
             t.freelist_refills.incr(refills);
-            e.claim_conflicts = report.atomic_conflicts;
-            e.freelist_refills = refills;
         }
         series.kernel_ns.observe(report.time_ns as u64);
         t.kernel.record(report);
-        t.registry.record(e);
         self.record_image_sharing();
     }
 

@@ -164,24 +164,6 @@ impl KernelReport {
         }
     }
 
-    /// Seed a [`BatchEvent`](cuart_telemetry::BatchEvent) with everything this report knows; callers
-    /// fill in engine-level fields (spills, conflicts, refills) on top.
-    pub fn to_event(
-        &self,
-        kind: cuart_telemetry::BatchKind,
-        keys: u64,
-    ) -> cuart_telemetry::BatchEvent {
-        let mut e = cuart_telemetry::BatchEvent::new(kind, keys);
-        e.kernel_time_ns = self.time_ns as u64;
-        e.l2_hits = self.l2_hits;
-        e.l2_misses = self.l2_misses();
-        e.dram_transactions = self.dram_transactions;
-        e.dram_bytes = self.dram_bytes;
-        e.coalesced_accesses = self.sectors;
-        e.raw_accesses = self.raw_accesses;
-        e
-    }
-
     /// Decompose this kernel into a span subtree: a `kernel` node whose
     /// two leaves tile its modeled time exactly — `dram` is the share
     /// covered by the bandwidth bound (the most-loaded channel's busy
@@ -1090,18 +1072,5 @@ mod accumulate_tests {
         assert!(s.contains("128 threads"), "{s}");
         assert!(s.contains("75.0% hit"), "{s}");
         assert!(s.contains("5 DRAM tx"), "{s}");
-    }
-
-    #[test]
-    fn report_converts_to_batch_event() {
-        let r = sample(1);
-        let e = r.to_event(cuart_telemetry::BatchKind::Lookup, 42);
-        assert_eq!(e.keys, 42);
-        assert_eq!(e.kernel_time_ns, 100);
-        assert_eq!(e.l2_hits, 15);
-        assert_eq!(e.l2_misses, 5);
-        assert_eq!(e.coalesced_accesses, 20);
-        assert_eq!(e.raw_accesses, 40);
-        assert_eq!(e.host_spills, 0);
     }
 }

@@ -8,7 +8,7 @@
 //! can halve overall throughput (Figure 13).
 
 use crate::gpu_runner::E2eReport;
-use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
+use cuart_telemetry::{names, SpanNode, Telemetry};
 
 /// Effective per-operation CPU cost for a long-key lookup in the host ART
 /// (nanoseconds). This is deliberately large: the CPU leg chases pointers
@@ -37,10 +37,9 @@ pub struct HybridReport {
 impl HybridReport {
     /// Record this routing decision into `telemetry`.
     ///
-    /// Emits the `cuart.hybrid.*` counters/gauges and a
-    /// [`BatchKind::HybridRoute`] event whose `host_spills` field carries
-    /// the number of keys routed to the CPU leg and whose `kernel_time_ns`
-    /// carries the GPU leg time.
+    /// Emits the `cuart.hybrid.*` counters/gauges and a `hybrid.route`
+    /// span tree whose `gpu` and `cpu` legs carry each leg's time and the
+    /// keys routed to it.
     pub fn record_into(&self, telemetry: &Telemetry, batch_size: usize, cpu_fraction: f64) {
         let cpu_keys = (batch_size as f64 * cpu_fraction).round() as u64;
         let gpu_keys = (batch_size as u64).saturating_sub(cpu_keys);
@@ -48,10 +47,6 @@ impl HybridReport {
         telemetry.incr(names::HYBRID_CPU_KEYS, cpu_keys);
         telemetry.incr(names::HYBRID_GPU_KEYS, gpu_keys);
         telemetry.gauge_set(names::HYBRID_CPU_FRACTION, cpu_fraction);
-        let mut event = BatchEvent::new(BatchKind::HybridRoute, batch_size as u64);
-        event.kernel_time_ns = self.gpu_leg_ns as u64;
-        event.host_spills = cpu_keys;
-        telemetry.record(event);
         // Both legs start at the split point and run concurrently, so the
         // children are pinned at offset 0 and the root spans the envelope
         // — the slower leg, which is the batch's modeled time.
@@ -244,12 +239,8 @@ mod tests {
         assert_eq!(snap.counters[names::HYBRID_CPU_KEYS], 30);
         assert_eq!(snap.counters[names::HYBRID_GPU_KEYS], 970);
         assert_eq!(snap.gauges[names::HYBRID_CPU_FRACTION], 0.03);
-        assert_eq!(snap.events.len(), 1);
-        let event = &snap.events[0];
-        assert_eq!(event.kind, BatchKind::HybridRoute);
-        assert_eq!(event.keys, 1000);
-        assert_eq!(event.host_spills, 30);
-        assert_eq!(event.kernel_time_ns, traced.gpu_leg_ns as u64);
+        // A routing decision is no state transition: no event.
+        assert!(snap.events.is_empty(), "{:?}", snap.events);
         // The routing decision also commits a span tree: both legs pinned
         // at the split point, root spanning the slower (CPU) leg.
         assert_eq!(snap.spans.len(), 3);

@@ -83,7 +83,7 @@
 //!   probes). After [`BreakerConfig::open_cooldown`] the breaker goes
 //!   `HalfOpen` and lets probe batches touch the device again; clean probes
 //!   close it, a faulty probe re-trips it. Transitions emit
-//!   `breaker_open`/`breaker_half_open`/`breaker_closed` batch events, the
+//!   `breaker_open`/`breaker_half_open`/`breaker_closed` transition events, the
 //!   `cuart.sched.breaker_state` gauge (0 = Closed, 1 = HalfOpen,
 //!   2 = Open) and the `cuart.sched.{breaker_trips,probe_batches}`
 //!   counters.
@@ -250,7 +250,7 @@ impl Twin<GaugeHandle> {
 /// The scheduler's telemetry: the registry and every series its queue
 /// and executor write, resolved once at [`Scheduler::spawn`] — a shard's
 /// twin names included — so no bump resolves or formats a name.
-/// Histograms, batch events and span trees stay global-only to bound
+/// Histograms, transition events and span trees stay global-only to bound
 /// series cardinality.
 struct SchedTelemetry {
     registry: Arc<Telemetry>,

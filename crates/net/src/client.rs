@@ -1,10 +1,9 @@
-//! Blocking client: one connection per [`NetClient`], a [`NetPool`] for
-//! reuse across threads, and chunked batch helpers.
+//! Blocking client: one connection per [`NetClient`].
 //!
 //! A `NetClient` keeps exactly one request in flight, so responses arrive
 //! in order; the request id is still checked defensively. Concurrency
-//! comes from holding several pooled clients (one per thread), which is
-//! how the bench and the loopback tests drive a server hard.
+//! comes from holding several clients (one per thread), which is how the
+//! bench and the loopback tests drive a server hard.
 
 use crate::proto::{self, Op, RespBody, Response};
 use cuart_host::scheduler::RangeRows;
@@ -12,8 +11,6 @@ use cuart_host::SchedError;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Client-side failure.
@@ -193,151 +190,5 @@ impl NetClient {
             RespBody::Error(code, msg) => Err(NetError::Remote(code, msg)),
             _ => Err(NetError::Wire(proto::WireError::Truncated)),
         }
-    }
-
-    /// Batch helper: lookups in frames of at most `chunk` keys, results
-    /// concatenated in key order. Keeps any single frame (and the
-    /// server-side admission burst) bounded while amortizing the
-    /// round-trip over large key lists.
-    pub fn lookup_chunked(
-        &mut self,
-        keys: Vec<Vec<u8>>,
-        chunk: usize,
-    ) -> Result<Vec<u64>, NetError> {
-        let chunk = chunk.max(1);
-        let mut out = Vec::with_capacity(keys.len());
-        let mut keys = keys;
-        while !keys.is_empty() {
-            let rest = keys.split_off(keys.len().min(chunk));
-            out.extend(self.lookup(keys)?);
-            keys = rest;
-        }
-        Ok(out)
-    }
-}
-
-/// A small connection pool over one server address. `get()` hands out an
-/// idle connection or dials a new one; dropping the guard returns it.
-pub struct NetPool {
-    addr: String,
-    idle: Mutex<Vec<NetClient>>,
-    max_idle: usize,
-}
-
-impl NetPool {
-    /// A pool dialing `addr`, keeping up to `max_idle` parked connections.
-    pub fn new(addr: impl Into<String>, max_idle: usize) -> NetPool {
-        NetPool {
-            addr: addr.into(),
-            idle: Mutex::new(Vec::new()),
-            max_idle: max_idle.max(1),
-        }
-    }
-
-    /// An idle pooled connection, or a freshly dialed one.
-    pub fn get(&self) -> Result<PooledClient<'_>, NetError> {
-        let parked = { self.lock_idle().pop() };
-        let client = match parked {
-            Some(c) => c,
-            None => NetClient::connect(self.addr.as_str())?,
-        };
-        Ok(PooledClient {
-            pool: self,
-            client: Some(client),
-        })
-    }
-
-    fn put_back(&self, client: NetClient) {
-        let mut idle = self.lock_idle();
-        if idle.len() < self.max_idle {
-            idle.push(client);
-        }
-    }
-
-    /// The parked connections. A thread that panicked while holding the
-    /// lock left the list intact (a `pop` or a `push`), so poisoning is
-    /// recovered rather than passed on to every later caller.
-    fn lock_idle(&self) -> MutexGuard<'_, Vec<NetClient>> {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// RAII guard around a pooled [`NetClient`].
-pub struct PooledClient<'a> {
-    pool: &'a NetPool,
-    client: Option<NetClient>,
-}
-
-impl Deref for PooledClient<'_> {
-    type Target = NetClient;
-
-    #[expect(
-        clippy::expect_used,
-        reason = "`client` is `Some` from construction until `Drop` takes it"
-    )]
-    fn deref(&self) -> &NetClient {
-        self.client.as_ref().expect("pooled client taken")
-    }
-}
-
-impl DerefMut for PooledClient<'_> {
-    #[expect(
-        clippy::expect_used,
-        reason = "`client` is `Some` from construction until `Drop` takes it"
-    )]
-    fn deref_mut(&mut self) -> &mut NetClient {
-        self.client.as_mut().expect("pooled client taken")
-    }
-}
-
-impl Drop for PooledClient<'_> {
-    fn drop(&mut self) {
-        if let Some(c) = self.client.take() {
-            self.pool.put_back(c);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::TcpListener;
-
-    #[test]
-    fn pool_survives_a_poisoned_idle_lock() {
-        // A one-connection server: answer the handshake, then hold the
-        // socket open until the test is done with it.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut hello = [0u8; proto::HELLO_BYTES];
-            s.read_exact(&mut hello).unwrap();
-            s.write_all(&proto::encode_hello(proto::VERSION)).unwrap();
-            let _ = s.read(&mut [0u8; 1]);
-        });
-
-        let pool = NetPool::new(addr.to_string(), 2);
-        let poisoner = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = pool.idle.lock();
-                panic!("poison the pool's idle lock");
-            })
-            .join()
-        });
-        assert!(poisoner.is_err());
-        assert!(pool.idle.is_poisoned());
-
-        // Nothing parked: `get` dials, and dropping the guard parks it.
-        drop(pool.get().unwrap());
-        assert_eq!(pool.lock_idle().len(), 1);
-        // The parked connection is handed out again, not re-dialed.
-        let again = pool.get().unwrap();
-        assert!(pool.lock_idle().is_empty());
-        drop(again);
-        assert_eq!(pool.lock_idle().len(), 1);
-
-        drop(pool);
-        server.join().unwrap();
     }
 }

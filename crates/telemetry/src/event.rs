@@ -1,25 +1,14 @@
-//! Structured per-batch trace records.
+//! State-transition records.
 //!
-//! Every device batch (lookup / update / insert), hybrid routing decision
-//! and index build emits one [`BatchEvent`] into the session's bounded
-//! ring buffer. The fields are the union of what the engines can report;
-//! producers fill in what they know and leave the rest at zero.
+//! A device session's degrade/recover path and the scheduler's circuit
+//! breaker each emit one [`BatchEvent`] per transition into the
+//! registry's bounded ring. Batches never write it: their record is the
+//! span tree and the counters it feeds, so a ring full of batch traffic
+//! cannot evict the transitions it is read for.
 
-/// What kind of batch produced an event.
+/// Which state transition produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BatchKind {
-    /// Index construction (ART → CuART buffers, or GRT build).
-    Build,
-    /// A device lookup batch.
-    Lookup,
-    /// A device update batch.
-    Update,
-    /// A device insert batch.
-    Insert,
-    /// A device range-query batch (§3.2.1 span kernel).
-    Range,
-    /// A hybrid CPU/GPU routing decision over one batch.
-    HybridRoute,
     /// The session lost its device image and fell back to the CPU path.
     Degraded,
     /// A degraded session re-uploaded the tree and resumed device service.
@@ -36,12 +25,6 @@ impl BatchKind {
     /// Stable lowercase identifier used by the exporters.
     pub fn as_str(self) -> &'static str {
         match self {
-            BatchKind::Build => "build",
-            BatchKind::Lookup => "lookup",
-            BatchKind::Update => "update",
-            BatchKind::Insert => "insert",
-            BatchKind::Range => "range",
-            BatchKind::HybridRoute => "hybrid_route",
             BatchKind::Degraded => "degraded",
             BatchKind::Recovered => "recovered",
             BatchKind::BreakerOpen => "breaker_open",
@@ -57,7 +40,7 @@ impl std::fmt::Display for BatchKind {
     }
 }
 
-/// One per-batch trace record.
+/// One state-transition record.
 ///
 /// `seq` is assigned by the ring at record time and is monotonically
 /// increasing across the session, so gaps reveal dropped events.
@@ -65,66 +48,15 @@ impl std::fmt::Display for BatchKind {
 pub struct BatchEvent {
     /// Session-monotonic sequence number (assigned on record).
     pub seq: u64,
-    /// Producer of the event.
+    /// The transition.
     pub kind: BatchKind,
-    /// Keys in the batch.
+    /// Keys in the batch that triggered the transition.
     pub keys: u64,
-    /// Modeled kernel time in nanoseconds.
-    pub kernel_time_ns: u64,
-    /// L2 cache hits during the batch.
-    pub l2_hits: u64,
-    /// L2 cache misses during the batch.
-    pub l2_misses: u64,
-    /// 32-byte DRAM sector transactions issued.
-    pub dram_transactions: u64,
-    /// Bytes moved from DRAM.
-    pub dram_bytes: u64,
-    /// Memory requests after warp coalescing.
-    pub coalesced_accesses: u64,
-    /// Raw per-lane memory requests before coalescing.
-    pub raw_accesses: u64,
-    /// Keys spilled to the host side (HOST_SIGNAL / overflow path).
-    pub host_spills: u64,
-    /// Insert/update slot-claim conflicts (atomic CAS retries).
-    pub claim_conflicts: u64,
-    /// Free-list refills triggered while serving the batch.
-    pub freelist_refills: u64,
 }
 
 impl BatchEvent {
-    /// New event of `kind` covering `keys` keys, all other fields zero.
+    /// New `kind` transition triggered by a batch of `keys` keys.
     pub fn new(kind: BatchKind, keys: u64) -> Self {
-        BatchEvent {
-            seq: 0,
-            kind,
-            keys,
-            kernel_time_ns: 0,
-            l2_hits: 0,
-            l2_misses: 0,
-            dram_transactions: 0,
-            dram_bytes: 0,
-            coalesced_accesses: 0,
-            raw_accesses: 0,
-            host_spills: 0,
-            claim_conflicts: 0,
-            freelist_refills: 0,
-        }
-    }
-
-    /// The non-`seq`/`kind`/`keys` payload as `(name, value)` pairs, in
-    /// export order. Shared by the JSON exporter and pretty-printers.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
-        [
-            ("kernel_time_ns", self.kernel_time_ns),
-            ("l2_hits", self.l2_hits),
-            ("l2_misses", self.l2_misses),
-            ("dram_transactions", self.dram_transactions),
-            ("dram_bytes", self.dram_bytes),
-            ("coalesced_accesses", self.coalesced_accesses),
-            ("raw_accesses", self.raw_accesses),
-            ("host_spills", self.host_spills),
-            ("claim_conflicts", self.claim_conflicts),
-            ("freelist_refills", self.freelist_refills),
-        ]
+        BatchEvent { seq: 0, kind, keys }
     }
 }

@@ -9,8 +9,11 @@
 //!   rate, DRAM channel imbalance, device bytes, …),
 //! * **histograms** — log2-bucketed distributions (kernel ns per batch,
 //!   DRAM transactions per batch, bytes moved, …),
-//! * **a bounded event ring** — one structured [`BatchEvent`] per device
-//!   batch and hybrid routing decision, with session-monotonic `seq`.
+//! * **span trees** — one per device batch (`h2d`, `kernel{dram, exec}`,
+//!   `d2h`), a batch's only per-batch record, in a bounded span ring,
+//! * **a bounded event ring** — one [`BatchEvent`] per state transition
+//!   (degrade, recover, breaker open/half-open/closed), with
+//!   session-monotonic `seq`; batches never write it.
 //!
 //! Snapshots ([`Telemetry::snapshot`]) are fully owned and export to JSON
 //! ([`Snapshot::to_json`]) or the Prometheus text format
@@ -20,9 +23,10 @@
 //!
 //! Recording through a handle is one relaxed atomic op; the registry
 //! locks are touched only on name resolution, which the per-batch owners
-//! do once (see the hot-path rule in the registry docs). The event ring
-//! takes one short mutex per *batch*, and so does a span-tree commit,
-//! which moves the tree into the span ring without copying a string.
+//! do once (see the hot-path rule in the registry docs). A batch takes
+//! one short ring mutex: its span-tree commit, which moves the tree into
+//! the span ring without copying a string. The event ring's mutex is
+//! taken only on a state transition.
 //! "Telemetry off" is an index with no registry attached: the only
 //! residual cost in the engines is the `Option` branch at each recording
 //! site.
@@ -56,7 +60,7 @@ mod tests {
         t.incr(names::LOOKUP_BATCHES, 1);
         t.gauge_set(names::L2_HIT_RATE, 0.5);
         t.observe(names::LOOKUP_KERNEL_NS, 1234);
-        t.record(BatchEvent::new(BatchKind::Lookup, 16));
+        t.record(BatchEvent::new(BatchKind::Degraded, 16));
         let s = t.snapshot();
         let json = s.to_json();
         let prom = s.to_prometheus();

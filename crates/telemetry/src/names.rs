@@ -194,7 +194,7 @@ catalog! {
     /// Histogram: server-side wall ns per request (decode to response
     /// write handoff).
     NET_REQUEST_NS = "cuart.net.request_ns";
-    /// Events evicted from the bounded batch-event ring (overflow is
+    /// Events evicted from the bounded state-transition event ring (overflow is
     /// surfaced, not silent).
     EVENTS_DROPPED = "cuart.telemetry.events_dropped";
     /// Spans evicted from the bounded span ring.

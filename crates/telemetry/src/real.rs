@@ -20,9 +20,9 @@
 //! A resolved series appears in snapshots only once it has been written,
 //! so resolving a handle early never changes what a snapshot shows.
 //!
-//! The event ring takes a short `Mutex` per batch, and so does the span
-//! ring per committed tree; both are amortised across the whole batch,
-//! not per key.
+//! The span ring takes a short `Mutex` per committed tree, amortised
+//! across the whole batch, not per key. The event ring's `Mutex` is
+//! taken only on a state transition; no batch touches it.
 
 use crate::event::BatchEvent;
 use crate::names;
@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Default bound of the batch event ring.
+/// Default bound of the state-transition event ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// Set on a series' first write; snapshots skip series never written.
@@ -182,7 +182,7 @@ struct RingInner {
     dropped: u64,
 }
 
-/// Bounded ring of [`BatchEvent`]s with session-monotonic sequencing.
+/// Bounded ring of transition [`BatchEvent`]s, session-monotonic `seq`.
 #[derive(Debug)]
 struct EventRing {
     capacity: usize,
@@ -391,18 +391,13 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// New registry with the default event-ring capacity.
+    /// New registry with the default event- and span-ring capacities.
     pub fn new() -> Self {
-        Self::with_event_capacity(DEFAULT_EVENT_CAPACITY)
+        Self::with_capacities(DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY)
     }
 
-    /// New registry retaining at most `capacity` trace events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Self::with_capacities(capacity, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// New registry retaining at most `event_capacity` trace events and
-    /// `span_capacity` spans.
+    /// New registry retaining at most `event_capacity` transition events
+    /// and `span_capacity` spans.
     pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
         let critical_share = GaugeHandle::default();
         let gauges = BTreeMap::from([(
@@ -461,7 +456,8 @@ impl Telemetry {
         self.histogram(name).observe(v);
     }
 
-    /// Append a batch event to the trace ring; returns its sequence number.
+    /// Append a state-transition event to the event ring; returns its
+    /// sequence number. Batches record span trees, never events.
     pub fn record(&self, event: BatchEvent) -> u64 {
         self.events.record(event)
     }
@@ -603,9 +599,9 @@ mod tests {
 
     #[test]
     fn ring_wraparound_keeps_tail_and_counts_drops() {
-        let t = Telemetry::with_event_capacity(4);
+        let t = Telemetry::with_capacities(4, DEFAULT_SPAN_CAPACITY);
         for i in 0..10u64 {
-            t.record(BatchEvent::new(BatchKind::Lookup, i));
+            t.record(BatchEvent::new(BatchKind::Degraded, i));
         }
         let s = t.snapshot();
         assert_eq!(s.events.len(), 4);
@@ -726,9 +722,9 @@ mod tests {
 
     #[test]
     fn dropped_event_counter_lands_in_the_counter_map() {
-        let t = Telemetry::with_event_capacity(2);
+        let t = Telemetry::with_capacities(2, DEFAULT_SPAN_CAPACITY);
         for i in 0..5u64 {
-            t.record(BatchEvent::new(BatchKind::Lookup, i));
+            t.record(BatchEvent::new(BatchKind::Degraded, i));
         }
         let s = t.snapshot();
         assert_eq!(s.counters.get(names::EVENTS_DROPPED), Some(&3));

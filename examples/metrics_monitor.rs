@@ -17,7 +17,7 @@ use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
-use cuart_telemetry::{names, BatchKind, Telemetry};
+use cuart_telemetry::{names, Telemetry};
 use std::sync::Arc;
 
 /// A metric series key: "host.metric" padded into the 32-byte device max.
@@ -88,18 +88,19 @@ fn main() {
     let update_batches = counter(names::UPDATE_BATCHES);
     let insert_batches = counter(names::INSERT_BATCHES);
     println!(
-        "event trace: {} events captured ({update_batches} update / {insert_batches} insert batches)",
-        snap.events.len()
+        "span trace: {} spans captured ({update_batches} update / {insert_batches} insert batches)",
+        snap.spans.len()
     );
     if let Some(last_insert) = snap
-        .events
+        .spans
         .iter()
         .rev()
-        .find(|e| e.kind == BatchKind::Insert)
+        .find(|s| s.name == names::spans::BATCH_INSERT)
     {
         println!(
-            "last insert batch: {} keys, {} free-list refills, {} DRAM transactions",
-            last_insert.keys, last_insert.freelist_refills, last_insert.dram_transactions
+            "last insert batch: {:.2} us modeled, {:?}",
+            last_insert.duration_ns() as f64 / 1e3,
+            last_insert.attrs
         );
     }
 

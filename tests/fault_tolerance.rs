@@ -8,7 +8,7 @@ use cuart::{CuartConfig, CuartIndex, Mode, DELETE};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::{devices, FaultConfig, FaultInjector};
-use cuart_telemetry::{names, BatchKind, Telemetry};
+use cuart_telemetry::{names, BatchKind, Telemetry, DEFAULT_EVENT_CAPACITY};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -124,6 +124,30 @@ fn five_percent_fault_rate_never_corrupts_and_recovers() {
         (Some(d), Some(r)) => assert!(d < r, "Degraded must precede Recovered"),
         other => panic!("expected a Degraded -> Recovered transition, got {other:?}"),
     }
+}
+
+/// The event ring holds state transitions only: a session that degrades,
+/// recovers and then serves twice the ring's capacity in device batches
+/// still shows exactly its Degraded → Recovered pair, nothing evicted.
+#[test]
+fn transitions_outlive_a_ring_full_of_batches() {
+    let (art, oracle) = build(512);
+    let telemetry = Arc::new(Telemetry::new());
+    let index =
+        CuartIndex::build(&art, &CuartConfig::for_tests()).with_telemetry(telemetry.clone());
+    let injector = FaultInjector::new(FaultConfig::uniform(7, 0.0).fail_range(0, 8));
+    let mut session = index.device_session_with_faults(&devices::rtx3090(), injector);
+    let probes: Vec<Vec<u8>> = (0..32).map(key).collect();
+    for _ in 0..2 * DEFAULT_EVENT_CAPACITY {
+        let (values, _) = session.lookup_batch(&probes).unwrap();
+        assert_eq!(values, (0..32).map(|i| oracle[&key(i)]).collect::<Vec<_>>());
+    }
+    assert_eq!(session.mode(), Mode::Device);
+
+    let snap = telemetry.snapshot();
+    let kinds: Vec<BatchKind> = snap.events.iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, [BatchKind::Degraded, BatchKind::Recovered]);
+    assert_eq!(snap.events_dropped, 0);
 }
 
 /// Even an injector that fails *every* device op must not take the

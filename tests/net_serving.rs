@@ -173,7 +173,7 @@ fn updates_inserts_and_ranges_roundtrip_over_the_wire() {
         .collect();
     assert_eq!(got, expect);
     assert!(rows[1].is_empty());
-    // Chunked batch helper: results concatenate in key order.
+    // A long key list in frames of 64 keys: results concatenate in order.
     let keys: Vec<Vec<u8>> = (0..300).map(key).collect();
     let expect: Vec<u64> = index
         .lookup_batch_cpu(&keys)
@@ -187,7 +187,11 @@ fn updates_inserts_and_ranges_roundtrip_over_the_wire() {
             }
         })
         .collect();
-    assert_eq!(conn.lookup_chunked(keys, 64).unwrap(), expect);
+    let mut got = Vec::with_capacity(keys.len());
+    for chunk in keys.chunks(64) {
+        got.extend(conn.lookup(chunk.to_vec()).unwrap());
+    }
+    assert_eq!(got, expect);
 
     stop.shutdown();
     let report = server.join().unwrap();

@@ -92,8 +92,9 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
     );
     assert!(update_large <= 6, "update_batch allocated {update_large}×");
 
-    // The telemetry-attached twin, span recording on. Small rings, filled
-    // by the warm-up: a long-running server records into full rings. The
+    // The telemetry-attached twin, span recording on. Small rings; the
+    // warm-up fills the span ring, as a long-running server does, and
+    // leaves the event ring empty, which no batch writes. The
     // warm-up also runs both sizes once, because the first tree a stage
     // dominates resolves that stage's critical-path counter.
     let telemetry = Arc::new(Telemetry::with_capacities(16, 64));
@@ -107,8 +108,8 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
     }
     let snap = telemetry.snapshot();
     assert!(
-        snap.events_dropped > 0 && snap.spans_dropped > 0,
-        "rings full"
+        snap.spans_dropped > 0 && snap.events.is_empty(),
+        "span ring full, event ring untouched"
     );
     let traced_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
     let traced_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));

@@ -62,11 +62,7 @@ fn render(s: &Snapshot) -> String {
         }
     }
     for e in &s.events {
-        write!(out, "event {} {} keys={}", e.seq, e.kind.as_str(), e.keys).unwrap();
-        for (k, v) in e.fields() {
-            write!(out, " {k}={v}").unwrap();
-        }
-        out.push('\n');
+        writeln!(out, "event {} {} keys={}", e.seq, e.kind.as_str(), e.keys).unwrap();
     }
     writeln!(out, "events_dropped {}", s.events_dropped).unwrap();
     for sp in &s.spans {

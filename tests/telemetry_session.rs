@@ -1,12 +1,13 @@
 //! End-to-end telemetry: a device session doing a lookup + update + insert
 //! round-trip must leave the exact expected trail in an attached registry —
-//! the right event sequence, consistent counters, and exporters that agree
-//! with the snapshot they serialise.
+//! the right sequence of batch span trees, consistent counters, no
+//! transition events, and exporters that agree with the snapshot they
+//! serialise.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
-use cuart_telemetry::{names, BatchKind, Telemetry};
+use cuart_telemetry::{names, Span, Telemetry};
 use cuart_workloads::uniform_keys;
 use std::sync::Arc;
 
@@ -41,34 +42,37 @@ fn round_trip_emits_expected_event_sequence() {
 
     let snap = telemetry.snapshot();
 
-    // Event trace: one Build event from attach, then exactly the batch
-    // sequence above, with monotonically increasing sequence numbers.
-    let kinds: Vec<BatchKind> = snap.events.iter().map(|e| e.kind).collect();
+    // Span trace: one root per batch, in the order above, carrying the
+    // batch's keys; the first lookup's kernel split out its DRAM traffic.
+    let attr = |span: &Span, key: &str| -> u64 {
+        let (_, v) = span.attrs.iter().find(|(k, _)| k == key).unwrap();
+        v.parse().unwrap()
+    };
+    let spans = &snap.spans;
+    let child = |id: u64, name: &str| spans.iter().find(|s| s.parent == id && s.name == name);
+    let roots: Vec<&Span> = snap.spans.iter().filter(|s| s.parent == 0).collect();
+    let batches: Vec<(&str, u64)> = roots.iter().map(|s| (&*s.name, attr(s, "keys"))).collect();
     assert_eq!(
-        kinds,
-        vec![
-            BatchKind::Build,
-            BatchKind::Lookup,
-            BatchKind::Update,
-            BatchKind::Lookup,
-            BatchKind::Insert,
+        batches,
+        [
+            ("batch.lookup", 512),
+            ("batch.update", 256),
+            ("batch.lookup", 256),
+            ("batch.insert", 64)
         ]
     );
-    for pair in snap.events.windows(2) {
-        assert!(pair[1].seq > pair[0].seq, "event seq must increase");
-    }
+    assert!(roots.windows(2).all(|p| p[1].id > p[0].id), "ids increase");
+    assert_eq!(snap.spans_dropped, 0);
+    let kernel = child(roots[0].id, "kernel").unwrap();
+    assert!(kernel.duration_ns() > 0);
+    assert!(attr(child(kernel.id, "dram").unwrap(), "transactions") > 0);
+    assert!(snap.counters[names::RAW_ACCESSES] >= snap.counters[names::COALESCED_ACCESSES]);
+
+    // Batches are no state transitions: the event ring stays empty.
+    assert!(snap.events.is_empty(), "{:?}", snap.events);
     assert_eq!(snap.events_dropped, 0);
 
-    // Per-event payloads line up with the batches that produced them.
-    assert_eq!(snap.events[1].keys, 512);
-    assert_eq!(snap.events[2].keys, 256);
-    assert_eq!(snap.events[3].keys, 256);
-    assert_eq!(snap.events[4].keys, 64);
-    assert!(snap.events[1].kernel_time_ns > 0);
-    assert!(snap.events[1].dram_transactions > 0);
-    assert!(snap.events[1].raw_accesses >= snap.events[1].coalesced_accesses);
-
-    // Counters agree with the event trace.
+    // Counters agree with the span trace.
     assert_eq!(snap.counters[names::LOOKUP_BATCHES], 2);
     assert_eq!(snap.counters[names::LOOKUP_KEYS], 512 + 256);
     assert_eq!(snap.counters[names::UPDATE_BATCHES], 1);
@@ -127,9 +131,9 @@ fn exporters_agree_with_snapshot() {
         let prom_line = format!("{} {v}", name.replace('.', "_"));
         assert!(prom.contains(&prom_line), "prom missing {prom_line}");
     }
-    // The event trace is JSON-only; Prometheus gets the drop summary.
-    assert!(json.contains("\"kind\":\"build\""));
-    assert!(json.contains("\"kind\":\"lookup\""));
+    // The batch is a span tree in JSON; Prometheus gets the drop summary.
+    assert!(json.contains("\"name\":\"batch.lookup\""));
+    assert!(json.contains("\"events\":[]"));
     assert!(prom.contains("cuart_events_dropped 0"));
 }
 
