@@ -5,6 +5,14 @@
 //! NVIDIA's L2 allocates). The tree-size sweeps of Figures 7/10/15/16 get
 //! their small-tree/large-tree regimes from this model: a 64 Ki-entry tree
 //! fits in L2, a 16 Mi-entry tree does not.
+//!
+//! Each set keeps its tags in recency order, most recently used first: a
+//! hit rotates its way to the front, a miss rotates the new tag in at the
+//! front and drops the last way. Invalid ways start at the back, so they
+//! fill before any valid line is evicted, and the evicted line is always
+//! the least recently used one. That is exactly LRU, with no use stamps to
+//! store or scan: one 8-byte tag per way is the whole state
+//! (`tests/simulator_laws.rs` checks it against a stamp-LRU reference).
 
 use crate::config::CacheConfig;
 
@@ -14,11 +22,9 @@ pub struct Cache {
     line_bytes: u64,
     sets: usize,
     ways: usize,
-    /// `tags[set * ways + way]` = line tag, or `u64::MAX` when invalid.
+    /// `tags[set * ways..][..ways]` = the set's line tags, most recently
+    /// used first; `u64::MAX` marks an invalid way.
     tags: Vec<u64>,
-    /// Monotone use-counter per slot for LRU.
-    stamps: Vec<u64>,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -34,8 +40,6 @@ impl Cache {
             sets,
             ways,
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -44,23 +48,18 @@ impl Cache {
     /// Probe the line containing byte address `addr`; allocate on miss.
     /// Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let line = addr / self.line_bytes;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let base = (line % self.sets as u64) as usize * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
+            slots[..=way].rotate_right(1);
             self.hits = self.hits.saturating_add(1);
             return true;
         }
-        // Miss: evict LRU way of the set.
+        // Miss: the last way is the least recently used one (or invalid).
         self.misses = self.misses.saturating_add(1);
-        let lru = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0);
-        self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
+        slots.rotate_right(1);
+        slots[0] = line;
         false
     }
 

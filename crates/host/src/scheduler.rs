@@ -36,7 +36,10 @@
 //! tree paths — the coalescing win §3.1 argues for — and the **inverse
 //! permutation** is applied on return so every caller sees results in its
 //! own submission order. Stability preserves last-write-wins semantics for
-//! duplicate update keys.
+//! duplicate update keys. The sort runs on the executor thread over keys
+//! the producers allocated, so it compares cached 8-byte key prefixes and
+//! reads a full key only on a tie; the prefix scratch lives as long as the
+//! executor.
 //!
 //! Cross-kind ordering is preserved: the pending queue is FIFO over whole
 //! requests, and a flush executes it as maximal same-kind *head runs* (all
@@ -93,7 +96,7 @@
 //! `std::thread` for the executor.
 
 use cuart::{CuartError, CuartIndex};
-use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation_by_key, take_permuted};
+use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation_by_key, take_permuted, SortScratch};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{
@@ -400,15 +403,19 @@ impl SchedOp {
     /// tid wins" still resolves to the latest submitted op. Ranges are
     /// never sorted — each request's `[lo, hi]` pairs keep arrival order,
     /// and rows come back sorted per range by construction.
-    fn sort_by_key(&mut self) -> Option<Vec<usize>> {
-        fn sort<T: Default>(items: &mut Vec<T>, key: impl Fn(&T) -> &[u8]) -> Vec<usize> {
-            let perm = sort_permutation_by_key(items, key);
+    fn sort_by_key(&mut self, scratch: &mut SortScratch) -> Option<Vec<usize>> {
+        fn sort<T: Default>(
+            items: &mut Vec<T>,
+            key: impl Fn(&T) -> &[u8],
+            scratch: &mut SortScratch,
+        ) -> Vec<usize> {
+            let perm = sort_permutation_by_key(items, key, scratch);
             *items = take_permuted(items, &perm);
             perm
         }
         match self {
-            SchedOp::Lookup(keys) => Some(sort(keys, |k| k)),
-            SchedOp::Update(ops) | SchedOp::Insert(ops) => Some(sort(ops, |op| &op.0)),
+            SchedOp::Lookup(keys) => Some(sort(keys, |k| k, scratch)),
+            SchedOp::Update(ops) | SchedOp::Insert(ops) => Some(sort(ops, |op| &op.0, scratch)),
             SchedOp::Range(_) => None,
         }
     }
@@ -1080,6 +1087,8 @@ struct ExecCtx<'a> {
     telemetry: Option<&'a SchedTelemetry>,
     stats: SchedulerStats,
     breaker: Option<Breaker>,
+    /// The batch sort's prefix scratch, kept across batches.
+    sort_scratch: SortScratch,
 }
 
 /// Why a batch was flushed; picks the stats counter and telemetry series.
@@ -1130,6 +1139,7 @@ fn executor(
         telemetry,
         stats: SchedulerStats::default(),
         breaker,
+        sort_scratch: SortScratch::default(),
     };
 
     let mut pending = Pending::default();
@@ -1273,8 +1283,11 @@ impl ExecCtx<'_> {
             return;
         };
         let total = batch.len();
+        // The run is dispatched now: its oldest request has waited this
+        // long, and the sort and the device leg below are not queueing.
+        let queue_wait = self.telemetry.and(oldest).map(|start| start.elapsed());
         let perm = (self.cfg.sort_batches && total > 1)
-            .then(|| batch.sort_by_key())
+            .then(|| batch.sort_by_key(&mut self.sort_scratch))
             .flatten();
 
         let mode = self.breaker_before(total as u64);
@@ -1317,9 +1330,8 @@ impl ExecCtx<'_> {
                         t.sorted_batches.incr(1);
                     }
                     t.batch_fill.observe(total as u64);
-                    if let Some(start) = oldest {
-                        t.queue_latency_ns
-                            .observe(start.elapsed().as_nanos() as u64);
+                    if let Some(wait) = queue_wait {
+                        t.queue_latency_ns.observe(wait.as_nanos() as u64);
                     }
                     let probe = mode == DispatchMode::Probe;
                     let span = sched_span(&self.session, &batch, perm.is_some(), probe, &report);
@@ -1831,6 +1843,36 @@ mod tests {
             "an underfilled batch must flush on deadline or shutdown: {stats:?}"
         );
         assert_eq!(stats.size_flushes, 0);
+    }
+
+    #[test]
+    fn queue_latency_is_the_wait_from_admission_to_dispatch() {
+        let telemetry = Arc::new(Telemetry::new());
+        let mut art = Art::new();
+        art.insert(&key(7), 70).unwrap();
+        let index = Arc::new(
+            CuartIndex::build(&art, &CuartConfig::for_tests()).with_telemetry(telemetry.clone()),
+        );
+        let linger = Duration::from_millis(20);
+        let cfg = SchedulerConfig {
+            batch_target: 1_000_000,
+            deadline: linger,
+            ..SchedulerConfig::default()
+        };
+        let sched = spawn(&index, cfg);
+        let client = sched.client().unwrap();
+        let submitted = Instant::now();
+        assert_eq!(client.lookup_one(key(7)).unwrap(), 70);
+        let answered = submitted.elapsed();
+        drop(client);
+        sched.join().unwrap();
+        let snap = telemetry.snapshot();
+        let h = &snap.histograms[names::SCHED_QUEUE_LATENCY_NS];
+        // One run, one observation: the linger it sat out, and no more than
+        // the caller waited in all.
+        assert_eq!(h.count, 1, "{h:?}");
+        assert!(h.min >= linger.as_nanos() as u64, "{h:?}");
+        assert!(h.max <= answered.as_nanos() as u64, "{h:?} vs {answered:?}");
     }
 
     #[test]
