@@ -16,7 +16,12 @@ pub fn push_sectors(out: &mut Vec<u64>, addr: u64, len: u32) {
     if len == 0 {
         return;
     }
-    out.extend(addr / SECTOR_BYTES..=(addr + len as u64 - 1) / SECTOR_BYTES);
+    let (first, last) = (addr / SECTOR_BYTES, (addr + len as u64 - 1) / SECTOR_BYTES);
+    if first == last {
+        out.push(first);
+    } else {
+        out.extend(first..=last);
+    }
 }
 
 /// The set of distinct sectors touched by a group of accesses, as sector
