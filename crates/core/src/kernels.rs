@@ -32,7 +32,7 @@ use crate::layout::{self, leaf, stride, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use crate::link::{LinkType, NodeLink};
 use crate::mapper::lut_slot;
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
-use cuart_gpu_sim::{BufferId, Dep, DeviceBuffer, DeviceMemory, Kernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, Dep, DeviceBuffer, DeviceMemory, Independent, Kernel, ThreadCtx};
 use std::ops::Range;
 
 /// Result bit signalling "finish this comparison on the CPU" (host-leaf
@@ -589,6 +589,7 @@ pub(crate) fn warm_traverse(
 }
 
 /// One lookup per thread over the CuART structure of buffers.
+#[derive(Clone)]
 pub struct CuartLookupKernel {
     /// Device tree handles.
     pub tree: DeviceTree,
@@ -620,6 +621,12 @@ impl Kernel for CuartLookupKernel {
     fn warm(&self, tids: Range<usize>, mem: &DeviceMemory) {
         let live = tids.start..tids.end.min(self.count);
         warm_traverse(&self.tree, self.queries, &self.layout, live, mem);
+    }
+
+    /// A thread reads its staged key and the tree, and writes its own
+    /// result slot: independent.
+    fn independent(&self) -> Option<Independent<'_>> {
+        Some(Independent::new(self, self.results))
     }
 }
 

@@ -351,7 +351,7 @@ mod tests {
 // ---------------------------------------------------------------------------
 
 use crate::kernels::DeviceTree;
-use cuart_gpu_sim::{BufferId, Kernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, Independent, Kernel, ThreadCtx};
 
 /// Query record layout for the range kernel: `[lo_len u8][lo 32B][hi_len
 /// u8][hi 32B]`, padded to 72 bytes.
@@ -366,6 +366,7 @@ pub const RANGE_RESULT_BYTES: usize = 48;
 /// Operates on the *mapped snapshot*: arenas are sorted at map time, so
 /// this kernel must not be used after device-side structural inserts have
 /// recycled slots (use the host-side [`range_query`] then).
+#[derive(Clone)]
 pub struct RangeSpanKernel {
     /// Device tree handles.
     pub tree: DeviceTree,
@@ -412,6 +413,12 @@ impl Kernel for RangeSpanKernel {
             ctx.write_u64(self.results, at, start);
             ctx.write_u64(self.results, at + 8, end);
         }
+    }
+
+    /// A thread reads its range record and the leaf arenas, and writes its
+    /// own result slots: independent.
+    fn independent(&self) -> Option<Independent<'_>> {
+        Some(Independent::new(self, self.results))
     }
 }
 

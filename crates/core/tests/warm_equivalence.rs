@@ -1,10 +1,15 @@
-//! The touch-ahead changes nothing a launch can observe.
+//! The touch-ahead and the split launch change nothing a launch can
+//! observe.
 //!
 //! Each case runs the same staged batches twice on twin device memories
 //! (built by the same sequence of allocations, so every address agrees):
 //! once through the kernels as they ship and once through [`Unwarmed`]
-//! twins that withhold the `warm` hook. Results buffers must be equal and
-//! every `KernelReport` equal field by field, floats by bit pattern.
+//! twins that withhold the `warm` hook and do not opt in to the split
+//! (`independent`), so they run serially. Results buffers must be equal
+//! and every `KernelReport` equal field by field, floats by bit pattern.
+//! A batch above the split threshold runs every opted-in kernel split on
+//! one side (on a host with two or more threads) and serially on the
+//! other; there device memory must be equal byte for byte too.
 
 #![allow(
     clippy::expect_used,
@@ -16,6 +21,7 @@ use cuart::insert::{ArenaTails, CuartInsertKernel};
 use cuart::kernels::CuartLookupKernel;
 use cuart::link::{LinkType, NodeLink};
 use cuart::mapper::lut_slot;
+use cuart::range::{RangeSpanKernel, RANGE_RECORD_BYTES, RANGE_RESULT_BYTES};
 use cuart::update::{CuartUpdateKernel, FreeLists};
 use cuart::{CuartConfig, CuartIndex, DeviceTree, LongKeyPolicy, DELETE};
 use cuart_art::Art;
@@ -23,8 +29,11 @@ use cuart_gpu_sim::batch::{pack_keys_into, KeyBatchLayout};
 use cuart_gpu_sim::cache::Cache;
 use cuart_gpu_sim::exec::{KernelReport, Launcher};
 use cuart_gpu_sim::{devices, DeviceConfig, DeviceMemory, PhasedKernel, ThreadCtx};
+use cuart_grt::kernels::GrtLookupKernel;
+use cuart_grt::GrtIndex;
 
-/// A kernel with its `warm` hook withheld (the provided no-op stays).
+/// A kernel with its `warm` hook withheld (the provided no-op stays) and
+/// no `independent` opt-in, so its launches run serially.
 struct Unwarmed<K>(K);
 
 impl<K: PhasedKernel> PhasedKernel for Unwarmed<K> {
@@ -90,13 +99,17 @@ fn population() -> Vec<Vec<u8>> {
     keys
 }
 
-fn build(cfg: &CuartConfig) -> (CuartIndex, Vec<Vec<u8>>) {
-    let keys = population();
+fn art(keys: &[Vec<u8>]) -> Art<u64> {
     let mut art = Art::new();
     for (i, k) in keys.iter().enumerate() {
         art.insert(k, i as u64 + 1).expect("prefix-free population");
     }
-    (CuartIndex::build(&art, cfg), keys)
+    art
+}
+
+fn build(cfg: &CuartConfig) -> (CuartIndex, Vec<Vec<u8>>) {
+    let keys = population();
+    (CuartIndex::build(&art(&keys), cfg), keys)
 }
 
 /// One drawn op → its key: hits, misses deep in the tree, misses at a null
@@ -142,6 +155,11 @@ struct Device {
 }
 
 fn device(index: &CuartIndex) -> Device {
+    device_for(index, CAPACITY)
+}
+
+/// [`device`] with staging for `capacity` ops.
+fn device_for(index: &CuartIndex, capacity: usize) -> Device {
     const LEAVES: [LinkType; 3] = [LinkType::Leaf8, LinkType::Leaf16, LinkType::Leaf32];
     let mut mem = DeviceMemory::new();
     let tree = index.upload_with_headroom(&mut mem, HEADROOM);
@@ -156,14 +174,14 @@ fn device(index: &CuartIndex) -> Device {
         stride: index.device_key_stride(),
     };
     let st = Staging {
-        queries: mem.alloc("stage-queries", CAPACITY * layout.record_bytes(), 32),
+        queries: mem.alloc("stage-queries", capacity * layout.record_bytes(), 32),
         layout,
-        results: mem.alloc("stage-results", CAPACITY * 8, 32),
-        values: mem.alloc("stage-values", CAPACITY * 8, 32),
-        loc: mem.alloc("stage-loc", CAPACITY * 8, 32),
-        parent: mem.alloc("stage-parent", CAPACITY * 8, 32),
-        aux: mem.alloc("stage-leaf", CAPACITY * 8, 32),
-        capacity: CAPACITY,
+        results: mem.alloc("stage-results", capacity * 8, 32),
+        values: mem.alloc("stage-values", capacity * 8, 32),
+        loc: mem.alloc("stage-loc", capacity * 8, 32),
+        parent: mem.alloc("stage-parent", capacity * 8, 32),
+        aux: mem.alloc("stage-leaf", capacity * 8, 32),
+        capacity,
     };
     Device {
         mem,
@@ -375,6 +393,190 @@ proptest::proptest! {
         let lookups = ops.clone();
         assert_twins_agree(&index, &[(kind, ops), (Kind::Lookup, lookups)], threads, count);
     }
+}
+
+/// Threads of a split-sized launch: four parts' worth at the smallest
+/// part size, so it splits on any host with two or more threads, with a
+/// ragged last warp.
+const SPLIT_THREADS: usize = (8 << 10) + 5;
+
+/// Every byte of every buffer.
+fn memory_image(mem: &DeviceMemory) -> Vec<u8> {
+    let mut image = Vec::new();
+    for id in mem.buffer_ids() {
+        let mut bytes = vec![0; mem.buffer(id).len()];
+        mem.read_into(id, 0, &mut bytes);
+        image.extend(bytes);
+    }
+    image
+}
+
+/// On memory an insert and an update batch have partly written, a
+/// split-sized batch through each kernel that opts in to the split — the
+/// lookup kernel, the range kernel, GRT's lookup kernel — as shipped, or
+/// through its serial twin. Returns device memory and the report fields
+/// after each launch.
+fn split_run(
+    index: &CuartIndex,
+    grt: &GrtIndex,
+    pop: &[Vec<u8>],
+    shipped: bool,
+) -> Vec<(Vec<u8>, [u64; 18])> {
+    let mut dev = devices::a100();
+    dev.l2.size_bytes = 64 << 10;
+    let mut rig = Rig {
+        dev,
+        launcher: Launcher::default(),
+        l2: Cache::new(&dev.l2),
+        threads: 0,
+        warmed: shipped,
+    };
+    let Device {
+        mut mem,
+        tree,
+        free_lists,
+        tails,
+        st,
+    } = device_for(index, SPLIT_THREADS);
+    let grt_tree = grt.upload(&mut mem);
+    let range_queries = mem.alloc("range-queries", SPLIT_THREADS * RANGE_RECORD_BYTES, 32);
+    let range_results = mem.alloc("range-results", SPLIT_THREADS * RANGE_RESULT_BYTES, 32);
+    let grt_results = mem.alloc("grt-results", SPLIT_THREADS * 8, 32);
+    let mut out = Vec::new();
+
+    let spec: Vec<(u8, u16, Option<u64>)> = (0..200u64)
+        .map(|i| {
+            let r = mix(i + 7);
+            (
+                (r >> 8) as u8 % 8,
+                (r >> 16) as u16 % 160,
+                Some(r % 1_000 + 1),
+            )
+        })
+        .collect();
+    for kind in [Kind::Insert, Kind::Update] {
+        let ops = ops_of(index, pop, kind, &spec);
+        pack_keys_into(&mut mem, st.queries, &st.layout, ops.iter().map(|o| &o.0))
+            .expect("ops fit the staging area");
+        for (j, (_, value)) in ops.iter().enumerate() {
+            mem.write_u64(st.values, j * 8, *value);
+        }
+        let (count, claims) = (ops.len(), ClaimTable::alloc(&mut mem, TABLE_SLOTS));
+        rig.threads = count;
+        let report = match kind {
+            Kind::Insert => rig.launch(
+                &mut mem,
+                CuartInsertKernel {
+                    tree,
+                    staging: st,
+                    count,
+                    claims,
+                    free_lists,
+                    tails,
+                },
+            ),
+            _ => rig.launch(
+                &mut mem,
+                CuartUpdateKernel {
+                    tree,
+                    staging: st,
+                    count,
+                    claims,
+                    free_lists,
+                },
+            ),
+        };
+        out.push((memory_image(&mem), fields(&report)));
+    }
+
+    // Hits, misses and odd keys, cycled to the split size; the last three
+    // threads idle.
+    let max = st.layout.max_key_len();
+    let keys: Vec<Vec<u8>> = (0..)
+        .map(|i: u64| {
+            let r = mix(i);
+            key_of(pop, (r >> 8) as u8 % 8, (r >> 16) as u16 % 160)
+        })
+        .filter(|key| key.len() <= max)
+        .take(SPLIT_THREADS)
+        .collect();
+    pack_keys_into(&mut mem, st.queries, &st.layout, keys.iter()).expect("keys fit");
+    let count = SPLIT_THREADS - 3;
+    rig.threads = SPLIT_THREADS;
+    let report = rig.launch(
+        &mut mem,
+        CuartLookupKernel {
+            tree,
+            queries: st.queries,
+            layout: st.layout,
+            results: st.results,
+            count,
+        },
+    );
+    out.push((memory_image(&mem), fields(&report)));
+    let report = rig.launch(
+        &mut mem,
+        GrtLookupKernel {
+            tree: grt_tree.tree,
+            root: grt_tree.root,
+            queries: st.queries,
+            layout: st.layout,
+            results: grt_results,
+            count,
+        },
+    );
+    out.push((memory_image(&mem), fields(&report)));
+
+    // Ranges from one key to the next, bounds clamped to the record's
+    // 32-byte fields.
+    for (i, pair) in keys.windows(2).take(SPLIT_THREADS).enumerate() {
+        let mut record = [0u8; RANGE_RECORD_BYTES];
+        let (lo, hi) = (
+            &pair[0][..pair[0].len().min(32)],
+            &pair[1][..pair[1].len().min(32)],
+        );
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+        for (at, bound) in [(0, lo), (33, hi)] {
+            record[at] = bound.len() as u8;
+            record[at + 1..at + 1 + bound.len()].copy_from_slice(bound);
+        }
+        mem.write_bytes(range_queries, i * RANGE_RECORD_BYTES, &record);
+    }
+    let mapped = |ty| index.buffers().record_count(ty) as u64;
+    let report = rig.launch(
+        &mut mem,
+        RangeSpanKernel {
+            tree,
+            queries: range_queries,
+            results: range_results,
+            count,
+            mapped: [
+                mapped(LinkType::Leaf8),
+                mapped(LinkType::Leaf16),
+                mapped(LinkType::Leaf32),
+            ],
+        },
+    );
+    out.push((memory_image(&mem), fields(&report)));
+    out
+}
+
+#[test]
+fn split_launches_equal_their_serial_twins() {
+    let cfg = CuartConfig::for_tests();
+    let pop = population();
+    let art = art(&pop);
+    let (index, grt) = (CuartIndex::build(&art, &cfg), GrtIndex::build(&art));
+    let shipped = split_run(&index, &grt, &pop, true);
+    let serial = split_run(&index, &grt, &pop, false);
+    let launches = ["insert", "update", "lookup", "grt lookup", "range"];
+    assert_eq!(shipped.len(), launches.len());
+    for ((name, split), serial) in launches.iter().zip(&shipped).zip(&serial) {
+        assert_eq!(split.1, serial.1, "{name} report");
+        assert!(split.0 == serial.0, "{name}: device memory differs");
+    }
+    let (results, _) = &shipped[2];
+    assert!(results.iter().any(|&b| b != 0), "the lookups wrote results");
 }
 
 /// The shipping configuration: a 3-byte span, so most entries link straight

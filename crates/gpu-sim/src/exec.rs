@@ -15,6 +15,20 @@
 //!    back to back, so the host's own out-of-order window overlaps them.
 //!    It sees `&DeviceMemory` only: it cannot write device memory and has
 //!    no `ThreadCtx` to record through, so it cannot change a report.
+//!
+//!    A phase whose kernel declares its threads independent
+//!    ([`PhasedKernel::independent`]: no thread reads what the phase
+//!    writes, writes are `u64` result slots, no atomics) and that is long
+//!    enough (`PART_MIN_THREADS` per part) runs as one part per host thread
+//!    instead, cut at warp boundaries. Part 0 runs on the caller's thread,
+//!    the others on helper threads the launcher spawned on its first such
+//!    phase and keeps until it is dropped. Each part runs its threads, in
+//!    order and warmed chunk by chunk, against the caller's memory shared
+//!    read-only through an `Arc`, into its own arena, logging its writes;
+//!    then it gathers its own warps (below). The launcher applies the logs
+//!    in thread-id order — the order the serial pass writes in — and takes
+//!    the memory back. A part that breaks the contract is caught by its
+//!    context and the phase runs serially instead; nothing was written.
 //! 2. **Timing pass** — threads are grouped into warps of 32; warp steps are
 //!    processed round-robin (approximating the interleaved execution of
 //!    resident warps), coalesced into sectors, filtered through the L2 and
@@ -36,12 +50,14 @@
 //!    The pass has two halves. A warp-major *gather* reads the trace once,
 //!    while each warp's threads are adjacent in it, and builds every warp
 //!    step's sorted, deduplicated sector list and lane statistics; it
-//!    touches neither the L2 nor the DRAM channels. A step-major *serve*
-//!    loop then walks those lists. The order of that walk — step-major,
-//!    warps round-robin, sectors ascending within a warp step — is part of
-//!    the model: it decides every L2 hit and the order in which floats
-//!    accumulate. Work that makes the simulator itself faster keeps it, so
-//!    reports stay bit-identical (`tests/simulator_golden.rs`).
+//!    touches neither the L2 nor the DRAM channels, so each part of a
+//!    split phase gathers its own warps (the counts it folds are integers,
+//!    summed per launch). A step-major *serve* loop then walks those lists,
+//!    part after part, so in global warp order. The order of that walk —
+//!    step-major, warps round-robin, sectors ascending within a warp step
+//!    — is part of the model: it decides every L2 hit and the order in
+//!    which floats accumulate. Work that makes the simulator itself faster
+//!    keeps it, so reports stay bit-identical (`tests/simulator_golden.rs`).
 //!
 //! The reported `time_ns` excludes the kernel-launch overhead; the
 //! [`pipeline`](crate::pipeline) model adds it per dispatch.
@@ -55,10 +71,16 @@ use crate::cache::Cache;
 use crate::coalesce::{push_sectors, SECTOR_BYTES};
 use crate::config::DeviceConfig;
 use crate::dram::DramModel;
-use crate::kernel::{PhasedKernel, ThreadCtx};
-use crate::memory::DeviceMemory;
+use crate::kernel::{PhasedKernel, SharedKernel, Target, ThreadCtx, WriteLog};
+use crate::memory::{BufferId, DeviceMemory};
 use crate::trace::{AccessKind, TraceArena};
 use cuart_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
+use std::any::Any;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// Cost, in nanoseconds, of one serialized same-address atomic at the L2.
 const ATOMIC_SERIALIZE_NS: f64 = 8.0;
@@ -72,6 +94,13 @@ const GRID_SYNC_NS: f64 = 2_000.0;
 /// chunk's last thread runs. A host-side constant, not a model parameter:
 /// no modeled statistic can depend on it.
 const WARM_CHUNK: usize = 64;
+
+/// Fewest threads a part of a split phase runs. Handing a part to a helper
+/// and taking it back costs a thread wake-up each way (microseconds); a
+/// part of this many lookups is a few hundred microseconds of work. A
+/// host-side constant like `WARM_CHUNK`: parts are cut at warp boundaries,
+/// so no modeled statistic can depend on it.
+const PART_MIN_THREADS: usize = 2048;
 
 /// Result of a kernel launch: modeled time and transaction statistics.
 #[derive(Debug, Clone, Default)]
@@ -290,15 +319,13 @@ struct WarpChain {
     atomic_extra_ns: f64,
 }
 
-/// The host memory a launch works in: the trace arena the functional pass
-/// fills and the timing pass's per-warp-step lists. Holding one across
-/// launches (a session keeps it next to its L2 [`Cache`]) makes a launch
-/// allocation-free once the lists have grown to the largest batch: they
-/// are cleared, never reallocated, per phase. It carries nothing from one
-/// launch to the next but capacity, so reusing it cannot change a report.
+/// The host memory one part of a launch phase works in: the trace arena
+/// its functional pass fills, the write log of a split part, and what its
+/// gather builds for the serve loop. A serial phase is one part.
 #[derive(Debug, Default)]
-pub struct Launcher {
+struct Part {
     trace: TraceArena,
+    writes: WriteLog,
     chains: Vec<WarpChain>,
     /// Every warp step's sector indices, sorted and deduplicated per step,
     /// warp-major: warp 0's steps in order, then warp 1's, and so on.
@@ -313,6 +340,57 @@ pub struct Launcher {
     step_sectors: Vec<u64>,
     /// Addresses of the warp step's atomics.
     atomics: Vec<u64>,
+    /// The lane statistics gather folds in: steps, accesses, compute,
+    /// occupancy, atomic conflicts, sectors — integer counts only.
+    stats: KernelReport,
+    /// The part's longest chain in steps.
+    max_steps: usize,
+}
+
+/// The host memory a launch works in: one `Part` per host thread a phase
+/// may run on, the helper threads themselves once a phase has split, and
+/// what they share. Holding one across launches (a session keeps it next to
+/// its L2 [`Cache`]) makes a launch allocation-free once the lists have
+/// grown to the largest batch: they are cleared, never reallocated, per
+/// phase. It carries nothing from one launch to the next but capacity, so
+/// reusing it cannot change a report.
+#[derive(Default)]
+pub struct Launcher {
+    /// Part 0 runs on the caller's thread; parts 1.. go to the helpers.
+    parts: Vec<Part>,
+    /// The caller's device memory while a split phase runs, an empty one
+    /// between phases: helpers hold clones, and the launcher takes it back
+    /// with `Arc::get_mut` once every helper has dropped its clone.
+    shared: Option<Arc<DeviceMemory>>,
+    /// One copy of each kernel type that has run split
+    /// (`kernel::Independent`), overwritten in place by the next launch.
+    kernels: Vec<Arc<dyn SharedKernel>>,
+    /// Spawned on the first split phase; joined on drop.
+    helpers: Option<Helpers>,
+}
+
+impl std::fmt::Debug for Launcher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Launcher")
+            .field("parts", &self.parts.len())
+            .field("kernels", &self.kernels.len())
+            .field("helpers", &self.helpers.as_ref().map_or(0, Helpers::len))
+            .finish()
+    }
+}
+
+/// The host threads this process may run parts on: the machine's
+/// available parallelism, read once.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// The parts an independent phase of `threads` threads runs as on a host
+/// with `host` threads: one per host thread, each at least
+/// `PART_MIN_THREADS` long. One part is the serial pass.
+fn split_parts(host: usize, threads: usize) -> usize {
+    host.min(threads / PART_MIN_THREADS).max(1)
 }
 
 impl Launcher {
@@ -327,26 +405,38 @@ impl Launcher {
         threads: usize,
         l2: &mut Cache,
     ) -> KernelReport {
+        self.launch_in(dev, mem, kernel, threads, l2, |n| {
+            split_parts(host_threads(), n)
+        })
+    }
+
+    /// [`launch`](Self::launch), with an independent phase of `n` threads
+    /// split into `parts(n)` parts.
+    fn launch_in<K: PhasedKernel>(
+        &mut self,
+        dev: &DeviceConfig,
+        mem: &mut DeviceMemory,
+        kernel: &K,
+        threads: usize,
+        l2: &mut Cache,
+        parts: impl Fn(usize) -> usize,
+    ) -> KernelReport {
+        let warp_size = dev.warp_size.max(1);
         let phases = kernel.phases();
         let mut total = KernelReport::default();
         for phase in 0..phases {
-            // Functional pass: chunk by chunk, each warmed, then executed
-            // in thread-id order.
-            self.trace.clear();
-            for start in (0..threads).step_by(WARM_CHUNK) {
-                let chunk = start..start.saturating_add(WARM_CHUNK).min(threads);
-                kernel.warm(phase, chunk.clone(), mem);
-                for tid in chunk {
-                    let mut ctx = ThreadCtx::new(mem, &mut self.trace);
-                    kernel.execute_phase(phase, tid, &mut ctx);
-                }
-            }
-            assert!(
-                self.trace.indices_fit(),
-                "one launch phase traced more than 2^32 accesses"
-            );
-            // Timing pass.
-            let report = self.time_phase(dev, l2);
+            let (n, warps) = (parts(threads), threads.div_ceil(warp_size));
+            let cuts = |i: usize| (warps * i / n * warp_size).min(threads);
+            let split = if n > 1 {
+                self.split_phase(kernel, phase, n, cuts, warp_size, mem)
+            } else {
+                None
+            };
+            let parts = split.unwrap_or_else(|| {
+                self.serial_phase(kernel, phase, threads, warp_size, mem);
+                1
+            });
+            let report = self.time_phase(dev, l2, parts);
             total.accumulate(&report);
             if phase + 1 < phases {
                 total.time_ns += GRID_SYNC_NS;
@@ -355,57 +445,169 @@ impl Launcher {
         total
     }
 
-    fn time_phase(&mut self, dev: &DeviceConfig, l2: &mut Cache) -> KernelReport {
+    /// The functional pass and gather of one phase, all on this thread.
+    fn serial_phase<K: PhasedKernel>(
+        &mut self,
+        kernel: &K,
+        phase: usize,
+        threads: usize,
+        warp_size: usize,
+        mem: &mut DeviceMemory,
+    ) {
+        if self.parts.is_empty() {
+            self.parts.push(Part::default());
+        }
+        if let Some(part) = self.parts.first_mut() {
+            part.run(kernel, phase, 0..threads, Target::Direct(mem), warp_size);
+        }
+    }
+
+    /// Run `phase` as `n` parts, part `i` being threads
+    /// `cuts(i)..cuts(i + 1)` (warp-aligned): part 0 here, the others on
+    /// the helper threads, all against the caller's memory shared
+    /// read-only; then apply the parts' writes in thread-id order. Returns
+    /// `Some(n)`, or `None` with `mem` untouched if the kernel does not
+    /// declare the phase independent, a part broke the contract, or no
+    /// helper could be spawned — the caller then runs the phase serially.
+    fn split_phase<K: PhasedKernel>(
+        &mut self,
+        kernel: &K,
+        phase: usize,
+        n: usize,
+        cuts: impl Fn(usize) -> usize,
+        warp_size: usize,
+        mem: &mut DeviceMemory,
+    ) -> Option<usize> {
+        let independent = kernel.independent(phase)?;
+        let helpers = match &mut self.helpers {
+            Some(helpers) => helpers,
+            empty => empty.insert(Helpers::default()),
+        };
+        if !helpers.grow_to(n - 1) {
+            return None;
+        }
+        let output = independent.output();
+        let shared = self.shared.get_or_insert_with(Arc::default);
+        std::mem::swap(Arc::get_mut(shared)?, mem);
+        if self.parts.len() < n {
+            self.parts.resize_with(n, Part::default);
+        }
+        let copy = independent.share(&mut self.kernels);
+        let lines = helpers.lines.get(..n - 1).unwrap_or_default();
+        for (i, (part, line)) in self.parts.iter_mut().skip(1).zip(lines).enumerate() {
+            line.jobs.put(Some(Job {
+                kernel: Arc::clone(&copy),
+                mem: Arc::clone(shared),
+                phase,
+                tids: cuts(i + 1)..cuts(i + 2),
+                output,
+                warp_size,
+                part: std::mem::take(part),
+            }));
+        }
+        drop(copy);
+        let mut panic = None;
+        if let Some(part) = self.parts.first_mut() {
+            let tids = cuts(0)..cuts(1);
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                part.run_logged(kernel, phase, tids, shared, output, warp_size)
+            }));
+            panic = run.err();
+        }
+        // Every helper replies, its kernel panicked or not.
+        for (part, line) in self.parts.iter_mut().skip(1).zip(lines) {
+            let reply = line.replies.take();
+            *part = reply.part;
+            panic = panic.or(reply.panic);
+        }
+        let back = Arc::get_mut(shared);
+        assert!(
+            back.is_some(),
+            "a split part's helper kept the device memory"
+        );
+        if let Some(back) = back {
+            std::mem::swap(back, mem);
+        }
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
+        }
+        let parts = self.parts.get(..n)?;
+        if parts.iter().any(|part| part.writes.refused()) {
+            return None;
+        }
+        for part in parts {
+            part.writes.apply(mem);
+        }
+        Some(n)
+    }
+
+    fn time_phase(&mut self, dev: &DeviceConfig, l2: &mut Cache, parts: usize) -> KernelReport {
         let warp_size = dev.warp_size.max(1);
-        let threads = self.trace.threads();
-        let warps = threads.div_ceil(warp_size);
+        let parts = self.parts.get_mut(..parts).unwrap_or_default();
+        let threads = parts.iter().map(|p| p.trace.threads()).sum::<usize>();
         let mut report = KernelReport {
             threads,
-            warps,
+            warps: threads.div_ceil(warp_size),
             ..KernelReport::default()
         };
-        let max_steps = self.gather(warp_size, &mut report);
-        let Launcher {
-            chains,
-            sectors,
-            step_bounds,
-            warp_steps,
-            ..
-        } = self;
+        let mut max_steps = 0;
+        for part in parts.iter() {
+            let stats = &part.stats;
+            report.steps_total = report.steps_total.saturating_add(stats.steps_total);
+            report.raw_accesses = report.raw_accesses.saturating_add(stats.raw_accesses);
+            report.atomic_conflicts = report
+                .atomic_conflicts
+                .saturating_add(stats.atomic_conflicts);
+            report.compute_cycles += stats.compute_cycles;
+            report.active_lane_steps += stats.active_lane_steps;
+            report.issued_lane_steps += stats.issued_lane_steps;
+            report.sectors += stats.sectors;
+            max_steps = max_steps.max(part.max_steps);
+        }
         let mut dram = DramModel::new(dev.mem);
 
         // Serve: round-robin over warps per step index, approximating the
         // temporal interleaving of resident warps for L2 purposes; a warp
-        // step's sectors ascending.
+        // step's sectors ascending. The parts hold consecutive warps, so
+        // walking them in order is walking the grid's warps in order.
         for s in 0..max_steps {
-            for (chain, warp) in chains.iter_mut().zip(warp_steps.windows(2)) {
-                let &[first, end] = warp else {
-                    continue;
-                };
-                let at = first + s;
-                if at >= end {
-                    continue;
-                }
-                let Some(&[lo, hi]) = step_bounds.get(at..at + 2) else {
-                    continue;
-                };
-                let Some(step) = sectors.get(lo..hi).filter(|step| !step.is_empty()) else {
-                    continue;
-                };
-                let mut missed = false;
-                for &sec in step {
-                    let addr = sec * SECTOR_BYTES;
-                    if l2.access(addr) {
-                        report.l2_hits = report.l2_hits.saturating_add(1);
-                    } else {
-                        dram.issue(addr, SECTOR_BYTES as usize);
-                        missed = true;
+            for part in parts.iter_mut() {
+                let Part {
+                    chains,
+                    sectors,
+                    step_bounds,
+                    warp_steps,
+                    ..
+                } = part;
+                for (chain, warp) in chains.iter_mut().zip(warp_steps.windows(2)) {
+                    let &[first, end] = warp else {
+                        continue;
+                    };
+                    let at = first + s;
+                    if at >= end {
+                        continue;
                     }
-                }
-                if missed {
-                    chain.miss_steps += 1;
-                } else {
-                    chain.hit_steps += 1;
+                    let Some(&[lo, hi]) = step_bounds.get(at..at + 2) else {
+                        continue;
+                    };
+                    let Some(step) = sectors.get(lo..hi).filter(|step| !step.is_empty()) else {
+                        continue;
+                    };
+                    let mut missed = false;
+                    for &sec in step {
+                        let addr = sec * SECTOR_BYTES;
+                        if l2.access(addr) {
+                            report.l2_hits = report.l2_hits.saturating_add(1);
+                        } else {
+                            dram.issue(addr, SECTOR_BYTES as usize);
+                            missed = true;
+                        }
+                    }
+                    if missed {
+                        chain.miss_steps += 1;
+                    } else {
+                        chain.hit_steps += 1;
+                    }
                 }
             }
         }
@@ -428,7 +630,7 @@ impl Launcher {
         let chain_ns = |miss_lat: f64| -> (f64, f64) {
             let mut max_chain = 0.0f64;
             let mut sum_chain = 0.0f64;
-            for c in chains.iter() {
+            for c in parts.iter().flat_map(|p| &p.chains) {
                 let t = c.miss_steps as f64 * miss_lat
                     + c.hit_steps as f64 * dev.l2.hit_latency_ns
                     + dev.cycles_to_ns(c.compute_cycles as f64)
@@ -453,18 +655,73 @@ impl Launcher {
         report.time_ns = time;
         report
     }
+}
 
-    /// The warp-major half of the timing pass: one pass over the trace,
-    /// while each warp's threads are adjacent in it, that builds every warp
-    /// step's sorted, deduplicated sector list and folds the step's lane
-    /// statistics (steps, compute, occupancy, atomic conflicts) into
-    /// `report` and the warp's chain. Nothing here touches the L2 or the
-    /// DRAM channels, and every float it adds up belongs to one warp and is
-    /// added in step order, so the step-major serve loop that follows sees
-    /// exactly what a step-major walk would have built. Returns the
-    /// longest chain in steps.
-    fn gather(&mut self, warp_size: usize, report: &mut KernelReport) -> usize {
-        let Launcher {
+impl Part {
+    /// The functional pass over `tids` — chunk by chunk, each warmed, then
+    /// executed in thread-id order — then, unless a thread broke the
+    /// independence contract, the gather.
+    fn run<K: PhasedKernel + ?Sized>(
+        &mut self,
+        kernel: &K,
+        phase: usize,
+        tids: Range<usize>,
+        mut mem: Target<'_>,
+        warp_size: usize,
+    ) {
+        self.trace.clear();
+        for start in tids.clone().step_by(WARM_CHUNK) {
+            let chunk = start..start.saturating_add(WARM_CHUNK).min(tids.end);
+            kernel.warm(phase, chunk.clone(), mem.memory());
+            for tid in chunk {
+                let mut ctx = ThreadCtx::on(mem.reborrow(), &mut self.trace);
+                kernel.execute_phase(phase, tid, &mut ctx);
+            }
+            if mem.refused() {
+                return;
+            }
+        }
+        assert!(
+            self.trace.indices_fit(),
+            "one launch phase traced more than 2^32 accesses"
+        );
+        self.gather(warp_size);
+    }
+
+    /// [`run`](Self::run) as a part of a split phase: `mem` shared, the
+    /// writes to `output` logged.
+    fn run_logged<K: PhasedKernel + ?Sized>(
+        &mut self,
+        kernel: &K,
+        phase: usize,
+        tids: Range<usize>,
+        mem: &DeviceMemory,
+        output: BufferId,
+        warp_size: usize,
+    ) {
+        let Part { writes, .. } = self;
+        writes.reset(output);
+        let mut writes = std::mem::take(writes);
+        self.run(
+            kernel,
+            phase,
+            tids,
+            Target::Logged(mem, &mut writes),
+            warp_size,
+        );
+        self.writes = writes;
+    }
+
+    /// The warp-major half of the timing pass: one pass over the part's
+    /// trace, while each warp's threads are adjacent in it, that builds
+    /// every warp step's sorted, deduplicated sector list and folds the
+    /// step's lane statistics (steps, compute, occupancy, atomic conflicts)
+    /// into `stats` and the warp's chain. Nothing here touches the L2 or
+    /// the DRAM channels, and every float it adds up belongs to one warp
+    /// and is added in step order, so the step-major serve loop that
+    /// follows sees exactly what a step-major walk would have built.
+    fn gather(&mut self, warp_size: usize) {
+        let Part {
             trace,
             chains,
             sectors,
@@ -472,15 +729,19 @@ impl Launcher {
             warp_steps,
             step_sectors,
             atomics,
+            stats,
+            max_steps,
+            ..
         } = self;
         let threads = trace.threads();
+        *stats = KernelReport::default();
         chains.clear();
-        chains.resize(report.warps, WarpChain::default());
+        chains.resize(threads.div_ceil(warp_size), WarpChain::default());
         sectors.clear();
         step_bounds.clear();
         step_bounds.push(0);
         warp_steps.clear();
-        let mut max_steps = 0;
+        *max_steps = 0;
         for (w, chain) in chains.iter_mut().enumerate() {
             warp_steps.push(step_bounds.len() - 1);
             let lanes = w * warp_size..((w + 1) * warp_size).min(threads);
@@ -490,11 +751,11 @@ impl Launcher {
             for t in lanes.clone() {
                 let lead = trace.lead_compute(t);
                 lead_max = lead_max.max(lead);
-                report.compute_cycles += lead as u64;
+                stats.compute_cycles += lead as u64;
                 depth = depth.max(trace.depth(t));
             }
             chain.compute_cycles += lead_max as u64;
-            max_steps = max_steps.max(depth);
+            *max_steps = (*max_steps).max(depth);
             for s in 0..depth {
                 step_sectors.clear();
                 atomics.clear();
@@ -505,12 +766,12 @@ impl Launcher {
                     let Some((accesses, compute_cycles)) = trace.step(lane, s) else {
                         continue;
                     };
-                    report.steps_total = report.steps_total.saturating_add(1);
+                    stats.steps_total = stats.steps_total.saturating_add(1);
                     active_lanes += 1;
                     step_compute_max = step_compute_max.max(compute_cycles);
-                    report.compute_cycles += compute_cycles as u64;
+                    stats.compute_cycles += compute_cycles as u64;
                     any_access |= !accesses.is_empty();
-                    report.raw_accesses = report.raw_accesses.saturating_add(accesses.len() as u64);
+                    stats.raw_accesses = stats.raw_accesses.saturating_add(accesses.len() as u64);
                     for acc in accesses {
                         push_sectors(step_sectors, acc.addr, acc.len);
                         if acc.kind == AccessKind::Atomic {
@@ -521,8 +782,8 @@ impl Launcher {
                 if any_access || step_compute_max > 0 {
                     // Warp-level occupancy of this step: lanes past their
                     // last dependent step idle while the stragglers finish.
-                    report.active_lane_steps += active_lanes;
-                    report.issued_lane_steps += warp_size as u64;
+                    stats.active_lane_steps += active_lanes;
+                    stats.issued_lane_steps += warp_size as u64;
                     // Atomic conflicts: lanes hitting the same address
                     // serialize. Equal addresses are adjacent once sorted;
                     // no lookup step has any atomics at all.
@@ -533,7 +794,7 @@ impl Launcher {
                         for (prev, next) in atomics.iter().zip(atomics.iter().skip(1)) {
                             run = if prev == next { run + 1 } else { 0 };
                             if run > 0 {
-                                report.atomic_conflicts = report.atomic_conflicts.saturating_add(1);
+                                stats.atomic_conflicts = stats.atomic_conflicts.saturating_add(1);
                                 conflict_extra = conflict_extra.max(run);
                             }
                         }
@@ -549,8 +810,140 @@ impl Launcher {
             }
         }
         warp_steps.push(step_bounds.len() - 1);
-        report.sectors = sectors.len() as u64;
-        max_steps
+        stats.sectors = sectors.len() as u64;
+    }
+}
+
+/// One part of a split phase, sent to a helper thread.
+struct Job {
+    kernel: Arc<dyn SharedKernel>,
+    mem: Arc<DeviceMemory>,
+    phase: usize,
+    tids: Range<usize>,
+    output: BufferId,
+    warp_size: usize,
+    part: Part,
+}
+
+/// A helper's part, run, and the panic its kernel raised, if any.
+struct Reply {
+    part: Part,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// A one-message channel between the launcher and one helper: the sender
+/// puts only into an empty slot (a job, then its reply, strictly in turn),
+/// and the receiver blocks on a condition variable until the slot fills —
+/// no spinning, and, unlike a `std::sync::mpsc` channel, which allocates the
+/// first time one of its sides blocks, no allocation ever.
+struct Mailbox<T> {
+    slot: Mutex<Option<T>>,
+    filled: Condvar,
+}
+
+impl<T> Default for Mailbox<T> {
+    fn default() -> Self {
+        Mailbox {
+            slot: Mutex::new(None),
+            filled: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Mailbox<T> {
+    fn put(&self, message: T) {
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(message);
+        self.filled.notify_one();
+    }
+
+    fn take(&self) -> T {
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(message) = slot.take() {
+                return message;
+            }
+            slot = self
+                .filled
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One helper thread's two mailboxes: jobs in (`None`: stop), replies out.
+#[derive(Default)]
+struct Line {
+    jobs: Mailbox<Option<Job>>,
+    replies: Mailbox<Reply>,
+}
+
+impl Line {
+    /// The helper's loop: take a job, run its part, drop the clones of the
+    /// kernel and the memory, reply — whether or not the kernel panicked.
+    fn serve(&self) {
+        while let Some(job) = self.jobs.take() {
+            let Job {
+                kernel,
+                mem,
+                phase,
+                tids,
+                output,
+                warp_size,
+                mut part,
+            } = job;
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                part.run_logged(&*kernel, phase, tids, &mem, output, warp_size)
+            }));
+            drop((kernel, mem));
+            self.replies.put(Reply {
+                part,
+                panic: run.err(),
+            });
+        }
+    }
+}
+
+/// The launcher's helper threads, each on its own [`Line`]. Dropping the
+/// pool stops and joins them.
+#[derive(Default)]
+struct Helpers {
+    lines: Vec<Arc<Line>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Helpers {
+    fn len(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// Spawn helpers until there are `n`; `false` if one could not be.
+    fn grow_to(&mut self, n: usize) -> bool {
+        while self.threads.len() < n {
+            let line = Arc::new(Line::default());
+            let theirs = Arc::clone(&line);
+            let spawned = std::thread::Builder::new()
+                .name("cuart-sim-part".into())
+                .spawn(move || theirs.serve());
+            match spawned {
+                Ok(thread) => {
+                    self.lines.push(line);
+                    self.threads.push(thread);
+                }
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        for line in &self.lines {
+            line.jobs.put(None);
+        }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -558,8 +951,7 @@ impl Launcher {
 mod tests {
     use super::*;
     use crate::devices;
-    use crate::kernel::Kernel;
-    use crate::memory::BufferId;
+    use crate::kernel::{Independent, Kernel};
 
     /// Streams through a buffer with perfectly coalesced reads.
     struct StreamKernel {
@@ -977,6 +1369,245 @@ mod tests {
                 assert_eq!(warms, phases * threads.div_ceil(64));
             }
         }
+    }
+
+    /// Chases pointers from a per-thread start and writes where it ended:
+    /// independent, so its launches may split.
+    #[derive(Clone)]
+    struct ChaseInto {
+        src: BufferId,
+        out: BufferId,
+        slots: usize,
+    }
+    impl Kernel for ChaseInto {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            ctx.compute(tid as u32 % 3);
+            let mut idx = tid.wrapping_mul(2654435761) % self.slots;
+            for _ in 0..1 + tid % 6 {
+                idx = ctx.read_u64(self.src, idx * 8) as usize % self.slots;
+                ctx.compute(2);
+            }
+            ctx.write_u64(self.out, tid * 8, idx as u64);
+        }
+        fn independent(&self) -> Option<Independent<'_>> {
+            Some(Independent::new(self, self.out))
+        }
+    }
+
+    /// What an update and an insert batch do to a session's memory: write
+    /// records into an uploaded image (so some of its chunks are copied
+    /// and the rest still shared), with atomics that collide.
+    struct Scribble {
+        src: BufferId,
+        ctr: BufferId,
+        slots: usize,
+    }
+    impl Kernel for Scribble {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            let at = tid.wrapping_mul(40503) % self.slots;
+            if tid.is_multiple_of(3) {
+                ctx.write_u64(self.src, at * 8, (tid * 7) as u64);
+            } else {
+                ctx.write_bytes(self.src, at * 8, &[tid as u8; 5]);
+            }
+            ctx.atomic_add_u64(self.ctr, (tid % 4) * 8, 1);
+        }
+    }
+
+    const SLOTS: usize = 1 << 14;
+
+    /// A pointer-chase image, uploaded copy-on-write, that a write launch
+    /// then partly overwrote; and a result buffer.
+    fn written_memory(dev: &DeviceConfig) -> (DeviceMemory, ChaseInto) {
+        let image: Vec<u8> = (0..SLOTS)
+            .flat_map(|i| ((i.wrapping_mul(2654435761) + 12345) % SLOTS).to_le_bytes())
+            .collect();
+        let mut mem = DeviceMemory::new();
+        let src = mem.upload("chase", &Arc::new(image), 8, SLOTS * 8, 32);
+        let ctr = mem.alloc("ctr", 32, 32);
+        let out = mem.alloc("out", 8 * (8 << 10), 32);
+        let scribble = Scribble {
+            src,
+            ctr,
+            slots: SLOTS / 8, // the first eighth of the image only
+        };
+        launch(dev, &mut mem, &scribble, 700);
+        assert!(mem.owned_bytes() > 0 && mem.shared_bytes() > 0);
+        (
+            mem,
+            ChaseInto {
+                src,
+                out,
+                slots: SLOTS,
+            },
+        )
+    }
+
+    /// Everything a launch leaves behind: its report, every byte of device
+    /// memory, and the copy-on-write state.
+    fn outcome(mem: &DeviceMemory, report: &KernelReport) -> (String, Vec<u8>, usize, usize) {
+        let mut bytes = Vec::new();
+        for id in mem.buffer_ids() {
+            let mut buf = vec![0; mem.buffer(id).len()];
+            mem.read_into(id, 0, &mut buf);
+            bytes.extend(buf);
+        }
+        (
+            format!("{report:?}"),
+            bytes,
+            mem.owned_bytes(),
+            mem.shared_bytes(),
+        )
+    }
+
+    #[test]
+    fn split_launches_on_partly_written_memory_equal_the_serial_launch() {
+        let dev = devices::rtx3090();
+        // Ragged last warps, fewer warps than parts, and an L2 carried over
+        // from a first launch into a second one.
+        for threads in [8 << 10, 1000, 40, 33] {
+            let run = |parts: usize| {
+                let (mut mem, kernel) = written_memory(&dev);
+                let mut l2 = Cache::new(&dev.l2);
+                let mut launcher = Launcher::default();
+                let mut outcomes = Vec::new();
+                for n in [threads, threads / 2 + 1] {
+                    let report = launcher.launch_in(&dev, &mut mem, &kernel, n, &mut l2, |_| parts);
+                    outcomes.push(outcome(&mem, &report));
+                }
+                outcomes
+            };
+            let serial = run(1);
+            for parts in [2, 3, 5] {
+                assert!(serial == run(parts), "{threads} threads in {parts} parts");
+            }
+        }
+    }
+
+    /// Opts in, then reads back its own result slot.
+    #[derive(Clone)]
+    struct ReadsOwnSlot {
+        out: BufferId,
+    }
+    impl Kernel for ReadsOwnSlot {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            ctx.write_u64(self.out, tid * 8, tid as u64 + 1);
+            let back = ctx.read_u64(self.out, tid * 8);
+            ctx.write_u64(self.out, tid * 8, back * 2);
+        }
+        fn independent(&self) -> Option<Independent<'_>> {
+            Some(Independent::new(self, self.out))
+        }
+    }
+
+    /// Opts in, then numbers its threads with an atomic.
+    #[derive(Clone)]
+    struct CountsAtomically {
+        ctr: BufferId,
+        out: BufferId,
+    }
+    impl Kernel for CountsAtomically {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            let n = ctx.atomic_add_u64(self.ctr, 0, 1);
+            ctx.write_u64(self.out, tid * 8, n);
+        }
+        fn independent(&self) -> Option<Independent<'_>> {
+            Some(Independent::new(self, self.out))
+        }
+    }
+
+    /// A kernel that declares itself independent and is not must be
+    /// refused the split — the phase then runs serially — never run split
+    /// to a different answer.
+    fn refused_and_serial<K: Kernel + Clone + Send + Sync + 'static>(
+        kernel: impl Fn(&mut DeviceMemory) -> K,
+    ) {
+        let dev = devices::a100();
+        let threads: usize = 3000;
+        let warps = threads.div_ceil(dev.warp_size);
+        let run = |parts: usize| {
+            let mut mem = DeviceMemory::new();
+            let k = kernel(&mut mem);
+            let mut l2 = Cache::new(&dev.l2);
+            let report =
+                Launcher::default().launch_in(&dev, &mut mem, &k, threads, &mut l2, |_| parts);
+            outcome(&mem, &report)
+        };
+        assert!(run(1) == run(2), "a split diverged from the serial launch");
+
+        let mut mem = DeviceMemory::new();
+        let k = kernel(&mut mem);
+        let before = outcome(&mem, &KernelReport::default());
+        let cuts = |i: usize| (warps * i / 2 * dev.warp_size).min(threads);
+        let split = Launcher::default().split_phase(&k, 0, 2, cuts, 32, &mut mem);
+        assert_eq!(split, None, "the split was not refused");
+        assert!(
+            outcome(&mem, &KernelReport::default()) == before,
+            "a refused split wrote"
+        );
+    }
+
+    #[test]
+    fn a_kernel_that_reads_its_own_result_slot_is_refused_the_split() {
+        refused_and_serial(|mem| ReadsOwnSlot {
+            out: mem.alloc("out", 3000 * 8, 32),
+        });
+    }
+
+    #[test]
+    fn a_kernel_that_issues_an_atomic_is_refused_the_split() {
+        refused_and_serial(|mem| CountsAtomically {
+            ctr: mem.alloc("ctr", 8, 32),
+            out: mem.alloc("out", 3000 * 8, 32),
+        });
+    }
+
+    /// Panics in one thread of the second part.
+    #[derive(Clone)]
+    struct PanicsAt {
+        tid: usize,
+        out: BufferId,
+    }
+    impl Kernel for PanicsAt {
+        fn execute(&self, tid: usize, ctx: &mut ThreadCtx<'_>) {
+            assert_ne!(tid, self.tid, "planted failure");
+            ctx.write_u64(self.out, tid * 8, 1);
+        }
+        fn independent(&self) -> Option<Independent<'_>> {
+            Some(Independent::new(self, self.out))
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_helper_reaches_the_caller_with_its_memory_back() {
+        let dev = devices::a100();
+        let mut mem = DeviceMemory::new();
+        let out = mem.alloc("out", 4096 * 8, 32);
+        let mut launcher = Launcher::default();
+        let kernel = PanicsAt { tid: 3000, out };
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut l2 = Cache::new(&dev.l2);
+            launcher.launch_in(&dev, &mut mem, &kernel, 4096, &mut l2, |_| 2)
+        }));
+        assert!(panicked.is_err());
+        assert_eq!((mem.buffer_count(), mem.read_u64(out, 0)), (1, 0));
+        // The launcher and its helper still work.
+        let kernel = PanicsAt {
+            tid: usize::MAX,
+            out,
+        };
+        let mut l2 = Cache::new(&dev.l2);
+        launcher.launch_in(&dev, &mut mem, &kernel, 4096, &mut l2, |_| 2);
+        assert_eq!(mem.read_u64(out, 4095 * 8), 1);
+    }
+
+    #[test]
+    fn a_phase_splits_only_when_every_part_is_long_enough() {
+        assert_eq!(split_parts(1, 1 << 20), 1, "one host thread: always serial");
+        assert_eq!(split_parts(2, 2 * PART_MIN_THREADS - 1), 1);
+        assert_eq!(split_parts(2, 2 * PART_MIN_THREADS), 2);
+        assert_eq!(split_parts(8, 3 * PART_MIN_THREADS), 3);
+        assert_eq!(split_parts(4, 1 << 20), 4);
     }
 
     #[test]

@@ -72,6 +72,6 @@ pub mod trace;
 pub use config::{CacheConfig, DeviceConfig, MemConfig, MemKind, PcieConfig};
 pub use exec::{launch, KernelReport, KernelSeries, Launcher};
 pub use faults::{DeviceFault, FaultConfig, FaultInjector, FaultSite};
-pub use kernel::{DeviceBytes, Kernel, PhasedKernel, ThreadCtx};
+pub use kernel::{DeviceBytes, Independent, Kernel, PhasedKernel, ThreadCtx};
 pub use memory::{BufferId, DeviceBuffer, DeviceMemory};
 pub use trace::Dep;

@@ -399,6 +399,11 @@ impl DeviceMemory {
         self.buffers.len()
     }
 
+    /// Every buffer's handle, in allocation order.
+    pub fn buffer_ids(&self) -> impl Iterator<Item = BufferId> {
+        (0..self.buffers.len()).map(BufferId)
+    }
+
     /// The flat device address of `(buffer, offset)`.
     #[inline]
     pub fn address(&self, id: BufferId, offset: usize) -> u64 {

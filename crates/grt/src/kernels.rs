@@ -13,7 +13,7 @@
 
 use crate::layout::{self, tag, EMPTY48, HEADER_BYTES, PREFIX_CAP};
 use cuart_gpu_sim::batch::{record_key, KeyBatchLayout, NOT_FOUND};
-use cuart_gpu_sim::{BufferId, Kernel, ThreadCtx};
+use cuart_gpu_sim::{BufferId, Independent, Kernel, ThreadCtx};
 
 /// Cycles for the branchy per-node bookkeeping (≈ the 20 cycles/node §3.1
 /// quotes).
@@ -22,6 +22,7 @@ const NODE_OVERHEAD_CYCLES: u32 = 14;
 const BYTE_CMP_CYCLES: u32 = 3;
 
 /// One lookup per thread over a packed GRT buffer.
+#[derive(Clone)]
 pub struct GrtLookupKernel {
     /// The packed tree.
     pub tree: BufferId,
@@ -47,6 +48,12 @@ impl Kernel for GrtLookupKernel {
         let rec = ctx.read_bytes(self.queries, rec_off, self.layout.record_bytes());
         let value = self.traverse(record_key(&rec), ctx);
         ctx.write_u64(self.results, tid * 8, value);
+    }
+
+    /// A thread reads its staged key and the tree, and writes its own
+    /// result slot: independent.
+    fn independent(&self) -> Option<Independent<'_>> {
+        Some(Independent::new(self, self.results))
     }
 }
 

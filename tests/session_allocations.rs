@@ -6,6 +6,9 @@
 //! the caller put them, and kernel reads are heap-free — so once a session
 //! is warm, a batch call allocates a handful of times (its result vector,
 //! its index list, the per-phase DRAM model) however many keys it carries.
+//! A batch large enough to split across host threads allocates no more:
+//! the launcher's helper threads persist, and each part's scratch is
+//! reused like the serial pass's.
 //! With a telemetry registry attached the same holds: the session bumps
 //! handles it resolved at open and commits its span tree by move, so the
 //! only extra allocations are the `Vec`s of that tree.
@@ -69,8 +72,14 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
 
     let small = &keys[..1 << 10];
     let large = &keys[8 << 10..16 << 10];
+    // 32 Ki keys, `direct-batch`'s batch: a launch that splits across the
+    // host's threads on any host with more than one.
+    let split = &keys[..32 << 10];
     // Warm-up: the largest batch sizes staging, arena and scratch.
     session.lookup_batch(large).unwrap();
+    // And the split batch spawns the launcher's helper threads and sizes
+    // every part's arena and scratch.
+    session.lookup_batch(split).unwrap();
     let lookup_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
     let lookup_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));
     assert_eq!(
@@ -78,6 +87,11 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
         "1 Ki-key vs 8 Ki-key lookup_batch"
     );
     assert!(lookup_large <= 4, "lookup_batch allocated {lookup_large}×");
+    let lookup_split = allocations_of(|| drop(session.lookup_batch(split).unwrap()));
+    assert_eq!(
+        lookup_small, lookup_split,
+        "1 Ki-key vs 32 Ki-key (split) lookup_batch"
+    );
 
     let ops = |keys: &[Vec<u8>]| -> Vec<(Vec<u8>, u64)> {
         keys.iter().map(|k| (k.clone(), 42)).collect()

@@ -7,6 +7,12 @@
 //! and devices, or (where the law is about lanes, not keys) a kernel that
 //! replays random traces:
 //!
+//! * **(a)** Answers do not depend on the device, on cutting a batch into
+//!   pieces at warp boundaries, or on arrival versus sorted order: a
+//!   session's lookup values and update and insert statuses, mapped back
+//!   to arrival order, are the same under every combination. The writes
+//!   are of distinct keys — a duplicate's `SUPERSEDED` is what sharing a
+//!   batch with its twin means.
 //! * **(b)** Permuting lanes within a warp leaves every warp step's set of
 //!   accesses unchanged, so no number of the report moves.
 //!   Splitting a lookup batch at warp boundaries leaves total sectors
@@ -18,14 +24,21 @@
 //! * **(g)** On a lookup batch, sorted order never issues more sectors than
 //!   arrival order, and over all cases it issues strictly fewer: sorting is
 //!   what makes adjacent lanes share tree paths (§3.1).
+//! * **(d)** With the same kind of memory, a higher command clock, or a
+//!   whole multiple of the channels, never lengthens a launch's
+//!   `bandwidth_bound_ns`. Any other channel count may: channels are
+//!   picked by address modulo the count, and a hot group of sectors that
+//!   shared two channels of eight can land on one channel of twelve
+//!   (`more_channels_of_another_count_can_lengthen_the_bound`; DESIGN §2).
 //! * **L2 replacement.** The L2 model answers hit or miss exactly as a
 //!   stamp-based LRU reference does, access for access, including heavy
 //!   set conflicts, 1-way sets and more ways than lines.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
-use cuart_gpu_sim::batch::{gather, sort_permutation};
+use cuart_gpu_sim::batch::{gather, scatter_inverse, sort_permutation};
 use cuart_gpu_sim::cache::Cache;
+use cuart_gpu_sim::dram::{DramModel, CHANNEL_STRIDE};
 use cuart_gpu_sim::{
     devices, BufferId, CacheConfig, Dep, DeviceConfig, DeviceMemory, Kernel, KernelReport,
     Launcher, ThreadCtx,
@@ -142,6 +155,211 @@ fn random_trace(rng: &mut StdRng) -> Vec<(Step, u32)> {
             (step, rng.gen_range(0..3u32) * 10)
         })
         .collect()
+}
+
+/// A session script: lookups, updates (distinct keys, some deleted, some
+/// absent), inserts (distinct keys, fresh and stored), lookups again.
+struct Script {
+    lookups: Vec<Vec<u8>>,
+    updates: Vec<(Vec<u8>, u64)>,
+    inserts: Vec<(Vec<u8>, u64)>,
+}
+
+fn script(rng: &mut StdRng, keys: &[Vec<u8>]) -> Script {
+    let len = WARP * rng.gen_range(3..8usize) + rng.gen_range(0..WARP);
+    let lookups = batch(rng, keys, len);
+    let mut distinct = batch(rng, keys, 2 * len);
+    distinct.sort();
+    distinct.dedup();
+    shuffle(rng, &mut distinct);
+    let (updates, inserts) = distinct.split_at(distinct.len() / 2);
+    let valued = |keys: &[Vec<u8>], rng: &mut StdRng| -> Vec<(Vec<u8>, u64)> {
+        keys.iter()
+            .map(|k| {
+                let value = if rng.gen_bool(0.2) {
+                    cuart::DELETE
+                } else {
+                    rng.gen_range(1..1_000_000u64)
+                };
+                (k.clone(), value)
+            })
+            .collect()
+    };
+    let updates = valued(updates, rng);
+    let inserts = valued(inserts, rng)
+        .into_iter()
+        .map(|(k, v)| (k, if v == cuart::DELETE { 7 } else { v }))
+        .collect();
+    Script {
+        lookups,
+        updates,
+        inserts,
+    }
+}
+
+/// Run `batch` as pieces cut at `cuts` (warp multiples), each in arrival
+/// order or sorted; the answers in arrival order.
+fn pieces<T: Clone + Default>(
+    batch: &[T],
+    key: impl Fn(&T) -> &Vec<u8>,
+    cuts: &[usize],
+    sorted: bool,
+    mut run: impl FnMut(&[T]) -> Vec<u64>,
+) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for end in cuts
+        .iter()
+        .copied()
+        .filter(|&c| c < batch.len())
+        .chain([batch.len()])
+    {
+        let piece = &batch[start..end];
+        if sorted {
+            let keys: Vec<Vec<u8>> = piece.iter().map(|op| key(op).clone()).collect();
+            let perm = sort_permutation(&keys);
+            out.extend(scatter_inverse(&run(&gather(piece, &perm)), &perm));
+        } else {
+            out.extend(run(piece));
+        }
+        start = end;
+    }
+    out
+}
+
+/// The script's answers through a fresh session on `dev`.
+fn answers(
+    index: &CuartIndex,
+    dev: &DeviceConfig,
+    s: &Script,
+    cuts: &[usize],
+    sorted: bool,
+) -> Vec<Vec<u64>> {
+    let mut session = index.device_session(dev);
+    let mut out = Vec::new();
+    let lookup = |session: &mut cuart::CuartSession<'_>, keys: &[Vec<u8>]| {
+        pieces(
+            keys,
+            |k| k,
+            cuts,
+            sorted,
+            |p| session.lookup_batch(p).unwrap().0,
+        )
+    };
+    out.push(lookup(&mut session, &s.lookups));
+    out.push(pieces(
+        &s.updates,
+        |op| &op.0,
+        cuts,
+        sorted,
+        |p| session.update_batch(p).unwrap().0,
+    ));
+    out.push(pieces(
+        &s.inserts,
+        |op| &op.0,
+        cuts,
+        sorted,
+        |p| session.insert_batch(p).unwrap().0,
+    ));
+    out.push(lookup(&mut session, &s.lookups));
+    out
+}
+
+/// (a) One script's answers on every device, whole or cut at warp
+/// boundaries, in arrival or sorted order.
+#[test]
+fn answers_do_not_depend_on_device_split_or_order() {
+    let mut rng = StdRng::seed_from_u64(0xa);
+    for (case, key_len) in [8, 16, 32].into_iter().enumerate() {
+        let (index, keys) = index(1_024, key_len, 40 + case as u64);
+        let s = script(&mut rng, &keys);
+        let reference = answers(&index, &devices::rtx3090(), &s, &[], false);
+        let cuts: Vec<usize> = (1..s.inserts.len().div_ceil(WARP))
+            .filter(|_| rng.gen_bool(0.5))
+            .map(|w| w * WARP)
+            .collect();
+        for dev in devices_under_test() {
+            for cuts in [&[][..], &cuts] {
+                for sorted in [false, true] {
+                    assert_eq!(
+                        answers(&index, &dev, &s, cuts, sorted),
+                        reference,
+                        "{} key_len {key_len}, cuts {cuts:?}, sorted {sorted}",
+                        dev.name
+                    );
+                }
+            }
+        }
+        let statuses = |batch: usize| -> Vec<u64> {
+            let mut seen = reference[batch].clone();
+            seen.sort();
+            seen.dedup();
+            seen
+        };
+        assert!(
+            statuses(1).len() > 1 && statuses(2).len() > 1,
+            "{reference:?}"
+        );
+    }
+}
+
+/// (d) The same batches, launched on a device whose memory differs only in
+/// a higher command clock or a whole multiple of the channels.
+#[test]
+fn faster_or_multiplied_channels_never_lengthen_the_bandwidth_bound() {
+    let mut rng = StdRng::seed_from_u64(0xd);
+    for (case, key_len) in [8, 16, 32].into_iter().enumerate() {
+        let (index, keys) = index(4_096, key_len, 50 + case as u64);
+        for dev in devices_under_test() {
+            let len = WARP * rng.gen_range(2..40usize) + rng.gen_range(0..WARP);
+            let keys = batch(&mut rng, &keys, len);
+            let base = lookup(&index, &dev, &keys).bandwidth_bound_ns;
+            assert!(
+                base > 0.0,
+                "{} key_len {key_len}: no DRAM traffic",
+                dev.name
+            );
+            let mut variants = Vec::new();
+            for factor in [1.01, 1.5, 2.0] {
+                let mut faster = dev;
+                faster.mem.command_clock_mhz *= factor;
+                variants.push((format!("clock ×{factor}"), faster));
+            }
+            for factor in [2, 3] {
+                let mut wider = dev;
+                wider.mem.channels *= factor;
+                variants.push((format!("channels ×{factor}"), wider));
+            }
+            for (what, variant) in variants {
+                let bound = lookup(&index, &variant, &keys).bandwidth_bound_ns;
+                assert!(
+                    bound <= base,
+                    "{} key_len {key_len}, {what}: {bound} ns > {base} ns",
+                    dev.name
+                );
+            }
+        }
+    }
+}
+
+/// (d)'s limit, pinned: the channel of a sector is its 256-byte block
+/// modulo the channel count, so more channels of a count that is no
+/// multiple can pile blocks that were spread onto one channel. Blocks 0,
+/// 12 and 24 fall on channels 0, 4, 0 of eight, but all on channel 0 of
+/// twelve.
+#[test]
+fn more_channels_of_another_count_can_lengthen_the_bound() {
+    let busiest = |channels: usize| {
+        let mut mem = devices::gtx1070().mem;
+        mem.channels = channels;
+        let mut dram = DramModel::new(mem);
+        for block in [0u64, 12, 24] {
+            dram.issue(block * CHANNEL_STRIDE, 32);
+        }
+        dram.max_channel_busy_ns()
+    };
+    assert!(busiest(12) > busiest(8));
+    assert!(busiest(16) <= busiest(8));
 }
 
 /// (b) Lanes permuted within each warp: every warp step sees the same
