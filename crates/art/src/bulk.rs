@@ -8,7 +8,7 @@
 //! group. No node ever grows or splits, so construction touches each key
 //! once.
 
-use crate::node::{Children, Inner, Node};
+use crate::node::{Inner, Node, NodeType};
 use crate::tree::{Art, ArtError};
 
 impl<V> Art<V> {
@@ -48,16 +48,13 @@ type ChildGroups<V> = Vec<(u8, Vec<(Vec<u8>, V)>)>;
 
 /// Build the subtree for a sorted run of keys agreeing on the first
 /// `depth` bytes.
-fn build_group<V>(mut pairs: Vec<(Vec<u8>, V)>, depth: usize) -> Result<Box<Node<V>>, ArtError> {
+fn build_group<V>(mut pairs: Vec<(Vec<u8>, V)>, depth: usize) -> Result<Node<V>, ArtError> {
     if pairs.len() <= 1 {
         // A run of one key becomes a leaf. `pop` doubles as the emptiness
         // check: callers only form non-empty groups, but an empty run maps
         // to a typed error rather than a panicking unwrap.
         let (key, value) = pairs.pop().ok_or(ArtError::EmptyKey)?;
-        return Ok(Box::new(Node::Leaf(crate::node::Leaf {
-            key: key.into_boxed_slice(),
-            value,
-        })));
+        return Ok(Node::leaf(&key, value));
     }
     // Longest common prefix from `depth` across the (sorted) run: it is
     // the LCP of the first and last keys, both present since len >= 2.
@@ -86,18 +83,11 @@ fn build_group<V>(mut pairs: Vec<(Vec<u8>, V)>, depth: usize) -> Result<Box<Node
         }
     }
     // Pick the adaptive node size for the fan-out and fill it directly.
-    let mut node_children = Children::new4();
-    while node_children.node_type().capacity() < children.len() {
-        node_children.grow();
-    }
+    let mut node = Inner::empty(NodeType::fitting(children.len()), prefix);
     for (byte, group) in children {
-        let child = build_group(group, split + 1)?;
-        node_children.insert(byte, child);
+        node.insert(byte, build_group(group, split + 1)?);
     }
-    Ok(Box::new(Node::Inner(Inner {
-        prefix,
-        children: node_children,
-    })))
+    Ok(Node::Inner(node))
 }
 
 #[cfg(test)]

@@ -1,9 +1,20 @@
 //! Internal node representation of the classic ART.
 //!
-//! The four adaptive inner-node kinds from the ART paper are represented as
-//! one enum, [`Children`], wrapped together with the compressed path prefix
-//! in [`Inner`]. Leaves store the complete key (lazy expansion), so inner
-//! traversal never needs to consult more than the compressed prefixes.
+//! A child link is a [`Node`], the Rust form of Leis et al.'s tagged child
+//! pointer: either a boxed [`Leaf`] or an [`Inner`] node, which is itself a
+//! box tagged with its kind. Every node is allocated at the size of what it
+//! holds — a leaf is its key and value, a Node4 its prefix, four key bytes
+//! and four links, a Node256 its prefix and 256 links — and the slots of
+//! every kind live inline in the node's own allocation, so following a link
+//! is one pointer hop whatever the kind. A link is two words (the tag and
+//! the pointer), and an empty slot costs no more than a full one.
+//!
+//! The four kinds share one trait, [`Kind`], behind the tagged handle; the
+//! tree code matches on leaf versus inner and lets [`Inner`] dispatch.
+//! Leaves store the complete key (lazy expansion), so inner traversal never
+//! needs to consult more than the compressed prefixes.
+
+use std::mem;
 
 /// The four adaptive inner-node sizes of the ART paper (§III.A of Leis et
 /// al. 2013). The numeric discriminants match the node-type tags CuART packs
@@ -44,89 +55,390 @@ impl NodeType {
 
     /// All node types in growing order.
     pub const ALL: [NodeType; 4] = [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256];
+
+    /// The smallest type that holds `n` children (`N256` past 256).
+    pub(crate) fn fitting(n: usize) -> NodeType {
+        Self::ALL
+            .into_iter()
+            .find(|ty| ty.capacity() >= n)
+            .unwrap_or(NodeType::N256)
+    }
 }
 
-/// A tree node: either a single-value leaf (lazy expansion) or an inner node.
+/// A child link: a boxed leaf or a boxed inner node.
 #[derive(Debug, Clone)]
-#[allow(
-    clippy::large_enum_variant,
-    reason = "`Node` is always behind a `Box`, and splitting `Inner` further would add an indirection per traversal step"
-)]
 pub(crate) enum Node<V> {
-    Leaf(Leaf<V>),
+    Leaf(Box<Leaf<V>>),
     Inner(Inner<V>),
 }
 
-/// Leaf storing the complete key and its value.
+/// Leaf storing the complete key and its value — in one allocation when
+/// the key is at most [`INLINE_KEY`] bytes long.
 #[derive(Debug, Clone)]
 pub(crate) struct Leaf<V> {
-    pub key: Box<[u8]>,
+    key: LeafKey,
     pub value: V,
 }
 
-/// Inner node: compressed path prefix + adaptive child collection.
+/// The longest key a leaf holds inline: what fits in the two words a boxed
+/// key takes, beside its length byte and the variant tag.
+const INLINE_KEY: usize = 22;
+
 #[derive(Debug, Clone)]
-pub(crate) struct Inner<V> {
+enum LeafKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl<V> Leaf<V> {
+    pub fn new(key: &[u8], value: V) -> Self {
+        let key = if key.len() <= INLINE_KEY {
+            let mut bytes = [0; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            LeafKey::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            LeafKey::Boxed(key.into())
+        };
+        Leaf { key, value }
+    }
+
+    /// The complete stored key.
+    pub fn key(&self) -> &[u8] {
+        match &self.key {
+            LeafKey::Inline { len, bytes } => &bytes[..*len as usize],
+            LeafKey::Boxed(key) => key,
+        }
+    }
+
+    /// Heap bytes of this leaf: the leaf itself, plus its key when that
+    /// does not fit inline.
+    pub fn heap_bytes(&self) -> usize {
+        let boxed = match &self.key {
+            LeafKey::Inline { .. } => 0,
+            LeafKey::Boxed(key) => key.len(),
+        };
+        mem::size_of::<Self>() + boxed
+    }
+}
+
+/// An inner node, boxed at the size of its kind.
+#[derive(Debug, Clone)]
+pub(crate) enum Inner<V> {
+    N4(Box<Sorted<V, 4>>),
+    N16(Box<Sorted<V, 16>>),
+    N48(Box<Indexed<V>>),
+    N256(Box<Direct<V>>),
+}
+
+/// Node4 and Node16: `len` sorted key bytes beside their links.
+#[derive(Debug, Clone)]
+pub(crate) struct Sorted<V, const N: usize> {
     /// Pessimistic path compression: the *full* run of key bytes this node
     /// compresses is stored (no optimistic skipping on the CPU baseline).
-    pub prefix: Box<[u8]>,
-    pub children: Children<V>,
+    prefix: Box<[u8]>,
+    len: u8,
+    keys: [u8; N],
+    ptrs: [Option<Node<V>>; N],
 }
 
-type Child<V> = Box<Node<V>>;
-
-/// The adaptive child collection, one variant per ART node size.
+/// Node48: a 256-entry index from key byte to one of 48 links.
 #[derive(Debug, Clone)]
-pub(crate) enum Children<V> {
-    Node4 {
-        len: u8,
-        keys: [u8; 4],
-        ptrs: [Option<Child<V>>; 4],
-    },
-    Node16 {
-        len: u8,
-        keys: [u8; 16],
-        ptrs: [Option<Child<V>>; 16],
-    },
-    Node48 {
-        len: u8,
-        /// Maps key byte -> slot in `ptrs`; `EMPTY48` marks absence.
-        index: [u8; 256],
-        ptrs: Box<[Option<Child<V>>; 48]>,
-    },
-    Node256 {
-        len: u16,
-        ptrs: Box<[Option<Child<V>>; 256]>,
-    },
+pub(crate) struct Indexed<V> {
+    prefix: Box<[u8]>,
+    len: u8,
+    /// Maps key byte -> slot in `ptrs`; `EMPTY48` marks absence.
+    index: [u8; 256],
+    ptrs: [Option<Node<V>>; 48],
 }
 
-pub(crate) const EMPTY48: u8 = 0xFF;
+/// Node256: one link per key byte.
+#[derive(Debug, Clone)]
+pub(crate) struct Direct<V> {
+    prefix: Box<[u8]>,
+    len: u16,
+    ptrs: [Option<Node<V>>; 256],
+}
 
-impl<V> Children<V> {
-    pub fn new4() -> Self {
-        Children::Node4 {
+const EMPTY48: u8 = 0xFF;
+
+/// What every inner-node kind does; [`Inner`] dispatches to it.
+///
+/// `insert` panics on overflow or a duplicate key byte (both logic errors
+/// in the tree code, not bad user input): the caller grows a full node
+/// first. `for_each` and `take_each` visit children in ascending key-byte
+/// order; `take_each` moves every child out and leaves the node empty.
+trait Kind<V> {
+    fn get(&self, byte: u8) -> Option<&Node<V>>;
+    fn get_mut(&mut self, byte: u8) -> Option<&mut Node<V>>;
+    fn insert(&mut self, byte: u8, child: Node<V>);
+    fn remove(&mut self, byte: u8) -> Option<Node<V>>;
+    fn for_each<'a>(&'a self, f: impl FnMut(u8, &'a Node<V>))
+    where
+        V: 'a;
+    fn take_each(&mut self, f: impl FnMut(u8, Node<V>));
+}
+
+impl<V, const N: usize> Sorted<V, N> {
+    fn new(prefix: Box<[u8]>) -> Self {
+        Sorted {
+            prefix,
             len: 0,
-            keys: [0; 4],
-            ptrs: [const { None }; 4],
+            keys: [0; N],
+            ptrs: [const { None }; N],
+        }
+    }
+
+    fn position(&self, byte: u8) -> Option<usize> {
+        let keys = &self.keys[..self.len as usize];
+        if N <= 4 {
+            keys.iter().position(|&k| k == byte)
+        } else {
+            keys.binary_search(&byte).ok()
+        }
+    }
+}
+
+impl<V, const N: usize> Kind<V> for Sorted<V, N> {
+    fn get(&self, byte: u8) -> Option<&Node<V>> {
+        self.ptrs[self.position(byte)?].as_ref()
+    }
+
+    fn get_mut(&mut self, byte: u8) -> Option<&mut Node<V>> {
+        let i = self.position(byte)?;
+        self.ptrs[i].as_mut()
+    }
+
+    fn insert(&mut self, byte: u8, child: Node<V>) {
+        let n = self.len as usize;
+        assert!(n < N, "Node{N} overflow");
+        let pos = self.keys[..n].iter().position(|&k| k > byte).unwrap_or(n);
+        self.keys[pos..n + 1].rotate_right(1);
+        self.ptrs[pos..n + 1].rotate_right(1);
+        self.keys[pos] = byte;
+        self.ptrs[pos] = Some(child);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, byte: u8) -> Option<Node<V>> {
+        let n = self.len as usize;
+        let pos = self.position(byte)?;
+        let child = self.ptrs[pos].take();
+        self.keys[pos..n].rotate_left(1);
+        self.ptrs[pos..n].rotate_left(1);
+        self.len -= 1;
+        child
+    }
+
+    fn for_each<'a>(&'a self, mut f: impl FnMut(u8, &'a Node<V>))
+    where
+        V: 'a,
+    {
+        let n = self.len as usize;
+        for (&byte, child) in self.keys[..n].iter().zip(&self.ptrs[..n]) {
+            if let Some(c) = child {
+                f(byte, c);
+            }
+        }
+    }
+
+    fn take_each(&mut self, mut f: impl FnMut(u8, Node<V>)) {
+        let n = mem::take(&mut self.len) as usize;
+        for (&byte, child) in self.keys[..n].iter().zip(&mut self.ptrs[..n]) {
+            if let Some(c) = child.take() {
+                f(byte, c);
+            }
+        }
+    }
+}
+
+impl<V> Indexed<V> {
+    fn new(prefix: Box<[u8]>) -> Self {
+        Indexed {
+            prefix,
+            len: 0,
+            index: [EMPTY48; 256],
+            ptrs: [const { None }; 48],
+        }
+    }
+}
+
+impl<V> Kind<V> for Indexed<V> {
+    fn get(&self, byte: u8) -> Option<&Node<V>> {
+        let slot = self.index[byte as usize];
+        if slot == EMPTY48 {
+            None
+        } else {
+            self.ptrs[slot as usize].as_ref()
+        }
+    }
+
+    fn get_mut(&mut self, byte: u8) -> Option<&mut Node<V>> {
+        let slot = self.index[byte as usize];
+        if slot == EMPTY48 {
+            None
+        } else {
+            self.ptrs[slot as usize].as_mut()
+        }
+    }
+
+    fn insert(&mut self, byte: u8, child: Node<V>) {
+        assert!((self.len as usize) < 48, "Node48 overflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "`len < 48` is asserted above so a free slot exists; a miss is a broken len/ptrs invariant, covered by the trait's documented panic-on-logic-error contract"
+        )]
+        let slot = self
+            .ptrs
+            .iter()
+            .position(|p| p.is_none())
+            .expect("free slot");
+        self.ptrs[slot] = Some(child);
+        self.index[byte as usize] = slot as u8;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, byte: u8) -> Option<Node<V>> {
+        let slot = mem::replace(&mut self.index[byte as usize], EMPTY48);
+        if slot == EMPTY48 {
+            return None;
+        }
+        self.len -= 1;
+        self.ptrs[slot as usize].take()
+    }
+
+    fn for_each<'a>(&'a self, mut f: impl FnMut(u8, &'a Node<V>))
+    where
+        V: 'a,
+    {
+        for (byte, &slot) in self.index.iter().enumerate() {
+            if slot == EMPTY48 {
+                continue;
+            }
+            if let Some(c) = &self.ptrs[slot as usize] {
+                f(byte as u8, c);
+            }
+        }
+    }
+
+    fn take_each(&mut self, mut f: impl FnMut(u8, Node<V>)) {
+        self.len = 0;
+        for (byte, slot) in self.index.iter_mut().enumerate() {
+            let slot = mem::replace(slot, EMPTY48);
+            if slot == EMPTY48 {
+                continue;
+            }
+            if let Some(c) = self.ptrs[slot as usize].take() {
+                f(byte as u8, c);
+            }
+        }
+    }
+}
+
+impl<V> Direct<V> {
+    fn new(prefix: Box<[u8]>) -> Self {
+        Direct {
+            prefix,
+            len: 0,
+            ptrs: [const { None }; 256],
+        }
+    }
+}
+
+impl<V> Kind<V> for Direct<V> {
+    fn get(&self, byte: u8) -> Option<&Node<V>> {
+        self.ptrs[byte as usize].as_ref()
+    }
+
+    fn get_mut(&mut self, byte: u8) -> Option<&mut Node<V>> {
+        self.ptrs[byte as usize].as_mut()
+    }
+
+    fn insert(&mut self, byte: u8, child: Node<V>) {
+        assert!((self.len as usize) < 256, "Node256 overflow");
+        self.ptrs[byte as usize] = Some(child);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, byte: u8) -> Option<Node<V>> {
+        let child = self.ptrs[byte as usize].take()?;
+        self.len -= 1;
+        Some(child)
+    }
+
+    fn for_each<'a>(&'a self, mut f: impl FnMut(u8, &'a Node<V>))
+    where
+        V: 'a,
+    {
+        for (byte, child) in self.ptrs.iter().enumerate() {
+            if let Some(c) = child {
+                f(byte as u8, c);
+            }
+        }
+    }
+
+    fn take_each(&mut self, mut f: impl FnMut(u8, Node<V>)) {
+        self.len = 0;
+        for (byte, child) in self.ptrs.iter_mut().enumerate() {
+            if let Some(c) = child.take() {
+                f(byte as u8, c);
+            }
+        }
+    }
+}
+
+/// Run `$body` with `$n` bound to the kind inside an [`Inner`].
+macro_rules! each_kind {
+    ($inner:expr, $n:ident => $body:expr) => {
+        match $inner {
+            Inner::N4($n) => $body,
+            Inner::N16($n) => $body,
+            Inner::N48($n) => $body,
+            Inner::N256($n) => $body,
+        }
+    };
+}
+
+impl<V> Inner<V> {
+    /// An empty node of type `ty` compressing `prefix`.
+    pub fn empty(ty: NodeType, prefix: Box<[u8]>) -> Self {
+        match ty {
+            NodeType::N4 => Inner::N4(Box::new(Sorted::new(prefix))),
+            NodeType::N16 => Inner::N16(Box::new(Sorted::new(prefix))),
+            NodeType::N48 => Inner::N48(Box::new(Indexed::new(prefix))),
+            NodeType::N256 => Inner::N256(Box::new(Direct::new(prefix))),
         }
     }
 
     pub fn node_type(&self) -> NodeType {
         match self {
-            Children::Node4 { .. } => NodeType::N4,
-            Children::Node16 { .. } => NodeType::N16,
-            Children::Node48 { .. } => NodeType::N48,
-            Children::Node256 { .. } => NodeType::N256,
+            Inner::N4(_) => NodeType::N4,
+            Inner::N16(_) => NodeType::N16,
+            Inner::N48(_) => NodeType::N48,
+            Inner::N256(_) => NodeType::N256,
         }
     }
 
+    /// The compressed path prefix.
+    pub fn prefix(&self) -> &[u8] {
+        each_kind!(self, n => &n.prefix)
+    }
+
+    /// Replace the compressed path prefix, returning the old one.
+    pub fn replace_prefix(&mut self, prefix: Box<[u8]>) -> Box<[u8]> {
+        each_kind!(self, n => mem::replace(&mut n.prefix, prefix))
+    }
+
+    /// Heap bytes of this node's own allocations: the node at its kind's
+    /// size plus its prefix (children not included).
+    pub fn heap_bytes(&self) -> usize {
+        each_kind!(self, n => mem::size_of_val(&**n) + n.prefix.len())
+    }
+
     pub fn len(&self) -> usize {
-        match self {
-            Children::Node4 { len, .. }
-            | Children::Node16 { len, .. }
-            | Children::Node48 { len, .. } => *len as usize,
-            Children::Node256 { len, .. } => *len as usize,
-        }
+        each_kind!(self, n => usize::from(n.len))
     }
 
     pub fn is_full(&self) -> bool {
@@ -135,299 +447,30 @@ impl<V> Children<V> {
 
     /// Borrow the child for `byte`, if present.
     pub fn get(&self, byte: u8) -> Option<&Node<V>> {
-        match self {
-            Children::Node4 { len, keys, ptrs } => keys[..*len as usize]
-                .iter()
-                .position(|&k| k == byte)
-                .and_then(|i| ptrs[i].as_deref()),
-            Children::Node16 { len, keys, ptrs } => keys[..*len as usize]
-                .binary_search(&byte)
-                .ok()
-                .and_then(|i| ptrs[i].as_deref()),
-            Children::Node48 { index, ptrs, .. } => {
-                let slot = index[byte as usize];
-                if slot == EMPTY48 {
-                    None
-                } else {
-                    ptrs[slot as usize].as_deref()
-                }
-            }
-            Children::Node256 { ptrs, .. } => ptrs[byte as usize].as_deref(),
-        }
+        each_kind!(self, n => n.get(byte))
     }
 
     /// Mutably borrow the child for `byte`, if present.
-    pub fn get_mut(&mut self, byte: u8) -> Option<&mut Child<V>> {
-        match self {
-            Children::Node4 { len, keys, ptrs } => keys[..*len as usize]
-                .iter()
-                .position(|&k| k == byte)
-                .and_then(|i| ptrs[i].as_mut()),
-            Children::Node16 { len, keys, ptrs } => keys[..*len as usize]
-                .binary_search(&byte)
-                .ok()
-                .and_then(|i| ptrs[i].as_mut()),
-            Children::Node48 { index, ptrs, .. } => {
-                let slot = index[byte as usize];
-                if slot == EMPTY48 {
-                    None
-                } else {
-                    ptrs[slot as usize].as_mut()
-                }
-            }
-            Children::Node256 { ptrs, .. } => ptrs[byte as usize].as_mut(),
-        }
+    pub fn get_mut(&mut self, byte: u8) -> Option<&mut Node<V>> {
+        each_kind!(self, n => n.get_mut(byte))
     }
 
     /// Insert a child for `byte`. The caller must have grown the node if it
     /// was full; panics on overflow or duplicate key byte (both indicate a
     /// logic error in the tree code, not bad user input).
-    pub fn insert(&mut self, byte: u8, child: Child<V>) {
+    pub fn insert(&mut self, byte: u8, child: Node<V>) {
         debug_assert!(self.get(byte).is_none(), "duplicate child byte {byte}");
-        match self {
-            Children::Node4 { len, keys, ptrs } => {
-                let n = *len as usize;
-                assert!(n < 4, "Node4 overflow");
-                let pos = keys[..n].iter().position(|&k| k > byte).unwrap_or(n);
-                keys[pos..n + 1].rotate_right(1);
-                ptrs[pos..n + 1].rotate_right(1);
-                keys[pos] = byte;
-                ptrs[pos] = Some(child);
-                *len += 1;
-            }
-            Children::Node16 { len, keys, ptrs } => {
-                let n = *len as usize;
-                assert!(n < 16, "Node16 overflow");
-                let pos = keys[..n].iter().position(|&k| k > byte).unwrap_or(n);
-                keys[pos..n + 1].rotate_right(1);
-                ptrs[pos..n + 1].rotate_right(1);
-                keys[pos] = byte;
-                ptrs[pos] = Some(child);
-                *len += 1;
-            }
-            Children::Node48 { len, index, ptrs } => {
-                let n = *len as usize;
-                assert!(n < 48, "Node48 overflow");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`n < 48` is asserted above so a free slot exists; a miss is a broken len/ptrs invariant, covered by this method's documented panic-on-logic-error contract"
-                )]
-                let slot = ptrs.iter().position(|p| p.is_none()).expect("free slot");
-                ptrs[slot] = Some(child);
-                index[byte as usize] = slot as u8;
-                *len += 1;
-            }
-            Children::Node256 { len, ptrs } => {
-                assert!((*len as usize) < 256, "Node256 overflow");
-                ptrs[byte as usize] = Some(child);
-                *len += 1;
-            }
-        }
+        each_kind!(self, n => n.insert(byte, child))
     }
 
     /// Remove and return the child for `byte`, if present.
-    pub fn remove(&mut self, byte: u8) -> Option<Child<V>> {
-        match self {
-            Children::Node4 { len, keys, ptrs } => {
-                let n = *len as usize;
-                let pos = keys[..n].iter().position(|&k| k == byte)?;
-                let child = ptrs[pos].take();
-                keys[pos..n].rotate_left(1);
-                ptrs[pos..n].rotate_left(1);
-                *len -= 1;
-                child
-            }
-            Children::Node16 { len, keys, ptrs } => {
-                let n = *len as usize;
-                let pos = keys[..n].binary_search(&byte).ok()?;
-                let child = ptrs[pos].take();
-                keys[pos..n].rotate_left(1);
-                ptrs[pos..n].rotate_left(1);
-                *len -= 1;
-                child
-            }
-            Children::Node48 { len, index, ptrs } => {
-                let slot = index[byte as usize];
-                if slot == EMPTY48 {
-                    return None;
-                }
-                index[byte as usize] = EMPTY48;
-                let child = ptrs[slot as usize].take();
-                *len -= 1;
-                child
-            }
-            Children::Node256 { len, ptrs } => {
-                let child = ptrs[byte as usize].take()?;
-                *len -= 1;
-                Some(child)
-            }
-        }
-    }
-
-    /// Grow to the next larger node type, moving all children over.
-    pub fn grow(&mut self) {
-        let old = std::mem::replace(self, Children::new4());
-        *self = match old {
-            Children::Node4 {
-                len,
-                keys,
-                mut ptrs,
-            } => {
-                let mut nkeys = [0u8; 16];
-                let mut nptrs = [const { None }; 16];
-                for i in 0..len as usize {
-                    nkeys[i] = keys[i];
-                    nptrs[i] = ptrs[i].take();
-                }
-                Children::Node16 {
-                    len,
-                    keys: nkeys,
-                    ptrs: nptrs,
-                }
-            }
-            Children::Node16 {
-                len,
-                keys,
-                mut ptrs,
-            } => {
-                let mut index = [EMPTY48; 256];
-                let mut nptrs = Box::new([const { None }; 48]);
-                for i in 0..len as usize {
-                    index[keys[i] as usize] = i as u8;
-                    nptrs[i] = ptrs[i].take();
-                }
-                Children::Node48 {
-                    len,
-                    index,
-                    ptrs: nptrs,
-                }
-            }
-            Children::Node48 {
-                len,
-                index,
-                mut ptrs,
-            } => {
-                let mut nptrs = Box::new([const { None }; 256]);
-                for (byte, &slot) in index.iter().enumerate() {
-                    if slot != EMPTY48 {
-                        nptrs[byte] = ptrs[slot as usize].take();
-                    }
-                }
-                Children::Node256 {
-                    len: len as u16,
-                    ptrs: nptrs,
-                }
-            }
-            full @ Children::Node256 { .. } => full,
-        };
-    }
-
-    /// Shrink to the next smaller node type if below the underflow
-    /// threshold. Returns `true` if a shrink happened.
-    pub fn shrink(&mut self) -> bool {
-        let ty = self.node_type();
-        if ty == NodeType::N4 || self.len() >= ty.min_children() {
-            return false;
-        }
-        let old = std::mem::replace(self, Children::new4());
-        *self = match old {
-            Children::Node16 {
-                len,
-                keys,
-                mut ptrs,
-            } => {
-                let mut nkeys = [0u8; 4];
-                let mut nptrs = [const { None }; 4];
-                for i in 0..len as usize {
-                    nkeys[i] = keys[i];
-                    nptrs[i] = ptrs[i].take();
-                }
-                Children::Node4 {
-                    len,
-                    keys: nkeys,
-                    ptrs: nptrs,
-                }
-            }
-            Children::Node48 {
-                len,
-                index,
-                mut ptrs,
-            } => {
-                let mut nkeys = [0u8; 16];
-                let mut nptrs = [const { None }; 16];
-                let mut n = 0;
-                for (byte, &slot) in index.iter().enumerate() {
-                    if slot != EMPTY48 {
-                        nkeys[n] = byte as u8;
-                        nptrs[n] = ptrs[slot as usize].take();
-                        n += 1;
-                    }
-                }
-                debug_assert_eq!(n, len as usize);
-                Children::Node16 {
-                    len,
-                    keys: nkeys,
-                    ptrs: nptrs,
-                }
-            }
-            Children::Node256 { len, mut ptrs } => {
-                let mut index = [EMPTY48; 256];
-                let mut nptrs = Box::new([const { None }; 48]);
-                let mut n = 0;
-                for (byte, slot) in ptrs.iter_mut().enumerate() {
-                    if slot.is_some() {
-                        index[byte] = n as u8;
-                        nptrs[n] = slot.take();
-                        n += 1;
-                    }
-                }
-                debug_assert_eq!(n, len as usize);
-                Children::Node48 {
-                    len: len as u8,
-                    index,
-                    ptrs: nptrs,
-                }
-            }
-            small @ Children::Node4 { .. } => small,
-        };
-        true
+    pub fn remove(&mut self, byte: u8) -> Option<Node<V>> {
+        each_kind!(self, n => n.remove(byte))
     }
 
     /// Visit children in ascending key-byte order.
-    pub fn for_each<'a>(&'a self, mut f: impl FnMut(u8, &'a Node<V>)) {
-        match self {
-            Children::Node4 { len, keys, ptrs } => {
-                for i in 0..*len as usize {
-                    if let Some(c) = ptrs[i].as_deref() {
-                        f(keys[i], c);
-                    }
-                }
-            }
-            Children::Node16 { len, keys, ptrs } => {
-                for i in 0..*len as usize {
-                    if let Some(c) = ptrs[i].as_deref() {
-                        f(keys[i], c);
-                    }
-                }
-            }
-            Children::Node48 { index, ptrs, .. } => {
-                for (byte, &slot) in index.iter().enumerate() {
-                    if slot == EMPTY48 {
-                        continue;
-                    }
-                    if let Some(c) = ptrs[slot as usize].as_deref() {
-                        f(byte as u8, c);
-                    }
-                }
-            }
-            Children::Node256 { ptrs, .. } => {
-                for byte in 0..256usize {
-                    if let Some(c) = ptrs[byte].as_deref() {
-                        f(byte as u8, c);
-                    }
-                }
-            }
-        }
+    pub fn for_each<'a>(&'a self, f: impl FnMut(u8, &'a Node<V>)) {
+        each_kind!(self, n => n.for_each(f))
     }
 
     /// Children in ascending key-byte order, collected (used by mappers and
@@ -438,49 +481,65 @@ impl<V> Children<V> {
         out
     }
 
+    /// Move prefix and children into a fresh node of type `ty`, which must
+    /// hold them all; the old allocation is freed.
+    fn convert(&mut self, ty: NodeType) {
+        let prefix = self.replace_prefix(Box::default());
+        let mut to = Inner::empty(ty, prefix);
+        each_kind!(self, n => n.take_each(|b, c| to.insert(b, c)));
+        *self = to;
+    }
+
+    /// Grow to the next larger node type, moving all children over.
+    pub fn grow(&mut self) {
+        let next = match self.node_type() {
+            NodeType::N4 => NodeType::N16,
+            NodeType::N16 => NodeType::N48,
+            NodeType::N48 => NodeType::N256,
+            NodeType::N256 => return,
+        };
+        self.convert(next);
+    }
+
+    /// Shrink to the next smaller node type if below the underflow
+    /// threshold. Returns `true` if a shrink happened.
+    pub fn shrink(&mut self) -> bool {
+        let ty = self.node_type();
+        let smaller = match ty {
+            NodeType::N4 => return false,
+            NodeType::N16 => NodeType::N4,
+            NodeType::N48 => NodeType::N16,
+            NodeType::N256 => NodeType::N48,
+        };
+        if self.len() >= ty.min_children() {
+            return false;
+        }
+        self.convert(smaller);
+        true
+    }
+
     /// Remove the single remaining child (used when collapsing a path).
     /// Panics unless exactly one child remains.
-    pub fn take_only_child(&mut self) -> (u8, Child<V>) {
+    pub fn take_only_child(&mut self) -> (u8, Node<V>) {
         assert_eq!(
             self.len(),
             1,
             "take_only_child on node with {} children",
             self.len()
         );
-        let byte = match self {
-            Children::Node4 { keys, .. } => keys[0],
-            Children::Node16 { keys, .. } => keys[0],
-            #[expect(
-                clippy::expect_used,
-                reason = "`len() == 1` is asserted above so one index slot is occupied; a miss is a corrupt index, covered by this method's documented panic contract"
-            )]
-            Children::Node48 { index, .. } => {
-                let slot = index.iter().position(|&s| s != EMPTY48);
-                slot.expect("one child") as u8
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "`len() == 1` is asserted above so one pointer is occupied; a miss is a corrupt ptrs array, covered by this method's documented panic contract"
-            )]
-            Children::Node256 { ptrs, .. } => {
-                ptrs.iter().position(|p| p.is_some()).expect("one child") as u8
-            }
-        };
+        let mut only = None;
+        each_kind!(self, n => n.take_each(|b, c| only = Some((b, c))));
         #[expect(
             clippy::expect_used,
-            reason = "`byte` was just located in this node under the asserted single-child invariant; a failed remove is a tree-code bug, covered by this method's documented panic contract"
+            reason = "`len() == 1` is asserted above so one child is taken; a miss is a corrupt node, covered by this method's documented panic contract"
         )]
-        let child = self.remove(byte).expect("child present");
-        (byte, child)
+        only.expect("one child")
     }
 }
 
 impl<V> Node<V> {
-    pub fn leaf(key: &[u8], value: V) -> Box<Self> {
-        Box::new(Node::Leaf(Leaf {
-            key: key.into(),
-            value,
-        }))
+    pub fn leaf(key: &[u8], value: V) -> Self {
+        Node::Leaf(Box::new(Leaf::new(key, value)))
     }
 
     /// The smallest (leftmost) leaf of the subtree. `None` only when an
@@ -491,7 +550,7 @@ impl<V> Node<V> {
             Node::Leaf(l) => Some(l),
             Node::Inner(inner) => {
                 let mut first = None;
-                inner.children.for_each(|_, c| {
+                inner.for_each(|_, c| {
                     if first.is_none() {
                         first = Some(c);
                     }
@@ -509,7 +568,7 @@ impl<V> Node<V> {
             Node::Leaf(l) => Some(l),
             Node::Inner(inner) => {
                 let mut last = None;
-                inner.children.for_each(|_, c| last = Some(c));
+                inner.for_each(|_, c| last = Some(c));
                 last?.maximum()
             }
         }
@@ -520,11 +579,15 @@ impl<V> Node<V> {
 mod tests {
     use super::*;
 
-    fn leaf(b: u8) -> Box<Node<u64>> {
+    fn leaf(b: u8) -> Node<u64> {
         Node::leaf(&[b], b as u64)
     }
 
-    fn assert_sorted(c: &Children<u64>) {
+    fn new4() -> Inner<u64> {
+        Inner::empty(NodeType::N4, Box::default())
+    }
+
+    fn assert_sorted(c: &Inner<u64>) {
         let e = c.entries();
         for w in e.windows(2) {
             assert!(
@@ -537,8 +600,32 @@ mod tests {
     }
 
     #[test]
+    fn a_link_is_two_words_and_a_leaf_is_its_key_and_value() {
+        // The tag and the pointer; the empty slot takes the tag's niche.
+        assert_eq!(mem::size_of::<Node<u64>>(), 16);
+        assert_eq!(mem::size_of::<Option<Node<u64>>>(), 16);
+        assert_eq!(mem::size_of::<Leaf<u64>>(), 32);
+        // Each kind is its slots plus a 16-byte prefix and a small header.
+        assert_eq!(mem::size_of::<Sorted<u64, 4>>(), 88);
+        assert_eq!(mem::size_of::<Sorted<u64, 16>>(), 296);
+        assert_eq!(mem::size_of::<Indexed<u64>>(), 1048);
+        assert_eq!(mem::size_of::<Direct<u64>>(), 4120);
+    }
+
+    #[test]
+    fn leaf_keys_inline_up_to_their_limit_then_boxed() {
+        for len in [1, 8, 16, INLINE_KEY, INLINE_KEY + 1, 32, 48] {
+            let key: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            let leaf = Leaf::new(&key, 7u64);
+            assert_eq!(leaf.key(), &key[..]);
+            let boxed = if len > INLINE_KEY { len } else { 0 };
+            assert_eq!(leaf.heap_bytes(), mem::size_of::<Leaf<u64>>() + boxed);
+        }
+    }
+
+    #[test]
     fn node4_insert_sorted_and_get() {
-        let mut c = Children::new4();
+        let mut c = new4();
         for b in [9u8, 3, 200, 77] {
             c.insert(b, leaf(b));
         }
@@ -553,7 +640,7 @@ mod tests {
 
     #[test]
     fn grow_chain_preserves_children() {
-        let mut c = Children::new4();
+        let mut c = Inner::empty(NodeType::N4, Box::from(&b"pre"[..]));
         let mut inserted = Vec::new();
         // Fill through every growth step up to a full Node256.
         for b in 0..=255u8 {
@@ -562,6 +649,7 @@ mod tests {
                 c.grow();
                 let after = c.entries().iter().map(|(b, _)| *b).collect::<Vec<_>>();
                 assert_eq!(before, after, "grow changed the child set");
+                assert_eq!(c.prefix(), b"pre");
             }
             c.insert(b, leaf(b));
             inserted.push(b);
@@ -570,13 +658,13 @@ mod tests {
         assert_eq!(c.node_type(), NodeType::N256);
         assert_eq!(c.len(), 256);
         for b in inserted {
-            assert!(c.get(b).is_some());
+            assert!(matches!(c.get(b), Some(Node::Leaf(l)) if l.value == b as u64));
         }
     }
 
     #[test]
     fn remove_and_shrink_chain() {
-        let mut c = Children::new4();
+        let mut c = new4();
         for b in 0..=255u8 {
             if c.is_full() {
                 c.grow();
@@ -599,7 +687,7 @@ mod tests {
 
     #[test]
     fn remove_missing_returns_none() {
-        let mut c = Children::new4();
+        let mut c = new4();
         c.insert(10, leaf(10));
         assert!(c.remove(11).is_none());
         assert_eq!(c.len(), 1);
@@ -607,7 +695,7 @@ mod tests {
 
     #[test]
     fn node48_slot_reuse_after_remove() {
-        let mut c = Children::new4();
+        let mut c = new4();
         for b in 0..48u8 {
             if c.is_full() {
                 c.grow();
@@ -626,24 +714,23 @@ mod tests {
 
     #[test]
     fn take_only_child() {
-        let mut c = Children::new4();
-        c.insert(42, leaf(42));
-        let (byte, child) = c.take_only_child();
-        assert_eq!(byte, 42);
-        assert!(matches!(*child, Node::Leaf(ref l) if l.value == 42));
-        assert_eq!(c.len(), 0);
+        for ty in NodeType::ALL {
+            let mut c = Inner::empty(ty, Box::default());
+            c.insert(42, leaf(42));
+            let (byte, child) = c.take_only_child();
+            assert_eq!(byte, 42);
+            assert!(matches!(child, Node::Leaf(ref l) if l.value == 42));
+            assert_eq!(c.len(), 0);
+        }
     }
 
     #[test]
     fn min_max_leaf() {
-        let mut c = Children::new4();
+        let mut c = new4();
         for b in [7u8, 1, 200] {
             c.insert(b, leaf(b));
         }
-        let node = Node::Inner(Inner {
-            prefix: Box::from(&b""[..]),
-            children: c,
-        });
+        let node = Node::Inner(c);
         assert_eq!(node.minimum().unwrap().value, 1);
         assert_eq!(node.maximum().unwrap().value, 200);
     }
@@ -655,5 +742,9 @@ mod tests {
         for ty in NodeType::ALL {
             assert!(ty.min_children() <= ty.capacity());
         }
+        assert_eq!(NodeType::fitting(0), NodeType::N4);
+        assert_eq!(NodeType::fitting(5), NodeType::N16);
+        assert_eq!(NodeType::fitting(48), NodeType::N48);
+        assert_eq!(NodeType::fitting(49), NodeType::N256);
     }
 }

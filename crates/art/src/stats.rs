@@ -4,7 +4,7 @@
 //! effects discussed in §4.4 of the CuART paper) and by the GPU mappers to
 //! pre-size their buffers.
 
-use crate::node::{Children, Node};
+use crate::node::Node;
 use crate::tree::Art;
 use crate::NodeType;
 
@@ -24,7 +24,10 @@ pub struct ArtStats {
     pub prefix_bytes: usize,
     /// Longest single compressed prefix.
     pub max_prefix_len: usize,
-    /// Approximate heap footprint of the tree in bytes.
+    /// Heap bytes the tree has allocated: every inner node at the size of
+    /// its kind plus its compressed prefix, every leaf plus its key when
+    /// that is too long to sit inline. This is what the allocator was asked
+    /// for, not counting its own overhead.
     pub memory_bytes: usize,
 }
 
@@ -59,7 +62,7 @@ impl ArtStats {
         }
     }
 
-    /// Approximate heap bytes per stored key (0.0 for the empty tree).
+    /// Heap bytes per stored key (0.0 for the empty tree).
     pub fn bytes_per_key(&self) -> f64 {
         if self.leaves == 0 {
             0.0
@@ -80,33 +83,21 @@ impl ArtStats {
     }
 }
 
-fn children_struct_bytes<V>(c: &Children<V>) -> usize {
-    // Approximate per-variant footprint, mirroring the sizes the ART paper
-    // reports (e.g. ~656 B for N48, ~2 KB for N256).
-    match c {
-        Children::Node4 { .. } => 4 + 4 * 8 + 8,
-        Children::Node16 { .. } => 16 + 16 * 8 + 8,
-        Children::Node48 { .. } => 256 + 48 * 8 + 8,
-        Children::Node256 { .. } => 256 * 8 + 8,
-    }
-}
-
 fn walk<V>(node: &Node<V>, depth: usize, stats: &mut ArtStats) {
     match node {
         Node::Leaf(leaf) => {
             stats.leaves += 1;
             stats.max_depth = stats.max_depth.max(depth);
             stats.total_leaf_depth += depth;
-            stats.memory_bytes += std::mem::size_of::<Node<V>>() + leaf.key.len();
+            stats.memory_bytes += leaf.heap_bytes();
         }
         Node::Inner(inner) => {
-            stats.nodes[inner.children.node_type() as usize - 1] += 1;
-            stats.prefix_bytes += inner.prefix.len();
-            stats.max_prefix_len = stats.max_prefix_len.max(inner.prefix.len());
-            stats.memory_bytes += std::mem::size_of::<Node<V>>()
-                + inner.prefix.len()
-                + children_struct_bytes(&inner.children);
-            inner.children.for_each(|_, c| walk(c, depth + 1, stats));
+            let prefix = inner.prefix().len();
+            stats.nodes[inner.node_type() as usize - 1] += 1;
+            stats.prefix_bytes += prefix;
+            stats.max_prefix_len = stats.max_prefix_len.max(prefix);
+            stats.memory_bytes += inner.heap_bytes();
+            inner.for_each(|_, c| walk(c, depth + 1, stats));
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The [`Art`] tree: insert, lookup, remove, iteration and scans.
 
-use crate::node::{Children, Inner, Node};
+use crate::node::{Inner, Node, NodeType};
+use std::mem;
 
 /// Errors reported by tree mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +35,7 @@ impl std::error::Error for ArtError {}
 /// See the [crate docs](crate) for the key model and examples.
 #[derive(Debug, Clone, Default)]
 pub struct Art<V> {
-    root: Option<Box<Node<V>>>,
+    root: Option<Node<V>>,
     len: usize,
 }
 
@@ -50,7 +51,7 @@ impl<V> Art<V> {
     }
 
     /// Assemble a tree from a prebuilt root (bulk loader).
-    pub(crate) fn from_parts(root: Option<Box<Node<V>>>, len: usize) -> Self {
+    pub(crate) fn from_parts(root: Option<Node<V>>, len: usize) -> Self {
         Art { root, len }
     }
 
@@ -65,26 +66,27 @@ impl<V> Art<V> {
     }
 
     pub(crate) fn root(&self) -> Option<&Node<V>> {
-        self.root.as_deref()
+        self.root.as_ref()
     }
 
     /// Look up `key`, returning a reference to its value.
     pub fn get(&self, key: &[u8]) -> Option<&V> {
-        let mut node = self.root.as_deref()?;
+        let mut node = self.root.as_ref()?;
         let mut depth = 0usize;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return (&*leaf.key == key).then_some(&leaf.value);
+                    return (leaf.key() == key).then_some(&leaf.value);
                 }
                 Node::Inner(inner) => {
+                    let prefix = inner.prefix();
                     let rest = &key[depth.min(key.len())..];
-                    if rest.len() < inner.prefix.len() || !rest.starts_with(&inner.prefix) {
+                    if !rest.starts_with(prefix) {
                         return None;
                     }
-                    depth += inner.prefix.len();
+                    depth += prefix.len();
                     let byte = *key.get(depth)?;
-                    node = inner.children.get(byte)?;
+                    node = inner.get(byte)?;
                     depth += 1;
                 }
             }
@@ -96,18 +98,19 @@ impl<V> Art<V> {
         let mut node = self.root.as_mut()?;
         let mut depth = 0usize;
         loop {
-            match node.as_mut() {
+            match node {
                 Node::Leaf(leaf) => {
-                    return (&*leaf.key == key).then_some(&mut leaf.value);
+                    return (leaf.key() == key).then_some(&mut leaf.value);
                 }
                 Node::Inner(inner) => {
+                    let prefix = inner.prefix();
                     let rest = &key[depth.min(key.len())..];
-                    if rest.len() < inner.prefix.len() || !rest.starts_with(&inner.prefix) {
+                    if !rest.starts_with(prefix) {
                         return None;
                     }
-                    depth += inner.prefix.len();
+                    depth += prefix.len();
                     let byte = *key.get(depth)?;
-                    node = inner.children.get_mut(byte)?;
+                    node = inner.get_mut(byte)?;
                     depth += 1;
                 }
             }
@@ -142,76 +145,68 @@ impl<V> Art<V> {
     }
 
     fn insert_rec(
-        node: &mut Box<Node<V>>,
+        node: &mut Node<V>,
         key: &[u8],
         depth: usize,
         value: V,
     ) -> Result<Option<V>, ArtError> {
-        match node.as_mut() {
+        match node {
             Node::Leaf(leaf) => {
-                if &*leaf.key == key {
-                    return Ok(Some(std::mem::replace(&mut leaf.value, value)));
+                if leaf.key() == key {
+                    return Ok(Some(mem::replace(&mut leaf.value, value)));
                 }
                 // Split: common prefix from `depth`, then two diverging leaves.
-                let lcp = common_prefix_len(&leaf.key[depth..], &key[depth..]);
+                let lcp = common_prefix_len(&leaf.key()[depth..], &key[depth..]);
                 let split = depth + lcp;
-                if split == key.len() || split == leaf.key.len() {
+                if split == key.len() || split == leaf.key().len() {
                     return Err(ArtError::PrefixViolation);
                 }
-                let prefix: Box<[u8]> = key[depth..split].into();
-                let new_byte = key[split];
-                // Read the diverging byte while the leaf borrow is live,
-                // before the node is replaced out from under it.
-                let old_byte = leaf.key[split];
-                let placeholder = Box::new(Node::Inner(Inner {
-                    prefix,
-                    children: Children::new4(),
-                }));
-                let old_leaf = std::mem::replace(node, placeholder);
-                if let Node::Inner(inner) = node.as_mut() {
-                    inner.children.insert(old_byte, old_leaf);
-                    inner.children.insert(new_byte, Node::leaf(key, value));
-                }
+                let old_byte = leaf.key()[split];
+                let mut parent = Inner::empty(NodeType::N4, key[depth..split].into());
+                parent.insert(key[split], Node::leaf(key, value));
+                Self::push_down(node, parent, old_byte);
                 Ok(None)
             }
             Node::Inner(inner) => {
-                let rest = &key[depth..];
-                let lcp = common_prefix_len(&inner.prefix, rest);
-                if lcp < inner.prefix.len() {
+                let prefix = inner.prefix();
+                let lcp = common_prefix_len(prefix, &key[depth..]);
+                if lcp < prefix.len() {
                     // Prefix mismatch: split the compressed path at `lcp`.
                     if depth + lcp == key.len() {
                         return Err(ArtError::PrefixViolation);
                     }
-                    let head: Box<[u8]> = inner.prefix[..lcp].into();
-                    let old_byte = inner.prefix[lcp];
-                    let new_byte = key[depth + lcp];
-                    inner.prefix = inner.prefix[lcp + 1..].into();
-                    let placeholder = Box::new(Node::Inner(Inner {
-                        prefix: head,
-                        children: Children::new4(),
-                    }));
-                    let old_node = std::mem::replace(node, placeholder);
-                    if let Node::Inner(parent) = node.as_mut() {
-                        parent.children.insert(old_byte, old_node);
-                        parent.children.insert(new_byte, Node::leaf(key, value));
-                    }
+                    let old_byte = prefix[lcp];
+                    let mut parent = Inner::empty(NodeType::N4, prefix[..lcp].into());
+                    let tail = prefix[lcp + 1..].into();
+                    inner.replace_prefix(tail);
+                    parent.insert(key[depth + lcp], Node::leaf(key, value));
+                    Self::push_down(node, parent, old_byte);
                     return Ok(None);
                 }
                 // Full prefix match; descend.
-                let depth = depth + inner.prefix.len();
+                let depth = depth + prefix.len();
                 if depth >= key.len() {
                     return Err(ArtError::PrefixViolation);
                 }
                 let byte = key[depth];
-                if let Some(child) = inner.children.get_mut(byte) {
+                if let Some(child) = inner.get_mut(byte) {
                     return Self::insert_rec(child, key, depth + 1, value);
                 }
-                if inner.children.is_full() {
-                    inner.children.grow();
+                if inner.is_full() {
+                    inner.grow();
                 }
-                inner.children.insert(byte, Node::leaf(key, value));
+                inner.insert(byte, Node::leaf(key, value));
                 Ok(None)
             }
+        }
+    }
+
+    /// Put `parent` where `node` was and hang the old node under it at
+    /// `byte`.
+    fn push_down(node: &mut Node<V>, parent: Inner<V>, byte: u8) {
+        let old = mem::replace(node, Node::Inner(parent));
+        if let Node::Inner(parent) = node {
+            parent.insert(byte, old);
         }
     }
 
@@ -220,51 +215,46 @@ impl<V> Art<V> {
     /// non-structural device-side deletes of CuART §3.3).
     pub fn remove(&mut self, key: &[u8]) -> Option<V> {
         let root = self.root.as_mut()?;
-        match root.as_mut() {
+        let value = match root {
             Node::Leaf(leaf) => {
-                if &*leaf.key != key {
+                if leaf.key() != key {
                     return None;
                 }
                 // The root was matched as a leaf above; take-and-match
                 // treats the impossible shapes as absent, not a panic.
-                let value = match self.root.take().map(|node| *node) {
+                match self.root.take() {
                     Some(Node::Leaf(leaf)) => leaf.value,
                     _ => return None,
-                };
-                self.len -= 1;
-                Some(value)
+                }
             }
-            Node::Inner(_) => {
-                let value = Self::remove_rec(root, key, 0)?;
-                self.len -= 1;
-                Some(value)
-            }
-        }
+            Node::Inner(_) => Self::remove_rec(root, key, 0)?,
+        };
+        self.len -= 1;
+        Some(value)
     }
 
     /// Removes from an *inner* `node`; collapses it if one child remains.
-    fn remove_rec(node: &mut Box<Node<V>>, key: &[u8], depth: usize) -> Option<V> {
-        let inner = match node.as_mut() {
-            Node::Inner(inner) => inner,
-            // Both call sites descend only into inner nodes; a leaf here
-            // would be a broken invariant — report "not found", don't panic.
-            Node::Leaf(_) => return None,
+    fn remove_rec(node: &mut Node<V>, key: &[u8], depth: usize) -> Option<V> {
+        // Both call sites descend only into inner nodes; a leaf here would
+        // be a broken invariant — report "not found", don't panic.
+        let Node::Inner(inner) = node else {
+            return None;
         };
-        let rest = &key[depth.min(key.len())..];
-        if rest.len() < inner.prefix.len() || !rest.starts_with(&inner.prefix) {
+        let prefix = inner.prefix();
+        if !key[depth.min(key.len())..].starts_with(prefix) {
             return None;
         }
-        let depth = depth + inner.prefix.len();
+        let depth = depth + prefix.len();
         let byte = *key.get(depth)?;
-        let child = inner.children.get_mut(byte)?;
-        let value = match child.as_mut() {
+        let child = inner.get_mut(byte)?;
+        let value = match child {
             Node::Leaf(leaf) => {
-                if &*leaf.key != key {
+                if leaf.key() != key {
                     return None;
                 }
                 // `get_mut` just found this child, so `remove` returns it;
                 // any other shape is a broken invariant, reported as absent.
-                match inner.children.remove(byte).map(|n| *n) {
+                match inner.remove(byte) {
                     Some(Node::Leaf(leaf)) => leaf.value,
                     _ => return None,
                 }
@@ -272,23 +262,21 @@ impl<V> Art<V> {
             Node::Inner(_) => Self::remove_rec(child, key, depth + 1)?,
         };
         // Structural cleanup: collapse single-child paths, shrink node type.
-        if inner.children.len() == 1 {
-            let (only_byte, only_child) = inner.children.take_only_child();
-            let mut prefix = std::mem::take(&mut inner.prefix).into_vec();
-            prefix.push(only_byte);
-            match *only_child {
-                Node::Leaf(leaf) => {
-                    // A leaf keeps its full key; just replace the node.
-                    **node = Node::Leaf(leaf);
-                }
-                Node::Inner(mut child_inner) => {
-                    prefix.extend_from_slice(&child_inner.prefix);
-                    child_inner.prefix = prefix.into_boxed_slice();
-                    **node = Node::Inner(child_inner);
+        if inner.len() == 1 {
+            let (only_byte, only_child) = inner.take_only_child();
+            match only_child {
+                // A leaf keeps its full key; just replace the node.
+                leaf @ Node::Leaf(_) => *node = leaf,
+                Node::Inner(mut child) => {
+                    let mut prefix = inner.replace_prefix(Box::default()).into_vec();
+                    prefix.push(only_byte);
+                    prefix.extend_from_slice(child.prefix());
+                    child.replace_prefix(prefix.into_boxed_slice());
+                    *node = Node::Inner(child);
                 }
             }
         } else {
-            inner.children.shrink();
+            inner.shrink();
         }
         Some(value)
     }
@@ -325,14 +313,14 @@ impl<V> Art<V> {
 
     /// The smallest key (with value), if any.
     pub fn min(&self) -> Option<(Vec<u8>, &V)> {
-        let leaf = self.root.as_deref()?.minimum()?;
-        Some((leaf.key.to_vec(), &leaf.value))
+        let leaf = self.root.as_ref()?.minimum()?;
+        Some((leaf.key().to_vec(), &leaf.value))
     }
 
     /// The largest key (with value), if any.
     pub fn max(&self) -> Option<(Vec<u8>, &V)> {
-        let leaf = self.root.as_deref()?.maximum()?;
-        Some((leaf.key.to_vec(), &leaf.value))
+        let leaf = self.root.as_ref()?.maximum()?;
+        Some((leaf.key().to_vec(), &leaf.value))
     }
 }
 
@@ -385,13 +373,13 @@ impl<'a, V> Iterator for Iter<'a, V> {
             let frame = self.stack.last_mut()?;
             match frame.node {
                 Node::Leaf(leaf) => {
-                    let item = (leaf.key.to_vec(), &leaf.value);
+                    let item = (leaf.key().to_vec(), &leaf.value);
                     self.stack.pop();
                     return Some(item);
                 }
                 Node::Inner(inner) => {
                     if !frame.visited {
-                        frame.children = inner.children.entries();
+                        frame.children = inner.entries();
                         frame.visited = true;
                     }
                     if frame.pos < frame.children.len() {

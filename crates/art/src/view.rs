@@ -47,23 +47,22 @@ impl<'a, V> NodeView<'a, V> {
 impl<'a, V> InnerView<'a, V> {
     /// The adaptive node type.
     pub fn node_type(&self) -> NodeType {
-        self.inner.children.node_type()
+        self.inner.node_type()
     }
 
     /// The full compressed path prefix of this node.
     pub fn prefix(&self) -> &'a [u8] {
-        &self.inner.prefix
+        self.inner.prefix()
     }
 
     /// Number of children.
     pub fn child_count(&self) -> usize {
-        self.inner.children.len()
+        self.inner.len()
     }
 
     /// Children in ascending key-byte order.
     pub fn children(&self) -> Vec<(u8, NodeView<'a, V>)> {
         self.inner
-            .children
             .entries()
             .into_iter()
             .map(|(b, n)| (b, NodeView::new(n)))
@@ -74,7 +73,7 @@ impl<'a, V> InnerView<'a, V> {
 impl<'a, V> LeafView<'a, V> {
     /// The complete stored key.
     pub fn key(&self) -> &'a [u8] {
-        &self.leaf.key
+        self.leaf.key()
     }
 
     /// The stored value.
@@ -103,8 +102,8 @@ impl<V> Art<V> {
             let view = NodeView::new(node);
             f(&view, depth);
             if let Node::Inner(inner) = node {
-                let child_depth = depth + inner.prefix.len() + 1;
-                inner.children.for_each(|_, c| rec(c, child_depth, f));
+                let child_depth = depth + inner.prefix().len() + 1;
+                inner.for_each(|_, c| rec(c, child_depth, f));
             }
         }
         if let Some(root) = self.root() {

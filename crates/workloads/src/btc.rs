@@ -12,9 +12,10 @@
 //! byte runs), repeated path segments, and an entity id — truncated or
 //! padded to exactly 32 bytes.
 
+use crate::keys::DistinctKeys;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::io::Write;
 
 /// Namespace prefixes mimicking common RDF hosts (long shared runs).
 const NAMESPACES: &[&str] = &[
@@ -55,23 +56,24 @@ const ID_CHARS: usize = 12;
 /// `n` unique 32-byte BTC-like keys.
 pub fn btc_keys(n: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB7C2019);
-    let mut seen = HashSet::with_capacity(n * 2);
-    let mut out = Vec::with_capacity(n);
+    let mut out = DistinctKeys::with_capacity(n);
+    let mut key = Vec::with_capacity(64);
     while out.len() < n {
         let ns = NAMESPACES[zipf_index(&mut rng, NAMESPACES.len())];
         let seg = SEGMENTS[zipf_index(&mut rng, SEGMENTS.len())];
         let id: u64 = rng.gen::<u64>() & 0xFFFF_FFFF_FFFF;
         // Long URI prefix truncated so the id always fits: exactly the
         // "long duplicate segments" shape of §4.4, without losing entropy.
-        let mut key = format!("{ns}{seg}").into_bytes();
+        key.clear();
+        key.extend_from_slice(ns.as_bytes());
+        key.extend_from_slice(seg.as_bytes());
         key.truncate(32 - ID_CHARS);
-        key.extend_from_slice(format!("{id:012x}").as_bytes());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(key, "{id:012x}");
         key.resize(32, b'_');
-        if seen.insert(key.clone()) {
-            out.push(key);
-        }
+        out.insert(&key);
     }
-    out
+    out.into_keys()
 }
 
 /// Structural summary used by tests and the figure harness to verify the
@@ -117,6 +119,7 @@ pub fn profile(keys: &[Vec<u8>]) -> BtcProfile {
 mod tests {
     use super::*;
     use crate::keys::uniform_keys;
+    use std::collections::HashSet;
 
     #[test]
     fn keys_are_unique_32_bytes() {
