@@ -682,7 +682,8 @@ fn write_answers(
             Answer::Ready(body) => body,
             Answer::Ticket(ticket) => response_body(ticket.wait()),
         };
-        let ok = !matches!(body, RespBody::Error(..));
+        let wall_ns = in_flight.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let (payload, ok) = encode_answer(in_flight.id, body);
         if ok {
             counters
                 .served_ops
@@ -690,7 +691,6 @@ fn write_answers(
         } else {
             counters.error_frames.fetch_add(1, Ordering::Relaxed);
         }
-        let wall_ns = in_flight.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(t) = telemetry {
             if !ok {
                 t.error_frames.incr(1);
@@ -702,19 +702,31 @@ fn write_answers(
                 .with_attr("ok", ok);
             t.registry.record_span_tree(span);
         }
-        let resp = Response {
-            id: in_flight.id,
-            body,
-        };
-        let Ok(payload) = proto::encode_response(&resp) else {
-            continue;
-        };
         if peer_alive {
             peer_alive =
                 write_frame(out, &proto::encode_frame(&payload), counters, telemetry).is_ok();
         }
     }
     let _ = out.flush();
+}
+
+/// Encode one answer, and whether it is the OK body it was asked to be.
+/// A body the wire cannot carry (a range row whose key is over 65,535
+/// bytes, a payload over the frame cap) goes out as a `TooLarge` error
+/// frame under the same id: the in-order client gets an answer, never
+/// silence or a frame it must refuse.
+fn encode_answer(id: u64, body: RespBody) -> (Vec<u8>, bool) {
+    let ok = !matches!(body, RespBody::Error(..));
+    match proto::encode_response(&Response { id, body }) {
+        Ok(payload) => (payload, ok),
+        Err(e) => {
+            let msg = format!("answer not encodable: {e}");
+            (
+                proto::encode_error(id, proto::wire_error_code(&e), &msg),
+                false,
+            )
+        }
+    }
 }
 
 /// Write one encoded frame and count it.
@@ -746,12 +758,7 @@ fn refuse_malformed(stream: &mut TcpStream, ctx: &ConnCtx, e: &WireError) -> io:
         t.decode_errors.incr(1);
         t.error_frames.incr(1);
     }
-    let resp = Response {
-        id: 0,
-        body: RespBody::Error(proto::wire_error_code(e), e.to_string()),
-    };
-    let payload = proto::encode_response(&resp)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let payload = proto::encode_error(0, proto::wire_error_code(e), &e.to_string());
     write_frame(
         stream,
         &proto::encode_frame(&payload),

@@ -1,6 +1,6 @@
 //! Loopback integration suite for the `cuart-net` serving subsystem.
 //!
-//! Six contracts are pinned here:
+//! Seven contracts are pinned here:
 //!
 //! 1. **Byte equivalence** — concurrent TCP clients spraying lookups
 //!    through a [`ShardedScheduler`]-backed server get answers
@@ -22,6 +22,10 @@
 //!    pipelining connection reaches the scheduler at once (so the
 //!    connection coalesces with itself), responses come back in request
 //!    order, and a dead executor is an error frame, not a hung writer.
+//! 7. **Every request is answered** — an answer the wire cannot carry (a
+//!    range row whose key is over 65,535 bytes) comes back as a typed
+//!    `TooLarge` frame on a connection that stays usable, and a client
+//!    refuses an over-cap request before sending a byte.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
@@ -699,4 +703,64 @@ fn a_dead_executor_is_an_error_frame_not_a_hung_writer() {
         Err(cuart_host::SchedError::ExecutorPanicked(_)) => {}
         other => panic!("join must report the executor's panic, got {other:?}"),
     }
+}
+
+#[test]
+fn an_unencodable_answer_is_a_too_large_frame_on_a_live_connection() {
+    // CpuRoute keeps a key of any length in a host leaf, so a range can
+    // find a row the wire's u16 key prefix cannot carry.
+    let mut art = Art::new();
+    for i in 0..4096u64 {
+        art.insert(&i.to_be_bytes(), i * 3 + 1).unwrap();
+    }
+    let long_key = vec![0xEE; 70_000];
+    art.insert(&long_key, 77).unwrap();
+    let index = Arc::new(CuartIndex::build(&art, &CuartConfig::for_tests()));
+    assert_eq!(index.lookup_cpu(&long_key), Some(77));
+    let sched = Scheduler::spawn(
+        Arc::clone(&index),
+        devices::gtx1070(),
+        SchedulerConfig::default(),
+    );
+    let server =
+        NetServer::serve_single(listener(), sched, None, NetServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let stop = server.shutdown_handle();
+
+    // The client runs on its own thread: a server that drops the answer
+    // leaves it blocked on the read, and the wait below fails the test.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut conn = NetClient::connect(addr).unwrap();
+        let range = conn.range(vec![(vec![0xEE], vec![0xEF])]);
+        tx.send(range.map(|rows| rows.len())).unwrap();
+        let lookup = conn.lookup(vec![key(3), key(5)]);
+        tx.send(lookup.map(|values| values.len())).unwrap();
+        // Over the frame cap: refused locally, nothing is sent.
+        let keys = (0..1025).map(|_| vec![0u8; u16::MAX as usize]).collect();
+        let refused = conn.lookup(keys);
+        assert!(
+            matches!(
+                refused,
+                Err(NetError::Wire(proto::WireError::TooLarge(n))) if n > proto::MAX_FRAME_BYTES
+            ),
+            "{refused:?}"
+        );
+        conn.lookup(vec![key(7)])
+    });
+    let wait = Duration::from_secs(60);
+    match rx.recv_timeout(wait).expect("the range must be answered") {
+        Err(NetError::Remote(code, msg)) => assert_eq!(code, ErrorCode::TooLarge, "{msg}"),
+        other => panic!("expected a TooLarge error frame, got {other:?}"),
+    }
+    let after = rx
+        .recv_timeout(wait)
+        .expect("the connection must stay usable");
+    assert_eq!(after.unwrap(), 2);
+    assert_eq!(client.join().unwrap().unwrap(), vec![7 * 3 + 1]);
+
+    stop.shutdown();
+    let report = server.join().unwrap();
+    assert_eq!(report.error_frames, 1);
+    assert_eq!(report.served_ops, 3);
 }
