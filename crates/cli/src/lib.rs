@@ -854,7 +854,7 @@ fn start_server(
         queue_cap: opts.overload.queue_cap,
         admission: opts.overload.admission,
         op_deadline: opts.overload.op_deadline_us.map(Duration::from_micros),
-        breaker: Some(breaker),
+        breaker,
         shard: None,
     };
     let telemetry = Some(Arc::clone(telemetry));

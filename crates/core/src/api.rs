@@ -469,8 +469,8 @@ pub struct CuartSession<'a> {
     retry: RetryPolicy,
     mode: Mode,
     /// Shadow device mutations in the overlay even without an injector, so
-    /// a later [`CuartSession::set_cpu_only`] pin (e.g. a latency-SLO
-    /// breaker trip with no fault injector) still finds every one of them.
+    /// a later [`CuartSession::set_cpu_only`] pin (e.g. a breaker trip on
+    /// session errors with no fault injector) still finds every one of them.
     journal_shadowing: bool,
     retries_total: u64,
     degradations: u64,

@@ -79,17 +79,26 @@
 //!   at coalesce time — before sorting and dispatch — and answered with
 //!   [`SchedError::DeadlineExceeded`], so one slow batch cannot cascade
 //!   into queue-wide lateness.
-//! * **Circuit breaker** — sustained device faults (or a p99 modeled-latency
-//!   SLO violation) trip the executor from `Closed` to `Open`: the session
-//!   is pinned to the authoritative CPU path (PR-2 degradation, but held at
-//!   the scheduler level so there are no per-batch retry storms or recovery
-//!   probes). After [`BreakerConfig::open_cooldown`] the breaker goes
+//! * **Circuit breaker** — sustained device faults trip the executor from
+//!   `Closed` to `Open`: the session is pinned to the authoritative CPU
+//!   path (PR-2 degradation, but held at the scheduler level so there are
+//!   no per-batch retry storms or recovery probes). After
+//!   [`BreakerConfig::open_cooldown`] the breaker goes
 //!   `HalfOpen` and lets probe batches touch the device again; clean probes
 //!   close it, a faulty probe re-trips it. Transitions emit
 //!   `breaker_open`/`breaker_half_open`/`breaker_closed` transition events, the
 //!   `cuart.sched.breaker_state` gauge (0 = Closed, 1 = HalfOpen,
 //!   2 = Open) and the `cuart.sched.{breaker_trips,probe_batches}`
 //!   counters.
+//!
+//! # Time
+//!
+//! The host clock is read at three boundaries only: when a request is
+//! submitted (its enqueue instant and deadline), when the executor wakes,
+//! and when a run ends. Every timing rule — the linger, the shed pass, the
+//! breaker's cooldown — is a function of the instant its caller passes,
+//! and admission waits on the policy's duration itself, so each rule can
+//! be tested at exact instants.
 //!
 //! Everything here is `std`-only: a `Mutex` + two `Condvar`s for the
 //! bounded submission queue, `std::sync::mpsc` for per-request replies,
@@ -106,7 +115,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -124,19 +133,12 @@ pub enum AdmissionPolicy {
 }
 
 /// Circuit-breaker tuning. The default never trips on a healthy system:
-/// it reacts only to injected/real device faults (`fault_threshold`) and,
-/// when a latency SLO is configured, to sustained p99 violations.
+/// it reacts only to injected or real device faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive faulty batches (a session error, or any injected fault
-    /// during the batch) that trip `Closed` → `Open`.
+    /// during the batch) that trip `Closed` → `Open`. `0` never trips.
     pub fault_threshold: u32,
-    /// Optional p99 SLO on the modeled batch latency, nanoseconds. `None`
-    /// disables the latency trip.
-    pub latency_slo_ns: Option<f64>,
-    /// Sliding-window size (batches) for the p99 estimate; the SLO is
-    /// only evaluated once the window is full.
-    pub latency_window: usize,
     /// How long the breaker holds `Open` (CPU-only service) before
     /// letting `HalfOpen` probe batches touch the device again.
     pub open_cooldown: Duration,
@@ -148,8 +150,6 @@ impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
             fault_threshold: 3,
-            latency_slo_ns: None,
-            latency_window: 32,
             open_cooldown: Duration::from_millis(10),
             probe_batches: 2,
         }
@@ -188,8 +188,13 @@ pub struct SchedulerConfig {
     /// [`SchedError::DeadlineExceeded`]. `None` means ops wait forever
     /// (per-request deadlines still apply).
     pub op_deadline: Option<Duration>,
-    /// Circuit-breaker configuration; `None` disables the breaker.
-    pub breaker: Option<BreakerConfig>,
+    /// Circuit-breaker configuration (`fault_threshold: 0` never trips).
+    /// The scheduler reads the host clock only at three boundaries — a
+    /// request's submit, the executor waking and the end of a run — and
+    /// the breaker reads none itself: its cooldown runs from the end of
+    /// the run that tripped it, and it is checked at each run's dispatch
+    /// (the executor's wake-up, or the end of the run before it).
+    pub breaker: BreakerConfig,
     /// When this scheduler runs as one shard of a
     /// [`ShardedScheduler`](crate::sharded::ShardedScheduler), its shard
     /// index. Every counter and gauge is then mirrored to the
@@ -209,7 +214,7 @@ impl Default for SchedulerConfig {
             queue_cap: 0,
             admission: AdmissionPolicy::Block,
             op_deadline: None,
-            breaker: Some(BreakerConfig::default()),
+            breaker: BreakerConfig::default(),
             shard: None,
         }
     }
@@ -524,6 +529,35 @@ impl Pending {
         self.reqs.push_back(req);
     }
 
+    /// Answer every request whose deadline is at or before `now` with
+    /// `DeadlineExceeded` and drop it from the batch. Returns the shed
+    /// `(ops, requests)`. Costs one comparison when nothing in the batch
+    /// can have expired.
+    fn shed(&mut self, now: Instant) -> (usize, u64) {
+        if self.earliest_deadline.is_none_or(|d| d > now) {
+            return (0, 0);
+        }
+        let mut ops = 0usize;
+        let mut requests = 0u64;
+        let mut earliest: Option<Instant> = None;
+        self.reqs.retain(|req| match req.deadline {
+            Some(d) if d <= now => {
+                ops = ops.saturating_add(req.op.len());
+                requests = requests.saturating_add(1);
+                let _ = req.reply.send(Err(SchedError::DeadlineExceeded));
+                false
+            }
+            Some(d) => {
+                earliest = Some(earliest.map_or(d, |e| e.min(d)));
+                true
+            }
+            None => true,
+        });
+        self.earliest_deadline = earliest;
+        self.keys = self.keys.saturating_sub(ops);
+        (ops, requests)
+    }
+
     /// When the oldest request has lingered long enough to flush; `None`
     /// for an empty batch (or a linger too long to represent).
     fn due_at(&self, linger: Duration) -> Option<Instant> {
@@ -533,10 +567,10 @@ impl Pending {
     /// When the executor must look at the batch again even if nothing
     /// new arrives: the linger expiry or the first per-op deadline.
     fn wake_at(&self, linger: Duration) -> Option<Instant> {
-        match (self.due_at(linger), self.earliest_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.due_at(linger)
+            .into_iter()
+            .chain(self.earliest_deadline)
+            .min()
     }
 }
 
@@ -579,7 +613,7 @@ struct SubmissionQueue {
 enum Drain {
     /// At least one request moved into the batch.
     Took,
-    /// The wake instant passed with the queue still empty.
+    /// The timeout passed with the queue still empty.
     TimedOut,
     /// Closed and fully drained: the executor can exit.
     Closed,
@@ -608,106 +642,93 @@ impl SubmissionQueue {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn note_rejected(&self, ops: usize) {
-        self.rejected_ops.fetch_add(ops as u64, Ordering::Relaxed);
+    /// Count `ops` refused at admission into `counter` (the rejected or
+    /// the timed-out ops) and the `cuart.sched.rejected` series.
+    fn note_refused(&self, counter: &AtomicU64, ops: usize) {
+        counter.fetch_add(ops as u64, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
             t.rejected.incr(ops as u64);
         }
     }
 
-    /// Admit one request under the cap, or fail per `policy`.
+    /// Admit one request under the cap, or fail per `policy`:
+    /// `BlockWithTimeout` waits at most its duration for room.
     fn push(&self, req: Request, policy: AdmissionPolicy) -> Result<(), SchedError> {
         let ops = req.op.len();
         if self.cap > 0 && ops > self.cap {
             // Larger than the whole queue: no amount of waiting helps.
-            self.note_rejected(ops);
+            self.note_refused(&self.rejected_ops, ops);
             return Err(SchedError::QueueFull);
         }
-        let wait_until = match policy {
-            AdmissionPolicy::BlockWithTimeout(d) => Some(Instant::now() + d),
-            _ => None,
+        let full = |q: &mut QueueInner| {
+            !q.closed && !q.aborted && self.cap > 0 && q.resident_ops + ops > self.cap
         };
         let mut inner = self.lock();
-        loop {
-            if inner.closed || inner.aborted {
-                return Err(SchedError::Shutdown);
+        inner = match policy {
+            AdmissionPolicy::Reject => inner,
+            AdmissionPolicy::Block => self
+                .admit
+                .wait_while(inner, full)
+                .unwrap_or_else(PoisonError::into_inner),
+            AdmissionPolicy::BlockWithTimeout(d) => {
+                let waited = self.admit.wait_timeout_while(inner, d, full);
+                waited.unwrap_or_else(PoisonError::into_inner).0
             }
-            if self.cap == 0 || inner.resident_ops + ops <= self.cap {
-                inner.resident_ops = inner.resident_ops.saturating_add(ops);
-                self.max_resident_ops
-                    .fetch_max(inner.resident_ops as u64, Ordering::Relaxed);
-                inner.queue.push_back(req);
-                drop(inner);
-                self.work.notify_one();
-                return Ok(());
-            }
-            match policy {
-                AdmissionPolicy::Reject => {
-                    drop(inner);
-                    self.note_rejected(ops);
-                    return Err(SchedError::QueueFull);
-                }
-                AdmissionPolicy::Block => {
-                    inner = self.admit.wait(inner).unwrap_or_else(|p| p.into_inner());
-                }
-                AdmissionPolicy::BlockWithTimeout(d) => {
-                    // `wait_until` was seeded from this same policy arm
-                    // above; recompute rather than unwrap if it is absent.
-                    let deadline = wait_until.unwrap_or_else(|| Instant::now() + d);
-                    let now = Instant::now();
-                    if now >= deadline {
-                        drop(inner);
-                        self.timeout_ops.fetch_add(ops as u64, Ordering::Relaxed);
-                        if let Some(t) = &self.telemetry {
-                            t.rejected.incr(ops as u64);
-                        }
-                        return Err(SchedError::AdmissionTimeout);
-                    }
-                    inner = match self.admit.wait_timeout(inner, deadline - now) {
-                        Ok((g, _)) => g,
-                        Err(p) => p.into_inner().0,
-                    };
-                }
-            }
+        };
+        if inner.closed || inner.aborted {
+            return Err(SchedError::Shutdown);
         }
+        if full(&mut inner) {
+            drop(inner);
+            return Err(if policy == AdmissionPolicy::Reject {
+                self.note_refused(&self.rejected_ops, ops);
+                SchedError::QueueFull
+            } else {
+                self.note_refused(&self.timeout_ops, ops);
+                SchedError::AdmissionTimeout
+            });
+        }
+        inner.resident_ops = inner.resident_ops.saturating_add(ops);
+        self.max_resident_ops
+            .fetch_max(inner.resident_ops as u64, Ordering::Relaxed);
+        inner.queue.push_back(req);
+        drop(inner);
+        self.work.notify_one();
+        Ok(())
     }
 
     /// Executor-side drain: under one lock acquisition, move whole
     /// requests FIFO into `batch` until it holds `target` keys; whatever
     /// does not fit stays queued for the next batch. Blocks only while the
-    /// queue is *empty* — until a request arrives, the optional `wake`
-    /// instant passes, or the queue is closed.
-    fn drain_into(&self, batch: &mut Pending, target: usize, wake: Option<Instant>) -> Drain {
-        let mut inner = self.lock();
-        loop {
-            if !inner.queue.is_empty() {
-                while batch.keys < target {
-                    match inner.queue.pop_front() {
-                        Some(req) => batch.push(req),
-                        None => break,
-                    }
-                }
-                return Drain::Took;
+    /// queue is *empty* — until a request arrives, the optional `timeout`
+    /// passes, or the queue is closed.
+    fn drain_into(&self, batch: &mut Pending, target: usize, timeout: Option<Duration>) -> Drain {
+        let idle = |q: &mut QueueInner| q.queue.is_empty() && !q.closed;
+        let inner = self.lock();
+        let mut inner = match timeout {
+            None => self
+                .work
+                .wait_while(inner, idle)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(t) => {
+                let waited = self.work.wait_timeout_while(inner, t, idle);
+                waited.unwrap_or_else(PoisonError::into_inner).0
             }
-            if inner.closed {
-                return Drain::Closed;
-            }
-            match wake {
-                None => {
-                    inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
-                }
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        return Drain::TimedOut;
-                    }
-                    inner = match self.work.wait_timeout(inner, at - now) {
-                        Ok((g, _)) => g,
-                        Err(p) => p.into_inner().0,
-                    };
-                }
+        };
+        if inner.queue.is_empty() {
+            return if inner.closed {
+                Drain::Closed
+            } else {
+                Drain::TimedOut
+            };
+        }
+        while batch.keys < target {
+            match inner.queue.pop_front() {
+                Some(req) => batch.push(req),
+                None => break,
             }
         }
+        Drain::Took
     }
 
     /// Ops reached a terminal state (dispatched or shed): free their
@@ -1026,50 +1047,86 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// HalfOpen = 1, Open = 2 (`cuart.sched.breaker_state`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
-    Closed,
-    Open,
-    HalfOpen,
+    /// Normal dispatch; `faults` consecutive faulty batches so far.
+    Closed { faults: u32 },
+    /// CPU-only service until `until`, when probing starts.
+    Open { until: Instant },
+    /// Probe batches reach the device; `clean` clean probes so far.
+    HalfOpen { clean: u32 },
 }
 
-/// Executor-side circuit breaker over device dispatch.
+/// Circuit breaker over device dispatch: a pure state machine stepped at
+/// the instants the executor passes it. A step that moves it to another
+/// position returns the new state, for the executor to apply
+/// ([`ExecCtx::apply`]).
 struct Breaker {
     cfg: BreakerConfig,
     state: BreakerState,
-    /// Valid while `Open`: when the cooldown elapses and probing starts.
-    open_until: Instant,
-    /// Valid while `HalfOpen`: clean probes so far.
-    clean_probes: u32,
-    consecutive_faults: u32,
-    /// Recent modeled batch latencies (ns) for the p99 SLO check.
-    window: VecDeque<u64>,
 }
 
 impl Breaker {
     fn new(cfg: BreakerConfig) -> Breaker {
         Breaker {
             cfg,
-            state: BreakerState::Closed,
-            open_until: Instant::now(),
-            clean_probes: 0,
-            consecutive_faults: 0,
-            window: VecDeque::new(),
+            state: BreakerState::Closed { faults: 0 },
         }
     }
-}
 
-/// p99 of a full latency window (max for windows under 100 entries —
-/// deliberately conservative).
-fn p99_ns(window: &VecDeque<u64>) -> u64 {
-    let mut v: Vec<u64> = window.iter().copied().collect();
-    v.sort_unstable();
-    let idx = ((v.len() as f64) * 0.99).ceil() as usize;
-    v[idx.saturating_sub(1).min(v.len() - 1)]
+    /// How to dispatch a run at `now`. An `Open` breaker whose cooldown
+    /// has ended goes `HalfOpen`, and the run is its first probe.
+    fn before(&mut self, now: Instant) -> (DispatchMode, Option<BreakerState>) {
+        match self.state {
+            BreakerState::Closed { .. } => (DispatchMode::Normal, None),
+            BreakerState::HalfOpen { .. } => (DispatchMode::Probe, None),
+            BreakerState::Open { until } if now < until => (DispatchMode::CpuOnly, None),
+            BreakerState::Open { .. } => (
+                DispatchMode::Probe,
+                self.enter(BreakerState::HalfOpen { clean: 0 }),
+            ),
+        }
+    }
+
+    /// Account a `Normal` or `Probe` run that ended at `now`. `faulty`
+    /// means the batch errored or any fault was injected while serving it
+    /// (covering retried-then-recovered legs and silent degradations).
+    /// A trip opens the breaker for the cooldown from `now`.
+    fn after(&mut self, now: Instant, faulty: bool) -> Option<BreakerState> {
+        let next = match self.state {
+            BreakerState::Open { .. } => return None,
+            BreakerState::Closed { faults } if faulty => {
+                let faults = faults.saturating_add(1);
+                let threshold = self.cfg.fault_threshold;
+                if threshold > 0 && faults >= threshold {
+                    return self.trip(now);
+                }
+                BreakerState::Closed { faults }
+            }
+            BreakerState::Closed { .. } => BreakerState::Closed { faults: 0 },
+            BreakerState::HalfOpen { .. } if faulty => return self.trip(now),
+            BreakerState::HalfOpen { clean } if clean + 1 < self.cfg.probe_batches => {
+                BreakerState::HalfOpen { clean: clean + 1 }
+            }
+            BreakerState::HalfOpen { .. } => return self.enter(BreakerState::Closed { faults: 0 }),
+        };
+        self.state = next;
+        None
+    }
+
+    fn trip(&mut self, now: Instant) -> Option<BreakerState> {
+        let until = now + self.cfg.open_cooldown;
+        self.enter(BreakerState::Open { until })
+    }
+
+    fn enter(&mut self, state: BreakerState) -> Option<BreakerState> {
+        self.state = state;
+        Some(state)
+    }
 }
 
 /// How one run is dispatched, per the breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchMode {
-    /// Breaker closed (or absent): normal device dispatch.
+    /// Breaker closed: normal device dispatch.
     Normal,
     /// Breaker half-open: this run is a recovery probe.
     Probe,
@@ -1086,7 +1143,7 @@ struct ExecCtx<'a> {
     /// The queue's telemetry, resolved at spawn.
     telemetry: Option<&'a SchedTelemetry>,
     stats: SchedulerStats,
-    breaker: Option<Breaker>,
+    breaker: Breaker,
     /// The batch sort's prefix scratch, kept across batches.
     sort_scratch: SortScratch,
 }
@@ -1120,34 +1177,34 @@ fn executor(
     if let Some(injector) = cfg.fault_injector.clone() {
         session.attach_fault_injector(injector);
     }
-    // Shadowing guarantees the journal holds every device mutation made
-    // through this scheduler: a breaker trip pins the session to the CPU
-    // path (even a latency-SLO trip with no injector), and `range_batch`'s
-    // host-side merge reads the journal overlay — both need it on from
-    // the first mutating batch.
+    // Shadowing is on whatever the breaker and injector: `range_batch`'s
+    // host-side merge reads the overlay, and a breaker trip on session
+    // errors pins the session to the CPU path even with no injector —
+    // both need every device mutation journaled from the first batch.
     session.set_journal_shadowing(true);
-    if let Some(t) = telemetry.filter(|_| cfg.breaker.is_some()) {
+    if let Some(t) = telemetry {
         t.breaker_state.set(0.0);
     }
     let batch_target = cfg.batch_target.max(1);
     let linger = cfg.deadline;
-    let breaker = cfg.breaker.clone().map(Breaker::new);
     let mut ctx = ExecCtx {
         session,
         cfg: &cfg,
         queue: &queue,
         telemetry,
         stats: SchedulerStats::default(),
-        breaker,
+        breaker: Breaker::new(cfg.breaker.clone()),
         sort_scratch: SortScratch::default(),
     };
 
     let mut pending = Pending::default();
+    // An empty batch has no timeout: the executor sleeps only on an empty
+    // queue, and then without a timer.
+    let mut timeout = None;
     loop {
-        // An empty batch has no wake instant: the executor sleeps only on
-        // an empty queue, and then without a timer.
-        let (before, wake) = (pending.keys, pending.wake_at(linger));
-        let drained = queue.drain_into(&mut pending, batch_target, wake);
+        let before = pending.keys;
+        let drained = queue.drain_into(&mut pending, batch_target, timeout);
+        let now = Instant::now();
         let taken = pending.keys.saturating_sub(before) as u64;
         if taken > 0 {
             ctx.stats.ops_enqueued = ctx.stats.ops_enqueued.saturating_add(taken);
@@ -1156,23 +1213,26 @@ fn executor(
             }
         }
         if pending.keys >= batch_target {
-            ctx.flush(&mut pending, FlushCause::Size);
-            continue;
-        }
-        if drained == Drain::Closed {
+            ctx.flush(&mut pending, FlushCause::Size, now);
+        } else if drained == Drain::Closed {
             if !pending.reqs.is_empty() {
-                ctx.flush(&mut pending, FlushCause::Final);
+                ctx.flush(&mut pending, FlushCause::Final, now);
             }
             break;
+        } else {
+            // Shed what expired while waiting, then flush if the oldest
+            // survivor has lingered long enough — with the default zero
+            // linger, at once.
+            ctx.shed_expired(&mut pending, now);
+            if pending.due_at(linger).is_some_and(|due| due <= now) {
+                ctx.flush(&mut pending, FlushCause::Deadline, now);
+            }
         }
-        // Shed what expired while waiting, then flush if the oldest
-        // survivor has lingered long enough — with the default zero
-        // linger, at once.
-        let now = Instant::now();
-        ctx.shed_expired(&mut pending, now);
-        if pending.due_at(linger).is_some_and(|due| due <= now) {
-            ctx.flush(&mut pending, FlushCause::Deadline);
-        }
+        // Only a flush takes long, and it empties the batch (no timeout),
+        // so `now` still stands for the present when timing the wait.
+        timeout = pending
+            .wake_at(linger)
+            .map(|at| at.saturating_duration_since(now));
     }
     ctx.stats
 }
@@ -1187,33 +1247,15 @@ const SCATTER_NS_PER_KEY: u64 = 4;
 const SHED_NS_PER_OP: u64 = 2;
 
 impl ExecCtx<'_> {
-    /// Shed every pending request whose deadline has passed: reply
-    /// `DeadlineExceeded`, free its resident slots, count and trace it.
-    /// Runs at coalesce time — before sorting and dispatch — so late work
-    /// never consumes device time. Costs one comparison when nothing in
-    /// the batch can have expired.
+    /// Shed every pending request whose deadline is at or before `now`
+    /// ([`Pending::shed`]), then free its resident slots, count and trace
+    /// it. Runs at coalesce time — before sorting and dispatch — so late
+    /// work never consumes device time.
     fn shed_expired(&mut self, pending: &mut Pending, now: Instant) {
-        if pending.earliest_deadline.is_none_or(|d| d > now) {
+        let (shed_ops, shed_requests) = pending.shed(now);
+        if shed_requests == 0 {
             return;
         }
-        let mut shed_ops = 0usize;
-        let mut shed_requests = 0u64;
-        let mut earliest: Option<Instant> = None;
-        pending.reqs.retain(|req| match req.deadline {
-            Some(d) if d <= now => {
-                shed_ops = shed_ops.saturating_add(req.op.len());
-                shed_requests = shed_requests.saturating_add(1);
-                let _ = req.reply.send(Err(SchedError::DeadlineExceeded));
-                false
-            }
-            Some(d) => {
-                earliest = Some(earliest.map_or(d, |e| e.min(d)));
-                true
-            }
-            None => true,
-        });
-        pending.earliest_deadline = earliest;
-        pending.keys = pending.keys.saturating_sub(shed_ops);
         self.stats.shed_ops = self.stats.shed_ops.saturating_add(shed_ops as u64);
         self.stats.requests += shed_requests;
         self.queue.release(shed_ops);
@@ -1228,13 +1270,14 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Drain the whole pending batch: shed expired ops, then execute the
-    /// remainder as maximal same-kind head runs, each run one device
-    /// batch.
-    fn flush(&mut self, pending: &mut Pending, cause: FlushCause) {
+    /// Drain the whole pending batch at `now`: shed expired ops, then
+    /// execute the remainder as maximal same-kind head runs, each run one
+    /// device batch dispatched when the one before it ended.
+    fn flush(&mut self, pending: &mut Pending, cause: FlushCause, now: Instant) {
         let depth = pending.keys as u64;
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
-        self.shed_expired(pending, Instant::now());
+        self.shed_expired(pending, now);
+        let mut now = now;
         while let Some(first) = pending.reqs.pop_front() {
             let mut run = vec![first];
             while let Some(next) = pending.reqs.front() {
@@ -1243,7 +1286,7 @@ impl ExecCtx<'_> {
                 }
                 run.extend(pending.reqs.pop_front());
             }
-            self.execute_run(run);
+            now = self.execute_run(run, now);
         }
         pending.keys = 0;
         pending.earliest_deadline = None;
@@ -1262,10 +1305,10 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Execute one same-kind run as a single device batch — sorted, for
-    /// point ops, when the config asks for it — and reply to every request
-    /// in it.
-    fn execute_run(&mut self, run: Vec<Request>) {
+    /// Execute one same-kind run, dispatched at `now`, as a single device
+    /// batch — sorted, for point ops, when the config asks for it — and
+    /// reply to every request in it. Returns the instant the run ended.
+    fn execute_run(&mut self, run: Vec<Request>, now: Instant) -> Instant {
         // Concatenate the run into one batch, remembering per-request
         // extents. The run owns its requests, so their payloads move: the
         // first request's op becomes the batch, the rest are appended.
@@ -1280,17 +1323,18 @@ impl ExecCtx<'_> {
             }
         }
         let Some(mut batch) = batch else {
-            return;
+            return now;
         };
         let total = batch.len();
-        // The run is dispatched now: its oldest request has waited this
-        // long, and the sort and the device leg below are not queueing.
-        let queue_wait = self.telemetry.and(oldest).map(|start| start.elapsed());
+        // The run is dispatched at `now`: its oldest request has waited
+        // this long, and the sort and the device leg below are not queueing.
+        let queue_wait = oldest.map(|start| now.saturating_duration_since(start));
         let perm = (self.cfg.sort_batches && total > 1)
             .then(|| batch.sort_by_key(&mut self.sort_scratch))
             .flatten();
 
-        let mode = self.breaker_before(total as u64);
+        let (mode, entered) = self.breaker.before(now);
+        self.apply(entered, total as u64);
         if mode == DispatchMode::Probe {
             self.stats.probe_batches = self.stats.probe_batches.saturating_add(1);
             if let Some(t) = self.telemetry {
@@ -1317,6 +1361,7 @@ impl ExecCtx<'_> {
             .fault_stats()
             .injected
             .saturating_sub(injected_before);
+        let end = Instant::now();
 
         match outcome {
             Ok((answer, report)) => {
@@ -1349,7 +1394,8 @@ impl ExecCtx<'_> {
                     }
                 }
                 if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
+                    let entered = self.breaker.after(end, injected_delta > 0);
+                    self.apply(entered, total as u64);
                 }
             }
             Err(e) => {
@@ -1360,135 +1406,35 @@ impl ExecCtx<'_> {
                     let _ = reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(true, 0.0, total as u64);
+                    let entered = self.breaker.after(end, true);
+                    self.apply(entered, total as u64);
                 }
             }
         }
         self.queue.release(total);
+        end
     }
 
-    /// Breaker step before dispatching a run: decide the dispatch mode,
-    /// performing the timed `Open` → `HalfOpen` transition (unpin the
-    /// session so probe batches reach the device).
-    fn breaker_before(&mut self, run_keys: u64) -> DispatchMode {
-        let Some(b) = self.breaker.as_mut() else {
-            return DispatchMode::Normal;
-        };
-        match b.state {
-            BreakerState::Closed => DispatchMode::Normal,
-            BreakerState::HalfOpen => DispatchMode::Probe,
-            BreakerState::Open => {
-                if Instant::now() < b.open_until {
-                    return DispatchMode::CpuOnly;
-                }
-                b.state = BreakerState::HalfOpen;
-                b.clean_probes = 0;
-                self.session.set_cpu_only(false);
-                if let Some(t) = self.telemetry {
-                    t.breaker_state.set(1.0);
-                    t.registry
-                        .record(BatchEvent::new(BatchKind::BreakerHalfOpen, run_keys));
-                }
-                DispatchMode::Probe
-            }
-        }
-    }
-
-    /// Breaker step after a `Closed` or `HalfOpen` dispatch. `faulty`
-    /// means the batch errored or any fault was injected while serving it
-    /// (covering retried-then-recovered legs and silent degradations).
-    fn breaker_after(&mut self, faulty: bool, time_ns: f64, run_keys: u64) {
-        #[derive(PartialEq)]
-        enum Verdict {
-            Nothing,
-            Trip,
-            Close,
-        }
-        let verdict = {
-            let Some(b) = self.breaker.as_mut() else {
-                return;
-            };
-            match b.state {
-                BreakerState::Open => Verdict::Nothing,
-                BreakerState::Closed => {
-                    if faulty {
-                        b.consecutive_faults += 1;
-                    } else {
-                        b.consecutive_faults = 0;
-                    }
-                    let mut trip =
-                        b.cfg.fault_threshold > 0 && b.consecutive_faults >= b.cfg.fault_threshold;
-                    if let (Some(slo), true) = (b.cfg.latency_slo_ns, time_ns > 0.0) {
-                        b.window.push_back(time_ns as u64);
-                        while b.window.len() > b.cfg.latency_window.max(1) {
-                            b.window.pop_front();
-                        }
-                        if b.window.len() >= b.cfg.latency_window.max(1)
-                            && p99_ns(&b.window) as f64 > slo
-                        {
-                            trip = true;
-                        }
-                    }
-                    if trip {
-                        Verdict::Trip
-                    } else {
-                        Verdict::Nothing
-                    }
-                }
-                BreakerState::HalfOpen => {
-                    if faulty {
-                        Verdict::Trip
-                    } else {
-                        b.clean_probes += 1;
-                        if b.clean_probes >= b.cfg.probe_batches.max(1) {
-                            Verdict::Close
-                        } else {
-                            Verdict::Nothing
-                        }
-                    }
-                }
-            }
-        };
-        match verdict {
-            Verdict::Trip => self.trip_breaker(run_keys),
-            Verdict::Close => self.close_breaker(run_keys),
-            Verdict::Nothing => {}
-        }
-    }
-
-    /// `Closed`/`HalfOpen` → `Open`: pin the session to the authoritative
-    /// CPU path for the cooldown window.
-    fn trip_breaker(&mut self, run_keys: u64) {
-        let Some(b) = self.breaker.as_mut() else {
+    /// Apply the state a breaker step entered: pin the session to the
+    /// authoritative CPU path on `Open`, release it otherwise (so probe
+    /// batches reach the device), count a trip, set the gauge and record
+    /// the event.
+    fn apply(&mut self, entered: Option<BreakerState>, run_keys: u64) {
+        let Some(state) = entered else {
             return;
         };
-        b.state = BreakerState::Open;
-        b.open_until = Instant::now() + b.cfg.open_cooldown;
-        b.consecutive_faults = 0;
-        b.clean_probes = 0;
-        b.window.clear();
-        self.stats.breaker_trips = self.stats.breaker_trips.saturating_add(1);
-        self.session.set_cpu_only(true);
+        let (gauge, kind) = match state {
+            BreakerState::Closed { .. } => (0.0, BatchKind::BreakerClosed),
+            BreakerState::HalfOpen { .. } => (1.0, BatchKind::BreakerHalfOpen),
+            BreakerState::Open { .. } => (2.0, BatchKind::BreakerOpen),
+        };
+        let trips = u64::from(kind == BatchKind::BreakerOpen);
+        self.session.set_cpu_only(trips == 1);
+        self.stats.breaker_trips = self.stats.breaker_trips.saturating_add(trips);
         if let Some(t) = self.telemetry {
-            t.breaker_trips.incr(1);
-            t.breaker_state.set(2.0);
-            t.registry
-                .record(BatchEvent::new(BatchKind::BreakerOpen, run_keys));
-        }
-    }
-
-    /// `HalfOpen` → `Closed` after enough clean probes.
-    fn close_breaker(&mut self, run_keys: u64) {
-        if let Some(b) = self.breaker.as_mut() {
-            b.state = BreakerState::Closed;
-            b.consecutive_faults = 0;
-            b.clean_probes = 0;
-            b.window.clear();
-        }
-        if let Some(t) = self.telemetry {
-            t.breaker_state.set(0.0);
-            t.registry
-                .record(BatchEvent::new(BatchKind::BreakerClosed, run_keys));
+            t.breaker_trips.incr(trips);
+            t.breaker_state.set(gauge);
+            t.registry.record(BatchEvent::new(kind, run_keys));
         }
     }
 }
@@ -1681,17 +1627,26 @@ mod tests {
         assert_eq!(stats.shed_ops, 1);
     }
 
-    /// A queued request of `n` lookup keys tagged `tag`, and the ticket
-    /// side of its reply channel.
-    fn request(tag: u8, n: usize) -> (Request, Receiver<Outcome>) {
+    /// A queued request of `n` lookup keys tagged `tag`, shed at
+    /// `deadline`, and the ticket side of its reply channel.
+    fn request(tag: u8, n: usize, deadline: Option<Instant>) -> (Request, Receiver<Outcome>) {
         let (reply, answer) = mpsc::sync_channel(1);
         let req = Request {
             op: SchedOp::Lookup(vec![vec![tag]; n]),
             reply,
             enqueued: Instant::now(),
-            deadline: None,
+            deadline,
         };
         (req, answer)
+    }
+
+    /// The tags of a batch's requests, in order.
+    fn tags(batch: &Pending) -> Vec<u8> {
+        let tag = |r: &Request| match &r.op {
+            SchedOp::Lookup(keys) => keys[0][0],
+            other => panic!("lookups were queued, got {other:?}"),
+        };
+        batch.reqs.iter().map(tag).collect()
     }
 
     #[test]
@@ -1699,7 +1654,7 @@ mod tests {
         let queue = SubmissionQueue::new(0, None);
         let mut tickets = Vec::new();
         for tag in 0..4u8 {
-            let (req, answer) = request(tag, 4);
+            let (req, answer) = request(tag, 4, None);
             queue.push(req, AdmissionPolicy::Block).unwrap();
             tickets.push(answer);
         }
@@ -1707,24 +1662,108 @@ mod tests {
         // other two stay queued, in order, for the next batch.
         let mut batch = Pending::default();
         assert_eq!(queue.drain_into(&mut batch, 6, None), Drain::Took);
-        let tag = |r: &Request| match &r.op {
-            SchedOp::Lookup(keys) => keys[0][0],
-            other => panic!("lookups were queued, got {other:?}"),
-        };
-        let tags: Vec<u8> = batch.reqs.iter().map(tag).collect();
-        assert_eq!((tags, batch.keys), (vec![0, 1], 8));
+        assert_eq!((tags(&batch), batch.keys), (vec![0, 1], 8));
         let mut next = Pending::default();
         assert_eq!(queue.drain_into(&mut next, 100, None), Drain::Took);
-        let tags: Vec<u8> = next.reqs.iter().map(tag).collect();
-        assert_eq!((tags, next.keys), (vec![2, 3], 8));
-        // Empty: a wake instant in the past times out, a close ends it.
-        let past = Instant::now();
+        assert_eq!((tags(&next), next.keys), (vec![2, 3], 8));
+        // Empty: a zero timeout times out, a close ends it.
         assert_eq!(
-            queue.drain_into(&mut next, 100, Some(past)),
+            queue.drain_into(&mut next, 100, Some(Duration::ZERO)),
             Drain::TimedOut
         );
         queue.close();
         assert_eq!(queue.drain_into(&mut next, 100, None), Drain::Closed);
+    }
+
+    #[test]
+    fn shed_takes_deadlines_up_to_now_and_keeps_later_ones() {
+        let now = Instant::now();
+        let ns = Duration::from_nanos(1);
+        let mut pending = Pending::default();
+        let mut answers = Vec::new();
+        for (tag, deadline) in (0..).zip([Some(now), Some(now + ns), None, Some(now + 2 * ns)]) {
+            let (req, answer) = request(tag, 2, deadline);
+            pending.push(req);
+            answers.push(answer);
+        }
+        assert_eq!(pending.earliest_deadline, Some(now));
+        assert_eq!(pending.shed(now - ns), (0, 0));
+        // A deadline equal to `now` is shed, one at `now + 1 ns` is kept,
+        // and the earliest deadline is recomputed over the survivors.
+        assert_eq!(pending.shed(now), (2, 1));
+        assert_eq!(answers[0].try_recv(), Ok(Err(SchedError::DeadlineExceeded)));
+        assert!(answers[1].try_recv().is_err());
+        assert_eq!((tags(&pending), pending.keys), (vec![1, 2, 3], 6));
+        assert_eq!(pending.earliest_deadline, Some(now + ns));
+    }
+
+    #[test]
+    fn admission_refuses_a_full_queue_at_once_and_a_closed_one_with_shutdown() {
+        let queue = SubmissionQueue::new(4, None);
+        let push = |tag, policy| queue.push(request(tag, 1, None).0, policy);
+        let zero = AdmissionPolicy::BlockWithTimeout(Duration::ZERO);
+        queue
+            .push(request(0, 4, None).0, AdmissionPolicy::Block)
+            .unwrap();
+        assert_eq!(push(1, zero), Err(SchedError::AdmissionTimeout));
+        assert_eq!(push(2, AdmissionPolicy::Reject), Err(SchedError::QueueFull));
+        assert_eq!(queue.timeout_ops.load(Ordering::Relaxed), 1);
+        assert_eq!(queue.rejected_ops.load(Ordering::Relaxed), 1);
+        // Released slots admit again, with no wait.
+        queue.release(4);
+        assert_eq!(push(3, zero), Ok(()));
+        queue.close();
+        for policy in [AdmissionPolicy::Block, zero, AdmissionPolicy::Reject] {
+            assert_eq!(push(4, policy), Err(SchedError::Shutdown));
+        }
+    }
+
+    #[test]
+    fn breaker_walks_its_table_at_exact_instants() {
+        use BreakerState::{Closed, HalfOpen, Open};
+        let ns = Duration::from_nanos(1);
+        let cooldown = Duration::from_millis(10);
+        let cfg = BreakerConfig {
+            fault_threshold: 2,
+            open_cooldown: cooldown,
+            probe_batches: 2,
+        };
+        let mut b = Breaker::new(cfg.clone());
+        let t0 = Instant::now();
+        // Closed: a clean batch resets the fault count; two faults in a
+        // row trip it, open until the cooldown from the second one's end.
+        assert_eq!(b.before(t0), (DispatchMode::Normal, None));
+        assert_eq!(b.after(t0, true), None);
+        assert_eq!(b.after(t0, false), None);
+        assert_eq!((b.after(t0, true), b.state), (None, Closed { faults: 1 }));
+        let until = t0 + 5 * ns + cooldown;
+        assert_eq!(b.after(t0 + 5 * ns, true), Some(Open { until }));
+        // Open → HalfOpen: CPU-only until `until`, a probe from then on.
+        let probe = (DispatchMode::Probe, Some(HalfOpen { clean: 0 }));
+        assert_eq!(b.before(until - ns), (DispatchMode::CpuOnly, None));
+        assert_eq!(b.before(until), probe);
+        // HalfOpen → Open: a faulty probe re-trips with a new cooldown.
+        let until = until + 3 * ns + cooldown;
+        assert_eq!(b.after(until - cooldown, true), Some(Open { until }));
+        assert_eq!(b.before(until - ns), (DispatchMode::CpuOnly, None));
+        assert_eq!(b.before(until), probe);
+        // HalfOpen → Closed after exactly `probe_batches` clean probes.
+        assert_eq!(b.after(until, false), None);
+        assert_eq!(b.before(until), (DispatchMode::Probe, None));
+        assert_eq!(b.after(until, false), Some(Closed { faults: 0 }));
+        assert_eq!(b.before(until), (DispatchMode::Normal, None));
+        // `fault_threshold: 0` never trips: 100 faults in a row, then
+        // faults and clean batches interleaved.
+        let mut b = Breaker::new(BreakerConfig {
+            fault_threshold: 0,
+            ..cfg
+        });
+        for i in 0..300u64 {
+            let at = t0 + Duration::from_millis(i);
+            assert_eq!(b.before(at), (DispatchMode::Normal, None), "batch {i}");
+            let faulty = i < 100 || (i * 7_919) % 3 != 0;
+            assert_eq!(b.after(at, faulty), None, "batch {i}");
+        }
     }
 
     #[test]
@@ -1889,14 +1928,11 @@ mod tests {
         // guarantees the update batch executes before the lookup batch
         // even though both wait in the same deadline flush.
         let k = key(42);
-        let c2 = client.clone();
-        let k2 = k.clone();
-        let upd = std::thread::spawn(move || c2.update(vec![(k2, 4242)]).unwrap());
-        // Generous head start: the update must be queued well before the
-        // lookup, and the 300 ms deadline keeps both in one flush.
-        std::thread::sleep(Duration::from_millis(100));
+        // `submit` admits before it returns: the update is queued ahead
+        // of the lookup, and the 300 ms deadline keeps both in one flush.
+        let upd = client.submit(SchedOp::Update(vec![(k.clone(), 4242)]), None);
         let looked = client.lookup(vec![k]).unwrap();
-        let statuses = upd.join().unwrap();
+        let statuses = upd.wait().unwrap().into_values().unwrap();
         assert_eq!(statuses.len(), 1);
         assert_eq!(looked, vec![4242]);
         drop(client);
@@ -2040,17 +2076,16 @@ mod tests {
         let index = build_index(64);
         let cfg = SchedulerConfig {
             batch_target: 1_000_000,
-            deadline: Duration::from_millis(200),
+            deadline: Duration::from_secs(3600), // only the final flush serves
             queue_cap: 4,
             admission: AdmissionPolicy::Reject,
             ..SchedulerConfig::default()
         };
         let sched = spawn(&index, cfg);
-        // Fill the cap from one thread (it blocks on its reply until the
-        // 200 ms deadline flush)…
+        // Fill the cap (admitted when `submit` returns; held until the
+        // final flush)…
         let filler = sched.client().unwrap();
-        let fill = std::thread::spawn(move || filler.lookup((0..4u64).map(key).collect()));
-        std::thread::sleep(Duration::from_millis(50));
+        let fill = filler.submit(SchedOp::Lookup((0..4u64).map(key).collect()), None);
         // …then a second producer must be refused immediately.
         let client = sched.client().unwrap();
         assert_eq!(client.lookup(vec![key(1)]), Err(SchedError::QueueFull));
@@ -2060,10 +2095,10 @@ mod tests {
             client.lookup((0..5u64).map(key).collect()),
             Err(SchedError::QueueFull)
         );
-        let served = fill.join().unwrap().unwrap();
-        assert_eq!(served.len(), 4);
-        drop(client);
+        drop((client, filler));
         let stats = sched.join().unwrap();
+        let served = fill.wait().unwrap().into_values().unwrap();
+        assert_eq!(served.len(), 4);
         assert_eq!(stats.rejected_ops, 6);
         assert!(stats.max_resident_ops <= 4, "{stats:?}");
     }
@@ -2073,15 +2108,14 @@ mod tests {
         let index = build_index(64);
         let cfg = SchedulerConfig {
             batch_target: 1_000_000,
-            deadline: Duration::from_millis(300),
+            deadline: Duration::from_secs(3600), // only the final flush serves
             queue_cap: 4,
             admission: AdmissionPolicy::BlockWithTimeout(Duration::from_millis(10)),
             ..SchedulerConfig::default()
         };
         let sched = spawn(&index, cfg);
         let filler = sched.client().unwrap();
-        let fill = std::thread::spawn(move || filler.lookup((0..4u64).map(key).collect()));
-        std::thread::sleep(Duration::from_millis(50));
+        let fill = filler.submit(SchedOp::Lookup((0..4u64).map(key).collect()), None);
         let client = sched.client().unwrap();
         let t0 = Instant::now();
         assert_eq!(
@@ -2092,9 +2126,9 @@ mod tests {
             t0.elapsed() >= Duration::from_millis(10),
             "the timeout budget must elapse before failing"
         );
-        fill.join().unwrap().unwrap();
-        drop(client);
+        drop((client, filler));
         let stats = sched.join().unwrap();
+        fill.wait().unwrap();
         assert_eq!(stats.admission_timeout_ops, 1);
     }
 
@@ -2174,43 +2208,6 @@ mod tests {
         drop(client);
         let stats = sched.join().unwrap();
         assert_eq!(stats.shed_ops, 1);
-    }
-
-    #[test]
-    fn latency_slo_walks_breaker_open_half_open_closed() {
-        let index = build_index(256);
-        let cfg = SchedulerConfig {
-            batch_target: 1_000_000,
-            deadline: Duration::from_millis(2),
-            breaker: Some(BreakerConfig {
-                // Any real device batch violates a 0.5 ns SLO instantly.
-                latency_slo_ns: Some(0.5),
-                latency_window: 1,
-                open_cooldown: Duration::from_millis(20),
-                probe_batches: 1,
-                ..BreakerConfig::default()
-            }),
-            ..SchedulerConfig::default()
-        };
-        let sched = spawn(&index, cfg);
-        let client = sched.client().unwrap();
-        // Batch 1: device update, trips the breaker on latency. The
-        // journal (shadowing is on whenever a breaker is configured)
-        // keeps the mutation authoritative across the pin.
-        assert_eq!(client.update(vec![(key(5), 555)]).unwrap().len(), 1);
-        // While open: CPU-path service, mutations included.
-        assert_eq!(client.lookup_one(key(5)).unwrap(), 555);
-        assert_eq!(client.lookup_one(key(6)).unwrap(), 60);
-        // After the cooldown: a probe batch reaches the device, recovers
-        // the image, and closes the breaker.
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(client.lookup_one(key(7)).unwrap(), 70);
-        assert_eq!(client.lookup_one(key(5)).unwrap(), 555);
-        drop(client);
-        let stats = sched.join().unwrap();
-        assert!(stats.breaker_trips >= 1, "{stats:?}");
-        assert!(stats.probe_batches >= 1, "{stats:?}");
-        assert!(stats.breaker_open_batches >= 1, "{stats:?}");
     }
 
     #[test]

@@ -57,8 +57,10 @@ pub struct NetServerConfig {
     /// waiting for; beyond it the reader stops draining the socket (TCP
     /// backpressure).
     pub window: usize,
-    /// Close a connection that has sent no frame for this long.
-    /// `None` keeps idle connections open until shutdown.
+    /// Close a connection whose peer has sent no byte for this long:
+    /// between frames quietly, mid-header likewise, mid-payload after a
+    /// `Truncated` error frame (as EOF there would). `None` keeps idle
+    /// and stalled connections open until shutdown.
     pub idle_timeout: Option<Duration>,
     /// Honor the wire [`Op::Shutdown`]
     /// opcode. Meant for drills and tests; defaults to off so a stray
@@ -414,13 +416,15 @@ struct ConnCtx {
 
 /// Read exactly `buf.len()` bytes, tolerating read-timeout ticks so the
 /// stop flag stays responsive. Partial progress is kept across ticks.
-/// Returns `Ok(false)` on clean EOF *before any byte* of `buf`.
+/// Returns `Ok(false)` on clean EOF *before any byte* of `buf`. A peer
+/// that sends nothing for `idle_timeout` after `last_byte` ends the read
+/// the way EOF at that point would, mid-frame included.
 fn read_full(
     stream: &mut TcpStream,
     buf: &mut [u8],
     stop: &AtomicBool,
     idle_timeout: Option<Duration>,
-    started: &mut Instant,
+    last_byte: &mut Instant,
 ) -> io::Result<bool> {
     let mut filled = 0;
     let mut stop_seen: Option<Instant> = None;
@@ -438,31 +442,30 @@ fn read_full(
             }
         }
         match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
+            Ok(0) => break,
             Ok(n) => {
                 filled += n;
-                *started = Instant::now();
+                *last_byte = Instant::now();
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if let Some(idle) = idle_timeout {
-                    if filled == 0 && started.elapsed() > idle {
-                        return Ok(false);
-                    }
+                if idle_timeout.is_some_and(|idle| last_byte.elapsed() > idle) {
+                    break;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(true)
+    // Complete, or ended by EOF or a stall: clean before the first byte.
+    if filled == buf.len() {
+        Ok(true)
+    } else if filled == 0 {
+        Ok(false)
+    } else {
+        Err(io::ErrorKind::UnexpectedEof.into())
+    }
 }
 
 /// One admitted request travelling from the reader to the writer.
@@ -498,14 +501,14 @@ fn connection(mut stream: TcpStream, ctx: ConnCtx) {
 
 fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     // --- Handshake: exchange hellos before any frame. -----------------
-    let mut started = Instant::now();
+    let mut last_byte = Instant::now();
     let mut hello = [0u8; proto::HELLO_BYTES];
     if !read_full(
         stream,
         &mut hello,
         &ctx.stop,
         ctx.cfg.idle_timeout,
-        &mut started,
+        &mut last_byte,
     )? {
         return Ok(());
     }
@@ -535,7 +538,7 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
             .spawn(move || write_answers(&mut out, window_rx, &counters, telemetry.as_deref()))?
     };
 
-    let read_outcome = read_and_submit(stream, ctx, &window_tx, &mut started);
+    let read_outcome = read_and_submit(stream, ctx, &window_tx, &mut last_byte);
 
     // Close the window: the writer answers every ticket still in it,
     // flushes and exits, so every admitted request is answered before
@@ -556,7 +559,7 @@ fn read_and_submit(
     stream: &mut TcpStream,
     ctx: &ConnCtx,
     window_tx: &SyncSender<InFlight>,
-    started: &mut Instant,
+    last_byte: &mut Instant,
 ) -> io::Result<Option<WireError>> {
     let mut header = [0u8; proto::FRAME_HEADER_BYTES];
     loop {
@@ -565,7 +568,7 @@ fn read_and_submit(
             &mut header,
             &ctx.stop,
             ctx.cfg.idle_timeout,
-            started,
+            last_byte,
         )? {
             return Ok(None);
         }
@@ -575,8 +578,9 @@ fn read_and_submit(
             .fetch_add(header.len() as u64, Ordering::Relaxed);
         let decoded = proto::decode_frame_header(&header).and_then(|(len, crc)| {
             let mut payload = vec![0u8; len];
-            if !read_full(stream, &mut payload, &ctx.stop, None, started)? {
-                // EOF mid-frame: treat as truncation.
+            let idle = ctx.cfg.idle_timeout;
+            if !read_full(stream, &mut payload, &ctx.stop, idle, last_byte)? {
+                // EOF or a stall mid-frame: treat as truncation.
                 return Err(WireError::Truncated);
             }
             ctx.counters

@@ -7,7 +7,8 @@
 //! exactly RFC 8259 — objects, arrays, strings with escapes, numbers,
 //! booleans, null — with no extensions; it is not a streaming parser and
 //! keeps the whole value in memory, which is fine for snapshot-sized
-//! inputs.
+//! inputs. `escape` is the other direction, shared by the snapshot and
+//! trace writers.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -297,9 +298,41 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Escape a string for inclusion in a JSON string literal.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escaped_strings_parse_back_to_themselves() {
+        for s in [
+            "quote \" and backslash \\",
+            "line\nfeed, return\r, tab\t",
+            "\u{1}\u{1f}",
+            "non-ASCII é ∑ 😀",
+            "",
+        ] {
+            let literal = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&literal).unwrap().as_str(), Some(s), "{literal}");
+        }
+        assert_eq!(escape("\u{1}\u{1f}"), "\\u0001\\u001f");
+    }
 
     #[test]
     fn scalars_and_containers_round_trip() {

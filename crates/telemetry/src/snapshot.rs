@@ -11,6 +11,7 @@
 )]
 
 use crate::event::BatchEvent;
+use crate::json::escape;
 use crate::tracing::Span;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,25 +62,6 @@ pub struct Snapshot {
     pub spans_dropped: u64,
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("string write");
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render an `f64` as JSON (finite → shortest round-trip form, non-finite
 /// → `null`, integral values keep a trailing `.0`).
 fn json_f64(v: f64) -> String {
@@ -120,14 +102,14 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            write!(out, "\"{}\":{v}", json_escape(name)).expect("string write");
+            write!(out, "\"{}\":{v}", escape(name)).expect("string write");
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write!(out, "\"{}\":{}", json_escape(name), json_f64(*v)).expect("string write");
+            write!(out, "\"{}\":{}", escape(name), json_f64(*v)).expect("string write");
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -137,7 +119,7 @@ impl Snapshot {
             write!(
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"buckets\":[",
-                json_escape(name),
+                escape(name),
                 h.count,
                 h.sum,
                 h.min,
@@ -178,7 +160,7 @@ impl Snapshot {
                 "{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"attrs\":{{",
                 s.id,
                 s.parent,
-                json_escape(&s.name),
+                escape(&s.name),
                 s.start_ns,
                 s.end_ns,
             )
@@ -187,7 +169,7 @@ impl Snapshot {
                 if j > 0 {
                     out.push(',');
                 }
-                write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v)).expect("string write");
+                write!(out, "\"{}\":\"{}\"", escape(k), escape(v)).expect("string write");
             }
             out.push_str("}}");
         }
@@ -243,7 +225,7 @@ mod tests {
 
     #[test]
     fn json_escaping_and_floats() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(2.5), "2.5");
         assert_eq!(json_f64(f64::NAN), "null");

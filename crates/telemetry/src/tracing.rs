@@ -38,6 +38,7 @@
     reason = "every `.expect(\"string write\")` here is `fmt::Write` into a `String`, which is infallible; threading a `fmt::Error` out of the exporters would be dead code"
 )]
 
+use crate::json::escape;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -360,26 +361,6 @@ pub fn critical_paths(spans: &[Span]) -> Vec<CriticalPath> {
         .collect()
 }
 
-/// Escape for a JSON string literal (local copy; the snapshot module's
-/// helper is private to it).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("string write");
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Microseconds with nanosecond precision, without float round-trip
 /// surprises: `1234` ns → `"1.234"`.
 fn us(ns: u64) -> String {
@@ -400,7 +381,7 @@ pub fn to_chrome_json(spans: &[Span]) -> String {
             out,
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\
              \"args\":{{\"id\":{},\"parent\":{}",
-            esc(&s.name),
+            escape(&s.name),
             us(s.start_ns),
             us(s.duration_ns()),
             s.id,
@@ -408,7 +389,7 @@ pub fn to_chrome_json(spans: &[Span]) -> String {
         )
         .expect("string write");
         for (k, v) in &s.attrs {
-            write!(out, ",\"{}\":\"{}\"", esc(k), esc(v)).expect("string write");
+            write!(out, ",\"{}\":\"{}\"", escape(k), escape(v)).expect("string write");
         }
         out.push_str("}}");
     }

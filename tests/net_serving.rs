@@ -1,6 +1,6 @@
 //! Loopback integration suite for the `cuart-net` serving subsystem.
 //!
-//! Seven contracts are pinned here:
+//! Eight contracts are pinned here:
 //!
 //! 1. **Byte equivalence** — concurrent TCP clients spraying lookups
 //!    through a [`ShardedScheduler`]-backed server get answers
@@ -26,6 +26,9 @@
 //!    range row whose key is over 65,535 bytes) comes back as a typed
 //!    `TooLarge` frame on a connection that stays usable, and a client
 //!    refuses an over-cap request before sending a byte.
+//! 8. **Idle timeout** — a peer silent for `idle_timeout` is closed
+//!    between frames and mid-frame alike (mid-payload after a truncation
+//!    error frame); one that keeps sending is served.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
@@ -260,12 +263,11 @@ fn breaker_storm_stays_byte_equal_and_reports_trips() {
         batch_target: 1_000_000,
         deadline: Duration::from_millis(1),
         fault_injector: Some(injector),
-        breaker: Some(BreakerConfig {
+        breaker: BreakerConfig {
             fault_threshold: 2,
             open_cooldown: Duration::from_millis(20),
             probe_batches: 2,
-            ..BreakerConfig::default()
-        }),
+        },
         ..SchedulerConfig::default()
     };
     let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
@@ -763,4 +765,84 @@ fn an_unencodable_answer_is_a_too_large_frame_on_a_live_connection() {
     let report = server.join().unwrap();
     assert_eq!(report.error_frames, 1);
     assert_eq!(report.served_ops, 3);
+}
+
+/// A raw connection whose reads give up after 10 s: a server that never
+/// closes it fails the test instead of hanging it.
+fn handshake_with_read_timeout(addr: std::net::SocketAddr) -> TcpStream {
+    let s = handshake_raw(addr);
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s
+}
+
+/// The server closed the connection: a read finds EOF, not a timeout.
+fn assert_closed(s: &mut TcpStream, case: &str) {
+    let mut byte = [0u8; 1];
+    match s.read(&mut byte) {
+        Ok(0) => {}
+        other => panic!("{case}: expected the server to close, got {other:?}"),
+    }
+}
+
+#[test]
+fn idle_timeout_closes_idle_and_stalled_peers_and_serves_busy_ones() {
+    let index = build_index(64, None);
+    let sched = Scheduler::spawn(
+        Arc::clone(&index),
+        devices::gtx1070(),
+        SchedulerConfig::default(),
+    );
+    let idle = Duration::from_millis(300);
+    let cfg = NetServerConfig {
+        idle_timeout: Some(idle),
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::serve_single(listener(), sched, None, cfg).unwrap();
+    let addr = server.local_addr();
+    let stop = server.shutdown_handle();
+    let lookup = |id| {
+        let payload = proto::encode_request(&proto::Request {
+            id,
+            deadline_us: 0,
+            op: Op::Lookup(vec![key(id)]),
+        })
+        .unwrap();
+        proto::encode_frame(&payload)
+    };
+
+    // Idle between frames: served once, then closed.
+    let mut s = handshake_with_read_timeout(addr);
+    s.write_all(&lookup(1)).unwrap();
+    assert_eq!(read_response(&mut s).body, RespBody::Values(vec![4]));
+    assert_closed(&mut s, "idle between frames");
+
+    // Stalled mid-header: closed with no answer.
+    let mut s = handshake_with_read_timeout(addr);
+    s.write_all(&lookup(2)[..proto::FRAME_HEADER_BYTES - 1])
+        .unwrap();
+    assert_closed(&mut s, "stalled mid-header");
+
+    // Stalled mid-payload: a truncation error frame, then closed.
+    let mut s = handshake_with_read_timeout(addr);
+    s.write_all(&lookup(3)[..proto::FRAME_HEADER_BYTES + 2])
+        .unwrap();
+    let (code, msg) = read_error_frame(&mut s);
+    assert_eq!(code, ErrorCode::Protocol, "{msg}");
+    assert_closed(&mut s, "stalled mid-payload");
+
+    // A peer that keeps sending is served, though the frame takes longer
+    // than the timeout to arrive: the timeout runs from the last byte.
+    let mut s = handshake_with_read_timeout(addr);
+    let frame = lookup(4);
+    let piece = frame.len().div_ceil(8);
+    for chunk in frame.chunks(piece) {
+        s.write_all(chunk).unwrap();
+        std::thread::sleep(idle / 6);
+    }
+    assert_eq!(read_response(&mut s).body, RespBody::Values(vec![13]));
+
+    stop.shutdown();
+    let report = server.join().unwrap();
+    assert_eq!(report.decode_errors, 1, "{report:?}");
+    assert_eq!(report.served_ops, 2, "{report:?}");
 }

@@ -229,12 +229,11 @@ fn fault_storm_walks_the_breaker_and_stays_byte_equal_to_cpu() {
         batch_target: 1_000_000,
         deadline: Duration::from_millis(1),
         fault_injector: Some(injector),
-        breaker: Some(BreakerConfig {
+        breaker: BreakerConfig {
             fault_threshold: 2,
             open_cooldown: Duration::from_millis(20),
             probe_batches: 2,
-            ..BreakerConfig::default()
-        }),
+        },
         ..SchedulerConfig::default()
     };
     let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
