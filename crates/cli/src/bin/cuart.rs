@@ -1,7 +1,7 @@
 //! The `cuart` command-line tool. See the `cuart-cli` crate docs.
 
 use cuart_cli::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 /// Usage text; the `{...}` placeholders are the serving defaults, filled
@@ -14,25 +14,19 @@ USAGE:
   cuart info   INDEX
   cuart get    INDEX KEY [--hex]
   cuart range  INDEX LO HI [--hex] [--limit N]
-  cuart query  INDEX --keys FILE [--hex] [--device NAME] [--metrics-out FILE]
-               [--fault-seed N] [--fault-rate P]
-  cuart bench  INDEX [--device NAME] [--batch N] [--batches N] [--metrics-out FILE]
-               [--fault-seed N] [--fault-rate P]
-  cuart metrics INDEX [--keys FILE] [--hex] [--device NAME] [--batch N]
-                [--batches N] [--format json|prom] [--metrics-out FILE]
+  cuart bench  INDEX [--keys FILE] [--hex] [--device NAME] [--batch 32768]
+               [--batches 8] [--fault-seed N] [--fault-rate P]
+               [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
   cuart serve  INDEX --listen ADDR [SERVER FLAGS] [--window {window}]
                [--idle-timeout-ms N] [--allow-shutdown]
   cuart bench-net INDEX [--connect ADDR [--shutdown] | SERVER FLAGS]
                [--clients 4] [--ops 65536] [--req-keys 256] [--smoke]
-  cuart trace  INDEX [--device NAME] [--batch N] [--batches N]
-               [--trace-out trace.json] [--folded-out out.txt]
   cuart verify-trace TRACE.json
   cuart verify-snapshot INDEX
 
 SERVER FLAGS (serve, and bench-net's self-hosted server):
-  [--device NAME] [--batch {batch}] [--deadline-us {deadline_us}] [--unsorted]
-  [--shards N] [--shard-devices NAME,NAME,...]
-  [--fault-seed N] [--fault-rate P]
+  [--device NAME[,NAME...]] [--batch {batch}] [--deadline-us {deadline_us}]
+  [--unsorted] [--fault-seed N] [--fault-rate P]
   [--admission block|reject] [--admission-timeout-us N]
   [--queue-cap N] [--op-deadline-us N]
   [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
@@ -40,29 +34,33 @@ SERVER FLAGS (serve, and bench-net's self-hosted server):
 DEVICES: a100 (server), rtx3090 (workstation), gtx1070 (notebook)
 FLAGS: a flag the command does not list above is refused (exit 2)
 KEY FILES: one key per line; optional 'key<TAB>value'; --hex for hex keys
-METRICS: counters, gauges, histograms, the per-batch span trees and the
-state-transition events (degraded/recovered, breaker_*) of the run, as
-JSON (default) or Prometheus text
+BENCH: replays --batches batches of --batch lookups through one device
+session, probes taken round-robin from --keys or else the stored keys;
+prints hits, DRAM transactions, L2 hit rate and both clocks
+METRICS: --metrics-out writes counters, gauges, histograms, the per-batch
+span trees and the state-transition events (degraded/recovered,
+breaker_*) of the run: Prometheus text when FILE ends in .prom, else JSON
 FAULTS: --fault-rate P injects device faults with probability P per op
 (seeded by --fault-seed, default 0) to drill the retry/degrade/recover
 path.
-TRACING: --trace-out (trace, serve, bench-net) exports hierarchical
-span trees as Chrome-trace JSON — open in chrome://tracing or Perfetto;
---folded-out writes flamegraph-style folded stacks. verify-trace checks a
-trace file nests and that every batch tree's leaf durations reproduce
-the modeled batch time (±1%).
+TRACING: --trace-out exports hierarchical span trees as Chrome-trace
+JSON — open in chrome://tracing or Perfetto — and prints each batch
+tree's critical-path stage; --folded-out writes flamegraph-style folded
+stacks. verify-trace checks a trace file nests and that every batch
+tree's leaf durations reproduce the modeled batch time (±1%).
 BATCHING: the executor dispatches whatever is queued as soon as it is
 free; --deadline-us makes an idle executor hold an underfilled batch
 open that long (a linger), --batch caps one batch.
 OVERLOAD: --queue-cap bounds the scheduler's resident ops; a full queue
 blocks (default), fails fast (--admission reject) or blocks up to
---admission-timeout-us. --op-deadline-us sheds ops still queued past
-their budget with DeadlineExceeded instead of serving them late.
-SCALE-OUT: --shards N serves from N key-space shards, each on its own
-device (copies of --device, or named one-by-one with --shard-devices,
-e.g. rtx3090,rtx3090,gtx1070,gtx1070); every shard has its own queue
-cap and circuit breaker, and per-shard cuart.sched.shard.<i>.* series
-land in the metrics spill next to the global cuart.sched.* totals.
+--admission-timeout-us (refused beside reject). --op-deadline-us sheds
+ops still queued past their budget with DeadlineExceeded instead of
+serving them late.
+SCALE-OUT: --device with N comma-separated names serves from N key-space
+shards, one per named device (e.g. rtx3090,rtx3090,gtx1070,gtx1070);
+every shard has its own queue cap and circuit breaker, and per-shard
+cuart.sched.shard.<i>.* series land in the metrics spill next to the
+global cuart.sched.* totals.
 verify-snapshot checks a saved index (header, per-section CRCs,
 structural parse) without loading it
 NETWORK: `serve` puts the scheduler behind the cuart-net binary RPC
@@ -83,8 +81,6 @@ const SERVER_FLAGS: &[&str] = &[
     "batch",
     "deadline-us",
     "unsorted",
-    "shards",
-    "shard-devices",
     "fault-seed",
     "fault-rate",
     "admission",
@@ -104,12 +100,12 @@ fn command_flags(cmd: &str) -> Option<&'static str> {
         "info" | "verify-trace" | "verify-snapshot" => "",
         "get" => "hex",
         "range" => "hex limit",
-        "query" => "keys hex device metrics-out fault-seed fault-rate",
-        "bench" => "device batch batches metrics-out fault-seed fault-rate",
-        "metrics" => "keys hex device batch batches format metrics-out",
+        "bench" => {
+            "keys hex device batch batches fault-seed fault-rate \
+             metrics-out trace-out folded-out"
+        }
         "serve" => "listen window idle-timeout-ms allow-shutdown",
         "bench-net" => "connect clients ops req-keys smoke shutdown",
-        "trace" => "device batch batches trace-out folded-out",
         _ => return None,
     })
 }
@@ -214,7 +210,10 @@ fn serve_options(args: &Args) -> ServeOptions {
     let defaults = ServeOptions::default();
     let timeout_us = args.parsed("admission-timeout-us");
     let admission = match (args.flag("admission"), timeout_us) {
-        (Some("reject"), _) => AdmissionPolicy::Reject,
+        (Some("reject"), None) => AdmissionPolicy::Reject,
+        (Some("reject"), Some(_)) => {
+            fail("--admission reject does not take --admission-timeout-us")
+        }
         (Some("block") | None, Some(us)) => {
             AdmissionPolicy::BlockWithTimeout(std::time::Duration::from_micros(us))
         }
@@ -231,10 +230,6 @@ fn serve_options(args: &Args) -> ServeOptions {
             admission,
             queue_cap: args.parsed("queue-cap").unwrap_or(0),
             op_deadline_us: args.parsed("op-deadline-us"),
-        },
-        shard: ShardOptions {
-            shards: args.parsed("shards").unwrap_or(0),
-            devices: args.flag("shard-devices").map(str::to_string),
         },
     }
 }
@@ -279,47 +274,18 @@ fn main() {
             let limit = args.parsed("limit").unwrap_or(20);
             cmd_range(&idx, lo, hi, hex, limit)
         }
-        "query" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let keys = required_path(&args, "--keys FILE", args.flag("keys"));
-            cmd_query(
-                &idx,
-                &keys,
-                hex,
-                args.flag("device").unwrap_or("rtx3090"),
-                metrics_out.as_deref(),
-                fault_options(&args),
-            )
-        }
-        "bench" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args.parsed("batch").unwrap_or(32 * 1024);
-            let batches = args.parsed("batches").unwrap_or(8);
-            cmd_bench(
-                &idx,
-                args.flag("device").unwrap_or("rtx3090"),
-                batch,
-                batches,
-                metrics_out.as_deref(),
-                fault_options(&args),
-            )
-        }
-        "metrics" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let keys = args.flag("keys").map(PathBuf::from);
-            let batch = args.parsed("batch").unwrap_or(4096);
-            let batches = args.parsed("batches").unwrap_or(4);
-            cmd_metrics(
-                &idx,
-                keys.as_deref(),
-                hex,
-                args.flag("device").unwrap_or("rtx3090"),
-                batch,
-                batches,
-                args.flag("format").unwrap_or("json"),
-                metrics_out.as_deref(),
-            )
-        }
+        "bench" => cmd_bench(
+            &required_path(&args, "INDEX", args.pos(0)),
+            args.flag("keys").map(Path::new),
+            hex,
+            args.flag("device").unwrap_or("rtx3090"),
+            args.parsed("batch").unwrap_or(32 * 1024),
+            args.parsed("batches").unwrap_or(8),
+            fault_options(&args),
+            metrics_out.as_deref(),
+            trace_out.as_deref(),
+            folded_out.as_deref(),
+        ),
         "serve" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let listen = args
@@ -362,19 +328,6 @@ fn main() {
                 args.has("shutdown"),
                 &serve_options(&args),
                 metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-            )
-        }
-        "trace" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args.parsed("batch").unwrap_or(4096);
-            let batches = args.parsed("batches").unwrap_or(8);
-            cmd_trace(
-                &idx,
-                args.flag("device").unwrap_or("rtx3090"),
-                batch,
-                batches,
                 trace_out.as_deref(),
                 folded_out.as_deref(),
             )

@@ -5,25 +5,19 @@
 //! cuart info   idx.cuart
 //! cuart get    idx.cuart <key> [--hex]
 //! cuart range  idx.cuart <lo> <hi> [--hex] [--limit 20]
-//! cuart query  idx.cuart --keys probes.txt [--hex] [--device rtx3090] [--metrics-out m.json]
-//!              [--fault-seed N] [--fault-rate P]
-//! cuart bench  idx.cuart [--device a100] [--batch 32768] [--batches 8] [--metrics-out m.json]
-//!              [--fault-seed N] [--fault-rate P]
-//! cuart metrics idx.cuart [--keys probes.txt] [--hex] [--device NAME]
-//!               [--batch N] [--batches N] [--format json|prom] [--metrics-out FILE]
+//! cuart bench  idx.cuart [--keys probes.txt] [--hex] [--device rtx3090]
+//!              [--batch 32768] [--batches 8] [--fault-seed N] [--fault-rate P]
+//!              [--metrics-out m.json|m.prom] [--trace-out FILE] [--folded-out FILE]
 //! cuart serve  idx.cuart --listen 127.0.0.1:7070 [server flags]
 //!              [--window N] [--idle-timeout-ms N] [--allow-shutdown]
 //! cuart bench-net idx.cuart [--connect ADDR [--shutdown] | server flags]
 //!              [--clients 4] [--ops 65536] [--req-keys 256] [--smoke]
 //!
-//! server flags: [--device NAME] [--batch N] [--deadline-us N] [--unsorted]
-//!               [--shards N] [--shard-devices NAME,NAME,...]
+//! server flags: [--device NAME[,NAME...]] [--batch N] [--deadline-us N] [--unsorted]
 //!               [--fault-seed N] [--fault-rate P]
 //!               [--admission block|reject] [--admission-timeout-us N]
 //!               [--queue-cap N] [--op-deadline-us N]
 //!               [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
-//! cuart trace  idx.cuart [--device NAME] [--batch N] [--batches N]
-//!              [--trace-out trace.json] [--folded-out out.txt]
 //! cuart verify-trace trace.json
 //! cuart verify-snapshot idx.cuart
 //! ```
@@ -31,6 +25,11 @@
 //! Key files hold one key per line — raw text by default, or hex pairs
 //! with `--hex`. `build` assigns each key its (1-based) line number as the
 //! value unless a tab-separated `key<TAB>value` format is used.
+//!
+//! `bench` is the one session replay: batches of lookups, from `--keys` or
+//! the stored keys, pushed through one device session. Every command
+//! writes its files through one spill: `--metrics-out` is Prometheus text
+//! when the path ends in `.prom` and JSON otherwise.
 //!
 //! All command logic lives in this library (unit-tested); the binary is a
 //! thin argument parser that refuses any flag its command does not read.
@@ -47,7 +46,7 @@ use cuart_host::scheduler::{BreakerConfig, SchedError, Scheduler, SchedulerConfi
 use cuart_host::sharded::ShardedScheduler;
 use cuart_net::{NetClient, NetError, NetServer, SchedReport};
 use cuart_telemetry::tracing::{critical_paths, to_chrome_json, to_folded};
-use cuart_telemetry::{Snapshot, Telemetry};
+use cuart_telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::net::TcpListener;
 use std::path::Path;
@@ -240,23 +239,6 @@ pub fn device_by_name(name: &str) -> Result<DeviceConfig, CliError> {
     })
 }
 
-/// Render a telemetry snapshot in the requested format (`json` or `prom`).
-pub fn render_metrics(snapshot: &Snapshot, format: &str) -> Result<String, CliError> {
-    match format {
-        "json" => Ok(snapshot.to_json()),
-        "prom" | "prometheus" | "text" => Ok(snapshot.to_prometheus()),
-        other => Err(CliError::Input(format!(
-            "unknown metrics format {other:?} (json | prom)"
-        ))),
-    }
-}
-
-/// Write a JSON metrics snapshot to `out`; returns the trailing status line.
-fn spill_metrics(telemetry: &Telemetry, out: &Path) -> Result<String, CliError> {
-    std::fs::write(out, telemetry.snapshot().to_json())?;
-    Ok(format!("\nmetrics -> {}", out.display()))
-}
-
 /// Fault-injection options for the device-session commands
 /// (`--fault-seed` / `--fault-rate`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,54 +262,13 @@ pub struct OverloadOptions {
     pub op_deadline_us: Option<u64>,
 }
 
-/// Scale-out options of a served fleet (`--shards`, `--shard-devices`).
-#[derive(Debug, Clone, Default)]
-pub struct ShardOptions {
-    /// Number of shards (`0` = not given); without `--shard-devices`,
-    /// `0` or `1` selects the single-device path.
-    pub shards: usize,
-    /// Comma-separated device names, one per shard (e.g.
-    /// `rtx3090,rtx3090,gtx1070,gtx1070`). Overrides `--device`; when
-    /// `--shards` is also given the counts must agree.
-    pub devices: Option<String>,
-}
-
-impl ShardOptions {
-    /// Resolve the shard device list: `--shard-devices` names, or
-    /// `--shards` copies of the `--device` default.
-    fn resolve(&self, default_dev: DeviceConfig) -> Result<Vec<DeviceConfig>, CliError> {
-        match &self.devices {
-            Some(list) => {
-                let devs: Vec<DeviceConfig> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(device_by_name)
-                    .collect::<Result<_, _>>()?;
-                if devs.is_empty() {
-                    return Err(CliError::Input("--shard-devices names no device".into()));
-                }
-                if self.shards > 0 && devs.len() != self.shards {
-                    return Err(CliError::Input(format!(
-                        "--shards {} disagrees with --shard-devices ({} devices)",
-                        self.shards,
-                        devs.len()
-                    )));
-                }
-                Ok(devs)
-            }
-            None => Ok(vec![default_dev; self.shards.max(1)]),
-        }
-    }
-}
-
 /// The server-side flags `cuart serve` and a self-hosted `cuart bench-net`
 /// share, parsed once, so the server a drill runs is the one `serve`
 /// builds (see `start_server`).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Serving device (`--device`); every shard's unless
-    /// `--shard-devices` names them.
+    /// Serving devices (`--device`), comma-separated: one name serves one
+    /// device, N names serve N key-space shards.
     pub device: String,
     /// Most keys in one batch (`--batch`).
     pub batch: usize,
@@ -340,8 +281,6 @@ pub struct ServeOptions {
     pub faults: Option<FaultOptions>,
     /// Admission and shedding.
     pub overload: OverloadOptions,
-    /// Scale-out.
-    pub shard: ShardOptions,
 }
 
 impl Default for ServeOptions {
@@ -356,7 +295,6 @@ impl Default for ServeOptions {
             unsorted: false,
             faults: None,
             overload: OverloadOptions::default(),
-            shard: ShardOptions::default(),
         }
     }
 }
@@ -364,7 +302,17 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// The serving devices: one, or one per shard.
     pub fn devices(&self) -> Result<Vec<DeviceConfig>, CliError> {
-        self.shard.resolve(device_by_name(&self.device)?)
+        let devs: Vec<DeviceConfig> = self
+            .device
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(device_by_name)
+            .collect::<Result<_, _>>()?;
+        if devs.is_empty() {
+            return Err(CliError::Input("--device names no device".into()));
+        }
+        Ok(devs)
     }
 }
 
@@ -423,46 +371,6 @@ pub fn cmd_verify_snapshot(path: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// Batch lookups on the simulated device; prints hit statistics.
-/// With `metrics_out`, a JSON telemetry snapshot of the run is written
-/// too; with `faults`, a seeded injector shadows every device leg and a
-/// fault summary is appended.
-pub fn cmd_query(
-    path: &Path,
-    keys_path: &Path,
-    hex: bool,
-    device: &str,
-    metrics_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-) -> Result<String, CliError> {
-    let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let telemetry = Arc::new(Telemetry::new());
-    let index = index.with_telemetry(telemetry.clone());
-    let probes: Vec<Vec<u8>> = load_key_file(keys_path, hex)?
-        .into_iter()
-        .map(|(k, _)| k)
-        .collect();
-    let mut session = open_session(&index, &dev, faults);
-    let (results, report) = session.lookup_batch(&probes)?;
-    let hits = results.iter().filter(|&&r| r != NOT_FOUND).count();
-    let mut out = format!(
-        "{hits}/{} hits on {} — modeled kernel {:.1} µs ({} DRAM transactions, {:.0}% L2 hits)",
-        probes.len(),
-        dev.name,
-        report.time_ns / 1e3,
-        report.dram_transactions,
-        100.0 * report.l2_hits as f64 / report.sectors.max(1) as f64
-    );
-    if faults.is_some() {
-        out.push_str(&fault_summary(&session));
-    }
-    if let Some(path) = metrics_out {
-        out.push_str(&spill_metrics(&telemetry, path)?);
-    }
-    Ok(out)
-}
-
 /// Both clocks on one line, each labelled: the modeled device clock (what
 /// the paper's figures and `fig-regress` read) and the host wall clock
 /// (what running the simulator and the serving stack costs on this
@@ -485,177 +393,110 @@ fn two_clock_line(keys: u64, modeled_ns: f64, wall: Duration) -> String {
     )
 }
 
-/// End-to-end throughput bench against the saved index, on both clocks:
-/// modeled kernel-side MOps/s and the wall-clock keys/s the simulator
-/// sustains on this host. With `metrics_out`, a JSON telemetry snapshot of
-/// the run is written too; with `faults`, a seeded injector shadows every
-/// device leg and a fault summary is appended.
-pub fn cmd_bench(
-    path: &Path,
-    device: &str,
-    batch: usize,
-    batches: usize,
-    metrics_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-) -> Result<String, CliError> {
-    let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let telemetry = Arc::new(Telemetry::new());
-    let index = index.with_telemetry(telemetry.clone());
-    // Query the stored keys themselves (all hits), round-robin.
-    let stored = stored_keys(&index)?;
-    let mut session = open_session(&index, &dev, faults);
-    let mut total_ns = 0.0;
-    let mut wall = Duration::ZERO;
-    for b in 0..batches {
-        let queries: Vec<Vec<u8>> = (0..batch)
-            .map(|i| stored[(b * batch + i * 7) % stored.len()].0.clone())
-            .collect();
-        let started = std::time::Instant::now();
-        let (_, report) = session.lookup_batch(&queries)?;
-        wall += started.elapsed();
-        total_ns += report.time_ns;
-    }
-    // With every batch on the CPU fallback (degraded session) there is no
-    // modeled device time to rate; the line says so.
-    let mut out = format!(
-        "{} lookups in {batches} batches of {batch} on {} (kernel-side)\n{}",
-        batch * batches,
-        dev.name,
-        two_clock_line((batch * batches) as u64, total_ns, wall),
-    );
-    if faults.is_some() {
-        out.push_str(&fault_summary(&session));
-    }
-    if let Some(path) = metrics_out {
-        out.push_str(&spill_metrics(&telemetry, path)?);
-    }
-    Ok(out)
-}
-
-/// Run an instrumented lookup workload and dump the full telemetry
-/// snapshot (counters, gauges, histograms, the per-batch span trees and
-/// the state-transition events).
-///
-/// Probes come from `--keys` when given, otherwise the stored keys are
-/// replayed round-robin. Output goes to stdout, or to `--metrics-out`.
+/// Replay batches of lookups through one device session (`cuart bench`),
+/// the paper's measurement: `batches` batches of `batch` probes, taken
+/// round-robin from the `keys` file or, without one, from the stored keys.
+/// Prints the lookups, hits, DRAM transactions and L2 hit rate, then both
+/// clocks: modeled kernel-side MOps/s and the wall-clock keys/s the
+/// simulator sustains on this host. With `faults`, a seeded injector
+/// shadows every device leg and a fault summary follows. The output files
+/// go through the spill `serve` and `bench-net` use.
 #[allow(
     clippy::too_many_arguments,
     reason = "one parameter per command-line flag"
 )]
-pub fn cmd_metrics(
+pub fn cmd_bench(
     path: &Path,
-    keys_path: Option<&Path>,
+    keys: Option<&Path>,
     hex: bool,
     device: &str,
     batch: usize,
     batches: usize,
-    format: &str,
+    faults: Option<FaultOptions>,
     metrics_out: Option<&Path>,
+    trace_out: Option<&Path>,
+    folded_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let index = CuartIndex::load(path)?;
     let dev = device_by_name(device)?;
     let telemetry = Arc::new(Telemetry::new());
     let index = index.with_telemetry(telemetry.clone());
-    let probes: Vec<Vec<u8>> = match keys_path {
-        Some(p) => load_key_file(p, hex)?.into_iter().map(|(k, _)| k).collect(),
-        None => stored_keys(&index)?.into_iter().map(|(k, _)| k).collect(),
+    let probes = match keys {
+        Some(p) => load_key_file(p, hex)?,
+        None => stored_keys(&index)?,
     };
-    let mut session = index.device_session(&dev);
+    let mut session = open_session(&index, &dev, faults);
+    let (mut hits, mut dram, mut l2_hits, mut sectors) = (0, 0, 0, 0);
+    let mut total_ns = 0.0;
+    let mut wall = Duration::ZERO;
     for b in 0..batches {
         let queries: Vec<Vec<u8>> = (0..batch)
-            .map(|i| probes[(b * batch + i * 7) % probes.len()].clone())
+            .map(|i| probes[(b * batch + i * 7) % probes.len()].0.clone())
             .collect();
-        session.lookup_batch(&queries)?;
+        let started = std::time::Instant::now();
+        let (results, report) = session.lookup_batch(&queries)?;
+        wall += started.elapsed();
+        hits += results.iter().filter(|&&r| r != NOT_FOUND).count();
+        dram += report.dram_transactions;
+        l2_hits += report.l2_hits;
+        sectors += report.sectors;
+        total_ns += report.time_ns;
     }
-    let rendered = render_metrics(&telemetry.snapshot(), format)?;
-    match metrics_out {
-        Some(out) => {
-            std::fs::write(out, &rendered)?;
-            Ok(format!("metrics -> {}", out.display()))
-        }
-        None => Ok(rendered),
+    let lookups = batch * batches;
+    // With every batch on the CPU fallback (degraded session) there is no
+    // modeled device time to rate; the clock line says so.
+    let mut out = format!(
+        "{lookups} lookups in {batches} batches of {batch} on {} (kernel-side): \
+         {hits}/{lookups} hits, {dram} DRAM transactions, {:.0}% L2 hits\n{}",
+        dev.name,
+        100.0 * l2_hits as f64 / sectors.max(1) as f64,
+        two_clock_line(lookups as u64, total_ns, wall),
+    );
+    if faults.is_some() {
+        out.push_str(&fault_summary(&session));
     }
+    spill_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
+    Ok(out)
 }
 
-/// Shared serving-command output tail: the JSON metrics spill and the
-/// Chrome-trace / folded-stack exports.
-fn spill_serving_outputs(
+/// The one output tail every command writes its files through: the
+/// metrics snapshot (Prometheus text when the path ends in `.prom`, JSON
+/// otherwise), the Chrome-trace export with each batch tree's dominant
+/// (critical-path) stage, and the folded stacks.
+fn spill_outputs(
     out: &mut String,
-    telemetry: &Arc<Telemetry>,
+    telemetry: &Telemetry,
     metrics_out: Option<&Path>,
     trace_out: Option<&Path>,
     folded_out: Option<&Path>,
 ) -> Result<(), CliError> {
-    if let Some(path) = metrics_out {
-        out.push_str(&spill_metrics(telemetry, path)?);
-    }
-    if trace_out.is_some() || folded_out.is_some() {
-        let snap = telemetry.snapshot();
-        if let Some(p) = trace_out {
-            std::fs::write(p, to_chrome_json(&snap.spans))?;
-            let _ = write!(
-                out,
-                "\ntrace -> {} ({} spans)",
-                p.display(),
-                snap.spans.len()
-            );
-        }
-        if let Some(p) = folded_out {
-            std::fs::write(p, to_folded(&snap.spans))?;
-            let _ = write!(out, "\nfolded -> {}", p.display());
-        }
-    }
-    Ok(())
-}
-
-/// Run an instrumented lookup workload and export the recorded span trees
-/// as Chrome-trace / Perfetto JSON (`out`) and, optionally, flamegraph
-/// folded stacks (`folded_out`). With `out` unset the Chrome-trace JSON
-/// goes to stdout. The returned summary names each batch tree's dominant
-/// (critical-path) stage.
-pub fn cmd_trace(
-    path: &Path,
-    device: &str,
-    batch: usize,
-    batches: usize,
-    out: Option<&Path>,
-    folded_out: Option<&Path>,
-) -> Result<String, CliError> {
-    let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let telemetry = Arc::new(Telemetry::new());
-    let index = index.with_telemetry(telemetry.clone());
-    let stored = stored_keys(&index)?;
-    let mut session = index.device_session(&dev);
-    for b in 0..batches {
-        let queries: Vec<Vec<u8>> = (0..batch)
-            .map(|i| stored[(b * batch + i * 7) % stored.len()].0.clone())
-            .collect();
-        session.lookup_batch(&queries)?;
+    if metrics_out.is_none() && trace_out.is_none() && folded_out.is_none() {
+        return Ok(());
     }
     let snap = telemetry.snapshot();
-    let json = to_chrome_json(&snap.spans);
-    let mut msg = match out {
-        Some(p) => {
-            std::fs::write(p, &json)?;
-            format!(
-                "{} spans from {batches} batches of {batch} on {} -> {}",
-                snap.spans.len(),
-                dev.name,
-                p.display()
-            )
-        }
-        None => json,
-    };
-    if let Some(p) = folded_out {
-        std::fs::write(p, to_folded(&snap.spans))?;
-        let _ = write!(msg, "\nfolded -> {}", p.display());
+    if let Some(p) = metrics_out {
+        let text = if p.extension().is_some_and(|e| e == "prom") {
+            snap.to_prometheus()
+        } else {
+            snap.to_json()
+        };
+        std::fs::write(p, text)?;
+        let _ = write!(out, "\nmetrics -> {}", p.display());
     }
-    if out.is_some() {
-        for cp in critical_paths(&snap.spans) {
+    if let Some(p) = trace_out {
+        std::fs::write(p, to_chrome_json(&snap.spans))?;
+        let _ = write!(
+            out,
+            "\ntrace -> {} ({} spans)",
+            p.display(),
+            snap.spans.len()
+        );
+        for cp in critical_paths(&snap.spans)
+            .iter()
+            .filter(|cp| is_batch_tree(&cp.root_name))
+        {
             let _ = write!(
-                msg,
+                out,
                 "\n{}: critical path {} ({:.0}% of leaf time, {:.1} µs)",
                 cp.root_name,
                 cp.stage,
@@ -664,7 +505,18 @@ pub fn cmd_trace(
             );
         }
     }
-    Ok(msg)
+    if let Some(p) = folded_out {
+        std::fs::write(p, to_folded(&snap.spans))?;
+        let _ = write!(out, "\nfolded -> {}", p.display());
+    }
+    Ok(())
+}
+
+/// Whether a root span of this name is a sequential batch tree (a
+/// session's `batch.*` or a scheduler's `sched.batch.*`), whose leaves
+/// partition the modeled batch time.
+fn is_batch_tree(root_name: &str) -> bool {
+    root_name.starts_with("batch.") || root_name.starts_with("sched.batch.")
 }
 
 /// One parsed Chrome-trace event, microsecond timestamps.
@@ -749,9 +601,10 @@ pub fn cmd_verify_trace(path: &Path) -> Result<String, CliError> {
         children.entry(e.parent).or_default().push(e);
     }
     let mut batch_trees = 0usize;
-    for root in evs.iter().filter(|e| {
-        e.parent == 0 && (e.name.starts_with("batch.") || e.name.starts_with("sched.batch."))
-    }) {
+    for root in evs
+        .iter()
+        .filter(|e| e.parent == 0 && is_batch_tree(&e.name))
+    {
         // Leaf durations of the subtree must reproduce the root duration.
         let mut leaf_sum = 0.0f64;
         let mut stack = vec![root];
@@ -909,7 +762,7 @@ pub fn cmd_serve(
         .join()
         .map_err(|e| CliError::Input(format!("serve: {e}")))?;
     let mut out = render_net_report(&report, &addr.to_string());
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
+    spill_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
     Ok(out)
 }
 
@@ -1118,7 +971,7 @@ pub fn cmd_bench_net(
         two_clock_line(served, modeled_ns, wall),
         render_net_report(&report, &addr)
     );
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
+    spill_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
     Ok(out)
 }
 
@@ -1276,7 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn range_and_query_and_bench() {
+    fn range_and_bench_with_a_key_file() {
         let lines: Vec<String> = (0..500u64)
             .map(|i| format!("{:08}\t{}", i * 3, i))
             .collect();
@@ -1288,11 +1141,29 @@ mod tests {
         let out = cmd_range(&idx, "00000030", "00000060", false, 100).unwrap();
         assert!(out.contains("(11 rows total)"), "{out}");
 
+        // Probes from a key file, one of them a miss.
         let probes = write_keys("probes", &["00000030", "00000031", "00000033"]);
-        let out = cmd_query(&idx, &probes, false, "rtx3090", None, None).unwrap();
-        assert!(out.starts_with("2/3 hits"), "{out}");
+        let out = cmd_bench(
+            &idx,
+            Some(&probes),
+            false,
+            "rtx3090",
+            3,
+            1,
+            None,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
+        assert!(out.starts_with("3 lookups in 1 batches of 3"), "{out}");
+        assert!(out.contains(": 2/3 hits, "), "{out}");
+        assert!(out.contains(" DRAM transactions, "), "{out}");
+        assert!(out.contains("% L2 hits\n"), "{out}");
 
-        let out = cmd_bench(&idx, "a100", 256, 2, None, None).unwrap();
+        // Without a key file the stored keys are replayed: all hits.
+        let out = cmd_bench(&idx, None, false, "a100", 256, 2, None, None, None, None).unwrap();
+        assert!(out.contains(": 512/512 hits, "), "{out}");
         assert!(out.contains("modeled device clock: "), "{out}");
         assert!(out.contains(" MOps/s; host wall clock: "), "{out}");
         assert!(out.contains(" keys/s (512 keys in "), "{out}");
@@ -1303,40 +1174,46 @@ mod tests {
     }
 
     #[test]
-    fn metrics_command_renders_and_spills() {
+    fn bench_spills_metrics_by_file_name() {
         let lines: Vec<String> = (0..200u64).map(|i| format!("{:08}\t{}", i, i)).collect();
         let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
         let keys = write_keys("metrics", &refs);
         let idx = tmp("metrics-idx");
         cmd_build(&keys, &idx, false, 2).unwrap();
+        let spill = |out: &Path| {
+            let msg = cmd_bench(
+                &idx,
+                None,
+                false,
+                "a100",
+                64,
+                2,
+                None,
+                Some(out),
+                None,
+                None,
+            )
+            .unwrap();
+            assert!(msg.contains("\nmetrics -> "), "{msg}");
+            std::fs::read_to_string(out).unwrap()
+        };
 
-        // JSON to stdout.
-        let json = cmd_metrics(&idx, None, false, "a100", 64, 2, "json", None).unwrap();
-        assert!(json.starts_with('{'), "{json}");
-        // Prometheus text to stdout.
-        let prom = cmd_metrics(&idx, None, false, "a100", 64, 2, "prom", None).unwrap();
+        // A `.prom` path gets Prometheus text.
+        let prom_file = tmp("metrics-out").with_extension("prom");
+        let prom = spill(&prom_file);
         assert!(prom.contains("cuart_events_dropped"), "{prom}");
-        assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
-        assert!(json.contains("\"name\":\"batch.lookup\""), "{json}");
         assert!(prom.contains("cuart_lookup_batches 2"), "{prom}");
         // Lookups share the whole image and own none of it.
         assert!(prom.contains("cuart_device_owned_bytes 0"), "{prom}");
+        // Any other path gets JSON.
+        let json_file = tmp("metrics-out").with_extension("json");
+        let json = spill(&json_file);
+        assert!(json.starts_with('{'), "{json}");
+        assert!(json.contains("\"cuart.lookup.batches\":2"), "{json}");
+        assert!(json.contains("\"name\":\"batch.lookup\""), "{json}");
         assert!(json.contains("\"cuart.device.shared_bytes\":"), "{json}");
-        // Spill to a file via --metrics-out.
-        let out_file = tmp("metrics-out");
-        let msg = cmd_metrics(&idx, None, false, "a100", 64, 1, "json", Some(&out_file)).unwrap();
-        assert!(msg.contains("metrics ->"), "{msg}");
-        let written = std::fs::read_to_string(&out_file).unwrap();
-        assert!(written.starts_with('{'), "{written}");
-        // Bad format is rejected.
-        assert!(cmd_metrics(&idx, None, false, "a100", 64, 1, "xml", None).is_err());
 
-        // query/bench accept --metrics-out too.
-        let probes = write_keys("metrics-probes", &["00000030"]);
-        let q = cmd_query(&idx, &probes, false, "rtx3090", Some(&out_file), None).unwrap();
-        assert!(q.contains("metrics ->"), "{q}");
-
-        for p in [keys, idx, probes, out_file] {
+        for p in [keys, idx, prom_file, json_file] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1385,13 +1262,23 @@ mod tests {
             seed: 7,
             rate: 0.05,
         });
-        let q = cmd_query(&idx, &keys, false, "rtx3090", None, opts).unwrap();
-        assert!(q.contains("faults:"), "{q}");
-        let b = cmd_bench(&idx, "rtx3090", 64, 3, None, opts).unwrap();
-        assert!(b.contains("faults:"), "{b}");
+        let out = cmd_bench(
+            &idx,
+            Some(&keys),
+            false,
+            "rtx3090",
+            100,
+            3,
+            opts,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
+        assert!(out.contains("\nfaults: "), "{out}");
         // Whatever the injector did, results must still be correct: every
         // stored key hits.
-        assert!(q.starts_with("300/300 hits"), "{q}");
+        assert!(out.contains(": 300/300 hits, "), "{out}");
         std::fs::remove_file(keys).ok();
         std::fs::remove_file(idx).ok();
     }
@@ -1401,9 +1288,22 @@ mod tests {
         let (keys, idx) = fixture("trace", 300);
         let trace = tmp("trace-json");
         let folded = tmp("trace-folded");
-        let out = cmd_trace(&idx, "rtx3090", 128, 4, Some(&trace), Some(&folded)).unwrap();
-        assert!(out.contains("spans from 4 batches of 128"), "{out}");
-        assert!(out.contains("critical path"), "{out}");
+        let out = cmd_bench(
+            &idx,
+            None,
+            false,
+            "rtx3090",
+            128,
+            4,
+            None,
+            None,
+            Some(&trace),
+            Some(&folded),
+        )
+        .unwrap();
+        assert!(out.starts_with("512 lookups in 4 batches of 128"), "{out}");
+        assert!(out.contains("\ntrace -> "), "{out}");
+        assert_eq!(out.matches(": critical path ").count(), 4, "{out}");
         let verdict = cmd_verify_trace(&trace).unwrap();
         assert!(verdict.contains("OK"), "{verdict}");
         assert!(verdict.contains("4 batch trees"), "{verdict}");
@@ -1495,14 +1395,20 @@ mod tests {
     fn bench_net_sharded_fleet_reports_per_shard() {
         let (keys, idx) = fixture("sharded", 400);
         let spill = tmp("sharded-metrics");
-        let fleet = |shards: usize| ServeOptions {
-            shard: ShardOptions {
-                shards,
-                devices: Some("rtx3090, gtx1070".into()),
-            },
-            ..notebook()
+        let fleet = |device: &str| ServeOptions {
+            device: device.into(),
+            ..ServeOptions::default()
         };
-        let out = hosted(&idx, 2, 2048, false, &fleet(2), Some(&spill), None).unwrap();
+        let out = hosted(
+            &idx,
+            2,
+            2048,
+            false,
+            &fleet("rtx3090, gtx1070"),
+            Some(&spill),
+            None,
+        )
+        .unwrap();
         assert!(out.contains("2048 hits"), "{out}");
         assert!(out.contains("routed over 2 shards"), "{out}");
         assert!(out.contains("modeled scale-out"), "{out}");
@@ -1522,14 +1428,10 @@ mod tests {
             .sum();
         assert_eq!(twins, counter("cuart.sched.enqueued"));
         assert!(twins > 0);
-        // A shard count that disagrees with --shard-devices is refused,
-        // an explicit `--shards 1` included.
-        for shards in [3, 1] {
-            let err = hosted(&idx, 1, 256, false, &fleet(shards), None, None);
-            assert!(
-                matches!(err, Err(CliError::Input(ref m)) if m.contains("disagrees")),
-                "--shards {shards}: {err:?}"
-            );
+        // A list that names no device, or an unknown one, is refused.
+        for device in [",", "rtx3090,tpu"] {
+            let err = hosted(&idx, 1, 256, false, &fleet(device), None, None);
+            assert!(matches!(err, Err(CliError::Input(_))), "{device}: {err:?}");
         }
         for p in [keys, idx, spill] {
             std::fs::remove_file(p).ok();
@@ -1585,6 +1487,13 @@ mod tests {
         // Smoke pins the load shape regardless of the flags.
         assert!(out.contains("8192 lookups from 4 client(s)"), "{out}");
         assert!(out.contains("trace ->"), "{out}");
+        // Each batch tree's critical path is printed; a request span is
+        // no batch tree.
+        assert!(
+            out.contains("\nsched.batch.lookup: critical path "),
+            "{out}"
+        );
+        assert!(!out.contains("net.request: critical path"), "{out}");
         let verdict = cmd_verify_trace(&trace).unwrap();
         assert!(verdict.contains("OK"), "{verdict}");
         let text = std::fs::read_to_string(&trace).unwrap();

@@ -11,15 +11,16 @@ fn cuart(args: &[&str]) -> Output {
         .expect("spawn cuart")
 }
 
-fn assert_refused(args: &[&str], flag: &str) {
+fn assert_usage_error(args: &[&str], message: &str) {
     let out = cuart(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(
-        stderr.contains(&format!("does not take --{flag}")),
-        "{stderr}"
-    );
+    assert!(stderr.contains(message), "{stderr}");
     assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+fn assert_refused(args: &[&str], flag: &str) {
+    assert_usage_error(args, &format!("does not take --{flag}"));
 }
 
 #[test]
@@ -28,24 +29,58 @@ fn a_flag_the_command_does_not_read_is_refused() {
     assert_refused(&["bench", "idx.cuart", "--batchs", "4"], "batchs");
     assert_refused(&["serve", "idx.cuart", "--shard", "4"], "shard");
     assert_refused(&["bench", "idx.cuart", "--queue-cap", "8"], "queue-cap");
+    // The fleet is spelled with `--device A,B`; the old flags are gone.
+    assert_refused(&["bench-net", "idx.cuart", "--shards", "2"], "shards");
+    assert_refused(
+        &["serve", "idx.cuart", "--shard-devices", "a100,a100"],
+        "shard-devices",
+    );
+    // The metrics format follows the file name.
+    assert_refused(&["bench", "idx.cuart", "--format", "prom"], "format");
+    // `reject` never waits, so a timeout beside it would go unread.
+    assert_refused(
+        &[
+            "bench-net",
+            "idx.cuart",
+            "--admission",
+            "reject",
+            "--admission-timeout-us",
+            "500",
+        ],
+        "admission-timeout-us",
+    );
 }
 
 #[test]
-fn trace_reads_the_shared_trace_out_spelling() {
+fn replay_commands_folded_into_bench_are_unknown() {
+    for cmd in ["query", "metrics", "trace"] {
+        assert_usage_error(&[cmd, "idx.cuart"], &format!("unknown command {cmd:?}"));
+    }
+}
+
+#[test]
+fn bench_reads_the_shared_trace_out_spelling() {
     let dir = std::env::temp_dir().join(format!("cuart-cli-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (keys, idx, trace) = (path("keys.tsv"), path("idx.cuart"), path("t.json"));
     let lines: String = (0..500).map(|i| format!("{i:08}\t{i}\n")).collect();
     std::fs::write(&keys, lines).unwrap();
-    let ok = |args: &[&str]| assert!(cuart(args).status.success(), "{args:?}");
+    let ok = |args: &[&str]| {
+        let out = cuart(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
     ok(&["build", "--keys", &keys, "--out", &idx]);
 
     // The old spelling is refused, not ignored.
-    assert_refused(&["trace", &idx, "--out", &trace], "out");
+    assert_refused(&["bench", &idx, "--out", &trace], "out");
     assert!(!std::path::Path::new(&trace).exists());
 
-    ok(&["trace", &idx, "--batches", "3", "--trace-out", &trace]);
-    ok(&["verify-trace", &trace]);
+    let args = ["bench", &idx, "--batch", "64", "--batches", "3"];
+    let out = ok(&[&args[..], &["--trace-out", &trace]].concat());
+    assert_eq!(out.matches(": critical path ").count(), 3, "{out}");
+    let verdict = ok(&["verify-trace", &trace]);
+    assert!(verdict.contains("3 batch trees"), "{verdict}");
     std::fs::remove_dir_all(&dir).ok();
 }

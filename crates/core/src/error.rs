@@ -1,8 +1,7 @@
 //! Typed errors and the batch retry policy.
 //!
-//! The paper's device pipeline assumes every transfer, launch and arena
-//! allocation succeeds; a production engine cannot. Every fallible device
-//! operation in this crate surfaces a [`CuartError`] instead of panicking,
+//! The paper's device pipeline assumes every transfer and launch
+//! succeeds; a production engine cannot. Every fallible device operation in this crate surfaces a [`CuartError`] instead of panicking,
 //! and [`CuartSession`](crate::CuartSession) drives a bounded
 //! [`RetryPolicy`] (exponential backoff with deterministic jitter) before
 //! degrading a batch to the CPU path.
@@ -14,11 +13,6 @@ use std::fmt;
 /// Every failure a CuART device operation can report.
 #[derive(Debug)]
 pub enum CuartError {
-    /// A device allocation failed: the device is out of memory.
-    DeviceOom {
-        /// Global injector op index (or 0 when reported by a real device).
-        op_index: u64,
-    },
     /// A host↔device transfer failed before completing.
     TransferFailed {
         /// Global injector op index of the failed transfer.
@@ -28,11 +22,6 @@ pub enum CuartError {
     KernelAborted {
         /// Global injector op index of the aborted launch.
         op_index: u64,
-    },
-    /// A per-type device arena has no room for another node/leaf.
-    ArenaFull {
-        /// The arena's node/leaf type.
-        link_type: LinkType,
     },
     /// The requested node/leaf type has no device arena at all
     /// (host leaves live in host memory by definition).
@@ -78,17 +67,11 @@ pub enum CuartError {
 impl fmt::Display for CuartError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CuartError::DeviceOom { op_index } => {
-                write!(f, "device out of memory (op #{op_index})")
-            }
             CuartError::TransferFailed { op_index } => {
                 write!(f, "host-device transfer failed (op #{op_index})")
             }
             CuartError::KernelAborted { op_index } => {
                 write!(f, "kernel launch aborted (op #{op_index})")
-            }
-            CuartError::ArenaFull { link_type } => {
-                write!(f, "device arena full for {link_type:?}")
             }
             CuartError::NoDeviceArena { link_type } => {
                 write!(f, "{link_type:?} has no device arena")
@@ -142,9 +125,6 @@ impl From<DeviceFault> for CuartError {
             FaultSite::Kernel => CuartError::KernelAborted {
                 op_index: fault.op_index,
             },
-            FaultSite::Alloc => CuartError::DeviceOom {
-                op_index: fault.op_index,
-            },
         }
     }
 }
@@ -162,9 +142,7 @@ impl CuartError {
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            CuartError::DeviceOom { .. }
-                | CuartError::TransferFailed { .. }
-                | CuartError::KernelAborted { .. }
+            CuartError::TransferFailed { .. } | CuartError::KernelAborted { .. }
         )
     }
 }
@@ -220,10 +198,6 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let e = CuartError::ArenaFull {
-            link_type: LinkType::Leaf8,
-        };
-        assert!(e.to_string().contains("Leaf8"));
         let e = CuartError::NoDeviceArena {
             link_type: LinkType::HostLeaf,
         };
@@ -247,14 +221,6 @@ mod tests {
         assert!(matches!(
             CuartError::from(f),
             CuartError::KernelAborted { op_index: 2 }
-        ));
-        let f = DeviceFault {
-            site: FaultSite::Alloc,
-            op_index: 5,
-        };
-        assert!(matches!(
-            CuartError::from(f),
-            CuartError::DeviceOom { op_index: 5 }
         ));
     }
 

@@ -1,10 +1,10 @@
 //! Deterministic device fault injection.
 //!
-//! Real GPU services treat transfer failures, kernel aborts and device
-//! allocation failure as *recoverable batch outcomes*, not process aborts.
-//! This module gives the simulator the same failure surface: a seedable
-//! [`FaultInjector`] that engines consult at every operation boundary
-//! (before a transfer, before a launch, before an arena grow). "Faults
+//! Real GPU services treat transfer failures and kernel aborts as
+//! *recoverable batch outcomes*, not process aborts. This module gives the
+//! simulator the same failure surface: a seedable [`FaultInjector`] that
+//! engines consult at every operation boundary (before a transfer, before
+//! a launch). "Faults
 //! off" is an engine with no injector attached: one `Option` branch per
 //! check site.
 //!
@@ -23,8 +23,6 @@ pub enum FaultSite {
     Transfer,
     /// A kernel launch (the launch aborts before any device write lands).
     Kernel,
-    /// A device memory allocation / arena growth request.
-    Alloc,
 }
 
 impl FaultSite {
@@ -33,7 +31,6 @@ impl FaultSite {
         match self {
             FaultSite::Transfer => "transfer",
             FaultSite::Kernel => "kernel",
-            FaultSite::Alloc => "alloc",
         }
     }
 }
@@ -71,8 +68,6 @@ pub struct FaultConfig {
     pub transfer_rate: f64,
     /// Probability in `[0, 1]` that a kernel launch faults.
     pub kernel_rate: f64,
-    /// Probability in `[0, 1]` that an allocation faults.
-    pub alloc_rate: f64,
     /// Explicit schedule: global op indices that fault unconditionally,
     /// regardless of site and rate. Used to force deterministic failure
     /// bursts (e.g. "ops 10..20 all fail" to exhaust a retry budget).
@@ -86,7 +81,6 @@ impl FaultConfig {
             seed,
             transfer_rate: rate,
             kernel_rate: rate,
-            alloc_rate: rate,
             fail_ops: Vec::new(),
         }
     }
@@ -102,15 +96,14 @@ impl FaultConfig {
         match site {
             FaultSite::Transfer => self.transfer_rate,
             FaultSite::Kernel => self.kernel_rate,
-            FaultSite::Alloc => self.alloc_rate,
         }
     }
 }
 
 /// Deterministic, seedable fault source consulted at device op boundaries.
 ///
-/// Engines call [`check`](FaultInjector::check) before each transfer,
-/// launch or allocation; `Err(DeviceFault)` means the op failed *before*
+/// Engines call [`check`](FaultInjector::check) before each transfer or
+/// launch; `Err(DeviceFault)` means the op failed *before*
 /// performing any device write, so retrying it is always safe.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -239,7 +232,7 @@ mod tests {
     fn fail_nth_schedule_fires_exactly_there() {
         let mut inj = FaultInjector::new(FaultConfig::default().fail_range(3, 5));
         let results: Vec<bool> = (0..8)
-            .map(|_| inj.check(FaultSite::Alloc).is_err())
+            .map(|_| inj.check(FaultSite::Transfer).is_err())
             .collect();
         assert_eq!(
             results,

@@ -85,8 +85,6 @@ struct NetCounters {
     open: AtomicU64,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
     decode_errors: AtomicU64,
     error_frames: AtomicU64,
     window_stalls: AtomicU64,
@@ -512,9 +510,6 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     )? {
         return Ok(());
     }
-    ctx.counters
-        .bytes_in
-        .fetch_add(hello.len() as u64, Ordering::Relaxed);
     if let Err(e) = proto::decode_hello(&hello) {
         // Answer with a typed error frame (id 0: no request exists yet)
         // and close; the server survives bad peers.
@@ -522,9 +517,6 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     }
     let our_hello = proto::encode_hello(proto::VERSION);
     stream.write_all(&our_hello)?;
-    ctx.counters
-        .bytes_out
-        .fetch_add(our_hello.len() as u64, Ordering::Relaxed);
 
     // --- Per-connection pipeline: reader (this thread) → bounded window
     // of tickets → writer. -------------------------------------------
@@ -573,9 +565,6 @@ fn read_and_submit(
             return Ok(None);
         }
         let t0 = Instant::now();
-        ctx.counters
-            .bytes_in
-            .fetch_add(header.len() as u64, Ordering::Relaxed);
         let decoded = proto::decode_frame_header(&header).and_then(|(len, crc)| {
             let mut payload = vec![0u8; len];
             let idle = ctx.cfg.idle_timeout;
@@ -583,9 +572,6 @@ fn read_and_submit(
                 // EOF or a stall mid-frame: treat as truncation.
                 return Err(WireError::Truncated);
             }
-            ctx.counters
-                .bytes_in
-                .fetch_add(len as u64, Ordering::Relaxed);
             proto::check_frame_crc(&payload, crc)?;
             proto::decode_request(&payload)
         });
@@ -742,9 +728,6 @@ fn write_frame(
 ) -> io::Result<()> {
     out.write_all(frame)?;
     counters.frames_out.fetch_add(1, Ordering::Relaxed);
-    counters
-        .bytes_out
-        .fetch_add(frame.len() as u64, Ordering::Relaxed);
     if let Some(t) = telemetry {
         t.frames_out.incr(1);
         t.bytes_out.incr(frame.len() as u64);
