@@ -126,13 +126,15 @@ impl Args {
                     name,
                     "hex" | "unsorted" | "smoke" | "allow-shutdown" | "shutdown"
                 );
-                if takes_value && i + 1 < raw.len() {
-                    flags.push((name.to_string(), Some(raw[i + 1].clone())));
-                    i += 2;
-                } else {
-                    flags.push((name.to_string(), None));
-                    i += 1;
-                }
+                // A value flag at the end, or followed by another flag,
+                // has no value: refused, not recorded as present.
+                let value = match raw.get(i + 1) {
+                    _ if !takes_value => None,
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => fail(&format!("--{name} takes a value")),
+                };
+                i += 1 + usize::from(value.is_some());
+                flags.push((name.to_string(), value));
             } else {
                 positional.push(raw[i].clone());
                 i += 1;

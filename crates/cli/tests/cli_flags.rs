@@ -84,3 +84,17 @@ fn bench_reads_the_shared_trace_out_spelling() {
     assert!(verdict.contains("3 batch trees"), "{verdict}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_value_flag_without_its_value_is_refused() {
+    // Last on the line, or followed by another flag: no value either way.
+    let bench = ["bench", "idx.cuart", "--batch", "4"];
+    assert_usage_error(
+        &[&bench[..], &["--metrics-out"]].concat(),
+        "--metrics-out takes a value",
+    );
+    assert_usage_error(
+        &[&bench[..], &["--metrics-out", "--hex"]].concat(),
+        "--metrics-out takes a value",
+    );
+}

@@ -45,6 +45,7 @@ use cuart_gpu_sim::{BufferId, DeviceConfig, DeviceMemory, FaultInjector, FaultSi
 use cuart_telemetry::{
     names, BatchEvent, BatchKind, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry,
 };
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A built CuART index (host-side image of the device buffers).
@@ -922,37 +923,60 @@ impl<'a> CuartSession<'a> {
         self.injector.is_some() || self.journal_shadowing || self.degradations > 0
     }
 
-    /// Answer one op without the device leg if the host must; `None` sends
-    /// it to the device. Which ops that is never depends on what the
-    /// overlay shadows until a degradation has happened, so the modeled
-    /// device work of a healthy session is a function of its batches alone.
-    fn off_device<K: PointKind>(
-        &mut self,
-        key: &[u8],
-        value: u64,
-        stride_max: usize,
-    ) -> Option<u64> {
-        if key.is_empty() {
-            return Some(K::KIND.default_answer());
-        }
+    /// Where one op is served when the device leg may not take it: `Some`
+    /// is the host, filing a key the overlay does not hold yet under that
+    /// home; `None` sends it to the device. Decided against the pre-batch
+    /// state, so every op on one key goes the same way; which ops that is
+    /// never depends on what the overlay shadows until a degradation has
+    /// happened, so the modeled device work of a healthy session is a
+    /// function of its batches alone.
+    fn off_device<K: PointKind>(&self, key: &[u8], stride_max: usize) -> Option<Home> {
         // Host-routed classes, and keys that cannot be packed at the device
         // stride: the stride covers every stored key, so the device holds
         // no such key and has no attach point for one.
         if self.index.buffers.is_host_routed(key) || key.len() > stride_max {
-            return Some(self.on_host::<K>(key, value, Home::Host));
+            return Some(Home::Host);
         }
         // A parked key has no attach point on the device either: a second
         // insert would only spill again.
         if K::KIND == Kind::Insert && self.overlay.parked() > 0 && self.overlay.is_parked(key) {
-            return Some(self.on_host::<K>(key, value, Home::Host));
+            return Some(Home::Host);
         }
         // A recovery re-upload restores the build image, so once a
         // degradation has happened the device may be stale for every key
         // the overlay shadows.
         if self.degradations > 0 && self.overlay.preempts(key) {
-            return Some(self.on_host::<K>(key, value, Home::Shadow));
+            return Some(Home::Shadow);
         }
         None
+    }
+
+    /// Serve `ops[i]` on the host for each `(i, home)` of `which`, under
+    /// the batch rule of DESIGN §7: visited last-first, the first op seen
+    /// per key is applied against the pre-batch state, and each earlier op
+    /// on that key answers `SUPERSEDED` — `MISS` when that winner missed.
+    fn on_host_batch<K: PointKind>(
+        &mut self,
+        ops: &[K::Op],
+        which: impl DoubleEndedIterator<Item = (usize, Home)>,
+        out: &mut [u64],
+    ) {
+        let mut won: HashMap<&[u8], u64> = HashMap::new();
+        for (i, home) in which.rev() {
+            let (key, value) = K::split(&ops[i]);
+            out[i] = match (K::KIND, won.get(key)) {
+                (Kind::Update, Some(&status::MISS)) => status::MISS,
+                (Kind::Update, Some(_)) => status::SUPERSEDED,
+                (_, Some(_)) => insert_status::SUPERSEDED,
+                (_, None) => {
+                    let answer = self.on_host::<K>(key, value, home);
+                    if K::KIND != Kind::Lookup {
+                        won.insert(key, answer);
+                    }
+                    answer
+                }
+            };
+        }
     }
 
     /// Answer one op on the host: the overlay, then the image. `home` is
@@ -975,8 +999,6 @@ impl<'a> CuartSession<'a> {
             (Kind::Insert, insert_status::UPDATED | insert_status::INSERTED) if journaling => {
                 (Some(value), Home::Shadow)
             }
-            // Later spills of the same key win naturally (ops are visited
-            // in tid order).
             (Kind::Insert, insert_status::SPILLED) => (Some(value), Home::Host),
             _ => return,
         };
@@ -1103,13 +1125,18 @@ impl<'a> CuartSession<'a> {
         // Device-bound ops stay where the caller put them: the batch keeps
         // their indices and the packer copies each key once, into staging.
         let mut device_idx = Vec::with_capacity(ops.len());
+        let mut host = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            let (key, value) = K::split(op);
-            match self.off_device::<K>(key, value, stride_max) {
-                Some(answer) => out[i] = answer,
-                None => device_idx.push(i),
+            let key = K::split(op).0;
+            // An empty key is refused: it keeps the default answer.
+            if !key.is_empty() {
+                match self.off_device::<K>(key, stride_max) {
+                    Some(home) => host.push((i, home)),
+                    None => device_idx.push(i),
+                }
             }
         }
+        self.on_host_batch::<K>(ops, host.into_iter(), &mut out);
         let mut host_spills = (ops.len() - device_idx.len()) as u64;
         let mut report = KernelReport::default();
         if !device_idx.is_empty() {
@@ -1138,29 +1165,40 @@ impl<'a> CuartSession<'a> {
                     if writes {
                         self.rerun_exhausted::<K>(&mut out, &device_idx, ops, &mut report)?;
                         // Only the max-tid winner of each key carries an
-                        // applied status.
+                        // applied status. Every op on a key with no attach
+                        // point spills: the last one parks it on the host,
+                        // and the earlier ones are superseded, as there.
                         let journaling = self.keeps_journal();
-                        for &i in &device_idx {
+                        let mut spilled = HashSet::new();
+                        for &i in device_idx.iter().rev() {
                             let (key, value) = K::split(&ops[i]);
-                            self.settle::<K>(key, value, out[i], journaling);
+                            if K::KIND == Kind::Insert
+                                && out[i] == insert_status::SPILLED
+                                && !spilled.insert(key)
+                            {
+                                out[i] = insert_status::SUPERSEDED;
+                            } else {
+                                self.settle::<K>(key, value, out[i], journaling);
+                            }
                         }
                     }
                     // The device holds no parked key: lookups and updates
                     // of one came back unanswered.
                     if K::KIND != Kind::Insert && self.overlay.parked() > 0 {
-                        for &i in &device_idx {
-                            let (key, value) = K::split(&ops[i]);
-                            if out[i] == K::KIND.default_answer() && self.overlay.is_parked(key) {
-                                out[i] = self.on_host::<K>(key, value, Home::Host);
-                            }
-                        }
+                        let parked: Vec<(usize, Home)> = device_idx
+                            .iter()
+                            .filter(|&&i| {
+                                out[i] == K::KIND.default_answer()
+                                    && self.overlay.is_parked(K::split(&ops[i]).0)
+                            })
+                            .map(|&i| (i, Home::Host))
+                            .collect();
+                        self.on_host_batch::<K>(ops, parked.into_iter(), &mut out);
                     }
                 }
                 None => {
-                    for &i in &device_idx {
-                        let (key, value) = K::split(&ops[i]);
-                        out[i] = self.on_host::<K>(key, value, Home::Shadow);
-                    }
+                    let shadowed = device_idx.iter().map(|&i| (i, Home::Shadow));
+                    self.on_host_batch::<K>(ops, shadowed, &mut out);
                 }
             }
         }

@@ -244,19 +244,10 @@ mod tests {
                 (0..64u8).map(|kid| (key_of(kid), u64::from(kid))).collect();
             for (is_insert, spec) in &batches {
                 // `None` deletes (update) or writes a fixed value (insert).
-                // Once a batch deletes a key, its later ops on that key
-                // delete too: delete-then-update in one batch is the one
-                // sequence a device key (membership as of the launch, pinned
-                // by `delete_then_update_same_key_in_one_batch`) and a
-                // host-parked key (op by op) answer differently.
-                let mut deleted = std::collections::BTreeSet::new();
                 let ops: Vec<(Vec<u8>, u64)> = spec
                     .iter()
                     .map(|&(kid, v)| {
-                        let value = v.unwrap_or(if *is_insert { 7 } else { DELETE });
-                        let delete = value == DELETE || deleted.contains(&kid);
-                        deleted.extend(delete.then_some(kid));
-                        (key_of(kid), if delete { DELETE } else { value })
+                        (key_of(kid), v.unwrap_or(if *is_insert { 7 } else { DELETE }))
                     })
                     .collect();
                 let mut answers = Vec::new();

@@ -223,6 +223,7 @@ mod tests {
     use super::*;
     use crate::api::CuartIndex;
     use crate::buffers::CuartConfig;
+    use crate::insert::insert_status;
     use cuart_art::Art;
     use cuart_gpu_sim::devices;
 
@@ -314,6 +315,35 @@ mod tests {
         assert_eq!(statuses, vec![status::SUPERSEDED, status::APPLIED]);
         let (results, _) = session.lookup_batch(&[key]).unwrap();
         assert_eq!(results[0], 42);
+    }
+
+    #[test]
+    fn host_routed_keys_take_the_same_batch_rule() {
+        // A 1-byte key is shorter than the 2-byte LUT span: the host alone
+        // serves it, and answers as the device does for a device key.
+        let idx = index(50);
+        let mut session = idx.device_session(&devices::a100());
+        let (key, fresh) = (b"h".to_vec(), b"i".to_vec());
+        session.insert_batch(&[(key.clone(), 1)]).unwrap();
+        let ops = [(key.clone(), DELETE), (key.clone(), 42)];
+        let superseded = [status::SUPERSEDED, status::APPLIED];
+        assert_eq!(session.update_batch(&ops).unwrap().0, superseded);
+        let ops = [(fresh.clone(), 5), (fresh.clone(), 6)];
+        let superseded = [insert_status::SUPERSEDED, insert_status::INSERTED];
+        assert_eq!(session.insert_batch(&ops).unwrap().0, superseded);
+        assert_eq!(session.lookup_batch(&[key, fresh]).unwrap().0, [42, 6]);
+    }
+
+    #[test]
+    fn a_pinned_session_takes_the_same_batch_rule() {
+        let idx = index(50);
+        let mut session = idx.device_session(&devices::a100());
+        session.set_cpu_only(true);
+        let key = (30u64).to_be_bytes().to_vec();
+        let ops = [(key.clone(), DELETE), (key.clone(), 42)];
+        let superseded = [status::SUPERSEDED, status::APPLIED];
+        assert_eq!(session.update_batch(&ops).unwrap().0, superseded);
+        assert_eq!(session.lookup_batch(&[key]).unwrap().0, [42]);
     }
 
     #[test]

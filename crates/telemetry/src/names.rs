@@ -179,8 +179,6 @@ catalog! {
     NET_FRAMES_IN = "cuart.net.frames_in";
     /// Response frames written to client connections.
     NET_FRAMES_OUT = "cuart.net.frames_out";
-    /// Payload bytes read off client connections.
-    NET_BYTES_IN = "cuart.net.bytes_in";
     /// Payload bytes written to client connections.
     NET_BYTES_OUT = "cuart.net.bytes_out";
     /// Frames rejected at decode time (bad magic/version/CRC/truncation).

@@ -355,3 +355,45 @@ fn library_code_takes_names_from_the_registry() {
         hits.join("\n")
     );
 }
+
+/// A catalogued name nothing writes is a series no run can show: every
+/// constant the catalog declares is named by library code outside it —
+/// before a file's `#[cfg(test)]`, outside comment lines.
+#[test]
+fn every_catalog_name_is_used_by_library_code() {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        rust_files(&krate.expect("dir entry").path().join("src"), &mut files);
+    }
+    let mut words = BTreeSet::new();
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with("telemetry/src/names.rs"))
+    {
+        let source = fs::read_to_string(file).expect("source is readable");
+        let code = source.split("#[cfg(test)]").next().unwrap_or_default();
+        let lines = code.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let split = |l: &str| {
+            l.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        words.extend(lines.flat_map(split));
+    }
+    let catalog = fs::read_to_string(root.join("crates/telemetry/src/names.rs")).expect("catalog");
+    let unused: Vec<&str> = catalog
+        .lines()
+        .filter_map(|l| Some(l.trim().split_once(" = \"")?.0))
+        .filter(|konst| {
+            konst
+                .bytes()
+                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+        })
+        .filter(|konst| !words.contains(*konst))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "catalogued but never used by library code: {unused:?}"
+    );
+}

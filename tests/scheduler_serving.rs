@@ -1,111 +1,23 @@
 //! Integration suite for the concurrent batch scheduler (`cuart-host`).
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here (what the scheduler answers is checked
+//! against the one oracle by `tests/differential.rs`):
 //!
-//! 1. **Equivalence** — results served through the scheduler (multiple
-//!    producers, adaptive batching, sorted execution, inverse-permutation
-//!    return) are byte-identical to `CuartIndex::lookup_batch_cpu`, for a
-//!    million-lookup four-producer run (scaled down in debug builds; CI
-//!    runs the full size under `--release`).
-//! 2. **Locality** — packing a batch in sorted key order must beat the
+//! 1. **Locality** — packing a batch in sorted key order must beat the
 //!    same workload in arrival order on the simulator's memory model:
 //!    strictly fewer DRAM transactions and strictly less modeled kernel
 //!    time. This is the measurable §3.1 coalescing win the sorted-batch
 //!    path exists for.
-//! 3. **Telemetry** — a scheduler run records the `cuart.sched.*` series
+//! 2. **Telemetry** — a scheduler run records the `cuart.sched.*` series
 //!    into the session's registry.
 
 use cuart::{CuartConfig, CuartIndex};
-use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
 use cuart_host::scheduler::{Scheduler, SchedulerConfig, SchedulerStats};
+use cuart_integration_tests::{dense_index, mix};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Dense 8-byte keyed index: value = key * 3 + 1.
-fn build_index(n: u64) -> Arc<CuartIndex> {
-    let mut art = Art::new();
-    for i in 0..n {
-        art.insert(&i.to_be_bytes(), i * 3 + 1).unwrap();
-    }
-    Arc::new(CuartIndex::build(&art, &CuartConfig::default()))
-}
-
-/// splitmix64, for deterministic in-test shuffles and key streams.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-#[test]
-fn four_producers_one_million_lookups_match_cpu_engine() {
-    // Full size only in release: the simulator's functional pass is too
-    // slow for a million debug-mode lookups. CI runs this suite with
-    // `--release` to get the full-size guarantee.
-    let total: u64 = if cfg!(debug_assertions) {
-        64 * 1024
-    } else {
-        1024 * 1024
-    };
-    let producers: u64 = 4;
-    let per_producer = total / producers;
-    let index = build_index(128 * 1024);
-    let cfg = SchedulerConfig {
-        batch_target: 16 * 1024,
-        deadline: Duration::from_micros(300),
-        sort_batches: true,
-        ..SchedulerConfig::default()
-    };
-    let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
-
-    let mut handles = Vec::new();
-    for p in 0..producers {
-        let client = sched.client().unwrap();
-        let index = Arc::clone(&index);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = p.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
-            let mut checked = 0u64;
-            const CHUNK: usize = 1024;
-            let mut done = 0u64;
-            while done < per_producer {
-                let count = CHUNK.min((per_producer - done) as usize);
-                // Mix of hits (dense range) and misses (shifted range).
-                let keys: Vec<Vec<u8>> = (0..count)
-                    .map(|_| (splitmix(&mut rng) % (256 * 1024)).to_be_bytes().to_vec())
-                    .collect();
-                let expect: Vec<u64> = index
-                    .lookup_batch_cpu(&keys)
-                    .into_iter()
-                    .map(|r| r.unwrap_or(NOT_FOUND))
-                    .collect();
-                let got = client.lookup(keys).expect("scheduler alive");
-                assert_eq!(got, expect, "producer {p} diverged at op {done}");
-                checked += count as u64;
-                done += count as u64;
-            }
-            checked
-        }));
-    }
-    let checked: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(checked, total);
-
-    let stats = sched.join().unwrap();
-    assert_eq!(stats.ops_enqueued, total);
-    assert_eq!(stats.keys_dispatched, total);
-    assert!(stats.batches >= 1);
-    assert!(
-        stats.sorted_batches == stats.batches,
-        "every batch takes the sorted path: {stats:?}"
-    );
-    assert!(
-        stats.mean_batch_fill() > 1024.0,
-        "four concurrent producers must coalesce beyond one request: {stats:?}"
-    );
-}
 
 /// Run one scheduler over `keys` as a single giant batch and return stats.
 fn one_batch_stats(index: &Arc<CuartIndex>, keys: &[Vec<u8>], sorted: bool) -> SchedulerStats {
@@ -133,13 +45,12 @@ fn sorted_batches_beat_arrival_order_on_the_memory_model() {
     // L2-resident tree would hide the win — every order then pays only
     // compulsory misses.
     let n: u64 = 512 * 1024;
-    let index = build_index(n);
+    let index = Arc::new(dense_index(n, &CuartConfig::default()));
     // A shuffled walk over the whole key range: arrival order carries no
     // locality, sorted order recovers all of it.
     let mut keys: Vec<Vec<u8>> = (0..n).map(|i| i.to_be_bytes().to_vec()).collect();
-    let mut rng = 0xC0FFEE;
     for i in (1..keys.len()).rev() {
-        keys.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+        keys.swap(i, (mix(0xC0FFEE ^ i as u64) % (i as u64 + 1)) as usize);
     }
     let batch = &keys[..16 * 1024];
 
@@ -181,13 +92,8 @@ fn sorted_batches_beat_arrival_order_on_the_memory_model() {
 fn scheduler_records_sched_telemetry_series() {
     use cuart_telemetry::{names, Telemetry};
     let telemetry = Arc::new(Telemetry::new());
-    let mut art = Art::new();
-    for i in 0..4096u64 {
-        art.insert(&i.to_be_bytes(), i).unwrap();
-    }
-    let index = Arc::new(
-        CuartIndex::build(&art, &CuartConfig::default()).with_telemetry(Arc::clone(&telemetry)),
-    );
+    let index = dense_index(4096, &CuartConfig::default()).with_telemetry(telemetry.clone());
+    let index = Arc::new(index);
     let cfg = SchedulerConfig {
         batch_target: 512,
         deadline: Duration::from_micros(200),
@@ -234,7 +140,7 @@ fn session_staging_survives_shrinking_batches_through_the_scheduler() {
     // `cuart-gpu-sim`: one executor session serves a large batch and then
     // a much smaller one, reusing its staging buffers. The small batch
     // must see only its own keys and results.
-    let index = build_index(8192);
+    let index = Arc::new(dense_index(8192, &CuartConfig::default()));
     let cfg = SchedulerConfig {
         batch_target: 1024 * 1024,
         deadline: Duration::from_micros(100),
