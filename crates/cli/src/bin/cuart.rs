@@ -1,8 +1,12 @@
 //! The `cuart` command-line tool. See the `cuart-cli` crate docs.
 
 use cuart_cli::*;
+use cuart_gpu_sim::{FaultConfig, FaultInjector};
+use cuart_host::scheduler::{AdmissionPolicy, SchedulerConfig};
+use cuart_net::NetServerConfig;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::time::Duration;
 
 /// Usage text; the `{...}` placeholders are the serving defaults, filled
 /// in from the config structs by [`usage`].
@@ -26,7 +30,7 @@ USAGE:
 
 SERVER FLAGS (serve, and bench-net's self-hosted server):
   [--device NAME[,NAME...]] [--batch {batch}] [--deadline-us {deadline_us}]
-  [--unsorted] [--fault-seed N] [--fault-rate P]
+  [--fault-seed N] [--fault-rate P]
   [--admission block|reject] [--admission-timeout-us N]
   [--queue-cap N] [--op-deadline-us N]
   [--metrics-out FILE] [--trace-out FILE] [--folded-out FILE]
@@ -55,7 +59,7 @@ OVERLOAD: --queue-cap bounds the scheduler's resident ops; a full queue
 blocks (default), fails fast (--admission reject) or blocks up to
 --admission-timeout-us (refused beside reject). --op-deadline-us sheds
 ops still queued past their budget with DeadlineExceeded instead of
-serving them late.
+serving them late; 0, like an absent flag, sets no budget.
 SCALE-OUT: --device with N comma-separated names serves from N key-space
 shards, one per named device (e.g. rtx3090,rtx3090,gtx1070,gtx1070);
 every shard has its own queue cap and circuit breaker, and per-shard
@@ -71,70 +75,142 @@ the same SERVER FLAGS on a self-hosted loopback port, and reports
 goodput (refusals counted, not fatal) and, self-hosted, both clocks.
 --smoke pins bench-net to 4 clients x 8192 ops in 256-key frames and,
 self-hosted, drills a pinned fault storm to breaker recovery (with
---fault-*) and a shed (with --op-deadline-us); --shutdown sends the
-drain frame to a --connect server when done.";
+--fault-rate or --fault-seed) and a shed (with --op-deadline-us);
+--shutdown sends the drain frame to a --connect server when done.";
 
-/// The flags [`serve_options`] reads: they configure a server, so
-/// `bench-net --connect` refuses them.
-const SERVER_FLAGS: &[&str] = &[
-    "device",
-    "batch",
-    "deadline-us",
-    "unsorted",
-    "fault-seed",
-    "fault-rate",
-    "admission",
-    "admission-timeout-us",
-    "queue-cap",
-    "op-deadline-us",
-    "metrics-out",
-    "trace-out",
-    "folded-out",
+/// What a flag is. A server flag takes a value and configures the
+/// server: `serve` and a self-hosted `bench-net` read it, and `bench-net
+/// --connect` refuses it.
+#[derive(PartialEq)]
+enum Kind {
+    Value,
+    Switch,
+    Server,
+}
+use Kind::{Server, Switch, Value};
+
+/// Every flag: its name, its kind and the commands that read it (besides
+/// `serve` and `bench-net` for a server flag). [`Args::parse`] reads the
+/// table to tell a value from a switch and to refuse a flag the command
+/// does not read; `bench-net --connect`, to refuse the server flags.
+const FLAGS: &[(&str, Kind, &str)] = &[
+    ("keys", Value, "build bench"),
+    ("out", Value, "build"),
+    ("hex", Switch, "build get range bench"),
+    ("lut-span", Value, "build"),
+    ("limit", Value, "range"),
+    ("batches", Value, "bench"),
+    ("listen", Value, "serve"),
+    ("window", Value, "serve"),
+    ("idle-timeout-ms", Value, "serve"),
+    ("allow-shutdown", Switch, "serve"),
+    ("connect", Value, "bench-net"),
+    ("shutdown", Switch, "bench-net"),
+    ("clients", Value, "bench-net"),
+    ("ops", Value, "bench-net"),
+    ("req-keys", Value, "bench-net"),
+    ("smoke", Switch, "bench-net"),
+    ("device", Server, "bench"),
+    ("batch", Server, "bench"),
+    ("deadline-us", Server, ""),
+    ("fault-seed", Server, "bench"),
+    ("fault-rate", Server, "bench"),
+    ("admission", Server, ""),
+    ("admission-timeout-us", Server, ""),
+    ("queue-cap", Server, ""),
+    ("op-deadline-us", Server, ""),
+    ("metrics-out", Server, "bench"),
+    ("trace-out", Server, "bench"),
+    ("folded-out", Server, "bench"),
 ];
 
-/// The flags each command reads (`serve` and `bench-net` also read
-/// [`SERVER_FLAGS`]); `None` for an unknown command.
-fn command_flags(cmd: &str) -> Option<&'static str> {
-    Some(match cmd {
-        "build" => "keys out hex lut-span",
-        "info" | "verify-trace" | "verify-snapshot" => "",
-        "get" => "hex",
-        "range" => "hex limit",
-        "bench" => {
-            "keys hex device batch batches fault-seed fault-rate \
-             metrics-out trace-out folded-out"
-        }
-        "serve" => "listen window idle-timeout-ms allow-shutdown",
-        "bench-net" => "connect clients ops req-keys smoke shutdown",
-        _ => return None,
-    })
-}
+type Run = fn(&Args) -> Result<String, CliError>;
+
+/// Every command and what it runs.
+const COMMANDS: &[(&str, Run)] = &[
+    ("build", |a| {
+        let (keys, out) = (a.required("keys", "FILE"), a.required("out", "FILE"));
+        let span = a.parsed("lut-span").unwrap_or(3);
+        cmd_build(Path::new(keys), Path::new(out), a.has("hex"), span)
+    }),
+    ("info", |a| cmd_info(a.index())),
+    ("get", |a| cmd_get(a.index(), a.pos(1, "KEY"), a.has("hex"))),
+    ("range", |a| {
+        let (lo, hi, limit) = (a.pos(1, "LO"), a.pos(2, "HI"), a.parsed("limit"));
+        cmd_range(a.index(), lo, hi, a.has("hex"), limit.unwrap_or(20))
+    }),
+    ("bench", |a| {
+        let hex = a.has("hex");
+        let keys = a.flag("keys").map(|p| load_key_file(Path::new(p), hex));
+        let dev = device_by_name(a.flag("device").unwrap_or("rtx3090"))?;
+        let batch = a.parsed("batch").unwrap_or(32 * 1024);
+        let batches = a.parsed("batches").unwrap_or(8);
+        let keys = keys.transpose()?;
+        cmd_bench(a.index(), keys, &dev, batch, batches, faults(a), &spill(a))
+    }),
+    ("serve", |a| {
+        let (listen, devs) = (a.required("listen", "ADDR"), devices(a)?);
+        let (sched, net) = (scheduler(a), net_server(a));
+        cmd_serve(a.index(), listen, &devs, sched, net, &spill(a))
+    }),
+    ("bench-net", |a| {
+        let target = match a.flag("connect") {
+            Some(addr) => {
+                let server = FLAGS
+                    .iter()
+                    .find(|(f, kind, _)| *kind == Server && a.has(f));
+                if let Some((flag, ..)) = server {
+                    fail(&format!(
+                        "--{flag} configures the self-hosted server; --connect drives an external one"
+                    ));
+                }
+                let shutdown = a.has("shutdown");
+                Target::Connect { addr, shutdown }
+            }
+            None => {
+                let (devs, sched, spill) = (devices(a)?, scheduler(a), spill(a));
+                Target::Host { devs, sched, spill }
+            }
+        };
+        let clients = a.parsed("clients").unwrap_or(4);
+        let ops = a.parsed("ops").unwrap_or(64 * 1024);
+        let req_keys = a.parsed("req-keys").unwrap_or(256);
+        let smoke = a.has("smoke");
+        cmd_bench_net(a.index(), target, clients, ops, req_keys, smoke)
+    }),
+    ("verify-trace", |a| {
+        cmd_verify_trace(Path::new(a.pos(0, "TRACE.json")))
+    }),
+    ("verify-snapshot", |a| cmd_verify_snapshot(a.index())),
+];
 
 struct Args {
     positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Split `raw` into positionals and the flags `cmd` reads; any other
+    /// flag, and a value flag without its value, fails.
+    fn parse(cmd: &str, raw: &[String]) -> Args {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             if let Some(name) = raw[i].strip_prefix("--") {
-                let takes_value = !matches!(
-                    name,
-                    "hex" | "unsorted" | "smoke" | "allow-shutdown" | "shutdown"
-                );
+                let Some((name, kind, _)) = FLAGS.iter().find(|f| f.0 == name && reads(cmd, f))
+                else {
+                    fail(&format!("{cmd} does not take --{name}"))
+                };
                 // A value flag at the end, or followed by another flag,
                 // has no value: refused, not recorded as present.
                 let value = match raw.get(i + 1) {
-                    _ if !takes_value => None,
+                    _ if *kind == Switch => None,
                     Some(v) if !v.starts_with("--") => Some(v.clone()),
                     _ => fail(&format!("--{name} takes a value")),
                 };
                 i += 1 + usize::from(value.is_some());
-                flags.push((name.to_string(), value));
+                flags.push((*name, value));
             } else {
                 positional.push(raw[i].clone());
                 i += 1;
@@ -146,7 +222,7 @@ impl Args {
     fn flag(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
     }
 
@@ -157,22 +233,42 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        self.flags.iter().any(|(n, _)| *n == name)
     }
 
-    fn pos(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(|s| s.as_str())
+    /// `--name VALUE`, which the command cannot run without.
+    fn required(&self, name: &str, what: &str) -> &str {
+        self.flag(name)
+            .unwrap_or_else(|| fail(&format!("missing --{name} {what}")))
+    }
+
+    /// The `i`-th positional argument, which the command cannot run without.
+    fn pos(&self, i: usize, what: &str) -> &str {
+        self.positional
+            .get(i)
+            .map(String::as_str)
+            .unwrap_or_else(|| fail(&format!("missing {what}")))
+    }
+
+    fn index(&self) -> &Path {
+        Path::new(self.pos(0, "INDEX"))
     }
 }
 
-/// [`USAGE`] with the defaults `cuart serve` ships — read from the same
-/// config structs the server is built from, so the text cannot drift.
+/// Whether `cmd` reads `flag`.
+fn reads(cmd: &str, &(_, ref kind, commands): &(&str, Kind, &str)) -> bool {
+    (*kind == Server && matches!(cmd, "serve" | "bench-net"))
+        || commands.split(' ').any(|c| c == cmd)
+}
+
+/// [`USAGE`] with the defaults `cuart serve` ships — read from the config
+/// types the server is built from, so the text cannot drift.
 fn usage() -> String {
-    let serve = ServeOptions::default();
+    let sched = SchedulerConfig::default();
     USAGE
-        .replace("{deadline_us}", &serve.deadline_us.to_string())
-        .replace("{batch}", &serve.batch.to_string())
-        .replace("{window}", &NetOptions::default().window.to_string())
+        .replace("{deadline_us}", &sched.deadline.as_micros().to_string())
+        .replace("{batch}", &sched.batch_target.to_string())
+        .replace("{window}", &NetServerConfig::default().window.to_string())
 }
 
 fn fail(msg: &str) -> ! {
@@ -180,19 +276,11 @@ fn fail(msg: &str) -> ! {
     exit(2)
 }
 
-fn required_path(_args: &Args, what: &str, value: Option<&str>) -> PathBuf {
-    match value {
-        Some(v) => PathBuf::from(v),
-        None => fail(&format!("missing {what}")),
-    }
-}
-
-/// Parse `--fault-seed` / `--fault-rate` into [`FaultOptions`]. Either
-/// flag switches injection on; the seed defaults to 0 and the rate to
-/// 0.05 (the 5 % drill rate).
-fn fault_options(args: &Args) -> Option<FaultOptions> {
-    let seed = args.parsed("fault-seed");
-    let rate: Option<f64> = args.parsed("fault-rate");
+/// `--fault-seed` / `--fault-rate`: either switches injection on; the seed
+/// defaults to 0 and the rate to 0.05 (the 5 % drill rate).
+fn faults(a: &Args) -> Option<FaultConfig> {
+    let seed = a.parsed("fault-seed");
+    let rate: Option<f64> = a.parsed("fault-rate");
     if seed.is_none() && rate.is_none() {
         return None;
     }
@@ -200,153 +288,128 @@ fn fault_options(args: &Args) -> Option<FaultOptions> {
     if !(0.0..=1.0).contains(&rate) {
         fail("bad --fault-rate (must be within 0.0..=1.0)");
     }
-    Some(FaultOptions {
-        seed: seed.unwrap_or(0),
-        rate,
-    })
+    Some(FaultConfig::uniform(seed.unwrap_or(0), rate))
 }
 
-/// Parse the server-side flags `serve` and self-hosted `bench-net` share
-/// ([`SERVER_FLAGS`] but the three spill paths).
-fn serve_options(args: &Args) -> ServeOptions {
-    let defaults = ServeOptions::default();
-    let timeout_us = args.parsed("admission-timeout-us");
-    let admission = match (args.flag("admission"), timeout_us) {
+/// `--device A,B,…`: one serving device, or one per key-space shard.
+fn devices(a: &Args) -> Result<Vec<cuart_gpu_sim::DeviceConfig>, CliError> {
+    devices_by_name(a.flag("device").unwrap_or("rtx3090"))
+}
+
+/// The server flags but `--device` and the spill's, as the config every
+/// scheduler of the server is built from.
+fn scheduler(a: &Args) -> SchedulerConfig {
+    let defaults = SchedulerConfig::default();
+    let timeout = a.parsed("admission-timeout-us").map(Duration::from_micros);
+    let admission = match (a.flag("admission"), timeout) {
         (Some("reject"), None) => AdmissionPolicy::Reject,
         (Some("reject"), Some(_)) => {
             fail("--admission reject does not take --admission-timeout-us")
         }
-        (Some("block") | None, Some(us)) => {
-            AdmissionPolicy::BlockWithTimeout(std::time::Duration::from_micros(us))
-        }
+        (Some("block") | None, Some(t)) => AdmissionPolicy::BlockWithTimeout(t),
         (Some("block") | None, None) => AdmissionPolicy::Block,
         (Some(other), _) => fail(&format!("bad --admission {other:?} (block|reject)")),
     };
-    ServeOptions {
-        device: args.flag("device").unwrap_or(&defaults.device).to_string(),
-        batch: args.parsed("batch").unwrap_or(defaults.batch),
-        deadline_us: args.parsed("deadline-us").unwrap_or(defaults.deadline_us),
-        unsorted: args.has("unsorted"),
-        faults: fault_options(args),
-        overload: OverloadOptions {
-            admission,
-            queue_cap: args.parsed("queue-cap").unwrap_or(0),
-            op_deadline_us: args.parsed("op-deadline-us"),
-        },
+    SchedulerConfig {
+        batch_target: a.parsed("batch").unwrap_or(defaults.batch_target),
+        deadline: a
+            .parsed("deadline-us")
+            .map_or(defaults.deadline, Duration::from_micros),
+        fault_injector: faults(a).map(FaultInjector::new),
+        queue_cap: a.parsed("queue-cap").unwrap_or(defaults.queue_cap),
+        admission,
+        // 0 is no budget, as on the wire.
+        op_deadline: a
+            .parsed("op-deadline-us")
+            .filter(|&us| us > 0)
+            .map(Duration::from_micros),
+        ..defaults
+    }
+}
+
+/// `--window`, `--idle-timeout-ms` (0 is never) and `--allow-shutdown`.
+fn net_server(a: &Args) -> NetServerConfig {
+    let defaults = NetServerConfig::default();
+    NetServerConfig {
+        window: a.parsed("window").unwrap_or(defaults.window),
+        idle_timeout: a
+            .parsed("idle-timeout-ms")
+            .filter(|&ms| ms > 0)
+            .map(Duration::from_millis),
+        allow_remote_shutdown: a.has("allow-shutdown"),
+    }
+}
+
+fn spill(a: &Args) -> Spill {
+    let path = |name| a.flag(name).map(PathBuf::from);
+    Spill {
+        metrics: path("metrics-out"),
+        trace: path("trace-out"),
+        folded: path("folded-out"),
     }
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
-        fail("no command");
-    }
-    let cmd = raw[0].clone();
-    let args = Args::parse(&raw[1..]);
-    if let Some(own) = command_flags(&cmd) {
-        let serving = matches!(cmd.as_str(), "serve" | "bench-net");
-        let known = |f: &str| {
-            own.split_whitespace().any(|o| o == f) || (serving && SERVER_FLAGS.contains(&f))
-        };
-        if let Some((flag, _)) = args.flags.iter().find(|(f, _)| !known(f)) {
-            fail(&format!("{cmd} does not take --{flag}"));
-        }
-    }
-    let hex = args.has("hex");
-    let metrics_out = args.flag("metrics-out").map(PathBuf::from);
-    let trace_out = args.flag("trace-out").map(PathBuf::from);
-    let folded_out = args.flag("folded-out").map(PathBuf::from);
-    let result = match cmd.as_str() {
-        "build" => {
-            let keys = required_path(&args, "--keys FILE", args.flag("keys"));
-            let out = required_path(&args, "--out FILE", args.flag("out"));
-            let span = args.parsed("lut-span").unwrap_or(3);
-            cmd_build(&keys, &out, hex, span)
-        }
-        "info" => cmd_info(&required_path(&args, "INDEX", args.pos(0))),
-        "get" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let key = args.pos(1).unwrap_or_else(|| fail("missing KEY"));
-            cmd_get(&idx, key, hex)
-        }
-        "range" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let lo = args.pos(1).unwrap_or_else(|| fail("missing LO"));
-            let hi = args.pos(2).unwrap_or_else(|| fail("missing HI"));
-            let limit = args.parsed("limit").unwrap_or(20);
-            cmd_range(&idx, lo, hi, hex, limit)
-        }
-        "bench" => cmd_bench(
-            &required_path(&args, "INDEX", args.pos(0)),
-            args.flag("keys").map(Path::new),
-            hex,
-            args.flag("device").unwrap_or("rtx3090"),
-            args.parsed("batch").unwrap_or(32 * 1024),
-            args.parsed("batches").unwrap_or(8),
-            fault_options(&args),
-            metrics_out.as_deref(),
-            trace_out.as_deref(),
-            folded_out.as_deref(),
-        ),
-        "serve" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let listen = args
-                .flag("listen")
-                .unwrap_or_else(|| fail("missing --listen ADDR"));
-            let defaults = NetOptions::default();
-            let net = NetOptions {
-                window: args.parsed("window").unwrap_or(defaults.window),
-                idle_timeout_ms: args.parsed("idle-timeout-ms").unwrap_or(0),
-                allow_shutdown: args.has("allow-shutdown"),
-            };
-            cmd_serve(
-                &idx,
-                listen,
-                &serve_options(&args),
-                net,
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-            )
-        }
-        "bench-net" => {
-            let idx = required_path(&args, "INDEX", args.pos(0));
-            let connect = args.flag("connect");
-            if connect.is_some() {
-                if let Some(flag) = SERVER_FLAGS.iter().find(|f| args.has(f)) {
-                    fail(&format!(
-                        "--{flag} configures the self-hosted server; --connect drives \
-                         an external one"
-                    ));
-                }
-            }
-            cmd_bench_net(
-                &idx,
-                connect,
-                args.parsed("clients").unwrap_or(4),
-                args.parsed("ops").unwrap_or(64 * 1024),
-                args.parsed("req-keys").unwrap_or(256),
-                args.has("smoke"),
-                args.has("shutdown"),
-                &serve_options(&args),
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-            )
-        }
-        "verify-trace" => cmd_verify_trace(&required_path(&args, "TRACE.json", args.pos(0))),
-        "verify-snapshot" => cmd_verify_snapshot(&required_path(&args, "INDEX", args.pos(0))),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            return;
-        }
-        other => fail(&format!("unknown command {other:?}")),
+    let Some((cmd, rest)) = raw.split_first() else {
+        fail("no command")
     };
-    match result {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return;
+    }
+    let Some((_, run)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        fail(&format!("unknown command {cmd:?}"))
+    };
+    match run(&Args::parse(cmd, rest)) {
         Ok(out) => println!("{out}"),
         Err(e) => {
             eprintln!("error: {e}");
             exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(cmd: &str, raw: &[&str]) -> Args {
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        Args::parse(cmd, &raw)
+    }
+
+    /// Every `--flag` spelled in the usage text is in [`FLAGS`], every
+    /// entry of [`FLAGS`] is spelled there, and so is every command the
+    /// table names.
+    #[test]
+    fn usage_and_flag_table_agree() {
+        let text = usage();
+        let spelled: std::collections::BTreeSet<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let table: std::collections::BTreeSet<&str> = FLAGS.iter().map(|f| f.0).collect();
+        assert_eq!(spelled, table);
+        assert_eq!(FLAGS.len(), table.len(), "a flag is listed twice");
+        for (cmd, _) in COMMANDS {
+            assert!(text.contains(&format!("  cuart {cmd} ")), "{cmd}");
+        }
+        for (flag, _, commands) in FLAGS {
+            for cmd in commands.split_whitespace() {
+                assert!(COMMANDS.iter().any(|(c, _)| *c == cmd), "--{flag}: {cmd}");
+            }
+        }
+    }
+
+    /// 0 means "none" for a latency budget, as on the wire and as for
+    /// `--queue-cap` and `--idle-timeout-ms`: a zero budget would shed
+    /// every request before the executor reached it.
+    #[test]
+    fn a_zero_op_deadline_is_no_deadline() {
+        let budget = |us: &str| scheduler(&args("serve", &["--op-deadline-us", us])).op_deadline;
+        assert_eq!(budget("0"), None);
+        assert_eq!(budget("500"), Some(Duration::from_micros(500)));
+        assert_eq!(scheduler(&args("serve", &[])).op_deadline, None);
     }
 }

@@ -168,10 +168,6 @@ pub struct SchedulerConfig {
     /// batch open before flushing it (deadline flush). Zero — the default
     /// — dispatches whatever is queued as soon as the executor is free.
     pub deadline: Duration,
-    /// Sort batch keys before dispatch and invert the permutation on
-    /// return. `false` packs in arrival order (used by the benchmarks to
-    /// measure the locality win, and by tests as the control).
-    pub sort_batches: bool,
     /// Optional fault injector attached to the executor's session at open
     /// time (so the journal covers the whole scheduler lifetime).
     pub fault_injector: Option<FaultInjector>,
@@ -209,7 +205,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             batch_target: 32_768,
             deadline: Duration::ZERO,
-            sort_batches: true,
             fault_injector: None,
             queue_cap: 0,
             admission: AdmissionPolicy::Block,
@@ -1138,7 +1133,6 @@ enum DispatchMode {
 /// stay under control (and under clippy's argument limit).
 struct ExecCtx<'a> {
     session: cuart::CuartSession<'a>,
-    cfg: &'a SchedulerConfig,
     queue: &'a SubmissionQueue,
     /// The queue's telemetry, resolved at spawn.
     telemetry: Option<&'a SchedTelemetry>,
@@ -1189,7 +1183,6 @@ fn executor(
     let linger = cfg.deadline;
     let mut ctx = ExecCtx {
         session,
-        cfg: &cfg,
         queue: &queue,
         telemetry,
         stats: SchedulerStats::default(),
@@ -1306,8 +1299,8 @@ impl ExecCtx<'_> {
     }
 
     /// Execute one same-kind run, dispatched at `now`, as a single device
-    /// batch — sorted, for point ops, when the config asks for it — and
-    /// reply to every request in it. Returns the instant the run ended.
+    /// batch — point ops sorted by key (§3.1) whenever there are two or
+    /// more — and reply to every request in it. Returns the instant the run ended.
     fn execute_run(&mut self, run: Vec<Request>, now: Instant) -> Instant {
         // Concatenate the run into one batch, remembering per-request
         // extents. The run owns its requests, so their payloads move: the
@@ -1329,7 +1322,7 @@ impl ExecCtx<'_> {
         // The run is dispatched at `now`: its oldest request has waited
         // this long, and the sort and the device leg below are not queueing.
         let queue_wait = oldest.map(|start| now.saturating_duration_since(start));
-        let perm = (self.cfg.sort_batches && total > 1)
+        let perm = (total > 1)
             .then(|| batch.sort_by_key(&mut self.sort_scratch))
             .flatten();
 
@@ -1947,7 +1940,6 @@ mod tests {
         let cfg = SchedulerConfig {
             batch_target: 1_000_000,
             deadline: Duration::from_millis(5),
-            sort_batches: true,
             ..SchedulerConfig::default()
         };
         let sched = spawn(&index, cfg);

@@ -414,9 +414,10 @@ struct ConnCtx {
 
 /// Read exactly `buf.len()` bytes, tolerating read-timeout ticks so the
 /// stop flag stays responsive. Partial progress is kept across ticks.
-/// Returns `Ok(false)` on clean EOF *before any byte* of `buf`. A peer
-/// that sends nothing for `idle_timeout` after `last_byte` ends the read
-/// the way EOF at that point would, mid-frame included.
+/// Returns `Ok(false)` on clean EOF *before any byte* of `buf`. The host
+/// clock is read once per pass, right after the read (the first pass
+/// needs none: no time has passed that a rule could count), and
+/// [`read_step`] applies the time rules at that instant.
 fn read_full(
     stream: &mut TcpStream,
     buf: &mut [u8],
@@ -424,45 +425,83 @@ fn read_full(
     idle_timeout: Option<Duration>,
     last_byte: &mut Instant,
 ) -> io::Result<bool> {
-    let mut filled = 0;
-    let mut stop_seen: Option<Instant> = None;
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    let (mut filled, mut stop_seen, mut now) = (0, None, *last_byte);
     while filled < buf.len() {
-        // Once draining, stop reading *new* frames; a frame we are midway
-        // through gets a short grace to finish arriving, then the
-        // connection closes (its request was never admitted).
-        if stop.load(Ordering::SeqCst) {
-            if filled == 0 {
-                return Ok(false);
-            }
-            let since = *stop_seen.get_or_insert_with(Instant::now);
-            if since.elapsed() > Duration::from_millis(500) {
-                return Ok(false);
-            }
+        let stopping = stop.load(Ordering::SeqCst);
+        match read_step(filled, stopping, stop_seen, *last_byte, idle_timeout, now) {
+            ReadStep::More => {}
+            end => return end.into_result(),
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break,
+        if stopping {
+            stop_seen.get_or_insert(now);
+        }
+        let read = stream.read(&mut buf[filled..]);
+        now = Instant::now();
+        match read {
+            Ok(0) => return ReadStep::end(filled).into_result(),
             Ok(n) => {
                 filled += n;
-                *last_byte = Instant::now();
+                *last_byte = now;
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if idle_timeout.is_some_and(|idle| last_byte.elapsed() > idle) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
             Err(e) => return Err(e),
         }
     }
-    // Complete, or ended by EOF or a stall: clean before the first byte.
-    if filled == buf.len() {
-        Ok(true)
-    } else if filled == 0 {
-        Ok(false)
+    Ok(true)
+}
+
+/// How long a draining server lets a frame it is midway through finish
+/// arriving; then the connection closes (the request was never admitted).
+const DRAIN_GRACE: Duration = Duration::from_millis(500);
+
+/// What [`read_full`] does next: read on, end as if nothing of the buffer
+/// had arrived (`Ok(false)`), or end mid-buffer (`UnexpectedEof`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadStep {
+    More,
+    Clean,
+    Truncated,
+}
+
+impl ReadStep {
+    /// A read cut off with `filled` bytes in: clean before the first byte.
+    fn end(filled: usize) -> ReadStep {
+        if filled == 0 {
+            ReadStep::Clean
+        } else {
+            ReadStep::Truncated
+        }
+    }
+
+    fn into_result(self) -> io::Result<bool> {
+        match self {
+            ReadStep::Truncated => Err(io::ErrorKind::UnexpectedEof.into()),
+            _ => Ok(false),
+        }
+    }
+}
+
+/// The time rules of [`read_full`] at `now`, with `filled` bytes of the
+/// buffer in. A peer that has sent nothing for `idle` since `last_byte`
+/// ends the read as EOF at that point would, mid-frame included. Once
+/// draining (`stop`, first seen at `stop_seen`, or now when `None`), no
+/// new buffer starts, and one midway gets [`DRAIN_GRACE`] to finish.
+fn read_step(
+    filled: usize,
+    stop: bool,
+    stop_seen: Option<Instant>,
+    last_byte: Instant,
+    idle: Option<Duration>,
+    now: Instant,
+) -> ReadStep {
+    let since = |t: Instant| now.saturating_duration_since(t);
+    if idle.is_some_and(|idle| since(last_byte) > idle) {
+        ReadStep::end(filled)
+    } else if stop && (filled == 0 || since(stop_seen.unwrap_or(now)) > DRAIN_GRACE) {
+        ReadStep::Clean
     } else {
-        Err(io::ErrorKind::UnexpectedEof.into())
+        ReadStep::More
     }
 }
 
@@ -752,4 +791,50 @@ fn refuse_malformed(stream: &mut TcpStream, ctx: &ConnCtx, e: &WireError) -> io:
         &ctx.counters,
         ctx.telemetry.as_deref(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// The drain grace and the idle stall, each 1 ns either side of its
+    /// boundary, before and after the first byte of the buffer.
+    #[test]
+    fn read_step_time_rules_at_exact_instants() {
+        use ReadStep::{Clean, More, Truncated};
+        let t0 = Instant::now();
+        let idle = Duration::from_millis(250);
+        // Draining, no idle timeout: a buffer not yet begun ends at once,
+        // whatever the time; one midway gets the grace, and not 1 ns more.
+        let drain = |filled, now| read_step(filled, true, Some(t0), t0, None, now);
+        for at in [t0 + DRAIN_GRACE - NS, t0 + DRAIN_GRACE + NS] {
+            assert_eq!(drain(0, at), Clean);
+        }
+        assert_eq!(drain(3, t0 + DRAIN_GRACE - NS), More);
+        assert_eq!(drain(3, t0 + DRAIN_GRACE), More);
+        assert_eq!(drain(3, t0 + DRAIN_GRACE + NS), Clean);
+        // The stop is seen for the first time now: the grace starts now.
+        let late = t0 + 10 * DRAIN_GRACE;
+        assert_eq!(read_step(3, true, None, late, None, late), More);
+        // Idle, not draining: a stall before the first byte is a clean
+        // end, after it a truncation.
+        let stall = |filled, now| read_step(filled, false, None, t0, Some(idle), now);
+        assert_eq!(stall(0, t0 + idle - NS), More);
+        assert_eq!(stall(0, t0 + idle), More);
+        assert_eq!(stall(0, t0 + idle + NS), Clean);
+        assert_eq!(stall(3, t0 + idle - NS), More);
+        assert_eq!(stall(3, t0 + idle + NS), Truncated);
+        // No idle timeout never stalls; a byte resets the stall clock.
+        assert_eq!(read_step(3, false, None, t0, None, t0 + 1000 * idle), More);
+        let byte = t0 + idle;
+        assert_eq!(
+            read_step(3, false, None, byte, Some(idle), byte + idle - NS),
+            More
+        );
+        // A stall inside the drain grace still truncates.
+        let both = read_step(3, true, Some(t0), t0, Some(idle), t0 + idle + NS);
+        assert_eq!(both, Truncated);
+    }
 }

@@ -24,7 +24,6 @@ fn cfg(batch_target: usize, faults: Option<FaultConfig>) -> SchedulerConfig {
     SchedulerConfig {
         batch_target,
         deadline: Duration::from_micros(300),
-        sort_batches: true,
         fault_injector: faults.map(FaultInjector::new),
         ..SchedulerConfig::default()
     }

@@ -80,7 +80,6 @@ fn concurrent_clients_match_the_cpu_engine_through_a_sharded_fleet() {
     let cfg = SchedulerConfig {
         batch_target: 4 * 1024,
         deadline: Duration::from_micros(300),
-        sort_batches: true,
         ..SchedulerConfig::default()
     };
     let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).unwrap();

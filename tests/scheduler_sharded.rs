@@ -50,7 +50,6 @@ fn sharded_cfg(batch_target: usize) -> SchedulerConfig {
     SchedulerConfig {
         batch_target,
         deadline: Duration::from_micros(300),
-        sort_batches: true,
         ..SchedulerConfig::default()
     }
 }
@@ -185,7 +184,6 @@ fn four_homogeneous_shards_scale_modeled_throughput() {
         let cfg = SchedulerConfig {
             batch_target: total,
             deadline: Duration::from_micros(300),
-            sort_batches: true,
             ..SchedulerConfig::default()
         };
         let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).unwrap();
