@@ -168,6 +168,9 @@ const COMMANDS: &[(&str, Run)] = &[
                 Target::Connect { addr, shutdown }
             }
             None => {
+                if a.has("shutdown") {
+                    fail("--shutdown drains a --connect server; a self-hosted one drains itself");
+                }
                 let (devs, sched, spill) = (devices(a)?, scheduler(a), spill(a));
                 Target::Host { devs, sched, spill }
             }

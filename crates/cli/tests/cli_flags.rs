@@ -153,3 +153,23 @@ fn a_value_flag_without_its_value_is_refused() {
         "--metrics-out takes a value",
     );
 }
+
+/// `--shutdown` drains a `--connect` server. A self-hosted `bench-net`
+/// drains its own server, so there the flag is refused like a server flag
+/// beside `--connect`, before any file is opened.
+#[test]
+fn shutdown_without_connect_is_refused() {
+    let args = ["bench-net", "idx.cuart", "--shutdown", "--ops", "64"];
+    assert_usage_error(&[&args[..], &["--clients", "1"]].concat(), "--shutdown");
+    assert_usage_error(
+        &[
+            "bench-net",
+            "idx.cuart",
+            "--connect",
+            "127.0.0.1:9",
+            "--batch",
+            "8",
+        ],
+        "--batch configures the self-hosted server",
+    );
+}

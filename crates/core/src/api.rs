@@ -32,6 +32,7 @@ use crate::cpu;
 use crate::error::{CuartError, RetryPolicy};
 use crate::insert::{insert_status, ArenaTails, CuartInsertKernel};
 use crate::kernels::{CuartLookupKernel, DeviceTree, HOST_SIGNAL};
+use crate::keys::KeySource;
 use crate::link::LinkType;
 use crate::mapper::{map_art, MAX_DEVICE_KEY};
 use crate::overlay::{Home, HostOverlay};
@@ -495,14 +496,10 @@ enum Kind {
 
 /// A [`Kind`] as a type parameter: the skeleton and its helpers are
 /// monomorphised per kind, so every `match K::KIND` folds at compile time
-/// and no per-key call goes through a pointer.
+/// and no per-key call goes through a pointer. Every kind reads its ops
+/// through one [`KeySource`].
 trait PointKind {
     const KIND: Kind;
-    /// One op as the caller passes it: a bare key for lookups, `(key,
-    /// value)` for updates and inserts.
-    type Op;
-    /// The op's key and the value staged next to it.
-    fn split(op: &Self::Op) -> (&[u8], u64);
 }
 
 struct Lookup;
@@ -511,26 +508,14 @@ struct Insert;
 
 impl PointKind for Lookup {
     const KIND: Kind = Kind::Lookup;
-    type Op = Vec<u8>;
-    fn split(key: &Vec<u8>) -> (&[u8], u64) {
-        (key, 0)
-    }
 }
 
 impl PointKind for Update {
     const KIND: Kind = Kind::Update;
-    type Op = (Vec<u8>, u64);
-    fn split((key, value): &Self::Op) -> (&[u8], u64) {
-        (key, *value)
-    }
 }
 
 impl PointKind for Insert {
     const KIND: Kind = Kind::Insert;
-    type Op = (Vec<u8>, u64);
-    fn split((key, value): &Self::Op) -> (&[u8], u64) {
-        (key, *value)
-    }
 }
 
 /// Metric and span names of one batch kind.
@@ -957,13 +942,13 @@ impl<'a> CuartSession<'a> {
     /// on that key answers `SUPERSEDED` — `MISS` when that winner missed.
     fn on_host_batch<K: PointKind>(
         &mut self,
-        ops: &[K::Op],
+        ops: &(impl KeySource + ?Sized),
         which: impl DoubleEndedIterator<Item = (usize, Home)>,
         out: &mut [u64],
     ) {
         let mut won: HashMap<&[u8], u64> = HashMap::new();
         for (i, home) in which.rev() {
-            let (key, value) = K::split(&ops[i]);
+            let (key, value) = (ops.key(i), ops.value(i));
             out[i] = match (K::KIND, won.get(key)) {
                 (Kind::Update, Some(&status::MISS)) => status::MISS,
                 (Kind::Update, Some(_)) => status::SUPERSEDED,
@@ -1036,15 +1021,15 @@ impl<'a> CuartSession<'a> {
     /// for a launch, in `which` order.
     fn stage<K: PointKind>(
         &mut self,
-        ops: &[K::Op],
+        ops: &(impl KeySource + ?Sized),
         which: &[usize],
     ) -> Result<Staging, CuartError> {
         let st = self.ensure_staging(which.len());
-        let keys = which.iter().map(|&i| K::split(&ops[i]).0);
+        let keys = which.iter().map(|&i| ops.key(i));
         pack_keys_into(&mut self.mem, st.queries, &st.layout, keys)?;
         if K::KIND != Kind::Lookup {
             for (j, &i) in which.iter().enumerate() {
-                self.mem.write_u64(st.values, j * 8, K::split(&ops[i]).1);
+                self.mem.write_u64(st.values, j * 8, ops.value(i));
             }
         }
         Ok(st)
@@ -1112,7 +1097,7 @@ impl<'a> CuartSession<'a> {
     /// record. Answers come back in op order.
     fn point_batch<K: PointKind>(
         &mut self,
-        ops: &[K::Op],
+        ops: &(impl KeySource + ?Sized),
     ) -> Result<(Vec<u64>, KernelReport), CuartError> {
         self.try_recover();
         let stride_max = KeyBatchLayout {
@@ -1126,8 +1111,8 @@ impl<'a> CuartSession<'a> {
         // their indices and the packer copies each key once, into staging.
         let mut device_idx = Vec::with_capacity(ops.len());
         let mut host = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let key = K::split(op).0;
+        for i in 0..ops.len() {
+            let key = ops.key(i);
             // An empty key is refused: it keeps the default answer.
             if !key.is_empty() {
                 match self.off_device::<K>(key, stride_max) {
@@ -1153,11 +1138,10 @@ impl<'a> CuartSession<'a> {
                         let raw = self.mem.read_u64(st.results, j * 8);
                         out[i] = match K::KIND {
                             // Host-leaf signals finish on the CPU (§3.2.3
-                            // option 2).
-                            Kind::Lookup => {
-                                host_spills +=
-                                    u64::from(raw != NOT_FOUND && raw & HOST_SIGNAL != 0);
-                                self.index.resolve_host_signal(raw, K::split(&ops[i]).0)
+                            // option 2); only they read the key again.
+                            Kind::Lookup if raw != NOT_FOUND && raw & HOST_SIGNAL != 0 => {
+                                host_spills += 1;
+                                self.index.resolve_host_signal(raw, ops.key(i))
                             }
                             _ => raw,
                         };
@@ -1171,7 +1155,7 @@ impl<'a> CuartSession<'a> {
                         let journaling = self.keeps_journal();
                         let mut spilled = HashSet::new();
                         for &i in device_idx.iter().rev() {
-                            let (key, value) = K::split(&ops[i]);
+                            let (key, value) = (ops.key(i), ops.value(i));
                             if K::KIND == Kind::Insert
                                 && out[i] == insert_status::SPILLED
                                 && !spilled.insert(key)
@@ -1189,7 +1173,7 @@ impl<'a> CuartSession<'a> {
                             .iter()
                             .filter(|&&i| {
                                 out[i] == K::KIND.default_answer()
-                                    && self.overlay.is_parked(K::split(&ops[i]).0)
+                                    && self.overlay.is_parked(ops.key(i))
                             })
                             .map(|&i| (i, Home::Host))
                             .collect();
@@ -1245,7 +1229,7 @@ impl<'a> CuartSession<'a> {
         &mut self,
         statuses: &mut [u64],
         device_idx: &[usize],
-        ops: &[K::Op],
+        ops: &(impl KeySource + ?Sized),
         report: &mut KernelReport,
     ) -> Result<(), CuartError> {
         let Some(exhausted) = K::KIND.exhausted() else {
@@ -1369,7 +1353,7 @@ impl<'a> CuartSession<'a> {
     /// rather than failing the batch.
     pub fn lookup_batch(
         &mut self,
-        keys: &[Vec<u8>],
+        keys: &(impl KeySource + ?Sized),
     ) -> Result<(Vec<u64>, KernelReport), CuartError> {
         self.point_batch::<Lookup>(keys)
     }
@@ -1384,7 +1368,7 @@ impl<'a> CuartSession<'a> {
     /// [`CuartError::HashTableFull`].
     pub fn update_batch(
         &mut self,
-        ops: &[(Vec<u8>, u64)],
+        ops: &(impl KeySource + ?Sized),
     ) -> Result<(Vec<u64>, KernelReport), CuartError> {
         self.point_batch::<Update>(ops)
     }
@@ -1400,7 +1384,7 @@ impl<'a> CuartSession<'a> {
     /// rather than failing the batch.
     pub fn insert_batch(
         &mut self,
-        ops: &[(Vec<u8>, u64)],
+        ops: &(impl KeySource + ?Sized),
     ) -> Result<(Vec<u64>, KernelReport), CuartError> {
         self.point_batch::<Insert>(ops)
     }

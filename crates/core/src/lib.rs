@@ -67,6 +67,7 @@ pub mod cpu;
 pub mod error;
 pub mod insert;
 pub mod kernels;
+pub mod keys;
 pub mod layout;
 pub mod link;
 pub mod mapper;
@@ -80,6 +81,7 @@ pub use api::{CuartIndex, CuartSession, FaultStats, Mode};
 pub use buffers::{CuartBuffers, CuartConfig, LongKeyPolicy};
 pub use error::{CuartError, RetryPolicy};
 pub use kernels::DeviceTree;
+pub use keys::{KeyBatch, KeySource};
 pub use link::NodeLink;
 pub use shard::ShardRouter;
 pub use update::DELETE;

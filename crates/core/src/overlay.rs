@@ -93,7 +93,12 @@ impl<'a> HostOverlay<'a> {
     pub(crate) fn set(&mut self, key: &[u8], value: Option<u64>, home: Home) {
         let entry = Entry { value, home };
         let old = if value.is_some() || self.in_image(key) {
-            self.entries.insert(key.to_vec(), entry)
+            // A key already held is overwritten in place: a batch that
+            // rewrites the keys it wrote before allocates nothing here.
+            match self.entries.get_mut(key) {
+                Some(held) => Some(std::mem::replace(held, entry)),
+                None => self.entries.insert(key.to_vec(), entry),
+            }
         } else {
             self.entries.remove(key)
         };

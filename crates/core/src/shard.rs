@@ -21,6 +21,8 @@
 //! * **stateless** — routing needs no tree access, only the key bytes, so
 //!   a router can split batches before any device is touched.
 
+use crate::keys::KeySource;
+
 /// Number of leading key bytes folded into the routing fraction. Eight
 /// bytes (one `u64`) always covers the root LUT span (≤ 3 in practice),
 /// so routing never splits a LUT slot across shards.
@@ -72,11 +74,16 @@ impl ShardRouter {
     /// Split a batch into per-shard index lists, preserving arrival order
     /// within each shard (the split is stable). `lists[s]` holds the
     /// positions in `keys` routed to shard `s`; concatenating the lists
-    /// in shard order yields a permutation of `0..keys.len()`.
-    pub fn split_indices(&self, keys: &[Vec<u8>]) -> Vec<Vec<usize>> {
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); self.shards];
-        for (i, k) in keys.iter().enumerate() {
-            lists[self.shard_of(k)].push(i);
+    /// in shard order yields a permutation of `0..keys.len()`. Each list
+    /// is sized in a first pass, so the split allocates once per shard.
+    pub fn split_indices(&self, keys: &(impl KeySource + ?Sized)) -> Vec<Vec<usize>> {
+        let mut sizes = vec![0usize; self.shards];
+        for i in 0..keys.len() {
+            sizes[self.shard_of(keys.key(i))] += 1;
+        }
+        let mut lists: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for i in 0..keys.len() {
+            lists[self.shard_of(keys.key(i))].push(i);
         }
         lists
     }

@@ -14,7 +14,7 @@
 //! `lookup_batch_device` share: an over-stride key answers [`NOT_FOUND`].
 //!
 //! The module also hosts the **sorted-batch** helpers ([`sort_permutation`],
-//! [`gather`] / [`take_permuted`], [`scatter_inverse`]): packing a batch in key order makes
+//! [`gather`], [`scatter_inverse`]): packing a batch in key order makes
 //! adjacent kernel threads traverse neighboring tree paths, which the
 //! coalescing and cache models reward (§3.1 of the paper). The sort keys
 //! each item by a cached 8-byte prefix and reads a full key only on a tie,
@@ -225,66 +225,39 @@ pub fn lookup_fitting(
 /// `perm[i]` is the original index of the key placed at sorted position
 /// `i`. Stability matters for update batches — duplicate keys keep their
 /// submission order, so "last write wins" semantics survive sorting.
+///
+/// Each key is read once, into a cached 8-byte prefix beside its index;
+/// the sort compares prefixes and touches the full keys only on a tie. The
+/// index breaks the remaining ties, so the order is total and equals the
+/// stable sort's. The scheduler's executor sorts its runs by the same
+/// rule (`cuart::keys::RunOrder`).
 pub fn sort_permutation(keys: &[Vec<u8>]) -> Vec<usize> {
-    sort_permutation_by_key(keys, |k| k, &mut SortScratch::default())
-}
-
-/// The reusable scratch of [`sort_permutation_by_key`]: one `(prefix,
-/// index)` pair per item. A caller that sorts batch after batch keeps one,
-/// so a sort allocates nothing but the permutation it returns.
-#[derive(Debug, Default)]
-pub struct SortScratch {
-    tagged: Vec<(u64, usize)>,
+    let mut tagged: Vec<(u64, usize)> = keys.iter().map(|k| key_prefix(k)).zip(0..).collect();
+    tagged.sort_unstable_by(|&(pa, a), &(pb, b)| {
+        pa.cmp(&pb)
+            .then_with(|| keys[a].cmp(&keys[b]))
+            .then(a.cmp(&b))
+    });
+    tagged.into_iter().map(|(_, i)| i).collect()
 }
 
 /// The first 8 bytes of `key`, zero-padded, as a big-endian `u64`. Keys
 /// whose prefixes differ compare as their prefixes do (a key that ends
 /// inside the 8 bytes pads with zeros and sorts first, as a proper prefix
 /// does); only equal prefixes need the full keys.
-fn prefix(key: &[u8]) -> u64 {
+pub fn key_prefix(key: &[u8]) -> u64 {
+    if let Some(head) = key.first_chunk::<8>() {
+        return u64::from_be_bytes(*head);
+    }
     let mut bytes = [0u8; 8];
-    let n = key.len().min(8);
-    bytes[..n].copy_from_slice(&key[..n]);
+    bytes[..key.len()].copy_from_slice(key);
     u64::from_be_bytes(bytes)
-}
-
-/// [`sort_permutation`] over items that carry their key (an update's
-/// `(key, value)` pair sorts by its key), so a batch is sorted where it
-/// lies instead of being split into keys and payload first.
-///
-/// Each key is read once, into a cached 8-byte prefix beside its index in
-/// `scratch`; the sort compares prefixes and touches the full keys only on
-/// a tie. The index breaks the remaining ties, so the order is total and
-/// equals the stable sort's: duplicates keep their submission order.
-pub fn sort_permutation_by_key<T>(
-    items: &[T],
-    key: impl Fn(&T) -> &[u8],
-    scratch: &mut SortScratch,
-) -> Vec<usize> {
-    let tagged = &mut scratch.tagged;
-    tagged.clear();
-    tagged.extend(items.iter().map(|item| prefix(key(item))).zip(0..));
-    tagged.sort_unstable_by(|&(pa, a), &(pb, b)| {
-        pa.cmp(&pb)
-            .then_with(|| key(&items[a]).cmp(key(&items[b])))
-            .then(a.cmp(&b))
-    });
-    tagged.iter().map(|&(_, i)| i).collect()
 }
 
 /// Gather `items` into permutation order: `out[i] = items[perm[i]]`.
 /// Used to build the sorted batch that is handed to the device.
 pub fn gather<T: Clone>(items: &[T], perm: &[usize]) -> Vec<T> {
     perm.iter().map(|&i| items[i].clone()).collect()
-}
-
-/// [`gather`] for a caller that owns `items` and is done with them: every
-/// item is moved out (a default is left behind), so a batch of heap keys
-/// is permuted without copying one. `perm` names each index at most once.
-pub fn take_permuted<T: Default>(items: &mut [T], perm: &[usize]) -> Vec<T> {
-    perm.iter()
-        .map(|&i| std::mem::take(&mut items[i]))
-        .collect()
 }
 
 /// Scatter `results` (in sorted/batch order) back to submission order by
@@ -417,7 +390,6 @@ mod tests {
         let mut expect = keys.clone();
         expect.sort();
         assert_eq!(sorted, expect);
-        assert_eq!(take_permuted(&mut keys.clone(), &perm), expect);
         // Results computed in sorted order come back in submission order.
         let sorted_results: Vec<u64> = perm.iter().map(|&i| i as u64 * 10).collect();
         let restored = scatter_inverse(&sorted_results, &perm);
@@ -441,9 +413,9 @@ mod tests {
     }
 
     /// The permutation a plain stable sort of the keys gives.
-    fn stable_reference<T>(items: &[T], key: impl Fn(&T) -> &[u8]) -> Vec<usize> {
-        let mut perm: Vec<usize> = (0..items.len()).collect();
-        perm.sort_by(|&a, &b| key(&items[a]).cmp(key(&items[b])));
+    fn stable_reference(keys: &[Vec<u8>]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..keys.len()).collect();
+        perm.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
         perm
     }
 
@@ -475,13 +447,7 @@ mod tests {
                 .iter()
                 .map(|&(len, bits, shared)| key_of(len, bits, shared))
                 .collect();
-            // One scratch across both sorts, as the scheduler keeps it.
-            let mut scratch = SortScratch::default();
-            let perm = sort_permutation_by_key(&keys, |k| k, &mut scratch);
-            proptest::prop_assert_eq!(&perm, &stable_reference(&keys, |k| k));
-            let pairs: Vec<(Vec<u8>, u64)> = keys.into_iter().zip(0..).collect();
-            let perm = sort_permutation_by_key(&pairs, |op| &op.0, &mut scratch);
-            proptest::prop_assert_eq!(perm, stable_reference(&pairs, |op| &op.0));
+            proptest::prop_assert_eq!(sort_permutation(&keys), stable_reference(&keys));
         }
     }
 }

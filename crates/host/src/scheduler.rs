@@ -32,14 +32,15 @@
 //! while work is queued.
 //!
 //! Before dispatch the batch keys are **sorted** (stable, via
-//! [`sort_permutation_by_key`]) so that adjacent kernel lanes traverse neighboring
-//! tree paths — the coalescing win §3.1 argues for — and the **inverse
-//! permutation** is applied on return so every caller sees results in its
-//! own submission order. Stability preserves last-write-wins semantics for
-//! duplicate update keys. The sort runs on the executor thread over keys
-//! the producers allocated, so it compares cached 8-byte key prefixes and
-//! reads a full key only on a tie; the prefix scratch lives as long as the
-//! executor.
+//! [`RunOrder`]) so that adjacent kernel lanes traverse neighboring
+//! tree paths — the coalescing win §3.1 argues for — and each answer is
+//! put back in its request's submission order on return. Stability
+//! preserves last-write-wins semantics for duplicate update keys. The sort
+//! is a permutation over the requests' [`KeyBatch`]es where they lie: it
+//! reads each key's 8-byte prefix in one sequential pass over the stores,
+//! compares prefixes and reads a full key only on a tie; its scratch lives
+//! as long as the executor. No key is moved or copied before the session
+//! stages it.
 //!
 //! Cross-kind ordering is preserved: the pending queue is FIFO over whole
 //! requests, and a flush executes it as maximal same-kind *head runs* (all
@@ -58,9 +59,11 @@
 //! has several requests in flight from one thread.
 //!
 //! The op travels intact: the queued request holds the [`SchedOp`] it was
-//! submitted with, the executor concatenates a same-kind run by appending
-//! payloads (moves), and the session is handed a borrowed slice of the
-//! payload the batch already owns — one `execute_run` for all four kinds.
+//! submitted with. The executor hands a point run to the session as a
+//! [`SortedRun`] over the requests' own key batches, and a range run as
+//! the concatenation of its requests' lists (moves) — one `execute_run`
+//! for all four kinds. A run's key batches are freed once every request
+//! in it is answered, one buffer per request.
 //!
 //! # Overload protection
 //!
@@ -101,11 +104,11 @@
 //! be tested at exact instants.
 //!
 //! Everything here is `std`-only: a `Mutex` + two `Condvar`s for the
-//! bounded submission queue, `std::sync::mpsc` for per-request replies,
+//! bounded submission queue, one more pair per request for its reply,
 //! `std::thread` for the executor.
 
-use cuart::{CuartError, CuartIndex};
-use cuart_gpu_sim::batch::{scatter_inverse, sort_permutation_by_key, take_permuted, SortScratch};
+use cuart::keys::{RunKey, RunOrder, SortedRun};
+use cuart::{CuartError, CuartIndex, KeyBatch};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{
@@ -114,7 +117,6 @@ use cuart_telemetry::{
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -352,17 +354,24 @@ impl From<&CuartError> for SchedError {
 pub type RangeRows = Vec<(Vec<u8>, u64)>;
 
 /// One request: a slice of same-kind operations from one caller.
+///
+/// Point keys travel as one [`KeyBatch`] — on the wire path, the decoded
+/// frame's payload itself — with update and insert values beside it, one
+/// per key. The batch moves through the router, the queue and the
+/// executor unchanged; the executor sorts a permutation over it, and the
+/// session stages each key straight from its store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedOp {
     /// Point lookups; answered with one value per key
     /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
-    Lookup(Vec<Vec<u8>>),
-    /// Point updates (`DELETE` as the value deletes); answered with one
-    /// status per op (see [`status`](cuart::update::status)).
-    Update(Vec<(Vec<u8>, u64)>),
-    /// Point inserts; answered with one status per op (see
-    /// [`insert_status`](cuart::insert::insert_status)).
-    Insert(Vec<(Vec<u8>, u64)>),
+    Lookup(KeyBatch),
+    /// Point updates, one value per key (`DELETE` as the value deletes);
+    /// answered with one status per op (see
+    /// [`status`](cuart::update::status)).
+    Update(KeyBatch, Vec<u64>),
+    /// Point inserts, one value per key; answered with one status per op
+    /// (see [`insert_status`](cuart::insert::insert_status)).
+    Insert(KeyBatch, Vec<u64>),
     /// Inclusive `[lo, hi]` range queries; answered with one sorted row
     /// list per pair (see
     /// [`CuartSession::range_batch`](cuart::CuartSession::range_batch)).
@@ -371,52 +380,71 @@ pub enum SchedOp {
     Range(Vec<(Vec<u8>, Vec<u8>)>),
 }
 
+/// The kind of a [`SchedOp`]: a run is one kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Lookup,
+    Update,
+    Insert,
+    Range,
+}
+
 impl SchedOp {
+    /// Point lookups of `keys`, copied into one [`KeyBatch`].
+    pub fn lookups(keys: &[Vec<u8>]) -> SchedOp {
+        SchedOp::Lookup(KeyBatch::from_keys(keys.iter()))
+    }
+
+    /// Point updates of `ops`' keys to their values.
+    pub fn updates(ops: &[(Vec<u8>, u64)]) -> SchedOp {
+        let (keys, values) = split_ops(ops);
+        SchedOp::Update(keys, values)
+    }
+
+    /// Point inserts of `ops`' keys with their values.
+    pub fn inserts(ops: &[(Vec<u8>, u64)]) -> SchedOp {
+        let (keys, values) = split_ops(ops);
+        SchedOp::Insert(keys, values)
+    }
+
     /// Number of ops in the request.
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         match self {
-            SchedOp::Lookup(keys) => keys.len(),
-            SchedOp::Update(ops) | SchedOp::Insert(ops) => ops.len(),
+            SchedOp::Lookup(keys) | SchedOp::Update(keys, _) | SchedOp::Insert(keys, _) => {
+                keys.len()
+            }
             SchedOp::Range(ranges) => ranges.len(),
         }
     }
 
-    fn same_kind(&self, other: &SchedOp) -> bool {
-        std::mem::discriminant(self) == std::mem::discriminant(other)
+    /// Whether the request holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Move `other`'s ops onto the end of this request. Head runs are
-    /// same-kind by construction; a mismatched payload is dropped.
-    fn append(&mut self, other: SchedOp) {
-        match (self, other) {
-            (SchedOp::Lookup(a), SchedOp::Lookup(mut b)) => a.append(&mut b),
-            (SchedOp::Update(a), SchedOp::Update(mut b))
-            | (SchedOp::Insert(a), SchedOp::Insert(mut b)) => a.append(&mut b),
-            (SchedOp::Range(a), SchedOp::Range(mut b)) => a.append(&mut b),
-            _ => debug_assert!(false, "a run mixes op kinds"),
-        }
-    }
-
-    /// Sorted-batch composition for point ops: put them in key order and
-    /// return the permutation that did it. The sort is stable, so
-    /// duplicate keys keep their submission order and kernel-side "highest
-    /// tid wins" still resolves to the latest submitted op. Ranges are
-    /// never sorted — each request's `[lo, hi]` pairs keep arrival order,
-    /// and rows come back sorted per range by construction.
-    fn sort_by_key(&mut self, scratch: &mut SortScratch) -> Option<Vec<usize>> {
-        fn sort<T: Default>(
-            items: &mut Vec<T>,
-            key: impl Fn(&T) -> &[u8],
-            scratch: &mut SortScratch,
-        ) -> Vec<usize> {
-            let perm = sort_permutation_by_key(items, key, scratch);
-            *items = take_permuted(items, &perm);
-            perm
-        }
+    fn kind(&self) -> OpKind {
         match self {
-            SchedOp::Lookup(keys) => Some(sort(keys, |k| k, scratch)),
-            SchedOp::Update(ops) | SchedOp::Insert(ops) => Some(sort(ops, |op| &op.0, scratch)),
-            SchedOp::Range(_) => None,
+            SchedOp::Lookup(_) => OpKind::Lookup,
+            SchedOp::Update(..) => OpKind::Update,
+            SchedOp::Insert(..) => OpKind::Insert,
+            SchedOp::Range(_) => OpKind::Range,
+        }
+    }
+
+    /// A write request whose values do not pair up with its keys, refused
+    /// at submission.
+    pub(crate) fn unpaired(&self) -> Option<SchedError> {
+        match self {
+            SchedOp::Update(keys, values) | SchedOp::Insert(keys, values)
+                if keys.len() != values.len() =>
+            {
+                Some(SchedError::Session(format!(
+                    "{} keys but {} values",
+                    keys.len(),
+                    values.len()
+                )))
+            }
+            _ => None,
         }
     }
 
@@ -427,6 +455,12 @@ impl SchedOp {
             _ => SchedAnswer::Values(Vec::new()),
         }
     }
+}
+
+/// The keys of `ops` in one [`KeyBatch`], and their values beside it.
+fn split_ops(ops: &[(Vec<u8>, u64)]) -> (KeyBatch, Vec<u64>) {
+    let keys = KeyBatch::from_keys(ops.iter().map(|(k, _)| k));
+    (keys, ops.iter().map(|&(_, v)| v).collect())
 }
 
 /// What a served request comes back with, in the caller's submission
@@ -472,8 +506,8 @@ pub struct Ticket(TicketState);
 enum TicketState {
     /// Decided at submission: an empty request, or an admission refusal.
     Ready(Outcome),
-    /// Admitted; the executor answers on this channel.
-    Queued(Receiver<Outcome>),
+    /// Admitted; the executor answers into this slot.
+    Queued(Arc<Slot>),
 }
 
 impl Ticket {
@@ -487,19 +521,80 @@ impl Ticket {
     pub fn wait(self) -> Result<SchedAnswer, SchedError> {
         match self.0 {
             TicketState::Ready(outcome) => outcome,
-            TicketState::Queued(rx) => rx.recv().map_err(|_| SchedError::Disconnected)?,
+            TicketState::Queued(slot) => {
+                let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut state = slot
+                    .filled
+                    .wait_while(state, |s| matches!(s, SlotState::Waiting))
+                    .unwrap_or_else(PoisonError::into_inner);
+                match std::mem::replace(&mut *state, SlotState::Abandoned) {
+                    SlotState::Answered(outcome) => outcome,
+                    SlotState::Waiting | SlotState::Abandoned => Err(SchedError::Disconnected),
+                }
+            }
         }
     }
 }
 
+/// Where one request's answer passes from the executor to its [`Ticket`]:
+/// filled once, by [`Reply::send`] or by the reply's drop. Waiting on it
+/// never allocates, so a request costs the same allocations whether or
+/// not its ticket has to block.
+#[derive(Debug, Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    filled: Condvar,
+}
+
+#[derive(Debug, Default)]
+enum SlotState {
+    #[default]
+    Waiting,
+    Answered(Outcome),
+    /// The executor dropped the request unanswered.
+    Abandoned,
+}
+
+/// The executor's end of a [`Slot`]. Dropped unanswered — the executor
+/// died, or the queue was aborted — it fails the ticket with
+/// [`SchedError::Disconnected`].
+#[derive(Debug)]
+struct Reply(Arc<Slot>);
+
+impl Reply {
+    /// A reply and the slot its ticket waits on.
+    fn new() -> (Reply, Arc<Slot>) {
+        let slot = Arc::new(Slot::default());
+        (Reply(Arc::clone(&slot)), slot)
+    }
+
+    /// Answer the request; a second answer is ignored.
+    fn send(&self, outcome: Outcome) {
+        self.fill(SlotState::Answered(outcome));
+    }
+
+    fn fill(&self, filled: SlotState) {
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if matches!(*state, SlotState::Waiting) {
+            *state = filled;
+            self.0.filled.notify_all();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.fill(SlotState::Abandoned);
+    }
+}
+
 /// One queued submission: the op of one client call, as submitted, plus
-/// the channel its answer goes back on.
+/// where its answer goes.
 struct Request {
     op: SchedOp,
-    /// Rendezvous with the request's [`Ticket`]: buffer 1, so the
-    /// executor's send never blocks, and a dropped sender fails the
-    /// ticket's `recv`.
-    reply: SyncSender<Outcome>,
+    /// The executor never blocks answering it, and dropping it unanswered
+    /// fails the ticket.
+    reply: Reply,
     enqueued: Instant,
     /// Shed (with `DeadlineExceeded`) if still undispatched past this.
     deadline: Option<Instant>,
@@ -539,7 +634,7 @@ impl Pending {
             Some(d) if d <= now => {
                 ops = ops.saturating_add(req.op.len());
                 requests = requests.saturating_add(1);
-                let _ = req.reply.send(Err(SchedError::DeadlineExceeded));
+                req.reply.send(Err(SchedError::DeadlineExceeded));
                 false
             }
             Some(d) => {
@@ -748,7 +843,7 @@ impl SubmissionQueue {
     }
 
     /// The executor is gone (exit or panic). Drop whatever is still
-    /// queued — each dropped `reply` sender fails its ticket's `recv`
+    /// queued — each dropped [`Reply`] fails its ticket
     /// with [`SchedError::Disconnected`] — and wake every waiter.
     fn abort(&self) {
         let orphans: Vec<Request> = {
@@ -886,13 +981,17 @@ impl SchedulerClient {
     /// waiting for coalescing when it expires, the request is shed with
     /// [`SchedError::DeadlineExceeded`]; `None` falls back to
     /// [`SchedulerConfig::op_deadline`]. An empty request is answered
-    /// without a trip through the executor.
+    /// without a trip through the executor, and a write whose values do
+    /// not pair up with its keys is refused with [`SchedError::Session`].
     pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> Ticket {
-        if op.len() == 0 {
+        if let Some(e) = op.unpaired() {
+            return Ticket::ready(Err(e));
+        }
+        if op.is_empty() {
             return Ticket::ready(Ok(op.empty_answer()));
         }
         let now = Instant::now();
-        let (reply, answer) = mpsc::sync_channel(1);
+        let (reply, slot) = Reply::new();
         let req = Request {
             op,
             reply,
@@ -900,17 +999,29 @@ impl SchedulerClient {
             deadline: budget.or(self.default_deadline).map(|d| now + d),
         };
         match self.queue.push(req, self.admission) {
-            Ok(()) => Ticket(TicketState::Queued(answer)),
+            Ok(()) => Ticket(TicketState::Queued(slot)),
             Err(e) => Ticket::ready(Err(e)),
         }
+    }
+
+    /// Submit the op `make` builds from the caller's `owned` ops (a copy
+    /// of their keys into one batch), free `owned` — one allocation per
+    /// key — while the request executes, and wait.
+    fn call<T>(
+        &self,
+        owned: T,
+        make: impl FnOnce(&T) -> SchedOp,
+    ) -> Result<SchedAnswer, SchedError> {
+        let ticket = self.submit(make(&owned), None);
+        drop(owned);
+        ticket.wait()
     }
 
     /// Submit a slice of point lookups; blocks until the batch containing
     /// them executes. Returns one result per key in submission order
     /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
     pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Lookup(keys), None)
-            .wait()?
+        self.call(keys, |keys| SchedOp::lookups(keys))?
             .into_values()
     }
 
@@ -922,17 +1033,13 @@ impl SchedulerClient {
     /// Submit point updates (`DELETE` as the value deletes). Returns one
     /// status per op (see [`status`](cuart::update::status)).
     pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Update(ops), None)
-            .wait()?
-            .into_values()
+        self.call(ops, |ops| SchedOp::updates(ops))?.into_values()
     }
 
     /// Submit point inserts. Returns one status per op (see
     /// [`insert_status`](cuart::insert::insert_status)).
     pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Insert(ops), None)
-            .wait()?
-            .into_values()
+        self.call(ops, |ops| SchedOp::inserts(ops))?.into_values()
     }
 
     /// Submit inclusive range queries. Returns, per `[lo, hi]` pair and in
@@ -1138,8 +1245,13 @@ struct ExecCtx<'a> {
     telemetry: Option<&'a SchedTelemetry>,
     stats: SchedulerStats,
     breaker: Breaker,
-    /// The batch sort's prefix scratch, kept across batches.
-    sort_scratch: SortScratch,
+    /// A point run's key batches, as their requests brought them, and
+    /// the values of its write requests: scratch kept across runs, emptied
+    /// (which frees each request's keys as one buffer) once a run ends.
+    run_keys: Vec<KeyBatch>,
+    run_values: Vec<Vec<u64>>,
+    /// The sort's order over `run_keys`, kept across runs.
+    order: RunOrder,
 }
 
 /// Why a batch was flushed; picks the stats counter and telemetry series.
@@ -1160,7 +1272,7 @@ fn executor(
 ) -> SchedulerStats {
     // Producers must never hang on a dead executor: on any exit from this
     // frame — including a panic — the queue is aborted, which drops the
-    // orphaned reply channels and wakes blocked admissions.
+    // orphaned replies and wakes blocked admissions.
     let _abort = AbortGuard(Arc::clone(&queue));
     let telemetry = queue.telemetry.as_ref();
     let mut session = index.device_session(&dev);
@@ -1187,7 +1299,9 @@ fn executor(
         telemetry,
         stats: SchedulerStats::default(),
         breaker: Breaker::new(cfg.breaker.clone()),
-        sort_scratch: SortScratch::default(),
+        run_keys: Vec::new(),
+        run_values: Vec::new(),
+        order: RunOrder::default(),
     };
 
     let mut pending = Pending::default();
@@ -1274,7 +1388,7 @@ impl ExecCtx<'_> {
         while let Some(first) = pending.reqs.pop_front() {
             let mut run = vec![first];
             while let Some(next) = pending.reqs.front() {
-                if !next.op.same_kind(&run[0].op) {
+                if next.op.kind() != run[0].op.kind() {
                     break;
                 }
                 run.extend(pending.reqs.pop_front());
@@ -1302,29 +1416,37 @@ impl ExecCtx<'_> {
     /// batch — point ops sorted by key (§3.1) whenever there are two or
     /// more — and reply to every request in it. Returns the instant the run ended.
     fn execute_run(&mut self, run: Vec<Request>, now: Instant) -> Instant {
-        // Concatenate the run into one batch, remembering per-request
-        // extents. The run owns its requests, so their payloads move: the
-        // first request's op becomes the batch, the rest are appended.
-        let oldest = run.iter().map(|r| r.enqueued).min();
-        let mut tickets: Vec<(usize, SyncSender<Outcome>)> = Vec::with_capacity(run.len());
-        let mut batch: Option<SchedOp> = None;
-        for req in run {
-            tickets.push((req.op.len(), req.reply));
-            match &mut batch {
-                Some(batch) => batch.append(req.op),
-                None => batch = Some(req.op),
-            }
-        }
-        let Some(mut batch) = batch else {
+        let Some(kind) = run.first().map(|r| r.op.kind()) else {
             return now;
         };
-        let total = batch.len();
+        // Split the run into its replies and its payload. Point requests
+        // hand over their key batches (and values) as they came; range
+        // requests are concatenated, the first one's list moving.
+        let oldest = run.iter().map(|r| r.enqueued).min();
+        let mut tickets: Vec<(usize, Reply)> = Vec::with_capacity(run.len());
+        let mut ranges = Vec::new();
+        for req in run {
+            tickets.push((req.op.len(), req.reply));
+            match req.op {
+                SchedOp::Lookup(keys) => self.run_keys.push(keys),
+                SchedOp::Update(keys, values) | SchedOp::Insert(keys, values) => {
+                    self.run_keys.push(keys);
+                    self.run_values.push(values);
+                }
+                SchedOp::Range(mut more) if !ranges.is_empty() => ranges.append(&mut more),
+                SchedOp::Range(first) => ranges = first,
+            }
+        }
+        let total: usize = tickets.iter().map(|&(len, _)| len).sum();
         // The run is dispatched at `now`: its oldest request has waited
         // this long, and the sort and the device leg below are not queueing.
         let queue_wait = oldest.map(|start| now.saturating_duration_since(start));
-        let perm = (total > 1)
-            .then(|| batch.sort_by_key(&mut self.sort_scratch))
-            .flatten();
+        // Point ops reach the session in key order through a permutation
+        // over the batches where they lie; nothing is moved or copied.
+        let sorted = kind != OpKind::Range && total > 1;
+        if kind != OpKind::Range {
+            self.order.sort(&self.run_keys);
+        }
 
         let (mode, entered) = self.breaker.before(now);
         self.apply(entered, total as u64);
@@ -1338,15 +1460,15 @@ impl ExecCtx<'_> {
         }
         let injected_before = self.session.fault_stats().injected;
 
-        // The session borrows the payload the batch already owns.
+        let points = SortedRun::new(&self.run_keys, &self.run_values, self.order.keys());
         let values = |(v, report)| (SchedAnswer::Values(v), report);
-        let outcome = match &batch {
-            SchedOp::Lookup(keys) => self.session.lookup_batch(keys).map(values),
-            SchedOp::Update(ops) => self.session.update_batch(ops).map(values),
-            SchedOp::Insert(ops) => self.session.insert_batch(ops).map(values),
-            SchedOp::Range(ranges) => self
+        let outcome = match kind {
+            OpKind::Lookup => self.session.lookup_batch(&points).map(values),
+            OpKind::Update => self.session.update_batch(&points).map(values),
+            OpKind::Insert => self.session.insert_batch(&points).map(values),
+            OpKind::Range => self
                 .session
-                .range_batch(ranges)
+                .range_batch(&ranges)
                 .map(|(rows, report)| (SchedAnswer::Rows(rows), report)),
         };
         let injected_delta = self
@@ -1359,12 +1481,12 @@ impl ExecCtx<'_> {
         match outcome {
             Ok((answer, report)) => {
                 self.stats.absorb_report(total, &report);
-                if perm.is_some() {
+                if sorted {
                     self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
                 }
                 if let Some(t) = self.telemetry {
                     t.batches.incr(1);
-                    if perm.is_some() {
+                    if sorted {
                         t.sorted_batches.incr(1);
                     }
                     t.batch_fill.observe(total as u64);
@@ -1372,19 +1494,15 @@ impl ExecCtx<'_> {
                         t.queue_latency_ns.observe(wait.as_nanos() as u64);
                     }
                     let probe = mode == DispatchMode::Probe;
-                    let span = sched_span(&self.session, &batch, perm.is_some(), probe, &report);
+                    let span = sched_span(&self.session, kind, total, sorted, probe, &report);
                     if let Some(span) = span {
                         t.registry.record_span_tree(span);
                     }
                 }
                 self.stats.requests += tickets.len() as u64;
                 match answer {
-                    SchedAnswer::Values(v) => {
-                        reply_slices(v, perm.as_deref(), tickets, SchedAnswer::Values)
-                    }
-                    SchedAnswer::Rows(r) => {
-                        reply_slices(r, perm.as_deref(), tickets, SchedAnswer::Rows)
-                    }
+                    SchedAnswer::Values(v) => reply_values(&v, self.order.keys(), tickets),
+                    SchedAnswer::Rows(r) => reply_rows(r, tickets),
                 }
                 if mode != DispatchMode::CpuOnly {
                     let entered = self.breaker.after(end, injected_delta > 0);
@@ -1396,7 +1514,7 @@ impl ExecCtx<'_> {
                 let err = SchedError::from(&e);
                 self.stats.requests += tickets.len() as u64;
                 for (_, reply) in tickets {
-                    let _ = reply.send(Err(err.clone()));
+                    reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
                     let entered = self.breaker.after(end, true);
@@ -1405,6 +1523,9 @@ impl ExecCtx<'_> {
             }
         }
         self.queue.release(total);
+        // Each request's keys go as one buffer, after every reply is sent.
+        self.run_keys.clear();
+        self.run_values.clear();
         end
     }
 
@@ -1432,22 +1553,26 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Put a batch's answers back in submission order (inverting the sort
-/// permutation, if one was applied) and slice them out per request, in
-/// FIFO order.
-fn reply_slices<T: Clone + Default>(
-    answers: Vec<T>,
-    perm: Option<&[usize]>,
-    tickets: Vec<(usize, SyncSender<Outcome>)>,
-    wrap: fn(Vec<T>) -> SchedAnswer,
-) {
-    let answers = match perm {
-        Some(p) => scatter_inverse(&answers, p),
-        None => answers,
-    };
-    let mut answers = answers.into_iter();
+/// Put a point run's answers, which come back in the run's sorted
+/// `order`, into each request's submission order, and reply.
+fn reply_values(answers: &[u64], order: &[RunKey], tickets: Vec<(usize, Reply)>) {
+    let mut per_request: Vec<Vec<u64>> = tickets.iter().map(|&(len, _)| vec![0; len]).collect();
+    for (key, &answer) in order.iter().zip(answers) {
+        let (batch, index) = key.place();
+        if let Some(slot) = per_request.get_mut(batch).and_then(|v| v.get_mut(index)) {
+            *slot = answer;
+        }
+    }
+    for ((_, reply), values) in tickets.into_iter().zip(per_request) {
+        reply.send(Ok(SchedAnswer::Values(values)));
+    }
+}
+
+/// Slice a range run's row lists, in arrival order, out per request.
+fn reply_rows(rows: Vec<RangeRows>, tickets: Vec<(usize, Reply)>) {
+    let mut rows = rows.into_iter();
     for (len, reply) in tickets {
-        let _ = reply.send(Ok(wrap(answers.by_ref().take(len).collect())));
+        reply.send(Ok(SchedAnswer::Rows(rows.by_ref().take(len).collect())));
     }
 }
 
@@ -1458,12 +1583,12 @@ fn reply_slices<T: Clone + Default>(
 /// batch's modeled end-to-end time. `None` for a run with no modeled time.
 fn sched_span(
     session: &cuart::CuartSession<'_>,
-    batch: &SchedOp,
+    kind: OpKind,
+    total: usize,
     sorted: bool,
     probe: bool,
     report: &KernelReport,
 ) -> Option<SpanNode> {
-    let total = batch.len();
     if report.time_ns <= 0.0 || total == 0 {
         return None;
     }
@@ -1473,8 +1598,8 @@ fn sched_span(
     let log2n = (u64::BITS - n.leading_zeros()).max(1) as u64;
     // Ranges ship packed [lo, hi] records up and per-class span pairs
     // down; point ops ship stride-packed keys up and one u64 down.
-    let (up_stride, down_stride) = match batch {
-        SchedOp::Range(_) => (
+    let (up_stride, down_stride) = match kind {
+        OpKind::Range => (
             cuart::range::RANGE_RECORD_BYTES,
             cuart::range::RANGE_RESULT_BYTES,
         ),
@@ -1498,11 +1623,11 @@ fn sched_span(
     if sorted {
         children.push(SpanNode::leaf(spans::SCATTER, SCATTER_NS_PER_KEY * n));
     }
-    let name = match batch {
-        SchedOp::Lookup(_) => spans::SCHED_BATCH_LOOKUP,
-        SchedOp::Update(_) => spans::SCHED_BATCH_UPDATE,
-        SchedOp::Insert(_) => spans::SCHED_BATCH_INSERT,
-        SchedOp::Range(_) => spans::SCHED_BATCH_RANGE,
+    let name = match kind {
+        OpKind::Lookup => spans::SCHED_BATCH_LOOKUP,
+        OpKind::Update => spans::SCHED_BATCH_UPDATE,
+        OpKind::Insert => spans::SCHED_BATCH_INSERT,
+        OpKind::Range => spans::SCHED_BATCH_RANGE,
     };
     let mut root = SpanNode::node(name, children)
         .with_attr("keys", total)
@@ -1510,7 +1635,7 @@ fn sched_span(
     if probe {
         root = root.with_attr("probe", true);
     }
-    if matches!(batch, SchedOp::Update(_) | SchedOp::Insert(_)) {
+    if matches!(kind, OpKind::Update | OpKind::Insert) {
         // The claim-table prefix of the batch's first, largest launch.
         root = root.with_attr("claim_slots", session.claim_slots(report.threads));
     }
@@ -1621,22 +1746,30 @@ mod tests {
     }
 
     /// A queued request of `n` lookup keys tagged `tag`, shed at
-    /// `deadline`, and the ticket side of its reply channel.
-    fn request(tag: u8, n: usize, deadline: Option<Instant>) -> (Request, Receiver<Outcome>) {
-        let (reply, answer) = mpsc::sync_channel(1);
+    /// `deadline`, and its ticket.
+    fn request(tag: u8, n: usize, deadline: Option<Instant>) -> (Request, Ticket) {
+        let (reply, slot) = Reply::new();
         let req = Request {
-            op: SchedOp::Lookup(vec![vec![tag]; n]),
+            op: SchedOp::lookups(&vec![vec![tag]; n]),
             reply,
             enqueued: Instant::now(),
             deadline,
         };
-        (req, answer)
+        (req, Ticket(TicketState::Queued(slot)))
+    }
+
+    /// Whether `ticket` has its answer, without waiting for it.
+    fn answered(ticket: &Ticket) -> bool {
+        match &ticket.0 {
+            TicketState::Ready(_) => true,
+            TicketState::Queued(slot) => !matches!(*slot.state.lock().unwrap(), SlotState::Waiting),
+        }
     }
 
     /// The tags of a batch's requests, in order.
     fn tags(batch: &Pending) -> Vec<u8> {
         let tag = |r: &Request| match &r.op {
-            SchedOp::Lookup(keys) => keys[0][0],
+            SchedOp::Lookup(keys) => keys.key(0)[0],
             other => panic!("lookups were queued, got {other:?}"),
         };
         batch.reqs.iter().map(tag).collect()
@@ -1684,8 +1817,11 @@ mod tests {
         // A deadline equal to `now` is shed, one at `now + 1 ns` is kept,
         // and the earliest deadline is recomputed over the survivors.
         assert_eq!(pending.shed(now), (2, 1));
-        assert_eq!(answers[0].try_recv(), Ok(Err(SchedError::DeadlineExceeded)));
-        assert!(answers[1].try_recv().is_err());
+        assert!(!answers.iter().skip(1).any(answered));
+        assert_eq!(
+            answers.swap_remove(0).wait(),
+            Err(SchedError::DeadlineExceeded)
+        );
         assert_eq!((tags(&pending), pending.keys), (vec![1, 2, 3], 6));
         assert_eq!(pending.earliest_deadline, Some(now + ns));
     }
@@ -1789,8 +1925,8 @@ mod tests {
         let client = sched.client().unwrap();
         // Submit both before waiting on either: whenever the executor
         // picks up the first, it lingers until the second fills the batch.
-        let first = client.submit(SchedOp::Lookup((0..4).map(key).collect()), None);
-        let second = client.submit(SchedOp::Lookup((4..8).map(key).collect()), None);
+        let first = client.submit(SchedOp::Lookup(KeyBatch::from_keys((0..4).map(key))), None);
+        let second = client.submit(SchedOp::Lookup(KeyBatch::from_keys((4..8).map(key))), None);
         assert_eq!(
             first.wait().unwrap(),
             SchedAnswer::Values((0..4).map(|i| i * 10).collect())
@@ -1813,7 +1949,7 @@ mod tests {
             admission: AdmissionPolicy::Block,
             default_deadline: None,
         };
-        let ticket = client.submit(SchedOp::Lookup(vec![key(1)]), None);
+        let ticket = client.submit(SchedOp::lookups(&[key(1)]), None);
         // The executor's frame unwinding — here by panic — runs the guard.
         let guard = AbortGuard(Arc::clone(&queue));
         let died = std::thread::spawn(move || {
@@ -1923,7 +2059,7 @@ mod tests {
         let k = key(42);
         // `submit` admits before it returns: the update is queued ahead
         // of the lookup, and the 300 ms deadline keeps both in one flush.
-        let upd = client.submit(SchedOp::Update(vec![(k.clone(), 4242)]), None);
+        let upd = client.submit(SchedOp::updates(&[(k.clone(), 4242)]), None);
         let looked = client.lookup(vec![k]).unwrap();
         let statuses = upd.wait().unwrap().into_values().unwrap();
         assert_eq!(statuses.len(), 1);
@@ -2077,7 +2213,10 @@ mod tests {
         // Fill the cap (admitted when `submit` returns; held until the
         // final flush)…
         let filler = sched.client().unwrap();
-        let fill = filler.submit(SchedOp::Lookup((0..4u64).map(key).collect()), None);
+        let fill = filler.submit(
+            SchedOp::Lookup(KeyBatch::from_keys((0..4u64).map(key))),
+            None,
+        );
         // …then a second producer must be refused immediately.
         let client = sched.client().unwrap();
         assert_eq!(client.lookup(vec![key(1)]), Err(SchedError::QueueFull));
@@ -2107,7 +2246,10 @@ mod tests {
         };
         let sched = spawn(&index, cfg);
         let filler = sched.client().unwrap();
-        let fill = filler.submit(SchedOp::Lookup((0..4u64).map(key).collect()), None);
+        let fill = filler.submit(
+            SchedOp::Lookup(KeyBatch::from_keys((0..4u64).map(key))),
+            None,
+        );
         let client = sched.client().unwrap();
         let t0 = Instant::now();
         assert_eq!(
@@ -2172,7 +2314,7 @@ mod tests {
         // is half a minute away: only the op-deadline shed can answer it.
         let budget = Some(Duration::from_millis(5));
         assert_eq!(
-            client.submit(SchedOp::Lookup(vec![key(1)]), budget).wait(),
+            client.submit(SchedOp::lookups(&[key(1)]), budget).wait(),
             Err(SchedError::DeadlineExceeded)
         );
         drop(client);

@@ -36,7 +36,7 @@ use crate::scheduler::{
     RangeRows, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerConfig,
     SchedulerStats, Ticket,
 };
-use cuart::{CuartIndex, ShardRouter};
+use cuart::{CuartIndex, KeyBatch, ShardRouter};
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{names, CounterHandle, SpanNode, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,7 +283,8 @@ pub struct ShardedClient {
 /// One shard's share of a routed request.
 struct Part {
     shard: usize,
-    /// Positions in the request this shard answers, ascending.
+    /// Positions in the request this shard answers, ascending; empty when
+    /// the shard answers a point request whole, in its own order.
     list: Vec<usize>,
     ticket: Ticket,
 }
@@ -317,6 +318,7 @@ impl ShardedTicket {
         } in self.parts
         {
             match ticket.wait() {
+                Ok(SchedAnswer::Values(results)) if list.is_empty() => values = results,
                 Ok(SchedAnswer::Values(results)) => scatter(&mut values, &list, results),
                 // A shard's journal and overflow are authoritative only
                 // for the keys it owns: keep those, in shard order.
@@ -352,37 +354,52 @@ impl ShardedClient {
     /// each shard's answer is filtered to the keys that shard *owns*, and
     /// the shares are concatenated in shard order.
     pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> ShardedTicket {
-        match op {
-            SchedOp::Lookup(keys) => self.route(keys, |k| k, SchedOp::Lookup, budget),
-            SchedOp::Update(ops) => self.route(ops, |o| &o.0, SchedOp::Update, budget),
-            SchedOp::Insert(ops) => self.route(ops, |o| &o.0, SchedOp::Insert, budget),
-            SchedOp::Range(ranges) => self.route_ranges(ranges, budget),
+        let ranges = matches!(op, SchedOp::Range(_));
+        let total = op.len();
+        let shares = match op {
+            SchedOp::Range(ranges) => self.split_ranges(ranges),
+            points => self.split_points(points),
+        };
+        let parts = self.submit_shares(total, shares, budget);
+        ShardedTicket {
+            parts,
+            total,
+            ranges,
+            router: self.router,
         }
+    }
+
+    /// Submit the op `make` builds from the caller's `owned` ops (a copy
+    /// of their keys into one batch), free `owned` — one allocation per
+    /// key — while the request executes, and wait.
+    fn call<T>(
+        &self,
+        owned: T,
+        make: impl FnOnce(&T) -> SchedOp,
+    ) -> Result<SchedAnswer, SchedError> {
+        let ticket = self.submit(make(&owned), None);
+        drop(owned);
+        ticket.wait()
     }
 
     /// Point lookups across the fleet; one result per key in submission
     /// order ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent
     /// keys).
     pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Lookup(keys), None)
-            .wait()?
+        self.call(keys, |keys| SchedOp::lookups(keys))?
             .into_values()
     }
 
     /// Point updates across the fleet (`DELETE` as the value deletes);
     /// one status per op in submission order.
     pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Update(ops), None)
-            .wait()?
-            .into_values()
+        self.call(ops, |ops| SchedOp::updates(ops))?.into_values()
     }
 
     /// Point inserts across the fleet; one status per op in submission
     /// order.
     pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.submit(SchedOp::Insert(ops), None)
-            .wait()?
-            .into_values()
+        self.call(ops, |ops| SchedOp::inserts(ops))?.into_values()
     }
 
     /// Inclusive range queries across the fleet; one sorted row list per
@@ -411,68 +428,76 @@ impl ShardedClient {
         }
     }
 
-    /// Submit each non-empty `(index list, sub-batch)` share of a
-    /// `total`-op request to its shard, in shard order. An empty request
-    /// touches no shard and is not counted as routed.
-    fn submit_shares<T>(
+    /// Submit each `(shard, index list, sub-batch)` share of a `total`-op
+    /// request to its shard, in shard order. An empty request touches no
+    /// shard and is not counted as routed.
+    fn submit_shares(
         &self,
         total: usize,
-        shares: Vec<(Vec<usize>, Vec<T>)>,
-        make: fn(Vec<T>) -> SchedOp,
+        shares: Vec<(usize, Vec<usize>, SchedOp)>,
         budget: Option<Duration>,
     ) -> Vec<Part> {
         if total == 0 {
             return Vec::new();
         }
-        let active = shares.iter().filter(|(list, _)| !list.is_empty()).count();
-        self.note_routed(total, active);
-        self.clients
-            .iter()
-            .zip(shares)
-            .enumerate()
-            .filter(|(_, (_, (list, _)))| !list.is_empty())
-            .map(|(shard, (client, (list, sub)))| Part {
-                shard,
-                list,
-                ticket: client.submit(make(sub), budget),
+        self.note_routed(total, shares.len());
+        shares
+            .into_iter()
+            .filter_map(|(shard, list, sub)| {
+                let client = self.clients.get(shard)?;
+                Some(Part {
+                    shard,
+                    list,
+                    ticket: client.submit(sub, budget),
+                })
             })
             .collect()
     }
 
-    /// Split point ops by owning shard — each op moves into exactly one
-    /// share, arrival order kept within a share — and submit the shares.
-    fn route<T>(
-        &self,
-        ops: Vec<T>,
-        key_of: fn(&T) -> &Vec<u8>,
-        make: fn(Vec<T>) -> SchedOp,
-        budget: Option<Duration>,
-    ) -> ShardedTicket {
-        let total = ops.len();
-        let mut shares: Vec<(Vec<usize>, Vec<T>)> =
-            self.clients.iter().map(|_| Default::default()).collect();
-        for (i, op) in ops.into_iter().enumerate() {
-            if let Some((list, sub)) = shares.get_mut(self.router.shard_of(key_of(&op))) {
-                list.push(i);
-                sub.push(op);
+    /// Split point ops by owning shard. Each share is one sequential copy
+    /// of its keys (and values) into a batch of its own, in arrival order;
+    /// a request whose keys one shard owns goes to that shard as it came.
+    /// A write whose values do not pair up with its keys goes to shard 0
+    /// whole, which refuses it.
+    fn split_points(&self, op: SchedOp) -> Vec<(usize, Vec<usize>, SchedOp)> {
+        let (keys, values) = match &op {
+            SchedOp::Update(keys, values) | SchedOp::Insert(keys, values) => (keys, Some(values)),
+            SchedOp::Lookup(keys) => (keys, None),
+            SchedOp::Range(_) => return Vec::new(),
+        };
+        let lists = self.router.split_indices(keys);
+        let mut active = lists
+            .iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty());
+        match (active.next(), active.next()) {
+            (Some((shard, _)), None) => return vec![(shard, Vec::new(), op)],
+            _ if op.unpaired().is_some() => return vec![(0, Vec::new(), op)],
+            _ => {}
+        }
+        let share = |list: &[usize]| {
+            let sub = KeyBatch::from_keys(list.iter().map(|&i| keys.key(i)));
+            let sub_values = values.map(|v| list.iter().map(|&i| v[i]).collect());
+            match (&op, sub_values) {
+                (SchedOp::Update(..), Some(v)) => SchedOp::Update(sub, v),
+                (SchedOp::Insert(..), Some(v)) => SchedOp::Insert(sub, v),
+                _ => SchedOp::Lookup(sub),
             }
-        }
-        ShardedTicket {
-            parts: self.submit_shares(total, shares, make, budget),
-            total,
-            ranges: false,
-            router: self.router,
-        }
+        };
+        lists
+            .into_iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(shard, list)| {
+                let sub = share(&list);
+                (shard, list, sub)
+            })
+            .collect()
     }
 
     /// Send each range to every shard its bounds touch (inverted bounds
-    /// touch none and stay empty in the merge) and submit the shares.
-    fn route_ranges(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<Duration>,
-    ) -> ShardedTicket {
-        let total = ranges.len();
+    /// touch none and stay empty in the merge).
+    fn split_ranges(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(usize, Vec<usize>, SchedOp)> {
         type Share = (Vec<usize>, Vec<(Vec<u8>, Vec<u8>)>);
         let mut shares: Vec<Share> = self.clients.iter().map(|_| Default::default()).collect();
         for (i, range) in ranges.iter().enumerate() {
@@ -489,12 +514,12 @@ impl ShardedClient {
                 sub.push(range.clone());
             }
         }
-        ShardedTicket {
-            parts: self.submit_shares(total, shares, SchedOp::Range, budget),
-            total,
-            ranges: true,
-            router: self.router,
-        }
+        shares
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (list, _))| !list.is_empty())
+            .map(|(shard, (list, sub))| (shard, list, SchedOp::Range(sub)))
+            .collect()
     }
 }
 
@@ -635,7 +660,7 @@ mod tests {
         let client = sharded.client().unwrap();
         let low = |i: u64| i.to_be_bytes().to_vec();
         let keys = vec![low(1), high_key(1), low(2), high_key(2)];
-        let ticket = client.submit(SchedOp::Lookup(keys), None);
+        let ticket = client.submit(SchedOp::lookups(&keys), None);
         let stats = sharded.join().unwrap();
         for s in &stats.shards {
             assert_eq!(s.stats.ops_enqueued, 2, "shard {}: {:?}", s.shard, s.stats);

@@ -29,7 +29,9 @@
 //! [`ErrorCode::TooLarge`] frame under its id.
 
 use cuart::persist::crc32;
+use cuart::KeyBatch;
 use cuart_host::scheduler::RangeRows;
+use cuart_host::SchedOp;
 use std::fmt;
 
 /// Leading magic of every handshake hello.
@@ -282,16 +284,92 @@ impl Op {
     /// The opcode this op encodes as (batch form for multi-op bodies).
     pub fn opcode(&self) -> Opcode {
         match self {
-            Op::Lookup(keys) if keys.len() == 1 => Opcode::Lookup,
-            Op::Lookup(_) => Opcode::LookupBatch,
-            Op::Update(ops) if ops.len() == 1 => Opcode::Update,
-            Op::Update(_) => Opcode::UpdateBatch,
-            Op::Insert(ops) if ops.len() == 1 => Opcode::Insert,
-            Op::Insert(_) => Opcode::InsertBatch,
-            Op::Range(ranges) if ranges.len() == 1 => Opcode::Range,
-            Op::Range(_) => Opcode::RangeBatch,
+            Op::Lookup(keys) => batch_opcode(Opcode::Lookup, keys.len()),
+            Op::Update(ops) => batch_opcode(Opcode::Update, ops.len()),
+            Op::Insert(ops) => batch_opcode(Opcode::Insert, ops.len()),
+            Op::Range(ranges) => batch_opcode(Opcode::Range, ranges.len()),
             Op::Ping => Opcode::Ping,
             Op::Shutdown => Opcode::Shutdown,
+        }
+    }
+}
+
+/// `single`, the opcode of one op, or its batch form for `n` ops other
+/// than one.
+fn batch_opcode(single: Opcode, n: usize) -> Opcode {
+    match (single, n) {
+        (_, 1) => single,
+        (Opcode::Lookup, _) => Opcode::LookupBatch,
+        (Opcode::Update, _) => Opcode::UpdateBatch,
+        (Opcode::Insert, _) => Opcode::InsertBatch,
+        (Opcode::Range, _) => Opcode::RangeBatch,
+        _ => single,
+    }
+}
+
+/// A decoded request as the server hands it on: point keys in a
+/// [`KeyBatch`] whose store is the frame's payload itself, so no key is
+/// copied or allocated on its own.
+#[derive(Debug)]
+pub struct FlatRequest {
+    /// Caller-chosen id, echoed in the response.
+    pub id: u64,
+    /// Per-op latency budget in microseconds; 0 means none.
+    pub deadline_us: u32,
+    /// The operation.
+    pub op: FlatOp,
+}
+
+/// A [`FlatRequest`]'s operation.
+#[derive(Debug)]
+pub enum FlatOp {
+    /// Data ops, as the scheduler takes them.
+    Sched(SchedOp),
+    /// Liveness probe.
+    Ping,
+    /// Drain-safe shutdown request.
+    Shutdown,
+}
+
+impl FlatOp {
+    /// Number of point operations this request admits into the scheduler.
+    pub fn ops(&self) -> usize {
+        match self {
+            FlatOp::Sched(op) => op.len(),
+            FlatOp::Ping | FlatOp::Shutdown => 0,
+        }
+    }
+
+    /// The opcode the request would encode as, as [`Op::opcode`] says.
+    pub fn opcode(&self) -> Opcode {
+        match self {
+            FlatOp::Sched(op) => {
+                let single = match op {
+                    SchedOp::Lookup(_) => Opcode::Lookup,
+                    SchedOp::Update(..) => Opcode::Update,
+                    SchedOp::Insert(..) => Opcode::Insert,
+                    SchedOp::Range(_) => Opcode::Range,
+                };
+                batch_opcode(single, op.len())
+            }
+            FlatOp::Ping => Opcode::Ping,
+            FlatOp::Shutdown => Opcode::Shutdown,
+        }
+    }
+}
+
+impl From<FlatOp> for Op {
+    fn from(op: FlatOp) -> Op {
+        fn keys(keys: &KeyBatch) -> impl Iterator<Item = Vec<u8>> + '_ {
+            keys.iter().map(<[u8]>::to_vec)
+        }
+        match op {
+            FlatOp::Sched(SchedOp::Lookup(k)) => Op::Lookup(keys(&k).collect()),
+            FlatOp::Sched(SchedOp::Update(k, values)) => Op::Update(keys(&k).zip(values).collect()),
+            FlatOp::Sched(SchedOp::Insert(k, values)) => Op::Insert(keys(&k).zip(values).collect()),
+            FlatOp::Sched(SchedOp::Range(ranges)) => Op::Range(ranges),
+            FlatOp::Ping => Op::Ping,
+            FlatOp::Shutdown => Op::Shutdown,
         }
     }
 }
@@ -366,6 +444,15 @@ impl<'a> Cursor<'a> {
     fn bytes16(&mut self) -> Result<Vec<u8>, WireError> {
         let n = self.u16()? as usize;
         Ok(self.take(n)?.to_vec())
+    }
+
+    /// A `u16`-length-prefixed byte string as its `(offset, len)` extent
+    /// in the buffer, copying nothing.
+    fn extent16(&mut self) -> Result<(usize, usize), WireError> {
+        let n = self.u16()? as usize;
+        let at = self.at;
+        self.take(n)?;
+        Ok((at, n))
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -567,46 +654,35 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Decode a request frame payload.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor::new(payload);
+/// Decode a request frame payload into a [`FlatRequest`]: the payload
+/// becomes the store of the request's [`KeyBatch`], each key an extent of
+/// it, and update and insert values are read out beside it. Ranges keep
+/// their per-bound `Vec`s.
+pub fn decode_request_flat(payload: Vec<u8>) -> Result<FlatRequest, WireError> {
+    let mut c = Cursor::new(&payload);
     let id = c.u64()?;
     let opcode = c.u8()?;
     let opcode = Opcode::from_u8(opcode).ok_or(WireError::BadTag(opcode))?;
     let deadline_us = c.u32()?;
-    let op = match opcode {
-        Opcode::Lookup => Op::Lookup(vec![c.bytes16()?]),
+    let (n, valued) = match opcode {
+        Opcode::Lookup | Opcode::Update | Opcode::Insert => (1, opcode != Opcode::Lookup),
         Opcode::LookupBatch => {
             let n = c.u32()?;
-            let n = checked_count(&c, n, 2)?;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(c.bytes16()?);
-            }
-            Op::Lookup(keys)
-        }
-        Opcode::Update | Opcode::Insert => {
-            let op = vec![(c.bytes16()?, c.u64()?)];
-            if opcode == Opcode::Update {
-                Op::Update(op)
-            } else {
-                Op::Insert(op)
-            }
+            (checked_count(&c, n, 2)?, false)
         }
         Opcode::UpdateBatch | Opcode::InsertBatch => {
             let n = c.u32()?;
-            let n = checked_count(&c, n, 10)?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                ops.push((c.bytes16()?, c.u64()?));
-            }
-            if opcode == Opcode::UpdateBatch {
-                Op::Update(ops)
-            } else {
-                Op::Insert(ops)
-            }
+            (checked_count(&c, n, 10)?, true)
         }
-        Opcode::Range => Op::Range(vec![(c.bytes16()?, c.bytes16()?)]),
+        Opcode::Range => {
+            let range = (c.bytes16()?, c.bytes16()?);
+            return flat(
+                c,
+                id,
+                deadline_us,
+                FlatOp::Sched(SchedOp::Range(vec![range])),
+            );
+        }
         Opcode::RangeBatch => {
             let n = c.u32()?;
             let n = checked_count(&c, n, 4)?;
@@ -614,16 +690,52 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             for _ in 0..n {
                 ranges.push((c.bytes16()?, c.bytes16()?));
             }
-            Op::Range(ranges)
+            return flat(c, id, deadline_us, FlatOp::Sched(SchedOp::Range(ranges)));
         }
-        Opcode::Ping => Op::Ping,
-        Opcode::Shutdown => Op::Shutdown,
+        Opcode::Ping => return flat(c, id, deadline_us, FlatOp::Ping),
+        Opcode::Shutdown => return flat(c, id, deadline_us, FlatOp::Shutdown),
     };
+    let mut extents = Vec::with_capacity(n);
+    let mut values = Vec::with_capacity(if valued { n } else { 0 });
+    for _ in 0..n {
+        extents.push(c.extent16()?);
+        if valued {
+            values.push(c.u64()?);
+        }
+    }
     c.done()?;
-    Ok(Request {
+    let keys = KeyBatch::in_store(payload, extents).ok_or(WireError::Truncated)?;
+    let op = match opcode {
+        Opcode::Update | Opcode::UpdateBatch => SchedOp::Update(keys, values),
+        Opcode::Insert | Opcode::InsertBatch => SchedOp::Insert(keys, values),
+        _ => SchedOp::Lookup(keys),
+    };
+    Ok(FlatRequest {
+        id,
+        deadline_us,
+        op: FlatOp::Sched(op),
+    })
+}
+
+/// The request a body-less or range opcode decoded to, once the cursor
+/// has consumed the whole payload.
+fn flat(c: Cursor<'_>, id: u64, deadline_us: u32, op: FlatOp) -> Result<FlatRequest, WireError> {
+    c.done()?;
+    Ok(FlatRequest {
         id,
         deadline_us,
         op,
+    })
+}
+
+/// Decode a request frame payload: [`decode_request_flat`] over a copy
+/// of it, each key then taken into its own `Vec`.
+pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
+    let flat = decode_request_flat(payload.to_vec())?;
+    Ok(Request {
+        id: flat.id,
+        deadline_us: flat.deadline_us,
+        op: flat.op.into(),
     })
 }
 
@@ -1024,6 +1136,107 @@ mod tests {
                 (SchedError::Session(_), SchedError::Session(_)) => {}
                 _ => assert_eq!(e, back),
             }
+        }
+    }
+
+    /// The per-key decoder the flat one replaced, kept as the reference
+    /// for what [`decode_request`] must return: every key its own `Vec`.
+    fn per_key_decode_request(payload: &[u8]) -> Result<Request, WireError> {
+        let mut c = Cursor::new(payload);
+        let id = c.u64()?;
+        let opcode = c.u8()?;
+        let opcode = Opcode::from_u8(opcode).ok_or(WireError::BadTag(opcode))?;
+        let deadline_us = c.u32()?;
+        let op = match opcode {
+            Opcode::Lookup => Op::Lookup(vec![c.bytes16()?]),
+            Opcode::LookupBatch => {
+                let n = c.u32()?;
+                let n = checked_count(&c, n, 2)?;
+                let mut keys = Vec::with_capacity(n);
+                for _ in 0..n {
+                    keys.push(c.bytes16()?);
+                }
+                Op::Lookup(keys)
+            }
+            Opcode::Update | Opcode::Insert => {
+                let op = vec![(c.bytes16()?, c.u64()?)];
+                if opcode == Opcode::Update {
+                    Op::Update(op)
+                } else {
+                    Op::Insert(op)
+                }
+            }
+            Opcode::UpdateBatch | Opcode::InsertBatch => {
+                let n = c.u32()?;
+                let n = checked_count(&c, n, 10)?;
+                let mut ops = Vec::with_capacity(n);
+                for _ in 0..n {
+                    ops.push((c.bytes16()?, c.u64()?));
+                }
+                if opcode == Opcode::UpdateBatch {
+                    Op::Update(ops)
+                } else {
+                    Op::Insert(ops)
+                }
+            }
+            Opcode::Range => Op::Range(vec![(c.bytes16()?, c.bytes16()?)]),
+            Opcode::RangeBatch => {
+                let n = c.u32()?;
+                let n = checked_count(&c, n, 4)?;
+                let mut ranges = Vec::with_capacity(n);
+                for _ in 0..n {
+                    ranges.push((c.bytes16()?, c.bytes16()?));
+                }
+                Op::Range(ranges)
+            }
+            Opcode::Ping => Op::Ping,
+            Opcode::Shutdown => Op::Shutdown,
+        };
+        c.done()?;
+        Ok(Request {
+            id,
+            deadline_us,
+            op,
+        })
+    }
+
+    /// Every opcode byte, then one that is none.
+    const OPCODE_BYTES: [u8; 11] = [1, 2, 3, 4, 5, 6, 17, 18, 19, 20, 99];
+
+    proptest! {
+        /// A payload of any opcode, its count field `extra` over the keys
+        /// it holds (an over-count), decodes as the per-key decoder
+        /// decodes it — the same `Request` or the same `WireError` — cut
+        /// at every length and with a trailing byte.
+        #[test]
+        fn the_flat_decoder_decodes_as_the_per_key_one(
+            id in any::<u64>(),
+            deadline in any::<u32>(),
+            keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..6),
+            opcode in 0usize..OPCODE_BYTES.len(),
+            extra in 0u32..3,
+        ) {
+            let code = OPCODE_BYTES[opcode];
+            let mut p = Vec::new();
+            put_u64(&mut p, id);
+            p.push(code);
+            put_u32(&mut p, deadline);
+            if matches!(code, 17..=20) {
+                put_u32(&mut p, keys.len() as u32 + extra);
+            }
+            for (i, k) in keys.iter().enumerate() {
+                put_bytes16(&mut p, k).unwrap();
+                match code {
+                    2 | 3 | 18 | 19 => put_u64(&mut p, i as u64 * 7 + 1),
+                    4 | 20 => put_bytes16(&mut p, &keys[(i + 1) % keys.len()]).unwrap(),
+                    _ => {}
+                }
+            }
+            for cut in 0..=p.len() {
+                prop_assert_eq!(decode_request(&p[..cut]), per_key_decode_request(&p[..cut]));
+            }
+            p.push(0);
+            prop_assert_eq!(decode_request(&p), per_key_decode_request(&p));
         }
     }
 

@@ -24,13 +24,13 @@
 //!   — after the responses to everything admitted before it — and *that
 //!   one connection* is closed; the server survives.
 //! * **Drain-safe shutdown** ([`ShutdownHandle::shutdown`] or a remote
-//!   [`Op::Shutdown`] frame when enabled):
+//!   [`FlatOp::Shutdown`] frame when enabled):
 //!   stop accepting, stop reading new frames, answer every admitted
 //!   ticket, flush writers, then `join()` the scheduler so its own FIFO
 //!   drain contract applies. [`names::NET_DRAINED`] flips to 1.0 only
 //!   after all of that succeeded.
 
-use crate::proto::{self, ErrorCode, Op, Opcode, RespBody, Response, WireError};
+use crate::proto::{self, ErrorCode, FlatOp, FlatRequest, Opcode, RespBody, Response, WireError};
 use cuart_host::sharded::{ShardedClient, ShardedScheduler, ShardedStats};
 use cuart_host::{
     SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerStats, ShardedTicket,
@@ -62,7 +62,7 @@ pub struct NetServerConfig {
     /// `Truncated` error frame (as EOF there would). `None` keeps idle
     /// and stalled connections open until shutdown.
     pub idle_timeout: Option<Duration>,
-    /// Honor the wire [`Op::Shutdown`]
+    /// Honor the wire [`FlatOp::Shutdown`]
     /// opcode. Meant for drills and tests; defaults to off so a stray
     /// client cannot stop a server.
     pub allow_remote_shutdown: bool,
@@ -612,7 +612,9 @@ fn read_and_submit(
                 return Err(WireError::Truncated);
             }
             proto::check_frame_crc(&payload, crc)?;
-            proto::decode_request(&payload)
+            // The payload becomes the request's key store: from here to
+            // the device's staging buffer no key is copied.
+            proto::decode_request_flat(payload)
         });
         ctx.counters.frames_in.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &ctx.telemetry {
@@ -659,18 +661,15 @@ impl From<io::Error> for WireError {
 
 /// Hand one decoded request to the scheduler stack without waiting for
 /// its batch; the control opcodes are decided on the spot.
-fn submit(req: proto::Request, ctx: &ConnCtx) -> Answer {
+fn submit(req: FlatRequest, ctx: &ConnCtx) -> Answer {
     let budget = match req.deadline_us {
         0 => None,
         us => Some(Duration::from_micros(u64::from(us))),
     };
     let op = match req.op {
-        Op::Lookup(keys) => SchedOp::Lookup(keys),
-        Op::Update(ops) => SchedOp::Update(ops),
-        Op::Insert(ops) => SchedOp::Insert(ops),
-        Op::Range(ranges) => SchedOp::Range(ranges),
-        Op::Ping => return Answer::Ready(RespBody::Ok),
-        Op::Shutdown => {
+        FlatOp::Sched(op) => op,
+        FlatOp::Ping => return Answer::Ready(RespBody::Ok),
+        FlatOp::Shutdown => {
             return Answer::Ready(if ctx.cfg.allow_remote_shutdown {
                 // The reader sees the flag before its next frame: what
                 // was admitted ahead of this request is still answered.

@@ -177,9 +177,9 @@ impl Path for CuartSession<'_> {
 
 fn sched_op(op: Op) -> SchedOp {
     match op {
-        Op::Lookup(keys) => SchedOp::Lookup(keys),
-        Op::Update(ops) => SchedOp::Update(ops),
-        Op::Insert(ops) => SchedOp::Insert(ops),
+        Op::Lookup(keys) => SchedOp::lookups(&keys),
+        Op::Update(ops) => SchedOp::updates(&ops),
+        Op::Insert(ops) => SchedOp::inserts(&ops),
         Op::Range(ranges) => SchedOp::Range(ranges),
         Op::Ping | Op::Shutdown => panic!("{op:?} is not a data op"),
     }

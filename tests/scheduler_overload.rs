@@ -167,13 +167,13 @@ fn expired_ops_are_shed_not_dispatched_and_counted() {
     let client = sched.client().unwrap();
     // An already-expired deadline: the coalesce-time shed must answer
     // this before the flush dispatches anything.
-    let expired = SchedOp::Lookup(vec![key(1), key(2)]);
+    let expired = SchedOp::lookups(&[key(1), key(2)]);
     assert_eq!(
         client.submit(expired, Some(Duration::ZERO)).wait(),
         Err(SchedError::DeadlineExceeded)
     );
     // A healthy op through the same scheduler still gets a real answer.
-    let healthy = SchedOp::Lookup(vec![key(3)]);
+    let healthy = SchedOp::lookups(&[key(3)]);
     assert_eq!(
         client.submit(healthy, Some(Duration::from_secs(10))).wait(),
         Ok(SchedAnswer::Values(vec![10]))

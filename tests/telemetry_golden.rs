@@ -127,7 +127,7 @@ fn run_script() -> Arc<Telemetry> {
     client
         .update((10..26).map(|i| (key(i), 11)).collect())
         .unwrap();
-    let shed = client.submit(SchedOp::Lookup(vec![key(1)]), Some(Duration::ZERO));
+    let shed = client.submit(SchedOp::lookups(&[key(1)]), Some(Duration::ZERO));
     assert!(shed.wait().is_err(), "a zero budget is always shed");
     drop(client);
     sched.join().unwrap();
