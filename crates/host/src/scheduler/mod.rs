@@ -32,7 +32,7 @@
 //! while work is queued.
 //!
 //! Before dispatch the batch keys are **sorted** (stable, via
-//! [`RunOrder`]) so that adjacent kernel lanes traverse neighboring
+//! [`RunOrder`](cuart::keys::RunOrder)) so that adjacent kernel lanes traverse neighboring
 //! tree paths — the coalescing win §3.1 argues for — and each answer is
 //! put back in its request's submission order on return. Stability
 //! preserves last-write-wins semantics for duplicate update keys. The sort
@@ -60,7 +60,7 @@
 //!
 //! The op travels intact: the queued request holds the [`SchedOp`] it was
 //! submitted with. The executor hands a point run to the session as a
-//! [`SortedRun`] over the requests' own key batches, and a range run as
+//! [`SortedRun`](cuart::keys::SortedRun) over the requests' own key batches, and a range run as
 //! the concatenation of its requests' lists (moves) — one `execute_run`
 //! for all four kinds. A run's key batches are freed once every request
 //! in it is answered, one buffer per request.
@@ -107,19 +107,24 @@
 //! bounded submission queue, one more pair per request for its reply,
 //! `std::thread` for the executor.
 
-use cuart::keys::{RunKey, RunOrder, SortedRun};
+mod breaker;
+mod client;
+mod executor;
+mod queue;
+
+pub use breaker::BreakerConfig;
+pub use client::{SchedulerClient, Ticket};
+
 use cuart::{CuartError, CuartIndex, KeyBatch};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
-use cuart_telemetry::{
-    names, BatchEvent, BatchKind, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry,
-};
-use std::collections::VecDeque;
+use cuart_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
+use queue::SubmissionQueue;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a producer experiences when the bounded submission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,30 +137,6 @@ pub enum AdmissionPolicy {
     BlockWithTimeout(Duration),
     /// Fail immediately with [`SchedError::QueueFull`].
     Reject,
-}
-
-/// Circuit-breaker tuning. The default never trips on a healthy system:
-/// it reacts only to injected or real device faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreakerConfig {
-    /// Consecutive faulty batches (a session error, or any injected fault
-    /// during the batch) that trip `Closed` → `Open`. `0` never trips.
-    pub fault_threshold: u32,
-    /// How long the breaker holds `Open` (CPU-only service) before
-    /// letting `HalfOpen` probe batches touch the device again.
-    pub open_cooldown: Duration,
-    /// Clean probe batches required to close from `HalfOpen`.
-    pub probe_batches: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            fault_threshold: 3,
-            open_cooldown: Duration::from_millis(10),
-            probe_batches: 2,
-        }
-    }
 }
 
 /// How the executor should form device batches.
@@ -497,382 +478,6 @@ impl SchedAnswer {
 
 type Outcome = Result<SchedAnswer, SchedError>;
 
-/// A submitted request's claim on its answer. Dropping a ticket abandons
-/// the answer, not the request: an admitted request still executes.
-#[derive(Debug)]
-pub struct Ticket(TicketState);
-
-#[derive(Debug)]
-enum TicketState {
-    /// Decided at submission: an empty request, or an admission refusal.
-    Ready(Outcome),
-    /// Admitted; the executor answers into this slot.
-    Queued(Arc<Slot>),
-}
-
-impl Ticket {
-    fn ready(outcome: Outcome) -> Ticket {
-        Ticket(TicketState::Ready(outcome))
-    }
-
-    /// Block until the request's batch has executed (or the request was
-    /// shed). A dead executor surfaces as [`SchedError::Disconnected`],
-    /// never as a hang.
-    pub fn wait(self) -> Result<SchedAnswer, SchedError> {
-        match self.0 {
-            TicketState::Ready(outcome) => outcome,
-            TicketState::Queued(slot) => {
-                let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut state = slot
-                    .filled
-                    .wait_while(state, |s| matches!(s, SlotState::Waiting))
-                    .unwrap_or_else(PoisonError::into_inner);
-                match std::mem::replace(&mut *state, SlotState::Abandoned) {
-                    SlotState::Answered(outcome) => outcome,
-                    SlotState::Waiting | SlotState::Abandoned => Err(SchedError::Disconnected),
-                }
-            }
-        }
-    }
-}
-
-/// Where one request's answer passes from the executor to its [`Ticket`]:
-/// filled once, by [`Reply::send`] or by the reply's drop. Waiting on it
-/// never allocates, so a request costs the same allocations whether or
-/// not its ticket has to block.
-#[derive(Debug, Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    filled: Condvar,
-}
-
-#[derive(Debug, Default)]
-enum SlotState {
-    #[default]
-    Waiting,
-    Answered(Outcome),
-    /// The executor dropped the request unanswered.
-    Abandoned,
-}
-
-/// The executor's end of a [`Slot`]. Dropped unanswered — the executor
-/// died, or the queue was aborted — it fails the ticket with
-/// [`SchedError::Disconnected`].
-#[derive(Debug)]
-struct Reply(Arc<Slot>);
-
-impl Reply {
-    /// A reply and the slot its ticket waits on.
-    fn new() -> (Reply, Arc<Slot>) {
-        let slot = Arc::new(Slot::default());
-        (Reply(Arc::clone(&slot)), slot)
-    }
-
-    /// Answer the request; a second answer is ignored.
-    fn send(&self, outcome: Outcome) {
-        self.fill(SlotState::Answered(outcome));
-    }
-
-    fn fill(&self, filled: SlotState) {
-        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, SlotState::Waiting) {
-            *state = filled;
-            self.0.filled.notify_all();
-        }
-    }
-}
-
-impl Drop for Reply {
-    fn drop(&mut self) {
-        self.fill(SlotState::Abandoned);
-    }
-}
-
-/// One queued submission: the op of one client call, as submitted, plus
-/// where its answer goes.
-struct Request {
-    op: SchedOp,
-    /// The executor never blocks answering it, and dropping it unanswered
-    /// fails the ticket.
-    reply: Reply,
-    enqueued: Instant,
-    /// Shed (with `DeadlineExceeded`) if still undispatched past this.
-    deadline: Option<Instant>,
-}
-
-/// The batch the executor is coalescing: whole requests in FIFO order.
-#[derive(Default)]
-struct Pending {
-    reqs: VecDeque<Request>,
-    keys: usize,
-    /// Earliest per-op deadline among `reqs`; `None` when nothing in the
-    /// batch can expire, which is what lets the shed pass return at once.
-    earliest_deadline: Option<Instant>,
-}
-
-impl Pending {
-    fn push(&mut self, req: Request) {
-        self.keys = self.keys.saturating_add(req.op.len());
-        if let Some(d) = req.deadline {
-            self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
-        }
-        self.reqs.push_back(req);
-    }
-
-    /// Answer every request whose deadline is at or before `now` with
-    /// `DeadlineExceeded` and drop it from the batch. Returns the shed
-    /// `(ops, requests)`. Costs one comparison when nothing in the batch
-    /// can have expired.
-    fn shed(&mut self, now: Instant) -> (usize, u64) {
-        if self.earliest_deadline.is_none_or(|d| d > now) {
-            return (0, 0);
-        }
-        let mut ops = 0usize;
-        let mut requests = 0u64;
-        let mut earliest: Option<Instant> = None;
-        self.reqs.retain(|req| match req.deadline {
-            Some(d) if d <= now => {
-                ops = ops.saturating_add(req.op.len());
-                requests = requests.saturating_add(1);
-                req.reply.send(Err(SchedError::DeadlineExceeded));
-                false
-            }
-            Some(d) => {
-                earliest = Some(earliest.map_or(d, |e| e.min(d)));
-                true
-            }
-            None => true,
-        });
-        self.earliest_deadline = earliest;
-        self.keys = self.keys.saturating_sub(ops);
-        (ops, requests)
-    }
-
-    /// When the oldest request has lingered long enough to flush; `None`
-    /// for an empty batch (or a linger too long to represent).
-    fn due_at(&self, linger: Duration) -> Option<Instant> {
-        self.reqs.front()?.enqueued.checked_add(linger)
-    }
-
-    /// When the executor must look at the batch again even if nothing
-    /// new arrives: the linger expiry or the first per-op deadline.
-    fn wake_at(&self, linger: Duration) -> Option<Instant> {
-        self.due_at(linger)
-            .into_iter()
-            .chain(self.earliest_deadline)
-            .min()
-    }
-}
-
-/// Mutex-guarded state of the bounded submission queue.
-struct QueueInner {
-    queue: VecDeque<Request>,
-    /// Ops admitted but not yet dispatched or shed. This counts the
-    /// executor's coalescing buffer too, so the cap bounds the whole
-    /// backlog, not just the channel.
-    resident_ops: usize,
-    /// No new admissions; the executor drains what is left and exits.
-    closed: bool,
-    /// The executor is gone; queued requests were dropped unanswered.
-    aborted: bool,
-}
-
-/// Bounded MPSC submission queue with resident-op accounting.
-///
-/// `push` admits under the configured cap and policy; the executor takes
-/// requests with `drain_into` and calls `release` only once ops reach a
-/// terminal state (dispatched or shed), so `resident_ops ≤ cap` holds
-/// across the whole scheduler, by construction.
-struct SubmissionQueue {
-    inner: Mutex<QueueInner>,
-    /// Producers waiting for resident space.
-    admit: Condvar,
-    /// The executor waiting for work.
-    work: Condvar,
-    /// 0 = unbounded.
-    cap: usize,
-    /// Shared with the executor, which reaches it through the queue.
-    telemetry: Option<SchedTelemetry>,
-    rejected_ops: AtomicU64,
-    timeout_ops: AtomicU64,
-    max_resident_ops: AtomicU64,
-}
-
-/// Outcome of one executor [`SubmissionQueue::drain_into`].
-#[derive(Debug, PartialEq, Eq)]
-enum Drain {
-    /// At least one request moved into the batch.
-    Took,
-    /// The timeout passed with the queue still empty.
-    TimedOut,
-    /// Closed and fully drained: the executor can exit.
-    Closed,
-}
-
-impl SubmissionQueue {
-    fn new(cap: usize, telemetry: Option<SchedTelemetry>) -> Arc<SubmissionQueue> {
-        Arc::new(SubmissionQueue {
-            inner: Mutex::new(QueueInner {
-                queue: VecDeque::new(),
-                resident_ops: 0,
-                closed: false,
-                aborted: false,
-            }),
-            admit: Condvar::new(),
-            work: Condvar::new(),
-            cap,
-            telemetry,
-            rejected_ops: AtomicU64::new(0),
-            timeout_ops: AtomicU64::new(0),
-            max_resident_ops: AtomicU64::new(0),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Count `ops` refused at admission into `counter` (the rejected or
-    /// the timed-out ops) and the `cuart.sched.rejected` series.
-    fn note_refused(&self, counter: &AtomicU64, ops: usize) {
-        counter.fetch_add(ops as u64, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.rejected.incr(ops as u64);
-        }
-    }
-
-    /// Admit one request under the cap, or fail per `policy`:
-    /// `BlockWithTimeout` waits at most its duration for room.
-    fn push(&self, req: Request, policy: AdmissionPolicy) -> Result<(), SchedError> {
-        let ops = req.op.len();
-        if self.cap > 0 && ops > self.cap {
-            // Larger than the whole queue: no amount of waiting helps.
-            self.note_refused(&self.rejected_ops, ops);
-            return Err(SchedError::QueueFull);
-        }
-        let full = |q: &mut QueueInner| {
-            !q.closed && !q.aborted && self.cap > 0 && q.resident_ops + ops > self.cap
-        };
-        let mut inner = self.lock();
-        inner = match policy {
-            AdmissionPolicy::Reject => inner,
-            AdmissionPolicy::Block => self
-                .admit
-                .wait_while(inner, full)
-                .unwrap_or_else(PoisonError::into_inner),
-            AdmissionPolicy::BlockWithTimeout(d) => {
-                let waited = self.admit.wait_timeout_while(inner, d, full);
-                waited.unwrap_or_else(PoisonError::into_inner).0
-            }
-        };
-        if inner.closed || inner.aborted {
-            return Err(SchedError::Shutdown);
-        }
-        if full(&mut inner) {
-            drop(inner);
-            return Err(if policy == AdmissionPolicy::Reject {
-                self.note_refused(&self.rejected_ops, ops);
-                SchedError::QueueFull
-            } else {
-                self.note_refused(&self.timeout_ops, ops);
-                SchedError::AdmissionTimeout
-            });
-        }
-        inner.resident_ops = inner.resident_ops.saturating_add(ops);
-        self.max_resident_ops
-            .fetch_max(inner.resident_ops as u64, Ordering::Relaxed);
-        inner.queue.push_back(req);
-        drop(inner);
-        self.work.notify_one();
-        Ok(())
-    }
-
-    /// Executor-side drain: under one lock acquisition, move whole
-    /// requests FIFO into `batch` until it holds `target` keys; whatever
-    /// does not fit stays queued for the next batch. Blocks only while the
-    /// queue is *empty* — until a request arrives, the optional `timeout`
-    /// passes, or the queue is closed.
-    fn drain_into(&self, batch: &mut Pending, target: usize, timeout: Option<Duration>) -> Drain {
-        let idle = |q: &mut QueueInner| q.queue.is_empty() && !q.closed;
-        let inner = self.lock();
-        let mut inner = match timeout {
-            None => self
-                .work
-                .wait_while(inner, idle)
-                .unwrap_or_else(PoisonError::into_inner),
-            Some(t) => {
-                let waited = self.work.wait_timeout_while(inner, t, idle);
-                waited.unwrap_or_else(PoisonError::into_inner).0
-            }
-        };
-        if inner.queue.is_empty() {
-            return if inner.closed {
-                Drain::Closed
-            } else {
-                Drain::TimedOut
-            };
-        }
-        while batch.keys < target {
-            match inner.queue.pop_front() {
-                Some(req) => batch.push(req),
-                None => break,
-            }
-        }
-        Drain::Took
-    }
-
-    /// Ops reached a terminal state (dispatched or shed): free their
-    /// resident slots and wake blocked producers.
-    fn release(&self, ops: usize) {
-        if ops == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.resident_ops = inner.resident_ops.saturating_sub(ops);
-        drop(inner);
-        self.admit.notify_all();
-    }
-
-    /// Stop admissions; the executor drains the remainder and exits.
-    fn close(&self) {
-        let mut inner = self.lock();
-        inner.closed = true;
-        drop(inner);
-        self.work.notify_all();
-        self.admit.notify_all();
-    }
-
-    /// The executor is gone (exit or panic). Drop whatever is still
-    /// queued — each dropped [`Reply`] fails its ticket
-    /// with [`SchedError::Disconnected`] — and wake every waiter.
-    fn abort(&self) {
-        let orphans: Vec<Request> = {
-            let mut inner = self.lock();
-            inner.closed = true;
-            inner.aborted = true;
-            inner.resident_ops = 0;
-            inner.queue.drain(..).collect()
-        };
-        drop(orphans);
-        self.work.notify_all();
-        self.admit.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-}
-
-/// Calls [`SubmissionQueue::abort`] when the executor unwinds — panic or
-/// normal exit — so producers can never hang on a dead scheduler.
-struct AbortGuard(Arc<SubmissionQueue>);
-
-impl Drop for AbortGuard {
-    fn drop(&mut self) {
-        self.0.abort();
-    }
-}
-
 /// Counters and model totals accumulated by the executor thread, returned
 /// by [`Scheduler::join`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -962,96 +567,6 @@ impl SchedulerStats {
     }
 }
 
-/// Cloneable producer-side handle. [`submit`](Self::submit) admits a
-/// request and returns its [`Ticket`]; the blocking calls are submit +
-/// wait and return results in the caller's submission order.
-#[derive(Clone)]
-pub struct SchedulerClient {
-    queue: Arc<SubmissionQueue>,
-    admission: AdmissionPolicy,
-    default_deadline: Option<Duration>,
-}
-
-impl SchedulerClient {
-    /// Admit `op` and return without waiting for its batch. Admission
-    /// control applies here: under [`AdmissionPolicy::Block`] a full queue
-    /// back-pressures this call, and a refusal (`QueueFull`,
-    /// `AdmissionTimeout`, `Shutdown`) comes back as a ticket that is
-    /// already decided. `budget` is the request's latency budget: still
-    /// waiting for coalescing when it expires, the request is shed with
-    /// [`SchedError::DeadlineExceeded`]; `None` falls back to
-    /// [`SchedulerConfig::op_deadline`]. An empty request is answered
-    /// without a trip through the executor, and a write whose values do
-    /// not pair up with its keys is refused with [`SchedError::Session`].
-    pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> Ticket {
-        if let Some(e) = op.unpaired() {
-            return Ticket::ready(Err(e));
-        }
-        if op.is_empty() {
-            return Ticket::ready(Ok(op.empty_answer()));
-        }
-        let now = Instant::now();
-        let (reply, slot) = Reply::new();
-        let req = Request {
-            op,
-            reply,
-            enqueued: now,
-            deadline: budget.or(self.default_deadline).map(|d| now + d),
-        };
-        match self.queue.push(req, self.admission) {
-            Ok(()) => Ticket(TicketState::Queued(slot)),
-            Err(e) => Ticket::ready(Err(e)),
-        }
-    }
-
-    /// Submit the op `make` builds from the caller's `owned` ops (a copy
-    /// of their keys into one batch), free `owned` — one allocation per
-    /// key — while the request executes, and wait.
-    fn call<T>(
-        &self,
-        owned: T,
-        make: impl FnOnce(&T) -> SchedOp,
-    ) -> Result<SchedAnswer, SchedError> {
-        let ticket = self.submit(make(&owned), None);
-        drop(owned);
-        ticket.wait()
-    }
-
-    /// Submit a slice of point lookups; blocks until the batch containing
-    /// them executes. Returns one result per key in submission order
-    /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
-    pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.call(keys, |keys| SchedOp::lookups(keys))?
-            .into_values()
-    }
-
-    /// Submit one point lookup.
-    pub fn lookup_one(&self, key: Vec<u8>) -> Result<u64, SchedError> {
-        Ok(self.lookup(vec![key])?[0])
-    }
-
-    /// Submit point updates (`DELETE` as the value deletes). Returns one
-    /// status per op (see [`status`](cuart::update::status)).
-    pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.call(ops, |ops| SchedOp::updates(ops))?.into_values()
-    }
-
-    /// Submit point inserts. Returns one status per op (see
-    /// [`insert_status`](cuart::insert::insert_status)).
-    pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.call(ops, |ops| SchedOp::inserts(ops))?.into_values()
-    }
-
-    /// Submit inclusive range queries. Returns, per `[lo, hi]` pair and in
-    /// submission order, every live `(key, value)` row in the range sorted
-    /// by key (see [`SchedOp::Range`]).
-    pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit(SchedOp::Range(ranges), None)
-            .wait()?
-            .into_rows()
-    }
-}
-
 /// Owning handle for the executor thread. Dropping it shuts the executor
 /// down; [`join`](Scheduler::join) does the same and returns the stats.
 pub struct Scheduler {
@@ -1073,7 +588,7 @@ impl Scheduler {
         let cfg_admission = cfg.admission;
         let cfg_op_deadline = cfg.op_deadline;
         let exec_queue = Arc::clone(&queue);
-        let handle = std::thread::spawn(move || executor(index, dev, cfg, exec_queue));
+        let handle = std::thread::spawn(move || executor::executor(index, dev, cfg, exec_queue));
         Scheduler {
             queue,
             cfg_admission,
@@ -1145,510 +660,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Breaker state machine position. Gauge encoding: Closed = 0,
-/// HalfOpen = 1, Open = 2 (`cuart.sched.breaker_state`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Normal dispatch; `faults` consecutive faulty batches so far.
-    Closed { faults: u32 },
-    /// CPU-only service until `until`, when probing starts.
-    Open { until: Instant },
-    /// Probe batches reach the device; `clean` clean probes so far.
-    HalfOpen { clean: u32 },
-}
-
-/// Circuit breaker over device dispatch: a pure state machine stepped at
-/// the instants the executor passes it. A step that moves it to another
-/// position returns the new state, for the executor to apply
-/// ([`ExecCtx::apply`]).
-struct Breaker {
-    cfg: BreakerConfig,
-    state: BreakerState,
-}
-
-impl Breaker {
-    fn new(cfg: BreakerConfig) -> Breaker {
-        Breaker {
-            cfg,
-            state: BreakerState::Closed { faults: 0 },
-        }
-    }
-
-    /// How to dispatch a run at `now`. An `Open` breaker whose cooldown
-    /// has ended goes `HalfOpen`, and the run is its first probe.
-    fn before(&mut self, now: Instant) -> (DispatchMode, Option<BreakerState>) {
-        match self.state {
-            BreakerState::Closed { .. } => (DispatchMode::Normal, None),
-            BreakerState::HalfOpen { .. } => (DispatchMode::Probe, None),
-            BreakerState::Open { until } if now < until => (DispatchMode::CpuOnly, None),
-            BreakerState::Open { .. } => (
-                DispatchMode::Probe,
-                self.enter(BreakerState::HalfOpen { clean: 0 }),
-            ),
-        }
-    }
-
-    /// Account a `Normal` or `Probe` run that ended at `now`. `faulty`
-    /// means the batch errored or any fault was injected while serving it
-    /// (covering retried-then-recovered legs and silent degradations).
-    /// A trip opens the breaker for the cooldown from `now`.
-    fn after(&mut self, now: Instant, faulty: bool) -> Option<BreakerState> {
-        let next = match self.state {
-            BreakerState::Open { .. } => return None,
-            BreakerState::Closed { faults } if faulty => {
-                let faults = faults.saturating_add(1);
-                let threshold = self.cfg.fault_threshold;
-                if threshold > 0 && faults >= threshold {
-                    return self.trip(now);
-                }
-                BreakerState::Closed { faults }
-            }
-            BreakerState::Closed { .. } => BreakerState::Closed { faults: 0 },
-            BreakerState::HalfOpen { .. } if faulty => return self.trip(now),
-            BreakerState::HalfOpen { clean } if clean + 1 < self.cfg.probe_batches => {
-                BreakerState::HalfOpen { clean: clean + 1 }
-            }
-            BreakerState::HalfOpen { .. } => return self.enter(BreakerState::Closed { faults: 0 }),
-        };
-        self.state = next;
-        None
-    }
-
-    fn trip(&mut self, now: Instant) -> Option<BreakerState> {
-        let until = now + self.cfg.open_cooldown;
-        self.enter(BreakerState::Open { until })
-    }
-
-    fn enter(&mut self, state: BreakerState) -> Option<BreakerState> {
-        self.state = state;
-        Some(state)
-    }
-}
-
-/// How one run is dispatched, per the breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DispatchMode {
-    /// Breaker closed: normal device dispatch.
-    Normal,
-    /// Breaker half-open: this run is a recovery probe.
-    Probe,
-    /// Breaker open: the session is pinned to the CPU path.
-    CpuOnly,
-}
-
-/// Everything the executor's flush path needs, grouped so the helpers
-/// stay under control (and under clippy's argument limit).
-struct ExecCtx<'a> {
-    session: cuart::CuartSession<'a>,
-    queue: &'a SubmissionQueue,
-    /// The queue's telemetry, resolved at spawn.
-    telemetry: Option<&'a SchedTelemetry>,
-    stats: SchedulerStats,
-    breaker: Breaker,
-    /// A point run's key batches, as their requests brought them, and
-    /// the values of its write requests: scratch kept across runs, emptied
-    /// (which frees each request's keys as one buffer) once a run ends.
-    run_keys: Vec<KeyBatch>,
-    run_values: Vec<Vec<u64>>,
-    /// The sort's order over `run_keys`, kept across runs.
-    order: RunOrder,
-}
-
-/// Why a batch was flushed; picks the stats counter and telemetry series.
-#[derive(Clone, Copy)]
-enum FlushCause {
-    Size,
-    Deadline,
-    Final,
-}
-
-/// The executor loop: block on an empty queue, drain it, shed expired
-/// ops, flush on size / linger / shutdown.
-fn executor(
-    index: Arc<CuartIndex>,
-    dev: DeviceConfig,
-    cfg: SchedulerConfig,
-    queue: Arc<SubmissionQueue>,
-) -> SchedulerStats {
-    // Producers must never hang on a dead executor: on any exit from this
-    // frame — including a panic — the queue is aborted, which drops the
-    // orphaned replies and wakes blocked admissions.
-    let _abort = AbortGuard(Arc::clone(&queue));
-    let telemetry = queue.telemetry.as_ref();
-    let mut session = index.device_session(&dev);
-    // The scheduler records the full `sched.batch.*` tree around each
-    // device leg (queueing, sort, scatter and the leg itself); the
-    // session's own `batch.*` trees would double-count it.
-    session.set_span_recording(false);
-    if let Some(injector) = cfg.fault_injector.clone() {
-        session.attach_fault_injector(injector);
-    }
-    // Shadowing is on whatever the breaker and injector: `range_batch`'s
-    // host-side merge reads the overlay, and a breaker trip on session
-    // errors pins the session to the CPU path even with no injector —
-    // both need every device mutation journaled from the first batch.
-    session.set_journal_shadowing(true);
-    if let Some(t) = telemetry {
-        t.breaker_state.set(0.0);
-    }
-    let batch_target = cfg.batch_target.max(1);
-    let linger = cfg.deadline;
-    let mut ctx = ExecCtx {
-        session,
-        queue: &queue,
-        telemetry,
-        stats: SchedulerStats::default(),
-        breaker: Breaker::new(cfg.breaker.clone()),
-        run_keys: Vec::new(),
-        run_values: Vec::new(),
-        order: RunOrder::default(),
-    };
-
-    let mut pending = Pending::default();
-    // An empty batch has no timeout: the executor sleeps only on an empty
-    // queue, and then without a timer.
-    let mut timeout = None;
-    loop {
-        let before = pending.keys;
-        let drained = queue.drain_into(&mut pending, batch_target, timeout);
-        let now = Instant::now();
-        let taken = pending.keys.saturating_sub(before) as u64;
-        if taken > 0 {
-            ctx.stats.ops_enqueued = ctx.stats.ops_enqueued.saturating_add(taken);
-            if let Some(t) = ctx.telemetry {
-                t.enqueued.incr(taken);
-            }
-        }
-        if pending.keys >= batch_target {
-            ctx.flush(&mut pending, FlushCause::Size, now);
-        } else if drained == Drain::Closed {
-            if !pending.reqs.is_empty() {
-                ctx.flush(&mut pending, FlushCause::Final, now);
-            }
-            break;
-        } else {
-            // Shed what expired while waiting, then flush if the oldest
-            // survivor has lingered long enough — with the default zero
-            // linger, at once.
-            ctx.shed_expired(&mut pending, now);
-            if pending.due_at(linger).is_some_and(|due| due <= now) {
-                ctx.flush(&mut pending, FlushCause::Deadline, now);
-            }
-        }
-        // Only a flush takes long, and it empties the batch (no timeout),
-        // so `now` still stands for the present when timing the wait.
-        timeout = pending
-            .wake_at(linger)
-            .map(|at| at.saturating_duration_since(now));
-    }
-    ctx.stats
-}
-
-/// Modeled host cost of packing one key into the coalesced batch buffer.
-const COALESCE_NS_PER_KEY: u64 = 4;
-/// Modeled host cost per key·log2(n) of the stable batch sort (§3.2).
-const SORT_NS_PER_KEY_LOG: u64 = 8;
-/// Modeled host cost of scattering one result back to its caller's order.
-const SCATTER_NS_PER_KEY: u64 = 4;
-/// Modeled host cost of answering one shed op with `DeadlineExceeded`.
-const SHED_NS_PER_OP: u64 = 2;
-
-impl ExecCtx<'_> {
-    /// Shed every pending request whose deadline is at or before `now`
-    /// ([`Pending::shed`]), then free its resident slots, count and trace
-    /// it. Runs at coalesce time — before sorting and dispatch — so late
-    /// work never consumes device time.
-    fn shed_expired(&mut self, pending: &mut Pending, now: Instant) {
-        let (shed_ops, shed_requests) = pending.shed(now);
-        if shed_requests == 0 {
-            return;
-        }
-        self.stats.shed_ops = self.stats.shed_ops.saturating_add(shed_ops as u64);
-        self.stats.requests += shed_requests;
-        self.queue.release(shed_ops);
-        if let Some(t) = self.telemetry {
-            t.shed.incr(shed_ops as u64);
-            // Not a `sched.batch.*` root: shed work has no device leg, so
-            // the leaf-sum invariant the trace verifier enforces on batch
-            // roots does not apply.
-            let span = SpanNode::leaf(names::spans::SCHED_SHED, SHED_NS_PER_OP * shed_ops as u64)
-                .with_attr("ops", shed_ops);
-            t.registry.record_span_tree(span);
-        }
-    }
-
-    /// Drain the whole pending batch at `now`: shed expired ops, then
-    /// execute the remainder as maximal same-kind head runs, each run one
-    /// device batch dispatched when the one before it ended.
-    fn flush(&mut self, pending: &mut Pending, cause: FlushCause, now: Instant) {
-        let depth = pending.keys as u64;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
-        self.shed_expired(pending, now);
-        let mut now = now;
-        while let Some(first) = pending.reqs.pop_front() {
-            let mut run = vec![first];
-            while let Some(next) = pending.reqs.front() {
-                if next.op.kind() != run[0].op.kind() {
-                    break;
-                }
-                run.extend(pending.reqs.pop_front());
-            }
-            now = self.execute_run(run, now);
-        }
-        pending.keys = 0;
-        pending.earliest_deadline = None;
-        match cause {
-            FlushCause::Size => self.stats.size_flushes += 1,
-            FlushCause::Deadline => self.stats.deadline_flushes += 1,
-            FlushCause::Final => self.stats.final_flushes += 1,
-        }
-        if let Some(t) = self.telemetry {
-            match cause {
-                FlushCause::Size => t.size_flushes.incr(1),
-                FlushCause::Deadline => t.deadline_flushes.incr(1),
-                FlushCause::Final => {}
-            }
-            t.queue_depth.set(depth as f64);
-        }
-    }
-
-    /// Execute one same-kind run, dispatched at `now`, as a single device
-    /// batch — point ops sorted by key (§3.1) whenever there are two or
-    /// more — and reply to every request in it. Returns the instant the run ended.
-    fn execute_run(&mut self, run: Vec<Request>, now: Instant) -> Instant {
-        let Some(kind) = run.first().map(|r| r.op.kind()) else {
-            return now;
-        };
-        // Split the run into its replies and its payload. Point requests
-        // hand over their key batches (and values) as they came; range
-        // requests are concatenated, the first one's list moving.
-        let oldest = run.iter().map(|r| r.enqueued).min();
-        let mut tickets: Vec<(usize, Reply)> = Vec::with_capacity(run.len());
-        let mut ranges = Vec::new();
-        for req in run {
-            tickets.push((req.op.len(), req.reply));
-            match req.op {
-                SchedOp::Lookup(keys) => self.run_keys.push(keys),
-                SchedOp::Update(keys, values) | SchedOp::Insert(keys, values) => {
-                    self.run_keys.push(keys);
-                    self.run_values.push(values);
-                }
-                SchedOp::Range(mut more) if !ranges.is_empty() => ranges.append(&mut more),
-                SchedOp::Range(first) => ranges = first,
-            }
-        }
-        let total: usize = tickets.iter().map(|&(len, _)| len).sum();
-        // The run is dispatched at `now`: its oldest request has waited
-        // this long, and the sort and the device leg below are not queueing.
-        let queue_wait = oldest.map(|start| now.saturating_duration_since(start));
-        // Point ops reach the session in key order through a permutation
-        // over the batches where they lie; nothing is moved or copied.
-        let sorted = kind != OpKind::Range && total > 1;
-        if kind != OpKind::Range {
-            self.order.sort(&self.run_keys);
-        }
-
-        let (mode, entered) = self.breaker.before(now);
-        self.apply(entered, total as u64);
-        if mode == DispatchMode::Probe {
-            self.stats.probe_batches = self.stats.probe_batches.saturating_add(1);
-            if let Some(t) = self.telemetry {
-                t.probe_batches.incr(1);
-            }
-        } else if mode == DispatchMode::CpuOnly {
-            self.stats.breaker_open_batches = self.stats.breaker_open_batches.saturating_add(1);
-        }
-        let injected_before = self.session.fault_stats().injected;
-
-        let points = SortedRun::new(&self.run_keys, &self.run_values, self.order.keys());
-        let values = |(v, report)| (SchedAnswer::Values(v), report);
-        let outcome = match kind {
-            OpKind::Lookup => self.session.lookup_batch(&points).map(values),
-            OpKind::Update => self.session.update_batch(&points).map(values),
-            OpKind::Insert => self.session.insert_batch(&points).map(values),
-            OpKind::Range => self
-                .session
-                .range_batch(&ranges)
-                .map(|(rows, report)| (SchedAnswer::Rows(rows), report)),
-        };
-        let injected_delta = self
-            .session
-            .fault_stats()
-            .injected
-            .saturating_sub(injected_before);
-        let end = Instant::now();
-
-        match outcome {
-            Ok((answer, report)) => {
-                self.stats.absorb_report(total, &report);
-                if sorted {
-                    self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
-                }
-                if let Some(t) = self.telemetry {
-                    t.batches.incr(1);
-                    if sorted {
-                        t.sorted_batches.incr(1);
-                    }
-                    t.batch_fill.observe(total as u64);
-                    if let Some(wait) = queue_wait {
-                        t.queue_latency_ns.observe(wait.as_nanos() as u64);
-                    }
-                    let probe = mode == DispatchMode::Probe;
-                    let span = sched_span(&self.session, kind, total, sorted, probe, &report);
-                    if let Some(span) = span {
-                        t.registry.record_span_tree(span);
-                    }
-                }
-                self.stats.requests += tickets.len() as u64;
-                match answer {
-                    SchedAnswer::Values(v) => reply_values(&v, self.order.keys(), tickets),
-                    SchedAnswer::Rows(r) => reply_rows(r, tickets),
-                }
-                if mode != DispatchMode::CpuOnly {
-                    let entered = self.breaker.after(end, injected_delta > 0);
-                    self.apply(entered, total as u64);
-                }
-            }
-            Err(e) => {
-                self.stats.failed_batches = self.stats.failed_batches.saturating_add(1);
-                let err = SchedError::from(&e);
-                self.stats.requests += tickets.len() as u64;
-                for (_, reply) in tickets {
-                    reply.send(Err(err.clone()));
-                }
-                if mode != DispatchMode::CpuOnly {
-                    let entered = self.breaker.after(end, true);
-                    self.apply(entered, total as u64);
-                }
-            }
-        }
-        self.queue.release(total);
-        // Each request's keys go as one buffer, after every reply is sent.
-        self.run_keys.clear();
-        self.run_values.clear();
-        end
-    }
-
-    /// Apply the state a breaker step entered: pin the session to the
-    /// authoritative CPU path on `Open`, release it otherwise (so probe
-    /// batches reach the device), count a trip, set the gauge and record
-    /// the event.
-    fn apply(&mut self, entered: Option<BreakerState>, run_keys: u64) {
-        let Some(state) = entered else {
-            return;
-        };
-        let (gauge, kind) = match state {
-            BreakerState::Closed { .. } => (0.0, BatchKind::BreakerClosed),
-            BreakerState::HalfOpen { .. } => (1.0, BatchKind::BreakerHalfOpen),
-            BreakerState::Open { .. } => (2.0, BatchKind::BreakerOpen),
-        };
-        let trips = u64::from(kind == BatchKind::BreakerOpen);
-        self.session.set_cpu_only(trips == 1);
-        self.stats.breaker_trips = self.stats.breaker_trips.saturating_add(trips);
-        if let Some(t) = self.telemetry {
-            t.breaker_trips.incr(trips);
-            t.breaker_state.set(gauge);
-            t.registry.record(BatchEvent::new(kind, run_keys));
-        }
-    }
-}
-
-/// Put a point run's answers, which come back in the run's sorted
-/// `order`, into each request's submission order, and reply.
-fn reply_values(answers: &[u64], order: &[RunKey], tickets: Vec<(usize, Reply)>) {
-    let mut per_request: Vec<Vec<u64>> = tickets.iter().map(|&(len, _)| vec![0; len]).collect();
-    for (key, &answer) in order.iter().zip(answers) {
-        let (batch, index) = key.place();
-        if let Some(slot) = per_request.get_mut(batch).and_then(|v| v.get_mut(index)) {
-            *slot = answer;
-        }
-    }
-    for ((_, reply), values) in tickets.into_iter().zip(per_request) {
-        reply.send(Ok(SchedAnswer::Values(values)));
-    }
-}
-
-/// Slice a range run's row lists, in arrival order, out per request.
-fn reply_rows(rows: Vec<RangeRows>, tickets: Vec<(usize, Reply)>) {
-    let mut rows = rows.into_iter();
-    for (len, reply) in tickets {
-        reply.send(Ok(SchedAnswer::Rows(rows.by_ref().take(len).collect())));
-    }
-}
-
-/// The `sched.batch.<kind>` span tree of one dispatched run: host-side
-/// coalesce / sort / scatter (modeled constants above), the PCIe legs,
-/// the launch overhead and the kernel's `dram`/`exec` decomposition. All
-/// children are sequential, so the leaf durations sum to the root — the
-/// batch's modeled end-to-end time. `None` for a run with no modeled time.
-fn sched_span(
-    session: &cuart::CuartSession<'_>,
-    kind: OpKind,
-    total: usize,
-    sorted: bool,
-    probe: bool,
-    report: &KernelReport,
-) -> Option<SpanNode> {
-    if report.time_ns <= 0.0 || total == 0 {
-        return None;
-    }
-    let dev = session.device();
-    let n = total as u64;
-    // Bit length of n: a cheap, deterministic ⌈log2⌉ stand-in.
-    let log2n = (u64::BITS - n.leading_zeros()).max(1) as u64;
-    // Ranges ship packed [lo, hi] records up and per-class span pairs
-    // down; point ops ship stride-packed keys up and one u64 down.
-    let (up_stride, down_stride) = match kind {
-        OpKind::Range => (
-            cuart::range::RANGE_RECORD_BYTES,
-            cuart::range::RANGE_RESULT_BYTES,
-        ),
-        _ => (session.device_key_stride(), 8),
-    };
-    let up = cuart_gpu_sim::pcie::upload(&dev.pcie, total, up_stride);
-    let down = cuart_gpu_sim::pcie::download(&dev.pcie, total, down_stride);
-    use names::spans;
-    let mut children = Vec::with_capacity(7);
-    children.push(SpanNode::leaf(spans::COALESCE, COALESCE_NS_PER_KEY * n));
-    if sorted {
-        children.push(SpanNode::leaf(spans::SORT, SORT_NS_PER_KEY_LOG * n * log2n));
-    }
-    children.push(SpanNode::leaf(spans::H2D, up.time_ns as u64).with_attr("bytes", up.bytes));
-    children.push(SpanNode::leaf(
-        spans::LAUNCH,
-        (dev.launch_overhead_us * 1_000.0) as u64,
-    ));
-    children.push(report.to_span());
-    children.push(SpanNode::leaf(spans::D2H, down.time_ns as u64).with_attr("bytes", down.bytes));
-    if sorted {
-        children.push(SpanNode::leaf(spans::SCATTER, SCATTER_NS_PER_KEY * n));
-    }
-    let name = match kind {
-        OpKind::Lookup => spans::SCHED_BATCH_LOOKUP,
-        OpKind::Update => spans::SCHED_BATCH_UPDATE,
-        OpKind::Insert => spans::SCHED_BATCH_INSERT,
-        OpKind::Range => spans::SCHED_BATCH_RANGE,
-    };
-    let mut root = SpanNode::node(name, children)
-        .with_attr("keys", total)
-        .with_attr("sorted", sorted);
-    if probe {
-        root = root.with_attr("probe", true);
-    }
-    if matches!(kind, OpKind::Update | OpKind::Insert) {
-        // The claim-table prefix of the batch's first, largest launch.
-        root = root.with_attr("claim_slots", session.claim_slots(report.threads));
-    }
-    Some(root)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::breaker::{Breaker, BreakerState, DispatchMode};
+    use super::client::{Reply, SlotState, TicketState};
+    use super::queue::{AbortGuard, Drain, Pending, Request};
     use super::*;
     use cuart::{CuartConfig, CuartIndex};
     use cuart_art::Art;
     use cuart_gpu_sim::batch::NOT_FOUND;
     use cuart_gpu_sim::devices;
+    use std::time::Instant;
 
     fn build_index(n: u64) -> Arc<CuartIndex> {
         let mut art = Art::new();
