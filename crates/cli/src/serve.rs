@@ -16,8 +16,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Start the server `cuart serve` runs: one scheduler per device in
-/// `devs` built from `sched` — a sharded fleet when there are several —
-/// behind `listener`, every layer recording into `telemetry`.
+/// `devs` built from `sched` — a lone scheduler served as a fleet of one
+/// for one device, a sharded fleet for several — behind `listener`, every
+/// layer recording into `telemetry`.
 fn start_server(
     index: CuartIndex,
     telemetry: &Arc<Telemetry>,
@@ -27,17 +28,14 @@ fn start_server(
     listener: TcpListener,
 ) -> Result<NetServer, CliError> {
     let index = Arc::new(index.with_telemetry(telemetry.clone()));
-    let telemetry = Some(Arc::clone(telemetry));
-    if let [dev] = devs {
-        let single = Scheduler::spawn(index, *dev, sched);
-        NetServer::serve_single(listener, single, telemetry, net)
-    } else {
+    let fleet = match devs {
+        [dev] => Scheduler::spawn(index, *dev, sched).into(),
         // Several devices, or none, which the fleet refuses.
-        let fleet = ShardedScheduler::spawn(index, devs, sched)
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        NetServer::serve_sharded(listener, fleet, telemetry, net)
-    }
-    .map_err(CliError::Io)
+        _ => ShardedScheduler::spawn(index, devs, sched)
+            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?,
+    };
+    NetServer::serve_sharded(listener, fleet, Some(Arc::clone(telemetry)), net)
+        .map_err(CliError::Io)
 }
 
 /// Serve a saved index over TCP (`cuart serve INDEX --listen ADDR`): the

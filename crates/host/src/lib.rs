@@ -17,11 +17,12 @@
 //!   submit point ops through an MPSC queue (submit returns a ticket, wait
 //!   yields the answer); a work-conserving executor thread drains whatever
 //!   is queued whenever it is free, sorts each batch for locality and
-//!   inverts the permutation on return,
+//!   inverts the permutation on return; its one client routes a request
+//!   over one queue whole and over several by split / submit-all /
+//!   wait-and-merge,
 //! * [`sharded`] — the multi-device scale-out layer: one scheduler per
 //!   simulated device, key space partitioned by the §3.3 LUT prefix, with
-//!   split / submit-all / wait-and-merge routing and per-shard overload
-//!   isolation.
+//!   per-shard overload isolation; a lone scheduler is a fleet of one.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,4 +39,4 @@ pub use scheduler::{
     RangeRows, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerConfig,
     SchedulerStats, Ticket,
 };
-pub use sharded::{ShardStats, ShardedClient, ShardedScheduler, ShardedStats, ShardedTicket};
+pub use sharded::{ShardStats, ShardedClient, ShardedScheduler, ShardedStats};

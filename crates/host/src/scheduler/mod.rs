@@ -50,20 +50,28 @@
 //!
 //! # Submit and wait
 //!
-//! [`SchedulerClient::submit`] is the one entry: it admits a [`SchedOp`]
-//! (admission control applies here) with an optional latency budget and
-//! returns a [`Ticket`] without waiting for the batch; [`Ticket::wait`]
-//! yields the [`SchedAnswer`]. The blocking `lookup` / `update` / `insert`
-//! / `range` calls are submit + wait with no budget. A caller that holds
-//! several tickets — the sharded router, a connection's reader thread —
-//! has several requests in flight from one thread.
+//! [`SchedulerClient::submit`] is the one entry, for a lone scheduler and
+//! a [`ShardedScheduler`](crate::sharded::ShardedScheduler) fleet alike:
+//! it admits a [`SchedOp`] (admission control applies here) with an
+//! optional latency budget and returns a [`Ticket`] without waiting for
+//! the batch; [`Ticket::wait`] yields the [`SchedAnswer`]. A client over
+//! one queue queues the op whole; over several it splits the op by shard
+//! and merges the shares on wait (the `client` module). The blocking
+//! `lookup` / `update` / `insert` / `range` calls are submit + wait with
+//! no budget. A caller that holds several tickets — a connection's reader
+//! thread — has several requests in flight from one thread.
 //!
 //! The op travels intact: the queued request holds the [`SchedOp`] it was
 //! submitted with. The executor hands a point run to the session as a
-//! [`SortedRun`](cuart::keys::SortedRun) over the requests' own key batches, and a range run as
-//! the concatenation of its requests' lists (moves) — one `execute_run`
-//! for all four kinds. A run's key batches are freed once every request
-//! in it is answered, one buffer per request.
+//! [`SortedRun`](cuart::keys::SortedRun) over the requests' own key
+//! batches, and a range run as the concatenation of its requests' lists
+//! (moves) — one `execute_run` for all four kinds. A run's key batches are
+//! freed once every request in it is answered, one buffer per request.
+//!
+//! The module's parts: `client` (the client and its tickets), `queue`
+//! (the bounded submission queue, admission and the coalescing batch),
+//! `executor` (the executor thread and its span trees) and `breaker`
+//! (the circuit breaker's state machine).
 //!
 //! # Overload protection
 //!
@@ -113,6 +121,7 @@ mod executor;
 mod queue;
 
 pub use breaker::BreakerConfig;
+pub(crate) use client::Route;
 pub use client::{SchedulerClient, Ticket};
 
 use cuart::{CuartError, CuartIndex, KeyBatch};
@@ -414,7 +423,7 @@ impl SchedOp {
 
     /// A write request whose values do not pair up with its keys, refused
     /// at submission.
-    pub(crate) fn unpaired(&self) -> Option<SchedError> {
+    fn unpaired(&self) -> Option<SchedError> {
         match self {
             SchedOp::Update(keys, values) | SchedOp::Insert(keys, values)
                 if keys.len() != values.len() =>
@@ -571,6 +580,8 @@ impl SchedulerStats {
 /// down; [`join`](Scheduler::join) does the same and returns the stats.
 pub struct Scheduler {
     queue: Arc<SubmissionQueue>,
+    /// The device the executor's session runs on.
+    pub(crate) device: DeviceConfig,
     cfg_admission: AdmissionPolicy,
     cfg_op_deadline: Option<Duration>,
     handle: Option<JoinHandle<SchedulerStats>>,
@@ -591,6 +602,7 @@ impl Scheduler {
         let handle = std::thread::spawn(move || executor::executor(index, dev, cfg, exec_queue));
         Scheduler {
             queue,
+            device: dev,
             cfg_admission,
             cfg_op_deadline,
             handle: Some(handle),
@@ -601,14 +613,7 @@ impl Scheduler {
     /// each producer thread can own one. Fails with
     /// [`SchedError::Shutdown`] once the scheduler has been shut down.
     pub fn client(&self) -> Result<SchedulerClient, SchedError> {
-        if self.queue.is_closed() {
-            return Err(SchedError::Shutdown);
-        }
-        Ok(SchedulerClient {
-            queue: Arc::clone(&self.queue),
-            admission: self.cfg_admission,
-            default_deadline: self.cfg_op_deadline,
-        })
+        SchedulerClient::over(std::slice::from_ref(self), None)
     }
 
     /// Shut down: close the queue, wait for the executor to drain it, and
@@ -785,6 +790,7 @@ mod tests {
         match &ticket.0 {
             TicketState::Ready(_) => true,
             TicketState::Queued(slot) => !matches!(*slot.state.lock().unwrap(), SlotState::Waiting),
+            TicketState::Routed(_) => panic!("one queue, no routing"),
         }
     }
 
@@ -967,9 +973,11 @@ mod tests {
     fn a_ticket_on_a_dead_executor_is_disconnected_not_hung() {
         let queue = SubmissionQueue::new(0, None);
         let client = SchedulerClient {
-            queue: Arc::clone(&queue),
+            queues: vec![Arc::clone(&queue)],
+            router: cuart::ShardRouter::new(1),
             admission: AdmissionPolicy::Block,
             default_deadline: None,
+            route: None,
         };
         let ticket = client.submit(SchedOp::lookups(&[key(1)]), None);
         // The executor's frame unwinding — here by panic — runs the guard.

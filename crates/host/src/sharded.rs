@@ -12,75 +12,38 @@
 //!   [`CuartSession`](cuart::CuartSession), submission queue, admission
 //!   cap and circuit breaker, so one sick shard sheds or degrades alone
 //!   while the rest keep serving from their devices.
-//! * The key space is partitioned by the [`ShardRouter`]: the leading key
-//!   bytes — the same big-endian prefix the §3.3 compacted root indexes
-//!   its LUT with — select the shard, so every shard owns a contiguous
-//!   range of the root table and of the ordered leaf arenas under it, and
-//!   every key maps to exactly one shard (last-write-wins per key, §3.4,
-//!   holds fleet-wide).
-//! * [`ShardedClient`] calls look exactly like [`SchedulerClient`] calls:
-//!   the router splits the batch by shard (stable, so intra-request order
-//!   survives), **submits** every shard's sub-batch — the shards then run
-//!   them concurrently through their sorted-batch machinery — and only
-//!   then waits on each [`Ticket`], merging the answers back in arrival
-//!   order via the recorded index lists (an inverse permutation over the
-//!   split). No thread is spawned per request; [`ShardedClient::submit`]
-//!   exposes the same split as a [`ShardedTicket`].
+//! * The key space is partitioned by the [`ShardRouter`](cuart::ShardRouter):
+//!   the leading key bytes — the prefix the §3.3 compacted root indexes its
+//!   LUT with — select the shard, so every shard owns a contiguous range of
+//!   the root table and of the leaf arenas under it, and every key maps to
+//!   exactly one shard (last-write-wins per key, §3.4, holds fleet-wide).
+//! * The fleet's client is the one [`SchedulerClient`] over every shard's
+//!   queue, which splits, submits and merges (the scheduler's `client`
+//!   module); [`ShardedClient`] is that client under the fleet's name. A
+//!   lone [`Scheduler`] converts into a fleet of one, whose client queues
+//!   every request whole.
 //!
-//! Each shard's scheduler mirrors its counters and gauges to
-//! `cuart.sched.shard.<i>.*` (summing to the global `cuart.sched.*`
-//! totals), and every routed call commits a standalone `sched.route` span
-//! with the fan-out, next to the per-shard `sched.batch.*` trees.
+//! Each shard of a spawned fleet — of one device too — mirrors its
+//! counters and gauges to `cuart.sched.shard.<i>.*` (summing to the global
+//! `cuart.sched.*` totals), and every request commits a `sched.route` span
+//! with the fan-out. A lone scheduler, converted or not, writes neither.
 
 use crate::scheduler::{
-    RangeRows, SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerConfig,
-    SchedulerStats, Ticket,
+    Route, SchedError, Scheduler, SchedulerClient, SchedulerConfig, SchedulerStats,
 };
-use cuart::{CuartIndex, KeyBatch, ShardRouter};
+use cuart::CuartIndex;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
-use cuart_telemetry::{names, CounterHandle, SpanNode, Telemetry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Modeled host cost of routing one key to its shard (a fixed-width
-/// prefix load and one multiply — cheaper than the coalesce copy).
-const ROUTE_NS_PER_KEY: u64 = 2;
-
-/// Shared router-side accounting, folded into [`ShardedStats`] at join.
-#[derive(Default)]
-struct RouteCounters {
-    requests: AtomicU64,
-    keys: AtomicU64,
-}
 
 /// Owning handle for a fleet of per-shard executors. Dropping it shuts
 /// every shard down; [`join`](ShardedScheduler::join) does the same and
 /// returns the per-shard and aggregate stats.
 pub struct ShardedScheduler {
     shards: Vec<Scheduler>,
-    devices: Vec<DeviceConfig>,
-    router: ShardRouter,
-    telemetry: Option<Arc<RouteTelemetry>>,
-    route: Arc<RouteCounters>,
-}
-
-/// The router's telemetry, resolved once per fleet and shared by its
-/// clients.
-struct RouteTelemetry {
-    registry: Arc<Telemetry>,
-    requests: CounterHandle,
-    keys: CounterHandle,
-}
-
-impl RouteTelemetry {
-    fn new(t: &Arc<Telemetry>) -> RouteTelemetry {
-        RouteTelemetry {
-            registry: Arc::clone(t),
-            requests: t.counter(names::SCHED_ROUTED_REQUESTS),
-            keys: t.counter(names::SCHED_ROUTED_KEYS),
-        }
-    }
+    /// The route accounting of a spawned fleet; `None` for a lone
+    /// scheduler's fleet of one.
+    route: Option<Arc<Route>>,
 }
 
 impl ShardedScheduler {
@@ -97,8 +60,7 @@ impl ShardedScheduler {
         if devices.is_empty() {
             return Err(SchedError::NoShards);
         }
-        let telemetry = index.telemetry().map(|t| Arc::new(RouteTelemetry::new(t)));
-        let router = ShardRouter::new(devices.len());
+        let route = Route::new(index.telemetry());
         let shards = devices
             .iter()
             .enumerate()
@@ -115,32 +77,14 @@ impl ShardedScheduler {
             .collect();
         Ok(ShardedScheduler {
             shards,
-            devices: devices.to_vec(),
-            router,
-            telemetry,
-            route: Arc::new(RouteCounters::default()),
+            route: Some(Arc::new(route)),
         })
-    }
-
-    /// Number of shards (== devices) in the fleet.
-    pub fn shards(&self) -> usize {
-        self.devices.len()
     }
 
     /// A new producer handle over the whole fleet. Fails with
     /// [`SchedError::Shutdown`] once any shard has been shut down.
     pub fn client(&self) -> Result<ShardedClient, SchedError> {
-        let clients = self
-            .shards
-            .iter()
-            .map(|s| s.client())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedClient {
-            clients,
-            router: self.router,
-            telemetry: self.telemetry.clone(),
-            route: Arc::clone(&self.route),
-        })
+        SchedulerClient::over(&self.shards, self.route.clone()).map(ShardedClient)
     }
 
     /// Shut every shard down (FIFO drain, same contract as
@@ -148,17 +92,19 @@ impl ShardedScheduler {
     /// executor panicked, the remaining shards are still joined before
     /// the first error is returned.
     pub fn join(self) -> Result<ShardedStats, SchedError> {
+        let (routed_requests, routed_keys) = self.route.map_or((0, 0), |r| r.totals());
         let mut out = ShardedStats {
-            shards: Vec::with_capacity(self.devices.len()),
-            routed_requests: self.route.requests.load(Ordering::Relaxed),
-            routed_keys: self.route.keys.load(Ordering::Relaxed),
+            shards: Vec::with_capacity(self.shards.len()),
+            routed_requests,
+            routed_keys,
         };
         let mut first_err = None;
-        for (i, (sched, dev)) in self.shards.into_iter().zip(self.devices).enumerate() {
+        for (i, sched) in self.shards.into_iter().enumerate() {
+            let device = sched.device;
             match sched.join() {
                 Ok(stats) => out.shards.push(ShardStats {
                     shard: i,
-                    device: dev,
+                    device,
                     stats,
                 }),
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -167,6 +113,17 @@ impl ShardedScheduler {
         match first_err {
             Some(e) => Err(e),
             None => Ok(out),
+        }
+    }
+}
+
+impl From<Scheduler> for ShardedScheduler {
+    /// A lone scheduler as a fleet of one. Its client queues every request
+    /// whole, and nothing routes: no route accounting, no shard twins.
+    fn from(sched: Scheduler) -> ShardedScheduler {
+        ShardedScheduler {
+            shards: vec![sched],
+            route: None,
         }
     }
 }
@@ -198,9 +155,10 @@ impl ShardStats {
 pub struct ShardedStats {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStats>,
-    /// Client calls routed through the split/merge path.
+    /// Requests a spawned fleet's clients queued (a refused or empty one
+    /// is not); 0 for a lone scheduler's fleet of one.
     pub routed_requests: u64,
-    /// Point ops routed through the split/merge path.
+    /// Ops in those requests.
     pub routed_keys: u64,
 }
 
@@ -263,283 +221,31 @@ impl ShardedStats {
     }
 }
 
-/// Cloneable producer-side handle over the whole fleet. Each call splits
-/// by shard, submits every sub-batch, waits and merges back in arrival
-/// order — same blocking semantics and result order as
-/// [`SchedulerClient`].
-///
-/// Error semantics: if any shard refuses or fails its sub-batch, the
-/// whole call returns that shard's error (lowest shard index wins).
-/// Sub-batches accepted by healthy shards still execute — per-shard
-/// at-most-once, exactly as if the shards had been called individually.
+/// A fleet's producer handle: the one [`SchedulerClient`], over every
+/// shard's queue, under the fleet's name. It has no behaviour of its own;
+/// everything is the wrapped client's, through `Deref`. It stays a type
+/// of its own because `benchmark/src/stack.rs` implements its caller
+/// trait for both client types (ROADMAP item 4).
 #[derive(Clone)]
-pub struct ShardedClient {
-    clients: Vec<SchedulerClient>,
-    router: ShardRouter,
-    telemetry: Option<Arc<RouteTelemetry>>,
-    route: Arc<RouteCounters>,
-}
+pub struct ShardedClient(pub SchedulerClient);
 
-/// One shard's share of a routed request.
-struct Part {
-    shard: usize,
-    /// Positions in the request this shard answers, ascending; empty when
-    /// the shard answers a point request whole, in its own order.
-    list: Vec<usize>,
-    ticket: Ticket,
-}
+impl Deref for ShardedClient {
+    type Target = SchedulerClient;
 
-/// A routed request's claim on its merged answer: one [`Ticket`] per
-/// shard the request touched, plus the index lists that put the shards'
-/// answers back in arrival order.
-pub struct ShardedTicket {
-    /// Ascending shard order — which is key order, the router being
-    /// monotone in the key prefix.
-    parts: Vec<Part>,
-    total: usize,
-    ranges: bool,
-    router: ShardRouter,
-}
-
-impl ShardedTicket {
-    /// Wait on every shard's ticket (all of them, so the call returns
-    /// only once each accepted sub-batch has executed) and merge.
-    pub fn wait(self) -> Result<SchedAnswer, SchedError> {
-        let (mut values, mut rows) = if self.ranges {
-            (Vec::new(), vec![RangeRows::new(); self.total])
-        } else {
-            (vec![0u64; self.total], Vec::new())
-        };
-        let mut first_err: Option<SchedError> = None;
-        for Part {
-            shard,
-            list,
-            ticket,
-        } in self.parts
-        {
-            match ticket.wait() {
-                Ok(SchedAnswer::Values(results)) if list.is_empty() => values = results,
-                Ok(SchedAnswer::Values(results)) => scatter(&mut values, &list, results),
-                // A shard's journal and overflow are authoritative only
-                // for the keys it owns: keep those, in shard order.
-                Ok(SchedAnswer::Rows(per_query)) => {
-                    for (&i, shard_rows) in list.iter().zip(per_query) {
-                        if let Some(merged) = rows.get_mut(i) {
-                            merged.extend(
-                                shard_rows
-                                    .into_iter()
-                                    .filter(|(k, _)| self.router.shard_of(k) == shard),
-                            );
-                        }
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None if self.ranges => Ok(SchedAnswer::Rows(rows)),
-            None => Ok(SchedAnswer::Values(values)),
-        }
-    }
-}
-
-impl ShardedClient {
-    /// Split `op` by shard and submit every sub-batch without waiting
-    /// (admission applies per shard, as in [`SchedulerClient::submit`]);
-    /// `budget` applies to every sub-batch.
-    ///
-    /// A range can span several shards' key intervals: the full `[lo, hi]`
-    /// query goes to every shard from `shard_of(lo)` to `shard_of(hi)`,
-    /// each shard's answer is filtered to the keys that shard *owns*, and
-    /// the shares are concatenated in shard order.
-    pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> ShardedTicket {
-        let ranges = matches!(op, SchedOp::Range(_));
-        let total = op.len();
-        let shares = match op {
-            SchedOp::Range(ranges) => self.split_ranges(ranges),
-            points => self.split_points(points),
-        };
-        let parts = self.submit_shares(total, shares, budget);
-        ShardedTicket {
-            parts,
-            total,
-            ranges,
-            router: self.router,
-        }
-    }
-
-    /// Submit the op `make` builds from the caller's `owned` ops (a copy
-    /// of their keys into one batch), free `owned` — one allocation per
-    /// key — while the request executes, and wait.
-    fn call<T>(
-        &self,
-        owned: T,
-        make: impl FnOnce(&T) -> SchedOp,
-    ) -> Result<SchedAnswer, SchedError> {
-        let ticket = self.submit(make(&owned), None);
-        drop(owned);
-        ticket.wait()
-    }
-
-    /// Point lookups across the fleet; one result per key in submission
-    /// order ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent
-    /// keys).
-    pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.call(keys, |keys| SchedOp::lookups(keys))?
-            .into_values()
-    }
-
-    /// Point updates across the fleet (`DELETE` as the value deletes);
-    /// one status per op in submission order.
-    pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.call(ops, |ops| SchedOp::updates(ops))?.into_values()
-    }
-
-    /// Point inserts across the fleet; one status per op in submission
-    /// order.
-    pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        self.call(ops, |ops| SchedOp::inserts(ops))?.into_values()
-    }
-
-    /// Inclusive range queries across the fleet; one sorted row list per
-    /// `[lo, hi]` pair in submission order (see
-    /// [`submit`](Self::submit) for how a range spanning shards merges).
-    pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit(SchedOp::Range(ranges), None)
-            .wait()?
-            .into_rows()
-    }
-
-    /// Router-side accounting for one routed request of `total` ops
-    /// touching `active` shards.
-    fn note_routed(&self, total: usize, active: usize) {
-        self.route.requests.fetch_add(1, Ordering::Relaxed);
-        self.route.keys.fetch_add(total as u64, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.requests.incr(1);
-            t.keys.incr(total as u64);
-            // Standalone root (like `sched.shed`): routing has no device
-            // leg, so the batch-root leaf-sum invariant does not apply.
-            let span = SpanNode::leaf(names::spans::SCHED_ROUTE, ROUTE_NS_PER_KEY * total as u64)
-                .with_attr("keys", total)
-                .with_attr("shards", active);
-            t.registry.record_span_tree(span);
-        }
-    }
-
-    /// Submit each `(shard, index list, sub-batch)` share of a `total`-op
-    /// request to its shard, in shard order. An empty request touches no
-    /// shard and is not counted as routed.
-    fn submit_shares(
-        &self,
-        total: usize,
-        shares: Vec<(usize, Vec<usize>, SchedOp)>,
-        budget: Option<Duration>,
-    ) -> Vec<Part> {
-        if total == 0 {
-            return Vec::new();
-        }
-        self.note_routed(total, shares.len());
-        shares
-            .into_iter()
-            .filter_map(|(shard, list, sub)| {
-                let client = self.clients.get(shard)?;
-                Some(Part {
-                    shard,
-                    list,
-                    ticket: client.submit(sub, budget),
-                })
-            })
-            .collect()
-    }
-
-    /// Split point ops by owning shard. Each share is one sequential copy
-    /// of its keys (and values) into a batch of its own, in arrival order;
-    /// a request whose keys one shard owns goes to that shard as it came.
-    /// A write whose values do not pair up with its keys goes to shard 0
-    /// whole, which refuses it.
-    fn split_points(&self, op: SchedOp) -> Vec<(usize, Vec<usize>, SchedOp)> {
-        let (keys, values) = match &op {
-            SchedOp::Update(keys, values) | SchedOp::Insert(keys, values) => (keys, Some(values)),
-            SchedOp::Lookup(keys) => (keys, None),
-            SchedOp::Range(_) => return Vec::new(),
-        };
-        let lists = self.router.split_indices(keys);
-        let mut active = lists
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty());
-        match (active.next(), active.next()) {
-            (Some((shard, _)), None) => return vec![(shard, Vec::new(), op)],
-            _ if op.unpaired().is_some() => return vec![(0, Vec::new(), op)],
-            _ => {}
-        }
-        let share = |list: &[usize]| {
-            let sub = KeyBatch::from_keys(list.iter().map(|&i| keys.key(i)));
-            let sub_values = values.map(|v| list.iter().map(|&i| v[i]).collect());
-            match (&op, sub_values) {
-                (SchedOp::Update(..), Some(v)) => SchedOp::Update(sub, v),
-                (SchedOp::Insert(..), Some(v)) => SchedOp::Insert(sub, v),
-                _ => SchedOp::Lookup(sub),
-            }
-        };
-        lists
-            .into_iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(shard, list)| {
-                let sub = share(&list);
-                (shard, list, sub)
-            })
-            .collect()
-    }
-
-    /// Send each range to every shard its bounds touch (inverted bounds
-    /// touch none and stay empty in the merge).
-    fn split_ranges(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(usize, Vec<usize>, SchedOp)> {
-        type Share = (Vec<usize>, Vec<(Vec<u8>, Vec<u8>)>);
-        let mut shares: Vec<Share> = self.clients.iter().map(|_| Default::default()).collect();
-        for (i, range) in ranges.iter().enumerate() {
-            let (lo, hi) = range;
-            if lo > hi {
-                continue;
-            }
-            for (list, sub) in shares
-                .iter_mut()
-                .take(self.router.shard_of(hi) + 1)
-                .skip(self.router.shard_of(lo))
-            {
-                list.push(i);
-                sub.push(range.clone());
-            }
-        }
-        shares
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (list, _))| !list.is_empty())
-            .map(|(shard, (list, sub))| (shard, list, SchedOp::Range(sub)))
-            .collect()
-    }
-}
-
-/// Scatter one shard's results back to the caller's arrival order: the
-/// split's index lists are, concatenated, a permutation of the request,
-/// and this applies its inverse shard by shard.
-fn scatter(merged: &mut [u64], list: &[usize], results: Vec<u64>) {
-    debug_assert_eq!(list.len(), results.len());
-    for (&i, r) in list.iter().zip(results) {
-        merged[i] = r;
+    fn deref(&self) -> &SchedulerClient {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{SchedAnswer, SchedOp};
     use cuart::{CuartConfig, CuartIndex};
     use cuart_art::Art;
     use cuart_gpu_sim::batch::NOT_FOUND;
     use cuart_gpu_sim::devices;
+    use std::time::Duration;
 
     fn build_index(n: u64) -> Arc<CuartIndex> {
         let mut art = Art::new();

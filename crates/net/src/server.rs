@@ -1,20 +1,20 @@
 //! Backpressure-aware multi-threaded TCP server.
 //!
-//! The server owns a scheduler stack — a plain [`Scheduler`] or a
-//! [`ShardedScheduler`] fleet — and serves the wire protocol from
-//! [`proto`] over any number of connections:
+//! The server owns a [`ShardedScheduler`] fleet — a lone [`Scheduler`] is
+//! served as a fleet of one — and serves the wire protocol from [`proto`]
+//! over any number of connections through the fleet's one client:
 //!
 //! * **Per connection, two threads.** The *reader* decodes frames,
-//!   **submits** each request to the scheduler stack (a non-blocking
-//!   [`SchedulerClient::submit`](cuart_host::SchedulerClient::submit);
-//!   admission control applies there) and pushes the resulting ticket
-//!   into a *bounded* in-flight window (a `sync_channel` of
-//!   [`NetServerConfig::window`] slots). The *writer* pops tickets in
-//!   order, waits on each, encodes and writes its response frame. So
-//!   every in-flight request of a connection is in the scheduler at once
-//!   — a pipelining client coalesces with itself — and responses on one
-//!   connection are written **in request order** (the frame still carries
-//!   the request id).
+//!   **submits** each request to the fleet (a non-blocking
+//!   [`SchedulerClient::submit`], which queues it whole on one shard or
+//!   splits it over several; admission control applies there) and pushes
+//!   the resulting ticket into a *bounded* in-flight window (a
+//!   `sync_channel` of [`NetServerConfig::window`] slots). The *writer*
+//!   pops tickets in order, waits on each, encodes and writes its
+//!   response frame. So every in-flight request of a connection is in the
+//!   scheduler at once — a pipelining client coalesces with itself — and
+//!   responses on one connection are written **in request order** (the
+//!   frame still carries the request id).
 //! * **Backpressure.** When the window is full the reader blocks, which
 //!   stops draining the socket, which backs the TCP flow-control window
 //!   up to the client. Overload never silently drops a connection —
@@ -26,22 +26,19 @@
 //! * **Drain-safe shutdown** ([`ShutdownHandle::shutdown`] or a remote
 //!   [`FlatOp::Shutdown`] frame when enabled):
 //!   stop accepting, stop reading new frames, answer every admitted
-//!   ticket, flush writers, then `join()` the scheduler so its own FIFO
+//!   ticket, flush writers, then `join()` the fleet so its own FIFO
 //!   drain contract applies. [`names::NET_DRAINED`] flips to 1.0 only
 //!   after all of that succeeded.
 
 use crate::proto::{self, ErrorCode, FlatOp, FlatRequest, Opcode, RespBody, Response, WireError};
-use cuart_host::sharded::{ShardedClient, ShardedScheduler, ShardedStats};
-use cuart_host::{
-    SchedAnswer, SchedError, SchedOp, Scheduler, SchedulerClient, SchedulerStats, ShardedTicket,
-    Ticket,
-};
+use cuart_host::sharded::{ShardedScheduler, ShardedStats};
+use cuart_host::{SchedAnswer, SchedError, Scheduler, SchedulerClient, SchedulerStats, Ticket};
 use cuart_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, SpanNode, Telemetry};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,13 +110,23 @@ pub struct NetReport {
     pub sched: SchedReport,
 }
 
-/// Stats of whichever scheduler stack the server owned.
+/// Stats of the drained fleet: a fleet of one reports its one scheduler's
+/// stats, a larger one its per-shard and routing stats.
 #[derive(Debug)]
 pub enum SchedReport {
-    /// Single-device scheduler.
+    /// A fleet of one.
     Single(SchedulerStats),
-    /// Sharded fleet.
+    /// A fleet of two or more shards.
     Sharded(ShardedStats),
+}
+
+impl From<ShardedStats> for SchedReport {
+    fn from(mut fleet: ShardedStats) -> SchedReport {
+        match fleet.shards.as_mut_slice() {
+            [one] => SchedReport::Single(std::mem::take(&mut one.stats)),
+            _ => SchedReport::Sharded(fleet),
+        }
+    }
 }
 
 impl SchedReport {
@@ -129,43 +136,6 @@ impl SchedReport {
         match self {
             SchedReport::Single(s) => s.clone(),
             SchedReport::Sharded(s) => s.aggregate(),
-        }
-    }
-}
-
-/// The scheduler stack a server owns until drain.
-enum AnySched {
-    Single(Scheduler),
-    Sharded(ShardedScheduler),
-}
-
-/// A per-connection producer handle onto [`AnySched`].
-#[derive(Clone)]
-enum AnyClient {
-    Single(SchedulerClient),
-    Sharded(ShardedClient),
-}
-
-/// The claim on one submitted request's answer.
-enum AnyTicket {
-    Single(Ticket),
-    Sharded(ShardedTicket),
-}
-
-impl AnyClient {
-    fn submit(&self, op: SchedOp, budget: Option<Duration>) -> AnyTicket {
-        match self {
-            AnyClient::Single(c) => AnyTicket::Single(c.submit(op, budget)),
-            AnyClient::Sharded(c) => AnyTicket::Sharded(c.submit(op, budget)),
-        }
-    }
-}
-
-impl AnyTicket {
-    fn wait(self) -> Result<SchedAnswer, SchedError> {
-        match self {
-            AnyTicket::Single(t) => t.wait(),
-            AnyTicket::Sharded(t) => t.wait(),
         }
     }
 }
@@ -223,29 +193,20 @@ pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: JoinHandle<()>,
-    sched: Arc<Mutex<Option<AnySched>>>,
+    sched: ShardedScheduler,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<NetTelemetry>>,
 }
 
 impl NetServer {
-    /// Serve a single-device [`Scheduler`].
+    /// Serve a single-device [`Scheduler`], as a fleet of one.
     pub fn serve_single(
         listener: TcpListener,
         sched: Scheduler,
         telemetry: Option<Arc<Telemetry>>,
         cfg: NetServerConfig,
     ) -> io::Result<NetServer> {
-        let client = sched
-            .client()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        Self::serve(
-            listener,
-            AnySched::Single(sched),
-            AnyClient::Single(client),
-            telemetry,
-            cfg,
-        )
+        Self::serve_sharded(listener, sched.into(), telemetry, cfg)
     }
 
     /// Serve a [`ShardedScheduler`] fleet.
@@ -257,23 +218,8 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let client = sched
             .client()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        Self::serve(
-            listener,
-            AnySched::Sharded(sched),
-            AnyClient::Sharded(client),
-            telemetry,
-            cfg,
-        )
-    }
-
-    fn serve(
-        listener: TcpListener,
-        sched: AnySched,
-        client: AnyClient,
-        telemetry: Option<Arc<Telemetry>>,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServer> {
+            .map_err(|e| io::Error::other(e.to_string()))?
+            .0;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -297,7 +243,7 @@ impl NetServer {
             addr,
             stop,
             accept,
-            sched: Arc::new(Mutex::new(Some(sched))),
+            sched,
             counters,
             telemetry,
         })
@@ -317,7 +263,7 @@ impl NetServer {
 
     /// Block until a shutdown is requested (via [`Self::shutdown_handle`]
     /// or a remote shutdown frame), drain every connection's in-flight
-    /// work, join the scheduler stack, and return the final report.
+    /// work, join the fleet, and return the final report.
     pub fn join(self) -> Result<NetReport, SchedError> {
         // The accept thread owns the per-connection threads and joins
         // them before exiting, so this blocks until all in-flight
@@ -325,17 +271,7 @@ impl NetServer {
         if self.accept.join().is_err() {
             return Err(SchedError::ExecutorPanicked("net accept thread".into()));
         }
-        let sched = {
-            self.sched
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-        };
-        let sched = match sched {
-            Some(AnySched::Single(s)) => SchedReport::Single(s.join()?),
-            Some(AnySched::Sharded(s)) => SchedReport::Sharded(s.join()?),
-            None => return Err(SchedError::Shutdown),
-        };
+        let sched = SchedReport::from(self.sched.join()?);
         if let Some(t) = &self.telemetry {
             t.drained.set(1.0);
             t.connections.set(0.0);
@@ -357,7 +293,7 @@ impl NetServer {
 fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    client: AnyClient,
+    client: SchedulerClient,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<NetTelemetry>>,
     cfg: NetServerConfig,
@@ -406,7 +342,7 @@ fn accept_loop(
 /// Everything a connection's threads need.
 struct ConnCtx {
     stop: Arc<AtomicBool>,
-    client: AnyClient,
+    client: SchedulerClient,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<NetTelemetry>>,
     cfg: NetServerConfig,
@@ -519,8 +455,8 @@ struct InFlight {
 enum Answer {
     /// Decided by the reader (ping, shutdown).
     Ready(RespBody),
-    /// Submitted to the scheduler stack; the writer waits.
-    Ticket(AnyTicket),
+    /// Submitted to the fleet; the writer waits.
+    Ticket(Ticket),
 }
 
 fn connection(mut stream: TcpStream, ctx: ConnCtx) {
@@ -659,7 +595,7 @@ impl From<io::Error> for WireError {
     }
 }
 
-/// Hand one decoded request to the scheduler stack without waiting for
+/// Hand one decoded request to the fleet without waiting for
 /// its batch; the control opcodes are decided on the spot.
 fn submit(req: FlatRequest, ctx: &ConnCtx) -> Answer {
     let budget = match req.deadline_us {

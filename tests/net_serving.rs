@@ -24,7 +24,9 @@
 //! 6. **Reader submits, writer waits** — every in-flight request of one
 //!    pipelining connection reaches the scheduler at once (so the
 //!    connection coalesces with itself), responses come back in request
-//!    order, and a dead executor is an error frame, not a hung writer.
+//!    order — a write pipelined ahead of a read of its keys is seen by
+//!    that read, over one shard and two — and a dead executor is an
+//!    error frame, not a hung writer.
 //! 7. **Every request is answered** — an answer the wire cannot carry (a
 //!    range row whose key is over 65,535 bytes) comes back as a typed
 //!    `TooLarge` frame on a connection that stays usable, and a client
@@ -548,6 +550,77 @@ fn one_pipelining_connection_coalesces_with_itself_and_is_answered_in_order() {
         "a pipelining connection must coalesce: {agg:?}"
     );
     assert_eq!((agg.batches, agg.size_flushes), (1, 1), "{agg:?}");
+}
+
+#[test]
+fn a_write_pipelined_ahead_of_a_read_is_seen_by_it() {
+    let index = build_index(4096, None);
+    // A linger long enough that both pipelined frames sit in one flush:
+    // the executor cuts them into two same-kind runs, in order.
+    let cfg = SchedulerConfig {
+        deadline: Duration::from_millis(20),
+        ..SchedulerConfig::default()
+    };
+    // Inserts at both ends of the key space, so two shards both serve;
+    // then updates of an old key and of the high new one.
+    let fresh = [key(5_000), key(u64::MAX - 5_000)];
+    let targets = vec![key(5), key(u64::MAX - 5_000)];
+    let request = |id, op| proto::Request {
+        id,
+        deadline_us: 0,
+        op,
+    };
+    for shards in [1, 2] {
+        let server = if shards == 1 {
+            let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg.clone());
+            NetServer::serve_single(listener(), sched, None, NetServerConfig::default())
+        } else {
+            let devs = [devices::rtx3090(); 2];
+            let fleet = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg.clone()).unwrap();
+            NetServer::serve_sharded(listener(), fleet, None, NetServerConfig::default())
+        }
+        .unwrap();
+        let mut s = handshake_raw(server.local_addr());
+        let inserts: Vec<(Vec<u8>, u64)> = fresh.iter().map(|k| (k.clone(), 88)).collect();
+        let updates: Vec<(Vec<u8>, u64)> = targets.iter().map(|k| (k.clone(), 77)).collect();
+        let everything = (vec![0u8], vec![0xffu8; 9]);
+        pipeline(
+            &mut s,
+            [
+                request(1, Op::Insert(inserts.clone())),
+                request(2, Op::Range(vec![everything])),
+                request(3, Op::Update(updates)),
+                request(4, Op::Lookup(targets.clone())),
+            ],
+        );
+        let bodies: Vec<RespBody> = (0..4).map(|_| read_response(&mut s).body).collect();
+        assert!(
+            matches!(bodies[0], RespBody::Values(_)),
+            "{shards}: {bodies:?}"
+        );
+        let RespBody::Rows(rows) = &bodies[1] else {
+            panic!(
+                "{shards} shard(s): a range answers rows, got {:?}",
+                bodies[1]
+            );
+        };
+        assert_eq!(rows[0].len(), 4096 + fresh.len(), "{shards} shard(s)");
+        for row in &inserts {
+            assert!(rows[0].contains(row), "{shards} shard(s): missing {row:?}");
+        }
+        assert!(
+            matches!(bodies[2], RespBody::Values(_)),
+            "{shards}: {bodies:?}"
+        );
+        assert_eq!(
+            bodies[3],
+            RespBody::Values(vec![77, 77]),
+            "{shards} shard(s)"
+        );
+        drop(s);
+        server.shutdown_handle().shutdown();
+        server.join().unwrap();
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration suite for the sharded multi-device serving layer
 //! (`cuart-host::sharded`).
 //!
-//! Four contracts are pinned here (the mixed workload a fleet serves is
+//! Six contracts are pinned here (the mixed workload a fleet serves is
 //! checked against the one oracle by `tests/differential.rs` as well):
 //!
 //! 1. **Permutation identity** — the router's split is a stable
@@ -18,12 +18,22 @@
 //! 4. **Telemetry** — per-shard `cuart.sched.shard.<i>.*` counters sum
 //!    to the global `cuart.sched.*` totals, and every routed call leaves
 //!    a `sched.route` span.
+//! 5. **One submit contract** — a write whose values do not pair up with
+//!    its keys is refused, before anything is queued or routed, by a lone
+//!    scheduler, by spawned fleets of one and two, and by a lone scheduler
+//!    served as a fleet of one.
+//! 6. **Cross-kind order** — one producer's update ticket, then its
+//!    lookup ticket, submitted without waiting in between: the lookup
+//!    reads the update, and a range after an insert returns the new row,
+//!    on a lone scheduler and on fleets of one to four devices.
 
+use cuart::KeyBatch;
 use cuart::{CuartConfig, CuartIndex, ShardRouter};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
-use cuart_host::scheduler::SchedulerConfig;
-use cuart_host::sharded::ShardedScheduler;
+use cuart_host::scheduler::{SchedAnswer, SchedError, SchedOp, SchedulerConfig, Ticket};
+use cuart_host::sharded::{ShardedScheduler, ShardedStats};
+use cuart_host::Scheduler;
 use cuart_integration_tests::{mix, sized, Model};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -341,5 +351,118 @@ proptest! {
         drop(client);
         let stats = sharded.join().unwrap();
         prop_assert_eq!(stats.aggregate().keys_dispatched, (picks.len() + misses.len()) as u64);
+    }
+}
+
+/// A lone scheduler, spawned fleets of one and two devices, and a lone
+/// scheduler as a fleet of one, each behind one submit: the stacks
+/// every serving path is built from.
+enum Stack {
+    Lone(Scheduler),
+    Fleet(ShardedScheduler),
+}
+
+impl Stack {
+    fn all(index: &Arc<CuartIndex>, cfg: &SchedulerConfig) -> Vec<(String, Stack)> {
+        let lone = || Scheduler::spawn(Arc::clone(index), devices::gtx1070(), cfg.clone());
+        let spawned = |n: usize| {
+            let devs = vec![devices::rtx3090(); n];
+            ShardedScheduler::spawn(Arc::clone(index), &devs, cfg.clone()).unwrap()
+        };
+        let mut stacks = vec![
+            ("a lone scheduler".to_string(), Stack::Lone(lone())),
+            (
+                "a lone scheduler as a fleet".into(),
+                Stack::Fleet(lone().into()),
+            ),
+        ];
+        for n in 1..=4 {
+            stacks.push((format!("a fleet of {n}"), Stack::Fleet(spawned(n))));
+        }
+        stacks
+    }
+
+    fn submit(&self, op: SchedOp) -> Ticket {
+        match self {
+            Stack::Lone(s) => s.client().unwrap().submit(op, None),
+            Stack::Fleet(f) => f.client().unwrap().submit(op, None),
+        }
+    }
+
+    /// Join, and the fleet's routing stats (none for a lone scheduler).
+    fn join(self) -> (u64, Option<ShardedStats>) {
+        match self {
+            Stack::Lone(s) => (s.join().unwrap().ops_enqueued, None),
+            Stack::Fleet(f) => {
+                let stats = f.join().unwrap();
+                (stats.aggregate().ops_enqueued, Some(stats))
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unpaired_write_is_refused_by_every_stack_before_it_is_queued() {
+    let (index, stored) = build_spread_index(256, &CuartConfig::for_tests());
+    let index = Arc::new(index);
+    let two_keys = KeyBatch::from_keys(stored.iter().take(2));
+    let unpaired = [
+        SchedOp::Update(KeyBatch::default(), vec![1, 2, 3]),
+        SchedOp::Insert(KeyBatch::default(), vec![1, 2, 3]),
+        SchedOp::Update(two_keys, vec![1, 2, 3]),
+    ];
+    for (name, stack) in Stack::all(&index, &SchedulerConfig::default()) {
+        for op in &unpaired {
+            match stack.submit(op.clone()).wait() {
+                Err(SchedError::Session(_)) => {}
+                other => panic!("{name}: {op:?} answered {other:?}"),
+            }
+        }
+        let (enqueued, fleet) = stack.join();
+        assert_eq!(enqueued, 0, "{name}: nothing is queued");
+        if let Some(fleet) = fleet {
+            assert_eq!(fleet.routed_requests, 0, "{name}: nothing is routed");
+        }
+    }
+}
+
+#[test]
+fn a_producers_write_is_seen_by_its_next_read_on_every_stack() {
+    let (index, stored) = build_spread_index(256, &CuartConfig::for_tests());
+    let index = Arc::new(index);
+    // A linger long enough that both of a producer's requests sit in one
+    // flush: the executor cuts them into two same-kind runs, in order.
+    let cfg = SchedulerConfig {
+        deadline: Duration::from_millis(20),
+        ..SchedulerConfig::default()
+    };
+    // Spread keys: each request reaches every shard of a fleet.
+    let targets: Vec<Vec<u8>> = stored.iter().step_by(32).cloned().collect();
+    let fresh: Vec<Vec<u8>> = (0..8u64)
+        .map(|i| (i.wrapping_mul(GOLDEN) | 1).to_be_bytes().to_vec())
+        .filter(|k| !stored.contains(k))
+        .collect();
+    let written = |base: u64, keys: &[Vec<u8>]| -> Vec<(Vec<u8>, u64)> {
+        (base..).zip(keys).map(|(v, k)| (k.clone(), v)).collect()
+    };
+    let everything = (vec![0u8], vec![0xffu8; 9]);
+    for (name, stack) in Stack::all(&index, &cfg) {
+        let updates = written(1000, &targets);
+        let update = stack.submit(SchedOp::updates(&updates));
+        let lookup = stack.submit(SchedOp::lookups(&targets));
+        assert!(update.wait().is_ok(), "{name}: update");
+        let want: Vec<u64> = updates.iter().map(|&(_, v)| v).collect();
+        assert_eq!(lookup.wait(), Ok(SchedAnswer::Values(want)), "{name}");
+
+        let inserts = written(2000, &fresh);
+        let insert = stack.submit(SchedOp::inserts(&inserts));
+        let range = stack.submit(SchedOp::Range(vec![everything.clone()]));
+        assert!(insert.wait().is_ok(), "{name}: insert");
+        let rows = range.wait().unwrap().into_rows().unwrap().remove(0);
+        assert_eq!(rows.len(), stored.len() + fresh.len(), "{name}");
+        for row in &inserts {
+            assert!(rows.contains(row), "{name}: the range misses {row:?}");
+        }
+        stack.join();
     }
 }

@@ -9,7 +9,9 @@
 //! serving it and encoding the answer allocates a fixed number of times
 //! (the payload, its extents and values, the reply channel, the answer
 //! and the encoded frame, per shard share) however many keys the frame
-//! carries. Before, every decoded key was its own allocation.
+//! carries. Before, every decoded key was its own allocation. A fleet of
+//! one — spawned over one device, or a lone scheduler converted — queues
+//! each request whole and allocates exactly what the lone scheduler does.
 //! One test only: the counter is process-wide.
 
 use cuart::{CuartConfig, CuartIndex};
@@ -105,33 +107,51 @@ fn a_served_request_allocates_per_request_not_per_key() {
     ];
 
     let dev = devices::rtx3090();
-    let single = Scheduler::spawn(Arc::clone(&index), dev, SchedulerConfig::default());
-    let fleet =
-        ShardedScheduler::spawn(Arc::clone(&index), &[dev, dev], SchedulerConfig::default())
-            .unwrap();
-    let (single_client, fleet_client) = (single.client().unwrap(), fleet.client().unwrap());
-    let paths: [(&str, &dyn Fn(SchedOp) -> SchedAnswer); 2] = [
-        ("1 shard", &|op| {
-            single_client.submit(op, None).wait().unwrap()
-        }),
-        ("2 shards", &|op| {
-            fleet_client.submit(op, None).wait().unwrap()
-        }),
+    let cfg = SchedulerConfig::default;
+    let single = Scheduler::spawn(Arc::clone(&index), dev, cfg());
+    let fleet_of_one = ShardedScheduler::spawn(Arc::clone(&index), &[dev], cfg()).unwrap();
+    let lone_as_fleet = ShardedScheduler::from(Scheduler::spawn(Arc::clone(&index), dev, cfg()));
+    let fleet = ShardedScheduler::spawn(Arc::clone(&index), &[dev, dev], cfg()).unwrap();
+    let clients = [
+        single.client().unwrap(),
+        fleet_of_one.client().unwrap().0,
+        lone_as_fleet.client().unwrap().0,
+        fleet.client().unwrap().0,
     ];
-    for (shards, submit) in paths {
+    let names = [
+        "1 shard",
+        "a spawned fleet of one",
+        "a lone scheduler as a fleet",
+        "2 shards",
+    ];
+    let mut per_path = Vec::new();
+    for (shards, client) in names.into_iter().zip(&clients) {
+        let submit = &|op| client.submit(op, None).wait().unwrap();
         // Warm-up, largest first: it sizes every executor's scratch and
         // staging, and writes every key the measured updates rewrite.
         for (_, small, large) in &frames {
             serve(large, submit);
             serve(small, submit);
         }
-        for (kind, small, large) in &frames {
-            let (at_1k, at_8k) = (serve(small, submit), serve(large, submit));
-            assert_eq!(at_1k, at_8k, "{kind} on {shards}: 1 Ki vs 8 Ki keys");
-            assert!(at_8k <= 64, "{kind} on {shards} allocated {at_8k}×");
-        }
+        let counts: Vec<u64> = frames
+            .iter()
+            .map(|(kind, small, large)| {
+                let (at_1k, at_8k) = (serve(small, submit), serve(large, submit));
+                assert_eq!(at_1k, at_8k, "{kind} on {shards}: 1 Ki vs 8 Ki keys");
+                assert!(at_8k <= 64, "{kind} on {shards} allocated {at_8k}×");
+                at_8k
+            })
+            .collect();
+        per_path.push(counts);
     }
-    drop((single_client, fleet_client));
+    // A fleet of one queues a request whole, as a lone scheduler does,
+    // and costs exactly as much, per kind and at both frame sizes.
+    for (shards, counts) in names.iter().zip(&per_path).take(3).skip(1) {
+        assert_eq!(counts, &per_path[0], "{shards} vs 1 shard (lookup, update)");
+    }
+    drop(clients);
     single.join().unwrap();
-    fleet.join().unwrap();
+    for stack in [fleet_of_one, lone_as_fleet, fleet] {
+        stack.join().unwrap();
+    }
 }
