@@ -44,7 +44,7 @@ impl NodeType {
 
     /// Minimum number of children before the node shrinks to the next
     /// smaller type (classic ART underflow thresholds).
-    pub fn min_children(self) -> usize {
+    fn min_children(self) -> usize {
         match self {
             NodeType::N4 => 2,
             NodeType::N16 => 5,

@@ -1,12 +1,10 @@
-//! Structural statistics of an [`Art`] tree.
-//!
-//! Used by the benchmark harness to report node populations (the density
-//! effects discussed in §4.4 of the CuART paper) and by the GPU mappers to
-//! pre-size their buffers.
+//! Structural statistics of an [`Art`] tree: node populations (the
+//! density effects discussed in §4.4 of the CuART paper), depth, prefix
+//! bytes and the heap bytes the tree holds, which the footprint test
+//! checks against a counting allocator.
 
 use crate::node::Node;
 use crate::tree::Art;
-use crate::NodeType;
 
 /// Aggregate structural statistics; see [`Art::stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,48 +35,12 @@ impl ArtStats {
         self.nodes.iter().sum()
     }
 
-    /// Number of inner nodes of the given type.
-    pub fn nodes_of(&self, ty: NodeType) -> usize {
-        self.nodes[ty as usize - 1]
-    }
-
     /// Average leaf depth in nodes (0.0 for the empty tree).
     pub fn avg_depth(&self) -> f64 {
         if self.leaves == 0 {
             0.0
         } else {
             self.total_leaf_depth as f64 / self.leaves as f64
-        }
-    }
-
-    /// Average compressed-prefix length per inner node (0.0 when the tree
-    /// has no inner nodes — a root-only leaf or the empty tree).
-    pub fn avg_prefix_len(&self) -> f64 {
-        let inner = self.inner_nodes();
-        if inner == 0 {
-            0.0
-        } else {
-            self.prefix_bytes as f64 / inner as f64
-        }
-    }
-
-    /// Heap bytes per stored key (0.0 for the empty tree).
-    pub fn bytes_per_key(&self) -> f64 {
-        if self.leaves == 0 {
-            0.0
-        } else {
-            self.memory_bytes as f64 / self.leaves as f64
-        }
-    }
-
-    /// Fraction of inner nodes of the given type (0.0 when there are no
-    /// inner nodes, rather than NaN).
-    pub fn node_fraction(&self, ty: NodeType) -> f64 {
-        let inner = self.inner_nodes();
-        if inner == 0 {
-            0.0
-        } else {
-            self.nodes_of(ty) as f64 / inner as f64
         }
     }
 }
@@ -122,42 +84,9 @@ mod tests {
         let art: Art<u64> = Art::new();
         let s = art.stats();
         assert_eq!(s, ArtStats::default());
-        // Every derived ratio must be a well-defined 0.0 — never NaN — so
+        // The average depth must be a well-defined 0.0 — never NaN — so
         // the figure harness can divide by nothing without poisoning CSVs.
         assert_eq!(s.avg_depth(), 0.0);
-        assert_eq!(s.avg_prefix_len(), 0.0);
-        assert_eq!(s.bytes_per_key(), 0.0);
-        for ty in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
-            assert_eq!(s.node_fraction(ty), 0.0);
-        }
-    }
-
-    #[test]
-    fn derived_ratios_on_leaf_only_tree() {
-        // A single root leaf has no inner nodes: prefix and node-fraction
-        // ratios hit the zero denominator while leaves != 0.
-        let mut art = Art::new();
-        art.insert(b"solo", 9u64).unwrap();
-        let s = art.stats();
-        assert_eq!(s.avg_prefix_len(), 0.0);
-        assert_eq!(s.node_fraction(NodeType::N4), 0.0);
-        assert!(s.bytes_per_key() > 0.0);
-        assert!(s.bytes_per_key().is_finite());
-    }
-
-    #[test]
-    fn derived_ratios_populated_tree() {
-        let mut art = Art::new();
-        art.insert(b"prefix_a", 1u64).unwrap();
-        art.insert(b"prefix_b", 2).unwrap();
-        let s = art.stats();
-        assert_eq!(s.avg_prefix_len(), s.prefix_bytes as f64);
-        assert_eq!(s.node_fraction(NodeType::N4), 1.0);
-        let total: f64 = [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256]
-            .iter()
-            .map(|&t| s.node_fraction(t))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -178,7 +107,7 @@ mod tests {
         art.insert(b"ab", 2).unwrap();
         let s = art.stats();
         assert_eq!(s.leaves, 2);
-        assert_eq!(s.nodes_of(NodeType::N4), 1);
+        assert_eq!(s.nodes, [1, 0, 0, 0], "one N4");
         assert_eq!(s.max_depth, 2);
         // The shared 'a' is path-compressed into the root node.
         assert_eq!(s.prefix_bytes, 1);

@@ -37,11 +37,6 @@ impl<'a, V> NodeView<'a, V> {
             Node::Leaf(leaf) => NodeView::Leaf(LeafView { leaf }),
         }
     }
-
-    /// `true` if this is a leaf view.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, NodeView::Leaf(_))
-    }
 }
 
 impl<'a, V> InnerView<'a, V> {
@@ -169,7 +164,7 @@ mod tests {
         art.insert(b"abcY2", 2).unwrap();
         let mut depths = Vec::new();
         art.walk(|view, depth| {
-            if !view.is_leaf() {
+            if matches!(view, NodeView::Inner(_)) {
                 depths.push(depth);
             }
         });
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(depths, vec![0]);
         let mut leaf_depths = Vec::new();
         art.walk(|view, depth| {
-            if view.is_leaf() {
+            if matches!(view, NodeView::Leaf(_)) {
                 leaf_depths.push(depth);
             }
         });
@@ -191,7 +186,7 @@ mod tests {
         art.insert(b"solo", 9u64).unwrap();
         let mut count = 0;
         art.walk(|view, depth| {
-            assert!(view.is_leaf());
+            assert!(matches!(view, NodeView::Leaf(_)));
             assert_eq!(depth, 0);
             count += 1;
         });

@@ -4,11 +4,21 @@ use crate::context::RunCtx;
 use crate::series::{Figure, Series};
 use cuart_grt::ApiProfile;
 use cuart_host::gpu_runner::{run_cuart_lookups, run_grt_lookups, E2eReport, RunConfig};
-use cuart_host::hybrid::{hybrid_throughput_traced, CPU_LONG_KEY_NS};
+use cuart_host::hybrid::{hybrid_throughput, HybridReport, CPU_LONG_KEY_NS};
 use cuart_workloads::QueryStream;
 
 const CPU_THREADS: usize = 56; // the paper's server: 2x Epyc 7752
 const BATCH: usize = 32 * 1024;
+
+/// One hybrid split of `BATCH` keys, `cpu_fraction` of them on the CPU,
+/// recorded into the context's registry when one is attached.
+fn hybrid(ctx: &RunCtx, gpu: &E2eReport, cpu_fraction: f64) -> HybridReport {
+    let report = hybrid_throughput(gpu, BATCH, cpu_fraction, CPU_THREADS, CPU_LONG_KEY_NS);
+    if let Some(t) = ctx.telemetry() {
+        report.record_into(t, BATCH, cpu_fraction);
+    }
+    report
+}
 
 fn gpu_baseline(ctx: &RunCtx) -> (E2eReport, E2eReport, E2eReport) {
     let n = ctx.tree_size(26_000_000);
@@ -40,15 +50,7 @@ pub fn fig13(ctx: &RunCtx) -> Figure {
     let (cu, _, _) = gpu_baseline(ctx);
     let mut s = Series::new("CuART hybrid");
     for pct in [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 25.0, 50.0] {
-        let r = hybrid_throughput_traced(
-            &cu,
-            BATCH,
-            pct / 100.0,
-            CPU_THREADS,
-            CPU_LONG_KEY_NS,
-            ctx.telemetry().map(|t| &**t),
-        );
-        s.push(pct, r.mops);
+        s.push(pct, hybrid(ctx, &cu, pct / 100.0).mops);
     }
     fig.series.push(s);
     fig
@@ -71,15 +73,7 @@ pub fn fig14(ctx: &RunCtx) -> Figure {
     let mut with_cpu = Series::new("5% keys on CPU");
     for (i, r) in [&cu, &gc, &go].iter().enumerate() {
         gpu_only.push(i as f64, r.mops);
-        let h = hybrid_throughput_traced(
-            r,
-            BATCH,
-            0.05,
-            CPU_THREADS,
-            CPU_LONG_KEY_NS,
-            ctx.telemetry().map(|t| &**t),
-        );
-        with_cpu.push(i as f64, h.mops);
+        with_cpu.push(i as f64, hybrid(ctx, r, 0.05).mops);
     }
     fig.series.push(gpu_only);
     fig.series.push(with_cpu);

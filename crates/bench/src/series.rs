@@ -73,7 +73,7 @@ impl Figure {
     }
 
     /// Render as CSV: header `x,<label>...`, one row per x.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut xs: Vec<f64> = self
             .series
             .iter()

@@ -47,10 +47,10 @@ pub fn cmd_bench(
         None => stored_keys(&index)?,
     };
     let faulty = faults.is_some();
-    let mut session = match faults {
-        Some(f) => index.device_session_with_faults(dev, FaultInjector::new(f)),
-        None => index.device_session(dev),
-    };
+    let mut session = index.device_session(dev);
+    if let Some(f) = faults {
+        session.attach_fault_injector(FaultInjector::new(f));
+    }
     let (mut hits, mut dram, mut l2_hits, mut sectors) = (0, 0, 0, 0);
     let mut total_ns = 0.0;
     let mut wall = Duration::ZERO;

@@ -3,10 +3,12 @@
 //! [`CuartIndex::build`] maps an ART into the structure of buffers;
 //! [`CuartIndex::device_session`] uploads it to a simulated device and
 //! keeps the L2 cache, hash table, free lists and staging buffers alive
-//! across batches — the steady-state regime the paper measures. The one
-//! device path outside a session is the one-shot
+//! across batches — the steady-state regime the paper measures, and the
+//! one `gpu_runner` samples for the figures. The one device path outside a
+//! session is the one-shot
 //! [`lookup_batch_device`](CuartIndex::lookup_batch_device): fresh device
-//! memory and a cold L2 per call, the kernel sample `gpu_runner` composes.
+//! memory and a cold L2 per call, which the ablations report, the
+//! simulator golden's one-shot lines, examples and tests read.
 //!
 //! A [`CuartSession`] runs every batch down one path: `point_batch` is the
 //! skeleton lookups, updates and inserts share, `range_batch` goes through
@@ -79,14 +81,9 @@ impl CuartIndex {
     /// Attach a telemetry registry. Build-shape gauges (device bytes,
     /// node/leaf-class occupancy) are recorded immediately; sessions
     /// opened afterwards inherit the registry and record every batch.
-    pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.record_build_metrics(&telemetry);
         self.telemetry = Some(telemetry);
-    }
-
-    /// Builder-style variant of [`attach_telemetry`](Self::attach_telemetry).
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.attach_telemetry(telemetry);
         self
     }
 
@@ -170,21 +167,17 @@ impl CuartIndex {
         }
     }
 
-    /// Upload all buffers into `mem`; returns the device handles.
-    pub fn upload(&self, mem: &mut DeviceMemory) -> DeviceTree {
-        self.upload_with_headroom(mem, 0)
-    }
-
-    /// Upload with `leaf_headroom` extra zeroed record slots per leaf
-    /// class, so the device-side insert engine (§5.1 extension) can bump-
-    /// allocate new leaves.
+    /// Upload all buffers into `mem` with `leaf_headroom` extra zeroed
+    /// record slots per leaf class, so the device-side insert engine (§5.1
+    /// extension) can bump-allocate new leaves; returns the device handles.
+    /// A session uploads with headroom, a one-shot lookup with none.
     ///
     /// Every arena and the LUT are *shared* with the device, not copied
     /// ([`DeviceMemory::upload`]): the upload costs O(chunks) whatever the
     /// image's size, a device write copies only the chunk it lands in, and
     /// the image itself never changes. Base addresses, lengths and so every
     /// modeled number are those of a full copy.
-    pub fn upload_with_headroom(&self, mem: &mut DeviceMemory, leaf_headroom: usize) -> DeviceTree {
+    pub fn upload(&self, mem: &mut DeviceMemory, leaf_headroom: usize) -> DeviceTree {
         let b = &self.buffers;
         // Chunks follow each arena's record stride (a dynamic leaf's is 0:
         // the whole arena is one chunk); leaf classes get the headroom.
@@ -236,16 +229,16 @@ impl CuartIndex {
     /// [`lookup_fitting`], the rule GRT's one-shot lookup shares: queries
     /// longer than the stride answer [`NOT_FOUND`], and a batch in which no
     /// key fits launches nothing. A session uploads with leaf headroom and
-    /// a claim table, so its buffer addresses, and the modeled numbers
-    /// `gpu_runner` samples here, differ from this path's.
-    pub fn lookup_batch_device_raw(
+    /// a claim table, so its buffer addresses, and its modeled numbers,
+    /// differ from this path's.
+    pub(crate) fn lookup_batch_device_raw(
         &self,
         dev: &DeviceConfig,
         queries: &[Vec<u8>],
         stride: usize,
     ) -> (Vec<u64>, KernelReport) {
         let mut mem = DeviceMemory::new();
-        let tree = self.upload(&mut mem);
+        let tree = self.upload(&mut mem, 0);
         let mut l2 = Cache::new(&dev.l2);
         lookup_fitting(
             &mut mem,
@@ -266,7 +259,7 @@ impl CuartIndex {
 
     /// Resolve a raw kernel result: follow host-leaf signals into the host
     /// table and finish the comparison on the CPU (§3.2.3 option 2).
-    pub fn resolve_host_signal(&self, raw: u64, key: &[u8]) -> u64 {
+    fn resolve_host_signal(&self, raw: u64, key: &[u8]) -> u64 {
         if raw != NOT_FOUND && raw & HOST_SIGNAL != 0 {
             let idx = (raw & !HOST_SIGNAL) as usize;
             let (stored, value) = &self.buffers.host_leaves[idx];
@@ -295,21 +288,6 @@ impl CuartIndex {
     ) -> CuartSession<'_> {
         CuartSession::new(self, dev, table_slots)
     }
-
-    /// Open a session with a [`FaultInjector`] attached from the first
-    /// batch. Attaching at open time matters: the session shadows every
-    /// device-leg mutation in its host overlay from the start, so a later
-    /// degradation and recovery re-upload (which restores the build image)
-    /// loses nothing.
-    pub fn device_session_with_faults(
-        &self,
-        dev: &DeviceConfig,
-        injector: FaultInjector,
-    ) -> CuartSession<'_> {
-        let mut session = self.device_session(dev);
-        session.attach_fault_injector(injector);
-        session
-    }
 }
 
 /// Reusable device buffers for range-span batches
@@ -321,24 +299,29 @@ struct RangeStaging {
     capacity: usize,
 }
 
-/// The device-resident half of a session: everything a recovery
-/// re-upload rebuilds from scratch. Factored out of [`CuartSession::new`]
-/// so the fault-recovery path constructs exactly the same image — which
-/// it shares with the index rather than copies, so a rebuild drops the
-/// chunks the old device wrote and costs O(chunks).
+/// The device-resident half of a session: everything a re-upload
+/// rebuilds from scratch. Session open and recovery each assign one
+/// [`DeviceState::build`], so a recovered session's device is a fresh
+/// session's — it shares the index image rather than copies it, so a
+/// rebuild drops the chunks the old device wrote and costs O(chunks).
+/// Staging starts empty and is allocated by the first batch that needs
+/// it, in the same order on every build, so every device address repeats.
 struct DeviceState {
     mem: DeviceMemory,
     tree: DeviceTree,
+    l2: Cache,
     claims: ClaimTable,
     free_lists: FreeLists,
     tails: ArenaTails,
+    staging: Option<Staging>,
+    range_staging: Option<RangeStaging>,
 }
 
 impl DeviceState {
-    fn build(index: &CuartIndex, table_slots: usize) -> Self {
+    fn build(index: &CuartIndex, dev: &DeviceConfig, table_slots: usize) -> Self {
         let mut mem = DeviceMemory::new();
         let headroom = (index.buffers.entries / 4).max(1024);
-        let tree = index.upload_with_headroom(&mut mem, headroom);
+        let tree = index.upload(&mut mem, headroom);
         let claims = ClaimTable::alloc(&mut mem, table_slots);
         let fl_size = |ty: LinkType| 8 + (index.buffers.record_count(ty) + headroom) * 8 + 8;
         let free_lists = FreeLists {
@@ -357,9 +340,12 @@ impl DeviceState {
         DeviceState {
             mem,
             tree,
+            l2: Cache::new(&dev.l2),
             claims,
             free_lists,
             tails,
+            staging: None,
+            range_staging: None,
         }
     }
 }
@@ -434,7 +420,7 @@ pub enum Mode {
 /// # Fault tolerance
 ///
 /// With a [`FaultInjector`] attached (see
-/// [`CuartIndex::device_session_with_faults`]) every device leg is
+/// [`CuartSession::attach_fault_injector`]) every device leg is
 /// guarded: the injector is consulted **before** any device write
 /// (transfer check before packing, kernel check before launch), so a
 /// failed attempt leaves zero device state behind and is always safe to
@@ -447,16 +433,11 @@ pub enum Mode {
 pub struct CuartSession<'a> {
     index: &'a CuartIndex,
     dev: DeviceConfig,
-    mem: DeviceMemory,
-    tree: DeviceTree,
-    l2: Cache,
-    /// Trace arena and timing scratch, reused by every launch.
+    /// Everything on the device; replaced whole by a recovery.
+    device: DeviceState,
+    /// Trace arena and timing scratch, reused by every launch. It holds
+    /// only capacity and its helper threads, so a recovery keeps it.
     launcher: Launcher,
-    claims: ClaimTable,
-    free_lists: FreeLists,
-    tails: ArenaTails,
-    staging: Option<Staging>,
-    range_staging: Option<RangeStaging>,
     /// Inherited from the index at session open, with every per-batch
     /// handle resolved; `None` records nothing.
     telemetry: Option<SessionTelemetry>,
@@ -647,19 +628,11 @@ impl SessionTelemetry {
 
 impl<'a> CuartSession<'a> {
     fn new(index: &'a CuartIndex, dev: &DeviceConfig, table_slots: usize) -> Self {
-        let state = DeviceState::build(index, table_slots);
         let session = CuartSession {
             index,
             dev: *dev,
-            l2: Cache::new(&dev.l2),
+            device: DeviceState::build(index, dev, table_slots),
             launcher: Launcher::default(),
-            mem: state.mem,
-            tree: state.tree,
-            claims: state.claims,
-            free_lists: state.free_lists,
-            tails: state.tails,
-            staging: None,
-            range_staging: None,
             telemetry: index.telemetry.as_ref().map(SessionTelemetry::new),
             overlay: HostOverlay::new(&index.buffers),
             injector: None,
@@ -874,15 +847,7 @@ impl<'a> CuartSession<'a> {
         if self.fault_check(FaultSite::Transfer).is_err() {
             return;
         }
-        let state = DeviceState::build(self.index, self.claims.slots());
-        self.mem = state.mem;
-        self.tree = state.tree;
-        self.claims = state.claims;
-        self.free_lists = state.free_lists;
-        self.tails = state.tails;
-        self.l2 = Cache::new(&self.dev.l2);
-        self.staging = None;
-        self.range_staging = None;
+        self.device = DeviceState::build(self.index, &self.dev, self.device.claims.slots());
         self.mode = Mode::Device;
         self.recoveries += 1;
         if let Some(t) = self.telemetry() {
@@ -896,8 +861,8 @@ impl<'a> CuartSession<'a> {
     /// Gauge what the device shares with the index image and what it owns.
     fn record_image_sharing(&self) {
         if let Some(t) = &self.telemetry {
-            t.shared_bytes.set(self.mem.shared_bytes() as f64);
-            t.owned_bytes.set(self.mem.owned_bytes() as f64);
+            t.shared_bytes.set(self.device.mem.shared_bytes() as f64);
+            t.owned_bytes.set(self.device.mem.owned_bytes() as f64);
         }
     }
 
@@ -993,6 +958,7 @@ impl<'a> CuartSession<'a> {
     fn ensure_staging(&mut self, batch: usize) -> Staging {
         let stride = self.index.device_key_stride();
         let reusable = self
+            .device
             .staging
             .filter(|s| s.capacity >= batch && s.layout.stride == stride);
         let st = match reusable {
@@ -1001,20 +967,22 @@ impl<'a> CuartSession<'a> {
                 let cap = batch.next_power_of_two().max(64);
                 let layout = KeyBatchLayout { stride };
                 Staging {
-                    queries: self
-                        .mem
-                        .alloc("stage-queries", cap * layout.record_bytes(), 32),
+                    queries: self.device.mem.alloc(
+                        "stage-queries",
+                        cap * layout.record_bytes(),
+                        32,
+                    ),
                     layout,
-                    results: self.mem.alloc("stage-results", cap * 8, 32),
-                    values: self.mem.alloc("stage-values", cap * 8, 32),
-                    loc: self.mem.alloc("stage-loc", cap * 8, 32),
-                    parent: self.mem.alloc("stage-parent", cap * 8, 32),
-                    aux: self.mem.alloc("stage-leaf", cap * 8, 32),
+                    results: self.device.mem.alloc("stage-results", cap * 8, 32),
+                    values: self.device.mem.alloc("stage-values", cap * 8, 32),
+                    loc: self.device.mem.alloc("stage-loc", cap * 8, 32),
+                    parent: self.device.mem.alloc("stage-parent", cap * 8, 32),
+                    aux: self.device.mem.alloc("stage-leaf", cap * 8, 32),
                     capacity: cap,
                 }
             }
         };
-        *self.staging.insert(st)
+        *self.device.staging.insert(st)
     }
 
     /// Stage the keys (and, for write kinds, the values) of `ops[which]`
@@ -1026,10 +994,10 @@ impl<'a> CuartSession<'a> {
     ) -> Result<Staging, CuartError> {
         let st = self.ensure_staging(which.len());
         let keys = which.iter().map(|&i| ops.key(i));
-        pack_keys_into(&mut self.mem, st.queries, &st.layout, keys)?;
+        pack_keys_into(&mut self.device.mem, st.queries, &st.layout, keys)?;
         if K::KIND != Kind::Lookup {
             for (j, &i) in which.iter().enumerate() {
-                self.mem.write_u64(st.values, j * 8, ops.value(i));
+                self.device.mem.write_u64(st.values, j * 8, ops.value(i));
             }
         }
         Ok(st)
@@ -1037,41 +1005,48 @@ impl<'a> CuartSession<'a> {
 
     /// Launch the kind's kernel over the first `count` staged ops.
     fn launch<K: PointKind>(&mut self, st: &Staging, count: usize) -> KernelReport {
-        let claims = self.claims.sized_for(count);
+        let claims = self.device.claims.sized_for(count);
         match K::KIND {
             Kind::Lookup => {
                 let kernel = CuartLookupKernel {
-                    tree: self.tree,
+                    tree: self.device.tree,
                     queries: st.queries,
                     layout: st.layout,
                     results: st.results,
                     count,
                 };
-                self.launcher
-                    .launch(&self.dev, &mut self.mem, &kernel, count, &mut self.l2)
+                self.run_kernel(&kernel, count)
             }
             Kind::Update => {
                 let kernel = CuartUpdateKernel {
-                    tree: self.tree,
+                    tree: self.device.tree,
                     staging: *st,
                     count,
                     claims,
-                    free_lists: self.free_lists,
+                    free_lists: self.device.free_lists,
                 };
                 self.launch_claiming(&kernel, claims, count)
             }
             Kind::Insert => {
                 let kernel = CuartInsertKernel {
-                    tree: self.tree,
+                    tree: self.device.tree,
                     staging: *st,
                     count,
                     claims,
-                    free_lists: self.free_lists,
-                    tails: self.tails,
+                    free_lists: self.device.free_lists,
+                    tails: self.device.tails,
                 };
                 self.launch_claiming(&kernel, claims, count)
             }
         }
+    }
+
+    /// Launch `kernel` over `threads` threads on the session's device,
+    /// against its warm L2.
+    fn run_kernel(&mut self, kernel: &impl PhasedKernel, threads: usize) -> KernelReport {
+        let device = &mut self.device;
+        self.launcher
+            .launch(&self.dev, &mut device.mem, kernel, threads, &mut device.l2)
     }
 
     /// Run a two-stage write kernel over `count` threads against `claims`
@@ -1083,11 +1058,12 @@ impl<'a> CuartSession<'a> {
         claims: ClaimTable,
         count: usize,
     ) -> KernelReport {
-        debug_assert!(claims.is_zero(&self.mem), "claim table dirty at launch");
-        let mut report =
-            self.launcher
-                .launch(&self.dev, &mut self.mem, kernel, count, &mut self.l2);
-        claims.clear(&mut self.mem);
+        debug_assert!(
+            claims.is_zero(&self.device.mem),
+            "claim table dirty at launch"
+        );
+        let mut report = self.run_kernel(kernel, count);
+        claims.clear(&mut self.device.mem);
         report.time_ns += claims.clear_ns(&self.dev);
         report
     }
@@ -1135,7 +1111,7 @@ impl<'a> CuartSession<'a> {
                 Some((st, r)) => {
                     report = r;
                     for (j, &i) in device_idx.iter().enumerate() {
-                        let raw = self.mem.read_u64(st.results, j * 8);
+                        let raw = self.device.mem.read_u64(st.results, j * 8);
                         out[i] = match K::KIND {
                             // Host-leaf signals finish on the CPU (§3.2.3
                             // option 2); only they read the key again.
@@ -1248,13 +1224,13 @@ impl<'a> CuartSession<'a> {
             let sub = self.launch::<K>(&st, pending.len());
             let mut progressed = false;
             for (m, &i) in pending.iter().enumerate() {
-                statuses[i] = self.mem.read_u64(st.results, m * 8);
+                statuses[i] = self.device.mem.read_u64(st.results, m * 8);
                 progressed |= statuses[i] != exhausted;
             }
             report.accumulate(&sub);
             if !progressed {
                 return Err(CuartError::HashTableFull {
-                    table_slots: self.claims.slots(),
+                    table_slots: self.device.claims.slots(),
                 });
             }
         }
@@ -1326,23 +1302,31 @@ impl<'a> CuartSession<'a> {
     }
 
     fn ensure_range_staging(&mut self, batch: usize) -> &RangeStaging {
-        let reusable = self.range_staging.take().filter(|s| s.capacity >= batch);
+        let reusable = self
+            .device
+            .range_staging
+            .take()
+            .filter(|s| s.capacity >= batch);
         let st = match reusable {
             Some(s) => s,
             None => {
                 let cap = batch.next_power_of_two().max(64);
                 RangeStaging {
-                    queries: self
-                        .mem
-                        .alloc("range-stage-queries", cap * RANGE_RECORD_BYTES, 32),
-                    results: self
-                        .mem
-                        .alloc("range-stage-results", cap * RANGE_RESULT_BYTES, 32),
+                    queries: self.device.mem.alloc(
+                        "range-stage-queries",
+                        cap * RANGE_RECORD_BYTES,
+                        32,
+                    ),
+                    results: self.device.mem.alloc(
+                        "range-stage-results",
+                        cap * RANGE_RESULT_BYTES,
+                        32,
+                    ),
                     capacity: cap,
                 }
             }
         };
-        self.range_staging.insert(st)
+        self.device.range_staging.insert(st)
     }
 
     /// Batch lookup: host-routed keys answered from the overlay and the
@@ -1423,13 +1407,13 @@ impl<'a> CuartSession<'a> {
                 // the kernel leg only models span-search cost, the host
                 // rows below are authoritative.
                 let live = ranges.len() * RANGE_RECORD_BYTES;
-                pack_range_records(s.mem.bytes_mut(staged.0, 0, live), ranges);
+                pack_range_records(s.device.mem.bytes_mut(staged.0, 0, live), ranges);
                 Ok(staged)
             },
             |s, &(queries, results)| {
                 let mapped = |ty| s.index.buffers.record_count(ty) as u64;
                 let kernel = RangeSpanKernel {
-                    tree: s.tree,
+                    tree: s.device.tree,
                     queries,
                     results,
                     count: ranges.len(),
@@ -1439,8 +1423,7 @@ impl<'a> CuartSession<'a> {
                         mapped(LinkType::Leaf32),
                     ],
                 };
-                s.launcher
-                    .launch(&s.dev, &mut s.mem, &kernel, ranges.len(), &mut s.l2)
+                s.run_kernel(&kernel, ranges.len())
             },
         )?;
         let device_ops = if launched.is_some() { ranges.len() } else { 0 };
@@ -1471,14 +1454,14 @@ impl<'a> CuartSession<'a> {
 
     /// Claim-table slots a write launch over `threads` threads hashes over.
     pub fn claim_slots(&self, threads: usize) -> usize {
-        self.claims.sized_for(threads).slots()
+        self.device.claims.sized_for(threads).slots()
     }
 
     /// The claim table and the device memory it lives in, for the
     /// [`claim`](crate::claim) tests that check it between launches.
     #[cfg(test)]
     pub(crate) fn claim_table(&mut self) -> (ClaimTable, &mut DeviceMemory) {
-        (self.claims, &mut self.mem)
+        (self.device.claims, &mut self.device.mem)
     }
 
     /// Number of device-eligible keys parked host-side: the inserts the
@@ -1490,9 +1473,10 @@ impl<'a> CuartSession<'a> {
     /// Number of freed slots currently on the free list of a leaf class.
     /// Non-leaf classes have no free list and report zero.
     pub fn free_count(&self, ty: LinkType) -> u64 {
-        self.free_lists
+        self.device
+            .free_lists
             .of(ty)
-            .map(|fl| self.mem.read_u64(fl, 0))
+            .map(|fl| self.device.mem.read_u64(fl, 0))
             .unwrap_or(0)
     }
 
@@ -1512,12 +1496,12 @@ impl<'a> CuartSession<'a> {
     /// The session's device memory, read-only: what its buffers share with
     /// the index image and which chunks its device has written.
     pub fn device_memory(&self) -> &DeviceMemory {
-        &self.mem
+        &self.device.mem
     }
 
     /// The device handles of the uploaded tree.
     pub fn device_tree(&self) -> &DeviceTree {
-        &self.tree
+        &self.device.tree
     }
 }
 
@@ -1567,12 +1551,12 @@ mod tests {
         let mut session = idx.device_session(&dev);
         let keys: Vec<Vec<u8>> = (0..64u64).map(|i| i.to_be_bytes().to_vec()).collect();
         session.lookup_batch(&keys).unwrap();
-        let buffers_before = session.mem.buffer_count();
+        let buffers_before = session.device.mem.buffer_count();
         for _ in 0..5 {
             session.lookup_batch(&keys).unwrap();
         }
         assert_eq!(
-            session.mem.buffer_count(),
+            session.device.mem.buffer_count(),
             buffers_before,
             "staging must be reused"
         );
@@ -1645,6 +1629,38 @@ mod tests {
             format!("{report:?}"),
             format!("{:?}", KernelReport::default())
         );
+    }
+
+    #[test]
+    fn a_recovered_session_has_a_fresh_sessions_device() {
+        let idx = index(1000, &CuartConfig::for_tests());
+        let dev = cuart_gpu_sim::devices::rtx3090();
+        let keys: Vec<Vec<u8>> = (0..300u64)
+            .map(|i| (i * 2).to_be_bytes().to_vec())
+            .collect();
+        // Every buffer's address and length, in allocation order.
+        let layout = |s: &CuartSession<'_>| -> Vec<(u64, usize)> {
+            let mem = &s.device.mem;
+            let buffer = |id| (mem.buffer(id).base, mem.buffer(id).len());
+            mem.buffer_ids().map(buffer).collect()
+        };
+        let mut fresh = idx.device_session(&dev);
+        fresh.lookup_batch(&keys).unwrap();
+        // A range and a larger batch grow the device past a fresh one's.
+        let mut session = idx.device_session(&dev);
+        session
+            .range_batch(&[(keys[0].clone(), keys[9].clone())])
+            .unwrap();
+        session
+            .lookup_batch(&[&keys[..], &keys[..]].concat())
+            .unwrap();
+        session.set_cpu_only(true);
+        session.set_cpu_only(false);
+        // The next batch recovers first: one rebuild, staging allocated
+        // lazily in the same order, so every address repeats.
+        session.lookup_batch(&keys).unwrap();
+        assert_eq!(session.mode(), Mode::Device);
+        assert_eq!(layout(&session), layout(&fresh));
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl CuartConfig {
     }
 
     /// Number of LUT entries (0 when the LUT is disabled).
-    pub fn lut_entries(&self) -> usize {
+    fn lut_entries(&self) -> usize {
         if self.lut_span == 0 {
             0
         } else {

@@ -48,7 +48,7 @@ pub fn stride(ty: LinkType) -> usize {
 }
 
 /// Key capacity of a fixed-size leaf class.
-pub fn leaf_key_cap(ty: LinkType) -> usize {
+fn leaf_key_cap(ty: LinkType) -> usize {
     match ty {
         LinkType::Leaf8 => 8,
         LinkType::Leaf16 => 16,

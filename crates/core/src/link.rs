@@ -70,14 +70,6 @@ impl LinkType {
     pub fn is_device_leaf(self) -> bool {
         matches!(self, LinkType::Leaf8 | LinkType::Leaf16 | LinkType::Leaf32)
     }
-
-    /// `true` for the inner node types (including the multi-layer N2L).
-    pub fn is_inner(self) -> bool {
-        matches!(
-            self,
-            LinkType::N4 | LinkType::N16 | LinkType::N48 | LinkType::N256 | LinkType::N2L
-        )
-    }
 }
 
 const TYPE_SHIFT: u32 = 60;
@@ -200,12 +192,10 @@ mod tests {
 
     #[test]
     fn classification_helpers() {
-        assert!(LinkType::N4.is_inner());
         assert!(!LinkType::N4.is_device_leaf());
         assert!(LinkType::Leaf16.is_device_leaf());
         assert!(!LinkType::HostLeaf.is_device_leaf());
-        assert!(!LinkType::DynLeaf.is_inner());
-        assert!(LinkType::N2L.is_inner());
+        assert!(!LinkType::DynLeaf.is_device_leaf());
         assert_eq!(LinkType::from_tag(10), Some(LinkType::N2L));
         assert_eq!(LinkType::from_tag(0), None);
         assert_eq!(LinkType::from_tag(11), None);

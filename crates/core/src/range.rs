@@ -8,7 +8,7 @@
 //! materialisation walks the spans and skips leaves deleted since the map.
 
 use crate::buffers::CuartBuffers;
-use crate::layout::leaf;
+use crate::layout::{leaf, stride};
 use crate::link::LinkType;
 
 /// A contiguous index range `[start, end)` within one leaf class arena.
@@ -470,26 +470,24 @@ impl RangeSpanKernel {
     }
 }
 
-use crate::layout::stride;
+#[cfg(test)]
+mod device_tests {
+    use super::*;
+    use crate::buffers::CuartConfig;
+    use crate::CuartIndex;
+    use cuart_art::Art;
+    use cuart_gpu_sim::{devices, DeviceConfig, DeviceMemory, KernelReport};
 
-impl crate::CuartIndex {
-    /// Run inclusive range queries **on the device**: one thread per
-    /// query, each producing the per-class `[start, end)` index pairs of
-    /// §3.2.1. Functionally identical to [`range_spans`] on the host
-    /// buffers (tested); returns the kernel report alongside.
-    pub fn range_spans_device(
-        &self,
-        dev: &cuart_gpu_sim::DeviceConfig,
+    /// Run `ranges` through [`RangeSpanKernel`] on a fresh upload of `idx`,
+    /// one thread per range, and read back each range's per-class
+    /// `[start, end)` pairs: the output a session's range leg computes.
+    fn device_spans(
+        idx: &CuartIndex,
+        dev: &DeviceConfig,
         ranges: &[(Vec<u8>, Vec<u8>)],
-    ) -> (Vec<Vec<LeafSpan>>, cuart_gpu_sim::KernelReport) {
-        let mut mem = cuart_gpu_sim::DeviceMemory::new();
-        let tree = self.upload(&mut mem);
-        assert!(
-            ranges
-                .iter()
-                .all(|(lo, hi)| lo.len() <= 32 && hi.len() <= 32),
-            "range bounds exceed 32 bytes"
-        );
+    ) -> (Vec<Vec<LeafSpan>>, KernelReport) {
+        let mut mem = DeviceMemory::new();
+        let tree = idx.upload(&mut mem, 0);
         let mut data = vec![0u8; ranges.len() * RANGE_RECORD_BYTES];
         pack_range_records(&mut data, ranges);
         let queries = mem.alloc_from("range-queries", &data, 32);
@@ -499,11 +497,7 @@ impl crate::CuartIndex {
             queries,
             results,
             count: ranges.len(),
-            mapped: [
-                self.buffers().record_count(LinkType::Leaf8) as u64,
-                self.buffers().record_count(LinkType::Leaf16) as u64,
-                self.buffers().record_count(LinkType::Leaf32) as u64,
-            ],
+            mapped: CLASSES.map(|class| idx.buffers().record_count(class) as u64),
         };
         let report = cuart_gpu_sim::launch(dev, &mut mem, &kernel, ranges.len());
         let spans = (0..ranges.len())
@@ -524,15 +518,6 @@ impl crate::CuartIndex {
             .collect();
         (spans, report)
     }
-}
-
-#[cfg(test)]
-mod device_tests {
-    use super::*;
-    use crate::buffers::CuartConfig;
-    use crate::CuartIndex;
-    use cuart_art::Art;
-    use cuart_gpu_sim::devices;
 
     fn index(keys: &[Vec<u8>]) -> (Art<u64>, CuartIndex) {
         let mut art = Art::new();
@@ -560,7 +545,7 @@ mod device_tests {
                 9_999u64.to_be_bytes().to_vec(),
             ),
         ];
-        let (device, report) = idx.range_spans_device(&devices::a100(), &ranges);
+        let (device, report) = device_spans(&idx, &devices::a100(), &ranges);
         for ((lo, hi), dev_spans) in ranges.iter().zip(&device) {
             let host = range_spans(idx.buffers(), lo, hi);
             assert_eq!(dev_spans, &host, "range {lo:x?}..{hi:x?}");
@@ -584,7 +569,7 @@ mod device_tests {
         let (art, idx) = index(&keys);
         let lo = vec![0u8];
         let hi = vec![0xFFu8; 30];
-        let (device, _) = idx.range_spans_device(&devices::gtx1070(), &[(lo.clone(), hi.clone())]);
+        let (device, _) = device_spans(&idx, &devices::gtx1070(), &[(lo.clone(), hi.clone())]);
         let total: u64 = device[0].iter().map(|s| s.len()).sum();
         assert_eq!(total as usize, art.len());
         // Materialising the device spans gives the same rows as the host.
@@ -604,7 +589,8 @@ mod device_tests {
     fn empty_and_inverted_ranges() {
         let keys: Vec<Vec<u8>> = (0..100u64).map(|i| i.to_be_bytes().to_vec()).collect();
         let (_, idx) = index(&keys);
-        let (device, _) = idx.range_spans_device(
+        let (device, _) = device_spans(
+            &idx,
             &devices::rtx3090(),
             &[
                 (

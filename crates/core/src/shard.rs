@@ -53,7 +53,7 @@ impl ShardRouter {
     /// the right. Zero-padding (rather than truncation alone) keeps the
     /// fraction order identical to lexicographic key order for keys
     /// shorter than the prefix.
-    pub fn prefix_fraction(key: &[u8]) -> u64 {
+    fn prefix_fraction(key: &[u8]) -> u64 {
         let mut bytes = [0u8; ROUTE_PREFIX_BYTES];
         let n = key.len().min(ROUTE_PREFIX_BYTES);
         bytes[..n].copy_from_slice(&key[..n]);

@@ -162,7 +162,7 @@ fn device(index: &CuartIndex) -> Device {
 fn device_for(index: &CuartIndex, capacity: usize) -> Device {
     const LEAVES: [LinkType; 3] = [LinkType::Leaf8, LinkType::Leaf16, LinkType::Leaf32];
     let mut mem = DeviceMemory::new();
-    let tree = index.upload_with_headroom(&mut mem, HEADROOM);
+    let tree = index.upload(&mut mem, HEADROOM);
     let records = |ty| index.buffers().record_count(ty);
     let [leaf8, leaf16, leaf32] =
         LEAVES.map(|ty| mem.alloc("free-list", 16 + (records(ty) + HEADROOM) * 8, 32));

@@ -94,7 +94,7 @@ impl KeyBatchLayout {
     }
 
     /// Check every key fits the layout; identifies the first that does not.
-    pub fn check_keys<K: AsRef<[u8]>>(
+    fn check_keys<K: AsRef<[u8]>>(
         &self,
         keys: impl IntoIterator<Item = K>,
     ) -> Result<(), PackError> {

@@ -35,7 +35,7 @@ impl DramModel {
     }
 
     /// Channel serving byte address `addr`.
-    pub fn channel_of(&self, addr: u64) -> usize {
+    fn channel_of(&self, addr: u64) -> usize {
         ((addr / CHANNEL_STRIDE) % self.cfg.channels as u64) as usize
     }
 
@@ -57,7 +57,7 @@ impl DramModel {
     }
 
     /// Mean channel busy time.
-    pub fn mean_channel_busy_ns(&self) -> f64 {
+    fn mean_channel_busy_ns(&self) -> f64 {
         self.busy_ns.iter().sum::<f64>() / self.busy_ns.len() as f64
     }
 

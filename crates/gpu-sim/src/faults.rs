@@ -132,11 +132,6 @@ impl FaultInjector {
         Self::new(FaultConfig::uniform(seed, rate))
     }
 
-    /// Total `check` calls made on this injector.
-    pub fn ops_checked(&self) -> u64 {
-        self.ops
-    }
-
     /// Total faults injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.injected
@@ -196,7 +191,6 @@ mod tests {
             assert!(inj.check(FaultSite::Transfer).is_ok());
         }
         assert_eq!(inj.faults_injected(), 0);
-        assert_eq!(inj.ops_checked(), 10_000);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   cost no resident memory) and owns the chunks past the image at once;
 //!   the first write to a chunk with image bytes copies that one chunk.
 //!
-//! This is host storage only. Base addresses, lengths,
-//! [`total_bytes`](DeviceMemory::total_bytes) and every access the timing
-//! model sees are those of a private copy, so no modeled number depends on
-//! it. [`shared_bytes`](DeviceMemory::shared_bytes) and
+//! This is host storage only. Base addresses, lengths and every access
+//! the timing model sees are those of a private copy, so no modeled
+//! number depends on it. [`shared_bytes`](DeviceMemory::shared_bytes) and
 //! [`owned_bytes`](DeviceMemory::owned_bytes) say how much of the uploaded
 //! images is still shared and how much was copied, kept current in O(1) per
 //! first write.
@@ -377,11 +376,6 @@ impl DeviceMemory {
         &self.buffers[id.0]
     }
 
-    /// Total allocated bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.buffers.iter().map(|b| b.len()).sum()
-    }
-
     /// Image bytes the buffers still read in place.
     pub fn shared_bytes(&self) -> usize {
         self.shared_bytes
@@ -509,12 +503,6 @@ impl DeviceMemory {
         self.write_array(id, offset, value.to_le_bytes());
     }
 
-    /// Write a little-endian u32.
-    #[inline]
-    pub fn write_u32(&mut self, id: BufferId, offset: usize, value: u32) {
-        self.write_array(id, offset, value.to_le_bytes());
-    }
-
     /// Write one byte.
     #[inline]
     pub fn write_u8(&mut self, id: BufferId, offset: usize, value: u8) {
@@ -576,7 +564,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let id = mem.alloc("x", 64, 16);
         mem.write_u64(id, 0, 0x1122334455667788);
-        mem.write_u32(id, 8, 0xAABBCCDD);
+        mem.write_bytes(id, 8, &0xAABBCCDDu32.to_le_bytes());
         mem.write_u8(id, 12, 0x7F);
         mem.write_bytes(id, 16, b"hello");
         assert_eq!(mem.read_u64(id, 0), 0x1122334455667788);
@@ -598,7 +586,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let id = mem.alloc_from("f", &[1, 2, 3, 4], 16);
         assert_eq!(mem.get(id, 0, 4).unwrap(), &[1, 2, 3, 4]);
-        assert_eq!(mem.total_bytes(), 4);
+        assert_eq!(mem.buffer(id).len(), 4);
     }
 
     #[test]

@@ -81,47 +81,12 @@ pub struct PipelineReport {
     pub bottleneck: Stage,
 }
 
-/// How many leading batches a traced simulation records span trees for —
-/// enough to see the ramp-up and the steady state without flooding the
-/// span ring on large sweeps.
-pub const TRACED_BATCHES: usize = 32;
-
 /// Run the event model.
 ///
 /// `host_threads` / `streams` of zero saturate to 1 instead of panicking —
 /// a degenerate configuration still produces a (serial) schedule, so
 /// callers sweeping parameter grids need no special-casing.
 pub fn simulate(p: &PipelineParams) -> PipelineReport {
-    simulate_traced(p, None)
-}
-
-/// Per-batch absolute timestamps collected while tracing.
-#[derive(Debug, Clone, Copy)]
-struct BatchTimes {
-    prepare_start: f64,
-    submit: f64,
-    h2d_start: f64,
-    h2d_end: f64,
-    k_start: f64,
-    k_end: f64,
-    d_start: f64,
-    d_end: f64,
-    post_start: f64,
-    post_end: f64,
-}
-
-/// Run the event model and, when a registry is supplied, commit one
-/// `pipeline` span tree covering the first [`TRACED_BATCHES`] batches.
-///
-/// Each `pipeline.batch` subtree pins its stages (`prepare`, `h2d`,
-/// `launch`, `kernel`, `d2h`, `post`) at their absolute modeled offsets,
-/// so the overlap across streams and engines is visible in the trace; the
-/// root spans the whole makespan. The schedule itself is identical with
-/// tracing on or off — tracing only observes.
-pub fn simulate_traced(
-    p: &PipelineParams,
-    telemetry: Option<&cuart_telemetry::Telemetry>,
-) -> PipelineReport {
     let host_threads = p.host_threads.max(1);
     let streams = p.streams.max(1);
     let mut host_avail = vec![0.0f64; host_threads];
@@ -130,13 +95,11 @@ pub fn simulate_traced(
     let mut compute_avail = 0.0f64;
     let mut copy_down_avail = 0.0f64;
     let mut makespan = 0.0f64;
-    let mut traced: Vec<BatchTimes> = Vec::new();
 
     for b in 0..p.batches {
         let t = b % host_threads;
         let s = b % streams;
         // Host prepares the batch (serial per thread).
-        let prepare_start = host_avail[t];
         let submit = host_avail[t] + p.host_prepare_ns;
         host_avail[t] = submit;
         // Wait for the stream slot, then the copy-up engine.
@@ -161,58 +124,6 @@ pub fn simulate_traced(
         let post_start = host_avail[t].max(d_end);
         host_avail[t] = post_start + p.host_post_ns;
         makespan = makespan.max(host_avail[t]);
-        if telemetry.is_some() && b < TRACED_BATCHES {
-            traced.push(BatchTimes {
-                prepare_start,
-                submit,
-                h2d_start,
-                h2d_end,
-                k_start,
-                k_end,
-                d_start,
-                d_end,
-                post_start,
-                post_end: host_avail[t],
-            });
-        }
-    }
-
-    if let Some(t) = telemetry {
-        use cuart_telemetry::names::spans;
-        use cuart_telemetry::SpanNode;
-        let ns = |x: f64| x.max(0.0).round() as u64;
-        let batches = traced
-            .iter()
-            .enumerate()
-            .map(|(i, bt)| {
-                let rel = |x: f64| ns(x - bt.prepare_start);
-                SpanNode::node(
-                    spans::PIPELINE_BATCH,
-                    vec![
-                        SpanNode::leaf(spans::PREPARE, ns(bt.submit - bt.prepare_start)).at(0),
-                        SpanNode::leaf(spans::H2D, ns(bt.h2d_end - bt.h2d_start))
-                            .at(rel(bt.h2d_start)),
-                        SpanNode::leaf(spans::LAUNCH, ns(p.launch_overhead_ns)).at(rel(bt.k_start)),
-                        SpanNode::leaf(
-                            spans::KERNEL,
-                            ns(bt.k_end - bt.k_start - p.launch_overhead_ns),
-                        )
-                        .at(rel(bt.k_start + p.launch_overhead_ns)),
-                        SpanNode::leaf(spans::D2H, ns(bt.d_end - bt.d_start)).at(rel(bt.d_start)),
-                        SpanNode::leaf(spans::POST, ns(bt.post_end - bt.post_start))
-                            .at(rel(bt.post_start)),
-                    ],
-                )
-                .with_attr("batch", i)
-                .at(ns(bt.prepare_start))
-            })
-            .collect();
-        let mut root = SpanNode::node(spans::PIPELINE, batches)
-            .with_attr("batches", p.batches)
-            .with_attr("host_threads", host_threads)
-            .with_attr("streams", streams);
-        root.duration_ns = ns(makespan);
-        t.record_span_tree(root);
     }
 
     let total_items = (p.batches * p.items_per_batch) as f64;
@@ -399,27 +310,6 @@ mod tests {
             host_floor
         );
         assert_eq!(r.bottleneck, Stage::Host);
-    }
-
-    #[test]
-    fn traced_simulation_matches_untraced_and_records_spans() {
-        let p = base();
-        let plain = simulate(&p);
-        let t = cuart_telemetry::Telemetry::new();
-        let traced = simulate_traced(&p, Some(&t));
-        // Tracing only observes; the schedule is bit-identical.
-        assert_eq!(plain.makespan_ns, traced.makespan_ns);
-        assert_eq!(plain.mops, traced.mops);
-        let s = t.snapshot();
-        // Root + TRACED_BATCHES subtrees × (1 node + 6 leaves).
-        assert_eq!(s.spans.len(), 1 + TRACED_BATCHES * 7);
-        let root = &s.spans[0];
-        assert_eq!(root.name, "pipeline");
-        assert_eq!(root.duration_ns(), plain.makespan_ns.round() as u64);
-        // Every batch span nests inside the root envelope.
-        for sp in &s.spans[1..] {
-            assert!(sp.end_ns <= root.end_ns, "{sp:?}");
-        }
     }
 
     #[test]

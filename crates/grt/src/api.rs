@@ -82,14 +82,9 @@ impl GrtIndex {
     /// Attach a telemetry registry; every subsequent device batch records
     /// `grt.*` metrics into it (same counter schema as the CuART engine, so
     /// the baseline and the paper's engine can be compared side by side).
-    pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         telemetry.gauge_set(names::GRT_DEVICE_BYTES, self.device_bytes() as f64);
         self.telemetry = Some(telemetry);
-    }
-
-    /// Builder-style variant of [`attach_telemetry`](Self::attach_telemetry).
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.attach_telemetry(telemetry);
         self
     }
 

@@ -112,25 +112,6 @@ pub fn hybrid_throughput(
     }
 }
 
-/// [`hybrid_throughput`] with an optional telemetry sink: when `telemetry`
-/// is attached, the routing decision is recorded via
-/// [`HybridReport::record_into`]. The pure function stays untouched so the
-/// figure harness can sweep parameters without a registry.
-pub fn hybrid_throughput_traced(
-    gpu: &E2eReport,
-    batch_size: usize,
-    cpu_fraction: f64,
-    cpu_threads: usize,
-    cpu_ns_per_op: f64,
-    telemetry: Option<&Telemetry>,
-) -> HybridReport {
-    let report = hybrid_throughput(gpu, batch_size, cpu_fraction, cpu_threads, cpu_ns_per_op);
-    if let Some(t) = telemetry {
-        report.record_into(t, batch_size, cpu_fraction);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,10 +211,8 @@ mod tests {
     fn traced_run_records_routing_decision() {
         let telemetry = Telemetry::new();
         let gpu = gpu_report(170.0);
-        let traced =
-            hybrid_throughput_traced(&gpu, 1000, 0.03, 56, CPU_LONG_KEY_NS, Some(&telemetry));
-        let plain = hybrid_throughput(&gpu, 1000, 0.03, 56, CPU_LONG_KEY_NS);
-        assert_eq!(traced.mops, plain.mops);
+        let traced = hybrid_throughput(&gpu, 1000, 0.03, 56, CPU_LONG_KEY_NS);
+        traced.record_into(&telemetry, 1000, 0.03);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counters[names::HYBRID_GPU_BATCHES], 1);
         assert_eq!(snap.counters[names::HYBRID_CPU_KEYS], 30);

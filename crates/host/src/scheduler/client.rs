@@ -2,8 +2,9 @@
 //!
 //! A [`SchedulerClient`] holds its stack's shard queues — one for a lone
 //! [`Scheduler`](super::Scheduler), one per device for a fleet — and the
-//! [`ShardRouter`] over them. With one queue a request is queued whole.
-//! With several it is split by owning shard (stable), every share is
+//! [`ShardRouter`] over them. A request one shard owns whole is queued
+//! whole on that shard, which is every request on one queue. A request
+//! that spans shards is split by owning shard (stable), every share is
 //! submitted before any is waited on, and [`Ticket::wait`] merges the
 //! answers back in arrival order through the recorded index lists. A
 //! spawned fleet's clients also keep its route accounting.
@@ -80,8 +81,7 @@ pub(super) struct Routed {
 #[derive(Debug)]
 struct Part {
     shard: usize,
-    /// Positions in the request this shard answers, ascending; empty when
-    /// the shard answers a point request whole, in its own order.
+    /// Positions in the request this shard answers, ascending.
     list: Vec<usize>,
     ticket: Ticket,
 }
@@ -101,9 +101,6 @@ impl Routed {
         } in self.parts
         {
             match (ticket.wait(), &mut merged) {
-                (Ok(SchedAnswer::Values(got)), SchedAnswer::Values(v)) if list.is_empty() => {
-                    *v = got
-                }
                 (Ok(SchedAnswer::Values(got)), SchedAnswer::Values(values)) => {
                     for (&i, value) in list.iter().zip(got) {
                         values[i] = value;
@@ -286,10 +283,12 @@ impl SchedulerClient {
     /// [`SchedError::Session`], and an empty request is answered, both
     /// without a trip through any queue.
     ///
-    /// A range can span several shards' key intervals: the full `[lo, hi]`
-    /// query goes to every shard from `shard_of(lo)` to `shard_of(hi)`,
-    /// each shard's answer is filtered to the keys that shard *owns*, and
-    /// the shares are concatenated in shard order.
+    /// A request one shard owns whole goes whole to that shard, on every
+    /// stack. A range can span several shards' key intervals: the full
+    /// `[lo, hi]` query goes to every shard from `shard_of(lo)` to
+    /// `shard_of(hi)` (an inverted range to `shard_of(lo)` alone, which
+    /// answers it empty), each shard's answer is filtered to the keys that
+    /// shard *owns*, and the shares are concatenated in shard order.
     pub fn submit(&self, op: SchedOp, budget: Option<Duration>) -> Ticket {
         if let Some(e) = op.unpaired() {
             return Ticket::ready(Err(e));
@@ -299,13 +298,43 @@ impl SchedulerClient {
         }
         let now = Instant::now();
         let deadline = budget.or(self.default_deadline).map(|d| now + d);
-        let [queue] = self.queues.as_slice() else {
+        let owner = match self.queues.as_slice() {
+            [queue] => Some(queue),
+            _ => self.owner(&op).and_then(|shard| self.queues.get(shard)),
+        };
+        let Some(queue) = owner else {
             return self.split(op, now, deadline);
         };
         if let Some(route) = &self.route {
             route.note(op.len(), 1);
         }
         self.enqueue(queue, op, now, deadline)
+    }
+
+    /// The one shard that owns all of `op` — every key, every range's
+    /// shards — in one pass that allocates nothing and stops at the first
+    /// op another shard owns; `None` when the op spans shards.
+    fn owner(&self, op: &SchedOp) -> Option<usize> {
+        fn one(mut spans: impl Iterator<Item = (usize, usize)>) -> Option<usize> {
+            let (first, last) = spans.next()?;
+            (first == last && spans.all(|span| span == (first, last))).then_some(first)
+        }
+        match op {
+            SchedOp::Lookup(keys) | SchedOp::Update(keys, _) | SchedOp::Insert(keys, _) => {
+                one(keys.iter().map(|key| {
+                    let shard = self.router.shard_of(key);
+                    (shard, shard)
+                }))
+            }
+            SchedOp::Range(ranges) => one(ranges.iter().map(|(lo, hi)| self.shards_of(lo, hi))),
+        }
+    }
+
+    /// The first and last shard a range `[lo, hi]` goes to: every shard
+    /// its bounds touch, or `shard_of(lo)` alone when it is inverted.
+    fn shards_of(&self, lo: &[u8], hi: &[u8]) -> (usize, usize) {
+        let first = self.router.shard_of(lo);
+        (first, self.router.shard_of(hi).max(first))
     }
 
     /// Queue `op` on one shard's `queue`.
@@ -365,8 +394,7 @@ impl SchedulerClient {
     }
 
     /// Split point ops by owning shard. Each share is one sequential copy
-    /// of its keys (and values) into a batch of its own, in arrival order;
-    /// a request whose keys one shard owns goes to that shard as it came.
+    /// of its keys (and values) into a batch of its own, in arrival order.
     fn split_points(&self, op: SchedOp) -> Vec<(usize, Vec<usize>, SchedOp)> {
         let (keys, values) = match &op {
             SchedOp::Update(keys, values) | SchedOp::Insert(keys, values) => (keys, Some(values)),
@@ -374,13 +402,6 @@ impl SchedulerClient {
             SchedOp::Range(_) => return Vec::new(),
         };
         let lists = self.router.split_indices(keys);
-        let mut active = lists
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty());
-        if let (Some((shard, _)), None) = (active.next(), active.next()) {
-            return vec![(shard, Vec::new(), op)];
-        }
         let share = |list: &[usize]| {
             let sub = KeyBatch::from_keys(list.iter().map(|&i| keys.key(i)));
             let sub_values = values.map(|v| list.iter().map(|&i| v[i]).collect());
@@ -401,21 +422,13 @@ impl SchedulerClient {
             .collect()
     }
 
-    /// Send each range to every shard its bounds touch (inverted bounds
-    /// touch none and stay empty in the merge).
+    /// Send each range to the shards [`shards_of`](Self::shards_of) names.
     fn split_ranges(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(usize, Vec<usize>, SchedOp)> {
         type Share = (Vec<usize>, Vec<(Vec<u8>, Vec<u8>)>);
         let mut shares: Vec<Share> = self.queues.iter().map(|_| Default::default()).collect();
         for (i, range) in ranges.iter().enumerate() {
-            let (lo, hi) = range;
-            if lo > hi {
-                continue;
-            }
-            for (list, sub) in shares
-                .iter_mut()
-                .take(self.router.shard_of(hi) + 1)
-                .skip(self.router.shard_of(lo))
-            {
+            let (first, last) = self.shards_of(&range.0, &range.1);
+            for (list, sub) in shares.iter_mut().take(last + 1).skip(first) {
                 list.push(i);
                 sub.push(range.clone());
             }

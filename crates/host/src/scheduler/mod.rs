@@ -183,13 +183,6 @@ pub struct SchedulerConfig {
     /// the run that tripped it, and it is checked at each run's dispatch
     /// (the executor's wake-up, or the end of the run before it).
     pub breaker: BreakerConfig,
-    /// When this scheduler runs as one shard of a
-    /// [`ShardedScheduler`](crate::sharded::ShardedScheduler), its shard
-    /// index. Every counter and gauge is then mirrored to the
-    /// `cuart.sched.shard.<i>.*` twin series (the global `cuart.sched.*`
-    /// series are still written, so per-shard twins sum to the global
-    /// totals). `None` — the default — writes global series only.
-    pub shard: Option<usize>,
 }
 
 impl Default for SchedulerConfig {
@@ -202,7 +195,6 @@ impl Default for SchedulerConfig {
             admission: AdmissionPolicy::Block,
             op_deadline: None,
             breaker: BreakerConfig::default(),
-            shard: None,
         }
     }
 }
@@ -594,7 +586,22 @@ impl Scheduler {
     /// whole life) and serves batches until [`join`](Scheduler::join) or
     /// `Drop` shuts it down.
     pub fn spawn(index: Arc<CuartIndex>, dev: DeviceConfig, cfg: SchedulerConfig) -> Scheduler {
-        let telemetry = index.telemetry().map(|t| SchedTelemetry::new(t, cfg.shard));
+        Scheduler::spawn_shard(index, dev, cfg, None)
+    }
+
+    /// [`spawn`](Self::spawn), as shard `shard` of a
+    /// [`ShardedScheduler`](crate::sharded::ShardedScheduler) when `Some`:
+    /// every counter and gauge is then mirrored to the
+    /// `cuart.sched.shard.<i>.*` twin series (the global `cuart.sched.*`
+    /// series are still written, so per-shard twins sum to the global
+    /// totals). `None` writes global series only.
+    pub(crate) fn spawn_shard(
+        index: Arc<CuartIndex>,
+        dev: DeviceConfig,
+        cfg: SchedulerConfig,
+        shard: Option<usize>,
+    ) -> Scheduler {
+        let telemetry = index.telemetry().map(|t| SchedTelemetry::new(t, shard));
         let queue = SubmissionQueue::new(cfg.queue_cap, telemetry);
         let cfg_admission = cfg.admission;
         let cfg_op_deadline = cfg.op_deadline;

@@ -48,10 +48,10 @@ pub struct ShardedScheduler {
 
 impl ShardedScheduler {
     /// Spawn one executor per device in `devices`, all serving `index`.
-    /// Shard `i` runs on `devices[i]` under a copy of `cfg` with
-    /// [`SchedulerConfig::shard`] set to `i` (per-shard telemetry twins)
-    /// and, when a fault injector is configured, a per-shard re-seeded
-    /// copy so fault streams are independent across shards.
+    /// Shard `i` runs on `devices[i]` under a copy of `cfg`, writing the
+    /// `cuart.sched.shard.<i>.*` telemetry twins and, when a fault injector
+    /// is configured, with a per-shard re-seeded copy so fault streams are
+    /// independent across shards.
     pub fn spawn(
         index: Arc<CuartIndex>,
         devices: &[DeviceConfig],
@@ -66,13 +66,12 @@ impl ShardedScheduler {
             .enumerate()
             .map(|(i, dev)| {
                 let mut shard_cfg = cfg.clone();
-                shard_cfg.shard = Some(i);
                 if let Some(inj) = &cfg.fault_injector {
                     let mut fc = inj.config().clone();
                     fc.seed = fc.seed.wrapping_add(i as u64);
                     shard_cfg.fault_injector = Some(FaultInjector::new(fc));
                 }
-                Scheduler::spawn(Arc::clone(&index), *dev, shard_cfg)
+                Scheduler::spawn_shard(Arc::clone(&index), *dev, shard_cfg, Some(i))
             })
             .collect();
         Ok(ShardedScheduler {
@@ -376,6 +375,29 @@ mod tests {
             ticket.wait().unwrap(),
             SchedAnswer::Values(vec![10, NOT_FOUND, 20, NOT_FOUND])
         );
+    }
+
+    #[test]
+    fn a_request_one_shard_owns_goes_whole_to_that_shard() {
+        let index = build_index(64);
+        let devs = [devices::rtx3090(), devices::gtx1070()];
+        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg()).unwrap();
+        let client = sharded.client().unwrap();
+        // Keys and ranges of shard 1's half of the key space only, an
+        // inverted range among them.
+        client
+            .insert(vec![(high_key(1), 11), (high_key(2), 22)])
+            .unwrap();
+        let lookups = vec![high_key(2), high_key(3), high_key(1)];
+        assert_eq!(client.lookup(lookups).unwrap(), vec![22, NOT_FOUND, 11]);
+        let ranges = vec![(high_key(0), high_key(9)), (high_key(9), high_key(0))];
+        let rows = client.range(ranges).unwrap();
+        let inserted = vec![(high_key(1), 11), (high_key(2), 22)];
+        assert_eq!(rows, vec![inserted, Vec::new()]);
+        let stats = sharded.join().unwrap();
+        assert_eq!(stats.routed_requests, 3);
+        assert_eq!(stats.shards[0].stats.ops_enqueued, 0, "shard 0 sees none");
+        assert_eq!(stats.shards[1].stats.ops_enqueued, 2 + 3 + 2);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode a wire opcode byte.
-    pub fn from_u8(b: u8) -> Option<Opcode> {
+    fn from_u8(b: u8) -> Option<Opcode> {
         Some(match b {
             1 => Opcode::Lookup,
             2 => Opcode::Update,
@@ -146,7 +146,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Decode a wire status byte (0 is OK, not an error code).
-    pub fn from_u8(b: u8) -> Option<ErrorCode> {
+    fn from_u8(b: u8) -> Option<ErrorCode> {
         Some(match b {
             1 => ErrorCode::Protocol,
             2 => ErrorCode::BadVersion,

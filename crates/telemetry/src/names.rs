@@ -269,10 +269,6 @@ pub mod spans {
         SCHED_ROUTE = "sched.route";
         /// Root: §3.2.3 hybrid split; spans the slower of the gpu/cpu legs.
         HYBRID_ROUTE = "hybrid.route";
-        /// Root: one S-stream software-pipelined run (Figs. 8/9).
-        PIPELINE = "pipeline";
-        /// Node: one batch inside a pipelined run, children at scheduled offsets.
-        PIPELINE_BATCH = "pipeline.batch";
         /// Node: a device kernel, decomposed into `dram` + `exec`.
         KERNEL = "kernel";
         /// Leaf: the kernel share covered by the DRAM bandwidth bound.
@@ -291,10 +287,6 @@ pub mod spans {
         SORT = "sort";
         /// Leaf: result scatter back to producers in arrival order.
         SCATTER = "scatter";
-        /// Leaf: host-side batch preparation stage of the pipeline.
-        PREPARE = "prepare";
-        /// Leaf: host-side post-processing stage of the pipeline.
-        POST = "post";
         /// Leaf: the GPU leg of a hybrid batch (starts at t=0).
         GPU = "gpu";
         /// Leaf: the CPU leg of a hybrid batch (starts at t=0, overlaps `gpu`).

@@ -42,7 +42,8 @@ fn main() {
     // budget, so the drill is guaranteed to visit the degraded state no
     // matter how the random rolls land.
     let injector = FaultInjector::new(FaultConfig::uniform(0xD1A7, 0.05).fail_range(24, 40));
-    let mut session = index.device_session_with_faults(&dev, injector);
+    let mut session = index.device_session(&dev);
+    session.attach_fault_injector(injector);
     println!(
         "fault drill: {} keys on {}, 5% fault rate + one 16-op burst, retry budget {}",
         index.len(),

@@ -3,7 +3,7 @@
 //! checked by the one harness (`cuart_integration_tests`) in every `Mode`.
 
 use cuart::{CuartConfig, Mode};
-use cuart_gpu_sim::{devices, FaultConfig, FaultInjector};
+use cuart_gpu_sim::{devices, FaultConfig, FaultInjector, KernelReport};
 use cuart_integration_tests::{dense_index, Cell, Harness};
 use cuart_telemetry::{names, BatchKind, Telemetry, DEFAULT_EVENT_CAPACITY};
 use proptest::prelude::*;
@@ -32,7 +32,8 @@ fn five_percent_fault_rate_never_corrupts_and_recovers() {
     // The burst at ops [30, 46) covers 16 consecutive device ops — more
     // than the default 4-attempt budget can absorb.
     let injector = FaultInjector::new(FaultConfig::uniform(0x5EED, 0.05).fail_range(30, 46));
-    let mut session = index.device_session_with_faults(&devices::rtx3090(), injector);
+    let mut session = index.device_session(&devices::rtx3090());
+    session.attach_fault_injector(injector);
     h.run(slice::from_mut(&mut session), cell(1, 4096));
 
     let stats = session.fault_stats();
@@ -62,7 +63,8 @@ fn transitions_outlive_a_ring_full_of_batches() {
     let telemetry = Arc::new(Telemetry::new());
     let index = dense_index(32, &CuartConfig::for_tests()).with_telemetry(telemetry.clone());
     let injector = FaultInjector::new(FaultConfig::uniform(7, 0.0).fail_range(0, 8));
-    let mut session = index.device_session_with_faults(&devices::rtx3090(), injector);
+    let mut session = index.device_session(&devices::rtx3090());
+    session.attach_fault_injector(injector);
     let keys: Vec<Vec<u8>> = (0..32u64).map(|i| i.to_be_bytes().to_vec()).collect();
     for _ in 0..2 * DEFAULT_EVENT_CAPACITY {
         let (values, _) = session.lookup_batch(&keys).unwrap();
@@ -85,7 +87,8 @@ fn total_device_loss_degrades_but_serves_correctly() {
     let mut h = Harness::new(UNIVERSE, 1, false, None);
     let index = Arc::clone(&h.index);
     let injector = FaultInjector::new(FaultConfig::uniform(1, 1.0));
-    let mut session = index.device_session_with_faults(&devices::gtx1070(), injector);
+    let mut session = index.device_session(&devices::gtx1070());
+    session.attach_fault_injector(injector);
     h.run(slice::from_mut(&mut session), cell(2, 2048));
     let stats = session.fault_stats();
     assert!(stats.degraded, "session must still be degraded");
@@ -101,7 +104,8 @@ fn fault_schedules_replay_deterministically() {
         let mut h = Harness::new(UNIVERSE, 1, false, None);
         let index = Arc::clone(&h.index);
         let injector = FaultInjector::new(FaultConfig::uniform(0xC0FFEE, 0.08));
-        let mut session = index.device_session_with_faults(&devices::rtx3090(), injector);
+        let mut session = index.device_session(&devices::rtx3090());
+        session.attach_fault_injector(injector);
         h.run(slice::from_mut(&mut session), cell(3, 2048));
         session.fault_stats()
     };
@@ -118,8 +122,8 @@ fn every_mode_answers_every_kind_like_the_model() {
     let index = Arc::clone(&h.index);
     // A silent injector from the start keeps the journal from the first
     // mutation on; shadowing is what a caller that pins must switch on.
-    let mut session =
-        index.device_session_with_faults(&devices::rtx3090(), FaultInjector::uniform(7, 0.0));
+    let mut session = index.device_session(&devices::rtx3090());
+    session.attach_fault_injector(FaultInjector::uniform(7, 0.0));
     session.set_journal_shadowing(true);
 
     h.run(slice::from_mut(&mut session), cell(4, 8192));
@@ -161,6 +165,28 @@ fn every_mode_answers_every_kind_like_the_model() {
     session.attach_fault_injector(FaultInjector::uniform(7, 0.0));
     session.set_cpu_only(false);
     assert_eq!(session.mode(), Mode::Degraded);
+    // The recovery rebuilds the device a fresh session opens: the first
+    // batch after it, over keys nobody wrote, costs exactly what a fresh
+    // session's first batch costs and leaves the device owning as much.
+    let unwritten: Vec<Vec<u8>> = (1..=512u64)
+        .map(|i| {
+            let mut key = i.wrapping_mul(0xd6e8_feb8_6659_fd93).to_be_bytes();
+            key[0] = 8 + key[0] % 240;
+            key.to_vec()
+        })
+        .collect();
+    let mut fresh = index.device_session(&devices::rtx3090());
+    let (fresh_answers, fresh_report) = fresh.lookup_batch(&unwritten).unwrap();
+    let (answers, report) = session.lookup_batch(&unwritten).unwrap();
+    assert_eq!(session.mode(), Mode::Device);
+    assert_eq!(answers, fresh_answers);
+    assert!(fresh_report.threads > 0, "the batch reaches the device");
+    assert_same_report(&report, &fresh_report);
+    assert_eq!(
+        session.device_memory().owned_bytes(),
+        fresh.device_memory().owned_bytes()
+    );
+    drop(fresh);
     h.sweep(&mut session);
     assert_eq!(session.mode(), Mode::Device);
     assert_eq!(session.device_memory().owned_bytes(), 0);
@@ -169,6 +195,53 @@ fn every_mode_answers_every_kind_like_the_model() {
     let stats = session.fault_stats();
     assert_eq!((stats.degradations, stats.recoveries), (1, 1), "{stats:?}");
     assert!(!stats.degraded);
+}
+
+/// `a` and `b` agree field by field, floats by their bits.
+fn assert_same_report(a: &KernelReport, b: &KernelReport) {
+    let fields = |r: &KernelReport| {
+        let KernelReport {
+            time_ns,
+            threads,
+            warps,
+            steps_total,
+            max_chain_steps,
+            raw_accesses,
+            sectors,
+            l2_hits,
+            dram_transactions,
+            dram_bytes,
+            dram_imbalance,
+            compute_cycles,
+            atomic_conflicts,
+            active_lane_steps,
+            issued_lane_steps,
+            latency_bound_ns,
+            bandwidth_bound_ns,
+            compute_bound_ns,
+        } = *r;
+        [
+            time_ns.to_bits(),
+            threads as u64,
+            warps as u64,
+            steps_total,
+            max_chain_steps as u64,
+            raw_accesses,
+            sectors,
+            l2_hits,
+            dram_transactions,
+            dram_bytes,
+            dram_imbalance.to_bits(),
+            compute_cycles,
+            atomic_conflicts,
+            active_lane_steps,
+            issued_lane_steps,
+            latency_bound_ns.to_bits(),
+            bandwidth_bound_ns.to_bits(),
+            compute_bound_ns.to_bits(),
+        ]
+    };
+    assert_eq!(fields(a), fields(b), "{a:?} vs {b:?}");
 }
 
 proptest! {
@@ -189,8 +262,8 @@ proptest! {
         let index = Arc::clone(&h.index);
         let cfg = FaultConfig::uniform(seed, rate_permille as f64 / 1000.0)
             .fail_range(burst_start, burst_start + burst_len);
-        let mut session =
-            index.device_session_with_faults(&devices::rtx3090(), FaultInjector::new(cfg));
+        let mut session = index.device_session(&devices::rtx3090());
+        session.attach_fault_injector(FaultInjector::new(cfg));
         h.run(slice::from_mut(&mut session), cell(seed, 1024));
     }
 }

@@ -10,6 +10,10 @@
 //! Every key has one owner producer, chosen by a hash of the key, and a
 //! producer's ops touch only keys it owns: each producer's model stays exact
 //! while the others run, and its batches still cross every shard.
+//!
+//! The allocation tests count heap allocations with the one
+//! [`CountingAllocator`], which each installs as its binary's global
+//! allocator.
 
 use cuart::insert::insert_status;
 use cuart::update::status;
@@ -20,8 +24,10 @@ use cuart_host::scheduler::{RangeRows, SchedAnswer, SchedOp, SchedulerClient};
 use cuart_host::sharded::ShardedClient;
 use cuart_net::{NetClient, Op};
 use cuart_telemetry::Telemetry;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -483,4 +489,39 @@ pub fn sized(debug: usize, release: usize) -> usize {
     } else {
         release
     }
+}
+
+/// The system allocator, counting every allocation and reallocation. A
+/// test binary installs it with
+/// `#[global_allocator] static GLOBAL: CountingAllocator = CountingAllocator;`
+/// and reads the count through [`allocations_of`]. The count is
+/// process-wide, so such a binary holds one test.
+pub struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// The allocations made while `f` runs, on every thread of a binary that
+/// installed [`CountingAllocator`], and what `f` returned.
+pub fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }

@@ -26,12 +26,14 @@
 //!    lookup ticket, submitted without waiting in between: the lookup
 //!    reads the update, and a range after an insert returns the new row,
 //!    on a lone scheduler and on fleets of one to four devices.
+//! 7. **One routing rule** — an inverted range belongs to the shard of its
+//!    lower bound: it is queued once and answers empty on every stack.
 
 use cuart::KeyBatch;
 use cuart::{CuartConfig, CuartIndex, ShardRouter};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
-use cuart_host::scheduler::{SchedAnswer, SchedError, SchedOp, SchedulerConfig, Ticket};
+use cuart_host::scheduler::{RangeRows, SchedAnswer, SchedError, SchedOp, SchedulerConfig, Ticket};
 use cuart_host::sharded::{ShardedScheduler, ShardedStats};
 use cuart_host::Scheduler;
 use cuart_integration_tests::{mix, sized, Model};
@@ -464,5 +466,27 @@ fn a_producers_write_is_seen_by_its_next_read_on_every_stack() {
             assert!(rows.contains(row), "{name}: the range misses {row:?}");
         }
         stack.join();
+    }
+}
+
+#[test]
+fn an_inverted_range_is_queued_once_and_answers_empty_on_every_stack() {
+    let (index, _) = build_spread_index(256, &CuartConfig::for_tests());
+    let index = Arc::new(index);
+    // Lower bounds across the key space: on a fleet of two or more they
+    // fall on different shards.
+    let inverted: Vec<(Vec<u8>, Vec<u8>)> = (0..8u8)
+        .map(|i| (vec![i * 32, 0xff], vec![i * 32, 0x00]))
+        .collect();
+    for (name, stack) in Stack::all(&index, &SchedulerConfig::default()) {
+        let answer = stack.submit(SchedOp::Range(inverted.clone())).wait();
+        let empty = vec![RangeRows::new(); inverted.len()];
+        assert_eq!(answer, Ok(SchedAnswer::Rows(empty)), "{name}");
+        let (enqueued, _) = stack.join();
+        assert_eq!(
+            enqueued,
+            inverted.len() as u64,
+            "{name}: every inverted range is queued once"
+        );
     }
 }

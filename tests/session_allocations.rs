@@ -1,5 +1,5 @@
-//! Heap allocations per `CuartSession` batch, counted by this binary's own
-//! global allocator.
+//! Heap allocations per `CuartSession` batch, counted by the one
+//! `CountingAllocator` installed as this binary's global allocator.
 //!
 //! The simulator's launch state (trace arena, timing scratch) and the
 //! session's staging are reused across batches, keys are packed from where
@@ -17,10 +17,9 @@
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
+use cuart_integration_tests::{allocations_of, CountingAllocator};
 use cuart_telemetry::Telemetry;
 use cuart_workloads::uniform_keys;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `Vec`s of one `batch.lookup` / `batch.update` span tree: the root's
@@ -29,36 +28,8 @@ use std::sync::Arc;
 /// and `exec`.
 const SPAN_TREE_VECS: u64 = 8;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn warm_session_batches_allocate_a_constant_number_of_times() {
@@ -80,14 +51,14 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
     // And the split batch spawns the launcher's helper threads and sizes
     // every part's arena and scratch.
     session.lookup_batch(split).unwrap();
-    let lookup_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
-    let lookup_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));
+    let (lookup_small, _) = allocations_of(|| session.lookup_batch(small).unwrap());
+    let (lookup_large, _) = allocations_of(|| session.lookup_batch(large).unwrap());
     assert_eq!(
         lookup_small, lookup_large,
         "1 Ki-key vs 8 Ki-key lookup_batch"
     );
     assert!(lookup_large <= 4, "lookup_batch allocated {lookup_large}×");
-    let lookup_split = allocations_of(|| drop(session.lookup_batch(split).unwrap()));
+    let (lookup_split, _) = allocations_of(|| session.lookup_batch(split).unwrap());
     assert_eq!(
         lookup_small, lookup_split,
         "1 Ki-key vs 32 Ki-key (split) lookup_batch"
@@ -98,8 +69,8 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
     };
     let (small_ops, large_ops) = (ops(small), ops(large));
     session.update_batch(&large_ops).unwrap();
-    let update_small = allocations_of(|| drop(session.update_batch(&small_ops).unwrap()));
-    let update_large = allocations_of(|| drop(session.update_batch(&large_ops).unwrap()));
+    let (update_small, _) = allocations_of(|| session.update_batch(&small_ops).unwrap());
+    let (update_large, _) = allocations_of(|| session.update_batch(&large_ops).unwrap());
     assert_eq!(
         update_small, update_large,
         "1 Ki-op vs 8 Ki-op update_batch"
@@ -125,8 +96,8 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
         snap.spans_dropped > 0 && snap.events.is_empty(),
         "span ring full, event ring untouched"
     );
-    let traced_small = allocations_of(|| drop(session.lookup_batch(small).unwrap()));
-    let traced_large = allocations_of(|| drop(session.lookup_batch(large).unwrap()));
+    let (traced_small, _) = allocations_of(|| session.lookup_batch(small).unwrap());
+    let (traced_large, _) = allocations_of(|| session.lookup_batch(large).unwrap());
     assert_eq!(
         traced_small, traced_large,
         "1 Ki-key vs 8 Ki-key lookup_batch with telemetry"
@@ -135,8 +106,8 @@ fn warm_session_batches_allocate_a_constant_number_of_times() {
         traced_large <= lookup_large + SPAN_TREE_VECS,
         "traced lookup_batch allocated {traced_large}× (plain: {lookup_large}×)"
     );
-    let traced_small = allocations_of(|| drop(session.update_batch(&small_ops).unwrap()));
-    let traced_large = allocations_of(|| drop(session.update_batch(&large_ops).unwrap()));
+    let (traced_small, _) = allocations_of(|| session.update_batch(&small_ops).unwrap());
+    let (traced_large, _) = allocations_of(|| session.update_batch(&large_ops).unwrap());
     assert_eq!(
         traced_small, traced_large,
         "1 Ki-op vs 8 Ki-op update_batch with telemetry"

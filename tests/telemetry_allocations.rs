@@ -1,52 +1,24 @@
-//! Heap allocations of the telemetry hot path, counted by this binary's
-//! own global allocator.
+//! Heap allocations of the telemetry hot path, counted by the one
+//! `CountingAllocator` installed as this binary's global allocator.
 //!
 //! A bump through a held handle is an atomic op, and a span-tree commit
 //! moves the tree into the span ring: neither may allocate. A warm
 //! scheduler request may allocate only what it allocates with no registry
-//! attached plus the `Vec`s of its `sched.batch.*` tree — a `format!` of a
-//! series name or a map on the per-batch path fails here.
+//! attached plus the `Vec`s of its `sched.batch.*` tree and its
+//! `sched.route` span — a `format!` of a series name or a map on the
+//! per-batch path fails here.
 //! One test only: the counter is process-wide.
 
 use cuart::{CuartConfig, CuartIndex};
 use cuart_art::Art;
 use cuart_gpu_sim::devices;
-use cuart_host::{Scheduler, SchedulerConfig};
+use cuart_host::{SchedulerConfig, ShardedScheduler};
+use cuart_integration_tests::{allocations_of, CountingAllocator};
 use cuart_telemetry::{names, AttrValue, SpanNode, Telemetry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
-}
 
 /// A `sched.batch.lookup`-shaped tree: static names, typed attributes.
 fn batch_tree(keys: u64) -> SpanNode {
@@ -74,15 +46,20 @@ fn batch_tree(keys: u64) -> SpanNode {
 /// subtree's children plus the attributes of `kernel`, `dram` and `exec`.
 const SCHED_TREE_VECS: u64 = 8;
 
+/// `Vec`s of one `sched.route` span: the leaf's attributes.
+const ROUTE_SPAN_VECS: u64 = 1;
+
 /// Allocations of each of `rounds` sequential 32-key lookups through a
-/// warm single-device scheduler on `index`, configured as shard 0 so every
-/// counter and gauge bump also writes its `cuart.sched.shard.0.*` twin.
+/// warm fleet of one device on `index`: its shard 0 writes every counter
+/// and gauge bump to its `cuart.sched.shard.0.*` twin too, and the fleet
+/// routes every request.
 fn scheduler_request_allocations(index: &Arc<CuartIndex>, rounds: usize) -> Vec<u64> {
-    let cfg = SchedulerConfig {
-        shard: Some(0),
-        ..SchedulerConfig::default()
-    };
-    let sched = Scheduler::spawn(Arc::clone(index), devices::gtx1070(), cfg);
+    let sched = ShardedScheduler::spawn(
+        Arc::clone(index),
+        &[devices::gtx1070()],
+        SchedulerConfig::default(),
+    )
+    .unwrap();
     let client = sched.client().unwrap();
     let request = |i: usize| -> Vec<Vec<u8>> {
         (0..32u64)
@@ -152,7 +129,7 @@ fn held_handles_and_span_commits_do_not_allocate() {
     assert_eq!(plain_min, plain_max, "plain requests: {plain:?}");
     assert_eq!(traced_min, traced_max, "traced requests: {traced:?}");
     assert!(
-        traced[0] <= plain[0] + SCHED_TREE_VECS,
+        traced[0] <= plain[0] + SCHED_TREE_VECS + ROUTE_SPAN_VECS,
         "traced request allocated {}× (plain: {}×)",
         traced[0],
         plain[0]
